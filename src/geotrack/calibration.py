@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import LOG_TWO_PI, Gaussian2D
+from .kalman import ObsTransform
 
 
 @dataclass(frozen=True)
@@ -83,6 +84,32 @@ def default_grid() -> CalibrationGrid:
 def apply(params: CalibrationParams, g: Gaussian2D) -> Gaussian2D:
     """Rescale a detection's covariance; the mean is untouched."""
     return Gaussian2D(g.mean, params.a * g.cov + params.b * np.eye(2))
+
+
+def obs_transform(
+    calib: dict[str, CalibrationParams], tangent_views: Sequence[str] = ()
+) -> ObsTransform:
+    """run_sequence's obs_transform for per-view calibrations.
+
+    Views without an entry in calib pass through unchanged. The covariance
+    tangent stack has 1 + 2 * len(tangent_views) channels; channel 0
+    (sigma_accel) is zero, and view i of tangent_views gets dR/da = cov on
+    channel 1 + 2i and dR/db = I on channel 2 + 2i.
+    """
+    n_params = 1 + 2 * len(tangent_views)
+    channel = {v: 1 + 2 * i for i, v in enumerate(tangent_views)}
+
+    def transform(view: str, g: Gaussian2D) -> tuple[Gaussian2D, np.ndarray]:
+        dR = np.zeros((n_params, 2, 2))
+        params = calib.get(view)
+        if params is None:
+            return g, dR
+        if view in channel:
+            dR[channel[view]] = g.cov
+            dR[channel[view] + 1] = np.eye(2)
+        return apply(params, g), dR
+
+    return transform
 
 
 def fit(

@@ -109,15 +109,10 @@ def _truth_positions_for(
 
 
 def _pairs_by_view(
-    frames: list[DetectionFrame], truth: list[tuple[float, ObjectPose]]
+    frames: list[DetectionFrame], truth: list[tuple[float, ObjectPose]], label: str
 ) -> dict[str, list[tuple[Gaussian2D, np.ndarray]]]:
-    by_t = {t: pose for t, pose in truth}
-    missing = sum(1 for f in frames if f.t not in by_t)
-    if missing:
-        raise RuntimeError(f"{missing} frame timestamps have no matching truth row")
     pairs: dict[str, list[tuple[Gaussian2D, np.ndarray]]] = {}
-    for frame in frames:
-        pos = by_t[frame.t].position
+    for frame, pos in zip(frames, _truth_positions_for(frames, truth, label)):
         for view, g in frame.detections:
             pairs.setdefault(view, []).append((g, pos))
     return pairs
@@ -162,18 +157,6 @@ def cmd_simulate(args) -> int:
 # track
 
 
-def _calibration_transform(calib: dict[str, calibration.CalibrationParams]):
-    eye2 = np.eye(2)
-
-    def transform(view: str, g: Gaussian2D):
-        p = calib.get(view)
-        if p is None:
-            return g, np.zeros((1, 2, 2))
-        return Gaussian2D(g.mean, p.a * g.cov + p.b * eye2), np.zeros((1, 2, 2))
-
-    return transform
-
-
 def cmd_track(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "track")
@@ -185,7 +168,7 @@ def cmd_track(args) -> int:
     )
     transform = None
     if args.calib:
-        transform = _calibration_transform(dataio.read_calibration(Path(args.calib)))
+        transform = calibration.obs_transform(dataio.read_calibration(Path(args.calib)))
     truth = dataio.read_truth(Path(args.truth)) if args.truth else None
     truth_pos = _truth_positions_for(frames, truth, args.detections) if truth else None
 
@@ -246,7 +229,7 @@ def cmd_calibrate(args) -> int:
     out = _out_dir(args, "calibrate")
     frames = _read_detections_checked(Path(args.detections))
     truth = dataio.read_truth(Path(args.truth))
-    pairs = _pairs_by_view(frames, truth)
+    pairs = _pairs_by_view(frames, truth, args.detections)
     if not pairs:
         raise RuntimeError("validation split contains no detections")
     grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))

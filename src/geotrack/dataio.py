@@ -12,7 +12,7 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -34,45 +34,50 @@ def _f(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# detections: line-delimited JSON, one frame per line
+# line-delimited JSON: Gaussian records and the shared reader
 
 
-def write_detections(path: Path, frames: Sequence[DetectionFrame]) -> None:
-    with open(path, "w") as fh:
-        for frame in frames:
-            rec = {
-                "t": _f(frame.t),
-                "detections": [
-                    {
-                        "view": view,
-                        "mean": [_f(g.mean[0]), _f(g.mean[1])],
-                        "cov": [
-                            [_f(g.cov[0, 0]), _f(g.cov[0, 1])],
-                            [_f(g.cov[1, 0]), _f(g.cov[1, 1])],
-                        ],
-                    }
-                    for view, g in frame.detections
-                ],
-            }
-            fh.write(dumps(rec) + "\n")
+def _gaussian_to_json(g: Gaussian2D) -> dict:
+    return {
+        "mean": [_f(g.mean[0]), _f(g.mean[1])],
+        "cov": [[_f(g.cov[0, 0]), _f(g.cov[0, 1])], [_f(g.cov[1, 0]), _f(g.cov[1, 1])]],
+    }
 
 
-def read_detections(path: Path) -> list[DetectionFrame]:
-    frames = []
+def _gaussian_from_json(rec: dict) -> Gaussian2D:
+    return Gaussian2D(rec["mean"], rec["cov"])
+
+
+def _read_jsonl(path: Path) -> Iterator[dict]:
+    """Yield one record per non-blank line; bad JSON names path:line."""
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                rec = json.loads(line)
+                yield json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            dets = tuple(
-                (d["view"], Gaussian2D(d["mean"], d["cov"]))
-                for d in rec["detections"]
-            )
-            frames.append(DetectionFrame(rec["t"], dets))
-    return frames
+
+
+# ---------------------------------------------------------------------------
+# detections: one frame per line
+
+
+def write_detections(path: Path, frames: Sequence[DetectionFrame]) -> None:
+    with open(path, "w") as fh:
+        for frame in frames:
+            dets = [{"view": view, **_gaussian_to_json(g)} for view, g in frame.detections]
+            fh.write(dumps({"t": _f(frame.t), "detections": dets}) + "\n")
+
+
+def read_detections(path: Path) -> list[DetectionFrame]:
+    return [
+        DetectionFrame(
+            rec["t"], tuple((d["view"], _gaussian_from_json(d)) for d in rec["detections"])
+        )
+        for rec in _read_jsonl(path)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -252,29 +257,11 @@ def read_calibration(path: Path) -> dict[str, CalibrationParams]:
 def write_track(path: Path, times: np.ndarray, marginals: Sequence[Gaussian2D]) -> None:
     with open(path, "w") as fh:
         for t, g in zip(times, marginals):
-            rec = {
-                "t": _f(t),
-                "mean": [_f(g.mean[0]), _f(g.mean[1])],
-                "cov": [
-                    [_f(g.cov[0, 0]), _f(g.cov[0, 1])],
-                    [_f(g.cov[1, 0]), _f(g.cov[1, 1])],
-                ],
-            }
-            fh.write(dumps(rec) + "\n")
+            fh.write(dumps({"t": _f(t), **_gaussian_to_json(g)}) + "\n")
 
 
 def read_track(path: Path) -> list[tuple[float, Gaussian2D]]:
-    out = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
-            out.append((rec["t"], Gaussian2D(rec["mean"], rec["cov"])))
-    return out
+    return [(rec["t"], _gaussian_from_json(rec)) for rec in _read_jsonl(path)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 The latent state is (px, py, vx, vy) in cm and cm/s. Any number of
 simultaneous detections updates the state per step under the assumption that
-they are mutually conditionally independent given the state; sequential
-per-detection updates are algebraically identical to a stacked joint update,
-and fusion automatically weights low-uncertainty detections more heavily.
+they are mutually conditionally independent given the state. Every detection
+observes position directly, so a frame's detections collapse exactly into one
+information-form pseudo-measurement (product of Gaussians); the update is
+algebraically identical to a stacked joint update, and fusion automatically
+weights low-uncertainty detections more heavily.
 
 Every state carries a stack of forward-mode tangents (d state / d parameter).
 Tangent channel 0 is always the acceleration-noise parameter sigma_accel;
@@ -148,6 +150,39 @@ def _sym(P: np.ndarray) -> np.ndarray:
     return (P + np.swapaxes(P, -1, -2)) / 2.0
 
 
+def _fuse(
+    detections: Sequence[tuple[str, Gaussian2D]],
+    r_tangents: Optional[Sequence[np.ndarray]],
+    k: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse a frame's detections into one position pseudo-measurement.
+
+    Information-form fusion: R = (sum R_i^-1)^-1 and z = R sum R_i^-1 z_i.
+    Also returns the tangents dz and dR over k channels, given each
+    detection's (k, 2, 2) dR_i stack (zero when r_tangents is None). A single
+    detection is returned unchanged.
+    """
+    if r_tangents is None:
+        r_tangents = [np.zeros((k, 2, 2))] * len(detections)
+    if len(detections) == 1:
+        g = detections[0][1]
+        return g.mean, g.cov, np.zeros((k, 2)), r_tangents[0]
+    lam = np.zeros((2, 2))
+    eta = np.zeros(2)
+    dlam = np.zeros((k, 2, 2))
+    deta = np.zeros((k, 2))
+    for (_, g), dR in zip(detections, r_tangents):
+        prec, _ = _inv2(g.cov)
+        lam += prec
+        eta += prec @ g.mean
+        dprec = -prec @ dR @ prec
+        dlam += dprec
+        deta += dprec @ g.mean
+    R, _ = _inv2(lam)
+    dR_f = -R @ dlam @ R
+    return R @ eta, R, dR_f @ eta + (R @ deta[..., None])[..., 0], dR_f
+
+
 def init_state(
     frame: DetectionFrame,
     params: FilterParams,
@@ -156,41 +191,24 @@ def init_state(
 ) -> KalmanState:
     """Start a track from the detections of one frame.
 
-    The position block is the precision-weighted fusion of the frame's
-    detections (product of Gaussians); velocity starts at zero with
-    init_vel_var per axis and no cross-covariance. Tangents are zero except
-    for channels whose dR stacks make the fused block parameter-dependent.
+    The position block is the fused detection of the frame (see _fuse);
+    velocity starts at zero with init_vel_var per axis and no
+    cross-covariance. Tangents are zero except for channels whose dR stacks
+    make the fused block parameter-dependent.
     """
     if not frame.detections:
         raise ValueError("cannot initialize without a detection")
     k = n_params
-    if r_tangents is None:
-        r_tangents = [np.zeros((k, 2, 2)) for _ in frame.detections]
-    lam = np.zeros((2, 2))
-    eta = np.zeros(2)
-    dlam = np.zeros((k, 2, 2))
-    deta = np.zeros((k, 2))
-    for (_, g), dR in zip(frame.detections, r_tangents):
-        prec, _ = _inv2(g.cov)
-        lam += prec
-        eta += prec @ g.mean
-        dprec = -prec @ dR @ prec
-        dlam += dprec
-        deta += dprec @ g.mean
-    cov_pos, _ = _inv2(lam)
-    mean_pos = cov_pos @ eta
-    dcov = -cov_pos @ dlam @ cov_pos
-    dmean = dcov @ eta + (cov_pos @ deta[..., None])[..., 0]
-
+    z, R, dz, dR = _fuse(frame.detections, r_tangents, k)
     x = np.zeros(4)
-    x[:2] = mean_pos
+    x[:2] = z
     P = np.zeros((4, 4))
-    P[:2, :2] = cov_pos
+    P[:2, :2] = R
     P[2, 2] = P[3, 3] = params.init_vel_var
     sens_x = np.zeros((k, 4))
-    sens_x[:, :2] = dmean
+    sens_x[:, :2] = dz
     sens_P = np.zeros((k, 4, 4))
-    sens_P[:, :2, :2] = dcov
+    sens_P[:, :2, :2] = dR
     return KalmanState(frame.t, x, _sym(P), sens_x, _sym(sens_P))
 
 
@@ -213,59 +231,50 @@ def update(
     state: KalmanState,
     frame: DetectionFrame,
     r_tangents: Optional[Sequence[np.ndarray]] = None,
-) -> tuple[KalmanState, list[float]]:
-    """Fuse all detections of a frame into the state, one at a time.
+) -> KalmanState:
+    """Fuse all detections of a frame into the state.
 
-    Detections are absorbed sequentially (conditionally independent given the
-    state), which is algebraically identical to a stacked joint update; the
-    posterior does not depend on detection order. Uses the Joseph-form
-    covariance update so P stays symmetric PD under roundoff. Also returns
-    each detection's predictive NLL (its innovation under N(0, S)) for
-    diagnostics. An empty frame is a no-op.
+    The detections (conditionally independent given the state) are first
+    fused into one pseudo-measurement (see _fuse), then absorbed by a single
+    Kalman update; this equals the stacked joint update, and the posterior
+    does not depend on detection order. Uses the Joseph-form covariance
+    update so P stays symmetric PD under roundoff. An empty frame is a no-op.
     """
     if abs(frame.t - state.t) > 1e-9:
         raise ValueError(f"frame time {frame.t} does not match state time {state.t}")
+    if not frame.detections:
+        return state
     k = state.n_params
-    if r_tangents is None:
-        r_tangents = [np.zeros((k, 2, 2)) for _ in frame.detections]
-    x = state.x.copy()
-    P = state.P.copy()
-    sx = state.sens_x.copy()
-    sP = state.sens_P.copy()
-    eye4 = np.eye(4)
-    nlls: list[float] = []
-    for (_, g), dR in zip(frame.detections, r_tangents):
-        z = g.mean
-        R = g.cov
-        y = z - x[:2]
-        S = P[:2, :2] + R
-        S_inv, S_det = _inv2(S)
-        nlls.append(float(LOG_TWO_PI + 0.5 * np.log(S_det) + 0.5 * y @ S_inv @ y))
-        K_gain = P[:, :2] @ S_inv
+    z, R, dz, dR = _fuse(frame.detections, r_tangents, k)
+    x, P, sx, sP = state.x, state.P, state.sens_x, state.sens_P
+    y = z - x[:2]
+    S_inv, _ = _inv2(P[:2, :2] + R)
+    K_gain = P[:, :2] @ S_inv
 
-        dS = sP[:, :2, :2] + dR
-        dK = (sP[:, :, :2] - K_gain @ dS) @ S_inv
-        dy = -sx[:, :2]
-        sx = sx + dK @ y + dy @ K_gain.T
+    dS = sP[:, :2, :2] + dR
+    dK = (sP[:, :, :2] - K_gain @ dS) @ S_inv
+    dy = dz - sx[:, :2]
 
-        A = eye4.copy()
-        A[:, :2] -= K_gain
-        dA = np.zeros((k, 4, 4))
-        dA[:, :, :2] = -dK
-        AP = A @ P
-        sP = (
-            dA @ P @ A.T
-            + A @ sP @ A.T
-            + AP @ np.swapaxes(dA, 1, 2)
-            + dK @ R @ K_gain.T
-            + K_gain @ dR @ K_gain.T
-            + (K_gain @ R) @ np.swapaxes(dK, 1, 2)
-        )
-        sP = _sym(sP)
-
-        x = x + K_gain @ y
-        P = _sym(AP @ A.T + K_gain @ R @ K_gain.T)
-    return KalmanState(state.t, x, P, sx, sP), nlls
+    A = np.eye(4)
+    A[:, :2] -= K_gain
+    dA = np.zeros((k, 4, 4))
+    dA[:, :, :2] = -dK
+    AP = A @ P
+    sP = (
+        dA @ P @ A.T
+        + A @ sP @ A.T
+        + AP @ np.swapaxes(dA, 1, 2)
+        + dK @ R @ K_gain.T
+        + K_gain @ dR @ K_gain.T
+        + (K_gain @ R) @ np.swapaxes(dK, 1, 2)
+    )
+    return KalmanState(
+        state.t,
+        x + K_gain @ y,
+        _sym(AP @ A.T + K_gain @ R @ K_gain.T),
+        sx + dK @ y + dy @ K_gain.T,
+        _sym(sP),
+    )
 
 
 def marginal(state: KalmanState) -> Gaussian2D:
@@ -367,7 +376,7 @@ def run_sequence(
             grads.append(gvec)
         frame, tangents = prepare(frames[i])
         if frame.detections:
-            state, _ = update(state, frame, r_tangents=tangents)
+            state = update(state, frame, r_tangents=tangents)
         if truth is not None and nll_mode == "filtered":
             v, gvec = _marginal_nll_grad(state, truth[i])
             nlls.append(v)

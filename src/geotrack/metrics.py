@@ -102,21 +102,12 @@ def det_pr(scores: Sequence[float], sweep: AlphaSweep) -> float:
 
     With one prediction and one truth per step, every below-threshold step
     produces one unmatched prediction and one unmatched truth, so precision
-    and recall coincide; the identity is asserted on every call.
+    and recall coincide: both are tp / n.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.size == 0:
         raise ValueError("cannot evaluate zero scores")
-    values = []
-    for alpha in sweep.thresholds:
-        tp = int(np.sum(scores > alpha))
-        fn = scores.size - tp
-        fp = scores.size - tp
-        assert fn == fp, "single-object setting must give |FN| == |FP|"
-        precision = tp / (tp + fn)
-        recall = tp / (tp + fp)
-        assert precision == recall
-        values.append(precision)
+    values = [int(np.sum(scores > alpha)) / scores.size for alpha in sweep.thresholds]
     return float(np.mean(values))
 
 

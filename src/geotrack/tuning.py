@@ -17,10 +17,11 @@ from typing import Sequence
 
 import numpy as np
 
+from . import calibration
 from .calibration import CalibrationParams
 from .core import NotPositiveDefiniteError
 from .heads import inv_softplus, sigmoid, softplus
-from .kalman import DetectionFrame, FilterParams, Gaussian2D, run_sequence
+from .kalman import DetectionFrame, FilterParams, run_sequence
 
 Window = tuple[Sequence[DetectionFrame], np.ndarray]
 
@@ -109,8 +110,8 @@ def sequence_loss(
 
     The gradient is taken with respect to the unconstrained tunable vector
     (see to_vector for the ordering). Per-view calibration enters the filter
-    as the observation covariance R = a * cov + b * I, with tangents
-    dR/da = cov and dR/db = I pushed through every update.
+    through calibration.obs_transform, whose tangents dR/da and dR/db are
+    pushed through every update.
     """
     truth = np.asarray(truth, dtype=float)
     if truth.shape != (len(frames), 2):
@@ -120,24 +121,11 @@ def sequence_loss(
     sigma, calib = params.decode()
     order = params.view_order()
     n_params = 1 + 2 * len(order)
-    channel = {v: (1 + 2 * i, 2 + 2 * i) for i, v in enumerate(order)}
-    eye2 = np.eye(2)
-
-    def transform(view: str, g: Gaussian2D) -> tuple[Gaussian2D, np.ndarray]:
-        dR = np.zeros((n_params, 2, 2))
-        if view not in calib:
-            return g, dR
-        p = calib[view]
-        ia, ib = channel[view]
-        dR[ia] = g.cov
-        dR[ib] = eye2
-        return Gaussian2D(g.mean, p.a * g.cov + p.b * eye2), dR
-
     result = run_sequence(
         frames,
         FilterParams(sigma, init_vel_var),
         truth=truth,
-        obs_transform=transform,
+        obs_transform=calibration.obs_transform(calib, order),
         n_params=n_params,
     )
     n_steps = result.n_nll_steps
@@ -146,11 +134,10 @@ def sequence_loss(
 
     grad = np.empty(n_params)
     grad[0] = grad_natural[0] * sigma  # d sigma / d log sigma
-    for v in order:
-        ia, ib = channel[v]
+    for i, v in enumerate(order):
         _, raw_b = params.views[v]
-        grad[ia] = grad_natural[ia] * calib[v].a
-        grad[ib] = grad_natural[ib] * sigmoid(raw_b)
+        grad[1 + 2 * i] = grad_natural[1 + 2 * i] * calib[v].a
+        grad[2 + 2 * i] = grad_natural[2 + 2 * i] * sigmoid(raw_b)
     return loss, grad
 
 
@@ -176,7 +163,10 @@ class TuneHistory:
 def make_windows(
     frames: Sequence[DetectionFrame], truth: np.ndarray, seq_len: int
 ) -> list[Window]:
-    """Chop a split into disjoint consecutive windows of seq_len frames."""
+    """Chop a split into disjoint consecutive windows of seq_len frames.
+
+    Windows without any detection are dropped: the filter cannot start on
+    them, so they hold no filtered-NLL step."""
     truth = np.asarray(truth, dtype=float)
     if len(frames) < seq_len:
         raise ValueError(
@@ -185,7 +175,9 @@ def make_windows(
         )
     windows = []
     for i in range(0, len(frames) - seq_len + 1, seq_len):
-        windows.append((list(frames[i : i + seq_len]), truth[i : i + seq_len]))
+        window = list(frames[i : i + seq_len])
+        if any(f.detections for f in window):
+            windows.append((window, truth[i : i + seq_len]))
     return windows
 
 

@@ -41,7 +41,7 @@ def random_pd_2x2(rng: np.random.Generator, lo: float = 1.0, hi: float = 100.0) 
 def stacked_update(x, P, detections):
     """Joint Kalman update with a stacked observation block.
 
-    Independent oracle for the sequential per-detection update: builds the
+    Independent oracle for the fused information-form update: builds the
     full block H and block-diagonal R and applies the textbook equations in
     one shot (Joseph form).
     """

@@ -110,13 +110,13 @@ def test_criterion_2_multi_observation_equivalence():
             for i in range(n_det)
         )
         frame = DetectionFrame(0.0, dets)
-        seq, _ = update(state, frame)
+        seq = update(state, frame)
         x_ref, P_ref = stacked_update(state.x, state.P, dets)
         worst_stacked = max(
             worst_stacked, np.linalg.norm(seq.x - x_ref), np.linalg.norm(seq.P - P_ref)
         )
         perm = rng.permutation(n_det)
-        shuffled, _ = update(state, DetectionFrame(0.0, tuple(dets[i] for i in perm)))
+        shuffled = update(state, DetectionFrame(0.0, tuple(dets[i] for i in perm)))
         worst_order = max(
             worst_order, np.linalg.norm(seq.x - shuffled.x), np.linalg.norm(seq.P - shuffled.P)
         )
@@ -442,7 +442,7 @@ def test_criterion_8_metric_identities():
         fp = len(scores) - tp
         identity_holds &= fn == fp
         identity_holds &= tp / (tp + fn) == tp / (tp + fp)
-    metrics.det_pr(scores, sweep)  # implementation asserts the identity too
+    metrics.det_pr(scores, sweep)  # implementation computes tp / n directly
 
     per_alpha = []
     for alpha in sweep.thresholds:

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_cv_frames, random_pd_2x2, stacked_update
-from geotrack.core import Gaussian2D
+from geotrack.core import Gaussian2D, rotation
 from geotrack.kalman import (
     DetectionFrame,
     FilterParams,
@@ -124,7 +126,7 @@ class TestUpdate:
         rng = np.random.default_rng(15)
         state = random_state(rng)
         g = Gaussian2D((5.0, 5.0), 1e12 * np.eye(2))
-        out, _ = update(state, frame(0.0, ("N1", g)))
+        out = update(state, frame(0.0, ("N1", g)))
         np.testing.assert_allclose(out.x, state.x, rtol=1e-6)
         np.testing.assert_allclose(out.P, state.P, rtol=1e-6)
 
@@ -132,7 +134,7 @@ class TestUpdate:
         g0 = Gaussian2D((0.0, 0.0), 100.0 * np.eye(2))
         state = init_state(frame(0.0, ("N1", g0)), FilterParams(10.0))
         det = Gaussian2D((10.0, 0.0), 100.0 * np.eye(2))
-        out, _ = update(state, frame(0.0, ("N2", det)))
+        out = update(state, frame(0.0, ("N2", det)))
         np.testing.assert_allclose(out.x[:2], [5.0, 0.0], atol=1e-12)
         np.testing.assert_allclose(out.P[:2, :2], 50.0 * np.eye(2), atol=1e-10)
 
@@ -148,8 +150,8 @@ class TestUpdate:
             ("N2", Gaussian2D(m2, 100.0 * np.eye(2))),
         )
         one = frame(0.0, ("N1", Gaussian2D((m1 + m2) / 2.0, 50.0 * np.eye(2))))
-        out_two, _ = update(state, two)
-        out_one, _ = update(state, one)
+        out_two = update(state, two)
+        out_one = update(state, one)
         np.testing.assert_allclose(out_two.x, out_one.x, atol=1e-9)
         np.testing.assert_allclose(out_two.P, out_one.P, atol=1e-9)
 
@@ -160,8 +162,8 @@ class TestUpdate:
             f = random_frame(rng)
             perm = rng.permutation(len(f.detections))
             shuffled = frame(0.0, *(f.detections[i] for i in perm))
-            a, _ = update(state, f)
-            b, _ = update(state, shuffled)
+            a = update(state, f)
+            b = update(state, shuffled)
             assert np.linalg.norm(a.x - b.x) < 1e-9
             assert np.linalg.norm(a.P - b.P) < 1e-9
 
@@ -170,7 +172,7 @@ class TestUpdate:
         for _ in range(200):
             state = random_state(rng)
             f = random_frame(rng)
-            seq, _ = update(state, f)
+            seq = update(state, f)
             x_ref, P_ref = stacked_update(state.x, state.P, f.detections)
             assert np.linalg.norm(seq.x - x_ref) < 1e-9
             assert np.linalg.norm(seq.P - P_ref) < 1e-9
@@ -191,7 +193,7 @@ class TestUpdate:
         for _ in range(10_000):
             t += 0.05
             state = predict(state, 0.05, params)
-            state, _ = update(state, random_frame(rng, t=t))
+            state = update(state, random_frame(rng, t=t))
             assert np.allclose(state.P, state.P.T, atol=1e-9)
             np.linalg.cholesky(state.P)  # raises if not PD
 
@@ -201,13 +203,78 @@ class TestUpdate:
         with pytest.raises(ValueError):
             update(state, random_frame(rng, t=1.0))
 
-    def test_predictive_nll_diagnostics(self):
-        g0 = Gaussian2D((0.0, 0.0), np.eye(2))
-        state = init_state(frame(0.0, ("N1", g0)), FilterParams(10.0))
-        det = Gaussian2D((0.0, 0.0), np.eye(2))
-        _, nlls = update(state, frame(0.0, ("N2", det)))
-        # Innovation 0 under N(0, 2I): log(2 pi) + log(2).
-        assert nlls[0] == pytest.approx(math.log(2.0 * math.pi) + math.log(2.0), abs=1e-12)
+
+def pd_2x2(lo, hi):
+    """Strategy: symmetric PD 2x2 matrix with log-uniform eigenvalues in [lo, hi]."""
+    log_eig = st.floats(math.log(lo), math.log(hi))
+
+    def build(e1, e2, angle):
+        R = rotation(angle)
+        return R @ np.diag(np.exp([e1, e2])) @ R.T
+
+    return st.builds(build, log_eig, log_eig, st.floats(0.0, 2.0 * math.pi))
+
+
+def sym_stack(k, n, bound):
+    """Strategy: (k, n, n) stack of symmetric matrices with entries in [-bound, bound]."""
+
+    def build(values):
+        m = np.reshape(values, (k, n, n))
+        return (m + np.swapaxes(m, 1, 2)) / 2.0
+
+    size = k * n * n
+    return st.lists(st.floats(-bound, bound), min_size=size, max_size=size).map(build)
+
+
+@st.composite
+def predicted_update_case(draw, min_det=0, max_det=4):
+    """A random PD prior with random tangents, predicted over a log-uniform
+    dt in [1e-3, 1e3], and a frame of min_det..max_det detections with
+    random dR stacks at the predicted time."""
+    k = draw(st.integers(1, 3))
+    P = np.zeros((4, 4))
+    P[:2, :2] = draw(pd_2x2(5.0, 200.0))
+    P[2:, 2:] = draw(pd_2x2(5.0, 200.0))
+    x = np.array(draw(st.lists(st.floats(-100.0, 100.0), min_size=4, max_size=4)))
+    sens_x = np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=4 * k, max_size=4 * k)))
+    state = KalmanState(0.0, x, P, sens_x.reshape(k, 4), draw(sym_stack(k, 4, 10.0)))
+    dt = 10.0 ** draw(st.floats(-3.0, 3.0))
+    prior = predict(state, dt, FilterParams(10.0 ** draw(st.floats(0.0, 2.0))))
+    n_det = draw(st.integers(min_det, max_det))
+    dets = []
+    for i in range(n_det):
+        mean = draw(st.lists(st.floats(-500.0, 500.0), min_size=2, max_size=2))
+        dets.append((f"N{i}", Gaussian2D(mean, draw(pd_2x2(1.0, 100.0)))))
+    r_tangents = [draw(sym_stack(k, 2, 10.0)) for _ in dets]
+    return prior, frame(prior.t, *dets), r_tangents
+
+
+class TestFusedUpdateProperties:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(predicted_update_case(min_det=1))
+    def test_matches_stacked_and_stays_pd(self, case):
+        # The oracle absorbs one detection per call. Its joint form inverts
+        # the 2k x 2k stacked innovation covariance, whose condition number
+        # after a long gap is ~k * P / R (5e13 at dt = 1e3), and its error
+        # there reaches ~1e-7 * |P|; each 2 x 2 block stays well conditioned.
+        prior, f, r_tangents = case
+        out = update(prior, f, r_tangents=r_tangents)
+        x_ref, P_ref = prior.x, prior.P
+        for det in f.detections:
+            x_ref, P_ref = stacked_update(x_ref, P_ref, [det])
+        tol = 1e-9 * np.linalg.norm(prior.P)
+        assert np.linalg.norm(out.x - x_ref) < tol
+        assert np.linalg.norm(out.P - P_ref) < tol
+        assert np.array_equal(out.P, out.P.T)
+        np.linalg.cholesky(out.P)  # raises if not PD
+
+    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @given(predicted_update_case(max_det=0))
+    def test_empty_frame_is_noop(self, case):
+        prior, f, _ = case
+        out = update(prior, f)
+        for name in ("x", "P", "sens_x", "sens_P"):
+            assert np.array_equal(getattr(out, name), getattr(prior, name))
 
 
 class TestMarginal:
@@ -276,7 +343,7 @@ class TestRunSequence:
             for f in frames[1:]:
                 st = predict(out[-1], f.t - out[-1].t, params)
                 if f.detections:
-                    st, _ = update(st, f)
+                    st = update(st, f)
                 out.append(st)
             return out
 

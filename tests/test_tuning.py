@@ -135,6 +135,14 @@ class TestMakeWindows:
         assert len(windows) == 2
         assert all(len(f) == 10 for f, _ in windows)
 
+    def test_windows_without_detections_dropped(self):
+        rng = np.random.default_rng(57)
+        frames, truth = make_cv_frames(rng, n_steps=30)
+        frames[10:20] = [DetectionFrame(f.t, ()) for f in frames[10:20]]
+        windows = make_windows(frames, truth, 10)
+        assert [f[0].t for f, _ in windows] == [frames[0].t, frames[20].t]
+        np.testing.assert_array_equal(windows[1][1], truth[20:])
+
     def test_too_few_frames(self):
         rng = np.random.default_rng(55)
         frames, truth = make_cv_frames(rng, n_steps=5)
