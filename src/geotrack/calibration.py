@@ -15,7 +15,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import LOG_TWO_PI, Gaussian2D
-from .kalman import ObsTransform
 
 
 @dataclass(frozen=True)
@@ -81,35 +80,39 @@ def default_grid() -> CalibrationGrid:
     return CalibrationGrid(log_spaced_axis(0.05, 10.0, 60), linear_axis(0.0, 500.0, 51))
 
 
-def apply(params: CalibrationParams, g: Gaussian2D) -> Gaussian2D:
-    """Rescale a detection's covariance; the mean is untouched."""
-    return Gaussian2D(g.mean, params.a * g.cov + params.b * np.eye(2))
-
-
 def obs_transform(
-    calib: dict[str, CalibrationParams], tangent_views: Sequence[str] = ()
-) -> ObsTransform:
-    """run_sequence's obs_transform for per-view calibrations.
+    calib: dict[str, CalibrationParams],
+    views: Sequence[str],
+    cov: np.ndarray,
+    tangent_views: Sequence[str] = (),
+) -> tuple[np.ndarray, np.ndarray]:
+    """The affine calibration a * cov + b * I over an array of detections,
+    with its tangents.
 
-    Views without an entry in calib pass through unchanged. The covariance
-    tangent stack has 1 + 2 * len(tangent_views) channels; channel 0
-    (sigma_accel) is zero, and view i of tangent_views gets dR/da = cov on
-    channel 1 + 2i and dR/db = I on channel 2 + 2i.
+    cov has shape (..., V, 2, 2); column i holds detections of views[i].
+    Views without an entry in calib pass through unchanged. Returns the
+    calibrated covariances and their tangent stack (..., V, K, 2, 2) with
+    K = 1 + 2 * len(tangent_views): channel 0 (sigma_accel) is zero, and
+    view i of tangent_views, when calibrated, gets dR/da = cov on channel
+    1 + 2i and dR/db = I on channel 2 + 2i. Every other view's tangent is zero.
     """
-    n_params = 1 + 2 * len(tangent_views)
-    channel = {v: 1 + 2 * i for i, v in enumerate(tangent_views)}
+    params = [calib.get(v, IDENTITY) for v in views]
+    a = np.array([p.a for p in params])[:, None, None]
+    b = np.array([p.b for p in params])[:, None, None]
+    eye = np.eye(2)
+    dR = np.zeros(cov.shape[:-2] + (1 + 2 * len(tangent_views), 2, 2))
+    for i, view in enumerate(tangent_views):
+        if view in calib and view in views:
+            col = list(views).index(view)
+            dR[..., col, 1 + 2 * i, :, :] = cov[..., col, :, :]
+            dR[..., col, 2 + 2 * i, :, :] = eye
+    return a * cov + b * eye, dR
 
-    def transform(view: str, g: Gaussian2D) -> tuple[Gaussian2D, np.ndarray]:
-        dR = np.zeros((n_params, 2, 2))
-        params = calib.get(view)
-        if params is None:
-            return g, dR
-        if view in channel:
-            dR[channel[view]] = g.cov
-            dR[channel[view] + 1] = np.eye(2)
-        return apply(params, g), dR
 
-    return transform
+def apply(params: CalibrationParams, g: Gaussian2D) -> Gaussian2D:
+    """Rescale one detection's covariance (obs_transform); the mean is untouched."""
+    cov, _ = obs_transform({"": params}, ("",), g.cov[None])
+    return Gaussian2D(g.mean, cov[0])
 
 
 def fit(

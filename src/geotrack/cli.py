@@ -2,7 +2,8 @@
 -> report, composing through files. Every command writes a manifest next to
 its outputs recording the resolved options, inputs, and versions.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
+Exit codes: 0 success, 1 runtime failure (including a covariance that is not
+positive definite, in the input or mid-run), 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, dataio, metrics, tuning
-from .core import Gaussian2D, ObjectPose, nll
+from .core import Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll
 from .kalman import DetectionFrame, FilterParams, run_sequence
 from .simulator import build_dataset, default_scenario
 
@@ -166,18 +167,17 @@ def cmd_track(args) -> int:
         if args.params
         else FilterParams(DEFAULT_SIGMA_ACCEL)
     )
-    transform = None
-    if args.calib:
-        transform = calibration.obs_transform(dataio.read_calibration(Path(args.calib)))
+    calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
     truth = dataio.read_truth(Path(args.truth)) if args.truth else None
     truth_pos = _truth_positions_for(frames, truth, args.detections) if truth else None
 
-    result = run_sequence(frames, params, truth=truth_pos, obs_transform=transform)
-    dataio.write_track(out / "track.jsonl", result.times, result.marginals)
+    result = run_sequence(frames, params, truth=truth_pos, calib=calib)
+    dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
+    n_steps = len(result.times)
 
     summary = {
         "n_frames": len(frames),
-        "n_steps": len(result.marginals),
+        "n_steps": n_steps,
         "sigma_accel": params.sigma_accel,
         "init_vel_var": params.init_vel_var,
         "calibrated": bool(args.calib),
@@ -188,17 +188,17 @@ def cmd_track(args) -> int:
     (out / "summary.json").write_text(dataio.dumps(summary, indent=2) + "\n")
 
     truth_by_t = {t: pose for t, pose in truth} if truth else {}
+    evals, evecs = np.linalg.eigh(result.covs)
+    axes = np.sqrt(CHI2_95_2D * evals).tolist()
     with open(out / "plot_data.csv", "w") as fh:
         fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
-        for t, g in zip(result.times, result.marginals):
-            evals, evecs = np.linalg.eigh(g.cov)
-            minor, major = (math.sqrt(CHI2_95_2D * v) for v in evals)
-            angle = math.atan2(evecs[1, 1], evecs[0, 1])
+        for t, mean, (minor, major), evec in zip(result.times, result.means, axes, evecs):
+            angle = math.atan2(evec[1, 1], evec[0, 1])
             pose = truth_by_t.get(float(t))
             tx = repr(float(pose.position[0])) if pose else ""
             ty = repr(float(pose.position[1])) if pose else ""
             fh.write(
-                f"{t!r},{tx},{ty},{g.mean[0]!r},{g.mean[1]!r},"
+                f"{t!r},{tx},{ty},{mean[0]!r},{mean[1]!r},"
                 f"{major!r},{minor!r},{angle!r}\n"
             )
 
@@ -214,9 +214,9 @@ def cmd_track(args) -> int:
         elapsed=time.monotonic() - started,
     )
     if truth_pos is not None:
-        print(f"track: {len(result.marginals)} steps, mean NLL {result.mean_nll:.4f}")
+        print(f"track: {n_steps} steps, mean NLL {result.mean_nll:.4f}")
     else:
-        print(f"track: {len(result.marginals)} steps")
+        print(f"track: {n_steps} steps")
     return 0
 
 
@@ -540,6 +540,10 @@ def main(argv=None) -> int:
     except (json.JSONDecodeError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NotPositiveDefiniteError as exc:
+        # Bad data or a numeric failure, not a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # Config/type validation failures name the offending field or value.
         print(f"error: {exc}", file=sys.stderr)

@@ -21,16 +21,18 @@ class NotPositiveDefiniteError(ValueError):
 
     ``minor_index`` is the 1-based index of the offending leading principal
     minor and ``minor_value`` its value (for a 2x2 matrix: the top-left entry,
-    then the determinant).
+    then the determinant). ``where``, when given, prefixes the message with
+    the matrix's origin (a file and line, or a frame time).
     """
 
-    def __init__(self, minor_index: int, minor_value: float):
+    def __init__(self, minor_index: int, minor_value: float, where: str = ""):
         self.minor_index = minor_index
         self.minor_value = float(minor_value)
-        super().__init__(
+        message = (
             f"matrix is not positive definite: leading minor {minor_index} "
             f"is {minor_value:.6g}"
         )
+        super().__init__(f"{where}: {message}" if where else message)
 
 
 def rotation(angle: float) -> np.ndarray:

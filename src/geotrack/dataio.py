@@ -12,12 +12,12 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .calibration import CalibrationParams
-from .core import Arena, Gaussian2D, ObjectPose
+from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose
 from .kalman import DetectionFrame, FilterParams
 from .metrics import MetricReport
 from .simulator import CameraNode, ScenarioConfig, default_scenario
@@ -37,10 +37,10 @@ def _f(x) -> float:
 # line-delimited JSON: Gaussian records and the shared reader
 
 
-def _gaussian_to_json(g: Gaussian2D) -> dict:
+def _gaussian_to_json(mean: np.ndarray, cov: np.ndarray) -> dict:
     return {
-        "mean": [_f(g.mean[0]), _f(g.mean[1])],
-        "cov": [[_f(g.cov[0, 0]), _f(g.cov[0, 1])], [_f(g.cov[1, 0]), _f(g.cov[1, 1])]],
+        "mean": [_f(mean[0]), _f(mean[1])],
+        "cov": [[_f(cov[0, 0]), _f(cov[0, 1])], [_f(cov[1, 0]), _f(cov[1, 1])]],
     }
 
 
@@ -48,16 +48,30 @@ def _gaussian_from_json(rec: dict) -> Gaussian2D:
     return Gaussian2D(rec["mean"], rec["cov"])
 
 
-def _read_jsonl(path: Path) -> Iterator[dict]:
-    """Yield one record per non-blank line; bad JSON names path:line."""
+Record = TypeVar("Record")
+
+
+def _read_jsonl(path: Path, parse: Callable[[dict], Record]) -> Iterator[Record]:
+    """Yield parse(record) per non-blank line. Every error names path:line:
+    invalid JSON, a missing field and a bad value raise ValueError; a
+    covariance that is not positive definite raises
+    NotPositiveDefiniteError."""
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}:{line_no}"
             try:
-                yield json.loads(line)
+                item = parse(json.loads(line))
             except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{line_no}: invalid JSON: {exc}") from exc
+                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
+            except KeyError as exc:
+                raise ValueError(f"{where}: missing field {exc}") from exc
+            except NotPositiveDefiniteError as exc:
+                raise NotPositiveDefiniteError(exc.minor_index, exc.minor_value, where) from exc
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            yield item
 
 
 # ---------------------------------------------------------------------------
@@ -67,17 +81,20 @@ def _read_jsonl(path: Path) -> Iterator[dict]:
 def write_detections(path: Path, frames: Sequence[DetectionFrame]) -> None:
     with open(path, "w") as fh:
         for frame in frames:
-            dets = [{"view": view, **_gaussian_to_json(g)} for view, g in frame.detections]
+            dets = [
+                {"view": view, **_gaussian_to_json(g.mean, g.cov)} for view, g in frame.detections
+            ]
             fh.write(dumps({"t": _f(frame.t), "detections": dets}) + "\n")
 
 
+def _frame_from_json(rec: dict) -> DetectionFrame:
+    return DetectionFrame(
+        rec["t"], tuple((d["view"], _gaussian_from_json(d)) for d in rec["detections"])
+    )
+
+
 def read_detections(path: Path) -> list[DetectionFrame]:
-    return [
-        DetectionFrame(
-            rec["t"], tuple((d["view"], _gaussian_from_json(d)) for d in rec["detections"])
-        )
-        for rec in _read_jsonl(path)
-    ]
+    return list(_read_jsonl(path, _frame_from_json))
 
 
 # ---------------------------------------------------------------------------
@@ -254,14 +271,15 @@ def read_calibration(path: Path) -> dict[str, CalibrationParams]:
 # track output
 
 
-def write_track(path: Path, times: np.ndarray, marginals: Sequence[Gaussian2D]) -> None:
+def write_track(path: Path, times: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
+    """One record per step: times (N,), means (N, 2), covs (N, 2, 2)."""
     with open(path, "w") as fh:
-        for t, g in zip(times, marginals):
-            fh.write(dumps({"t": _f(t), **_gaussian_to_json(g)}) + "\n")
+        for t, mean, cov in zip(times, means, covs):
+            fh.write(dumps({"t": _f(t), **_gaussian_to_json(mean, cov)}) + "\n")
 
 
 def read_track(path: Path) -> list[tuple[float, Gaussian2D]]:
-    return [(rec["t"], _gaussian_from_json(rec)) for rec in _read_jsonl(path)]
+    return list(_read_jsonl(path, lambda rec: (rec["t"], _gaussian_from_json(rec))))
 
 
 # ---------------------------------------------------------------------------

@@ -12,19 +12,35 @@ Every state carries a stack of forward-mode tangents (d state / d parameter).
 Tangent channel 0 is always the acceleration-noise parameter sigma_accel;
 callers that differentiate through per-detection observation covariances
 (e.g. calibration parameters) append further channels and supply dR stacks
-per detection. predict and update return new states; nothing mutates.
+per detection.
+
+Array layout. The filter has one recursion, ``run_windows``, over a
+FrameBatch of B equal-length windows of T frames and V views: times (B, T),
+detection means (B, T, V, 2), covariances (B, T, V, 2, 2) and a presence
+mask (B, T, V). It is vectorised over the B windows and the K tangent
+channels. Work that does not depend on the filter state runs outside the
+time loop, in blocks of frames: the per-view calibration of the detection
+covariances, the information-form fusion of each frame, the transition and
+process noise, and the NLL of the reported marginals with its gradient. The
+time loop keeps only predict and the Joseph update. ``run_sequence`` is the
+B = 1 case; ``init_state``, ``predict`` and ``update`` are the per-step API,
+the same step functions run with an empty batch shape. Nothing mutates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from . import calibration
+from .calibration import CalibrationParams
 from .core import LOG_TWO_PI, Gaussian2D, NotPositiveDefiniteError
 
-ObsTransform = Callable[[str, Gaussian2D], tuple[Gaussian2D, np.ndarray]]
+# Detection x tangent-channel 2x2 matrices per fusion block; bounds the
+# block's working memory whatever the batch shape.
+BLOCK_MATRICES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -59,6 +75,72 @@ class DetectionFrame:
 
 
 @dataclass(frozen=True)
+class FrameBatch:
+    """B windows of T frames as dense arrays over V views (see module doc).
+
+    An absent detection has mask False, mean 0 and identity covariance.
+    """
+
+    views: tuple[str, ...]
+    t: np.ndarray
+    mean: np.ndarray
+    cov: np.ndarray
+    mask: np.ndarray
+
+    def take(self, rows) -> "FrameBatch":
+        """The windows at the given row indices."""
+        return FrameBatch(
+            self.views, self.t[rows], self.mean[rows], self.cov[rows], self.mask[rows]
+        )
+
+
+def pack(windows: Sequence[Sequence[DetectionFrame]]) -> FrameBatch:
+    """Pack equal-length windows of frames into a FrameBatch.
+
+    The views are the sorted ids seen in any window. Each window needs
+    strictly increasing timestamps and at least one detection.
+    """
+    if not windows or any(len(w) == 0 for w in windows):
+        raise ValueError("no frames supplied")
+    n_frames = len(windows[0])
+    if any(len(w) != n_frames for w in windows):
+        raise ValueError("windows must all have the same number of frames")
+    t = np.array([[f.t for f in w] for w in windows])
+    bad = np.argwhere(~(np.diff(t, axis=1) > 0.0))
+    if len(bad):
+        b, i = bad[0]
+        raise ValueError(
+            f"timestamps must be strictly increasing: frame {i + 1} has "
+            f"t={t[b, i + 1]} after t={t[b, i]}"
+        )
+    views = tuple(sorted({v for w in windows for f in w for v, _ in f.detections}))
+    column = {v: i for i, v in enumerate(views)}
+    B, T, V = len(windows), n_frames, len(views)
+    dets = [g for w in windows for f in w for _, g in f.detections]
+    slots = np.fromiter(
+        (
+            (b * T + i) * V + column[v]
+            for b, w in enumerate(windows)
+            for i, f in enumerate(w)
+            for v, _ in f.detections
+        ),
+        dtype=np.intp,
+        count=len(dets),
+    )
+    mean = np.zeros((B * T * V, 2))
+    cov = np.broadcast_to(np.eye(2), (B * T * V, 2, 2)).copy()
+    mask = np.zeros(B * T * V, dtype=bool)
+    if dets:
+        mean[slots] = [g.mean for g in dets]
+        cov[slots] = [g.cov for g in dets]
+        mask[slots] = True
+    mean, cov, mask = mean.reshape(B, T, V, 2), cov.reshape(B, T, V, 2, 2), mask.reshape(B, T, V)
+    if not np.all(mask.any(axis=(1, 2))):
+        raise ValueError("no frame has any detection; cannot initialize")
+    return FrameBatch(views, t, mean, cov, mask)
+
+
+@dataclass(frozen=True)
 class KalmanState:
     """Filter state at time t: mean x, covariance P, and tangent stacks.
 
@@ -79,8 +161,30 @@ class KalmanState:
 
 
 @dataclass
+class BatchResult:
+    """Output of run_windows, per window b and frame j.
+
+    means (B, T, 2) and covs (B, T, 2, 2) hold the filtered position
+    marginal from the window's first non-empty frame, start[b], on (NaN
+    before it). With truth, nlls (B, T) holds the NLL of the truth position
+    under the marginal the NLL mode names (NaN where the mode defines no
+    value) and nll_grads (B, T, K) its gradient over the tangent channels.
+    failures maps each window whose recursion met a matrix that is not
+    positive definite to the earliest one: (t, leading minor, its value).
+    """
+
+    start: np.ndarray
+    means: np.ndarray
+    covs: np.ndarray
+    nlls: Optional[np.ndarray]
+    nll_grads: Optional[np.ndarray]
+    failures: dict[int, tuple[float, int, float]]
+
+
+@dataclass
 class TrackResult:
-    """Output of run_sequence: one marginal per frame from initialization on.
+    """Output of run_sequence: one position marginal per frame from
+    initialization on, as times (N,), means (N, 2) and covs (N, 2, 2).
 
     When truth is supplied, nlls holds the per-step NLL of the truth position
     under the reported marginal (NaN for steps where the chosen mode defines
@@ -88,7 +192,8 @@ class TrackResult:
     """
 
     times: np.ndarray
-    marginals: list[Gaussian2D]
+    means: np.ndarray
+    covs: np.ndarray
     nlls: Optional[np.ndarray]
     nll_grads: Optional[np.ndarray]
 
@@ -110,77 +215,382 @@ class TrackResult:
             raise ValueError("sequence was run without truth")
         return np.nansum(self.nll_grads, axis=0)
 
-    @property
-    def n_nll_steps(self) -> int:
-        return int(np.sum(np.isfinite(self.nlls)))
 
-
-def transition(dt: float) -> np.ndarray:
-    F = np.eye(4)
-    F[0, 2] = dt
-    F[1, 3] = dt
+def transition(dt) -> np.ndarray:
+    """Constant-velocity transition matrix; dt of any shape gives (..., 4, 4)."""
+    dt = np.asarray(dt, dtype=float)
+    F = np.broadcast_to(np.eye(4), dt.shape + (4, 4)).copy()
+    F[..., 0, 2] = dt
+    F[..., 1, 3] = dt
     return F
 
 
-def process_noise(sigma_accel: float, dt: float) -> np.ndarray:
-    """Discretized white-noise-acceleration covariance, per axis."""
+def process_noise(sigma_accel: float, dt) -> np.ndarray:
+    """Discretized white-noise-acceleration covariance, per axis; dt of any
+    shape gives (..., 4, 4)."""
+    dt = np.asarray(dt, dtype=float)
     s2 = sigma_accel * sigma_accel
     q_pp = s2 * dt**4 / 4.0
     q_pv = s2 * dt**3 / 2.0
     q_vv = s2 * dt**2
-    Q = np.zeros((4, 4))
-    Q[0, 0] = Q[1, 1] = q_pp
-    Q[0, 2] = Q[2, 0] = Q[1, 3] = Q[3, 1] = q_pv
-    Q[2, 2] = Q[3, 3] = q_vv
+    Q = np.zeros(dt.shape + (4, 4))
+    Q[..., 0, 0] = Q[..., 1, 1] = q_pp
+    Q[..., 0, 2] = Q[..., 2, 0] = Q[..., 1, 3] = Q[..., 3, 1] = q_pv
+    Q[..., 2, 2] = Q[..., 3, 3] = q_vv
     return Q
 
 
-def _inv2(S: np.ndarray) -> tuple[np.ndarray, float]:
-    """Closed-form inverse of a symmetric 2x2 PD matrix, with determinant."""
-    det = S[0, 0] * S[1, 1] - S[0, 1] * S[1, 0]
-    if not (S[0, 0] > 0.0 and np.isfinite(S[0, 0])):
-        raise NotPositiveDefiniteError(1, S[0, 0])
-    if not (det > 0.0 and np.isfinite(det)):
-        raise NotPositiveDefiniteError(2, det)
-    inv = np.array([[S[1, 1], -S[0, 1]], [-S[1, 0], S[0, 0]]]) / det
-    return inv, det
+_EYE4 = np.eye(4)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
+
+
+def _T(M: np.ndarray) -> np.ndarray:
+    return M.swapaxes(-1, -2)
 
 
 def _sym(P: np.ndarray) -> np.ndarray:
-    return (P + np.swapaxes(P, -1, -2)) / 2.0
+    return (P + _T(P)) / 2.0
 
 
-def _fuse(
-    detections: Sequence[tuple[str, Gaussian2D]],
-    r_tangents: Optional[Sequence[np.ndarray]],
-    k: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Collapse a frame's detections into one position pseudo-measurement.
+def _det2(S: np.ndarray) -> np.ndarray:
+    return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
 
-    Information-form fusion: R = (sum R_i^-1)^-1 and z = R sum R_i^-1 z_i.
-    Also returns the tangents dz and dR over k channels, given each
-    detection's (k, 2, 2) dR_i stack (zero when r_tangents is None). A single
-    detection is returned unchanged.
+
+def _inv2(S: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of (..., 2, 2) matrices; no check (see _is_pd)."""
+    return _T(S)[..., ::-1, ::-1] * _ADJUGATE_SIGNS / _det2(S)[..., None, None]
+
+
+def _is_pd(S: np.ndarray) -> np.ndarray:
+    """Both leading minors of (..., 2, 2) matrices positive and finite."""
+    det = _det2(S)
+    return (S[..., 0, 0] > 0.0) & (det > 0.0) & (det < np.inf)
+
+
+def _pd_error(S: np.ndarray, where: str = "") -> NotPositiveDefiniteError:
+    """The error for one 2x2 matrix that failed _is_pd."""
+    if not S[0, 0] > 0.0 or not np.isfinite(S[0, 0]):
+        return NotPositiveDefiniteError(1, S[0, 0], where)
+    return NotPositiveDefiniteError(2, _det2(S), where)
+
+
+def _select(mask: np.ndarray, new: tuple, old: tuple) -> tuple:
+    """Per window b, new[i][b] where mask[b] else old[i][b]."""
+    return tuple(
+        np.where(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), a, o)
+        for a, o in zip(new, old)
+    )
+
+
+def _fuse(mean, cov, mask, dR):
+    """Collapse each frame's detections into one position pseudo-measurement.
+
+    Information-form fusion over the view axis: R = (sum R_i^-1)^-1 and
+    z = R sum R_i^-1 z_i, with tangents dz and dR over K channels from each
+    detection's dR_i stack. mean is (..., V, 2), cov (..., V, 2, 2), mask
+    (..., V) and dR (..., V, K, 2, 2). A frame with one detection returns it
+    unchanged; a frame with none returns finite filler. Also returns the
+    information matrix, whose positive definiteness the caller checks on
+    frames with two or more detections.
     """
+    m = mask[..., None, None]
+    prec = np.where(m, _inv2(cov), 0.0)
+    lam = prec.sum(axis=-3)
+    eta = (prec @ mean[..., None])[..., 0].sum(axis=-2)
+    dprec = -(prec[..., None, :, :] @ dR @ prec[..., None, :, :])
+    dlam = dprec.sum(axis=-4)
+    deta = (dprec @ mean[..., None, :, None])[..., 0].sum(axis=-3)
+    count = mask.sum(axis=-1)
+    R = _inv2(np.where((count > 0)[..., None, None], lam, np.eye(2)))
+    dR_f = -(R[..., None, :, :] @ dlam @ R[..., None, :, :])
+    z = (R @ eta[..., None])[..., 0]
+    dz = (dR_f @ eta[..., None, :, None])[..., 0] + (R[..., None, :, :] @ deta[..., None])[..., 0]
+    one = count == 1
+    if np.any(one):
+        first = mask.argmax(axis=-1)[..., None]
+
+        def pick(a, tail):
+            idx = first.reshape(first.shape + (1,) * tail)
+            return np.take_along_axis(a, idx, axis=first.ndim - 1).squeeze(axis=first.ndim - 1)
+
+        z = np.where(one[..., None], pick(mean, 1), z)
+        R = np.where(one[..., None, None], pick(cov, 2), R)
+        dz = np.where(one[..., None, None], 0.0, dz)
+        dR_f = np.where(one[..., None, None, None], pick(dR, 3), dR_f)
+    return z, R, dz, dR_f, lam
+
+
+def _init(z, R, dz, dR, init_vel_var: float):
+    """State at a track's first frame: the fused detection for position,
+    zero velocity with init_vel_var per axis, and no cross-covariance."""
+    shape = z.shape[:-1]
+    k = dz.shape[-2]
+    x = np.zeros(shape + (4,))
+    x[..., :2] = z
+    P = np.zeros(shape + (4, 4))
+    P[..., :2, :2] = R
+    P[..., 2, 2] = P[..., 3, 3] = init_vel_var
+    sx = np.zeros(shape + (k, 4))
+    sx[..., :2] = dz
+    sP = np.zeros(shape + (k, 4, 4))
+    sP[..., :2, :2] = dR
+    return x, _sym(P), sx, _sym(sP)
+
+
+def _predict(x, P, sx, sP, F, Q, dQ):
+    """Propagate states by their transitions F with process noise Q."""
+    Ft = _T(F)
+    sP = F[..., None, :, :] @ sP @ Ft[..., None, :, :]
+    # Only the sigma_accel channel sees process noise: dQ/dsigma = 2 Q / sigma.
+    sP[..., 0, :, :] += dQ
+    return (F @ x[..., None])[..., 0], _sym(F @ P @ Ft + Q), sx @ Ft, _sym(sP)
+
+
+def _update(x, P, sx, sP, z, R, dz, dR):
+    """Absorb one fused pseudo-measurement per state (Joseph form, which
+    keeps P symmetric PD under roundoff). Also returns the innovation
+    covariance S, whose positive definiteness the caller checks."""
+    S = P[..., :2, :2] + R
+    S_inv = _inv2(S)
+    K_gain = P[..., :, :2] @ S_inv
+    Kt = _T(K_gain)
+    dS = sP[..., :2, :2] + dR
+    dK = (sP[..., :, :2] - K_gain[..., None, :, :] @ dS) @ S_inv[..., None, :, :]
+    y = z - x[..., :2]
+    dy = dz - sx[..., :2]
+
+    A = _EYE4 - np.concatenate((K_gain, np.zeros(K_gain.shape)), axis=-1)
+    AP = A @ P
+    # Tangent of A P A^T + K R K^T with dA = -[dK 0] and P, R symmetric:
+    # M + M^T + A dP A^T + K dR K^T, where M = dK (R K^T - (A P)[:, :2]^T).
+    M = dK @ (R @ Kt - _T(AP[..., :, :2]))[..., None, :, :]
+    sP = (
+        M
+        + _T(M)
+        + A[..., None, :, :] @ sP @ _T(A)[..., None, :, :]
+        + K_gain[..., None, :, :] @ dR @ Kt[..., None, :, :]
+    )
+    return (
+        x + (K_gain @ y[..., None])[..., 0],
+        _sym(AP @ _T(A) + K_gain @ R @ Kt),
+        sx + (dK @ y[..., None, :, None])[..., 0] + dy @ Kt,
+        _sym(sP),
+        S,
+    )
+
+
+def _nll_grad(mu, sig, dmu, dsig, truth):
+    """NLL of truth positions under N(mu, sig), with its gradient over the
+    tangent channels of dmu (..., K, 2) and dsig (..., K, 2, 2)."""
+    sig_inv = _inv2(sig)
+    r = truth - mu
+    w = (sig_inv @ r[..., None])[..., 0]
+    value = LOG_TWO_PI + 0.5 * np.log(_det2(sig)) + 0.5 * (r * w).sum(axis=-1)
+    grad = (
+        0.5 * (dsig * _T(sig_inv)[..., None, :, :]).sum(axis=(-2, -1))
+        - (dmu * w[..., None, :]).sum(axis=-1)
+        - 0.5 * ((dsig @ w[..., None, :, None])[..., 0] * w[..., None, :]).sum(axis=-1)
+    )
+    return value, grad
+
+
+def _record_failures(failures: dict, S: np.ndarray, valid: np.ndarray, t: np.ndarray) -> None:
+    """Note each window's earliest matrix in S (B, n, ..., 2, 2) that counts
+    (valid) and is not positive definite; t (B, n) gives frame times."""
+    bad = valid & ~_is_pd(S)
+    if not bad.any():
+        return
+    for b in np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)):
+        idx = tuple(np.argwhere(bad[b])[0])
+        err = _pd_error(S[b][idx])
+        if b not in failures or t[b, idx[0]] < failures[b][0]:
+            failures[int(b)] = (float(t[b, idx[0]]), err.minor_index, err.minor_value)
+
+
+def _position_blocks(B: int, n: int, k: int) -> list[np.ndarray]:
+    """Storage for n steps of the position marginal and its tangents."""
+    return [np.zeros((B, n) + shape) for shape in ((2,), (2, 2), (k, 2), (k, 2, 2))]
+
+
+def _store(blocks: list[np.ndarray], jj: int, state: tuple) -> None:
+    x, P, sx, sP = state
+    blocks[0][:, jj] = x[..., :2]
+    blocks[1][:, jj] = P[..., :2, :2]
+    blocks[2][:, jj] = sx[..., :2]
+    blocks[3][:, jj] = sP[..., :2, :2]
+
+
+def _tangent_views(calib: Optional[dict[str, CalibrationParams]], n_params: int) -> tuple[str, ...]:
+    if n_params == 1:
+        return ()
+    views = tuple(sorted(calib or {}))
+    if n_params != 1 + 2 * len(views):
+        raise ValueError(
+            f"n_params must be 1 or 1 + 2 * {len(views)} calibrated views, got {n_params}"
+        )
+    return views
+
+
+def run_windows(
+    batch: FrameBatch,
+    params: FilterParams,
+    truth: Optional[np.ndarray] = None,
+    calib: Optional[dict[str, CalibrationParams]] = None,
+    n_params: int = 1,
+    nll_mode: str = "filtered",
+) -> BatchResult:
+    """Filter B windows at once; the one recursion of the tracker.
+
+    Each window initializes on its first non-empty frame, then alternates
+    predict and update using the actual timestamp gaps. ``calib`` rescales
+    each view's detection covariances before fusion (calibration.obs_transform;
+    views without an entry pass through). ``n_params`` is the tangent
+    width: 1 carries only sigma_accel, and 1 + 2 * len(calib) also carries
+    d/da and d/db of each calibrated view, in sorted view order.
+
+    ``truth`` (B, T, 2), when given, scores the filtered (post-update)
+    marginal by default, or the predictive (pre-update) marginal with
+    nll_mode="predictive", which defines no value for a window's first
+    step. A window whose recursion meets a matrix that is not positive
+    definite is listed in the result's failures; its values are not
+    meaningful, and its batch-mates are unaffected.
+    """
+    if nll_mode not in ("filtered", "predictive"):
+        raise ValueError(f"unknown nll_mode {nll_mode!r}")
+    tangent_views = _tangent_views(calib, n_params)
+    B, T, V = batch.mask.shape
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != (B, T, 2):
+            raise ValueError(f"truth shape {truth.shape} does not match the frames' {(B, T, 2)}")
+    predictive = nll_mode == "predictive"
+    sigma = params.sigma_accel
+    has = batch.mask.any(axis=-1)
+    start = has.argmax(axis=1)
+    first = int(start.min())
+    steps = np.arange(T)
+    dt = np.diff(batch.t, axis=1, prepend=batch.t[:, :1] - 1.0)
+    run = steps > start[:, None]
+    upd = run & has
+    run_all, upd_all, upd_any = run.all(axis=0), upd.all(axis=0), upd.any(axis=0)
+    begins = set(start.tolist())
+
+    means = np.full((B, T, 2), np.nan)
+    covs = np.full((B, T, 2, 2), np.nan)
+    nlls = np.full((B, T), np.nan) if truth is not None else None
+    grads = np.full((B, T, n_params), np.nan) if truth is not None else None
+    failures: dict[int, tuple[float, int, float]] = {}
+    state = (
+        np.zeros((B, 4)),
+        np.broadcast_to(np.eye(4), (B, 4, 4)).copy(),
+        np.zeros((B, n_params, 4)),
+        np.zeros((B, n_params, 4, 4)),
+    )
+    block = max(1, BLOCK_MATRICES // (B * max(V, 1) * n_params))
+    with np.errstate(all="ignore"):
+        for lo in range(first, T, block):
+            sl = slice(lo, min(lo + block, T))
+            t, mask = batch.t[:, sl], batch.mask[:, sl]
+            cov, dR = calibration.obs_transform(
+                calib or {}, batch.views, batch.cov[:, sl], tangent_views
+            )
+            _record_failures(failures, cov, mask, t)
+            z, R, dz, dR, lam = _fuse(batch.mean[:, sl], cov, mask, dR)
+            _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
+            F = transition(dt[:, sl])
+            Q = process_noise(sigma, dt[:, sl])
+            dQ = 2.0 * Q / sigma
+
+            n = sl.stop - sl.start
+            filtered = _position_blocks(B, n, n_params)
+            predicted = _position_blocks(B, n, n_params) if predictive else None
+            innovations = np.broadcast_to(np.eye(2), (B, n, 2, 2)).copy()
+            for jj, j in enumerate(range(sl.start, sl.stop)):
+                if j > first:
+                    pred = _predict(*state, F[:, jj], Q[:, jj], dQ[:, jj])
+                    new = pred
+                    if upd_any[j]:
+                        *post, innovations[:, jj] = _update(
+                            *pred, z[:, jj], R[:, jj], dz[:, jj], dR[:, jj]
+                        )
+                        new = tuple(post) if upd_all[j] else _select(upd[:, j], post, pred)
+                    state = new if run_all[j] else _select(run[:, j], new, state)
+                    if predictive:
+                        _store(predicted, jj, pred)
+                if j in begins:
+                    init = _init(z[:, jj], R[:, jj], dz[:, jj], dR[:, jj], params.init_vel_var)
+                    starting = start == j
+                    state = init if starting.all() else _select(starting, init, state)
+                _store(filtered, jj, state)
+
+            _record_failures(failures, innovations, upd[:, sl], t)
+            before = steps[sl] < start[:, None]
+            means[:, sl] = np.where(before[..., None], np.nan, filtered[0])
+            covs[:, sl] = np.where(before[..., None, None], np.nan, filtered[1])
+            _record_failures(failures, filtered[1], ~before, t)
+            if truth is None:
+                continue
+            if predictive:
+                scored = run[:, sl]
+                _record_failures(failures, predicted[1], scored, t)
+            else:
+                scored, predicted = ~before, filtered
+            value, grad = _nll_grad(*predicted, truth[:, sl])
+            nlls[:, sl] = np.where(scored, value, np.nan)
+            grads[:, sl] = np.where(scored[..., None], grad, np.nan)
+    return BatchResult(start, means, covs, nlls, grads, failures)
+
+
+def run_sequence(
+    frames: Sequence[DetectionFrame],
+    params: FilterParams,
+    truth: Optional[np.ndarray] = None,
+    calib: Optional[dict[str, CalibrationParams]] = None,
+    n_params: int = 1,
+    nll_mode: str = "filtered",
+) -> TrackResult:
+    """Filter one sequence of frames: run_windows on a batch of one.
+
+    ``truth``, when given, must hold one 2-vector per frame. Raises
+    NotPositiveDefiniteError, naming the frame time, if the recursion meets
+    a matrix that is not positive definite.
+    """
+    batch = pack([frames])
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)[None]
+    result = run_windows(batch, params, truth, calib, n_params, nll_mode)
+    if result.failures:
+        t, minor, value = result.failures[0]
+        raise NotPositiveDefiniteError(minor, value, where=f"frame at t={t!r}")
+    s = int(result.start[0])
+    return TrackResult(
+        times=batch.t[0, s:],
+        means=result.means[0, s:],
+        covs=result.covs[0, s:],
+        nlls=None if truth is None else result.nlls[0, s:],
+        nll_grads=None if truth is None else result.nll_grads[0, s:],
+    )
+
+
+# ---------------------------------------------------------------------------
+# per-step API: the same step functions with an empty batch shape
+
+
+def _frame_arrays(frame: DetectionFrame, r_tangents, k: int):
+    """A frame's detections as one fusion group, with checked fusion."""
+    mean = np.array([g.mean for _, g in frame.detections])
+    cov = np.array([g.cov for _, g in frame.detections])
+    mask = np.ones(len(frame.detections), dtype=bool)
     if r_tangents is None:
-        r_tangents = [np.zeros((k, 2, 2))] * len(detections)
-    if len(detections) == 1:
-        g = detections[0][1]
-        return g.mean, g.cov, np.zeros((k, 2)), r_tangents[0]
-    lam = np.zeros((2, 2))
-    eta = np.zeros(2)
-    dlam = np.zeros((k, 2, 2))
-    deta = np.zeros((k, 2))
-    for (_, g), dR in zip(detections, r_tangents):
-        prec, _ = _inv2(g.cov)
-        lam += prec
-        eta += prec @ g.mean
-        dprec = -prec @ dR @ prec
-        dlam += dprec
-        deta += dprec @ g.mean
-    R, _ = _inv2(lam)
-    dR_f = -R @ dlam @ R
-    return R @ eta, R, dR_f @ eta + (R @ deta[..., None])[..., 0], dR_f
+        dR = np.zeros((len(cov), k, 2, 2))
+    else:
+        dR = np.array([np.asarray(d, dtype=float) for d in r_tangents])
+        dR = dR.reshape(len(cov), k, 2, 2)
+    with np.errstate(all="ignore"):
+        z, R, dz, dR, lam = _fuse(mean, cov, mask, dR)
+    if len(cov) > 1 and not _is_pd(lam):
+        raise _pd_error(lam)
+    return z, R, dz, dR
 
 
 def init_state(
@@ -198,33 +608,18 @@ def init_state(
     """
     if not frame.detections:
         raise ValueError("cannot initialize without a detection")
-    k = n_params
-    z, R, dz, dR = _fuse(frame.detections, r_tangents, k)
-    x = np.zeros(4)
-    x[:2] = z
-    P = np.zeros((4, 4))
-    P[:2, :2] = R
-    P[2, 2] = P[3, 3] = params.init_vel_var
-    sens_x = np.zeros((k, 4))
-    sens_x[:, :2] = dz
-    sens_P = np.zeros((k, 4, 4))
-    sens_P[:, :2, :2] = dR
-    return KalmanState(frame.t, x, _sym(P), sens_x, _sym(sens_P))
+    fused = _frame_arrays(frame, r_tangents, n_params)
+    return KalmanState(frame.t, *_init(*fused, params.init_vel_var))
 
 
 def predict(state: KalmanState, dt: float, params: FilterParams) -> KalmanState:
     """Propagate the state forward by dt under the constant-velocity model."""
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    F = transition(dt)
     Q = process_noise(params.sigma_accel, dt)
-    x = F @ state.x
-    P = _sym(F @ state.P @ F.T + Q)
-    sens_x = state.sens_x @ F.T
-    sens_P = F @ state.sens_P @ F.T
-    # Only the sigma_accel channel sees process noise: dQ/dsigma = 2 Q / sigma.
-    sens_P[0] += 2.0 * Q / params.sigma_accel
-    return KalmanState(state.t + dt, x, P, sens_x, _sym(sens_P))
+    dQ = 2.0 * Q / params.sigma_accel
+    moved = _predict(state.x, state.P, state.sens_x, state.sens_P, transition(dt), Q, dQ)
+    return KalmanState(state.t + dt, *moved)
 
 
 def update(
@@ -237,156 +632,20 @@ def update(
     The detections (conditionally independent given the state) are first
     fused into one pseudo-measurement (see _fuse), then absorbed by a single
     Kalman update; this equals the stacked joint update, and the posterior
-    does not depend on detection order. Uses the Joseph-form covariance
-    update so P stays symmetric PD under roundoff. An empty frame is a no-op.
+    does not depend on detection order. An empty frame is a no-op.
     """
     if abs(frame.t - state.t) > 1e-9:
         raise ValueError(f"frame time {frame.t} does not match state time {state.t}")
     if not frame.detections:
         return state
-    k = state.n_params
-    z, R, dz, dR = _fuse(frame.detections, r_tangents, k)
-    x, P, sx, sP = state.x, state.P, state.sens_x, state.sens_P
-    y = z - x[:2]
-    S_inv, _ = _inv2(P[:2, :2] + R)
-    K_gain = P[:, :2] @ S_inv
-
-    dS = sP[:, :2, :2] + dR
-    dK = (sP[:, :, :2] - K_gain @ dS) @ S_inv
-    dy = dz - sx[:, :2]
-
-    A = np.eye(4)
-    A[:, :2] -= K_gain
-    dA = np.zeros((k, 4, 4))
-    dA[:, :, :2] = -dK
-    AP = A @ P
-    sP = (
-        dA @ P @ A.T
-        + A @ sP @ A.T
-        + AP @ np.swapaxes(dA, 1, 2)
-        + dK @ R @ K_gain.T
-        + K_gain @ dR @ K_gain.T
-        + (K_gain @ R) @ np.swapaxes(dK, 1, 2)
-    )
-    return KalmanState(
-        state.t,
-        x + K_gain @ y,
-        _sym(AP @ A.T + K_gain @ R @ K_gain.T),
-        sx + dK @ y + dy @ K_gain.T,
-        _sym(sP),
-    )
+    fused = _frame_arrays(frame, r_tangents, state.n_params)
+    with np.errstate(all="ignore"):
+        *post, S = _update(state.x, state.P, state.sens_x, state.sens_P, *fused)
+    if not _is_pd(S):
+        raise _pd_error(S)
+    return KalmanState(state.t, *post)
 
 
 def marginal(state: KalmanState) -> Gaussian2D:
     """The tracker's published output: the position block of (x, P)."""
     return Gaussian2D(state.x[:2], state.P[:2, :2])
-
-
-def _marginal_nll_grad(state: KalmanState, truth: np.ndarray) -> tuple[float, np.ndarray]:
-    """NLL of the truth position under the position marginal, with its
-    gradient over the tangent channels."""
-    mu = state.x[:2]
-    sig = state.P[:2, :2]
-    dmu = state.sens_x[:, :2]
-    dsig = state.sens_P[:, :2, :2]
-    sig_inv, det = _inv2(sig)
-    r = np.asarray(truth, dtype=float) - mu
-    w = sig_inv @ r
-    value = LOG_TWO_PI + 0.5 * np.log(det) + 0.5 * r @ w
-    grad = (
-        0.5 * np.einsum("kij,ji->k", dsig, sig_inv)
-        - dmu @ w
-        - 0.5 * np.einsum("i,kij,j->k", w, dsig, w)
-    )
-    return float(value), grad
-
-
-def run_sequence(
-    frames: Sequence[DetectionFrame],
-    params: FilterParams,
-    truth: Optional[np.ndarray] = None,
-    obs_transform: Optional[ObsTransform] = None,
-    n_params: int = 1,
-    nll_mode: str = "filtered",
-) -> TrackResult:
-    """Filter a whole sequence of frames.
-
-    Initializes on the first non-empty frame, then alternates predict and
-    update using the actual timestamp gaps. ``truth``, when given, must hold
-    one 2-vector per frame; NLL is evaluated on the filtered (post-update)
-    marginal by default, or on the predictive (pre-update) marginal with
-    nll_mode="predictive", which defines no value for the first step.
-
-    ``obs_transform`` maps (view_id, detection) to a transformed detection
-    plus its (n_params, 2, 2) covariance tangent stack, letting callers
-    differentiate through per-view observation models.
-    """
-    if nll_mode not in ("filtered", "predictive"):
-        raise ValueError(f"unknown nll_mode {nll_mode!r}")
-    if len(frames) == 0:
-        raise ValueError("no frames supplied")
-    for i in range(1, len(frames)):
-        if not frames[i].t > frames[i - 1].t:
-            raise ValueError(
-                f"timestamps must be strictly increasing: frame {i} has "
-                f"t={frames[i].t} after t={frames[i - 1].t}"
-            )
-    if truth is not None:
-        truth = np.asarray(truth, dtype=float)
-        if truth.shape != (len(frames), 2):
-            raise ValueError(
-                f"truth shape {truth.shape} does not match {len(frames)} frames"
-            )
-
-    def prepare(frame: DetectionFrame):
-        if obs_transform is None:
-            return frame, None
-        dets = []
-        tangents = []
-        for view, g in frame.detections:
-            g2, dR = obs_transform(view, g)
-            dets.append((view, g2))
-            tangents.append(np.asarray(dR, dtype=float))
-        return DetectionFrame(frame.t, tuple(dets)), tangents
-
-    start = next((i for i, f in enumerate(frames) if f.detections), None)
-    if start is None:
-        raise ValueError("no frame has any detection; cannot initialize")
-
-    first, first_tan = prepare(frames[start])
-    state = init_state(first, params, n_params=n_params, r_tangents=first_tan)
-
-    times = [state.t]
-    marginals = [marginal(state)]
-    nlls: list[float] = []
-    grads: list[np.ndarray] = []
-    if truth is not None:
-        if nll_mode == "filtered":
-            v, gvec = _marginal_nll_grad(state, truth[start])
-        else:
-            v, gvec = float("nan"), np.full(n_params, np.nan)
-        nlls.append(v)
-        grads.append(gvec)
-
-    for i in range(start + 1, len(frames)):
-        state = predict(state, frames[i].t - state.t, params)
-        if truth is not None and nll_mode == "predictive":
-            v, gvec = _marginal_nll_grad(state, truth[i])
-            nlls.append(v)
-            grads.append(gvec)
-        frame, tangents = prepare(frames[i])
-        if frame.detections:
-            state = update(state, frame, r_tangents=tangents)
-        if truth is not None and nll_mode == "filtered":
-            v, gvec = _marginal_nll_grad(state, truth[i])
-            nlls.append(v)
-            grads.append(gvec)
-        times.append(state.t)
-        marginals.append(marginal(state))
-
-    return TrackResult(
-        times=np.array(times),
-        marginals=marginals,
-        nlls=np.array(nlls) if truth is not None else None,
-        nll_grads=np.array(grads) if truth is not None else None,
-    )

@@ -7,6 +7,12 @@ for the non-negative floor) so any optimizer step decodes to a valid value.
 Gradients are exact: the filter propagates one forward-mode tangent per
 tunable, which is cheaper than taping the recursion when the tunable count
 is this small.
+
+Each split is packed once into a kalman.FrameBatch of B windows (times
+(B, T), detections (B, T, V, ...), mask (B, T, V)) with truth positions
+(B, T, 2). sequence_loss filters a whole minibatch, or a whole split for an
+epoch snapshot, in one call of the batched recursion and returns one loss
+and gradient per window.
 """
 
 from __future__ import annotations
@@ -17,11 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import calibration
 from .calibration import CalibrationParams
-from .core import NotPositiveDefiniteError
 from .heads import inv_softplus, sigmoid, softplus
-from .kalman import DetectionFrame, FilterParams, run_sequence
+from .kalman import DetectionFrame, FilterParams, FrameBatch, pack, run_windows
 
 Window = tuple[Sequence[DetectionFrame], np.ndarray]
 
@@ -100,44 +104,51 @@ class TunableParams:
         return TunableParams(float(vec[0]), views)
 
 
+def pack_windows(windows: Sequence[Window]) -> tuple[FrameBatch, np.ndarray]:
+    """A split's windows as one FrameBatch and their truth positions (B, T, 2)."""
+    return pack([f for f, _ in windows]), np.array([np.asarray(t, dtype=float) for _, t in windows])
+
+
 def sequence_loss(
     params: TunableParams,
-    frames: Sequence[DetectionFrame],
+    batch: FrameBatch,
     truth: np.ndarray,
     init_vel_var: float = 1e4,
-) -> tuple[float, np.ndarray]:
-    """Mean per-step filtered NLL of a sequence and its exact gradient.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean per-step filtered NLL of each window and its exact gradient.
 
-    The gradient is taken with respect to the unconstrained tunable vector
-    (see to_vector for the ordering). Per-view calibration enters the filter
-    through calibration.obs_transform, whose tangents dR/da and dR/db are
-    pushed through every update.
+    Returns losses (B,) and gradients (B, P) with respect to the
+    unconstrained tunable vector (see to_vector for the ordering). Per-view
+    calibration enters the filter through calibration.obs_transform, whose
+    tangents dR/da and dR/db are pushed through every update. A window that
+    fails numerically (a matrix that is not positive definite, or a
+    non-finite loss) gets loss inf and a zero gradient; the other windows of
+    the batch are unaffected.
     """
-    truth = np.asarray(truth, dtype=float)
-    if truth.shape != (len(frames), 2):
-        raise ValueError(
-            f"truth shape {truth.shape} does not match {len(frames)} frames"
-        )
-    sigma, calib = params.decode()
     order = params.view_order()
     n_params = 1 + 2 * len(order)
-    result = run_sequence(
-        frames,
-        FilterParams(sigma, init_vel_var),
-        truth=truth,
-        obs_transform=calibration.obs_transform(calib, order),
-        n_params=n_params,
+    n_windows = len(batch.t)
+    try:
+        sigma, calib = params.decode()
+    except OverflowError:
+        return np.full(n_windows, math.inf), np.zeros((n_windows, n_params))
+    result = run_windows(
+        batch, FilterParams(sigma, init_vel_var), truth=truth, calib=calib, n_params=n_params
     )
-    n_steps = result.n_nll_steps
-    loss = result.total_nll / n_steps
-    grad_natural = result.total_grad / n_steps
+    n_steps = np.sum(np.isfinite(result.nlls), axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        loss = np.nansum(result.nlls, axis=1) / n_steps
+        grad_natural = np.nansum(result.nll_grads, axis=1) / n_steps[:, None]
 
-    grad = np.empty(n_params)
-    grad[0] = grad_natural[0] * sigma  # d sigma / d log sigma
-    for i, v in enumerate(order):
-        _, raw_b = params.views[v]
-        grad[1 + 2 * i] = grad_natural[1 + 2 * i] * calib[v].a
-        grad[2 + 2 * i] = grad_natural[2 + 2 * i] * sigmoid(raw_b)
+    # d sigma / d log sigma, then per view d a / d log a and d b / d raw b.
+    scale = [sigma]
+    for v in order:
+        scale += [calib[v].a, sigmoid(params.views[v][1])]
+    grad = grad_natural * np.array(scale)
+    failed = ~np.isfinite(loss)
+    failed[list(result.failures)] = True
+    loss[failed] = math.inf
+    grad[failed] = 0.0
     return loss, grad
 
 
@@ -181,25 +192,10 @@ def make_windows(
     return windows
 
 
-def _safe_loss(
-    params: TunableParams, frames, truth, init_vel_var: float, n_params: int
-) -> tuple[float, np.ndarray]:
-    """sequence_loss with numerical blowups mapped to an infinite loss, so
-    the divergence guard sees them instead of an exception."""
-    try:
-        loss, grad = sequence_loss(params, frames, truth, init_vel_var)
-    except (NotPositiveDefiniteError, FloatingPointError, OverflowError):
-        return math.inf, np.zeros(n_params)
-    if not math.isfinite(loss):
-        return math.inf, np.zeros(n_params)
-    return loss, grad
-
-
-def _mean_loss(params: TunableParams, windows: Sequence[Window], init_vel_var: float) -> float:
-    n_params = 1 + 2 * len(params.views)
-    return float(
-        np.mean([_safe_loss(params, f, t, init_vel_var, n_params)[0] for f, t in windows])
-    )
+def _mean_loss(
+    params: TunableParams, batch: FrameBatch, truth: np.ndarray, init_vel_var: float
+) -> float:
+    return float(np.mean(sequence_loss(params, batch, truth, init_vel_var)[0]))
 
 
 def tune(
@@ -236,6 +232,8 @@ def tune(
             "seed": seed,
         }
     )
+    train, train_truth = pack_windows(train_windows)
+    val, val_truth = pack_windows(val_windows)
     rng = np.random.default_rng(seed)
     vec = params0.to_vector()
     m = np.zeros_like(vec)
@@ -244,12 +242,11 @@ def tune(
 
     def snapshot(epoch: int) -> float:
         p = params0.with_vector(vec)
-        train_nll = _mean_loss(p, train_windows, init_vel_var)
-        val_nll = _mean_loss(p, val_windows, init_vel_var)
+        train_nll = _mean_loss(p, train, train_truth, init_vel_var)
+        val_nll = _mean_loss(p, val, val_truth, init_vel_var)
         history.add(epoch, train_nll, val_nll, p.decode()[0])
         return val_nll
 
-    n_params = len(vec)
     best_val = snapshot(0)
     best_vec = vec.copy()
     best_epoch = 0
@@ -264,11 +261,8 @@ def tune(
         perm = rng.permutation(len(train_windows))
         for lo in range(0, len(perm), config.batch):
             batch = perm[lo : lo + config.batch]
-            losses, grads = zip(
-                *(
-                    _safe_loss(params0.with_vector(vec), *train_windows[i], init_vel_var, n_params)
-                    for i in batch
-                )
+            losses, grads = sequence_loss(
+                params0.with_vector(vec), train.take(batch), train_truth[batch], init_vel_var
             )
             if not np.all(np.isfinite(losses)):
                 history.diverged = True

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from geotrack import tuning
 from geotrack.core import Gaussian2D, rotation
 from geotrack.kalman import DetectionFrame
 
@@ -102,6 +103,14 @@ def make_cv_frames(
         else:
             pos = pos + vel * dt
     return frames, np.array(truth)
+
+
+def window_loss(params, frames, truth, init_vel_var: float = 1e4):
+    """tuning.sequence_loss of one window: its loss and gradient."""
+    losses, grads = tuning.sequence_loss(
+        params, *tuning.pack_windows([(frames, truth)]), init_vel_var
+    )
+    return float(losses[0]), grads[0]
 
 
 @pytest.fixture(scope="session")

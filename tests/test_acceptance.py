@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_cv_frames, phi, random_pd_2x2, stacked_update
+from conftest import make_cv_frames, phi, random_pd_2x2, stacked_update, window_loss
 from geotrack import calibration, dataio, metrics, tuning
 from geotrack.cli import main
 from geotrack.core import Arena, Gaussian2D, ObjectPose, nll, rotation
@@ -56,7 +56,8 @@ def test_criterion_1_filter_matches_grid_bayes():
         DetectionFrame(0.0, (("A", Gaussian2D((0.0, 0.0), obs_var * np.eye(2))),)),
         DetectionFrame(dt, (("A", Gaussian2D((2.0, 0.0), obs_var * np.eye(2))),)),
     ]
-    posterior = run_sequence(frames, params).marginals[-1]
+    result = run_sequence(frames, params)
+    posterior = Gaussian2D(result.means[-1], result.covs[-1])
 
     # Dense grid Bayes filter over the 1-D motion axis. The prediction step
     # convolves with the exact transition kernel (velocity integrated out,
@@ -150,7 +151,7 @@ def test_criterion_3_gradient_correctness():
                 "N2": calibration.CalibrationParams(rng.uniform(0.5, 2.0), rng.uniform(0.1, 10.0)),
             },
         )
-        _, grad = tuning.sequence_loss(params, frames, truth)
+        _, grad = window_loss(params, frames, truth)
         vec = params.to_vector()
         for i in range(len(vec)):
             h = 1e-5 * max(1.0, abs(vec[i]))
@@ -158,8 +159,8 @@ def test_criterion_3_gradient_correctness():
             up[i] += h
             dn[i] -= h
             fd = (
-                tuning.sequence_loss(params.with_vector(up), frames, truth)[0]
-                - tuning.sequence_loss(params.with_vector(dn), frames, truth)[0]
+                window_loss(params.with_vector(up), frames, truth)[0]
+                - window_loss(params.with_vector(dn), frames, truth)[0]
             ) / (2.0 * h)
             rel = abs(grad[i] - fd) / max(abs(grad[i]), abs(fd), 1e-8)
             worst = max(worst, rel)

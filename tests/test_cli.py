@@ -6,7 +6,7 @@ import pytest
 
 from geotrack import dataio
 from geotrack.cli import main
-from geotrack.core import Gaussian2D, ObjectPose
+from geotrack.core import ObjectPose
 
 SMALL_CONFIG = {
     "duration": 30.0,
@@ -144,6 +144,48 @@ class TestTrack:
             main(["track", "--detections", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path)])
             == 2
         )
+
+    @pytest.mark.parametrize("field", ["cov", "mean", "view", "t", "detections"])
+    def test_missing_field_exits_2_naming_line(self, tmp_path, capsys, field):
+        path = tmp_path / "d.jsonl"
+        g = {"view": "N1", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        det = {k: v for k, v in g.items() if k != field}
+        bad = {k: v for k, v in {"t": 0.05, "detections": [det]}.items() if k != field}
+        path.write_text(json.dumps({"t": 0.0, "detections": [g]}) + "\n" + json.dumps(bad) + "\n")
+        assert main(["track", "--detections", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: missing field '{field}'\n"
+
+    def test_non_pd_detection_covariance_exits_1_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "d.jsonl"
+        g = {"view": "N1", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        bad = dict(g, cov=[[1.0, 0.0], [0.0, -1.0]])
+        path.write_text(
+            json.dumps({"t": 0.0, "detections": [g]})
+            + "\n"
+            + json.dumps({"t": 0.05, "detections": [bad]})
+            + "\n"
+        )
+        assert main(["track", "--detections", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {path}:2: matrix is not positive definite: leading minor 2 is -1\n"
+        )
+
+    def test_numeric_failure_mid_run_exits_1(self, sim_dir, tmp_path, capsys):
+        # sigma_accel 1e300 overflows the process noise on the first predict.
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"sigma_accel": 1e300}))
+        code = main(
+            [
+                "track",
+                "--detections", str(sim_dir / "detections_test.jsonl"),
+                "--params", str(params),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 1
+        assert "not positive definite" in capsys.readouterr().err
 
 
 class TestCalibrate:
@@ -345,9 +387,7 @@ class TestEvaluate:
         # Unit covariance at truth: mean NLL is exactly log(2 pi).
         unit_track = tmp_path / "unit.jsonl"
         dataio.write_track(
-            unit_track,
-            [0.0, 0.05],
-            [Gaussian2D(p.position, np.eye(2)) for _, p in poses],
+            unit_track, [0.0, 0.05], [p.position for _, p in poses], [np.eye(2)] * 2
         )
         out1 = tmp_path / "unit"
         assert main(
@@ -359,9 +399,7 @@ class TestEvaluate:
         # Tiny covariance at truth: all scores saturate at 1.
         tiny_track = tmp_path / "tiny.jsonl"
         dataio.write_track(
-            tiny_track,
-            [0.0, 0.05],
-            [Gaussian2D(p.position, 1e-6 * np.eye(2)) for _, p in poses],
+            tiny_track, [0.0, 0.05], [p.position for _, p in poses], [1e-6 * np.eye(2)] * 2
         )
         out2 = tmp_path / "tiny"
         assert main(

@@ -133,11 +133,13 @@ def test_track_round_trip(tmp_path):
         Gaussian2D(rng.uniform(0, 500, 2), np.diag(rng.uniform(1, 20, 2))) for _ in times
     ]
     path = tmp_path / "track.jsonl"
-    dataio.write_track(path, times, marginals)
+    dataio.write_track(path, times, [g.mean for g in marginals], [g.cov for g in marginals])
     back = dataio.read_track(path)
     assert [t for t, _ in back] == list(times)
     second = tmp_path / "track2.jsonl"
-    dataio.write_track(second, [t for t, _ in back], [g for _, g in back])
+    dataio.write_track(
+        second, [t for t, _ in back], [g.mean for _, g in back], [g.cov for _, g in back]
+    )
     assert path.read_bytes() == second.read_bytes()
 
 

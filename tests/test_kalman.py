@@ -6,19 +6,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_cv_frames, random_pd_2x2, stacked_update
-from geotrack.core import Gaussian2D, rotation
+from geotrack.calibration import CalibrationParams
+from geotrack.core import Gaussian2D, NotPositiveDefiniteError, nll, rotation
 from geotrack.kalman import (
     DetectionFrame,
     FilterParams,
+    FrameBatch,
     KalmanState,
     init_state,
     marginal,
+    pack,
     predict,
     process_noise,
     run_sequence,
+    run_windows,
     transition,
     update,
 )
+from geotrack.tuning import TunableParams, pack_windows, sequence_loss
 
 
 def frame(t, *dets):
@@ -277,6 +282,185 @@ class TestFusedUpdateProperties:
             assert np.array_equal(getattr(out, name), getattr(prior, name))
 
 
+VIEWS = ("N1", "N2", "N3")
+
+
+@st.composite
+def windows_case(draw, min_windows=1, max_windows=4):
+    """Equal-length windows of frames over VIEWS with truth positions:
+    log-uniform gaps in [1e-3, 1e2], each view present in a frame with
+    probability 1/2 (so 0..3 detections and interior empty frames), and a
+    random run of leading empty frames."""
+    n_windows = draw(st.integers(min_windows, max_windows))
+    n_frames = draw(st.integers(2, 10))
+    coord = st.floats(-500.0, 500.0)
+    windows = []
+    for _ in range(n_windows):
+        lead = draw(st.integers(0, n_frames - 1))
+        t = draw(st.floats(0.0, 100.0))
+        frames, truth = [], []
+        for i in range(n_frames):
+            if i:
+                t += 10.0 ** draw(st.floats(-3.0, 2.0))
+            dets = []
+            for view in VIEWS:
+                if i >= lead and draw(st.booleans()):
+                    mean = draw(st.lists(coord, min_size=2, max_size=2))
+                    dets.append((view, Gaussian2D(mean, draw(pd_2x2(1.0, 100.0)))))
+            if i == n_frames - 1 and not any(f.detections for f in frames) and not dets:
+                dets.append(("N1", Gaussian2D((0.0, 0.0), draw(pd_2x2(1.0, 100.0)))))
+            frames.append(frame(t, *dets))
+            truth.append(draw(st.lists(coord, min_size=2, max_size=2)))
+        windows.append((frames, np.array(truth)))
+    return windows
+
+
+@st.composite
+def calibration_case(draw):
+    """sigma_accel and per-view calibrations for a random subset of VIEWS."""
+    sigma = 10.0 ** draw(st.floats(0.0, 2.0))
+    calib = {}
+    for view in VIEWS:
+        if draw(st.booleans()):
+            a = 10.0 ** draw(st.floats(-0.5, 0.5))
+            calib[view] = CalibrationParams(a, draw(st.floats(0.0, 10.0)))
+    return sigma, calib
+
+
+def chain_nll(frames, truth, sigma, calib):
+    """Per-step oracle: init_state / predict / update over one window, with
+    each detection calibrated here (a * cov + b * I; dR/da = cov, dR/db = I
+    on its view's channels, zero for an uncalibrated view). Returns the
+    position means and covariances from the first non-empty frame on, the
+    filtered NLLs (core.nll) and their gradients over the tangent channels."""
+    order = sorted(calib)
+    k = 1 + 2 * len(order)
+    params = FilterParams(sigma)
+
+    def calibrated(f):
+        dets, tangents = [], []
+        for view, g in f.detections:
+            dR = np.zeros((k, 2, 2))
+            cov = g.cov
+            if view in calib:
+                i = order.index(view)
+                dR[1 + 2 * i], dR[2 + 2 * i] = g.cov, np.eye(2)
+                cov = calib[view].a * g.cov + calib[view].b * np.eye(2)
+            dets.append((view, Gaussian2D(g.mean, cov)))
+            tangents.append(dR)
+        return frame(f.t, *dets), tangents
+
+    start = next(i for i, f in enumerate(frames) if f.detections)
+    first, first_tangents = calibrated(frames[start])
+    states = [init_state(first, params, k, first_tangents)]
+    for f in frames[start + 1 :]:
+        state = predict(states[-1], f.t - states[-1].t, params)
+        if f.detections:
+            state = update(state, *calibrated(f))
+        states.append(state)
+    values, grads = [], []
+    for state, pos in zip(states, truth[start:]):
+        sig_inv = np.linalg.inv(state.P[:2, :2])
+        w = sig_inv @ (pos - state.x[:2])
+        dsig = state.sens_P[:, :2, :2]
+        values.append(nll(marginal(state), pos))
+        grads.append(
+            [
+                0.5 * np.trace(sig_inv @ d) - dmu @ w - 0.5 * w @ d @ w
+                for dmu, d in zip(state.sens_x[:, :2], dsig)
+            ]
+        )
+    means = np.array([s.x[:2] for s in states])
+    covs = np.array([s.P[:2, :2] for s in states])
+    return start, means, covs, np.array(values), np.array(grads)
+
+
+def assert_close(actual, expected, rtol=1e-9):
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(actual - expected)) <= rtol * scale
+
+
+class TestBatchedRecursionProperties:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(windows_case(), calibration_case())
+    def test_batch_equals_each_window_alone(self, windows, setup):
+        sigma, calib = setup
+        k = 1 + 2 * len(calib)
+        params = FilterParams(sigma)
+        truth = np.array([t for _, t in windows])
+        together = run_windows(pack([f for f, _ in windows]), params, truth, calib, k)
+        for b, (f, t) in enumerate(windows):
+            alone = run_windows(pack([f]), params, t[None], calib, k)
+            assert together.start[b] == alone.start[0]
+            assert (b in together.failures) == (0 in alone.failures)
+            for name in ("means", "covs", "nlls", "nll_grads"):
+                np.testing.assert_array_equal(getattr(together, name)[b], getattr(alone, name)[0])
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(windows_case(), calibration_case())
+    def test_matches_per_step_chain(self, windows, setup):
+        sigma, calib = setup
+        k = 1 + 2 * len(calib)
+        truth = np.array([t for _, t in windows])
+        result = run_windows(pack([f for f, _ in windows]), FilterParams(sigma), truth, calib, k)
+        assert not result.failures
+        for b, (f, t) in enumerate(windows):
+            start, means, covs, values, grads = chain_nll(f, t, sigma, calib)
+            assert result.start[b] == start
+            assert np.all(np.isnan(result.means[b, :start]))
+            assert_close(result.means[b, start:], means)
+            assert_close(result.covs[b, start:], covs)
+            assert_close(result.nlls[b, start:], values)
+            assert_close(result.nll_grads[b, start:], grads)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(windows_case(), calibration_case(), st.data())
+    def test_failing_window_leaves_batch_mates_unchanged(self, windows, setup, data):
+        sigma, calib = setup
+        tunables = TunableParams.from_natural(sigma, calib)
+        batch, truth = pack_windows(windows)
+        base_loss, base_grad = sequence_loss(tunables, batch, truth)
+
+        # A copy of window b with one detection covariance made indefinite
+        # (and kept so by any calibration drawn here), inserted at row pos.
+        b = data.draw(st.integers(0, len(windows) - 1))
+        pos = data.draw(st.integers(0, len(windows)))
+        j, v = np.argwhere(batch.mask[b])[0]
+        bad_cov = batch.cov[b].copy()
+        bad_cov[j, v] = [[1.0, 0.0], [0.0, -1e3]]
+        merged = FrameBatch(
+            batch.views,
+            np.insert(batch.t, pos, batch.t[b], axis=0),
+            np.insert(batch.mean, pos, batch.mean[b], axis=0),
+            np.insert(batch.cov, pos, bad_cov, axis=0),
+            np.insert(batch.mask, pos, batch.mask[b], axis=0),
+        )
+        loss, grad = sequence_loss(tunables, merged, np.insert(truth, pos, truth[b], axis=0))
+        assert loss[pos] == math.inf
+        assert np.all(grad[pos] == 0.0)
+        np.testing.assert_array_equal(np.delete(loss, pos), base_loss)
+        np.testing.assert_array_equal(np.delete(grad, pos, axis=0), base_grad)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(windows_case(), calibration_case())
+    def test_view_without_tunables_passes_through(self, windows, setup):
+        # As for a view seen in validation but not in training: N3 has no
+        # tunables, so its detections enter uncalibrated with zero tangent.
+        sigma, calib = setup
+        calib.pop("N3", None)
+        tunables = TunableParams.from_natural(sigma, calib)
+        sigma, calib = tunables.decode()
+        loss, grad = sequence_loss(tunables, *pack_windows(windows))
+        for b, (f, t) in enumerate(windows):
+            _, _, _, values, grads = chain_nll(f, t, sigma, calib)
+            scale = [sigma]
+            for view in sorted(calib):
+                raw_b = tunables.views[view][1]
+                scale += [calib[view].a, 1.0 / (1.0 + math.exp(-raw_b))]
+            assert_close(loss[b], values.mean())
+            assert_close(grad[b], grads.mean(axis=0) * scale)
+
+
 class TestMarginal:
     def test_fresh_init_round_trip(self):
         g = Gaussian2D((4.0, 5.0), [[3.0, 1.0], [1.0, 2.0]])
@@ -309,14 +493,14 @@ class TestRunSequence:
             frames.append(frame(k * 0.05, ("N1", Gaussian2D(p, 1e-4 * np.eye(2)))))
             truth.append(p)
         res = run_sequence(frames, FilterParams(10.0))
-        for m, p in zip(res.marginals[10:], truth[10:]):
-            assert np.linalg.norm(m.mean - p) < 1e-3
+        for m, p in zip(res.means[10:], truth[10:]):
+            assert np.linalg.norm(m - p) < 1e-3
 
     def test_empty_frames_inflate_uncertainty(self):
         frames = [frame(0.0, ("N1", Gaussian2D((0.0, 0.0), np.eye(2))))]
         frames += [frame(0.05 * k) for k in range(1, 8)]
         res = run_sequence(frames, FilterParams(20.0))
-        traces = [np.trace(m.cov) for m in res.marginals]
+        traces = [np.trace(c) for c in res.covs]
         assert all(b > a for a, b in zip(traces, traces[1:]))
 
     def test_total_gradient_matches_fd(self):
@@ -361,7 +545,7 @@ class TestRunSequence:
         frames.append(frame(0.10, ("N1", Gaussian2D((0.0, 0.0), np.eye(2)))))
         frames.append(frame(0.15, ("N1", Gaussian2D((1.0, 0.0), np.eye(2)))))
         res = run_sequence(frames, FilterParams(10.0))
-        assert len(res.marginals) == 2
+        assert len(res.means) == 2
         assert res.times[0] == 0.10
 
     def test_predictive_mode(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_cv_frames
+from conftest import make_cv_frames, window_loss
 from geotrack.calibration import IDENTITY, CalibrationParams
 from geotrack.core import Gaussian2D
 from geotrack.kalman import DetectionFrame
@@ -11,6 +11,7 @@ from geotrack.tuning import (
     TunableParams,
     TuneConfig,
     make_windows,
+    pack_windows,
     sequence_loss,
     tune,
 )
@@ -68,7 +69,7 @@ class TestSequenceLoss:
             25.0,
             {"N1": CalibrationParams(1.4, 6.0), "N2": CalibrationParams(0.7, 0.3)},
         )
-        loss, grad = sequence_loss(params, frames, truth)
+        loss, grad = window_loss(params, frames, truth)
         vec = params.to_vector()
         for i in range(len(vec)):
             h = 1e-5 * max(1.0, abs(vec[i]))
@@ -76,8 +77,8 @@ class TestSequenceLoss:
             up[i] += h
             dn[i] -= h
             fd = (
-                sequence_loss(params.with_vector(up), frames, truth)[0]
-                - sequence_loss(params.with_vector(dn), frames, truth)[0]
+                window_loss(params.with_vector(up), frames, truth)[0]
+                - window_loss(params.with_vector(dn), frames, truth)[0]
             ) / (2.0 * h)
             assert abs(grad[i] - fd) <= 1e-4 * max(abs(grad[i]), abs(fd)) + 1e-8
 
@@ -91,10 +92,11 @@ class TestSequenceLoss:
             for _ in range(4)
         ]
         sweep = np.geomspace(3.0, 300.0, 50)
+        batch, truth = pack_windows(seqs)
         totals = []
         for s in sweep:
             p = TunableParams(math.log(s), {})
-            totals.append(sum(sequence_loss(p, f, t)[0] for f, t in seqs))
+            totals.append(sequence_loss(p, batch, truth)[0].sum())
         best = sweep[int(np.argmin(totals))]
         assert sigma_star / 2.0 <= best <= sigma_star * 2.0
 
@@ -102,7 +104,7 @@ class TestSequenceLoss:
         rng = np.random.default_rng(52)
         frames, truth = make_cv_frames(rng, n_steps=10)
         params = TunableParams(math.log(20.0), {})
-        loss, grad = sequence_loss(params, frames, truth)
+        loss, grad = window_loss(params, frames, truth)
         assert grad.shape == (1,)
         assert math.isfinite(loss)
 
@@ -111,7 +113,7 @@ class TestSequenceLoss:
         frames, truth = make_cv_frames(rng, n_steps=10)
         params = TunableParams(math.log(20.0), {})
         with pytest.raises(ValueError):
-            sequence_loss(params, frames, truth[:-1])
+            window_loss(params, frames, truth[:-1])
 
 
 class TestTuneConfig:
@@ -172,7 +174,7 @@ class TestTune:
         tuned, history = tune(TuneConfig(seq_len=50, epochs=2), params0, train, val)
         from geotrack.tuning import _mean_loss
 
-        assert _mean_loss(tuned, val, 1e4) <= history.rows[0]["val_nll"] + 1e-12
+        assert _mean_loss(tuned, *pack_windows(val), 1e4) <= history.rows[0]["val_nll"] + 1e-12
         assert len(history.rows) == 3  # epochs + 1, including epoch 0
 
     def test_underdispersed_scale_grows_with_adequate_lr(self, small_problem):
