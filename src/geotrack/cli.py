@@ -2,8 +2,11 @@
 -> report, composing through files. Every command writes a manifest next to
 its outputs recording the resolved options, inputs, and versions.
 
-Exit codes: 0 success, 1 runtime failure (including a covariance that is not
-positive definite, in the input or mid-run), 2 usage or configuration error.
+This module only parses flags and wires commands together: dataio reads,
+validates and matches every input file. main maps errors to exit codes: 1
+for data that parses but is wrong (RuntimeError, NotPositiveDefiniteError in
+the input or mid-run); 2 for bad flags (UsageError), a missing or unreadable
+file and malformed content (OSError, ValueError).
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import json
 import math
 import os
 import sys
@@ -22,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, dataio, metrics, tuning
-from .core import Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll
-from .kalman import DetectionFrame, FilterParams, run_sequence
+from .core import Gaussian2D, NotPositiveDefiniteError, nll
+from .kalman import FilterParams, run_sequence
 from .simulator import build_dataset, default_scenario
 
 # 95% quantile of chi-squared with 2 dof, for confidence ellipses.
@@ -89,36 +91,6 @@ def _parse_sweep(spec: str) -> metrics.AlphaSweep:
         raise UsageError(f"bad alpha sweep spec {spec!r}: {exc}") from exc
 
 
-def _read_detections_checked(path: Path) -> list[DetectionFrame]:
-    frames = dataio.read_detections(path)
-    for i in range(1, len(frames)):
-        if not frames[i].t > frames[i - 1].t:
-            raise RuntimeError(f"{path}: timestamp disorder at line {i + 1}")
-    return frames
-
-
-def _truth_positions_for(
-    frames: list[DetectionFrame], truth: list[tuple[float, ObjectPose]], label: str
-) -> np.ndarray:
-    by_t = {t: pose for t, pose in truth}
-    missing = [f.t for f in frames if f.t not in by_t]
-    if missing:
-        raise RuntimeError(
-            f"{label}: {len(missing)} frame timestamps have no matching truth row"
-        )
-    return np.array([by_t[f.t].position for f in frames])
-
-
-def _pairs_by_view(
-    frames: list[DetectionFrame], truth: list[tuple[float, ObjectPose]], label: str
-) -> dict[str, list[tuple[Gaussian2D, np.ndarray]]]:
-    pairs: dict[str, list[tuple[Gaussian2D, np.ndarray]]] = {}
-    for frame, pos in zip(frames, _truth_positions_for(frames, truth, label)):
-        for view, g in frame.detections:
-            pairs.setdefault(view, []).append((g, pos))
-    return pairs
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -161,15 +133,18 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "track")
-    frames = _read_detections_checked(Path(args.detections))
+    frames = dataio.read_detections(Path(args.detections))
     params = (
         dataio.read_filter_params(Path(args.params))
         if args.params
         else FilterParams(DEFAULT_SIGMA_ACCEL)
     )
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
-    truth = dataio.read_truth(Path(args.truth)) if args.truth else None
-    truth_pos = _truth_positions_for(frames, truth, args.detections) if truth else None
+    poses = truth_pos = None
+    if args.truth:
+        truth = dataio.read_truth(Path(args.truth))
+        poses = dataio.match_truth([f.t for f in frames], truth, args.detections)
+        truth_pos = np.array([p.position for p in poses])
 
     result = run_sequence(frames, params, truth=truth_pos, calib=calib)
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
@@ -187,20 +162,17 @@ def cmd_track(args) -> int:
         summary["mean_nll"] = result.mean_nll
     (out / "summary.json").write_text(dataio.dumps(summary, indent=2) + "\n")
 
-    truth_by_t = {t: pose for t, pose in truth} if truth else {}
+    # The track starts at the first frame with a detection.
+    step_poses = poses[len(frames) - n_steps :] if poses else [None] * n_steps
     evals, evecs = np.linalg.eigh(result.covs)
     axes = np.sqrt(CHI2_95_2D * evals).tolist()
+    rows = zip(result.times.tolist(), result.means.tolist(), axes, evecs, step_poses)
     with open(out / "plot_data.csv", "w") as fh:
         fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
-        for t, mean, (minor, major), evec in zip(result.times, result.means, axes, evecs):
+        for t, (mx, my), (minor, major), evec, pose in rows:
             angle = math.atan2(evec[1, 1], evec[0, 1])
-            pose = truth_by_t.get(float(t))
-            tx = repr(float(pose.position[0])) if pose else ""
-            ty = repr(float(pose.position[1])) if pose else ""
-            fh.write(
-                f"{t!r},{tx},{ty},{mean[0]!r},{mean[1]!r},"
-                f"{major!r},{minor!r},{angle!r}\n"
-            )
+            tx, ty = (repr(v) for v in pose.position.tolist()) if pose else ("", "")
+            fh.write(f"{t!r},{tx},{ty},{mx!r},{my!r},{major!r},{minor!r},{angle!r}\n")
 
     _write_manifest(
         out,
@@ -227,11 +199,14 @@ def cmd_track(args) -> int:
 def cmd_calibrate(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "calibrate")
-    frames = _read_detections_checked(Path(args.detections))
-    truth = dataio.read_truth(Path(args.truth))
-    pairs = _pairs_by_view(frames, truth, args.detections)
-    if not pairs:
-        raise RuntimeError("validation split contains no detections")
+    frames = dataio.read_detections(Path(args.detections))
+    poses = dataio.match_truth(
+        [f.t for f in frames], dataio.read_truth(Path(args.truth)), args.detections
+    )
+    pairs: dict[str, list[tuple[Gaussian2D, np.ndarray]]] = {}
+    for frame, pose in zip(frames, poses):
+        for view, g in frame.detections:
+            pairs.setdefault(view, []).append((g, pose.position))
     grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))
 
     def uncalibrated_nll(view_pairs):
@@ -275,21 +250,20 @@ def cmd_calibrate(args) -> int:
 def cmd_tune(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "tune")
-    train_frames = _read_detections_checked(Path(args.train_detections))
-    val_frames = _read_detections_checked(Path(args.val_detections))
-    train_truth = dataio.read_truth(Path(args.train_truth))
-    val_truth = dataio.read_truth(Path(args.val_truth))
-    train_pos = _truth_positions_for(train_frames, train_truth, args.train_detections)
-    val_pos = _truth_positions_for(val_frames, val_truth, args.val_detections)
+    train_frames = dataio.read_detections(Path(args.train_detections))
+    val_frames = dataio.read_detections(Path(args.val_detections))
+    train_poses = dataio.match_truth(
+        [f.t for f in train_frames], dataio.read_truth(Path(args.train_truth)), args.train_detections
+    )
+    val_poses = dataio.match_truth(
+        [f.t for f in val_frames], dataio.read_truth(Path(args.val_truth)), args.val_detections
+    )
+    train_pos = np.array([p.position for p in train_poses])
+    val_pos = np.array([p.position for p in val_poses])
 
     config = tuning.TuneConfig(
         seq_len=args.seq_len, epochs=args.epochs, lr=args.lr
     )
-    if len(train_frames) < config.seq_len:
-        raise UsageError(
-            f"train split has {len(train_frames)} frames, fewer than "
-            f"seq_len={config.seq_len}; use a smaller --seq-len"
-        )
     train_windows = tuning.make_windows(train_frames, train_pos, config.seq_len)
     val_windows = tuning.make_windows(val_frames, val_pos, min(config.seq_len, len(val_frames)))
 
@@ -362,14 +336,13 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--view is required when evaluating raw detections")
 
     truth = dataio.read_truth(Path(args.truth))
-    by_t = {t: pose for t, pose in truth}
 
     predictions: list[tuple[float, Gaussian2D]] = []
     if args.track is not None:
         predictions = dataio.read_track(Path(args.track))
         source = args.track
     else:
-        frames = _read_detections_checked(Path(args.detections))
+        frames = dataio.read_detections(Path(args.detections))
         for frame in frames:
             for view, g in frame.detections:
                 if view == args.view:
@@ -378,13 +351,8 @@ def cmd_evaluate(args) -> int:
     if not predictions:
         raise RuntimeError(f"{source}: no predictions to evaluate")
 
-    unmatched = sum(1 for t, _ in predictions if t not in by_t)
-    if unmatched:
-        raise RuntimeError(
-            f"{source}: {unmatched} of {len(predictions)} prediction timestamps "
-            "have no matching truth row"
-        )
-    records = [metrics.EvalRecord(t, g, by_t[t]) for t, g in predictions]
+    poses = dataio.match_truth([t for t, _ in predictions], truth, source)
+    records = [metrics.EvalRecord(t, g, pose) for (t, g), pose in zip(predictions, poses)]
 
     sweep = _parse_sweep(args.alpha_sweep)
     report = metrics.evaluate(records, sweep=sweep, n_mc=args.mc_samples, seed=args.seed)
@@ -534,23 +502,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (json.JSONDecodeError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except NotPositiveDefiniteError as exc:
-        # Bad data or a numeric failure, not a usage error.
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        # Config/type validation failures name the offending field or value.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 1 if isinstance(exc, (NotPositiveDefiniteError, RuntimeError)) else 2
 
 
 if __name__ == "__main__":

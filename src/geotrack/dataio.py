@@ -3,6 +3,12 @@
 All writers are deterministic (sorted keys, repr-exact floats) so that a
 write -> read -> write round trip is byte-identical and identically seeded
 pipeline runs produce identical files.
+
+This module is the input boundary: every file enters through a reader here,
+which returns validated values or raises an error naming the file (and line):
+ValueError for a missing, unreadable or malformed file; NotPositiveDefiniteError
+for a covariance that is not positive definite; RuntimeError for data that
+parses but is wrong (timestamp disorder, no detections, no truth row).
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ def _f(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# line-delimited JSON: Gaussian records and the shared reader
+# Gaussian records, and the readers every file goes through
 
 
 def _gaussian_to_json(mean: np.ndarray, cov: np.ndarray) -> dict:
@@ -50,28 +56,50 @@ def _gaussian_from_json(rec: dict) -> Gaussian2D:
 
 Record = TypeVar("Record")
 
+# What reading a missing, unreadable or malformed file raises.
+_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError)
 
-def _read_jsonl(path: Path, parse: Callable[[dict], Record]) -> Iterator[Record]:
-    """Yield parse(record) per non-blank line. Every error names path:line:
-    invalid JSON, a missing field and a bad value raise ValueError; a
-    covariance that is not positive definite raises
-    NotPositiveDefiniteError."""
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{line_no}"
-            try:
-                item = parse(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{where}: invalid JSON: {exc}") from exc
-            except KeyError as exc:
-                raise ValueError(f"{where}: missing field {exc}") from exc
-            except NotPositiveDefiniteError as exc:
-                raise NotPositiveDefiniteError(exc.minor_index, exc.minor_value, where) from exc
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{where}: {exc}") from exc
-            yield item
+
+def _located(exc: Exception, path: Path, line: int = 0) -> Exception:
+    """exc as the error to raise, naming path (and line, if > 0)."""
+    where = f"{path}:{line}" if line else str(path)
+    if isinstance(exc, NotPositiveDefiniteError):
+        return NotPositiveDefiniteError(exc.minor_index, exc.minor_value, where)
+    if isinstance(exc, KeyError):
+        return ValueError(f"{where}: missing field {exc}")
+    if isinstance(exc, json.JSONDecodeError):
+        return ValueError(f"{where}: invalid JSON: {exc}")
+    if isinstance(exc, OSError):
+        return ValueError(f"{where}: {exc.strerror or exc}")
+    return ValueError(f"{where}: {exc}")
+
+
+def _read_json(path: Path, parse: Callable[[dict], Record]) -> Record:
+    try:
+        with open(path, "rb") as fh:
+            return parse(json.load(fh))
+    except _MALFORMED as exc:
+        raise _located(exc, path) from exc
+
+
+def _read_jsonl(path: Path, parse: Callable[[dict], Record]) -> Iterator[tuple[int, Record]]:
+    """Yield (line number, parse(record)) per non-blank line; every error
+    names path:line."""
+    line_no = 0
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield line_no, parse(json.loads(line))
+    except _MALFORMED as exc:
+        raise _located(exc, path, line_no) from exc
+
+
+def _time(value) -> float:
+    t = float(value)
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -89,12 +117,19 @@ def write_detections(path: Path, frames: Sequence[DetectionFrame]) -> None:
 
 def _frame_from_json(rec: dict) -> DetectionFrame:
     return DetectionFrame(
-        rec["t"], tuple((d["view"], _gaussian_from_json(d)) for d in rec["detections"])
+        _time(rec["t"]), tuple((d["view"], _gaussian_from_json(d)) for d in rec["detections"])
     )
 
 
 def read_detections(path: Path) -> list[DetectionFrame]:
-    return list(_read_jsonl(path, _frame_from_json))
+    frames: list[DetectionFrame] = []
+    for line_no, frame in _read_jsonl(path, _frame_from_json):
+        if frames and not frame.t > frames[-1].t:
+            raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+        frames.append(frame)
+    if not any(f.detections for f in frames):
+        raise RuntimeError(f"{path}: no detections")
+    return frames
 
 
 # ---------------------------------------------------------------------------
@@ -122,15 +157,35 @@ def write_truth(path: Path, samples: Sequence[tuple[float, ObjectPose]]) -> None
 
 def read_truth(path: Path) -> list[tuple[float, ObjectPose]]:
     out = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != TRUTH_HEADER:
-            raise ValueError(f"{path}: expected header {TRUTH_HEADER}, got {header}")
-        for row in reader:
-            t, x, y, heading, width, length = (float(v) for v in row)
-            out.append((t, ObjectPose((x, y), heading, (width, length))))
+    line_no = 1
+    try:
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header != TRUTH_HEADER:
+                raise ValueError(f"expected header {TRUTH_HEADER}, got {header}")
+            for line_no, row in enumerate(rows, start=2):
+                if len(row) != len(TRUTH_HEADER):
+                    raise ValueError(f"expected {len(TRUTH_HEADER)} fields, got {len(row)}")
+                t, x, y, heading, width, length = (float(v) for v in row)
+                out.append((_time(t), ObjectPose((x, y), heading, (width, length))))
+    except _MALFORMED as exc:
+        raise _located(exc, path, line_no) from exc
     return out
+
+
+def match_truth(
+    times: Sequence[float], truth: Sequence[tuple[float, ObjectPose]], source: str
+) -> list[ObjectPose]:
+    """The truth pose at each of times. Matching is exact: simulate writes
+    detections and truth from the same floats, each with repr."""
+    by_t = dict(truth)
+    missing = sum(1 for t in times if t not in by_t)
+    if missing:
+        raise RuntimeError(
+            f"{source}: {missing} of {len(times)} timestamps have no matching truth row"
+        )
+    return [by_t[t] for t in times]
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +221,8 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     }
 
 
-_NODE_KEYS = {"id", "position", "facing", "fov", "noise_floor", "noise_slope", "miscalibration"}
+_NODE_REQUIRED = ("id", "position", "facing")
+_NODE_KEYS = {*_NODE_REQUIRED, "fov", "noise_floor", "noise_slope", "miscalibration"}
 _CONFIG_KEYS = set(scenario_to_dict(default_scenario()).keys())
 
 
@@ -177,7 +233,8 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
     if unknown:
         raise ValueError(f"unknown config field: {sorted(unknown)[0]}")
     base = default_scenario(seed=int(data.get("seed", 0)))
-    kwargs: dict = {}
+    # ScenarioConfig converts the other fields itself.
+    kwargs = {key: value for key, value in data.items() if key not in ("arena", "nodes", "seed")}
     if "arena" in data:
         kwargs["arena"] = Arena(float(data["arena"]["width"]), float(data["arena"]["length"]))
     if "nodes" in data:
@@ -186,41 +243,16 @@ def scenario_from_dict(data: dict) -> ScenarioConfig:
             bad = set(nd) - _NODE_KEYS
             if bad:
                 raise ValueError(f"unknown config field: nodes.{sorted(bad)[0]}")
-            nodes.append(
-                CameraNode(
-                    id=nd["id"],
-                    position=nd["position"],
-                    facing=float(nd["facing"]),
-                    fov=float(nd.get("fov", 2.0 * math.pi / 3.0)),
-                    noise_floor=float(nd.get("noise_floor", 3.0)),
-                    noise_slope=float(nd.get("noise_slope", 0.01)),
-                    miscalibration=tuple(nd.get("miscalibration", (1.0, 0.0))),
-                )
-            )
+            # Omitted keys take CameraNode's own defaults.
+            required = {key: nd[key] for key in _NODE_REQUIRED}
+            optional = {key: value for key, value in nd.items() if key not in required}
+            nodes.append(CameraNode(**required, **optional))
         kwargs["nodes"] = tuple(nodes)
-    for key in (
-        "lighting",
-        "low_light_noise_multiplier",
-        "fps",
-        "duration",
-        "fallback_rate",
-        "fallback_sigma",
-        "ray_anisotropy",
-    ):
-        if key in data:
-            kwargs[key] = data[key]
-    if "occluders" in data:
-        kwargs["occluders"] = tuple(tuple(r) for r in data["occluders"])
-    if "split" in data:
-        kwargs["split"] = tuple(data["split"])
-    if "object_extent" in data:
-        kwargs["object_extent"] = tuple(data["object_extent"])
     return dataclasses.replace(base, **kwargs)
 
 
 def load_scenario(path: Path) -> ScenarioConfig:
-    with open(path) as fh:
-        return scenario_from_dict(json.load(fh))
+    return _read_json(path, scenario_from_dict)
 
 
 def write_scenario(path: Path, config: ScenarioConfig) -> None:
@@ -242,10 +274,9 @@ def write_filter_params(path: Path, params: FilterParams) -> None:
 
 
 def read_filter_params(path: Path) -> FilterParams:
-    data = json.loads(Path(path).read_text())
-    return FilterParams(
-        sigma_accel=float(data["sigma_accel"]),
-        init_vel_var=float(data.get("init_vel_var", 1e4)),
+    return _read_json(
+        path,
+        lambda data: FilterParams(float(data["sigma_accel"]), float(data.get("init_vel_var", 1e4))),
     )
 
 
@@ -263,8 +294,9 @@ def write_calibration(path: Path, params: dict[str, CalibrationParams], shared: 
 
 
 def read_calibration(path: Path) -> dict[str, CalibrationParams]:
-    data = json.loads(Path(path).read_text())
-    return {v: CalibrationParams(d["a"], d["b"]) for v, d in data["views"].items()}
+    return _read_json(
+        path, lambda data: {v: CalibrationParams(d["a"], d["b"]) for v, d in data["views"].items()}
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +310,12 @@ def write_track(path: Path, times: np.ndarray, means: np.ndarray, covs: np.ndarr
             fh.write(dumps({"t": _f(t), **_gaussian_to_json(mean, cov)}) + "\n")
 
 
+def _step_from_json(rec: dict) -> tuple[float, Gaussian2D]:
+    return _time(rec["t"]), _gaussian_from_json(rec)
+
+
 def read_track(path: Path) -> list[tuple[float, Gaussian2D]]:
-    return list(_read_jsonl(path, lambda rec: (rec["t"], _gaussian_from_json(rec))))
+    return [step for _, step in _read_jsonl(path, _step_from_json)]
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +326,7 @@ def write_report(path: Path, report: MetricReport) -> None:
     Path(path).write_text(dumps(report.to_dict(), indent=2) + "\n")
 
 
-def read_report(path: Path) -> MetricReport:
-    data = json.loads(Path(path).read_text())
+def _report_from_dict(data: dict) -> MetricReport:
     return MetricReport(
         nll=data["nll"],
         opm=data["opm"],
@@ -301,6 +336,10 @@ def read_report(path: Path) -> MetricReport:
         n_mc=data["n_mc"],
         alpha_sweep=tuple(data["alpha_sweep"]),
     )
+
+
+def read_report(path: Path) -> MetricReport:
+    return _read_json(path, _report_from_dict)
 
 
 def write_report_row(path: Path, report: MetricReport) -> None:

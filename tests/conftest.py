@@ -6,10 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from geotrack import tuning
 from geotrack.core import Gaussian2D, rotation
 from geotrack.kalman import DetectionFrame
+
+# Every property test runs the same examples on every run, keeps no example
+# database and has no per-example deadline; tests set only max_examples.
+settings.register_profile("geotrack", derandomize=True, database=None, deadline=None)
+settings.load_profile("geotrack")
 
 
 def phi(x: float) -> float:

@@ -106,6 +106,8 @@ class TestTrack:
         first = lines[1].split(",")
         assert len(first) == 8
         assert float(first[5]) >= float(first[6]) > 0.0  # major >= minor
+        for line in lines[1:]:
+            assert all(math.isfinite(float(field)) for field in line.split(","))
 
     def test_identity_calibration_equals_no_calibration(self, sim_dir, tmp_path):
         calib = tmp_path / "identity.json"
@@ -468,3 +470,97 @@ class TestUsage:
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
+
+
+
+_GOOD = '{"view": "N1", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}'
+_TRACK = "track --detections {sim}/detections_test.jsonl"
+
+# One row per cause in the README's exit-code table: id, exit code, files to
+# write into the scratch dir, argv (without --out) and the file the one-line
+# error must name (None when no file is at fault). {sim} is the simulate
+# output dir and {tmp} the scratch dir.
+EXIT_CODE_CASES = [
+    ("bad-flags", 2, {}, "evaluate --truth {sim}/truth_test.csv", None),
+    ("missing-file", 2, {}, "track --detections {tmp}/nope.jsonl", "{tmp}/nope.jsonl"),
+    ("directory-as-file", 2, {}, "track --detections {sim}", "{sim}"),
+    ("invalid-json", 2, {"c.json": "{not json"}, "simulate --config {tmp}/c.json", "{tmp}/c.json"),
+    (
+        "node-without-facing",
+        2,
+        {"c.json": '{"nodes": [{"id": "N1", "position": [0, 0]}]}'},
+        "simulate --config {tmp}/c.json",
+        "{tmp}/c.json",
+    ),
+    ("calib-missing-views", 2, {"c.json": "{}"}, _TRACK + " --calib {tmp}/c.json", "{tmp}/c.json"),
+    ("params-missing-sigma", 2, {"p.json": "{}"}, _TRACK + " --params {tmp}/p.json", "{tmp}/p.json"),
+    (
+        "report-missing-opm",
+        2,
+        {"run/report.json": '{"nll": 1.0}'},
+        "report {tmp}/run",
+        "{tmp}/run/report.json",
+    ),
+    (
+        "bad-value",
+        2,
+        {"d.jsonl": '{"t": 0.0, "detections": [{"view": "N1", "mean": "x", "cov": 1}]}\n'},
+        "track --detections {tmp}/d.jsonl",
+        "{tmp}/d.jsonl:1",
+    ),
+    ("wrong-truth-header", 2, {"t.csv": "a,b\n"}, _TRACK + " --truth {tmp}/t.csv", "{tmp}/t.csv"),
+    (
+        "short-truth-row",
+        2,
+        {"t.csv": "t,x,y,heading,width,length\n0.0,1.0,2.0,0.0,15.0,30.0\n1.0,2.0,3.0\n"},
+        _TRACK + " --truth {tmp}/t.csv",
+        "{tmp}/t.csv:3",
+    ),
+    (
+        "timestamp-disorder",
+        1,
+        {"d.jsonl": f'{{"t": 0.1, "detections": [{_GOOD}]}}\n{{"t": 0.0, "detections": []}}\n'},
+        "track --detections {tmp}/d.jsonl",
+        "{tmp}/d.jsonl",
+    ),
+    (
+        "frames-without-truth",
+        1,
+        {},
+        _TRACK + " --truth {sim}/truth_train.csv",
+        "{sim}/detections_test.jsonl",
+    ),
+    (
+        "non-pd-input",
+        1,
+        {"d.jsonl": '{"t": 0.0, "detections": [{"view": "N1", "mean": [0, 0], "cov": [[-1, 0], [0, 1]]}]}\n'},
+        "track --detections {tmp}/d.jsonl",
+        "{tmp}/d.jsonl:1",
+    ),
+    ("non-pd-mid-run", 1, {"p.json": '{"sigma_accel": 1e300}'}, _TRACK + " --params {tmp}/p.json", None),
+    (
+        "no-detections",
+        1,
+        {"d.jsonl": '{"t": 0.0, "detections": []}\n'},
+        "track --detections {tmp}/d.jsonl",
+        "{tmp}/d.jsonl",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "code,files,argv,named", [c[1:] for c in EXIT_CODE_CASES], ids=[c[0] for c in EXIT_CODE_CASES]
+)
+def test_exit_code_table(sim_dir, tmp_path, capsys, code, files, argv, named):
+    dirs = {"sim": sim_dir, "tmp": tmp_path}
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text)
+    args = [arg.format(**dirs) for arg in argv.split()]
+    assert main(args + ["--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    [line] = err.splitlines()
+    assert line.startswith("error: ")
+    if named is not None:
+        assert line.startswith(f"error: {named.format(**dirs)}:")

@@ -255,7 +255,7 @@ def predicted_update_case(draw, min_det=0, max_det=4):
 
 
 class TestFusedUpdateProperties:
-    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=300)
     @given(predicted_update_case(min_det=1))
     def test_matches_stacked_and_stays_pd(self, case):
         # The oracle absorbs one detection per call. Its joint form inverts
@@ -273,7 +273,7 @@ class TestFusedUpdateProperties:
         assert np.array_equal(out.P, out.P.T)
         np.linalg.cholesky(out.P)  # raises if not PD
 
-    @settings(max_examples=50, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=50)
     @given(predicted_update_case(max_det=0))
     def test_empty_frame_is_noop(self, case):
         prior, f, _ = case
@@ -381,7 +381,7 @@ def assert_close(actual, expected, rtol=1e-9):
 
 
 class TestBatchedRecursionProperties:
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(windows_case(), calibration_case())
     def test_batch_equals_each_window_alone(self, windows, setup):
         sigma, calib = setup
@@ -396,7 +396,7 @@ class TestBatchedRecursionProperties:
             for name in ("means", "covs", "nlls", "nll_grads"):
                 np.testing.assert_array_equal(getattr(together, name)[b], getattr(alone, name)[0])
 
-    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150)
     @given(windows_case(), calibration_case())
     def test_matches_per_step_chain(self, windows, setup):
         sigma, calib = setup
@@ -413,7 +413,7 @@ class TestBatchedRecursionProperties:
             assert_close(result.nlls[b, start:], values)
             assert_close(result.nll_grads[b, start:], grads)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(windows_case(), calibration_case(), st.data())
     def test_failing_window_leaves_batch_mates_unchanged(self, windows, setup, data):
         sigma, calib = setup
@@ -441,7 +441,7 @@ class TestBatchedRecursionProperties:
         np.testing.assert_array_equal(np.delete(loss, pos), base_loss)
         np.testing.assert_array_equal(np.delete(grad, pos, axis=0), base_grad)
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100)
     @given(windows_case(), calibration_case())
     def test_view_without_tunables_passes_through(self, windows, setup):
         # As for a view seen in validation but not in training: N3 has no
