@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, calibration, dataio, metrics, tuning
 from .core import Gaussian2D, NotPositiveDefiniteError, nll
-from .kalman import FilterParams, run_sequence
+from .kalman import FilterParams, FrameBatch, run_track
 from .simulator import build_dataset, default_scenario
 
 # 95% quantile of chi-squared with 2 dof, for confidence ellipses.
@@ -78,6 +78,21 @@ def _parse_axis(spec: str) -> tuple[float, ...]:
     if kind == "lin":
         return calibration.linear_axis(lo, hi, count)
     raise UsageError(f"bad grid axis kind {kind!r} in {spec!r}")
+
+
+def _truth_poses(batch: FrameBatch, truth_path: str, source: str) -> list:
+    """The truth pose at each frame of a one-window batch."""
+    return dataio.match_truth(batch.t[0].tolist(), dataio.read_truth(Path(truth_path)), source)
+
+
+def _view_detections(batch: FrameBatch, view: str) -> list[tuple[int, Gaussian2D]]:
+    """Frame index and Gaussian of each detection of one view, from its
+    column of a one-window batch."""
+    j = batch.views.index(view)
+    return [
+        (i, Gaussian2D(batch.mean[0, i, j], batch.cov[0, i, j]))
+        for i in np.flatnonzero(batch.mask[0, :, j]).tolist()
+    ]
 
 
 def _parse_sweep(spec: str) -> metrics.AlphaSweep:
@@ -133,7 +148,7 @@ def cmd_simulate(args) -> int:
 def cmd_track(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "track")
-    frames = dataio.read_detections(Path(args.detections))
+    batch = dataio.read_detections(Path(args.detections))
     params = (
         dataio.read_filter_params(Path(args.params))
         if args.params
@@ -142,16 +157,15 @@ def cmd_track(args) -> int:
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
     poses = truth_pos = None
     if args.truth:
-        truth = dataio.read_truth(Path(args.truth))
-        poses = dataio.match_truth([f.t for f in frames], truth, args.detections)
+        poses = _truth_poses(batch, args.truth, args.detections)
         truth_pos = np.array([p.position for p in poses])
 
-    result = run_sequence(frames, params, truth=truth_pos, calib=calib)
+    result = run_track(batch, params, truth=truth_pos, calib=calib)
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
     n_steps = len(result.times)
 
     summary = {
-        "n_frames": len(frames),
+        "n_frames": len(batch),
         "n_steps": n_steps,
         "sigma_accel": params.sigma_accel,
         "init_vel_var": params.init_vel_var,
@@ -163,7 +177,7 @@ def cmd_track(args) -> int:
     (out / "summary.json").write_text(dataio.dumps(summary, indent=2) + "\n")
 
     # The track starts at the first frame with a detection.
-    step_poses = poses[len(frames) - n_steps :] if poses else [None] * n_steps
+    step_poses = poses[len(batch) - n_steps :] if poses else [None] * n_steps
     evals, evecs = np.linalg.eigh(result.covs)
     axes = np.sqrt(CHI2_95_2D * evals).tolist()
     rows = zip(result.times.tolist(), result.means.tolist(), axes, evecs, step_poses)
@@ -199,14 +213,12 @@ def cmd_track(args) -> int:
 def cmd_calibrate(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "calibrate")
-    frames = dataio.read_detections(Path(args.detections))
-    poses = dataio.match_truth(
-        [f.t for f in frames], dataio.read_truth(Path(args.truth)), args.detections
-    )
-    pairs: dict[str, list[tuple[Gaussian2D, np.ndarray]]] = {}
-    for frame, pose in zip(frames, poses):
-        for view, g in frame.detections:
-            pairs.setdefault(view, []).append((g, pose.position))
+    batch = dataio.read_detections(Path(args.detections))
+    poses = _truth_poses(batch, args.truth, args.detections)
+    pairs = {
+        view: [(g, poses[i].position) for i, g in _view_detections(batch, view)]
+        for view in batch.views
+    }
     grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))
 
     def uncalibrated_nll(view_pairs):
@@ -250,35 +262,32 @@ def cmd_calibrate(args) -> int:
 def cmd_tune(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "tune")
-    train_frames = dataio.read_detections(Path(args.train_detections))
-    val_frames = dataio.read_detections(Path(args.val_detections))
-    train_poses = dataio.match_truth(
-        [f.t for f in train_frames], dataio.read_truth(Path(args.train_truth)), args.train_detections
+    train = dataio.read_detections(Path(args.train_detections))
+    val = dataio.read_detections(Path(args.val_detections))
+    train_pos = np.array(
+        [p.position for p in _truth_poses(train, args.train_truth, args.train_detections)]
     )
-    val_poses = dataio.match_truth(
-        [f.t for f in val_frames], dataio.read_truth(Path(args.val_truth)), args.val_detections
+    val_pos = np.array(
+        [p.position for p in _truth_poses(val, args.val_truth, args.val_detections)]
     )
-    train_pos = np.array([p.position for p in train_poses])
-    val_pos = np.array([p.position for p in val_poses])
 
     config = tuning.TuneConfig(
         seq_len=args.seq_len, epochs=args.epochs, lr=args.lr
     )
-    train_windows = tuning.make_windows(train_frames, train_pos, config.seq_len)
-    val_windows = tuning.make_windows(val_frames, val_pos, min(config.seq_len, len(val_frames)))
+    train_windows = tuning.make_windows(train, train_pos, config.seq_len)
+    val_windows = tuning.make_windows(val, val_pos, min(config.seq_len, len(val)))
 
     base = (
         dataio.read_filter_params(Path(args.params))
         if args.params
         else FilterParams(DEFAULT_SIGMA_ACCEL)
     )
-    views = sorted({v for f in train_frames for v, _ in f.detections})
     if args.init:
         calib0 = dataio.read_calibration(Path(args.init))
-        for view in views:
+        for view in train.views:
             calib0.setdefault(view, calibration.IDENTITY)
     else:
-        calib0 = {view: calibration.IDENTITY for view in views}
+        calib0 = {view: calibration.IDENTITY for view in train.views}
     params0 = tuning.TunableParams.from_natural(base.sigma_accel, calib0)
 
     tuned, history = tuning.tune(
@@ -342,11 +351,10 @@ def cmd_evaluate(args) -> int:
         predictions = dataio.read_track(Path(args.track))
         source = args.track
     else:
-        frames = dataio.read_detections(Path(args.detections))
-        for frame in frames:
-            for view, g in frame.detections:
-                if view == args.view:
-                    predictions.append((frame.t, g))
+        batch = dataio.read_detections(Path(args.detections))
+        if args.view in batch.views:
+            times = batch.t[0].tolist()
+            predictions = [(times[i], g) for i, g in _view_detections(batch, args.view)]
         source = f"{args.detections}[view={args.view}]"
     if not predictions:
         raise RuntimeError(f"{source}: no predictions to evaluate")

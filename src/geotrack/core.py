@@ -92,22 +92,29 @@ class Gaussian2D:
         return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
 
     def __post_init__(self):
-        mean = np.array(self.mean, dtype=float).reshape(2)
-        if not np.all(np.isfinite(mean)):
-            raise ValueError("mean components must be finite")
-        raw = np.array(self.cov, dtype=float)
-        if raw.shape != (2, 2):
-            raise ValueError(f"covariance must be 2x2, got shape {raw.shape}")
-        if not np.all(np.isfinite(raw)):
-            raise ValueError("covariance entries must be finite")
-        cov = np.array([[raw[0, 0], raw[0, 1]], [raw[0, 1], raw[1, 1]]])
-        if not cov[0, 0] > 0.0:
-            raise NotPositiveDefiniteError(1, cov[0, 0])
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[0, 1]
-        if not det > 0.0:
-            raise NotPositiveDefiniteError(2, det)
+        mean, cov = _gaussian_arrays(self.mean, self.cov)
         object.__setattr__(self, "mean", _frozen(mean))
         object.__setattr__(self, "cov", _frozen(cov))
+
+
+def _gaussian_arrays(mean, cov) -> tuple[np.ndarray, np.ndarray]:
+    """Gaussian2D's checks without the object: the mean as a 2-vector and the
+    covariance made symmetric from its upper off-diagonal entry."""
+    mean = np.array(mean, dtype=float).reshape(2)
+    if not np.all(np.isfinite(mean)):
+        raise ValueError("mean components must be finite")
+    raw = np.array(cov, dtype=float)
+    if raw.shape != (2, 2):
+        raise ValueError(f"covariance must be 2x2, got shape {raw.shape}")
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("covariance entries must be finite")
+    cov = np.array([[raw[0, 0], raw[0, 1]], [raw[0, 1], raw[1, 1]]])
+    if not cov[0, 0] > 0.0:
+        raise NotPositiveDefiniteError(1, cov[0, 0])
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[0, 1]
+    if not det > 0.0:
+        raise NotPositiveDefiniteError(2, det)
+    return mean, cov
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,8 +146,11 @@ class ObjectPose:
         w, l = float(self.extent[0]), float(self.extent[1])
         if not (w > 0.0 and l > 0.0):
             raise ValueError(f"extent components must be positive, got {(w, l)}")
+        heading = float(self.heading)
+        if not math.isfinite(heading):
+            raise ValueError(f"heading must be finite, got {heading}")
         object.__setattr__(self, "position", _frozen(position))
-        object.__setattr__(self, "heading", wrap_angle(float(self.heading)))
+        object.__setattr__(self, "heading", wrap_angle(heading))
         object.__setattr__(self, "extent", (w, l))
 
 
@@ -152,8 +162,8 @@ class Arena:
     length: float = 700.0
 
     def __post_init__(self):
-        if not (self.width > 0.0 and self.length > 0.0):
-            raise ValueError("arena dimensions must be positive")
+        if not (0.0 < self.width < math.inf and 0.0 < self.length < math.inf):
+            raise ValueError("arena dimensions must be positive and finite")
 
     @property
     def center(self) -> np.ndarray:

@@ -9,6 +9,11 @@ which returns validated values or raises an error naming the file (and line):
 ValueError for a missing, unreadable or malformed file; NotPositiveDefiniteError
 for a covariance that is not positive definite; RuntimeError for data that
 parses but is wrong (timestamp disorder, no detections, no truth row).
+
+Detections load as arrays: read_detections parses a file straight into one
+kalman.FrameBatch and checks it in bulk, building no object per detection.
+Only a file that fails a bulk check is read again record by record, to name
+its first bad record.
 """
 
 from __future__ import annotations
@@ -18,13 +23,13 @@ import dataclasses
 import json
 import math
 from pathlib import Path
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from .calibration import CalibrationParams
-from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose
-from .kalman import DetectionFrame, FilterParams
+from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, _gaussian_arrays
+from .kalman import DetectionFrame, FilterParams, FrameBatch
 from .metrics import MetricReport
 from .simulator import CameraNode, ScenarioConfig, default_scenario
 
@@ -115,21 +120,80 @@ def write_detections(path: Path, frames: Sequence[DetectionFrame]) -> None:
             fh.write(dumps({"t": _f(frame.t), "detections": dets}) + "\n")
 
 
-def _frame_from_json(rec: dict) -> DetectionFrame:
-    return DetectionFrame(
-        _time(rec["t"]), tuple((d["view"], _gaussian_from_json(d)) for d in rec["detections"])
-    )
+def _detection_record(rec: dict) -> tuple[float, list, list]:
+    """One line as (t, view ids, (mean, cov) arrays), checked in the order
+    a DetectionFrame of Gaussian2D detections checks it, then its view ids:
+    strings, none repeated."""
+    t = _time(rec["t"])
+    views, gaussians = [], []
+    for d in rec["detections"]:
+        views.append(d["view"])
+        gaussians.append(_gaussian_arrays(d["mean"], d["cov"]))
+    for view in views:
+        if not isinstance(view, str):
+            raise ValueError(f"view id must be a string, got {view!r}")
+    if len(set(views)) != len(views):
+        raise ValueError(f"duplicate view ids in frame at t={t}: {views}")
+    return t, views, gaussians
 
 
-def read_detections(path: Path) -> list[DetectionFrame]:
-    frames: list[DetectionFrame] = []
-    for line_no, frame in _read_jsonl(path, _frame_from_json):
-        if frames and not frame.t > frames[-1].t:
+def _read_records(path: Path) -> FrameBatch:
+    """read_detections record by record, for a file _read_bulk declines."""
+    times, frames, views, gaussians = [], [], [], []
+    for line_no, (t, line_views, line_gaussians) in _read_jsonl(path, _detection_record):
+        if times and not t > times[-1]:
             raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
-        frames.append(frame)
-    if not any(f.detections for f in frames):
+        frames += [len(times)] * len(line_views)
+        times.append(t)
+        views += line_views
+        gaussians += line_gaussians
+    if not views:
         raise RuntimeError(f"{path}: no detections")
-    return frames
+    mean, cov = zip(*gaussians)
+    return FrameBatch.scatter(np.array([times]), frames, views, mean, cov)
+
+
+def _read_bulk(path: Path) -> Optional[FrameBatch]:
+    """read_detections for a file of plain, valid records, checked in bulk;
+    None for any other file."""
+    times, frames, views, means, covs = [], [], [], [], []
+    try:
+        with open(path, "rb") as fh:
+            for line in fh:
+                if line.strip():
+                    rec = json.loads(line)
+                    for d in rec["detections"]:
+                        frames.append(len(times))
+                        views.append(d["view"])
+                        means.append(d["mean"])
+                        covs.append(d["cov"])
+                    times.append(rec["t"])
+        t, mean, raw = np.array(times), np.array(means), np.array(covs)
+        plain = all(isinstance(v, str) for v in set(views))
+    except _MALFORMED:
+        return None
+    n = len(views)
+    shapes = (t.shape, mean.shape, raw.shape) == ((len(times),), (n, 2), (n, 2, 2))
+    if not (plain and n and shapes and all(a.dtype.kind in "biuf" for a in (t, mean, raw))):
+        return None
+    t, mean, cov = t.astype(float), mean.astype(float), raw.astype(float)
+    cov[:, 1, 0] = cov[:, 0, 1]
+    with np.errstate(all="ignore"):
+        det = cov[:, 0, 0] * cov[:, 1, 1] - cov[:, 0, 1] * cov[:, 0, 1]
+        finite = np.isfinite(t).all() and np.isfinite(mean).all() and np.isfinite(raw).all()
+    if not (finite and (t[1:] > t[:-1]).all() and (cov[:, 0, 0] > 0.0).all() and (det > 0.0).all()):
+        return None
+    batch = FrameBatch.scatter(t[None], frames, views, mean, cov)
+    # A view repeated within a line fills one slot twice.
+    return batch if batch.mask.sum() == n else None
+
+
+def read_detections(path: Path) -> FrameBatch:
+    """A detections file as a FrameBatch of one window over all its frames,
+    its views the sorted ids it holds. Errors are those of reading it record
+    by record: the first bad record's line, with its first failing check."""
+    batch = _read_bulk(path)
+    return batch if batch is not None else _read_records(path)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,12 @@ channels. Work that does not depend on the filter state runs outside the
 time loop, in blocks of frames: the per-view calibration of the detection
 covariances, the information-form fusion of each frame, the transition and
 process noise, and the NLL of the reported marginals with its gradient. The
-time loop keeps only predict and the Joseph update. ``run_sequence`` is the
-B = 1 case; ``init_state``, ``predict`` and ``update`` are the per-step API,
-the same step functions run with an empty batch shape. Nothing mutates.
+time loop keeps only predict and the Joseph update. ``run_track`` is the
+B = 1 case, and takes the batch dataio.read_detections returns for a file.
+DetectionFrame objects (the simulator's output) enter through ``pack``;
+``run_sequence`` is run_track over them. ``init_state``, ``predict`` and
+``update`` are the per-step API, the same step functions run with an empty
+batch shape. Nothing mutates.
 """
 
 from __future__ import annotations
@@ -87,10 +90,38 @@ class FrameBatch:
     cov: np.ndarray
     mask: np.ndarray
 
+    def __len__(self) -> int:
+        """The number of frames, B * T."""
+        return self.t.size
+
     def take(self, rows) -> "FrameBatch":
         """The windows at the given row indices."""
         return FrameBatch(
             self.views, self.t[rows], self.mean[rows], self.cov[rows], self.mask[rows]
+        )
+
+    @classmethod
+    def scatter(cls, t: np.ndarray, frames, views: Sequence[str], mean, cov) -> "FrameBatch":
+        """The batch over times t (B, T) of flat detections: detection i is
+        views[i]'s, mean[i] (2,) and cov[i] (2, 2), in the frame at flat
+        index frames[i] of t. The views are the sorted ids."""
+        order = tuple(sorted(set(views)))
+        column = {v: i for i, v in enumerate(order)}
+        shape = (*t.shape, len(order))
+        slots = np.array([column[v] for v in views], dtype=np.intp)
+        slots += np.asarray(frames, dtype=np.intp) * len(order)
+        full_mean = np.zeros((t.size * len(order), 2))
+        full_cov = np.broadcast_to(np.eye(2), (len(full_mean), 2, 2)).copy()
+        mask = np.zeros(len(full_mean), dtype=bool)
+        full_mean[slots] = np.reshape(mean, (-1, 2))
+        full_cov[slots] = np.reshape(cov, (-1, 2, 2))
+        mask[slots] = True
+        return cls(
+            order,
+            t,
+            full_mean.reshape(shape + (2,)),
+            full_cov.reshape(shape + (2, 2)),
+            mask.reshape(shape),
         )
 
 
@@ -113,31 +144,17 @@ def pack(windows: Sequence[Sequence[DetectionFrame]]) -> FrameBatch:
             f"timestamps must be strictly increasing: frame {i + 1} has "
             f"t={t[b, i + 1]} after t={t[b, i]}"
         )
-    views = tuple(sorted({v for w in windows for f in w for v, _ in f.detections}))
-    column = {v: i for i, v in enumerate(views)}
-    B, T, V = len(windows), n_frames, len(views)
-    dets = [g for w in windows for f in w for _, g in f.detections]
-    slots = np.fromiter(
-        (
-            (b * T + i) * V + column[v]
-            for b, w in enumerate(windows)
-            for i, f in enumerate(w)
-            for v, _ in f.detections
-        ),
-        dtype=np.intp,
-        count=len(dets),
+    dets = [(i, v, g) for i, f in enumerate(f for w in windows for f in w) for v, g in f.detections]
+    batch = FrameBatch.scatter(
+        t,
+        [i for i, _, _ in dets],
+        [v for _, v, _ in dets],
+        [g.mean for _, _, g in dets],
+        [g.cov for _, _, g in dets],
     )
-    mean = np.zeros((B * T * V, 2))
-    cov = np.broadcast_to(np.eye(2), (B * T * V, 2, 2)).copy()
-    mask = np.zeros(B * T * V, dtype=bool)
-    if dets:
-        mean[slots] = [g.mean for g in dets]
-        cov[slots] = [g.cov for g in dets]
-        mask[slots] = True
-    mean, cov, mask = mean.reshape(B, T, V, 2), cov.reshape(B, T, V, 2, 2), mask.reshape(B, T, V)
-    if not np.all(mask.any(axis=(1, 2))):
+    if not np.all(batch.mask.any(axis=(1, 2))):
         raise ValueError("no frame has any detection; cannot initialize")
-    return FrameBatch(views, t, mean, cov, mask)
+    return batch
 
 
 @dataclass(frozen=True)
@@ -541,21 +558,21 @@ def run_windows(
     return BatchResult(start, means, covs, nlls, grads, failures)
 
 
-def run_sequence(
-    frames: Sequence[DetectionFrame],
+def run_track(
+    batch: FrameBatch,
     params: FilterParams,
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
     n_params: int = 1,
     nll_mode: str = "filtered",
 ) -> TrackResult:
-    """Filter one sequence of frames: run_windows on a batch of one.
+    """Filter one sequence, a batch of B = 1: run_windows, with the track
+    from its first non-empty frame on.
 
     ``truth``, when given, must hold one 2-vector per frame. Raises
     NotPositiveDefiniteError, naming the frame time, if the recursion meets
     a matrix that is not positive definite.
     """
-    batch = pack([frames])
     if truth is not None:
         truth = np.asarray(truth, dtype=float)[None]
     result = run_windows(batch, params, truth, calib, n_params, nll_mode)
@@ -570,6 +587,18 @@ def run_sequence(
         nlls=None if truth is None else result.nlls[0, s:],
         nll_grads=None if truth is None else result.nll_grads[0, s:],
     )
+
+
+def run_sequence(
+    frames: Sequence[DetectionFrame],
+    params: FilterParams,
+    truth: Optional[np.ndarray] = None,
+    calib: Optional[dict[str, CalibrationParams]] = None,
+    n_params: int = 1,
+    nll_mode: str = "filtered",
+) -> TrackResult:
+    """run_track over frames given as DetectionFrame objects."""
+    return run_track(pack([frames]), params, truth, calib, n_params, nll_mode)
 
 
 # ---------------------------------------------------------------------------

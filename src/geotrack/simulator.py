@@ -59,16 +59,19 @@ class CameraNode:
         )
 
     def __post_init__(self):
+        # Each check also rejects NaN and infinity.
         position = np.array(self.position, dtype=float).reshape(2)
+        if not np.all(np.isfinite([*position, self.facing])):
+            raise ValueError("position and facing must be finite")
         if not 0.0 < self.fov < 2.0 * math.pi:
             raise ValueError("fov must lie in (0, 2*pi)")
-        if not self.noise_floor > 0.0:
-            raise ValueError("noise_floor must be positive")
-        if self.noise_slope < 0.0:
-            raise ValueError("noise_slope must be non-negative")
+        if not 0.0 < self.noise_floor < math.inf:
+            raise ValueError("noise_floor must be positive and finite")
+        if not 0.0 <= self.noise_slope < math.inf:
+            raise ValueError("noise_slope must be non-negative and finite")
         a_true, b_true = self.miscalibration
-        if not a_true > 0.0 or b_true < 0.0:
-            raise ValueError("miscalibration requires a_true > 0 and b_true >= 0")
+        if not (0.0 < a_true < math.inf and 0.0 <= b_true < math.inf):
+            raise ValueError("miscalibration requires finite a_true > 0 and b_true >= 0")
         position.setflags(write=False)
         object.__setattr__(self, "position", position)
         object.__setattr__(self, "facing", float(self.facing))
@@ -96,20 +99,21 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.lighting not in ("normal", "low"):
             raise ValueError(f"lighting must be 'normal' or 'low', got {self.lighting!r}")
-        if not self.fps > 0.0:
-            raise ValueError("fps must be positive")
-        if not self.duration > 0.0:
-            raise ValueError("duration must be positive")
+        # Each check also rejects NaN and infinity.
+        if not 0.0 < self.fps < math.inf:
+            raise ValueError("fps must be positive and finite")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be positive and finite")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
-        if any(f < 0.0 for f in self.split):
+        if not all(f >= 0.0 for f in self.split):
             raise ValueError("split fractions must be non-negative")
         if not 0.0 <= self.fallback_rate <= 1.0:
             raise ValueError("fallback_rate must lie in [0, 1]")
-        if not self.fallback_sigma > 0.0:
-            raise ValueError("fallback_sigma must be positive")
-        if not self.ray_anisotropy >= 1.0:
-            raise ValueError("ray_anisotropy must be >= 1")
+        if not 0.0 < self.fallback_sigma < math.inf:
+            raise ValueError("fallback_sigma must be positive and finite")
+        if not 1.0 <= self.ray_anisotropy < math.inf:
+            raise ValueError("ray_anisotropy must be >= 1 and finite")
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError(f"node ids must be unique, got {ids}")
@@ -123,6 +127,11 @@ class ScenarioConfig:
         object.__setattr__(
             self, "object_extent", tuple(float(v) for v in self.object_extent)
         )
+        if not all(0.0 < v < math.inf for v in self.object_extent):
+            raise ValueError(f"object_extent must be positive and finite, got {self.object_extent}")
+        numbers = [self.low_light_noise_multiplier, *(v for rect in self.occluders for v in rect)]
+        if not np.all(np.isfinite(numbers)):
+            raise ValueError(f"low_light_noise_multiplier and occluders must be finite: {numbers}")
 
     @property
     def noise_multiplier(self) -> float:

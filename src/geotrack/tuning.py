@@ -8,26 +8,27 @@ Gradients are exact: the filter propagates one forward-mode tangent per
 tunable, which is cheaper than taping the recursion when the tunable count
 is this small.
 
-Each split is packed once into a kalman.FrameBatch of B windows (times
-(B, T), detections (B, T, V, ...), mask (B, T, V)) with truth positions
-(B, T, 2). sequence_loss filters a whole minibatch, or a whole split for an
-epoch snapshot, in one call of the batched recursion and returns one loss
-and gradient per window.
+make_windows reshapes a split's detections, the one-window FrameBatch
+dataio.read_detections returns, into a kalman.FrameBatch of B windows
+(times (B, T), detections (B, T, V, ...), mask (B, T, V)) with truth
+positions (B, T, 2). sequence_loss filters a whole minibatch, or a whole
+split for an epoch snapshot, in one call of the batched recursion and
+returns one loss and gradient per window.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .calibration import CalibrationParams
 from .heads import inv_softplus, sigmoid, softplus
-from .kalman import DetectionFrame, FilterParams, FrameBatch, pack, run_windows
+from .kalman import FilterParams, FrameBatch, run_windows
 
-Window = tuple[Sequence[DetectionFrame], np.ndarray]
+# A split's windows and their truth positions (B, T, 2).
+Split = tuple[FrameBatch, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -104,11 +105,6 @@ class TunableParams:
         return TunableParams(float(vec[0]), views)
 
 
-def pack_windows(windows: Sequence[Window]) -> tuple[FrameBatch, np.ndarray]:
-    """A split's windows as one FrameBatch and their truth positions (B, T, 2)."""
-    return pack([f for f, _ in windows]), np.array([np.asarray(t, dtype=float) for _, t in windows])
-
-
 def sequence_loss(
     params: TunableParams,
     batch: FrameBatch,
@@ -171,25 +167,29 @@ class TuneHistory:
         )
 
 
-def make_windows(
-    frames: Sequence[DetectionFrame], truth: np.ndarray, seq_len: int
-) -> list[Window]:
-    """Chop a split into disjoint consecutive windows of seq_len frames.
+def make_windows(frames: FrameBatch, truth: np.ndarray, seq_len: int) -> Split:
+    """Chop a split, one window of T frames with truth positions (T, 2),
+    into disjoint consecutive windows of seq_len frames; frames past the
+    last whole window are left out.
 
     Windows without any detection are dropped: the filter cannot start on
     them, so they hold no filtered-NLL step."""
-    truth = np.asarray(truth, dtype=float)
-    if len(frames) < seq_len:
+    n_frames = len(frames)
+    if n_frames < seq_len:
         raise ValueError(
-            f"need at least seq_len={seq_len} frames, got {len(frames)}; "
+            f"need at least seq_len={seq_len} frames, got {n_frames}; "
             "use a smaller --seq-len"
         )
-    windows = []
-    for i in range(0, len(frames) - seq_len + 1, seq_len):
-        window = list(frames[i : i + seq_len])
-        if any(f.detections for f in window):
-            windows.append((window, truth[i : i + seq_len]))
-    return windows
+    n = n_frames // seq_len
+
+    def windows(a: np.ndarray) -> np.ndarray:
+        return a[: n * seq_len].reshape((n, seq_len) + a.shape[1:])
+
+    split = FrameBatch(
+        frames.views, *(windows(a[0]) for a in (frames.t, frames.mean, frames.cov, frames.mask))
+    )
+    keep = split.mask.any(axis=(1, 2))
+    return split.take(keep), windows(np.asarray(truth, dtype=float))[keep]
 
 
 def _mean_loss(
@@ -201,8 +201,8 @@ def _mean_loss(
 def tune(
     config: TuneConfig,
     params0: TunableParams,
-    train_windows: Sequence[Window],
-    val_windows: Sequence[Window],
+    train_windows: Split,
+    val_windows: Split,
     seed: int = 0,
     init_vel_var: float = 1e4,
     weight_decay: float = 1e-4,
@@ -216,7 +216,9 @@ def tune(
     If the training loss stops being finite the run aborts at the last
     finite state with the history flagged.
     """
-    if not train_windows or not val_windows:
+    train, train_truth = train_windows
+    val, val_truth = val_windows
+    if not len(train) or not len(val):
         raise ValueError("train and validation window sets must be non-empty")
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     history = TuneHistory(
@@ -232,8 +234,6 @@ def tune(
             "seed": seed,
         }
     )
-    train, train_truth = pack_windows(train_windows)
-    val, val_truth = pack_windows(val_windows)
     rng = np.random.default_rng(seed)
     vec = params0.to_vector()
     m = np.zeros_like(vec)
@@ -258,7 +258,7 @@ def tune(
 
     for epoch in range(1, config.epochs + 1):
         lr = config.lr / 10.0 if epoch >= config.lr_drop_epoch else config.lr
-        perm = rng.permutation(len(train_windows))
+        perm = rng.permutation(len(train.t))
         for lo in range(0, len(perm), config.batch):
             batch = perm[lo : lo + config.batch]
             losses, grads = sequence_loss(

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geotrack import tuning
+from geotrack import dataio, tuning
 from geotrack.core import Gaussian2D, rotation
-from geotrack.kalman import DetectionFrame
+from geotrack.kalman import DetectionFrame, FrameBatch, pack
 
 # Every property test runs the same examples on every run, keeps no example
 # database and has no per-example deadline; tests set only max_examples.
@@ -111,12 +111,56 @@ def make_cv_frames(
     return frames, np.array(truth)
 
 
+def pack_windows(windows):
+    """(frames, truth) windows as one tuning split: a FrameBatch and the
+    truth positions (B, T, 2)."""
+    return pack([f for f, _ in windows]), np.array([np.asarray(t, dtype=float) for _, t in windows])
+
+
 def window_loss(params, frames, truth, init_vel_var: float = 1e4):
     """tuning.sequence_loss of one window: its loss and gradient."""
-    losses, grads = tuning.sequence_loss(
-        params, *tuning.pack_windows([(frames, truth)]), init_vel_var
-    )
+    losses, grads = tuning.sequence_loss(params, *pack_windows([(frames, truth)]), init_vel_var)
     return float(losses[0]), grads[0]
+
+
+def read_detection_frames(path):
+    """Object oracle for dataio.read_detections: each line becomes a
+    DetectionFrame of Gaussian2D detections, checked in the order these
+    objects check it. As in the reader, a view id must be a string (checked
+    after the line's detections, before duplicates). Returns the frames,
+    for kalman.pack."""
+
+    def parse(rec):
+        t = dataio._time(rec["t"])
+        dets = tuple((d["view"], Gaussian2D(d["mean"], d["cov"])) for d in rec["detections"])
+        for view, _ in dets:
+            if not isinstance(view, str):
+                raise ValueError(f"view id must be a string, got {view!r}")
+        return DetectionFrame(t, dets)
+
+    frames = []
+    for line_no, frame in dataio._read_jsonl(path, parse):
+        if frames and not frame.t > frames[-1].t:
+            raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+        frames.append(frame)
+    if not any(f.detections for f in frames):
+        raise RuntimeError(f"{path}: no detections")
+    return frames
+
+
+def batch_frames(batch: FrameBatch) -> list[DetectionFrame]:
+    """The frames of a one-window batch as objects, views in batch order."""
+    return [
+        DetectionFrame(
+            t,
+            tuple(
+                (view, Gaussian2D(batch.mean[0, i, j], batch.cov[0, i, j]))
+                for j, view in enumerate(batch.views)
+                if batch.mask[0, i, j]
+            ),
+        )
+        for i, t in enumerate(batch.t[0].tolist())
+    ]
 
 
 @pytest.fixture(scope="session")

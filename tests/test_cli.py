@@ -90,10 +90,10 @@ class TestSimulate:
 
 class TestTrack:
     def test_one_marginal_per_frame_from_first_nonempty(self, sim_dir, track_dir):
-        frames = dataio.read_detections(sim_dir / "detections_test.jsonl")
-        first_nonempty = next(i for i, f in enumerate(frames) if f.detections)
+        batch = dataio.read_detections(sim_dir / "detections_test.jsonl")
+        first_nonempty = int(batch.mask[0].any(axis=1).argmax())
         track = dataio.read_track(track_dir / "track.jsonl")
-        assert len(track) == len(frames) - first_nonempty
+        assert len(track) == len(batch) - first_nonempty
 
     def test_summary_contains_nll(self, track_dir):
         summary = json.loads((track_dir / "summary.json").read_text())
@@ -157,6 +157,29 @@ class TestTrack:
         assert main(["track", "--detections", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {path}:2: missing field '{field}'\n"
+
+    @pytest.mark.parametrize("view", [None, 3])
+    def test_non_string_view_exits_2_naming_line(self, tmp_path, capsys, view):
+        path = tmp_path / "d.jsonl"
+        g = {"view": "N1", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        bad = dict(g, view=view)
+        path.write_text(
+            json.dumps({"t": 0.0, "detections": [g]})
+            + "\n"
+            + json.dumps({"t": 0.05, "detections": [bad]})
+            + "\n"
+        )
+        assert main(["track", "--detections", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:2: view id must be a string, got {view!r}\n"
+
+    def test_non_finite_truth_heading_exits_2_naming_line(self, sim_dir, tmp_path, capsys):
+        truth = tmp_path / "t.csv"
+        truth.write_text("t,x,y,heading,width,length\n0.0,1.0,2.0,nan,15.0,30.0\n")
+        argv = ["track", "--detections", str(sim_dir / "detections_test.jsonl")]
+        assert main(argv + ["--truth", str(truth), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {truth}:2: heading must be finite, got nan\n"
 
     def test_non_pd_detection_covariance_exits_1_naming_line(self, tmp_path, capsys):
         path = tmp_path / "d.jsonl"

@@ -226,3 +226,13 @@ class TestHelpers:
         assert arena.contains((0.0, 0.0)) and arena.contains((500.0, 700.0))
         assert not arena.contains((-0.1, 10.0))
         np.testing.assert_allclose(arena.center, [250.0, 350.0])
+
+    @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])
+    def test_pose_rejects_non_finite_heading(self, heading):
+        with pytest.raises(ValueError, match="heading must be finite"):
+            ObjectPose((0.0, 0.0), heading, (1.0, 1.0))
+
+    @pytest.mark.parametrize("size", [(math.inf, 700.0), (500.0, math.inf)])
+    def test_arena_rejects_non_finite_size(self, size):
+        with pytest.raises(ValueError, match="arena dimensions must be positive and finite"):
+            Arena(*size)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import batch_frames, read_detection_frames
 from geotrack import dataio
 from geotrack.calibration import CalibrationParams
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose
-from geotrack.kalman import DetectionFrame, FilterParams
+from geotrack.kalman import DetectionFrame, FilterParams, pack
 from geotrack.metrics import MetricReport
 from geotrack.simulator import CameraNode, default_scenario
 
@@ -35,7 +36,7 @@ def frames():
 def test_detections_round_trip(tmp_path, frames):
     path = tmp_path / "d.jsonl"
     dataio.write_detections(path, frames)
-    back = dataio.read_detections(path)
+    back = batch_frames(dataio.read_detections(path))
     assert len(back) == len(frames)
     for a, b in zip(frames, back):
         assert a.t == b.t
@@ -71,6 +72,56 @@ def test_detections_without_any_detection_rejected(tmp_path):
         dataio.read_detections(path)
 
 
+@pytest.mark.parametrize("view", [None, 3])
+def test_detections_non_string_view_rejected(tmp_path, view):
+    path = tmp_path / "d.jsonl"
+    good = {"view": "N1", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    lines = [
+        json.dumps({"t": 0.0, "detections": [good]}),
+        json.dumps({"t": 0.1, "detections": [dict(good, view=view)]}),
+    ]
+    path.write_text("\n".join(lines) + "\n")
+    message = f"{re.escape(str(path))}:2: view id must be a string, got {view!r}$"
+    with pytest.raises(ValueError, match=message):
+        dataio.read_detections(path)
+
+
+def test_detections_arrays_in_sorted_view_order(tmp_path):
+    path = tmp_path / "d.jsonl"
+    records = [
+        {"t": 0.0, "detections": []},
+        {"t": 0.5, "detections": [
+            {"view": "b", "mean": [1.0, 2.0], "cov": [[4.0, 1.0], [7.0, 9.0]]},
+            {"view": "a", "mean": [3, 4], "cov": [[1, 0], [0, 1]]},
+        ]},
+    ]
+    path.write_text(json.dumps(records[0]) + "\n\n" + json.dumps(records[1]) + "\n")
+    batch = dataio.read_detections(path)
+    assert len(batch) == 2
+    assert batch.views == ("a", "b")
+    np.testing.assert_array_equal(batch.t, [[0.0, 0.5]])
+    np.testing.assert_array_equal(batch.mask, [[[False, False], [True, True]]])
+    np.testing.assert_array_equal(batch.mean[0, 1], [[3.0, 4.0], [1.0, 2.0]])
+    # The off-diagonal comes from cov[0][1], as in Gaussian2D; an absent
+    # slot holds mean 0 and identity covariance.
+    np.testing.assert_array_equal(batch.cov[0, 1, 1], [[4.0, 1.0], [1.0, 9.0]])
+    np.testing.assert_array_equal(batch.mean[0, 0], np.zeros((2, 2)))
+    np.testing.assert_array_equal(batch.cov[0, 0], [np.eye(2), np.eye(2)])
+
+
+def test_detections_irregular_but_valid_values_read_as_gaussian2d_does(tmp_path):
+    # Values no bulk check covers (a nested mean, numeric strings, booleans)
+    # are read record by record, to the same arrays as the objects.
+    path = tmp_path / "d.jsonl"
+    det = {"view": "N1", "mean": [[1.0, 2.0]], "cov": [["4", 0], [0, True]]}
+    path.write_text(json.dumps({"t": "0.25", "detections": [det]}) + "\n")
+    batch = dataio.read_detections(path)
+    expected = pack([read_detection_frames(path)])
+    for name in ("t", "mean", "cov", "mask"):
+        np.testing.assert_array_equal(getattr(batch, name), getattr(expected, name))
+    np.testing.assert_array_equal(batch.cov[0, 0, 0], [[4.0, 0.0], [0.0, 1.0]])
+
+
 def test_match_truth_exact_times():
     poses = [ObjectPose((float(k), 0.0), 0.0, (15.0, 30.0)) for k in range(4)]
     truth = list(zip((0.0, 0.05, 0.1, 0.15), poses))
@@ -96,6 +147,17 @@ def test_truth_round_trip(tmp_path):
     second = tmp_path / "t2.csv"
     dataio.write_truth(second, back)
     assert path.read_bytes() == second.read_bytes()
+
+
+@pytest.mark.parametrize("heading", ["nan", "inf", "-inf"])
+def test_truth_rejects_non_finite_heading(tmp_path, heading):
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "t,x,y,heading,width,length\n0.0,1.0,2.0,0.5,15.0,30.0\n"
+        f"0.05,1.0,2.0,{heading},15.0,30.0\n"
+    )
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: heading must be finite"):
+        dataio.read_truth(path)
 
 
 def test_truth_rejects_wrong_header(tmp_path):
@@ -372,3 +434,202 @@ def test_fuzz_load_scenario(fuzz_dir, data):
         text = json.dumps(_corrupt_json(data, config))
     path.write_text(text)
     _read_located(dataio.load_scenario, path)
+
+
+def _numeric_fields(value, prefix=()):
+    """Every path to a number in a JSON value."""
+    return [
+        path
+        for path in _paths(value, prefix)
+        if isinstance(_at(value, path), float) or type(_at(value, path)) is int
+    ]
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+def _with(value, path, new):
+    value = copy.deepcopy(value)
+    _at(value, path[:-1])[path[-1]] = new
+    return value
+
+
+# The default scenario plus an occluder: a config with every numeric field.
+_SCENARIO = dataio.scenario_to_dict(
+    dataclasses.replace(default_scenario(seed=3), occluders=((10.0, 10.0, 50.0, 60.0),))
+)
+# One node stands for all: every node is checked the same way.
+_SCENARIO_FIELDS = [
+    path
+    for path in _numeric_fields(_SCENARIO)
+    if path[0] != "nodes" or path[1] == 0
+]
+
+
+@pytest.mark.parametrize(
+    "path", _SCENARIO_FIELDS, ids=[".".join(map(str, p)) for p in _SCENARIO_FIELDS]
+)
+def test_scenario_rejects_non_finite_values(tmp_path, path):
+    # Loading only: a config is never simulated here, whatever its duration.
+    config_path = tmp_path / "s.json"
+    for value in (math.nan, math.inf, -math.inf):
+        data = _with(_SCENARIO, path, value)
+        with pytest.raises((ValueError, OverflowError)):
+            dataio.scenario_from_dict(data)
+        config_path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(config_path))}: "):
+            dataio.load_scenario(config_path)
+
+
+def test_scenario_rejects_non_positive_object_extent():
+    with pytest.raises(ValueError, match="object_extent must be positive"):
+        dataio.scenario_from_dict({"object_extent": [15.0, -1.0]})
+
+
+# ---------------------------------------------------------------------------
+# The array reader against its object oracle (conftest.read_detection_frames):
+# the same arrays, bit for bit, for any valid file, and the same error for any
+# file with one corrupted record.
+
+_FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+_NUMBER = st.one_of(_FINITE, st.integers(-1000, 1000))
+
+
+@st.composite
+def _detection(draw, view):
+    sd = draw(st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)))
+    rho = draw(st.floats(-0.95, 0.95))
+    off = rho * sd[0] * sd[1]
+    # cov[1][0] is ignored by the reader, so it need not match cov[0][1].
+    lower = draw(st.one_of(st.just(off), _NUMBER))
+    return {
+        "view": view,
+        "mean": [draw(_NUMBER), draw(_NUMBER)],
+        "cov": [[sd[0] ** 2, off], [lower, sd[1] ** 2]],
+    }
+
+
+@st.composite
+def _detection_records(draw):
+    """Valid records: 1-4 views, each line's views in any order, empty
+    frames (leading ones too) and at least one detection."""
+    views = draw(st.lists(st.sampled_from(["N1", "N2", "cam 3", "Ω"]), min_size=1, max_size=4, unique=True))
+    n = draw(st.integers(1, 8))
+    t = draw(_FINITE)
+    records = []
+    for _ in range(n):
+        line_views = draw(st.lists(st.sampled_from(views), max_size=len(views), unique=True))
+        records.append({"t": t, "detections": [draw(_detection(v)) for v in line_views]})
+        t += draw(st.floats(1e-3, 10.0))
+    if not any(rec["detections"] for rec in records):
+        records[-1]["detections"] = [draw(_detection(views[0]))]
+    return records
+
+
+def _write_lines(data, path, lines):
+    """Write lines with blank lines drawn in between."""
+    text = ""
+    for line in lines:
+        text += data.draw(st.sampled_from(["", "\n", "  \n"])) + line + "\n"
+    path.write_text(text)
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same_batch(batch, expected):
+    assert len(batch) == len(expected.t[0])
+    assert batch.views == expected.views
+    for name in ("t", "mean", "cov", "mask"):
+        a, b = getattr(batch, name), getattr(expected, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@settings(max_examples=200)
+@given(data=st.data(), records=_detection_records())
+def test_read_detections_matches_object_oracle(fuzz_dir, data, records):
+    path = fuzz_dir / "valid.jsonl"
+    _write_lines(data, path, [json.dumps(rec) for rec in records])
+    _assert_same_batch(dataio.read_detections(path), pack([read_detection_frames(path)]))
+
+
+_BAD_VIEWS = st.sampled_from([None, 3, 2.5, True, [], {}, ["N1"]])
+
+
+@settings(max_examples=400)
+@given(data=st.data(), records=_detection_records())
+def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, records):
+    path = fuzz_dir / "corrupt.jsonl"
+    k = data.draw(st.integers(0, len(records) - 1))
+    lines = [json.dumps(rec) for rec in records]
+    kind = data.draw(st.sampled_from(["field", "truncate", "view", "duplicate", "t"]))
+    rec = copy.deepcopy(records[k])
+    if kind == "field":
+        lines[k] = json.dumps(_corrupt_json(data, rec))
+    elif kind == "truncate":
+        lines[k] = _truncate(data, lines[k])
+    elif kind in ("view", "duplicate") and rec["detections"]:
+        i = data.draw(st.integers(0, len(rec["detections"]) - 1))
+        if kind == "view":
+            rec["detections"][i]["view"] = data.draw(_BAD_VIEWS)
+        else:
+            rec["detections"].append(copy.deepcopy(rec["detections"][i]))
+        lines[k] = json.dumps(rec)
+    else:
+        rec["t"] = data.draw(st.sampled_from([math.nan, math.inf, -1e9, rec["t"] - 1e-3]))
+        lines[k] = json.dumps(rec)
+    _write_lines(data, path, lines)
+    got = _outcome(dataio.read_detections, path)
+    want = _outcome(lambda p: pack([read_detection_frames(p)]), path)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        _assert_same_batch(got, want)
+
+
+# Corruptions the readers must reject: a non-string view id, a non-finite
+# truth heading, a non-finite number in any numeric scenario field.
+
+
+@settings(max_examples=100)
+@given(data=st.data(), view=_BAD_VIEWS)
+def test_fuzz_read_detections_non_string_view(fuzz_dir, data, view):
+    path = fuzz_dir / "view.jsonl"
+    records = json.loads(json.dumps(_FUZZ_FRAMES))  # no shared detection dicts
+    k = data.draw(st.integers(0, len(records) - 1))
+    i = data.draw(st.integers(0, len(records[k]["detections"]) - 1))
+    records[k]["detections"][i]["view"] = view
+    path.write_text("\n".join(json.dumps(rec) for rec in records) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{k + 1}: view id must be a string"):
+        dataio.read_detections(path)
+
+
+@settings(max_examples=50)
+@given(data=st.data(), heading=st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"]))
+def test_fuzz_read_truth_non_finite_heading(fuzz_dir, data, heading):
+    path = fuzz_dir / "heading.csv"
+    rows = [[repr(0.05 * k), "100.0", "200.0", "0.5", "15.0", "30.0"] for k in range(4)]
+    k = data.draw(st.integers(0, len(rows) - 1))
+    rows[k][3] = heading
+    path.write_text("\n".join(",".join(r) for r in [dataio.TRUTH_HEADER] + rows) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{k + 2}: heading must be finite"):
+        dataio.read_truth(path)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), value=st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_fuzz_load_scenario_non_finite_field(fuzz_dir, data, value):
+    path = fuzz_dir / "nonfinite.json"
+    field = data.draw(st.sampled_from(_numeric_fields(_SCENARIO)))
+    path.write_text(json.dumps(_with(_SCENARIO, field, value)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+        dataio.load_scenario(path)
+

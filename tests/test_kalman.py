@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cv_frames, random_pd_2x2, stacked_update
+from conftest import make_cv_frames, pack_windows, random_pd_2x2, stacked_update
 from geotrack.calibration import CalibrationParams
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, nll, rotation
 from geotrack.kalman import (
@@ -23,7 +23,7 @@ from geotrack.kalman import (
     transition,
     update,
 )
-from geotrack.tuning import TunableParams, pack_windows, sequence_loss
+from geotrack.tuning import TunableParams, sequence_loss
 
 
 def frame(t, *dets):

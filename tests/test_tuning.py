@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_cv_frames, window_loss
+from conftest import make_cv_frames, pack_windows, window_loss
 from geotrack.calibration import IDENTITY, CalibrationParams
 from geotrack.core import Gaussian2D
-from geotrack.kalman import DetectionFrame
+from geotrack.kalman import DetectionFrame, pack
 from geotrack.tuning import (
     TunableParams,
     TuneConfig,
     make_windows,
-    pack_windows,
     sequence_loss,
     tune,
 )
@@ -133,23 +132,23 @@ class TestMakeWindows:
     def test_disjoint_full_windows(self):
         rng = np.random.default_rng(54)
         frames, truth = make_cv_frames(rng, n_steps=25)
-        windows = make_windows(frames, truth, 10)
-        assert len(windows) == 2
-        assert all(len(f) == 10 for f, _ in windows)
+        windows, window_truth = make_windows(pack([frames]), truth, 10)
+        assert windows.t.shape == (2, 10)
+        assert window_truth.shape == (2, 10, 2)
 
     def test_windows_without_detections_dropped(self):
         rng = np.random.default_rng(57)
         frames, truth = make_cv_frames(rng, n_steps=30)
         frames[10:20] = [DetectionFrame(f.t, ()) for f in frames[10:20]]
-        windows = make_windows(frames, truth, 10)
-        assert [f[0].t for f, _ in windows] == [frames[0].t, frames[20].t]
-        np.testing.assert_array_equal(windows[1][1], truth[20:])
+        windows, window_truth = make_windows(pack([frames]), truth, 10)
+        assert windows.t[:, 0].tolist() == [frames[0].t, frames[20].t]
+        np.testing.assert_array_equal(window_truth[1], truth[20:])
 
     def test_too_few_frames(self):
         rng = np.random.default_rng(55)
         frames, truth = make_cv_frames(rng, n_steps=5)
         with pytest.raises(ValueError, match="seq_len"):
-            make_windows(frames, truth, 10)
+            make_windows(pack([frames]), truth, 10)
 
 
 class TestTune:
@@ -157,8 +156,8 @@ class TestTune:
     def small_problem(self):
         rng = np.random.default_rng(56)
         frames, truth = scaled_noise_frames(rng, 300, true_scale=4.0)
-        train = make_windows(frames[:200], truth[:200], 50)
-        val = make_windows(frames[200:], truth[200:], 50)
+        train = make_windows(pack([frames[:200]]), truth[:200], 50)
+        val = make_windows(pack([frames[200:]]), truth[200:], 50)
         params0 = TunableParams.from_natural(30.0, {"N1": IDENTITY, "N2": IDENTITY})
         return params0, train, val
 
@@ -174,7 +173,7 @@ class TestTune:
         tuned, history = tune(TuneConfig(seq_len=50, epochs=2), params0, train, val)
         from geotrack.tuning import _mean_loss
 
-        assert _mean_loss(tuned, *pack_windows(val), 1e4) <= history.rows[0]["val_nll"] + 1e-12
+        assert _mean_loss(tuned, *val, 1e4) <= history.rows[0]["val_nll"] + 1e-12
         assert len(history.rows) == 3  # epochs + 1, including epoch 0
 
     def test_underdispersed_scale_grows_with_adequate_lr(self, small_problem):
@@ -202,10 +201,11 @@ class TestTune:
 
     def test_empty_sets_rejected(self, small_problem):
         params0, train, val = small_problem
-        with pytest.raises(ValueError):
-            tune(TuneConfig(), params0, [], val)
-        with pytest.raises(ValueError):
-            tune(TuneConfig(), params0, train, [])
+        empty = (train[0].take([]), train[1][:0])
+        with pytest.raises(ValueError, match="non-empty"):
+            tune(TuneConfig(), params0, empty, val)
+        with pytest.raises(ValueError, match="non-empty"):
+            tune(TuneConfig(), params0, train, empty)
 
     def test_history_metadata_records_optimizer_constants(self, small_problem):
         params0, train, val = small_problem
