@@ -12,9 +12,9 @@ __version__ = "0.1.0"
 from .calibration import CalibrationGrid, CalibrationParams
 from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll
 from .heads import RawHead, head_to_gaussian
-from .kalman import DetectionFrame, FilterParams, KalmanState, run_sequence
+from .kalman import DetectionFrame, FilterParams, run_sequence
 from .metrics import AlphaSweep, EvalRecord, MetricReport, evaluate
-from .simulator import CameraNode, ScenarioConfig, build_dataset, default_scenario
+from .simulator import CameraNode, ScenarioConfig, build_dataset, default_scenario, simulate
 from .tuning import TunableParams, TuneConfig
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "EvalRecord",
     "FilterParams",
     "Gaussian2D",
-    "KalmanState",
     "MetricReport",
     "NotPositiveDefiniteError",
     "ObjectPose",
@@ -42,4 +41,5 @@ __all__ = [
     "head_to_gaussian",
     "nll",
     "run_sequence",
+    "simulate",
 ]

@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__, calibration, dataio, metrics, tuning
 from .core import Gaussian2D, NotPositiveDefiniteError, nll
 from .kalman import FilterParams, FrameBatch, run_track
-from .simulator import build_dataset, default_scenario
+from .simulator import default_scenario, simulate
 
 # 95% quantile of chi-squared with 2 dof, for confidence ellipses.
 CHI2_95_2D = -2.0 * math.log(0.05)
@@ -120,14 +120,14 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
 
-    dataset = build_dataset(config)
+    dataset = simulate(config)
     outputs = ["scenario_resolved.json"]
     dataio.write_scenario(out / "scenario_resolved.json", config)
-    for split, records in dataset.items():
+    for split, (batch, truth) in dataset.items():
         det_name = f"detections_{split}.jsonl"
         truth_name = f"truth_{split}.csv"
-        dataio.write_detections(out / det_name, [f for f, _ in records])
-        dataio.write_truth(out / truth_name, [(f.t, pose) for f, pose in records])
+        dataio.write_detections(out / det_name, batch)
+        dataio.write_truth(out / truth_name, truth)
         outputs += [det_name, truth_name]
     _write_manifest(
         out,

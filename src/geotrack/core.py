@@ -111,8 +111,10 @@ def _gaussian_arrays(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     cov = np.array([[raw[0, 0], raw[0, 1]], [raw[0, 1], raw[1, 1]]])
     if not cov[0, 0] > 0.0:
         raise NotPositiveDefiniteError(1, cov[0, 0])
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[0, 1]
-    if not det > 0.0:
+    # In Python floats an overflowing determinant is inf, with no warning.
+    (a, b), (_, d) = cov.tolist()
+    det = a * d - b * b
+    if not 0.0 < det < math.inf:
         raise NotPositiveDefiniteError(2, det)
     return mean, cov
 

@@ -13,7 +13,9 @@ parses but is wrong (timestamp disorder, no detections, no truth row).
 Detections load as arrays: read_detections parses a file straight into one
 kalman.FrameBatch and checks it in bulk, building no object per detection.
 Only a file that fails a bulk check is read again record by record, to name
-its first bad record.
+its first bad record. They are written from arrays too: write_detections
+formats a FrameBatch in its column order and write_truth the truth arrays of
+a simulator.Trajectory, a bounded chunk of frames at a time.
 """
 
 from __future__ import annotations
@@ -29,9 +31,9 @@ import numpy as np
 
 from .calibration import CalibrationParams
 from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, _gaussian_arrays
-from .kalman import DetectionFrame, FilterParams, FrameBatch
+from .kalman import FilterParams, FrameBatch, _is_pd
 from .metrics import MetricReport
-from .simulator import CameraNode, ScenarioConfig, default_scenario
+from .simulator import CameraNode, ScenarioConfig, Trajectory, default_scenario
 
 
 def dumps(obj, indent: int | None = None) -> str:
@@ -111,13 +113,35 @@ def _time(value) -> float:
 # detections: one frame per line
 
 
-def write_detections(path: Path, frames: Sequence[DetectionFrame]) -> None:
+# Frames per chunk that the writers format and write at once.
+CHUNK_FRAMES = 1 << 12
+
+# One detection as dumps writes it: sorted keys, repr-exact floats.
+_DETECTION = '{"cov":[[%r,%r],[%r,%r]],"mean":[%r,%r],"view":%s}'
+
+
+def write_detections(path: Path, batch: FrameBatch) -> None:
+    """One line per frame of the batch's windows, listing the frame's
+    detections in the batch's column order; written from the arrays, a chunk
+    of frames at a time."""
+    views = [dumps(view) for view in batch.views]
+    t = batch.t.reshape(-1)
+    mean = batch.mean.reshape(len(t), len(views), 2)
+    cov = batch.cov.reshape(len(t), len(views), 4)
+    mask = batch.mask.reshape(len(t), len(views))
     with open(path, "w") as fh:
-        for frame in frames:
-            dets = [
-                {"view": view, **_gaussian_to_json(g.mean, g.cov)} for view, g in frame.detections
+        for lo in range(0, len(t), CHUNK_FRAMES):
+            rows = slice(lo, lo + CHUNK_FRAMES)
+            present = mask[rows]
+            values = np.concatenate([cov[rows][present], mean[rows][present]], axis=1)
+            columns = np.nonzero(present)[1].tolist()
+            dets = [_DETECTION % (*v, views[j]) for v, j in zip(values.tolist(), columns)]
+            ends = np.cumsum(present.sum(axis=1)).tolist()
+            lines = [
+                '{"detections":[%s],"t":%r}\n' % (",".join(dets[start:end]), time)
+                for time, start, end in zip(t[rows].tolist(), [0, *ends], ends)
             ]
-            fh.write(dumps({"t": _f(frame.t), "detections": dets}) + "\n")
+            fh.write("".join(lines))
 
 
 def _detection_record(rec: dict) -> tuple[float, list, list]:
@@ -178,10 +202,10 @@ def _read_bulk(path: Path) -> Optional[FrameBatch]:
         return None
     t, mean, cov = t.astype(float), mean.astype(float), raw.astype(float)
     cov[:, 1, 0] = cov[:, 0, 1]
+    finite = np.isfinite(t).all() and np.isfinite(mean).all() and np.isfinite(raw).all()
     with np.errstate(all="ignore"):
-        det = cov[:, 0, 0] * cov[:, 1, 1] - cov[:, 0, 1] * cov[:, 0, 1]
-        finite = np.isfinite(t).all() and np.isfinite(mean).all() and np.isfinite(raw).all()
-    if not (finite and (t[1:] > t[:-1]).all() and (cov[:, 0, 0] > 0.0).all() and (det > 0.0).all()):
+        valid = finite and (t[1:] > t[:-1]).all() and _is_pd(cov).all()
+    if not valid:
         return None
     batch = FrameBatch.scatter(t[None], frames, views, mean, cov)
     # A view repeated within a line fills one slot twice.
@@ -202,21 +226,16 @@ def read_detections(path: Path) -> FrameBatch:
 TRUTH_HEADER = ["t", "x", "y", "heading", "width", "length"]
 
 
-def write_truth(path: Path, samples: Sequence[tuple[float, ObjectPose]]) -> None:
+def write_truth(path: Path, truth: Trajectory) -> None:
+    """One row per sample of the truth arrays, all with its extent."""
+    extent = [repr(_f(v)) for v in truth.extent]
+    columns = (truth.times, truth.positions[:, 0], truth.positions[:, 1], truth.headings)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
-        for t, pose in samples:
-            writer.writerow(
-                [
-                    repr(_f(t)),
-                    repr(_f(pose.position[0])),
-                    repr(_f(pose.position[1])),
-                    repr(_f(pose.heading)),
-                    repr(_f(pose.extent[0])),
-                    repr(_f(pose.extent[1])),
-                ]
-            )
+        for lo in range(0, len(truth), CHUNK_FRAMES):
+            rows = zip(*(column[lo : lo + CHUNK_FRAMES].tolist() for column in columns))
+            writer.writerows([*map(repr, row), *extent] for row in rows)
 
 
 def read_truth(path: Path) -> list[tuple[float, ObjectPose]]:

@@ -23,11 +23,10 @@ time loop, in blocks of frames: the per-view calibration of the detection
 covariances, the information-form fusion of each frame, the transition and
 process noise, and the NLL of the reported marginals with its gradient. The
 time loop keeps only predict and the Joseph update. ``run_track`` is the
-B = 1 case, and takes the batch dataio.read_detections returns for a file.
-DetectionFrame objects (the simulator's output) enter through ``pack``;
-``run_sequence`` is run_track over them. ``init_state``, ``predict`` and
-``update`` are the per-step API, the same step functions run with an empty
-batch shape. Nothing mutates.
+B = 1 case, and takes the batch dataio.read_detections or
+simulator.simulate returns. DetectionFrame objects (build_dataset's object
+view, and tests) enter through ``pack``; ``run_sequence`` is run_track over
+them. Nothing mutates.
 """
 
 from __future__ import annotations
@@ -155,26 +154,6 @@ def pack(windows: Sequence[Sequence[DetectionFrame]]) -> FrameBatch:
     if not np.all(batch.mask.any(axis=(1, 2))):
         raise ValueError("no frame has any detection; cannot initialize")
     return batch
-
-
-@dataclass(frozen=True)
-class KalmanState:
-    """Filter state at time t: mean x, covariance P, and tangent stacks.
-
-    sens_x has shape (K, 4) and sens_P shape (K, 4, 4); row k holds the
-    derivative of x and P with respect to tangent parameter k. Channel 0 is
-    sigma_accel.
-    """
-
-    t: float
-    x: np.ndarray
-    P: np.ndarray
-    sens_x: np.ndarray
-    sens_P: np.ndarray
-
-    @property
-    def n_params(self) -> int:
-        return self.sens_x.shape[0]
 
 
 @dataclass
@@ -599,82 +578,3 @@ def run_sequence(
 ) -> TrackResult:
     """run_track over frames given as DetectionFrame objects."""
     return run_track(pack([frames]), params, truth, calib, n_params, nll_mode)
-
-
-# ---------------------------------------------------------------------------
-# per-step API: the same step functions with an empty batch shape
-
-
-def _frame_arrays(frame: DetectionFrame, r_tangents, k: int):
-    """A frame's detections as one fusion group, with checked fusion."""
-    mean = np.array([g.mean for _, g in frame.detections])
-    cov = np.array([g.cov for _, g in frame.detections])
-    mask = np.ones(len(frame.detections), dtype=bool)
-    if r_tangents is None:
-        dR = np.zeros((len(cov), k, 2, 2))
-    else:
-        dR = np.array([np.asarray(d, dtype=float) for d in r_tangents])
-        dR = dR.reshape(len(cov), k, 2, 2)
-    with np.errstate(all="ignore"):
-        z, R, dz, dR, lam = _fuse(mean, cov, mask, dR)
-    if len(cov) > 1 and not _is_pd(lam):
-        raise _pd_error(lam)
-    return z, R, dz, dR
-
-
-def init_state(
-    frame: DetectionFrame,
-    params: FilterParams,
-    n_params: int = 1,
-    r_tangents: Optional[Sequence[np.ndarray]] = None,
-) -> KalmanState:
-    """Start a track from the detections of one frame.
-
-    The position block is the fused detection of the frame (see _fuse);
-    velocity starts at zero with init_vel_var per axis and no
-    cross-covariance. Tangents are zero except for channels whose dR stacks
-    make the fused block parameter-dependent.
-    """
-    if not frame.detections:
-        raise ValueError("cannot initialize without a detection")
-    fused = _frame_arrays(frame, r_tangents, n_params)
-    return KalmanState(frame.t, *_init(*fused, params.init_vel_var))
-
-
-def predict(state: KalmanState, dt: float, params: FilterParams) -> KalmanState:
-    """Propagate the state forward by dt under the constant-velocity model."""
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    Q = process_noise(params.sigma_accel, dt)
-    dQ = 2.0 * Q / params.sigma_accel
-    moved = _predict(state.x, state.P, state.sens_x, state.sens_P, transition(dt), Q, dQ)
-    return KalmanState(state.t + dt, *moved)
-
-
-def update(
-    state: KalmanState,
-    frame: DetectionFrame,
-    r_tangents: Optional[Sequence[np.ndarray]] = None,
-) -> KalmanState:
-    """Fuse all detections of a frame into the state.
-
-    The detections (conditionally independent given the state) are first
-    fused into one pseudo-measurement (see _fuse), then absorbed by a single
-    Kalman update; this equals the stacked joint update, and the posterior
-    does not depend on detection order. An empty frame is a no-op.
-    """
-    if abs(frame.t - state.t) > 1e-9:
-        raise ValueError(f"frame time {frame.t} does not match state time {state.t}")
-    if not frame.detections:
-        return state
-    fused = _frame_arrays(frame, r_tangents, state.n_params)
-    with np.errstate(all="ignore"):
-        *post, S = _update(state.x, state.P, state.sens_x, state.sens_P, *fused)
-    if not _is_pd(S):
-        raise _pd_error(S)
-    return KalmanState(state.t, *post)
-
-
-def marginal(state: KalmanState) -> Gaussian2D:
-    """The tracker's published output: the position block of (x, P)."""
-    return Gaussian2D(state.x[:2], state.P[:2, :2])

@@ -9,6 +9,14 @@ whose reported covariance is deliberately miscalibrated by a known per-node
 When a node cannot see the object it either stays silent or emits a
 low-confidence detection anchored at the arena center, mimicking how a
 detector behaves on frames that do not show the object.
+
+The simulator works per node over all frames at once: visibility, noise
+scale, means, miscalibration and the eigenvalue floor are array operations,
+and one draw per run of equal visibility reproduces the per-frame random
+stream bit for bit. ``simulate`` returns each split as a one-window
+kalman.FrameBatch plus its truth arrays, which dataio writes directly;
+``build_dataset`` is the object view of the same arrays, and ``visibility``
+and ``simulate_detection`` are one-frame calls of the bulk code.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Arena, Gaussian2D, ObjectPose, heading_from_velocity, wrap_angle
-from .kalman import DetectionFrame
+from .core import Arena, Gaussian2D, ObjectPose, _gaussian_arrays, heading_from_velocity, wrap_angle
+from .kalman import DetectionFrame, FrameBatch, _is_pd
 
 WALL_MARGIN = 20.0
 SPEED_RANGE = (50.0, 150.0)
@@ -304,72 +312,76 @@ def generate_trajectory(config: ScenarioConfig, rng: np.random.Generator) -> Tra
     return Trajectory(times, positions, headings, config.object_extent)
 
 
-def _segment_hits_rect(
-    p0: np.ndarray, p1: np.ndarray, rect: tuple[float, float, float, float]
-) -> bool:
-    """Liang-Barsky overlap test between segment p0->p1 and an axis-aligned
-    rectangle (xmin, ymin, xmax, ymax)."""
+Rect = tuple[float, float, float, float]
+
+
+def _segment_hits_rect(p0: np.ndarray, p1: np.ndarray, rect: Rect) -> np.ndarray:
+    """Liang-Barsky overlap test between segments p0->p1 and an axis-aligned
+    rectangle (xmin, ymin, xmax, ymax); p0 and p1 broadcast over (..., 2)."""
     xmin, ymin, xmax, ymax = rect
-    d = p1 - p0
-    t0, t1 = 0.0, 1.0
+    p0, d = np.broadcast_arrays(p0, np.subtract(p1, p0))
+    t0, t1 = np.zeros(d.shape[:-1]), np.ones(d.shape[:-1])
+    hit = np.ones(d.shape[:-1], dtype=bool)
     for axis, (lo, hi) in enumerate(((xmin, xmax), (ymin, ymax))):
-        if abs(d[axis]) < 1e-12:
-            if p0[axis] < lo or p0[axis] > hi:
-                return False
-            continue
-        ta = (lo - p0[axis]) / d[axis]
-        tb = (hi - p0[axis]) / d[axis]
-        if ta > tb:
-            ta, tb = tb, ta
-        t0 = max(t0, ta)
-        t1 = min(t1, tb)
-        if t0 > t1:
-            return False
-    return True
+        start, step = p0[..., axis], d[..., axis]
+        flat = np.abs(step) < 1e-12
+        hit &= ~(flat & ((start < lo) | (start > hi)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ta, tb = (lo - start) / step, (hi - start) / step
+        t0 = np.where(flat, t0, np.maximum(t0, np.minimum(ta, tb)))
+        t1 = np.where(flat, t1, np.minimum(t1, np.maximum(ta, tb)))
+        hit &= ~(t0 > t1)
+    return hit
 
 
-def visibility(
-    node: CameraNode,
-    pose: ObjectPose,
-    occluders: tuple[tuple[float, float, float, float], ...] = (),
-) -> bool:
+def _sight(node: CameraNode, positions: np.ndarray, occluders: tuple[Rect, ...]):
+    """The offsets (N, 2) from the node to object positions (N, 2), their
+    lengths, and whether the node sees each: the object center inside the FOV
+    cone, its line of sight crossing no occluder."""
+    offset = positions - node.position
+    # vecdot is the BLAS dot np.linalg.norm takes, so lengths match it bit
+    # for bit; math.atan2 per row, as np.arctan2 can differ in the last bit.
+    dist = np.sqrt(np.vecdot(offset, offset))
+    atan2 = map(math.atan2, offset[:, 1].tolist(), offset[:, 0].tolist())
+    bearing = wrap_angle(np.fromiter(atan2, float, len(offset)) - node.facing)
+    seen = ~(np.abs(bearing) > node.fov / 2.0)
+    for rect in occluders:
+        seen &= ~_segment_hits_rect(node.position, positions, rect)
+    return offset, dist, seen | (dist < 1e-12)
+
+
+def visibility(node: CameraNode, pose: ObjectPose, occluders: tuple[Rect, ...] = ()) -> bool:
     """True iff the object center is inside the node's FOV cone and the line
     of sight crosses no occluder."""
-    d = pose.position - node.position
-    dist = float(np.linalg.norm(d))
-    if dist < 1e-12:
-        return True
-    bearing = wrap_angle(math.atan2(d[1], d[0]) - node.facing)
-    if abs(bearing) > node.fov / 2.0:
-        return False
-    for rect in occluders:
-        if _segment_hits_rect(node.position, pose.position, rect):
-            return False
-    return True
+    return bool(_sight(node, pose.position[None], occluders)[2][0])
 
 
 def _floor_eigenvalues(mat: np.ndarray, floor: float) -> np.ndarray:
-    """Clamp the eigenvalues of a symmetric 2x2 matrix from below."""
-    a, b, c = mat[0, 0], mat[0, 1], mat[1, 1]
-    if abs(b) < 1e-15:
-        return np.diag([max(a, floor), max(c, floor)])
-    half = (a + c) / 2.0
-    disc = math.hypot((a - c) / 2.0, b)
-    lam1, lam2 = half + disc, half - disc
-    if lam2 >= floor:
-        return mat
-    v1 = _unit(np.array([b, lam1 - a]))
-    v2 = _perp(v1)
-    return max(lam1, floor) * np.outer(v1, v1) + max(lam2, floor) * np.outer(v2, v2)
+    """Clamp the eigenvalues of symmetric 2x2 matrices (N, 2, 2) from below."""
+    a, b, c = mat[:, 0, 0], mat[:, 0, 1], mat[:, 1, 1]
+    out = mat.copy()
+    diag = np.abs(b) < 1e-15
+    out[diag] = 0.0
+    out[diag, 0, 0], out[diag, 1, 1] = np.maximum(a[diag], floor), np.maximum(c[diag], floor)
+    rows = np.flatnonzero(~diag)
+    # math.hypot per row, as np.hypot can differ in the last bit.
+    half_gap = ((a[rows] - c[rows]) / 2.0).tolist()
+    disc = np.fromiter(map(math.hypot, half_gap, b[rows].tolist()), float, len(rows))
+    lam1, lam2 = (a[rows] + c[rows]) / 2.0 + disc, (a[rows] + c[rows]) / 2.0 - disc
+    clamp = ~(lam2 >= floor)
+    rows, lam1, lam2 = rows[clamp], lam1[clamp], lam2[clamp]
+    v1 = np.stack([b[rows], lam1 - a[rows]], axis=-1)
+    v1 = v1 / np.sqrt(np.vecdot(v1, v1))[:, None]
+    v2 = np.stack([-v1[:, 1], v1[:, 0]], axis=-1)
+    lam1, lam2 = np.maximum(lam1, floor)[:, None, None], np.maximum(lam2, floor)[:, None, None]
+    out[rows] = lam1 * (v1[:, :, None] * v1[:, None, :]) + lam2 * (v2[:, :, None] * v2[:, None, :])
+    return out
 
 
-def simulate_detection(
-    node: CameraNode,
-    pose: ObjectPose,
-    config: ScenarioConfig,
-    rng: np.random.Generator,
-) -> tuple[str, Gaussian2D] | None:
-    """One node's detection for one frame, or None.
+def _detections(node: CameraNode, positions: np.ndarray, config: ScenarioConfig, rng):
+    """One node's detections of the object at positions (N, 2), one frame
+    each in order: means (N, 2), covariances (N, 2, 2) and whether the node
+    emits (N,). A row without a detection holds mean 0 and the identity.
 
     A visible object yields a mean sampled around the truth with std
     lighting_multiplier * (noise_floor + noise_slope * distance), optionally
@@ -379,64 +391,111 @@ def simulate_detection(
     fallback_rate, a detection at the arena center with a large fixed
     covariance, and otherwise nothing.
     """
-    if visibility(node, pose, config.occluders):
-        offset = pose.position - node.position
-        dist = float(np.linalg.norm(offset))
-        s = config.noise_multiplier * (node.noise_floor + node.noise_slope * dist)
-        var = s * s
-        if config.ray_anisotropy > 1.0 and dist > 1e-12:
-            u = offset / dist
-            k2 = config.ray_anisotropy**2
-            cov_true = var * (k2 * np.outer(u, u) + (np.eye(2) - np.outer(u, u)))
+    offset, dist, seen = _sight(node, positions, config.occluders)
+    # Per frame the node draws standard_normal(2) if it sees the object, else
+    # one random(); one draw per run of equal visibility is the same stream.
+    noise, emit = np.zeros((len(seen), 2)), seen.copy()
+    starts = np.flatnonzero(np.diff(seen, prepend=~seen[:1])).tolist()
+    for lo, hi in zip(starts, [*starts[1:], len(seen)]):
+        if seen[lo]:
+            noise[lo:hi] = rng.standard_normal((hi - lo, 2))
         else:
-            cov_true = var * np.eye(2)
-        noise = rng.standard_normal(2)
-        if cov_true[0, 1] == 0.0 and cov_true[0, 0] == cov_true[1, 1]:
-            mean = pose.position + s * noise
-        else:
-            L = np.linalg.cholesky(cov_true)
-            mean = pose.position + L @ noise
-        a_true, b_true = node.miscalibration
-        reported = (cov_true - b_true * np.eye(2)) / a_true
-        reported = _floor_eigenvalues(reported, REPORTED_COV_FLOOR)
-        return node.id, Gaussian2D(mean, reported)
-    if rng.random() < config.fallback_rate:
-        cov = config.fallback_sigma**2 * np.eye(2)
-        return node.id, Gaussian2D(config.arena.center, cov)
-    return None
+            emit[lo:hi] = rng.random(hi - lo) < config.fallback_rate
+    eye = np.eye(2)
+    s = config.noise_multiplier * (node.noise_floor + node.noise_slope * dist)
+    var = (s * s)[:, None, None]
+    cov = var * eye
+    if config.ray_anisotropy > 1.0:
+        ray = dist > 1e-12
+        u = offset[ray] / dist[ray, None]
+        uu = u[:, :, None] * u[:, None, :]
+        cov[ray] = var[ray] * (config.ray_anisotropy**2 * uu + (eye - uu))
+    mean = positions + s[:, None] * noise
+    skew = seen & ~((cov[:, 0, 1] == 0.0) & (cov[:, 0, 0] == cov[:, 1, 1]))
+    if skew.any():
+        L = np.linalg.cholesky(cov[skew])
+        mean[skew] = positions[skew] + np.matmul(L, noise[skew, :, None])[:, :, 0]
+    a_true, b_true = node.miscalibration
+    out_mean, out_cov = np.zeros_like(mean), np.broadcast_to(eye, cov.shape).copy()
+    if (emit & ~seen).any():
+        out_mean[emit], out_cov[emit] = config.arena.center, config.fallback_sigma**2 * eye
+    out_mean[seen] = mean[seen]
+    out_cov[seen] = _floor_eigenvalues((cov[seen] - b_true * eye) / a_true, REPORTED_COV_FLOOR)
+    return out_mean, out_cov, emit
 
 
-def build_dataset(
-    config: ScenarioConfig,
-) -> dict[str, list[tuple[DetectionFrame, ObjectPose]]]:
-    """Simulate the full scenario and return contiguous train/val/test splits.
+def simulate_detection(
+    node: CameraNode, pose: ObjectPose, config: ScenarioConfig, rng: np.random.Generator
+) -> tuple[str, Gaussian2D] | None:
+    """One node's detection for one frame, or None (see _detections)."""
+    mean, cov, emit = _detections(node, pose.position[None], config, rng)
+    return (node.id, Gaussian2D(mean[0], cov[0])) if emit[0] else None
 
-    Every frame carries all detections emitted for that timestep. The
-    trajectory and each node consume independent seeded substreams, so the
-    result is byte-reproducible from the config alone.
+
+def _simulate(config: ScenarioConfig) -> tuple[Trajectory, FrameBatch, dict[str, slice]]:
+    """The trajectory, every node's detections over all its frames as one
+    FrameBatch window (views: the node ids in config order), and the
+    contiguous train/val/test frame ranges.
+
+    The trajectory and each node consume independent seeded substreams, so
+    the result is byte-reproducible from the config alone. Poses and
+    detections get ObjectPose's and Gaussian2D's checks in bulk; the first
+    failing one raises its error.
     """
-    root = np.random.SeedSequence(config.seed)
-    streams = root.spawn(1 + len(config.nodes))
+    streams = np.random.SeedSequence(config.seed).spawn(1 + len(config.nodes))
     traj = generate_trajectory(config, np.random.default_rng(streams[0]))
-    node_rngs = [np.random.default_rng(s) for s in streams[1:]]
-
-    records: list[tuple[DetectionFrame, ObjectPose]] = []
-    for i in range(len(traj)):
-        pose = traj.pose(i)
-        dets = []
-        for node, rng in zip(config.nodes, node_rngs):
-            result = simulate_detection(node, pose, config, rng)
-            if result is not None:
-                dets.append(result)
-        records.append((DetectionFrame(traj.times[i], tuple(dets)), pose))
-
-    n = len(records)
+    posed = np.isfinite(traj.positions).all(axis=1) & np.isfinite(traj.headings)
+    if not posed.all():
+        traj.pose(int(np.argmin(posed)))  # raises ObjectPose's error
+    n = len(traj)
+    mean, cov = np.zeros((n, len(config.nodes), 2)), np.zeros((n, len(config.nodes), 2, 2))
+    mask = np.zeros((n, len(config.nodes)), dtype=bool)
+    for j, (node, stream) in enumerate(zip(config.nodes, streams[1:])):
+        rng = np.random.default_rng(stream)
+        mean[:, j], cov[:, j], mask[:, j] = _detections(node, traj.positions, config, rng)
+    with np.errstate(all="ignore"):
+        valid = np.isfinite(mean).all(axis=-1) & np.isfinite(cov).all(axis=(-2, -1)) & _is_pd(cov)
+    bad = np.argwhere(mask & ~valid)
+    if len(bad):
+        _gaussian_arrays(mean[tuple(bad[0])], cov[tuple(bad[0])])  # raises Gaussian2D's error
     n_train = int(round(n * config.split[0]))
     n_val = int(round(n * config.split[1]))
     if n_train + n_val > n:
         raise ValueError("split fractions leave no room for a test set")
+    splits = {"train": slice(0, n_train), "val": slice(n_train, n_train + n_val)}
+    splits["test"] = slice(n_train + n_val, n)
+    views = tuple(node.id for node in config.nodes)
+    return traj, FrameBatch(views, traj.times[None], mean[None], cov[None], mask[None]), splits
+
+
+def simulate(config: ScenarioConfig) -> dict[str, tuple[FrameBatch, Trajectory]]:
+    """Simulate the full scenario as contiguous train/val/test splits.
+
+    Each split is a FrameBatch of one window, its views the node ids in
+    config order (the order a written line lists its detections in), and its
+    truth arrays, headings wrapped as ObjectPose wraps them.
+    """
+    traj, batch, splits = _simulate(config)
+    headings = wrap_angle(traj.headings)
+    arrays = (batch.t, batch.mean, batch.cov, batch.mask)
     return {
-        "train": records[:n_train],
-        "val": records[n_train : n_train + n_val],
-        "test": records[n_train + n_val :],
+        name: (
+            FrameBatch(batch.views, *(a[:, s] for a in arrays)),
+            Trajectory(traj.times[s], traj.positions[s], headings[s], traj.extent),
+        )
+        for name, s in splits.items()
     }
+
+
+def build_dataset(config: ScenarioConfig) -> dict[str, list[tuple[DetectionFrame, ObjectPose]]]:
+    """simulate's splits as (DetectionFrame, ObjectPose) records, each frame
+    carrying every detection emitted at its timestep."""
+    traj, batch, splits = _simulate(config)
+    views, mean, cov, mask = batch.views, batch.mean[0], batch.cov[0], batch.mask[0]
+
+    def frame(i: int) -> DetectionFrame:
+        dets = ((views[j], Gaussian2D(mean[i, j], cov[i, j])) for j in np.flatnonzero(mask[i]))
+        return DetectionFrame(traj.times[i], tuple(dets))
+
+    records = [(frame(i), traj.pose(i)) for i in range(len(traj))]
+    return {name: records[s] for name, s in splits.items()}

@@ -2,15 +2,32 @@
 
 from __future__ import annotations
 
+import csv
 import math
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from geotrack import dataio, tuning
-from geotrack.core import Gaussian2D, rotation
-from geotrack.kalman import DetectionFrame, FrameBatch, pack
+from geotrack.core import Gaussian2D, rotation, wrap_angle
+from geotrack.kalman import (
+    DetectionFrame,
+    FilterParams,
+    FrameBatch,
+    _fuse,
+    _init,
+    _is_pd,
+    _pd_error,
+    _predict,
+    _update,
+    pack,
+    process_noise,
+    transition,
+)
+from geotrack.simulator import REPORTED_COV_FLOOR, Trajectory, generate_trajectory
 
 # Every property test runs the same examples on every run, keeps no example
 # database and has no per-example deadline; tests set only max_examples.
@@ -161,6 +178,261 @@ def batch_frames(batch: FrameBatch) -> list[DetectionFrame]:
         )
         for i, t in enumerate(batch.t[0].tolist())
     ]
+
+
+def truth_arrays(samples) -> Trajectory:
+    """(t, ObjectPose) samples as the truth arrays dataio.write_truth takes;
+    every sample must have the first one's extent."""
+    extent = samples[0][1].extent
+    assert all(pose.extent == extent for _, pose in samples)
+    return Trajectory(
+        np.array([t for t, _ in samples], dtype=float),
+        np.array([pose.position for _, pose in samples]),
+        np.array([pose.heading for _, pose in samples]),
+        extent,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Per-detection simulator oracle: the simulator and writers as they were
+# before the bulk simulator, one frame and one node at a time.
+
+
+def oracle_segment_hits_rect(p0, p1, rect) -> bool:
+    """Liang-Barsky overlap test between segment p0->p1 and an axis-aligned
+    rectangle (xmin, ymin, xmax, ymax)."""
+    xmin, ymin, xmax, ymax = rect
+    d = p1 - p0
+    t0, t1 = 0.0, 1.0
+    for axis, (lo, hi) in enumerate(((xmin, xmax), (ymin, ymax))):
+        if abs(d[axis]) < 1e-12:
+            if p0[axis] < lo or p0[axis] > hi:
+                return False
+            continue
+        ta = (lo - p0[axis]) / d[axis]
+        tb = (hi - p0[axis]) / d[axis]
+        if ta > tb:
+            ta, tb = tb, ta
+        t0 = max(t0, ta)
+        t1 = min(t1, tb)
+        if t0 > t1:
+            return False
+    return True
+
+
+def oracle_visibility(node, pose, occluders=()) -> bool:
+    d = pose.position - node.position
+    dist = float(np.linalg.norm(d))
+    if dist < 1e-12:
+        return True
+    bearing = wrap_angle(math.atan2(d[1], d[0]) - node.facing)
+    if abs(bearing) > node.fov / 2.0:
+        return False
+    for rect in occluders:
+        if oracle_segment_hits_rect(node.position, pose.position, rect):
+            return False
+    return True
+
+
+def _unit(v):
+    return v / np.linalg.norm(v)
+
+
+def oracle_floor_eigenvalues(mat, floor):
+    """Clamp the eigenvalues of a symmetric 2x2 matrix from below."""
+    a, b, c = mat[0, 0], mat[0, 1], mat[1, 1]
+    if abs(b) < 1e-15:
+        return np.diag([max(a, floor), max(c, floor)])
+    half = (a + c) / 2.0
+    disc = math.hypot((a - c) / 2.0, b)
+    lam1, lam2 = half + disc, half - disc
+    if lam2 >= floor:
+        return mat
+    v1 = _unit(np.array([b, lam1 - a]))
+    v2 = np.array([-v1[1], v1[0]])
+    return max(lam1, floor) * np.outer(v1, v1) + max(lam2, floor) * np.outer(v2, v2)
+
+
+def oracle_simulate_detection(node, pose, config, rng):
+    if oracle_visibility(node, pose, config.occluders):
+        offset = pose.position - node.position
+        dist = float(np.linalg.norm(offset))
+        s = config.noise_multiplier * (node.noise_floor + node.noise_slope * dist)
+        var = s * s
+        if config.ray_anisotropy > 1.0 and dist > 1e-12:
+            u = offset / dist
+            k2 = config.ray_anisotropy**2
+            cov_true = var * (k2 * np.outer(u, u) + (np.eye(2) - np.outer(u, u)))
+        else:
+            cov_true = var * np.eye(2)
+        noise = rng.standard_normal(2)
+        if cov_true[0, 1] == 0.0 and cov_true[0, 0] == cov_true[1, 1]:
+            mean = pose.position + s * noise
+        else:
+            L = np.linalg.cholesky(cov_true)
+            mean = pose.position + L @ noise
+        a_true, b_true = node.miscalibration
+        reported = (cov_true - b_true * np.eye(2)) / a_true
+        reported = oracle_floor_eigenvalues(reported, REPORTED_COV_FLOOR)
+        return node.id, Gaussian2D(mean, reported)
+    if rng.random() < config.fallback_rate:
+        cov = config.fallback_sigma**2 * np.eye(2)
+        return node.id, Gaussian2D(config.arena.center, cov)
+    return None
+
+
+def oracle_build_dataset(config):
+    root = np.random.SeedSequence(config.seed)
+    streams = root.spawn(1 + len(config.nodes))
+    traj = generate_trajectory(config, np.random.default_rng(streams[0]))
+    node_rngs = [np.random.default_rng(s) for s in streams[1:]]
+    records = []
+    for i in range(len(traj)):
+        pose = traj.pose(i)
+        dets = []
+        for node, rng in zip(config.nodes, node_rngs):
+            result = oracle_simulate_detection(node, pose, config, rng)
+            if result is not None:
+                dets.append(result)
+        records.append((DetectionFrame(traj.times[i], tuple(dets)), pose))
+    n = len(records)
+    n_train = int(round(n * config.split[0]))
+    n_val = int(round(n * config.split[1]))
+    if n_train + n_val > n:
+        raise ValueError("split fractions leave no room for a test set")
+    return {
+        "train": records[:n_train],
+        "val": records[n_train : n_train + n_val],
+        "test": records[n_train + n_val :],
+    }
+
+
+def oracle_write_detections(path, frames) -> None:
+    with open(path, "w") as fh:
+        for frame in frames:
+            dets = [
+                {"view": view, **dataio._gaussian_to_json(g.mean, g.cov)}
+                for view, g in frame.detections
+            ]
+            fh.write(dataio.dumps({"t": float(frame.t), "detections": dets}) + "\n")
+
+
+def oracle_write_truth(path, samples) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(dataio.TRUTH_HEADER)
+        for t, pose in samples:
+            row = (t, *pose.position, pose.heading, *pose.extent)
+            writer.writerow([repr(float(v)) for v in row])
+
+
+def oracle_simulate_files(config, out) -> None:
+    """The six split files of the oracle simulator, as simulate writes them."""
+    out.mkdir(parents=True, exist_ok=True)
+    for split, records in oracle_build_dataset(config).items():
+        oracle_write_detections(out / f"detections_{split}.jsonl", [f for f, _ in records])
+        oracle_write_truth(out / f"truth_{split}.csv", [(f.t, pose) for f, pose in records])
+
+
+# ---------------------------------------------------------------------------
+# Per-step filter: kalman's step functions run one frame at a time with an
+# empty batch shape. Independent of run_windows' time loop, block layout and
+# failure bookkeeping; the chain oracle for the batched recursion.
+
+
+@dataclass(frozen=True)
+class KalmanState:
+    """Filter state at time t: mean x, covariance P, and tangent stacks.
+
+    sens_x has shape (K, 4) and sens_P shape (K, 4, 4); row k holds the
+    derivative of x and P with respect to tangent parameter k. Channel 0 is
+    sigma_accel.
+    """
+
+    t: float
+    x: np.ndarray
+    P: np.ndarray
+    sens_x: np.ndarray
+    sens_P: np.ndarray
+
+    @property
+    def n_params(self) -> int:
+        return self.sens_x.shape[0]
+
+
+def _frame_arrays(frame: DetectionFrame, r_tangents, k: int):
+    """A frame's detections as one fusion group, with checked fusion."""
+    mean = np.array([g.mean for _, g in frame.detections])
+    cov = np.array([g.cov for _, g in frame.detections])
+    mask = np.ones(len(frame.detections), dtype=bool)
+    if r_tangents is None:
+        dR = np.zeros((len(cov), k, 2, 2))
+    else:
+        dR = np.array([np.asarray(d, dtype=float) for d in r_tangents])
+        dR = dR.reshape(len(cov), k, 2, 2)
+    with np.errstate(all="ignore"):
+        z, R, dz, dR, lam = _fuse(mean, cov, mask, dR)
+    if len(cov) > 1 and not _is_pd(lam):
+        raise _pd_error(lam)
+    return z, R, dz, dR
+
+
+def init_state(
+    frame: DetectionFrame,
+    params: FilterParams,
+    n_params: int = 1,
+    r_tangents: Optional[Sequence[np.ndarray]] = None,
+) -> KalmanState:
+    """Start a track from the detections of one frame.
+
+    The position block is the fused detection of the frame (see _fuse);
+    velocity starts at zero with init_vel_var per axis and no
+    cross-covariance. Tangents are zero except for channels whose dR stacks
+    make the fused block parameter-dependent.
+    """
+    if not frame.detections:
+        raise ValueError("cannot initialize without a detection")
+    fused = _frame_arrays(frame, r_tangents, n_params)
+    return KalmanState(frame.t, *_init(*fused, params.init_vel_var))
+
+
+def predict(state: KalmanState, dt: float, params: FilterParams) -> KalmanState:
+    """Propagate the state forward by dt under the constant-velocity model."""
+    if not dt > 0.0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    Q = process_noise(params.sigma_accel, dt)
+    dQ = 2.0 * Q / params.sigma_accel
+    moved = _predict(state.x, state.P, state.sens_x, state.sens_P, transition(dt), Q, dQ)
+    return KalmanState(state.t + dt, *moved)
+
+
+def update(
+    state: KalmanState,
+    frame: DetectionFrame,
+    r_tangents: Optional[Sequence[np.ndarray]] = None,
+) -> KalmanState:
+    """Fuse all detections of a frame into the state.
+
+    The detections (conditionally independent given the state) are first
+    fused into one pseudo-measurement (see _fuse), then absorbed by a single
+    Kalman update; this equals the stacked joint update, and the posterior
+    does not depend on detection order. An empty frame is a no-op.
+    """
+    if abs(frame.t - state.t) > 1e-9:
+        raise ValueError(f"frame time {frame.t} does not match state time {state.t}")
+    if not frame.detections:
+        return state
+    fused = _frame_arrays(frame, r_tangents, state.n_params)
+    with np.errstate(all="ignore"):
+        *post, S = _update(state.x, state.P, state.sens_x, state.sens_P, *fused)
+    if not _is_pd(S):
+        raise _pd_error(S)
+    return KalmanState(state.t, *post)
+
+
+def marginal(state: KalmanState) -> Gaussian2D:
+    """The tracker's published output: the position block of (x, P)."""
+    return Gaussian2D(state.x[:2], state.P[:2, :2])
 
 
 @pytest.fixture(scope="session")

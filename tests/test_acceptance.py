@@ -12,18 +12,20 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_cv_frames, phi, random_pd_2x2, stacked_update, window_loss
+from conftest import (
+    KalmanState,
+    make_cv_frames,
+    phi,
+    random_pd_2x2,
+    stacked_update,
+    update,
+    window_loss,
+)
 from geotrack import calibration, dataio, metrics, tuning
 from geotrack.cli import main
 from geotrack.core import Arena, Gaussian2D, ObjectPose, nll, rotation
 from geotrack.heads import RawHead, extent_grid, grid_loss, head_to_gaussian
-from geotrack.kalman import (
-    DetectionFrame,
-    FilterParams,
-    KalmanState,
-    run_sequence,
-    update,
-)
+from geotrack.kalman import DetectionFrame, FilterParams, run_sequence
 from geotrack.simulator import build_dataset, default_scenario
 
 LOG_2PI = math.log(2.0 * math.pi)

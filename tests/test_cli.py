@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import truth_arrays
 from geotrack import dataio
 from geotrack.cli import main
 from geotrack.core import ObjectPose
@@ -195,6 +196,23 @@ class TestTrack:
         err = capsys.readouterr().err
         assert err == (
             f"error: {path}:2: matrix is not positive definite: leading minor 2 is -1\n"
+        )
+
+    def test_determinant_overflow_exits_1_naming_line(self, tmp_path, capsys):
+        # Each entry is finite, but the determinant overflows to inf.
+        path = tmp_path / "d.jsonl"
+        g = {"view": "N1", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+        bad = dict(g, cov=[[1e200, 0.0], [0.0, 1e200]])
+        path.write_text(
+            json.dumps({"t": 0.0, "detections": [g]})
+            + "\n"
+            + json.dumps({"t": 0.05, "detections": [bad]})
+            + "\n"
+        )
+        assert main(["track", "--detections", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: {path}:2: matrix is not positive definite: leading minor 2 is inf\n"
         )
 
     def test_numeric_failure_mid_run_exits_1(self, sim_dir, tmp_path, capsys):
@@ -407,7 +425,7 @@ class TestEvaluate:
         truth_path = tmp_path / "truth.csv"
         poses = [(0.0, ObjectPose((100.0, 100.0), 0.0, (15.0, 30.0))),
                  (0.05, ObjectPose((101.0, 100.0), 0.0, (15.0, 30.0)))]
-        dataio.write_truth(truth_path, poses)
+        dataio.write_truth(truth_path, truth_arrays(poses))
 
         # Unit covariance at truth: mean NLL is exactly log(2 pi).
         unit_track = tmp_path / "unit.jsonl"

@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_frames, read_detection_frames
+from conftest import batch_frames, oracle_write_detections, read_detection_frames, truth_arrays
 from geotrack import dataio
 from geotrack.calibration import CalibrationParams
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose
-from geotrack.kalman import DetectionFrame, FilterParams, pack
+from geotrack.kalman import DetectionFrame, FilterParams, FrameBatch, pack
 from geotrack.metrics import MetricReport
 from geotrack.simulator import CameraNode, default_scenario
 
@@ -35,8 +35,9 @@ def frames():
 
 def test_detections_round_trip(tmp_path, frames):
     path = tmp_path / "d.jsonl"
-    dataio.write_detections(path, frames)
-    back = batch_frames(dataio.read_detections(path))
+    dataio.write_detections(path, pack([frames]))
+    batch = dataio.read_detections(path)
+    back = batch_frames(batch)
     assert len(back) == len(frames)
     for a, b in zip(frames, back):
         assert a.t == b.t
@@ -45,8 +46,41 @@ def test_detections_round_trip(tmp_path, frames):
             np.testing.assert_array_equal(ga.mean, gb.mean)
             np.testing.assert_array_equal(ga.cov, gb.cov)
     second = tmp_path / "d2.jsonl"
-    dataio.write_detections(second, back)
+    dataio.write_detections(second, batch)
     assert path.read_bytes() == second.read_bytes()
+
+
+def test_write_detections_in_batch_column_order(tmp_path):
+    # Views ("N2", "N1") are not sorted; the second frame has only N1 and the
+    # third has no detection.
+    rng = np.random.default_rng(72)
+    mean = rng.uniform(0, 500, (1, 3, 2, 2))
+    cov = np.broadcast_to(np.diag([4.0, 9.0]), (1, 3, 2, 2, 2)).copy()
+    cov[..., 0, 1] = cov[..., 1, 0] = rng.uniform(-1.0, 1.0, (1, 3, 2))
+    mask = np.array([[[True, True], [False, True], [False, False]]])
+    batch = FrameBatch(("N2", "N1"), np.array([[0.0, 0.05, 0.1]]), mean, cov, mask)
+    path = tmp_path / "d.jsonl"
+    dataio.write_detections(path, batch)
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [[d["view"] for d in rec["detections"]] for rec in records] == [["N2", "N1"], ["N1"], []]
+    assert records[1]["detections"][0]["mean"] == mean[0, 1, 1].tolist()
+    assert records[1]["detections"][0]["cov"] == cov[0, 1, 1].tolist()
+    oracle = tmp_path / "oracle.jsonl"
+    oracle_write_detections(oracle, batch_frames(batch))
+    assert path.read_bytes() == oracle.read_bytes()
+
+
+def test_detections_determinant_overflow_names_line(tmp_path):
+    path = tmp_path / "d.jsonl"
+    ok = {"view": "N1", "mean": [1.0, 2.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}
+    bad = dict(ok, cov=[[1e200, 0.0], [0.0, 1e200]])
+    lines = [{"t": 0.0, "detections": [ok]}, {"t": 0.05, "detections": [bad]}]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    message = f"^{re.escape(str(path))}:2: matrix is not positive definite: leading minor 2 is inf$"
+    with pytest.raises(NotPositiveDefiniteError, match=message):
+        dataio.read_detections(path)
+    with pytest.raises(NotPositiveDefiniteError, match="leading minor 2 is inf"):
+        Gaussian2D([0.0, 0.0], [[1e200, 0.0], [0.0, 1e200]])
 
 
 def test_detections_bad_json_names_line(tmp_path):
@@ -137,7 +171,7 @@ def test_truth_round_trip(tmp_path):
         for k in range(25)
     ]
     path = tmp_path / "t.csv"
-    dataio.write_truth(path, samples)
+    dataio.write_truth(path, truth_arrays(samples))
     back = dataio.read_truth(path)
     for (ta, pa), (tb, pb) in zip(samples, back):
         assert ta == tb
@@ -145,7 +179,7 @@ def test_truth_round_trip(tmp_path):
         assert pa.heading == pb.heading
         assert pa.extent == pb.extent
     second = tmp_path / "t2.csv"
-    dataio.write_truth(second, back)
+    dataio.write_truth(second, truth_arrays(back))
     assert path.read_bytes() == second.read_bytes()
 
 
@@ -288,6 +322,7 @@ _BAD_VALUES = st.sampled_from(
         math.inf,
         -math.inf,
         [[1.0, 0.0], [0.0, -1.0]],  # not positive definite
+        [[1e200, 0.0], [0.0, 1e200]],  # determinant overflows
         [[1.0, 2.0], [2.0, 1.0]],  # indefinite
     ]
 )

@@ -5,23 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_cv_frames, pack_windows, random_pd_2x2, stacked_update
+from conftest import (
+    KalmanState,
+    init_state,
+    make_cv_frames,
+    marginal,
+    pack_windows,
+    predict,
+    random_pd_2x2,
+    stacked_update,
+    update,
+)
 from geotrack.calibration import CalibrationParams
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, nll, rotation
 from geotrack.kalman import (
     DetectionFrame,
     FilterParams,
     FrameBatch,
-    KalmanState,
-    init_state,
-    marginal,
     pack,
-    predict,
     process_noise,
     run_sequence,
     run_windows,
     transition,
-    update,
 )
 from geotrack.tuning import TunableParams, sequence_loss
 

@@ -1,16 +1,24 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import oracle_build_dataset, oracle_simulate_files
+from geotrack import dataio
+from geotrack.cli import main
 from geotrack.core import Arena, ObjectPose, rotation
 from geotrack.simulator import (
     CameraNode,
+    ScenarioConfig,
     _segment_hits_rect,
     build_dataset,
     default_scenario,
     generate_trajectory,
+    simulate,
     simulate_detection,
     visibility,
 )
@@ -263,11 +271,193 @@ class TestBuildDataset:
 
         cfg = small_config(seed=11)
         for name in ("a", "b"):
-            ds = build_dataset(cfg)
-            dataio.write_detections(tmp_path / f"{name}.jsonl", [f for f, _ in ds["train"]])
-            dataio.write_truth(tmp_path / f"{name}.csv", [(f.t, p) for f, p in ds["train"]])
+            batch, truth = simulate(cfg)["train"]
+            dataio.write_detections(tmp_path / f"{name}.jsonl", batch)
+            dataio.write_truth(tmp_path / f"{name}.csv", truth)
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+SPLIT_FILES = tuple(
+    f"{kind}_{split}.{ext}"
+    for split in ("train", "val", "test")
+    for kind, ext in (("detections", "jsonl"), ("truth", "csv"))
+)
+
+
+def _object_positions(seed: int, duration: float) -> np.ndarray:
+    """The object's positions in any scenario with this seed and duration on
+    the default arena: the trajectory takes the first of the seed's streams."""
+    config = dataclasses.replace(default_scenario(seed), duration=duration)
+    stream = np.random.SeedSequence(seed).spawn(1)[0]
+    return generate_trajectory(config, np.random.default_rng(stream)).positions
+
+
+def _toward(node_position, target) -> float:
+    d = np.asarray(target) - np.asarray(node_position)
+    return math.atan2(d[1], d[0])
+
+
+def _assert_files_match_oracle(config, root):
+    """simulate's six split files, written from its arrays, equal the
+    per-detection oracle's byte for byte."""
+    bulk, oracle = root / "bulk", root / "oracle"
+    bulk.mkdir(parents=True, exist_ok=True)
+    for split, (batch, truth) in simulate(config).items():
+        dataio.write_detections(bulk / f"detections_{split}.jsonl", batch)
+        dataio.write_truth(bulk / f"truth_{split}.csv", truth)
+    oracle_simulate_files(config, oracle)
+    for name in SPLIT_FILES:
+        assert (bulk / name).read_bytes() == (oracle / name).read_bytes(), name
+
+
+@st.composite
+def scenarios(draw):
+    """Short scenarios on the default arena: 1-5 nodes with ids in any order,
+    some at the object's position or level with it on one axis (a line of
+    sight parallel to an arena edge), occluders, some around a node, random
+    noise, miscalibration, lighting, fallback rate and ray anisotropy."""
+    seed = draw(st.integers(0, 2**31))
+    duration = draw(st.sampled_from([1.0, 1.5, 2.5]))
+    positions = _object_positions(seed, duration)
+    coordinate = st.floats(-100.0, 800.0)
+    ids = draw(st.permutations([f"N{i}" for i in range(1, 6)]))[: draw(st.integers(1, 5))]
+    nodes = []
+    for node_id in ids:
+        target = positions[draw(st.integers(0, len(positions) - 1))]
+        kind = draw(st.sampled_from(["free", "at_object", "level"]))
+        if kind == "free":
+            position = [draw(coordinate), draw(coordinate)]
+        elif kind == "at_object":
+            position = list(target)
+        else:
+            position = list(target)
+            position[draw(st.integers(0, 1))] = draw(coordinate)
+        # b_true up to 1e4 floors some or all eigenvalues of the reported covariance.
+        b_true = draw(st.sampled_from([0.0, 1.0, 50.0, 200.0, 1e4]))
+        nodes.append(
+            CameraNode(
+                node_id,
+                position,
+                _toward(position, target) + draw(st.floats(-1.0, 1.0)),
+                fov=draw(st.floats(0.2, 6.0)),
+                noise_floor=draw(st.floats(0.5, 10.0)),
+                noise_slope=draw(st.sampled_from([0.0, 0.01, 0.05])),
+                miscalibration=(draw(st.floats(0.25, 4.0)), b_true),
+            )
+        )
+    occluders = []
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            x, y = nodes[draw(st.integers(0, len(nodes) - 1))].position
+            occluders.append((x - 5.0, y - 5.0, x + 5.0, y + 5.0))
+        else:
+            x, y = draw(coordinate), draw(coordinate)
+            width, length = draw(st.floats(1.0, 200.0)), draw(st.floats(1.0, 200.0))
+            occluders.append((x, y, x + width, y + length))
+    return ScenarioConfig(
+        arena=Arena(),
+        nodes=tuple(nodes),
+        occluders=tuple(occluders),
+        lighting=draw(st.sampled_from(["normal", "low"])),
+        duration=duration,
+        seed=seed,
+        fallback_rate=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        ray_anisotropy=draw(st.sampled_from([1.0, 1.5, 3.0])),
+    )
+
+
+@pytest.fixture(scope="module")
+def oracle_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=60)
+@given(config=scenarios())
+def test_simulate_files_match_per_detection_oracle(oracle_dir, config):
+    _assert_files_match_oracle(config, oracle_dir)
+
+
+def _branch_config(seed, ray_anisotropy, lighting, fallback_rate):
+    """Nodes and occluders that reach every branch: a node at the object's
+    position, a node level with it on the x axis, a node inside an occluder,
+    and miscalibrations that leave the reported eigenvalues alone, floor the
+    smaller one and floor both."""
+    positions = _object_positions(seed, 2.0)
+    target = positions[10]
+    level = (target[0], target[1] + 150.0)
+    inside = (100.0, 100.0)
+    nodes = (
+        CameraNode("C", tuple(target), math.pi),
+        CameraNode("A", level, _toward(level, target), fov=3.0),
+        CameraNode("B", inside, 1.0, fov=6.0, miscalibration=(2.0, 1.0)),
+        CameraNode(
+            "E", (0.0, 350.0), 0.0, noise_floor=10.0, noise_slope=0.0, miscalibration=(1.0, 200.0)
+        ),
+        CameraNode("D", (250.0, 0.0), math.pi / 2.0, miscalibration=(1.0, 1e4)),
+    )
+    around = (inside[0] - 5.0, inside[1] - 5.0, inside[0] + 5.0, inside[1] + 5.0)
+    occluders = (around, (200.0, 300.0, 260.0, 380.0))
+    return dataclasses.replace(
+        default_scenario(seed),
+        nodes=nodes,
+        occluders=occluders,
+        duration=2.0,
+        lighting=lighting,
+        fallback_rate=fallback_rate,
+        ray_anisotropy=ray_anisotropy,
+    )
+
+
+@pytest.mark.parametrize(
+    "ray_anisotropy, lighting, fallback_rate",
+    [(1.0, "low", 1.0), (2.0, "normal", 0.5), (2.0, "low", 0.0), (1.0, "normal", 0.5)],
+)
+def test_branch_cases_match_per_detection_oracle(tmp_path, ray_anisotropy, lighting, fallback_rate):
+    config = _branch_config(3, ray_anisotropy, lighting, fallback_rate)
+    positions = _object_positions(3, 2.0)
+    at_object, level = config.nodes[0].position, config.nodes[1].position
+    assert (np.abs(positions - at_object).max(axis=1) == 0.0).any()
+    assert (positions[:, 0] == level[0]).any()
+    _assert_files_match_oracle(config, tmp_path)
+
+
+@pytest.mark.parametrize("duration, n_nodes", [(0.01, 4), (0.05, 4), (1.0, 0)])
+def test_no_frame_one_frame_and_no_node_match_per_detection_oracle(tmp_path, duration, n_nodes):
+    config = default_scenario(seed=4)
+    config = dataclasses.replace(config, duration=duration, nodes=config.nodes[:n_nodes])
+    _assert_files_match_oracle(config, tmp_path)
+
+
+def test_unsorted_ids_simulate_like_oracle_and_read_sorted(tmp_path):
+    config = dataclasses.replace(small_config(seed=12, duration=5.0), nodes=(
+        CameraNode("N2", (500.0, 350.0), math.pi),
+        CameraNode("N1", (250.0, 0.0), math.pi / 2.0),
+    ))
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(dataio.scenario_to_dict(config)))
+    assert main(["simulate", "--config", str(config_path), "--out", str(tmp_path / "cli")]) == 0
+    oracle_simulate_files(config, tmp_path / "oracle")
+    for name in SPLIT_FILES:
+        assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+    first = json.loads((tmp_path / "cli" / "detections_train.jsonl").read_text().splitlines()[0])
+    assert [d["view"] for d in first["detections"]] == ["N2", "N1"]
+    batch, _ = simulate(config)["train"]
+    assert batch.views == ("N2", "N1")
+    read = dataio.read_detections(tmp_path / "cli" / "detections_train.jsonl")
+    assert read.views == ("N1", "N2")
+    np.testing.assert_array_equal(read.mask[..., ::-1], batch.mask)
+    np.testing.assert_array_equal(read.mean[..., ::-1, :], batch.mean)
+    np.testing.assert_array_equal(read.cov[..., ::-1, :, :], batch.cov)
+
+
+def test_build_dataset_equals_per_detection_oracle():
+    config = _branch_config(5, 2.0, "low", 0.5)
+    ours, oracle = build_dataset(config), oracle_build_dataset(config)
+    for split in ("train", "val", "test"):
+        assert len(ours[split]) == len(oracle[split])
+        for (frame, pose), (frame_o, pose_o) in zip(ours[split], oracle[split]):
+            assert frame == frame_o and pose == pose_o
 
 
 class TestScenarioConfig:
