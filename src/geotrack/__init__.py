@@ -13,7 +13,7 @@ from .calibration import CalibrationGrid, CalibrationParams
 from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll
 from .heads import RawHead, head_to_gaussian
 from .kalman import DetectionFrame, FilterParams, run_sequence
-from .metrics import AlphaSweep, EvalRecord, MetricReport, evaluate
+from .metrics import AlphaSweep, MetricReport, Records, evaluate
 from .simulator import CameraNode, ScenarioConfig, build_dataset, default_scenario, simulate
 from .tuning import TunableParams, TuneConfig
 
@@ -25,13 +25,13 @@ __all__ = [
     "CalibrationParams",
     "CameraNode",
     "DetectionFrame",
-    "EvalRecord",
     "FilterParams",
     "Gaussian2D",
     "MetricReport",
     "NotPositiveDefiniteError",
     "ObjectPose",
     "RawHead",
+    "Records",
     "ScenarioConfig",
     "TunableParams",
     "TuneConfig",

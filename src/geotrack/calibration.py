@@ -4,7 +4,8 @@ A detection's covariance is rescaled as cov' = a * cov + b * I; the (a, b)
 pair is selected per view by exhaustive grid search minimizing mean NLL on
 validation pairs. The grid always contains the identity point (1, 0), so a
 fitted calibration can never be worse than no calibration on the data it was
-fit to.
+fit to. The pairs are arrays (core.Pairs): detection means and covariances
+with their truth positions, one row each, as the readers load them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LOG_TWO_PI, Gaussian2D
+from .core import LOG_TWO_PI, Pairs
 
 
 @dataclass(frozen=True)
@@ -109,16 +110,7 @@ def obs_transform(
     return a * cov + b * eye, dR
 
 
-def apply(params: CalibrationParams, g: Gaussian2D) -> Gaussian2D:
-    """Rescale one detection's covariance (obs_transform); the mean is untouched."""
-    cov, _ = obs_transform({"": params}, ("",), g.cov[None])
-    return Gaussian2D(g.mean, cov[0])
-
-
-def fit(
-    grid: CalibrationGrid,
-    pairs: Sequence[tuple[Gaussian2D, np.ndarray]],
-) -> tuple[CalibrationParams, float]:
+def fit(grid: CalibrationGrid, pairs: Pairs) -> tuple[CalibrationParams, float]:
     """Select the grid cell minimizing mean NLL over (detection, truth) pairs.
 
     Ties break toward the smallest a, then the smallest b, so the result is
@@ -126,11 +118,8 @@ def fit(
     """
     if len(pairs) == 0:
         raise ValueError("cannot fit calibration on zero pairs")
-    sxx = np.array([g.cov[0, 0] for g, _ in pairs])
-    sxy = np.array([g.cov[0, 1] for g, _ in pairs])
-    syy = np.array([g.cov[1, 1] for g, _ in pairs])
-    rx = np.array([float(t[0]) - g.mean[0] for g, t in pairs])
-    ry = np.array([float(t[1]) - g.mean[1] for g, t in pairs])
+    sxx, sxy, syy = pairs.cov[:, 0, 0], pairs.cov[:, 0, 1], pairs.cov[:, 1, 1]
+    rx, ry = (pairs.truth - pairs.mean).T
     rx2, ry2, rxy = rx * rx, ry * ry, rx * ry
 
     best: tuple[float, float, float] | None = None
@@ -160,7 +149,7 @@ class PerViewCalibration:
 
 def fit_per_view(
     grid: CalibrationGrid,
-    pairs_by_view: dict[str, Sequence[tuple[Gaussian2D, np.ndarray]]],
+    pairs_by_view: dict[str, Pairs],
 ) -> PerViewCalibration:
     """Fit each view independently; a failing view does not stop the others."""
     out = PerViewCalibration({}, {}, {})

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, calibration, dataio, metrics, tuning
-from .core import Gaussian2D, NotPositiveDefiniteError, nll
+from .core import NotPositiveDefiniteError, Pairs
 from .kalman import FilterParams, FrameBatch, run_track
 from .simulator import default_scenario, simulate
 
@@ -80,19 +80,14 @@ def _parse_axis(spec: str) -> tuple[float, ...]:
     raise UsageError(f"bad grid axis kind {kind!r} in {spec!r}")
 
 
-def _truth_poses(batch: FrameBatch, truth_path: str, source: str) -> list:
-    """The truth pose at each frame of a one-window batch."""
-    return dataio.match_truth(batch.t[0].tolist(), dataio.read_truth(Path(truth_path)), source)
+def _truth_positions(batch: FrameBatch, truth_path: str, source: str) -> np.ndarray:
+    """The truth position (T, 2) at each frame of a one-window batch."""
+    truth = dataio.read_truth(Path(truth_path))
+    return truth.positions[dataio.match_truth(batch.t[0], truth, source)]
 
 
-def _view_detections(batch: FrameBatch, view: str) -> list[tuple[int, Gaussian2D]]:
-    """Frame index and Gaussian of each detection of one view, from its
-    column of a one-window batch."""
-    j = batch.views.index(view)
-    return [
-        (i, Gaussian2D(batch.mean[0, i, j], batch.cov[0, i, j]))
-        for i in np.flatnonzero(batch.mask[0, :, j]).tolist()
-    ]
+def _filter_params(path: str | None) -> FilterParams:
+    return dataio.read_filter_params(Path(path)) if path else FilterParams(DEFAULT_SIGMA_ACCEL)
 
 
 def _parse_sweep(spec: str) -> metrics.AlphaSweep:
@@ -149,16 +144,9 @@ def cmd_track(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "track")
     batch = dataio.read_detections(Path(args.detections))
-    params = (
-        dataio.read_filter_params(Path(args.params))
-        if args.params
-        else FilterParams(DEFAULT_SIGMA_ACCEL)
-    )
+    params = _filter_params(args.params)
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
-    poses = truth_pos = None
-    if args.truth:
-        poses = _truth_poses(batch, args.truth, args.detections)
-        truth_pos = np.array([p.position for p in poses])
+    truth_pos = _truth_positions(batch, args.truth, args.detections) if args.truth else None
 
     result = run_track(batch, params, truth=truth_pos, calib=calib)
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
@@ -177,15 +165,15 @@ def cmd_track(args) -> int:
     (out / "summary.json").write_text(dataio.dumps(summary, indent=2) + "\n")
 
     # The track starts at the first frame with a detection.
-    step_poses = poses[len(batch) - n_steps :] if poses else [None] * n_steps
+    step_truth = truth_pos[len(batch) - n_steps :].tolist() if truth_pos is not None else [None] * n_steps
     evals, evecs = np.linalg.eigh(result.covs)
     axes = np.sqrt(CHI2_95_2D * evals).tolist()
-    rows = zip(result.times.tolist(), result.means.tolist(), axes, evecs, step_poses)
+    rows = zip(result.times.tolist(), result.means.tolist(), axes, evecs, step_truth)
     with open(out / "plot_data.csv", "w") as fh:
         fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
-        for t, (mx, my), (minor, major), evec, pose in rows:
+        for t, (mx, my), (minor, major), evec, xy in rows:
             angle = math.atan2(evec[1, 1], evec[0, 1])
-            tx, ty = (repr(v) for v in pose.position.tolist()) if pose else ("", "")
+            tx, ty = map(repr, xy) if xy else ("", "")
             fh.write(f"{t!r},{tx},{ty},{mx!r},{my!r},{major!r},{minor!r},{angle!r}\n")
 
     _write_manifest(
@@ -214,34 +202,32 @@ def cmd_calibrate(args) -> int:
     started = time.monotonic()
     out = _out_dir(args, "calibrate")
     batch = dataio.read_detections(Path(args.detections))
-    poses = _truth_poses(batch, args.truth, args.detections)
-    pairs = {
-        view: [(g, poses[i].position) for i, g in _view_detections(batch, view)]
-        for view in batch.views
-    }
+    position = _truth_positions(batch, args.truth, args.detections)
     grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))
+    # The batch's columns view by view: (V, T, ...), each detection once.
+    mean, cov, mask = (np.moveaxis(a[0], 1, 0) for a in (batch.mean, batch.cov, batch.mask))
+    truth = np.broadcast_to(position, mask.shape + (2,))
 
-    def uncalibrated_nll(view_pairs):
-        return float(np.mean([nll(g, t) for g, t in view_pairs]))
+    def pairs(rows) -> Pairs:
+        return Pairs(mean[rows], cov[rows], truth[rows])
 
     fitted: dict[str, calibration.CalibrationParams] = {}
     if args.shared:
-        pooled = [p for view_pairs in pairs.values() for p in view_pairs]
+        pooled = pairs(mask)
         params, best = calibration.fit(grid, pooled)
-        before = uncalibrated_nll(pooled)
-        for view in sorted(pairs):
+        for view in batch.views:
             fitted[view] = params
-        print(f"shared: a={params.a:.4g} b={params.b:.4g} nll {before:.4f} -> {best:.4f}")
+        print(f"shared: a={params.a:.4g} b={params.b:.4g} nll {np.mean(pooled.nll):.4f} -> {best:.4f}")
     else:
-        result = calibration.fit_per_view(grid, pairs)
+        by_view = {view: pairs((j, mask[j])) for j, view in enumerate(batch.views)}
+        result = calibration.fit_per_view(grid, by_view)
         for view, msg in sorted(result.errors.items()):
             print(f"{view}: fit failed: {msg}", file=sys.stderr)
         for view in sorted(result.params):
             p = result.params[view]
-            before = uncalibrated_nll(pairs[view])
-            after = result.best_nll[view]
+            before = float(np.mean(by_view[view].nll))
             fitted[view] = p
-            print(f"{view}: a={p.a:.4g} b={p.b:.4g} nll {before:.4f} -> {after:.4f}")
+            print(f"{view}: a={p.a:.4g} b={p.b:.4g} nll {before:.4f} -> {result.best_nll[view]:.4f}")
 
     dataio.write_calibration(out / "calibration.json", fitted, shared=args.shared)
     _write_manifest(
@@ -264,12 +250,8 @@ def cmd_tune(args) -> int:
     out = _out_dir(args, "tune")
     train = dataio.read_detections(Path(args.train_detections))
     val = dataio.read_detections(Path(args.val_detections))
-    train_pos = np.array(
-        [p.position for p in _truth_poses(train, args.train_truth, args.train_detections)]
-    )
-    val_pos = np.array(
-        [p.position for p in _truth_poses(val, args.val_truth, args.val_detections)]
-    )
+    train_pos = _truth_positions(train, args.train_truth, args.train_detections)
+    val_pos = _truth_positions(val, args.val_truth, args.val_detections)
 
     config = tuning.TuneConfig(
         seq_len=args.seq_len, epochs=args.epochs, lr=args.lr
@@ -277,11 +259,7 @@ def cmd_tune(args) -> int:
     train_windows = tuning.make_windows(train, train_pos, config.seq_len)
     val_windows = tuning.make_windows(val, val_pos, min(config.seq_len, len(val)))
 
-    base = (
-        dataio.read_filter_params(Path(args.params))
-        if args.params
-        else FilterParams(DEFAULT_SIGMA_ACCEL)
-    )
+    base = _filter_params(args.params)
     if args.init:
         calib0 = dataio.read_calibration(Path(args.init))
         for view in train.views:
@@ -345,28 +323,26 @@ def cmd_evaluate(args) -> int:
         raise UsageError("--view is required when evaluating raw detections")
 
     truth = dataio.read_truth(Path(args.truth))
-
-    predictions: list[tuple[float, Gaussian2D]] = []
     if args.track is not None:
-        predictions = dataio.read_track(Path(args.track))
+        times, mean, cov = dataio.read_track(Path(args.track))
         source = args.track
     else:
         batch = dataio.read_detections(Path(args.detections))
-        if args.view in batch.views:
-            times = batch.t[0].tolist()
-            predictions = [(times[i], g) for i, g in _view_detections(batch, args.view)]
+        # The view's column of the mask; all False if the file lacks the view.
+        present = batch.mask[0] & (np.array(batch.views) == args.view)
+        times, mean, cov = batch.t[0][present.any(axis=1)], batch.mean[0][present], batch.cov[0][present]
         source = f"{args.detections}[view={args.view}]"
-    if not predictions:
+    if not len(times):
         raise RuntimeError(f"{source}: no predictions to evaluate")
 
-    poses = dataio.match_truth([t for t, _ in predictions], truth, source)
-    records = [metrics.EvalRecord(t, g, pose) for (t, g), pose in zip(predictions, poses)]
+    truth = truth[dataio.match_truth(times, truth, source)]
+    records = metrics.Records(mean, cov, truth.positions, truth.headings, truth.extent)
 
     sweep = _parse_sweep(args.alpha_sweep)
     report = metrics.evaluate(records, sweep=sweep, n_mc=args.mc_samples, seed=args.seed)
     dataio.write_report(out / "report.json", report)
     dataio.write_report_row(out / "report_row.csv", report)
-    dataio.write_histogram(out / "nll_hist.csv", metrics.per_record_nlls(records))
+    dataio.write_histogram(out / "nll_hist.csv", records.nll)
     _write_manifest(
         out,
         "evaluate",

@@ -9,7 +9,8 @@ object anywhere is a numpy Generator owned by its caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -58,16 +59,26 @@ def cholesky2x2(cov: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(cov)) + 1.0
     if abs(cov[0, 1] - cov[1, 0]) > 1e-9 * scale:
         raise ValueError("covariance must be symmetric")
-    a = cov[0, 0]
-    if not a > 0.0:
-        raise NotPositiveDefiniteError(1, a)
-    l00 = math.sqrt(a)
-    l10 = cov[0, 1] / l00
-    rem = cov[1, 1] - l10 * l10
-    if not rem > 0.0:
-        det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[0, 1]
-        raise NotPositiveDefiniteError(2, det)
-    return np.array([[l00, 0.0], [l10, math.sqrt(rem)]])
+    return cholesky(cov[None])[0]
+
+
+def cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular factors L (N, 2, 2) with L @ L.T == cov for symmetric
+    2x2 covariances (N, 2, 2), read from their upper triangle.
+
+    Raises NotPositiveDefiniteError for the first that is not PD, identifying
+    its failing leading minor.
+    """
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    with np.errstate(all="ignore"):
+        l00 = np.sqrt(a)
+        l10 = b / l00
+        rem = c - l10 * l10
+    for i in np.flatnonzero(~((a > 0.0) & (rem > 0.0)))[:1]:
+        if not a[i] > 0.0:
+            raise NotPositiveDefiniteError(1, a[i])
+        raise NotPositiveDefiniteError(2, a[i] * c[i] - b[i] * b[i])
+    return np.stack([l00, np.zeros_like(a), l10, np.sqrt(rem)], axis=-1).reshape(-1, 2, 2)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -143,17 +154,43 @@ class ObjectPose:
 
     def __post_init__(self):
         position = np.array(self.position, dtype=float).reshape(2)
-        if not np.all(np.isfinite(position)):
-            raise ValueError("position components must be finite")
-        w, l = float(self.extent[0]), float(self.extent[1])
-        if not (w > 0.0 and l > 0.0):
-            raise ValueError(f"extent components must be positive, got {(w, l)}")
-        heading = float(self.heading)
-        if not math.isfinite(heading):
-            raise ValueError(f"heading must be finite, got {heading}")
+        _, _, heading, w, l = _pose_values(
+            *position.tolist(), float(self.heading), float(self.extent[0]), float(self.extent[1])
+        )
         object.__setattr__(self, "position", _frozen(position))
-        object.__setattr__(self, "heading", wrap_angle(heading))
+        object.__setattr__(self, "heading", heading)
         object.__setattr__(self, "extent", (w, l))
+
+
+def _pose_values(x: float, y: float, heading: float, w: float, l: float) -> tuple[float, ...]:
+    """ObjectPose's checks without the object, on plain floats: the position,
+    the heading wrapped into [-pi, pi), and the extent."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError("position components must be finite")
+    if not (w > 0.0 and l > 0.0):
+        raise ValueError(f"extent components must be positive, got {(w, l)}")
+    if not math.isfinite(heading):
+        raise ValueError(f"heading must be finite, got {heading}")
+    return x, y, wrap_angle(heading), w, l
+
+
+@dataclass(frozen=True, eq=False)
+class Pairs:
+    """Predicted location Gaussians and the truth position each is scored
+    against, one row each: means (N, 2), covariances (N, 2, 2) and truth
+    (N, 2). len() is the row count."""
+
+    mean: np.ndarray
+    cov: np.ndarray
+    truth: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.mean)
+
+    @cached_property
+    def nll(self) -> np.ndarray:
+        """Each row's NLL of its truth position, computed once."""
+        return nll_rows(self.mean, self.cov, self.truth)
 
 
 @dataclass(frozen=True)
@@ -177,61 +214,64 @@ class Arena:
 
 
 def nll(g: Gaussian2D, point: np.ndarray) -> float:
-    """Negative log density of ``point`` under ``g``, in nats.
-
-    Computed via the Cholesky factor of the covariance; finite for any finite
-    point.
-    """
+    """Negative log density of ``point`` under ``g``, in nats: nll_rows of
+    one row."""
     point = np.asarray(point, dtype=float).reshape(2)
     if not np.all(np.isfinite(point)):
         raise ValueError("evaluation point must be finite")
-    L = cholesky2x2(g.cov)
-    d = point - g.mean
-    y0 = d[0] / L[0, 0]
-    y1 = (d[1] - L[1, 0] * y0) / L[1, 1]
-    return LOG_TWO_PI + math.log(L[0, 0]) + math.log(L[1, 1]) + 0.5 * (y0 * y0 + y1 * y1)
+    return float(nll_rows(g.mean[None], g.cov[None], point[None])[0])
+
+
+def nll_rows(mean: np.ndarray, cov: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Negative log density of each of points (N, 2) under the Gaussian of
+    its row, means (N, 2) and covariances (N, 2, 2), in nats.
+
+    Computed via the Cholesky factors of the covariances, with math.log per
+    row (np.log can differ from it in the last bit).
+    """
+    L = cholesky(cov)
+    d = points - mean
+    y0 = d[:, 0] / L[:, 0, 0]
+    y1 = (d[:, 1] - L[:, 1, 0] * y0) / L[:, 1, 1]
+    log_l00, log_l11 = (
+        np.fromiter(map(math.log, L[:, i, i].tolist()), float, len(L)) for i in (0, 1)
+    )
+    return LOG_TWO_PI + log_l00 + log_l11 + 0.5 * (y0 * y0 + y1 * y1)
 
 
 def log_density(g: Gaussian2D, points: np.ndarray) -> np.ndarray:
     """Vectorized log density of ``g`` at an (n, 2) array of points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    L = cholesky2x2(g.cov)
-    d = points - g.mean
-    y0 = d[:, 0] / L[0, 0]
-    y1 = (d[:, 1] - L[1, 0] * y0) / L[1, 1]
-    log_norm = LOG_TWO_PI + math.log(L[0, 0]) + math.log(L[1, 1])
-    return -log_norm - 0.5 * (y0 * y0 + y1 * y1)
+    n = len(points)
+    return -nll_rows(np.broadcast_to(g.mean, (n, 2)), np.broadcast_to(g.cov, (n, 2, 2)), points)
 
 
-def sample_gaussian(g: Gaussian2D, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` points from ``g`` as an (n, 2) array, reproducible per rng."""
+def sample_gaussian(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` points from the Gaussian with mean (2,) and lower Cholesky
+    factor L (2, 2) of its covariance, as an (n, 2) array, reproducible per
+    rng."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    L = cholesky2x2(g.cov)
-    z = rng.standard_normal((n, 2))
-    return g.mean + z @ L.T
+    return mean + rng.standard_normal((n, 2)) @ L.T
 
 
 def point_in_pose(pose: ObjectPose, point: np.ndarray) -> bool:
     """True iff the point lies in the pose's rectangle; boundary counts as inside."""
-    b = rotation(-pose.heading) @ (np.asarray(point, dtype=float) - pose.position)
-    return bool(
-        abs(b[0]) <= pose.extent[0] / 2.0 and abs(b[1]) <= pose.extent[1] / 2.0
-    )
+    return bool(points_in_pose(pose.position, pose.heading, pose.extent, point)[0])
 
 
-def points_in_pose(pose: ObjectPose, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership test for an (n, 2) array of points."""
-    d = np.atleast_2d(np.asarray(points, dtype=float)) - pose.position
-    b = d @ rotation(-pose.heading).T
-    return (np.abs(b[:, 0]) <= pose.extent[0] / 2.0) & (
-        np.abs(b[:, 1]) <= pose.extent[1] / 2.0
-    )
+def points_in_pose(position, heading: float, extent, points: np.ndarray) -> np.ndarray:
+    """Vectorized membership test for an (n, 2) array of points in the
+    rectangle of a pose's position, heading and extent (width, length)."""
+    d = np.atleast_2d(np.asarray(points, dtype=float)) - position
+    b = d @ rotation(-heading).T
+    return (np.abs(b[:, 0]) <= extent[0] / 2.0) & (np.abs(b[:, 1]) <= extent[1] / 2.0)
 
 
-def heading_from_velocity(velocity: np.ndarray) -> float:
-    """Heading that aligns the pose's length axis with the velocity direction."""
-    vx, vy = float(velocity[0]), float(velocity[1])
-    if vx == 0.0 and vy == 0.0:
-        return 0.0
-    return wrap_angle(math.atan2(-vx, vy))
+def heading_from_velocity(velocity: np.ndarray) -> np.ndarray:
+    """Headings (N,) that align the pose's length axis with each velocity
+    (N, 2); 0 for a zero velocity. math.atan2 per row, as np.arctan2 can
+    differ from it in the last bit."""
+    vx, vy = velocity[:, 0], velocity[:, 1]
+    angle = np.fromiter(map(math.atan2, (-vx).tolist(), vy.tolist()), float, len(velocity))
+    return np.where((vx == 0.0) & (vy == 0.0), 0.0, wrap_angle(angle))

@@ -16,6 +16,11 @@ Only a file that fails a bulk check is read again record by record, to name
 its first bad record. They are written from arrays too: write_detections
 formats a FrameBatch in its column order and write_truth the truth arrays of
 a simulator.Trajectory, a bounded chunk of frames at a time.
+
+Truth and tracks load as arrays as well: read_truth returns the Trajectory
+that write_truth takes, and read_track the times, means and covariances that
+write_track takes. Each row is checked as an ObjectPose or Gaussian2D checks
+it, without building one. match_truth gives the truth row of each time.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 import numpy as np
 
 from .calibration import CalibrationParams
-from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, _gaussian_arrays
+from .core import Arena, NotPositiveDefiniteError, _gaussian_arrays, _pose_values
 from .kalman import FilterParams, FrameBatch, _is_pd
 from .metrics import MetricReport
 from .simulator import CameraNode, ScenarioConfig, Trajectory, default_scenario
@@ -42,8 +47,8 @@ def dumps(obj, indent: int | None = None) -> str:
     return json.dumps(obj, sort_keys=True, indent=indent)
 
 
-def _f(x) -> float:
-    return float(x)
+def _write_json(path: Path, obj) -> None:
+    Path(path).write_text(dumps(obj, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -52,13 +57,9 @@ def _f(x) -> float:
 
 def _gaussian_to_json(mean: np.ndarray, cov: np.ndarray) -> dict:
     return {
-        "mean": [_f(mean[0]), _f(mean[1])],
-        "cov": [[_f(cov[0, 0]), _f(cov[0, 1])], [_f(cov[1, 0]), _f(cov[1, 1])]],
+        "mean": [float(mean[0]), float(mean[1])],
+        "cov": [[float(cov[0, 0]), float(cov[0, 1])], [float(cov[1, 0]), float(cov[1, 1])]],
     }
-
-
-def _gaussian_from_json(rec: dict) -> Gaussian2D:
-    return Gaussian2D(rec["mean"], rec["cov"])
 
 
 Record = TypeVar("Record")
@@ -227,19 +228,21 @@ TRUTH_HEADER = ["t", "x", "y", "heading", "width", "length"]
 
 
 def write_truth(path: Path, truth: Trajectory) -> None:
-    """One row per sample of the truth arrays, all with its extent."""
-    extent = [repr(_f(v)) for v in truth.extent]
-    columns = (truth.times, truth.positions[:, 0], truth.positions[:, 1], truth.headings)
+    """One row per sample of the truth arrays."""
+    columns = (truth.times, *truth.positions.T, truth.headings, *truth.extent.T)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_HEADER)
         for lo in range(0, len(truth), CHUNK_FRAMES):
             rows = zip(*(column[lo : lo + CHUNK_FRAMES].tolist() for column in columns))
-            writer.writerows([*map(repr, row), *extent] for row in rows)
+            writer.writerows(map(repr, row) for row in rows)
 
 
-def read_truth(path: Path) -> list[tuple[float, ObjectPose]]:
-    out = []
+def read_truth(path: Path) -> Trajectory:
+    """A truth file as the arrays write_truth takes. Each row is checked as
+    an ObjectPose checks it, its heading wrapped the same way, and its time
+    must follow the previous row's."""
+    samples = []
     line_no = 1
     try:
         with open(path, newline="") as fh:
@@ -250,25 +253,29 @@ def read_truth(path: Path) -> list[tuple[float, ObjectPose]]:
             for line_no, row in enumerate(rows, start=2):
                 if len(row) != len(TRUTH_HEADER):
                     raise ValueError(f"expected {len(TRUTH_HEADER)} fields, got {len(row)}")
-                t, x, y, heading, width, length = (float(v) for v in row)
-                out.append((_time(t), ObjectPose((x, y), heading, (width, length))))
+                t, *pose = (float(v) for v in row)
+                sample = (_time(t), *_pose_values(*pose))
+                if samples and not sample[0] > samples[-1][0]:
+                    raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+                samples.append(sample)
     except _MALFORMED as exc:
         raise _located(exc, path, line_no) from exc
-    return out
+    table = np.array(samples, dtype=float).reshape(-1, len(TRUTH_HEADER))
+    return Trajectory(table[:, 0], table[:, 1:3], table[:, 3], table[:, 4:])
 
 
-def match_truth(
-    times: Sequence[float], truth: Sequence[tuple[float, ObjectPose]], source: str
-) -> list[ObjectPose]:
-    """The truth pose at each of times. Matching is exact: simulate writes
-    detections and truth from the same floats, each with repr."""
-    by_t = dict(truth)
-    missing = sum(1 for t in times if t not in by_t)
+def match_truth(times: np.ndarray, truth: Trajectory, source: str) -> np.ndarray:
+    """The index of the truth row at each of times. Matching is exact:
+    simulate writes detections and truth from the same floats, each with
+    repr."""
+    rows = np.searchsorted(truth.times, times)
+    # A time after the last row indexes the sentinel, which matches no time.
+    missing = np.count_nonzero(np.append(truth.times, np.inf)[rows] != times)
     if missing:
         raise RuntimeError(
             f"{source}: {missing} of {len(times)} timestamps have no matching truth row"
         )
-    return [by_t[t] for t in times]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -277,30 +284,30 @@ def match_truth(
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     return {
-        "arena": {"width": _f(config.arena.width), "length": _f(config.arena.length)},
+        "arena": {"width": float(config.arena.width), "length": float(config.arena.length)},
         "nodes": [
             {
                 "id": n.id,
-                "position": [_f(n.position[0]), _f(n.position[1])],
-                "facing": _f(n.facing),
-                "fov": _f(n.fov),
-                "noise_floor": _f(n.noise_floor),
-                "noise_slope": _f(n.noise_slope),
-                "miscalibration": [_f(n.miscalibration[0]), _f(n.miscalibration[1])],
+                "position": [float(n.position[0]), float(n.position[1])],
+                "facing": float(n.facing),
+                "fov": float(n.fov),
+                "noise_floor": float(n.noise_floor),
+                "noise_slope": float(n.noise_slope),
+                "miscalibration": [float(n.miscalibration[0]), float(n.miscalibration[1])],
             }
             for n in config.nodes
         ],
         "occluders": [list(r) for r in config.occluders],
         "lighting": config.lighting,
-        "low_light_noise_multiplier": _f(config.low_light_noise_multiplier),
-        "fps": _f(config.fps),
-        "duration": _f(config.duration),
+        "low_light_noise_multiplier": float(config.low_light_noise_multiplier),
+        "fps": float(config.fps),
+        "duration": float(config.duration),
         "split": list(config.split),
         "object_extent": list(config.object_extent),
         "seed": int(config.seed),
-        "fallback_rate": _f(config.fallback_rate),
-        "fallback_sigma": _f(config.fallback_sigma),
-        "ray_anisotropy": _f(config.ray_anisotropy),
+        "fallback_rate": float(config.fallback_rate),
+        "fallback_sigma": float(config.fallback_sigma),
+        "ray_anisotropy": float(config.ray_anisotropy),
     }
 
 
@@ -339,7 +346,7 @@ def load_scenario(path: Path) -> ScenarioConfig:
 
 
 def write_scenario(path: Path, config: ScenarioConfig) -> None:
-    Path(path).write_text(dumps(scenario_to_dict(config), indent=2) + "\n")
+    _write_json(path, scenario_to_dict(config))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +354,7 @@ def write_scenario(path: Path, config: ScenarioConfig) -> None:
 
 
 def write_filter_params(path: Path, params: FilterParams) -> None:
-    Path(path).write_text(
-        dumps(
-            {"sigma_accel": _f(params.sigma_accel), "init_vel_var": _f(params.init_vel_var)},
-            indent=2,
-        )
-        + "\n"
-    )
+    _write_json(path, {"sigma_accel": float(params.sigma_accel), "init_vel_var": float(params.init_vel_var)})
 
 
 def read_filter_params(path: Path) -> FilterParams:
@@ -364,16 +365,8 @@ def read_filter_params(path: Path) -> FilterParams:
 
 
 def write_calibration(path: Path, params: dict[str, CalibrationParams], shared: bool = False) -> None:
-    Path(path).write_text(
-        dumps(
-            {
-                "shared": shared,
-                "views": {v: {"a": _f(p.a), "b": _f(p.b)} for v, p in params.items()},
-            },
-            indent=2,
-        )
-        + "\n"
-    )
+    views = {v: {"a": float(p.a), "b": float(p.b)} for v, p in params.items()}
+    _write_json(path, {"shared": shared, "views": views})
 
 
 def read_calibration(path: Path) -> dict[str, CalibrationParams]:
@@ -390,15 +383,19 @@ def write_track(path: Path, times: np.ndarray, means: np.ndarray, covs: np.ndarr
     """One record per step: times (N,), means (N, 2), covs (N, 2, 2)."""
     with open(path, "w") as fh:
         for t, mean, cov in zip(times, means, covs):
-            fh.write(dumps({"t": _f(t), **_gaussian_to_json(mean, cov)}) + "\n")
+            fh.write(dumps({"t": float(t), **_gaussian_to_json(mean, cov)}) + "\n")
 
 
-def _step_from_json(rec: dict) -> tuple[float, Gaussian2D]:
-    return _time(rec["t"]), _gaussian_from_json(rec)
+def read_track(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A track file as the arrays write_track takes: times (N,), means
+    (N, 2) and covs (N, 2, 2), each line checked as a Gaussian2D checks it."""
 
+    def step(rec: dict) -> tuple:
+        return _time(rec["t"]), *_gaussian_arrays(rec["mean"], rec["cov"])
 
-def read_track(path: Path) -> list[tuple[float, Gaussian2D]]:
-    return [step for _, step in _read_jsonl(path, _step_from_json)]
+    steps = [values for _, values in _read_jsonl(path, step)]
+    times, means, covs = (np.array([s[i] for s in steps], dtype=float) for i in range(3))
+    return times, means.reshape(-1, 2), covs.reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -406,19 +403,12 @@ def read_track(path: Path) -> list[tuple[float, Gaussian2D]]:
 
 
 def write_report(path: Path, report: MetricReport) -> None:
-    Path(path).write_text(dumps(report.to_dict(), indent=2) + "\n")
+    _write_json(path, report.to_dict())
 
 
 def _report_from_dict(data: dict) -> MetricReport:
-    return MetricReport(
-        nll=data["nll"],
-        opm=data["opm"],
-        det_pr=data["det_pr"],
-        loc_a=data["loc_a"],
-        seed=data["seed"],
-        n_mc=data["n_mc"],
-        alpha_sweep=tuple(data["alpha_sweep"]),
-    )
+    values = {field.name: data[field.name] for field in dataclasses.fields(MetricReport)}
+    return MetricReport(**{**values, "alpha_sweep": tuple(values["alpha_sweep"])})
 
 
 def read_report(path: Path) -> MetricReport:
@@ -426,19 +416,10 @@ def read_report(path: Path) -> MetricReport:
 
 
 def write_report_row(path: Path, report: MetricReport) -> None:
+    header = ["nll", "opm", "det_pr", "loc_a", "seed", "n_mc"]
+    row = [*(repr(getattr(report, key)) for key in header[:4]), report.seed, report.n_mc]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["nll", "opm", "det_pr", "loc_a", "seed", "n_mc"])
-        writer.writerow(
-            [
-                repr(report.nll),
-                repr(report.opm),
-                repr(report.det_pr),
-                repr(report.loc_a),
-                report.seed,
-                report.n_mc,
-            ]
-        )
+        csv.writer(fh).writerows([header, row])
 
 
 def write_histogram(path: Path, values: np.ndarray, bins: int = 30) -> None:
@@ -461,15 +442,8 @@ def write_histogram(path: Path, values: np.ndarray, bins: int = 30) -> None:
 
 
 def write_history(path: Path, rows: Sequence[dict]) -> None:
+    header = ["epoch", "train_nll", "val_nll", "sigma_accel"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "train_nll", "val_nll", "sigma_accel"])
-        for row in rows:
-            writer.writerow(
-                [
-                    row["epoch"],
-                    repr(row["train_nll"]),
-                    repr(row["val_nll"]),
-                    repr(row["sigma_accel"]),
-                ]
-            )
+        writer.writerow(header)
+        writer.writerows([row["epoch"], *(repr(row[key]) for key in header[1:])] for row in rows)

@@ -7,6 +7,10 @@ estimated by Monte Carlo. Because it lives in [0, 1] it substitutes for IoU
 in threshold-style tracking metrics: detection precision over an alpha sweep
 (which equals detection recall in the one-prediction-per-frame setting) and
 localization accuracy over the on-track steps.
+
+The scored predictions are arrays (Records): means, covariances and the
+truth rows they are matched to, one row each, as dataio loads them. One NLL
+pass per Records serves the report and the per-record histogram.
 """
 
 from __future__ import annotations
@@ -16,16 +20,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Gaussian2D, ObjectPose, nll, points_in_pose, sample_gaussian
+from .core import Gaussian2D, ObjectPose, Pairs, cholesky, cholesky2x2, points_in_pose, sample_gaussian
 
 
-@dataclass(frozen=True)
-class EvalRecord:
-    """One timestep: a predicted location Gaussian and the true pose."""
+@dataclass(frozen=True, eq=False)
+class Records(Pairs):
+    """Predictions and their matched truth rows, one row each: means (N, 2),
+    covariances (N, 2, 2), and the truth position (N, 2), heading (N,) and
+    extent (N, 2). len() is the row count."""
 
-    t: float
-    prediction: Gaussian2D
-    truth: ObjectPose
+    heading: np.ndarray
+    extent: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -73,11 +78,18 @@ class MetricReport:
         }
 
 
-def mean_nll(records: Sequence[EvalRecord]) -> float:
+def mean_nll(records: Records) -> float:
     """Arithmetic mean of per-record NLL of the truth position."""
     if len(records) == 0:
         raise ValueError("cannot evaluate zero records")
-    return float(np.mean([nll(r.prediction, r.truth.position) for r in records]))
+    return float(np.mean(records.nll))
+
+
+def _mass(mean, L, position, heading, extent, n: int, rng: np.random.Generator) -> float:
+    """Monte Carlo fraction of n draws from N(mean, L L^T) inside the
+    rectangle of the given position, heading and extent (width, length)."""
+    samples = sample_gaussian(mean, L, rng, n)
+    return float(np.mean(points_in_pose(position, heading, extent, samples)))
 
 
 def opm(
@@ -91,10 +103,8 @@ def opm(
 
     The caller owns the random source; there is no implicit global stream.
     """
-    if n < 1:
-        raise ValueError("sample count must be >= 1")
-    samples = sample_gaussian(prediction, rng, n)
-    return float(np.mean(points_in_pose(truth, samples)))
+    L = cholesky2x2(prediction.cov)
+    return _mass(prediction.mean, L, truth.position, truth.heading, truth.extent, n, rng)
 
 
 def det_pr(scores: Sequence[float], sweep: AlphaSweep) -> float:
@@ -131,25 +141,21 @@ def loc_a(scores: Sequence[float], sweep: AlphaSweep) -> float:
     return float(np.mean(values))
 
 
-def per_record_scores(
-    records: Sequence[EvalRecord], n_mc: int, seed: int
-) -> np.ndarray:
+def per_record_scores(records: Records, n_mc: int, seed: int) -> np.ndarray:
     """One OPM score per record, each from an independent seeded substream
     derived from (seed, record index), so records can be scored in parallel
     without changing the result."""
+    L = cholesky(records.cov)
+    rows = zip(records.mean, L, records.truth, records.heading.tolist(), records.extent)
     out = np.empty(len(records))
-    for i, rec in enumerate(records):
+    for i, (mean, factor, position, heading, extent) in enumerate(rows):
         rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
-        out[i] = opm(rec.prediction, rec.truth, n=n_mc, rng=rng)
+        out[i] = _mass(mean, factor, position, heading, extent, n_mc, rng)
     return out
 
 
-def per_record_nlls(records: Sequence[EvalRecord]) -> np.ndarray:
-    return np.array([nll(r.prediction, r.truth.position) for r in records])
-
-
 def evaluate(
-    records: Sequence[EvalRecord],
+    records: Records,
     sweep: AlphaSweep | None = None,
     n_mc: int = 1000,
     seed: int = 0,

@@ -14,7 +14,8 @@ The simulator works per node over all frames at once: visibility, noise
 scale, means, miscalibration and the eigenvalue floor are array operations,
 and one draw per run of equal visibility reproduces the per-frame random
 stream bit for bit. ``simulate`` returns each split as a one-window
-kalman.FrameBatch plus its truth arrays, which dataio writes directly;
+kalman.FrameBatch plus its truth as a Trajectory of arrays, which dataio
+writes directly and dataio.read_truth reads back;
 ``build_dataset`` is the object view of the same arrays, and ``visibility``
 and ``simulate_detection`` are one-frame calls of the bulk code.
 """
@@ -22,7 +23,7 @@ and ``simulate_detection`` are one-frame calls of the bulk code.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -118,8 +119,10 @@ class ScenarioConfig:
             raise ValueError("split fractions must be non-negative")
         if not 0.0 <= self.fallback_rate <= 1.0:
             raise ValueError("fallback_rate must lie in [0, 1]")
-        if not 0.0 < self.fallback_sigma < math.inf:
-            raise ValueError("fallback_sigma must be positive and finite")
+        # The fallback covariance sigma^2 * I needs a positive, finite determinant.
+        sigma = float(self.fallback_sigma)
+        if not (0.0 < sigma < math.inf and 0.0 < (sigma * sigma) * (sigma * sigma) < math.inf):
+            raise ValueError(f"fallback_sigma must be positive and finite, as must sigma^4: got {sigma!r}")
         if not 1.0 <= self.ray_anisotropy < math.inf:
             raise ValueError("ray_anisotropy must be >= 1 and finite")
         ids = [n.id for n in self.nodes]
@@ -160,18 +163,24 @@ def default_scenario(seed: int = 0, lighting: str = "normal") -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled ground truth: strictly increasing times at 1/fps spacing."""
+    """Ground truth as arrays, one row per sample: strictly increasing times
+    (N,), positions (N, 2), headings (N,) and extents (width, length) (N, 2).
+    generate_trajectory samples it at 1/fps; dataio.read_truth reads it."""
 
     times: np.ndarray
     positions: np.ndarray
     headings: np.ndarray
-    extent: tuple[float, float]
+    extent: np.ndarray
 
     def __len__(self) -> int:
         return len(self.times)
 
+    def __getitem__(self, rows) -> Trajectory:
+        """The samples at rows: a slice or an index array."""
+        return Trajectory(self.times[rows], self.positions[rows], self.headings[rows], self.extent[rows])
+
     def pose(self, i: int) -> ObjectPose:
-        return ObjectPose(self.positions[i], float(self.headings[i]), self.extent)
+        return ObjectPose(self.positions[i], float(self.headings[i]), self.extent[i])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -308,8 +317,8 @@ def generate_trajectory(config: ScenarioConfig, rng: np.random.Generator) -> Tra
             phi = ang0 + side * s / radius
             positions[sel] = center + radius * np.column_stack([np.cos(phi), np.sin(phi)])
             tangents[sel] = side * np.column_stack([-np.sin(phi), np.cos(phi)])
-    headings = np.array([heading_from_velocity(t) for t in tangents])
-    return Trajectory(times, positions, headings, config.object_extent)
+    extent = np.broadcast_to(config.object_extent, (n, 2))
+    return Trajectory(times, positions, heading_from_velocity(tangents), extent)
 
 
 Rect = tuple[float, float, float, float]
@@ -476,13 +485,10 @@ def simulate(config: ScenarioConfig) -> dict[str, tuple[FrameBatch, Trajectory]]
     truth arrays, headings wrapped as ObjectPose wraps them.
     """
     traj, batch, splits = _simulate(config)
-    headings = wrap_angle(traj.headings)
+    truth = replace(traj, headings=wrap_angle(traj.headings))
     arrays = (batch.t, batch.mean, batch.cov, batch.mask)
     return {
-        name: (
-            FrameBatch(batch.views, *(a[:, s] for a in arrays)),
-            Trajectory(traj.times[s], traj.positions[s], headings[s], traj.extent),
-        )
+        name: (FrameBatch(batch.views, *(a[:, s] for a in arrays)), truth[s])
         for name, s in splits.items()
     }
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import settings
 
 from geotrack import dataio, tuning
-from geotrack.core import Gaussian2D, rotation, wrap_angle
+from geotrack.core import Gaussian2D, Pairs, rotation, wrap_angle
 from geotrack.kalman import (
     DetectionFrame,
     FilterParams,
@@ -27,6 +27,7 @@ from geotrack.kalman import (
     process_noise,
     transition,
 )
+from geotrack.metrics import Records
 from geotrack.simulator import REPORTED_COV_FLOOR, Trajectory, generate_trajectory
 
 # Every property test runs the same examples on every run, keeps no example
@@ -180,16 +181,34 @@ def batch_frames(batch: FrameBatch) -> list[DetectionFrame]:
     ]
 
 
+def pairs_arrays(pairs) -> Pairs:
+    """(Gaussian2D, truth point) pairs as the arrays calibration.fit takes."""
+    return Pairs(
+        np.array([g.mean for g, _ in pairs]).reshape(-1, 2),
+        np.array([g.cov for g, _ in pairs]).reshape(-1, 2, 2),
+        np.array([t for _, t in pairs], dtype=float).reshape(-1, 2),
+    )
+
+
+def records_arrays(records) -> Records:
+    """(Gaussian2D, ObjectPose) records as the arrays metrics.evaluate takes."""
+    pairs = pairs_arrays([(g, pose.position) for g, pose in records])
+    return Records(
+        pairs.mean,
+        pairs.cov,
+        pairs.truth,
+        np.array([pose.heading for _, pose in records]),
+        np.array([pose.extent for _, pose in records]).reshape(-1, 2),
+    )
+
+
 def truth_arrays(samples) -> Trajectory:
-    """(t, ObjectPose) samples as the truth arrays dataio.write_truth takes;
-    every sample must have the first one's extent."""
-    extent = samples[0][1].extent
-    assert all(pose.extent == extent for _, pose in samples)
+    """(t, ObjectPose) samples as the truth arrays dataio.write_truth takes."""
     return Trajectory(
         np.array([t for t, _ in samples], dtype=float),
         np.array([pose.position for _, pose in samples]),
         np.array([pose.heading for _, pose in samples]),
-        extent,
+        np.array([pose.extent for _, pose in samples]),
     )
 
 

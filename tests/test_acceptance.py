@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     KalmanState,
     make_cv_frames,
+    pairs_arrays,
     phi,
     random_pd_2x2,
     stacked_update,
@@ -226,7 +227,8 @@ def test_criterion_5_calibration_recovery():
     for frame, pose in val:
         for view, g in frame.detections:
             pairs.setdefault(view, []).append((g, pose.position))
-    result = calibration.fit_per_view(calibration.default_grid(), pairs)
+    by_view = {view: pairs_arrays(view_pairs) for view, view_pairs in pairs.items()}
+    result = calibration.fit_per_view(calibration.default_grid(), by_view)
     assert not result.errors
     a_values = {v: result.params[v].a for v in sorted(result.params)}
     improved = True

@@ -3,17 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_pd_2x2
+from conftest import pairs_arrays, random_pd_2x2
 from geotrack.calibration import (
     IDENTITY,
     CalibrationGrid,
     CalibrationParams,
-    apply,
     default_grid,
     fit,
     fit_per_view,
     linear_axis,
     log_spaced_axis,
+    obs_transform,
 )
 from geotrack.core import Gaussian2D, nll, rotation
 
@@ -59,6 +59,12 @@ class TestParamsAndGrid:
     def test_axis_helpers(self):
         assert 1.0 in log_spaced_axis(0.05, 10.0, 60)
         assert 0.0 in linear_axis(0.0, 500.0, 51)
+
+
+def apply(params: CalibrationParams, g: Gaussian2D) -> Gaussian2D:
+    """One detection calibrated by obs_transform; the mean is untouched."""
+    cov, _ = obs_transform({"": params}, ("",), g.cov[None])
+    return Gaussian2D(g.mean, cov[0])
 
 
 class TestApply:
@@ -107,7 +113,7 @@ class TestFit:
         rng = np.random.default_rng(32)
         pairs = sampled_pairs(rng, 10_000, true_scale=1.0)
         grid = default_grid()
-        params, best = fit(grid, pairs)
+        params, best = fit(grid, pairs_arrays(pairs))
         at_identity = float(np.mean([nll(g, t) for g, t in pairs]))
         assert at_identity - best <= 0.02
         assert 0.8 <= params.a <= 1.25
@@ -116,7 +122,7 @@ class TestFit:
         # Moment-matching oracle: true noise is 4x the reported covariance.
         rng = np.random.default_rng(33)
         pairs = sampled_pairs(rng, 10_000, true_scale=4.0)
-        params, _ = fit(default_grid(), pairs)
+        params, _ = fit(default_grid(), pairs_arrays(pairs))
         assert 3.5 <= params.a <= 4.5
         assert params.b <= 20.0
 
@@ -124,7 +130,7 @@ class TestFit:
         # No quadratic term: the smallest determinant wins, i.e. (a_min, 0).
         g = Gaussian2D((10.0, 10.0), 25.0 * np.eye(2))
         grid = default_grid()
-        params, _ = fit(grid, [(g, np.array([10.0, 10.0]))])
+        params, _ = fit(grid, pairs_arrays([(g, np.array([10.0, 10.0]))]))
         assert params.a == grid.a_values[0]
         assert params.b == 0.0
 
@@ -132,25 +138,26 @@ class TestFit:
         rng = np.random.default_rng(34)
         for scale in (0.3, 1.0, 5.0):
             pairs = sampled_pairs(rng, 300, true_scale=scale)
-            _, best = fit(default_grid(), pairs)
+            _, best = fit(default_grid(), pairs_arrays(pairs))
             at_identity = float(np.mean([nll(g, t) for g, t in pairs]))
             assert best <= at_identity + 1e-12
 
     def test_deterministic(self):
         rng = np.random.default_rng(35)
         pairs = sampled_pairs(rng, 200, true_scale=2.0)
+        pairs = pairs_arrays(pairs)
         assert fit(default_grid(), pairs) == fit(default_grid(), pairs)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            fit(default_grid(), [])
+            fit(default_grid(), pairs_arrays([]))
 
 
 class TestFitPerView:
     def test_identical_data_identical_params(self):
         rng = np.random.default_rng(36)
         pairs = sampled_pairs(rng, 500, true_scale=2.0)
-        result = fit_per_view(default_grid(), {"N1": pairs, "N2": list(pairs)})
+        result = fit_per_view(default_grid(), {"N1": pairs_arrays(pairs), "N2": pairs_arrays(pairs)})
         assert result.params["N1"] == result.params["N2"]
         assert not result.errors
 
@@ -159,8 +166,8 @@ class TestFitPerView:
         result = fit_per_view(
             default_grid(),
             {
-                "bad": sampled_pairs(rng, 4000, true_scale=4.0),
-                "good": sampled_pairs(rng, 4000, true_scale=1.0),
+                "bad": pairs_arrays(sampled_pairs(rng, 4000, true_scale=4.0)),
+                "good": pairs_arrays(sampled_pairs(rng, 4000, true_scale=1.0)),
             },
         )
         assert 3.5 <= result.params["bad"].a <= 4.5
@@ -169,7 +176,7 @@ class TestFitPerView:
     def test_view_without_data_errors_alone(self):
         rng = np.random.default_rng(38)
         result = fit_per_view(
-            default_grid(), {"ok": sampled_pairs(rng, 100), "empty": []}
+            default_grid(), {"ok": pairs_arrays(sampled_pairs(rng, 100)), "empty": pairs_arrays([])}
         )
         assert "empty" in result.errors
         assert "ok" in result.params

@@ -93,8 +93,8 @@ class TestTrack:
     def test_one_marginal_per_frame_from_first_nonempty(self, sim_dir, track_dir):
         batch = dataio.read_detections(sim_dir / "detections_test.jsonl")
         first_nonempty = int(batch.mask[0].any(axis=1).argmax())
-        track = dataio.read_track(track_dir / "track.jsonl")
-        assert len(track) == len(batch) - first_nonempty
+        times, _, _ = dataio.read_track(track_dir / "track.jsonl")
+        assert len(times) == len(batch) - first_nonempty
 
     def test_summary_contains_nll(self, track_dir):
         summary = json.loads((track_dir / "summary.json").read_text())
@@ -563,6 +563,13 @@ EXIT_CODE_CASES = [
         {"d.jsonl": f'{{"t": 0.1, "detections": [{_GOOD}]}}\n{{"t": 0.0, "detections": []}}\n'},
         "track --detections {tmp}/d.jsonl",
         "{tmp}/d.jsonl",
+    ),
+    (
+        "truth-timestamp-disorder",
+        1,
+        {"t.csv": "t,x,y,heading,width,length\n0.0,1.0,2.0,0.0,15.0,30.0\n0.0,2.0,3.0,0.0,15.0,30.0\n"},
+        _TRACK + " --truth {tmp}/t.csv",
+        "{tmp}/t.csv",
     ),
     (
         "frames-without-truth",

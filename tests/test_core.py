@@ -171,7 +171,7 @@ class TestPointInPose:
         rng = np.random.default_rng(6)
         pose = ObjectPose((3.0, -4.0), 0.7, (15.0, 30.0))
         pts = rng.uniform(-30, 30, (500, 2))
-        vec = points_in_pose(pose, pts)
+        vec = points_in_pose(pose.position, pose.heading, pose.extent, pts)
         for p, v in zip(pts, vec):
             assert point_in_pose(pose, p) == bool(v)
 
@@ -185,25 +185,25 @@ class TestPointInPose:
 class TestSampleGaussian:
     def test_degenerate_concentration(self):
         g = Gaussian2D((5.0, -3.0), 1e-12 * np.eye(2))
-        pts = sample_gaussian(g, np.random.default_rng(0), 1000)
+        pts = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(0), 1000)
         assert np.max(np.abs(pts - g.mean)) < 1e-4
 
     def test_clt_bound(self):
         # 4 sigma / sqrt(1000) ~= 0.126 < 0.15 per axis.
         g = Gaussian2D((0.0, 0.0), np.eye(2))
-        pts = sample_gaussian(g, np.random.default_rng(7), 1000)
+        pts = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(7), 1000)
         assert np.all(np.abs(pts.mean(axis=0)) < 0.15)
 
     def test_deterministic_per_seed(self):
         g = Gaussian2D((1.0, 2.0), [[4.0, 1.0], [1.0, 3.0]])
-        a = sample_gaussian(g, np.random.default_rng(42), 100)
-        b = sample_gaussian(g, np.random.default_rng(42), 100)
+        a = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(42), 100)
+        b = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(42), 100)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_count(self):
         g = Gaussian2D((0.0, 0.0), np.eye(2))
         with pytest.raises(ValueError):
-            sample_gaussian(g, np.random.default_rng(0), 0)
+            sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(0), 0)
 
 
 class TestHelpers:
@@ -215,7 +215,7 @@ class TestHelpers:
 
     def test_heading_from_velocity_aligns_length_axis(self):
         for v in ([1.0, 0.0], [0.0, 1.0], [-2.0, 3.0], [0.5, -0.5]):
-            h = heading_from_velocity(np.array(v))
+            h = heading_from_velocity(np.array([v]))[0]
             length_axis = rotation(h) @ np.array([0.0, 1.0])
             unit = np.array(v) / np.linalg.norm(v)
             np.testing.assert_allclose(length_axis, unit, atol=1e-12)

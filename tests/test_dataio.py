@@ -158,10 +158,10 @@ def test_detections_irregular_but_valid_values_read_as_gaussian2d_does(tmp_path)
 
 def test_match_truth_exact_times():
     poses = [ObjectPose((float(k), 0.0), 0.0, (15.0, 30.0)) for k in range(4)]
-    truth = list(zip((0.0, 0.05, 0.1, 0.15), poses))
-    assert dataio.match_truth([0.15, 0.0], truth, "src") == [poses[3], poses[0]]
+    truth = truth_arrays(list(zip((0.0, 0.05, 0.1, 0.15), poses)))
+    assert dataio.match_truth(np.array([0.15, 0.0]), truth, "src").tolist() == [3, 0]
     with pytest.raises(RuntimeError, match="^src: 2 of 3 timestamps have no matching truth row"):
-        dataio.match_truth([0.05, 0.07, 0.2], truth, "src")
+        dataio.match_truth(np.array([0.05, 0.07, 0.2]), truth, "src")
 
 
 def test_truth_round_trip(tmp_path):
@@ -173,13 +173,14 @@ def test_truth_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     dataio.write_truth(path, truth_arrays(samples))
     back = dataio.read_truth(path)
-    for (ta, pa), (tb, pb) in zip(samples, back):
+    assert len(back) == len(samples)
+    for (ta, pa), tb, pb in zip(samples, back.times.tolist(), map(back.pose, range(len(back)))):
         assert ta == tb
         np.testing.assert_array_equal(pa.position, pb.position)
         assert pa.heading == pb.heading
         assert pa.extent == pb.extent
     second = tmp_path / "t2.csv"
-    dataio.write_truth(second, truth_arrays(back))
+    dataio.write_truth(second, back)
     assert path.read_bytes() == second.read_bytes()
 
 
@@ -192,6 +193,29 @@ def test_truth_rejects_non_finite_heading(tmp_path, heading):
     )
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:3: heading must be finite"):
         dataio.read_truth(path)
+
+
+@pytest.mark.parametrize("t", ["0.05", "0.02"])
+def test_truth_rejects_repeated_or_decreasing_time(tmp_path, t):
+    # A repeated time would otherwise match only one of its rows.
+    path = tmp_path / "t.csv"
+    path.write_text(
+        "t,x,y,heading,width,length\n0.0,1.0,2.0,0.5,15.0,30.0\n0.05,1.0,2.0,0.5,15.0,30.0\n"
+        f"{t},3.0,4.0,0.5,15.0,30.0\n"
+    )
+    with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: timestamp disorder at line 4$"):
+        dataio.read_truth(path)
+
+
+@pytest.mark.parametrize("sigma", [1e100, 1e160])
+def test_fallback_sigma_with_overflowing_determinant_rejected(tmp_path, sigma):
+    # sigma^4 overflows: the fallback covariance sigma^2 * I is not usable.
+    with pytest.raises(ValueError, match=r"^fallback_sigma must be positive and finite, as must sigma\^4"):
+        dataio.scenario_from_dict({"fallback_sigma": sigma, "fallback_rate": 1.0})
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"fallback_sigma": sigma, "fallback_rate": 1.0}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: fallback_sigma"):
+        dataio.load_scenario(path)
 
 
 def test_truth_rejects_wrong_header(tmp_path):
@@ -264,11 +288,9 @@ def test_track_round_trip(tmp_path):
     path = tmp_path / "track.jsonl"
     dataio.write_track(path, times, [g.mean for g in marginals], [g.cov for g in marginals])
     back = dataio.read_track(path)
-    assert [t for t, _ in back] == list(times)
+    assert back[0].tolist() == list(times)
     second = tmp_path / "track2.jsonl"
-    dataio.write_track(
-        second, [t for t, _ in back], [g.mean for _, g in back], [g.cov for _, g in back]
-    )
+    dataio.write_track(second, *back)
     assert path.read_bytes() == second.read_bytes()
 
 

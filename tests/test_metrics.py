@@ -3,18 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import phi, random_pd_2x2
-from geotrack.core import Gaussian2D, ObjectPose
+from conftest import phi, random_pd_2x2, records_arrays
+from geotrack.core import Gaussian2D, ObjectPose, nll
 from geotrack.metrics import (
     AlphaSweep,
-    EvalRecord,
     default_sweep,
     det_pr,
     evaluate,
     loc_a,
     mean_nll,
     opm,
-    per_record_nlls,
     per_record_scores,
 )
 
@@ -48,37 +46,35 @@ class TestAlphaSweep:
 
 class TestMeanNll:
     def test_unit_gaussians_at_truth(self):
-        records = [
-            EvalRecord(float(k), Gaussian2D((k, 0.0), np.eye(2)), rect(cx=k))
-            for k in range(5)
-        ]
+        records = records_arrays(
+            [(Gaussian2D((k, 0.0), np.eye(2)), rect(cx=k)) for k in range(5)]
+        )
         assert mean_nll(records) == pytest.approx(LOG_2PI, abs=1e-12)
 
     def test_mean_of_two(self):
-        r1 = EvalRecord(0.0, Gaussian2D((0.0, 0.0), np.eye(2)), rect())
-        r2 = EvalRecord(1.0, Gaussian2D((3.0, 0.0), 4.0 * np.eye(2)), rect())
-        v1 = mean_nll([r1])
-        v2 = mean_nll([r2])
-        assert mean_nll([r1, r2]) == pytest.approx((v1 + v2) / 2.0, rel=1e-12)
+        r1 = (Gaussian2D((0.0, 0.0), np.eye(2)), rect())
+        r2 = (Gaussian2D((3.0, 0.0), 4.0 * np.eye(2)), rect())
+        v1 = mean_nll(records_arrays([r1]))
+        v2 = mean_nll(records_arrays([r2]))
+        assert mean_nll(records_arrays([r1, r2])) == pytest.approx((v1 + v2) / 2.0, rel=1e-12)
 
     def test_against_naive_sum_oracle(self):
         rng = np.random.default_rng(40)
         records = [
-            EvalRecord(
-                float(k),
+            (
                 Gaussian2D(rng.uniform(-10, 10, 2), random_pd_2x2(rng, 1, 50)),
                 rect(cx=rng.uniform(-5, 5), cy=rng.uniform(-5, 5)),
             )
             for k in range(100)
         ]
         total = 0.0
-        for r in records:
-            total += per_record_nlls([r])[0]
-        assert mean_nll(records) == pytest.approx(total / 100.0, abs=1e-12)
+        for g, pose in records:
+            total += nll(g, pose.position)
+        assert mean_nll(records_arrays(records)) == pytest.approx(total / 100.0, abs=1e-12)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            mean_nll([])
+            mean_nll(records_arrays([]))
 
 
 class TestOpm:
@@ -171,10 +167,9 @@ class TestLocA:
 
 class TestEvaluate:
     def test_perfect_tracker(self):
-        records = [
-            EvalRecord(float(k), Gaussian2D((0.0, 0.0), 1e-6 * np.eye(2)), rect())
-            for k in range(10)
-        ]
+        records = records_arrays(
+            [(Gaussian2D((0.0, 0.0), 1e-6 * np.eye(2)), rect()) for k in range(10)]
+        )
         report = evaluate(records, n_mc=500, seed=0)
         assert report.opm == 1.0
         assert report.det_pr == 1.0
@@ -182,14 +177,12 @@ class TestEvaluate:
 
     def test_report_recomputation_oracle(self):
         rng = np.random.default_rng(44)
-        records = [
-            EvalRecord(
-                float(k),
-                Gaussian2D(rng.uniform(-8, 8, 2), random_pd_2x2(rng, 10, 300)),
-                rect(),
-            )
-            for k in range(40)
-        ]
+        records = records_arrays(
+            [
+                (Gaussian2D(rng.uniform(-8, 8, 2), random_pd_2x2(rng, 10, 300)), rect())
+                for k in range(40)
+            ]
+        )
         sweep = default_sweep()
         report = evaluate(records, sweep=sweep, n_mc=400, seed=9)
         scores = per_record_scores(records, 400, 9)
@@ -199,23 +192,19 @@ class TestEvaluate:
         assert report.nll == pytest.approx(mean_nll(records), abs=1e-12)
 
     def test_nll_independent_of_sweep_and_mc(self):
-        records = [
-            EvalRecord(0.0, Gaussian2D((1.0, 1.0), 4.0 * np.eye(2)), rect())
-        ]
+        records = records_arrays([(Gaussian2D((1.0, 1.0), 4.0 * np.eye(2)), rect())])
         a = evaluate(records, sweep=AlphaSweep((0.5,)), n_mc=50, seed=1)
         b = evaluate(records, sweep=default_sweep(), n_mc=5000, seed=7)
         assert a.nll == b.nll
 
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(45)
-        records = [
-            EvalRecord(
-                float(k),
-                Gaussian2D(rng.uniform(-5, 5, 2), random_pd_2x2(rng, 20, 200)),
-                rect(),
-            )
-            for k in range(10)
-        ]
+        records = records_arrays(
+            [
+                (Gaussian2D(rng.uniform(-5, 5, 2), random_pd_2x2(rng, 20, 200)), rect())
+                for k in range(10)
+            ]
+        )
         a = evaluate(records, n_mc=300, seed=5)
         b = evaluate(records, n_mc=300, seed=5)
         assert a == b
