@@ -388,12 +388,17 @@ def write_track(path: Path, times: np.ndarray, means: np.ndarray, covs: np.ndarr
 
 def read_track(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A track file as the arrays write_track takes: times (N,), means
-    (N, 2) and covs (N, 2, 2), each line checked as a Gaussian2D checks it."""
+    (N, 2) and covs (N, 2, 2), each line checked as a Gaussian2D checks it
+    and its time following the previous line's."""
 
     def step(rec: dict) -> tuple:
         return _time(rec["t"]), *_gaussian_arrays(rec["mean"], rec["cov"])
 
-    steps = [values for _, values in _read_jsonl(path, step)]
+    steps = []
+    for line_no, values in _read_jsonl(path, step):
+        if steps and not values[0] > steps[-1][0]:
+            raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+        steps.append(values)
     times, means, covs = (np.array([s[i] for s in steps], dtype=float) for i in range(3))
     return times, means.reshape(-1, 2), covs.reshape(-1, 2, 2)
 

@@ -18,11 +18,19 @@ Array layout. The filter has one recursion, ``run_windows``, over a
 FrameBatch of B equal-length windows of T frames and V views: times (B, T),
 detection means (B, T, V, 2), covariances (B, T, V, 2, 2) and a presence
 mask (B, T, V). It is vectorised over the B windows and the K tangent
-channels. Work that does not depend on the filter state runs outside the
-time loop, in blocks of frames: the per-view calibration of the detection
-covariances, the information-form fusion of each frame, the transition and
-process noise, and the NLL of the reported marginals with its gradient. The
-time loop keeps only predict and the Joseph update. ``run_track`` is the
+channels, and parallel in time: each frame is a filtering element
+(A, b, C, eta, J), and one work-efficient (Blelloch) inclusive scan of the
+elements along the frame axis gives every filtered state, each level of the
+scan one batched operation (Särkkä and García-Fernández, "Temporal
+parallelization of Bayesian smoothers", IEEE TAC 66(1), 2021). The tangents
+follow from the filtered covariances: with the optimal gain they obey two
+affine recursions that share each frame's transition (I - K H) F, one more
+scan each. Frames go in blocks of SCAN_FRAMES, a length that depends on T
+alone, each block carrying on from the last state of the one before, and
+windows go in chunks that bound the working memory. Per block, the per-view
+calibration of the detection covariances, the information-form fusion of
+each frame, the transition and process noise, and the NLL of the reported
+marginals with its gradient are computed in bulk. ``run_track`` is the
 B = 1 case, and takes the batch dataio.read_detections or
 simulator.simulate returns. DetectionFrame objects (build_dataset's object
 view, and tests) enter through ``pack``; ``run_sequence`` is run_track over
@@ -31,8 +39,9 @@ them. Nothing mutates.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -40,9 +49,14 @@ from . import calibration
 from .calibration import CalibrationParams
 from .core import LOG_TWO_PI, Gaussian2D, NotPositiveDefiniteError
 
-# Detection x tangent-channel 2x2 matrices per fusion block; bounds the
-# block's working memory whatever the batch shape.
-BLOCK_MATRICES = 1 << 12
+# Frames per scan block. It depends on the window length alone, so that a
+# window's arithmetic, and so its result, does not depend on its batch-mates.
+SCAN_FRAMES = 1 << 9
+# 2x2 matrices per chunk of windows, which bounds the working memory of a
+# block whatever the batch shape. A window-frame counts max(V, 4) * (K + 3):
+# fusion grows with V * K, the tangents with 4 * K, and the filter's own
+# elements and scan take about as much as three tangent channels.
+CHUNK_MATRICES = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -94,7 +108,8 @@ class FrameBatch:
         return self.t.size
 
     def take(self, rows) -> "FrameBatch":
-        """The windows at the given row indices."""
+        """The windows at the given row indices; with an index (rows,
+        frames), those frames of them."""
         return FrameBatch(
             self.views, self.t[rows], self.mean[rows], self.cov[rows], self.mask[rows]
         )
@@ -270,14 +285,6 @@ def _pd_error(S: np.ndarray, where: str = "") -> NotPositiveDefiniteError:
     return NotPositiveDefiniteError(2, _det2(S), where)
 
 
-def _select(mask: np.ndarray, new: tuple, old: tuple) -> tuple:
-    """Per window b, new[i][b] where mask[b] else old[i][b]."""
-    return tuple(
-        np.where(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), a, o)
-        for a, o in zip(new, old)
-    )
-
-
 def _fuse(mean, cov, mask, dR):
     """Collapse each frame's detections into one position pseudo-measurement.
 
@@ -333,48 +340,6 @@ def _init(z, R, dz, dR, init_vel_var: float):
     return x, _sym(P), sx, _sym(sP)
 
 
-def _predict(x, P, sx, sP, F, Q, dQ):
-    """Propagate states by their transitions F with process noise Q."""
-    Ft = _T(F)
-    sP = F[..., None, :, :] @ sP @ Ft[..., None, :, :]
-    # Only the sigma_accel channel sees process noise: dQ/dsigma = 2 Q / sigma.
-    sP[..., 0, :, :] += dQ
-    return (F @ x[..., None])[..., 0], _sym(F @ P @ Ft + Q), sx @ Ft, _sym(sP)
-
-
-def _update(x, P, sx, sP, z, R, dz, dR):
-    """Absorb one fused pseudo-measurement per state (Joseph form, which
-    keeps P symmetric PD under roundoff). Also returns the innovation
-    covariance S, whose positive definiteness the caller checks."""
-    S = P[..., :2, :2] + R
-    S_inv = _inv2(S)
-    K_gain = P[..., :, :2] @ S_inv
-    Kt = _T(K_gain)
-    dS = sP[..., :2, :2] + dR
-    dK = (sP[..., :, :2] - K_gain[..., None, :, :] @ dS) @ S_inv[..., None, :, :]
-    y = z - x[..., :2]
-    dy = dz - sx[..., :2]
-
-    A = _EYE4 - np.concatenate((K_gain, np.zeros(K_gain.shape)), axis=-1)
-    AP = A @ P
-    # Tangent of A P A^T + K R K^T with dA = -[dK 0] and P, R symmetric:
-    # M + M^T + A dP A^T + K dR K^T, where M = dK (R K^T - (A P)[:, :2]^T).
-    M = dK @ (R @ Kt - _T(AP[..., :, :2]))[..., None, :, :]
-    sP = (
-        M
-        + _T(M)
-        + A[..., None, :, :] @ sP @ _T(A)[..., None, :, :]
-        + K_gain[..., None, :, :] @ dR @ Kt[..., None, :, :]
-    )
-    return (
-        x + (K_gain @ y[..., None])[..., 0],
-        _sym(AP @ _T(A) + K_gain @ R @ Kt),
-        sx + (dK @ y[..., None, :, None])[..., 0] + dy @ Kt,
-        _sym(sP),
-        S,
-    )
-
-
 def _nll_grad(mu, sig, dmu, dsig, truth):
     """NLL of truth positions under N(mu, sig), with its gradient over the
     tangent channels of dmu (..., K, 2) and dsig (..., K, 2, 2)."""
@@ -403,17 +368,113 @@ def _record_failures(failures: dict, S: np.ndarray, valid: np.ndarray, t: np.nda
             failures[int(b)] = (float(t[b, idx[0]]), err.minor_index, err.minor_value)
 
 
-def _position_blocks(B: int, n: int, k: int) -> list[np.ndarray]:
-    """Storage for n steps of the position marginal and its tangents."""
-    return [np.zeros((B, n) + shape) for shape in ((2,), (2, 2), (k, 2), (k, 2, 2))]
+def _inv4(M: np.ndarray) -> np.ndarray:
+    """np.linalg.inv over a stack of matrices, NaN for one it finds singular.
+
+    The scan inverts I + C J, whose eigenvalues are all at least 1 while C
+    and J are positive semi-definite; only a window whose recursion already
+    failed can hold a singular one, and it must not stop its batch-mates."""
+    try:
+        return np.linalg.inv(M)
+    except np.linalg.LinAlgError:
+        out = np.full(M.shape, np.nan)
+        for m, o in zip(M.reshape((-1,) + M.shape[-2:]), out.reshape((-1,) + M.shape[-2:])):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                o[...] = np.linalg.inv(m)
+        return out
 
 
-def _store(blocks: list[np.ndarray], jj: int, state: tuple) -> None:
-    x, P, sx, sP = state
-    blocks[0][:, jj] = x[..., :2]
-    blocks[1][:, jj] = P[..., :2, :2]
-    blocks[2][:, jj] = sx[..., :2]
-    blocks[3][:, jj] = sP[..., :2, :2]
+def _combine_filter(first: tuple, then: tuple) -> tuple:
+    """The filtering element of element ``first`` followed by ``then``.
+
+    An element (A, b, C, eta, J), with b and eta as (..., 4, 1) columns,
+    maps the filtered state before it to the one after it (Särkkä and
+    García-Fernández, IEEE TAC 66(1), 2021, Lemma 8)."""
+    A1, b1, C1, eta1, J1 = first
+    A2, b2, C2, eta2, J2 = then
+    M = _inv4(_EYE4 + C1 @ J2)
+    A2M = A2 @ M
+    MA1t = _T(M @ A1)
+    return (
+        A2M @ A1,
+        A2M @ (b1 + C1 @ eta2) + b2,
+        A2M @ C1 @ _T(A2) + C2,
+        MA1t @ (eta2 - J2 @ b1) + eta1,
+        MA1t @ J2 @ A1 + J1,
+    )
+
+
+def _combine_congruence(first: tuple, then: tuple) -> tuple:
+    """(Phi, D) elements of sP -> Phi sP Phi^T + D, D over K channels."""
+    Phi1, D1 = first
+    Phi2, D2 = then
+    return Phi2 @ Phi1, Phi2[..., None, :, :] @ D1 @ _T(Phi2)[..., None, :, :] + D2
+
+
+def _combine_affine(first: tuple, then: tuple) -> tuple:
+    """(Phi, e) elements of sx -> Phi sx + e, sx and e (..., K, 4) rows."""
+    Phi1, e1 = first
+    Phi2, e2 = then
+    return Phi2 @ Phi1, e1 @ _T(Phi2) + e2
+
+
+def _scan(elements: tuple, combine) -> tuple:
+    """Inclusive prefix scan of elements along axis 1, work-efficient: pairs
+    combine on the way up, and each even position with the prefix before it
+    on the way down (Blelloch), about 2n combines in 2 log2(n) batched
+    steps."""
+    n = elements[0].shape[1]
+    if n == 1:
+        return elements
+    half = n // 2
+    pairs = combine(
+        tuple(e[:, 0 : 2 * half : 2] for e in elements),
+        tuple(e[:, 1 : 2 * half : 2] for e in elements),
+    )
+    odd = _scan(pairs, combine)
+    out = tuple(np.empty(e.shape) for e in elements)
+    for o, e, p in zip(out, elements, odd):
+        o[:, :1] = e[:, :1]
+        o[:, 1::2] = p
+    if n > 2:
+        even = combine(
+            tuple(p[:, : (n - 1) // 2] for p in odd), tuple(e[:, 2::2] for e in elements)
+        )
+        for o, q in zip(out, even):
+            o[:, 2::2] = q
+    return out
+
+
+def _scan_after(carry: Optional[tuple], elements: tuple, combine) -> tuple:
+    """_scan of elements preceded by the carry element (None: nothing)."""
+    if carry is not None:
+        head = combine(carry, tuple(e[:, :1] for e in elements))
+        elements = tuple(np.concatenate((h, e[:, 1:]), axis=1) for h, e in zip(head, elements))
+    return _scan(elements, combine)
+
+
+def _by_frame(on_update: np.ndarray, kinds: tuple, on_predict, at_start, before_start):
+    """on_update (B, n, ...), an array of the caller's own, with the other
+    kinds of frame set in place; kinds holds (B, n) masks of the
+    predict-only frames, the start frames and the frames before the start."""
+    for mask, value in zip(kinds, (on_predict, at_start, before_start)):
+        on_update[mask] = np.broadcast_to(value, on_update.shape)[mask]
+    return on_update
+
+
+def _gain(P: np.ndarray, R: np.ndarray) -> tuple:
+    """Kalman gain K = P H^T S^-1 for the position observation, I - K H and
+    S^-1, with S = P_pos + R and H = [I 0]."""
+    S_inv = _inv2(P[..., :2, :2] + R)
+    gain = P[..., :2] @ S_inv
+    return gain, _EYE4 - np.concatenate((gain, np.zeros(gain.shape)), axis=-1), S_inv
+
+
+def _shifted(carried: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
+    """Each frame's value at the frame before it: carried (zeros when None)
+    ahead of the block's first frame."""
+    head = np.zeros_like(a[:, :1]) if carried is None else carried
+    return np.concatenate((head, a[:, :-1]), axis=1)
 
 
 def _tangent_views(calib: Optional[dict[str, CalibrationParams]], n_params: int) -> tuple[str, ...]:
@@ -425,6 +486,122 @@ def _tangent_views(calib: Optional[dict[str, CalibrationParams]], n_params: int)
             f"n_params must be 1 or 1 + 2 * {len(views)} calibrated views, got {n_params}"
         )
     return views
+
+
+class _Carry(NamedTuple):
+    """The last frame of a block, for the next: the filter scan's prefix A
+    (0 once a window has started, I before; so also the tangent scans'
+    prefix Phi), and the filtered state with its tangents."""
+
+    A: np.ndarray
+    x: np.ndarray
+    P: np.ndarray
+    sx: Optional[np.ndarray]
+    sP: Optional[np.ndarray]
+
+
+def _filter_block(
+    block, dt, start, truth, params, calib, tangent_views, predictive, carry, failures
+) -> tuple:
+    """run_windows over a block of frames of some windows, with time steps
+    dt and each window's start frame counted from the block's first frame,
+    after the carry of the block before it (None for the first block).
+    Returns the carry for the next block and the block's position means,
+    covariances, NLLs and NLL gradients."""
+    t = block.t
+    z, R, dz, dR = _fused_frames(block, calib, tangent_views, failures)
+    F = transition(dt)
+    Q = process_noise(params.sigma_accel, dt)
+    steps = np.arange(t.shape[1])
+    before, at, run = (op(steps, start[:, None]) for op in (np.less, np.equal, np.greater))
+    kinds = (run & ~block.mask.any(axis=-1), at, before)
+    windows = np.arange(len(t))
+    i = np.clip(start, 0, len(steps) - 1)
+    x0, P0, sx0, sP0 = _init(
+        z[windows, i], R[windows, i], dz[windows, i], dR[windows, i], params.init_vel_var
+    )
+
+    # The filter: one scan of elements (A, b, C, eta, J), the identity
+    # before the start, the initial state at it, then a prediction with the
+    # frame's fused detection folded in where there is one.
+    gain, G, S_inv = _gain(Q, R)
+    HF = F[..., :2, :]
+    FtHt_Sinv = _T(HF) @ S_inv
+    zc = z[..., None]
+    elements = (
+        _by_frame(G @ F, kinds, F, 0.0, _EYE4),
+        _by_frame(gain @ zc, kinds, 0.0, x0[:, None, :, None], 0.0),
+        _by_frame(G @ Q @ _T(G) + gain @ R @ _T(gain), kinds, Q, P0[:, None], 0.0),
+        _by_frame(FtHt_Sinv @ zc, kinds, 0.0, 0.0, 0.0),
+        _by_frame(FtHt_Sinv @ HF, kinds, 0.0, 0.0, 0.0),
+    )
+    head = None
+    if carry is not None:
+        zero = np.zeros(carry.P.shape)
+        head = (carry.A, carry.x[..., None], carry.P, zero[..., :1], zero)
+    A, xc, C = _scan_after(head, elements, _combine_filter)[:3]
+    x, P = xc[..., 0], _sym(C)
+
+    # The prediction into each frame, and the update's innovation S.
+    xm = (F @ _shifted(carry and carry.x, x)[..., None])[..., 0]
+    Pm = _sym(F @ _shifted(carry and carry.P, P) @ _T(F) + Q)
+    upd = run & ~kinds[0]
+    _record_failures(failures, Pm[..., :2, :2] + R, upd, t)
+    _record_failures(failures, P[..., :2, :2], ~before, t)
+    out_x = np.where(before[..., None], np.nan, x[..., :2])
+    out_P = np.where(before[..., None, None], np.nan, P[..., :2, :2])
+    if truth is None:
+        return _Carry(A[:, -1:], x[:, -1:], P[:, -1:], None, None), out_x, out_P, None, None
+
+    # The tangents. With the optimal gain the Joseph form is stationary in
+    # the gain, so sP and sx follow affine recursions that share
+    # Phi = (I - K H) F: sP -> Phi sP Phi^T + D and sx -> Phi sx + e.
+    gain, G, S_inv = _gain(Pm, R)
+    Phi = _by_frame(G @ F, kinds, F, 0.0, _EYE4)
+    # Only the sigma_accel channel sees process noise: dQ/dsigma = 2 Q / sigma.
+    dQ = 2.0 * Q / params.sigma_accel
+    D = gain[..., None, :, :] @ dR @ _T(gain)[..., None, :, :]
+    D[..., 0, :, :] += G @ dQ @ _T(G)
+    D = _by_frame(D, kinds, 0.0, sP0[:, None], 0.0)
+    D[kinds[0], 0] = dQ[kinds[0]]
+    sP = _sym(_scan_after(carry and (carry.A, carry.sP), (Phi, D), _combine_congruence)[1])
+
+    sPm = F[..., None, :, :] @ _shifted(carry and carry.sP, sP) @ _T(F)[..., None, :, :]
+    sPm[..., 0, :, :] += dQ
+    sPm = _sym(sPm)
+    dK = (sPm[..., :2] - gain[..., None, :, :] @ (sPm[..., :2, :2] + dR)) @ S_inv[..., None, :, :]
+    y = z - xm[..., :2]
+    e = (dK @ y[..., None, :, None])[..., 0] + dz @ _T(gain)
+    e = _by_frame(e, kinds, 0.0, sx0[:, None], 0.0)
+    sx = _scan_after(carry and (carry.A, carry.sx), (Phi, e), _combine_affine)[1]
+
+    if predictive:
+        _record_failures(failures, Pm[..., :2, :2], run, t)
+        marginal, scored = (xm, Pm, _shifted(carry and carry.sx, sx) @ _T(F), sPm), run
+    else:
+        marginal, scored = (x, P, sx, sP), ~before
+    mu, sig, dmu, dsig = marginal
+    value, grad = _nll_grad(mu[..., :2], sig[..., :2, :2], dmu[..., :2], dsig[..., :2, :2], truth)
+    return (
+        _Carry(A[:, -1:], x[:, -1:], P[:, -1:], sx[:, -1:], sP[:, -1:]),
+        out_x,
+        out_P,
+        np.where(scored, value, np.nan),
+        np.where(scored[..., None], grad, np.nan),
+    )
+
+
+def _fused_frames(block: FrameBatch, calib, tangent_views, failures) -> tuple:
+    """The calibrated, fused detection of each frame of a block, z and R
+    with their tangents dz and dR (see _fuse); notes each window's first
+    calibrated covariance and fused information that is not positive
+    definite."""
+    t, mask = block.t, block.mask
+    cov, dR = calibration.obs_transform(calib or {}, block.views, block.cov, tangent_views)
+    _record_failures(failures, cov, mask, t)
+    z, R, dz, dR, lam = _fuse(block.mean, cov, mask, dR)
+    _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
+    return z, R, dz, dR
 
 
 def run_windows(
@@ -459,81 +636,41 @@ def run_windows(
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (B, T, 2):
             raise ValueError(f"truth shape {truth.shape} does not match the frames' {(B, T, 2)}")
-    predictive = nll_mode == "predictive"
-    sigma = params.sigma_accel
-    has = batch.mask.any(axis=-1)
-    start = has.argmax(axis=1)
-    first = int(start.min())
-    steps = np.arange(T)
+    start = batch.mask.any(axis=-1).argmax(axis=1)
     dt = np.diff(batch.t, axis=1, prepend=batch.t[:, :1] - 1.0)
-    run = steps > start[:, None]
-    upd = run & has
-    run_all, upd_all, upd_any = run.all(axis=0), upd.all(axis=0), upd.any(axis=0)
-    begins = set(start.tolist())
 
     means = np.full((B, T, 2), np.nan)
     covs = np.full((B, T, 2, 2), np.nan)
     nlls = np.full((B, T), np.nan) if truth is not None else None
     grads = np.full((B, T, n_params), np.nan) if truth is not None else None
     failures: dict[int, tuple[float, int, float]] = {}
-    state = (
-        np.zeros((B, 4)),
-        np.broadcast_to(np.eye(4), (B, 4, 4)).copy(),
-        np.zeros((B, n_params, 4)),
-        np.zeros((B, n_params, 4, 4)),
-    )
-    block = max(1, BLOCK_MATRICES // (B * max(V, 1) * n_params))
+    frames = min(T, SCAN_FRAMES)
+    chunk = max(1, CHUNK_MATRICES // (frames * max(V, 4) * (n_params + 3)))
     with np.errstate(all="ignore"):
-        for lo in range(first, T, block):
-            sl = slice(lo, min(lo + block, T))
-            t, mask = batch.t[:, sl], batch.mask[:, sl]
-            cov, dR = calibration.obs_transform(
-                calib or {}, batch.views, batch.cov[:, sl], tangent_views
-            )
-            _record_failures(failures, cov, mask, t)
-            z, R, dz, dR, lam = _fuse(batch.mean[:, sl], cov, mask, dR)
-            _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
-            F = transition(dt[:, sl])
-            Q = process_noise(sigma, dt[:, sl])
-            dQ = 2.0 * Q / sigma
-
-            n = sl.stop - sl.start
-            filtered = _position_blocks(B, n, n_params)
-            predicted = _position_blocks(B, n, n_params) if predictive else None
-            innovations = np.broadcast_to(np.eye(2), (B, n, 2, 2)).copy()
-            for jj, j in enumerate(range(sl.start, sl.stop)):
-                if j > first:
-                    pred = _predict(*state, F[:, jj], Q[:, jj], dQ[:, jj])
-                    new = pred
-                    if upd_any[j]:
-                        *post, innovations[:, jj] = _update(
-                            *pred, z[:, jj], R[:, jj], dz[:, jj], dR[:, jj]
-                        )
-                        new = tuple(post) if upd_all[j] else _select(upd[:, j], post, pred)
-                    state = new if run_all[j] else _select(run[:, j], new, state)
-                    if predictive:
-                        _store(predicted, jj, pred)
-                if j in begins:
-                    init = _init(z[:, jj], R[:, jj], dz[:, jj], dR[:, jj], params.init_vel_var)
-                    starting = start == j
-                    state = init if starting.all() else _select(starting, init, state)
-                _store(filtered, jj, state)
-
-            _record_failures(failures, innovations, upd[:, sl], t)
-            before = steps[sl] < start[:, None]
-            means[:, sl] = np.where(before[..., None], np.nan, filtered[0])
-            covs[:, sl] = np.where(before[..., None, None], np.nan, filtered[1])
-            _record_failures(failures, filtered[1], ~before, t)
-            if truth is None:
-                continue
-            if predictive:
-                scored = run[:, sl]
-                _record_failures(failures, predicted[1], scored, t)
-            else:
-                scored, predicted = ~before, filtered
-            value, grad = _nll_grad(*predicted, truth[:, sl])
-            nlls[:, sl] = np.where(scored, value, np.nan)
-            grads[:, sl] = np.where(scored[..., None], grad, np.nan)
+        for lo in range(0, B, chunk):
+            rows = slice(lo, lo + chunk)
+            found: dict[int, tuple[float, int, float]] = {}
+            carry = None
+            for first in range(0, T, frames):
+                cols = slice(first, min(first + frames, T))
+                carry, x, P, value, grad = _filter_block(
+                    batch.take((rows, cols)),
+                    dt[rows, cols],
+                    start[rows] - first,
+                    None if truth is None else truth[rows, cols],
+                    params,
+                    calib,
+                    tangent_views,
+                    nll_mode == "predictive",
+                    carry,
+                    found,
+                )
+                means[rows, cols] = x
+                covs[rows, cols] = P
+                if truth is not None:
+                    nlls[rows, cols] = value
+                    grads[rows, cols] = grad
+            failures.update((lo + b, failure) for b, failure in found.items())
     return BatchResult(start, means, covs, nlls, grads, failures)
 
 

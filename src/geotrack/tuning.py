@@ -13,13 +13,15 @@ dataio.read_detections returns, into a kalman.FrameBatch of B windows
 (times (B, T), detections (B, T, V, ...), mask (B, T, V)) with truth
 positions (B, T, 2). sequence_loss filters a whole minibatch, or a whole
 split for an epoch snapshot, in one call of the batched recursion and
-returns one loss and gradient per window.
+returns one loss and gradient per window; a snapshot needs only the losses,
+so it filters without the calibration tangents.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -110,16 +112,18 @@ def sequence_loss(
     batch: FrameBatch,
     truth: np.ndarray,
     init_vel_var: float = 1e4,
-) -> tuple[np.ndarray, np.ndarray]:
+    grad: bool = True,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Mean per-step filtered NLL of each window and its exact gradient.
 
     Returns losses (B,) and gradients (B, P) with respect to the
     unconstrained tunable vector (see to_vector for the ordering). Per-view
     calibration enters the filter through calibration.obs_transform, whose
-    tangents dR/da and dR/db are pushed through every update. A window that
-    fails numerically (a matrix that is not positive definite, or a
-    non-finite loss) gets loss inf and a zero gradient; the other windows of
-    the batch are unaffected.
+    tangents dR/da and dR/db are pushed through every update. With
+    grad=False the filter carries no calibration tangents, the losses are
+    the same and the gradient is None. A window that fails numerically (a
+    matrix that is not positive definite, or a non-finite loss) gets loss
+    inf and a zero gradient; the other windows of the batch are unaffected.
     """
     order = params.view_order()
     n_params = 1 + 2 * len(order)
@@ -127,25 +131,32 @@ def sequence_loss(
     try:
         sigma, calib = params.decode()
     except OverflowError:
-        return np.full(n_windows, math.inf), np.zeros((n_windows, n_params))
+        return np.full(n_windows, math.inf), np.zeros((n_windows, n_params)) if grad else None
     result = run_windows(
-        batch, FilterParams(sigma, init_vel_var), truth=truth, calib=calib, n_params=n_params
+        batch,
+        FilterParams(sigma, init_vel_var),
+        truth=truth,
+        calib=calib,
+        n_params=n_params if grad else 1,
     )
     n_steps = np.sum(np.isfinite(result.nlls), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = np.nansum(result.nlls, axis=1) / n_steps
-        grad_natural = np.nansum(result.nll_grads, axis=1) / n_steps[:, None]
+    failed = ~np.isfinite(loss)
+    failed[list(result.failures)] = True
+    loss[failed] = math.inf
+    if not grad:
+        return loss, None
 
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grad_natural = np.nansum(result.nll_grads, axis=1) / n_steps[:, None]
     # d sigma / d log sigma, then per view d a / d log a and d b / d raw b.
     scale = [sigma]
     for v in order:
         scale += [calib[v].a, sigmoid(params.views[v][1])]
-    grad = grad_natural * np.array(scale)
-    failed = ~np.isfinite(loss)
-    failed[list(result.failures)] = True
-    loss[failed] = math.inf
-    grad[failed] = 0.0
-    return loss, grad
+    gradient = grad_natural * np.array(scale)
+    gradient[failed] = 0.0
+    return loss, gradient
 
 
 @dataclass
@@ -195,7 +206,7 @@ def make_windows(frames: FrameBatch, truth: np.ndarray, seq_len: int) -> Split:
 def _mean_loss(
     params: TunableParams, batch: FrameBatch, truth: np.ndarray, init_vel_var: float
 ) -> float:
-    return float(np.mean(sequence_loss(params, batch, truth, init_vel_var)[0]))
+    return float(np.mean(sequence_loss(params, batch, truth, init_vel_var, grad=False)[0]))
 
 
 def tune(

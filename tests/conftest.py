@@ -11,18 +11,25 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geotrack import dataio, tuning
+from geotrack import calibration, dataio, tuning
+from geotrack.calibration import CalibrationParams
 from geotrack.core import Gaussian2D, Pairs, rotation, wrap_angle
 from geotrack.kalman import (
+    _EYE4,
+    BatchResult,
     DetectionFrame,
     FilterParams,
     FrameBatch,
     _fuse,
     _init,
+    _inv2,
     _is_pd,
+    _nll_grad,
     _pd_error,
-    _predict,
-    _update,
+    _record_failures,
+    _sym,
+    _T,
+    _tangent_views,
     pack,
     process_noise,
     transition,
@@ -354,8 +361,178 @@ def oracle_simulate_files(config, out) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Per-frame filter loop: the recursion run_windows computed as a time loop
+# before it became a prefix scan. It shares fusion, initialisation, the NLL
+# and failure bookkeeping with kalman, and steps through time with predict
+# and the Joseph update; the reference for the scan.
+
+# Detection x tangent-channel 2x2 matrices per fusion block of the loop.
+LOOP_BLOCK_MATRICES = 1 << 12
+
+
+def _select(mask: np.ndarray, new: tuple, old: tuple) -> tuple:
+    """Per window b, new[i][b] where mask[b] else old[i][b]."""
+    return tuple(
+        np.where(mask.reshape(mask.shape + (1,) * (a.ndim - mask.ndim)), a, o)
+        for a, o in zip(new, old)
+    )
+
+
+def _predict(x, P, sx, sP, F, Q, dQ):
+    """Propagate states by their transitions F with process noise Q."""
+    Ft = _T(F)
+    sP = F[..., None, :, :] @ sP @ Ft[..., None, :, :]
+    # Only the sigma_accel channel sees process noise: dQ/dsigma = 2 Q / sigma.
+    sP[..., 0, :, :] += dQ
+    return (F @ x[..., None])[..., 0], _sym(F @ P @ Ft + Q), sx @ Ft, _sym(sP)
+
+
+def _update(x, P, sx, sP, z, R, dz, dR):
+    """Absorb one fused pseudo-measurement per state (Joseph form, which
+    keeps P symmetric PD under roundoff). Also returns the innovation
+    covariance S, whose positive definiteness the caller checks."""
+    S = P[..., :2, :2] + R
+    S_inv = _inv2(S)
+    K_gain = P[..., :, :2] @ S_inv
+    Kt = _T(K_gain)
+    dS = sP[..., :2, :2] + dR
+    dK = (sP[..., :, :2] - K_gain[..., None, :, :] @ dS) @ S_inv[..., None, :, :]
+    y = z - x[..., :2]
+    dy = dz - sx[..., :2]
+
+    A = _EYE4 - np.concatenate((K_gain, np.zeros(K_gain.shape)), axis=-1)
+    AP = A @ P
+    # Tangent of A P A^T + K R K^T with dA = -[dK 0] and P, R symmetric:
+    # M + M^T + A dP A^T + K dR K^T, where M = dK (R K^T - (A P)[:, :2]^T).
+    M = dK @ (R @ Kt - _T(AP[..., :, :2]))[..., None, :, :]
+    sP = (
+        M
+        + _T(M)
+        + A[..., None, :, :] @ sP @ _T(A)[..., None, :, :]
+        + K_gain[..., None, :, :] @ dR @ Kt[..., None, :, :]
+    )
+    return (
+        x + (K_gain @ y[..., None])[..., 0],
+        _sym(AP @ _T(A) + K_gain @ R @ Kt),
+        sx + (dK @ y[..., None, :, None])[..., 0] + dy @ Kt,
+        _sym(sP),
+        S,
+    )
+
+
+def _position_blocks(B: int, n: int, k: int) -> list[np.ndarray]:
+    """Storage for n steps of the position marginal and its tangents."""
+    return [np.zeros((B, n) + shape) for shape in ((2,), (2, 2), (k, 2), (k, 2, 2))]
+
+
+def _store(blocks: list[np.ndarray], jj: int, state: tuple) -> None:
+    x, P, sx, sP = state
+    blocks[0][:, jj] = x[..., :2]
+    blocks[1][:, jj] = P[..., :2, :2]
+    blocks[2][:, jj] = sx[..., :2]
+    blocks[3][:, jj] = sP[..., :2, :2]
+
+
+def loop_windows(
+    batch: FrameBatch,
+    params: FilterParams,
+    truth: Optional[np.ndarray] = None,
+    calib: Optional[dict[str, CalibrationParams]] = None,
+    n_params: int = 1,
+    nll_mode: str = "filtered",
+) -> BatchResult:
+    """kalman.run_windows as a per-frame loop: predict, then the Joseph
+    update, one frame at a time over all windows at once, with calibration,
+    fusion and the NLL in blocks of frames. The reference for the scan."""
+    if nll_mode not in ("filtered", "predictive"):
+        raise ValueError(f"unknown nll_mode {nll_mode!r}")
+    tangent_views = _tangent_views(calib, n_params)
+    B, T, V = batch.mask.shape
+    if truth is not None:
+        truth = np.asarray(truth, dtype=float)
+        if truth.shape != (B, T, 2):
+            raise ValueError(f"truth shape {truth.shape} does not match the frames' {(B, T, 2)}")
+    predictive = nll_mode == "predictive"
+    sigma = params.sigma_accel
+    has = batch.mask.any(axis=-1)
+    start = has.argmax(axis=1)
+    first = int(start.min())
+    steps = np.arange(T)
+    dt = np.diff(batch.t, axis=1, prepend=batch.t[:, :1] - 1.0)
+    run = steps > start[:, None]
+    upd = run & has
+    run_all, upd_all, upd_any = run.all(axis=0), upd.all(axis=0), upd.any(axis=0)
+    begins = set(start.tolist())
+
+    means = np.full((B, T, 2), np.nan)
+    covs = np.full((B, T, 2, 2), np.nan)
+    nlls = np.full((B, T), np.nan) if truth is not None else None
+    grads = np.full((B, T, n_params), np.nan) if truth is not None else None
+    failures: dict[int, tuple[float, int, float]] = {}
+    state = (
+        np.zeros((B, 4)),
+        np.broadcast_to(np.eye(4), (B, 4, 4)).copy(),
+        np.zeros((B, n_params, 4)),
+        np.zeros((B, n_params, 4, 4)),
+    )
+    block = max(1, LOOP_BLOCK_MATRICES // (B * max(V, 1) * n_params))
+    with np.errstate(all="ignore"):
+        for lo in range(first, T, block):
+            sl = slice(lo, min(lo + block, T))
+            t, mask = batch.t[:, sl], batch.mask[:, sl]
+            cov, dR = calibration.obs_transform(
+                calib or {}, batch.views, batch.cov[:, sl], tangent_views
+            )
+            _record_failures(failures, cov, mask, t)
+            z, R, dz, dR, lam = _fuse(batch.mean[:, sl], cov, mask, dR)
+            _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
+            F = transition(dt[:, sl])
+            Q = process_noise(sigma, dt[:, sl])
+            dQ = 2.0 * Q / sigma
+
+            n = sl.stop - sl.start
+            filtered = _position_blocks(B, n, n_params)
+            predicted = _position_blocks(B, n, n_params) if predictive else None
+            innovations = np.broadcast_to(np.eye(2), (B, n, 2, 2)).copy()
+            for jj, j in enumerate(range(sl.start, sl.stop)):
+                if j > first:
+                    pred = _predict(*state, F[:, jj], Q[:, jj], dQ[:, jj])
+                    new = pred
+                    if upd_any[j]:
+                        *post, innovations[:, jj] = _update(
+                            *pred, z[:, jj], R[:, jj], dz[:, jj], dR[:, jj]
+                        )
+                        new = tuple(post) if upd_all[j] else _select(upd[:, j], post, pred)
+                    state = new if run_all[j] else _select(run[:, j], new, state)
+                    if predictive:
+                        _store(predicted, jj, pred)
+                if j in begins:
+                    init = _init(z[:, jj], R[:, jj], dz[:, jj], dR[:, jj], params.init_vel_var)
+                    starting = start == j
+                    state = init if starting.all() else _select(starting, init, state)
+                _store(filtered, jj, state)
+
+            _record_failures(failures, innovations, upd[:, sl], t)
+            before = steps[sl] < start[:, None]
+            means[:, sl] = np.where(before[..., None], np.nan, filtered[0])
+            covs[:, sl] = np.where(before[..., None, None], np.nan, filtered[1])
+            _record_failures(failures, filtered[1], ~before, t)
+            if truth is None:
+                continue
+            if predictive:
+                scored = run[:, sl]
+                _record_failures(failures, predicted[1], scored, t)
+            else:
+                scored, predicted = ~before, filtered
+            value, grad = _nll_grad(*predicted, truth[:, sl])
+            nlls[:, sl] = np.where(scored, value, np.nan)
+            grads[:, sl] = np.where(scored[..., None], grad, np.nan)
+    return BatchResult(start, means, covs, nlls, grads, failures)
+
+
+# ---------------------------------------------------------------------------
 # Per-step filter: kalman's step functions run one frame at a time with an
-# empty batch shape. Independent of run_windows' time loop, block layout and
+# empty batch shape. Independent of run_windows' scan, block layout and
 # failure bookkeeping; the chain oracle for the batched recursion.
 
 

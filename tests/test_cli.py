@@ -572,6 +572,16 @@ EXIT_CODE_CASES = [
         "{tmp}/t.csv",
     ),
     (
+        "track-timestamp-disorder",
+        1,
+        {
+            "tr.jsonl": '{"cov": [[1.0, 0.0], [0.0, 1.0]], "mean": [0.0, 0.0], "t": 0.0}\n'
+            * 2
+        },
+        "evaluate --track {tmp}/tr.jsonl --truth {sim}/truth_train.csv",
+        "{tmp}/tr.jsonl",
+    ),
+    (
         "frames-without-truth",
         1,
         {},

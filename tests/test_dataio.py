@@ -294,6 +294,15 @@ def test_track_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+@pytest.mark.parametrize("t", [0.0, -0.05])
+def test_track_rejects_repeated_or_decreasing_time(tmp_path, t):
+    # evaluate would otherwise score the repeated time twice.
+    path = tmp_path / "track.jsonl"
+    dataio.write_track(path, np.array([0.0, t]), np.zeros((2, 2)), np.tile(np.eye(2), (2, 1, 1)))
+    with pytest.raises(RuntimeError, match=f"^{re.escape(str(path))}: timestamp disorder at line 2$"):
+        dataio.read_track(path)
+
+
 def test_report_round_trip(tmp_path):
     report = MetricReport(
         nll=5.5, opm=0.9, det_pr=0.91, loc_a=0.95, seed=7, n_mc=1000,

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import (
     KalmanState,
     init_state,
+    loop_windows,
     make_cv_frames,
     marginal,
     pack_windows,
@@ -16,12 +18,14 @@ from conftest import (
     stacked_update,
     update,
 )
+from geotrack import kalman
 from geotrack.calibration import CalibrationParams
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, nll, rotation
 from geotrack.kalman import (
     DetectionFrame,
     FilterParams,
     FrameBatch,
+    _inv4,
     pack,
     process_noise,
     run_sequence,
@@ -291,13 +295,13 @@ VIEWS = ("N1", "N2", "N3")
 
 
 @st.composite
-def windows_case(draw, min_windows=1, max_windows=4):
+def windows_case(draw, min_windows=1, max_windows=4, min_frames=2, max_frames=10):
     """Equal-length windows of frames over VIEWS with truth positions:
     log-uniform gaps in [1e-3, 1e2], each view present in a frame with
     probability 1/2 (so 0..3 detections and interior empty frames), and a
     random run of leading empty frames."""
     n_windows = draw(st.integers(min_windows, max_windows))
-    n_frames = draw(st.integers(2, 10))
+    n_frames = draw(st.integers(min_frames, max_frames))
     coord = st.floats(-500.0, 500.0)
     windows = []
     for _ in range(n_windows):
@@ -448,6 +452,18 @@ class TestBatchedRecursionProperties:
 
     @settings(max_examples=100)
     @given(windows_case(), calibration_case())
+    def test_loss_without_gradient_is_bitwise_the_same(self, windows, setup):
+        # Epoch snapshots filter at tangent width 1; their losses must be
+        # the minibatch losses exactly, or the tune history would move.
+        tunables = TunableParams.from_natural(*setup)
+        batch, truth = pack_windows(windows)
+        loss, grad = sequence_loss(tunables, batch, truth)
+        alone, none = sequence_loss(tunables, batch, truth, grad=False)
+        assert grad.shape == (len(windows), 1 + 2 * len(setup[1])) and none is None
+        np.testing.assert_array_equal(alone, loss)
+
+    @settings(max_examples=100)
+    @given(windows_case(), calibration_case())
     def test_view_without_tunables_passes_through(self, windows, setup):
         # As for a view seen in validation but not in training: N3 has no
         # tunables, so its detections enter uncalibrated with zero tangent.
@@ -464,6 +480,57 @@ class TestBatchedRecursionProperties:
                 scale += [calib[view].a, 1.0 / (1.0 + math.exp(-raw_b))]
             assert_close(loss[b], values.mean())
             assert_close(grad[b], grads.mean(axis=0) * scale)
+
+
+class TestScanMatchesLoop:
+    @settings(max_examples=200)
+    @given(
+        windows_case(max_frames=14, min_frames=1),
+        calibration_case(),
+        st.data(),
+    )
+    def test_matches_per_frame_loop(self, windows, setup, data):
+        # Short scan blocks carry state across block boundaries, and a tiny
+        # chunk bound filters one window at a time.
+        sigma, calib = setup
+        k = 1 + 2 * len(calib) if data.draw(st.booleans()) else 1
+        mode = data.draw(st.sampled_from(["filtered", "predictive"]))
+        batch, truth = pack_windows(windows)
+        if data.draw(st.booleans()):
+            truth = None
+        if data.draw(st.booleans()):
+            # One detection covariance made indefinite, whatever its
+            # calibration: that window fails at the same frame both ways.
+            b = data.draw(st.integers(0, len(windows) - 1))
+            j, v = np.argwhere(batch.mask[b])[0]
+            batch.cov[b, j, v] = [[1.0, 0.0], [0.0, -1e3]]
+        frames = data.draw(st.integers(1, 5))
+        chunk = data.draw(st.sampled_from([1, kalman.CHUNK_MATRICES]))
+        params = FilterParams(sigma)
+        with mock.patch.object(kalman, "SCAN_FRAMES", frames):
+            with mock.patch.object(kalman, "CHUNK_MATRICES", chunk):
+                scan = run_windows(batch, params, truth, calib, k, mode)
+        loop = loop_windows(batch, params, truth, calib, k, mode)
+        assert scan.failures == loop.failures
+        np.testing.assert_array_equal(scan.start, loop.start)
+        names = ("means", "covs") if truth is None else ("means", "covs", "nlls", "nll_grads")
+        kept = [b for b in range(len(windows)) if b not in loop.failures]
+        for name in names:
+            actual, expected = getattr(scan, name)[kept], getattr(loop, name)[kept]
+            defined = ~np.isnan(expected)
+            np.testing.assert_array_equal(np.isnan(actual), ~defined)
+            if defined.any():
+                assert_close(actual[defined], expected[defined])
+
+    def test_singular_matrix_inverts_to_nan_alone(self):
+        rng = np.random.default_rng(25)
+        stack = rng.standard_normal((3, 2, 4, 4)) + 4.0 * np.eye(4)
+        stack[1, 0] = 0.0
+        out = _inv4(stack)
+        assert np.all(np.isnan(out[1, 0]))
+        out[1, 0] = np.linalg.inv(np.eye(4))
+        stack[1, 0] = np.eye(4)
+        np.testing.assert_array_equal(out, np.linalg.inv(stack))
 
 
 class TestMarginal:
