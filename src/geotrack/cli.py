@@ -148,7 +148,8 @@ def cmd_track(args) -> int:
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
     truth_pos = _truth_positions(batch, args.truth, args.detections) if args.truth else None
 
-    result = run_track(batch, params, truth=truth_pos, calib=calib)
+    # The summary needs the NLL only, not its gradient: no tangents.
+    result = run_track(batch, params, truth=truth_pos, calib=calib, n_params=0)
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
     n_steps = len(result.times)
 

@@ -12,10 +12,14 @@ parses but is wrong (timestamp disorder, no detections, no truth row).
 
 Detections load as arrays: read_detections parses a file straight into one
 kalman.FrameBatch and checks it in bulk, building no object per detection.
-Only a file that fails a bulk check is read again record by record, to name
-its first bad record. They are written from arrays too: write_detections
-formats a FrameBatch in its column order and write_truth the truth arrays of
-a simulator.Trajectory, a bounded chunk of frames at a time.
+Nor does it keep a list per detection: a mean and covariance unpack into six
+numbers on one flat list, and what json builds for a line dies with it. Kept,
+the 288,000 nested lists of a 10,000-frame file set off repeated cyclic
+garbage collections and convert slowly to arrays. Only a file that fails a
+bulk check is read again record by record, to name its first bad record.
+They are written from arrays too: write_detections formats a FrameBatch in
+its column order, write_truth the truth arrays of a simulator.Trajectory and
+write_track a track's arrays, a bounded chunk of frames at a time.
 
 Truth and tracks load as arrays as well: read_truth returns the Trajectory
 that write_truth takes, and read_track the times, means and covariances that
@@ -53,13 +57,6 @@ def _write_json(path: Path, obj) -> None:
 
 # ---------------------------------------------------------------------------
 # Gaussian records, and the readers every file goes through
-
-
-def _gaussian_to_json(mean: np.ndarray, cov: np.ndarray) -> dict:
-    return {
-        "mean": [float(mean[0]), float(mean[1])],
-        "cov": [[float(cov[0, 0]), float(cov[0, 1])], [float(cov[1, 0]), float(cov[1, 1])]],
-    }
 
 
 Record = TypeVar("Record")
@@ -181,33 +178,39 @@ def _read_records(path: Path) -> FrameBatch:
 def _read_bulk(path: Path) -> Optional[FrameBatch]:
     """read_detections for a file of plain, valid records, checked in bulk;
     None for any other file."""
-    times, frames, views, means, covs = [], [], [], [], []
+    times, counts, views, values = [], [], [], []
     try:
         with open(path, "rb") as fh:
             for line in fh:
                 if line.strip():
                     rec = json.loads(line)
-                    for d in rec["detections"]:
-                        frames.append(len(times))
+                    dets = rec["detections"]
+                    for d in dets:
                         views.append(d["view"])
-                        means.append(d["mean"])
-                        covs.append(d["cov"])
+                        x, y = d["mean"]
+                        (c00, c01), (c10, c11) = d["cov"]
+                        values += (x, y, c00, c01, c10, c11)
+                    counts.append(len(dets))
                     times.append(rec["t"])
-        t, mean, raw = np.array(times), np.array(means), np.array(covs)
+        t, flat = np.array(times), np.array(values)
         plain = all(isinstance(v, str) for v in set(views))
     except _MALFORMED:
         return None
     n = len(views)
-    shapes = (t.shape, mean.shape, raw.shape) == ((len(times),), (n, 2), (n, 2, 2))
-    if not (plain and n and shapes and all(a.dtype.kind in "biuf" for a in (t, mean, raw))):
+    # A mean or covariance row that unpacks into anything but numbers
+    # (strings, nested lists) gives a non-numeric dtype or another shape.
+    shapes = (t.shape, flat.shape) == ((len(times),), (6 * n,))
+    if not (plain and n and shapes and all(a.dtype.kind in "biuf" for a in (t, flat))):
         return None
-    t, mean, cov = t.astype(float), mean.astype(float), raw.astype(float)
+    t, flat = t.astype(float), flat.astype(float).reshape(n, 6)
+    finite = np.isfinite(t).all() and np.isfinite(flat).all()
+    mean, cov = flat[:, :2], flat[:, 2:].reshape(n, 2, 2)
     cov[:, 1, 0] = cov[:, 0, 1]
-    finite = np.isfinite(t).all() and np.isfinite(mean).all() and np.isfinite(raw).all()
     with np.errstate(all="ignore"):
         valid = finite and (t[1:] > t[:-1]).all() and _is_pd(cov).all()
     if not valid:
         return None
+    frames = np.repeat(np.arange(len(times)), counts)
     batch = FrameBatch.scatter(t[None], frames, views, mean, cov)
     # A view repeated within a line fills one slot twice.
     return batch if batch.mask.sum() == n else None
@@ -379,11 +382,23 @@ def read_calibration(path: Path) -> dict[str, CalibrationParams]:
 # track output
 
 
+# One track step as dumps writes it: sorted keys, repr-exact floats.
+_STEP = '{"cov":[[%r,%r],[%r,%r]],"mean":[%r,%r],"t":%r}\n'
+
+
 def write_track(path: Path, times: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
-    """One record per step: times (N,), means (N, 2), covs (N, 2, 2)."""
+    """One record per step: times (N,), means (N, 2), covs (N, 2, 2); written
+    from the arrays, a chunk of steps at a time."""
+    steps = np.column_stack((np.reshape(covs, (-1, 4)), np.reshape(means, (-1, 2)), times))
+    steps = steps.astype(float)
     with open(path, "w") as fh:
-        for t, mean, cov in zip(times, means, covs):
-            fh.write(dumps({"t": float(t), **_gaussian_to_json(mean, cov)}) + "\n")
+        for lo in range(0, len(steps), CHUNK_FRAMES):
+            chunk = steps[lo : lo + CHUNK_FRAMES]
+            text = "".join([_STEP % tuple(row) for row in chunk.tolist()])
+            if not np.isfinite(chunk).all():
+                # dumps spells the non-finite floats NaN, Infinity and -Infinity.
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write(text)
 
 
 def read_track(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,7 +12,9 @@ Every state carries a stack of forward-mode tangents (d state / d parameter).
 Tangent channel 0 is always the acceleration-noise parameter sigma_accel;
 callers that differentiate through per-detection observation covariances
 (e.g. calibration parameters) append further channels and supply dR stacks
-per detection.
+per detection. At tangent width 0 (and without truth) no tangent is carried:
+the NLL is scored from the same expression, so its values are the same bits
+as at any other width, with no gradient.
 
 Array layout. The filter has one recursion, ``run_windows``, over a
 FrameBatch of B equal-length windows of T frames and V views: times (B, T),
@@ -25,7 +27,7 @@ scan one batched operation (Särkkä and García-Fernández, "Temporal
 parallelization of Bayesian smoothers", IEEE TAC 66(1), 2021). The tangents
 follow from the filtered covariances: with the optimal gain they obey two
 affine recursions that share each frame's transition (I - K H) F, one more
-scan each. Frames go in blocks of SCAN_FRAMES, a length that depends on T
+scan each, run only with truth at a width of 1 or more. Frames go in blocks of SCAN_FRAMES, a length that depends on T
 alone, each block carrying on from the last state of the one before, and
 windows go in chunks that bound the working memory. Per block, the per-view
 calibration of the detection covariances, the information-form fusion of
@@ -179,7 +181,8 @@ class BatchResult:
     marginal from the window's first non-empty frame, start[b], on (NaN
     before it). With truth, nlls (B, T) holds the NLL of the truth position
     under the marginal the NLL mode names (NaN where the mode defines no
-    value) and nll_grads (B, T, K) its gradient over the tangent channels.
+    value) and nll_grads (B, T, K) its gradient over the tangent channels,
+    None at tangent width 0.
     failures maps each window whose recursion met a matrix that is not
     positive definite to the earliest one: (t, leading minor, its value).
     """
@@ -199,7 +202,8 @@ class TrackResult:
 
     When truth is supplied, nlls holds the per-step NLL of the truth position
     under the reported marginal (NaN for steps where the chosen mode defines
-    no value) and nll_grads its per-step gradient over the tangent channels.
+    no value) and nll_grads its per-step gradient over the tangent channels,
+    None at tangent width 0.
     """
 
     times: np.ndarray
@@ -223,7 +227,7 @@ class TrackResult:
     @property
     def total_grad(self) -> np.ndarray:
         if self.nll_grads is None:
-            raise ValueError("sequence was run without truth")
+            raise ValueError("no tangents were carried: run without truth or at n_params=0")
         return np.nansum(self.nll_grads, axis=0)
 
 
@@ -340,19 +344,23 @@ def _init(z, R, dz, dR, init_vel_var: float):
     return x, _sym(P), sx, _sym(sP)
 
 
-def _nll_grad(mu, sig, dmu, dsig, truth):
-    """NLL of truth positions under N(mu, sig), with its gradient over the
-    tangent channels of dmu (..., K, 2) and dsig (..., K, 2, 2)."""
+def _nll(mu, sig, truth):
+    """NLL of truth positions under N(mu, sig), with the sig^-1 and whitened
+    residual w = sig^-1 (truth - mu) that its gradient takes."""
     sig_inv = _inv2(sig)
     r = truth - mu
     w = (sig_inv @ r[..., None])[..., 0]
-    value = LOG_TWO_PI + 0.5 * np.log(_det2(sig)) + 0.5 * (r * w).sum(axis=-1)
-    grad = (
+    return LOG_TWO_PI + 0.5 * np.log(_det2(sig)) + 0.5 * (r * w).sum(axis=-1), sig_inv, w
+
+
+def _nll_grad(sig_inv, w, dmu, dsig):
+    """The gradient of _nll, from its sig^-1 and w, over the tangent
+    channels of dmu (..., K, 2) and dsig (..., K, 2, 2)."""
+    return (
         0.5 * (dsig * _T(sig_inv)[..., None, :, :]).sum(axis=(-2, -1))
         - (dmu * w[..., None, :]).sum(axis=-1)
         - 0.5 * ((dsig @ w[..., None, :, None])[..., 0] * w[..., None, :]).sum(axis=-1)
     )
-    return value, grad
 
 
 def _record_failures(failures: dict, S: np.ndarray, valid: np.ndarray, t: np.ndarray) -> None:
@@ -478,12 +486,12 @@ def _shifted(carried: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
 
 
 def _tangent_views(calib: Optional[dict[str, CalibrationParams]], n_params: int) -> tuple[str, ...]:
-    if n_params == 1:
+    if n_params in (0, 1):
         return ()
     views = tuple(sorted(calib or {}))
     if n_params != 1 + 2 * len(views):
         raise ValueError(
-            f"n_params must be 1 or 1 + 2 * {len(views)} calibrated views, got {n_params}"
+            f"n_params must be 0, 1 or 1 + 2 * {len(views)} calibrated views, got {n_params}"
         )
     return views
 
@@ -506,8 +514,9 @@ def _filter_block(
     """run_windows over a block of frames of some windows, with time steps
     dt and each window's start frame counted from the block's first frame,
     after the carry of the block before it (None for the first block).
-    Returns the carry for the next block and the block's position means,
-    covariances, NLLs and NLL gradients."""
+    tangent_views None carries no tangents. Returns the carry for the next
+    block and the block's position means, covariances, NLLs and NLL
+    gradients."""
     t = block.t
     z, R, dz, dR = _fused_frames(block, calib, tangent_views, failures)
     F = transition(dt)
@@ -552,6 +561,15 @@ def _filter_block(
     out_P = np.where(before[..., None, None], np.nan, P[..., :2, :2])
     if truth is None:
         return _Carry(A[:, -1:], x[:, -1:], P[:, -1:], None, None), out_x, out_P, None, None
+    if predictive:
+        _record_failures(failures, Pm[..., :2, :2], run, t)
+        mu, sig, scored = xm, Pm, run
+    else:
+        mu, sig, scored = x, P, ~before
+    value, sig_inv, w = _nll(mu[..., :2], sig[..., :2, :2], truth)
+    value = np.where(scored, value, np.nan)
+    if tangent_views is None:
+        return _Carry(A[:, -1:], x[:, -1:], P[:, -1:], None, None), out_x, out_P, value, None
 
     # The tangents. With the optimal gain the Joseph form is stationary in
     # the gain, so sP and sx follow affine recursions that share
@@ -575,18 +593,13 @@ def _filter_block(
     e = _by_frame(e, kinds, 0.0, sx0[:, None], 0.0)
     sx = _scan_after(carry and (carry.A, carry.sx), (Phi, e), _combine_affine)[1]
 
-    if predictive:
-        _record_failures(failures, Pm[..., :2, :2], run, t)
-        marginal, scored = (xm, Pm, _shifted(carry and carry.sx, sx) @ _T(F), sPm), run
-    else:
-        marginal, scored = (x, P, sx, sP), ~before
-    mu, sig, dmu, dsig = marginal
-    value, grad = _nll_grad(mu[..., :2], sig[..., :2, :2], dmu[..., :2], dsig[..., :2, :2], truth)
+    dmu, dsig = (_shifted(carry and carry.sx, sx) @ _T(F), sPm) if predictive else (sx, sP)
+    grad = _nll_grad(sig_inv, w, dmu[..., :2], dsig[..., :2, :2])
     return (
         _Carry(A[:, -1:], x[:, -1:], P[:, -1:], sx[:, -1:], sP[:, -1:]),
         out_x,
         out_P,
-        np.where(scored, value, np.nan),
+        value,
         np.where(scored[..., None], grad, np.nan),
     )
 
@@ -597,8 +610,10 @@ def _fused_frames(block: FrameBatch, calib, tangent_views, failures) -> tuple:
     calibrated covariance and fused information that is not positive
     definite."""
     t, mask = block.t, block.mask
-    cov, dR = calibration.obs_transform(calib or {}, block.views, block.cov, tangent_views)
+    cov, dR = calibration.obs_transform(calib or {}, block.views, block.cov, tangent_views or ())
     _record_failures(failures, cov, mask, t)
+    if tangent_views is None:
+        dR = dR[..., :0, :, :]
     z, R, dz, dR, lam = _fuse(block.mean, cov, mask, dR)
     _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
     return z, R, dz, dR
@@ -619,7 +634,9 @@ def run_windows(
     each view's detection covariances before fusion (calibration.obs_transform;
     views without an entry pass through). ``n_params`` is the tangent
     width: 1 carries only sigma_accel, and 1 + 2 * len(calib) also carries
-    d/da and d/db of each calibrated view, in sorted view order.
+    d/da and d/db of each calibrated view, in sorted view order. Width 0
+    carries none: with truth it gives the NLLs alone, the same bits as any
+    other width, and no gradient.
 
     ``truth`` (B, T, 2), when given, scores the filtered (post-update)
     marginal by default, or the predictive (pre-update) marginal with
@@ -642,7 +659,7 @@ def run_windows(
     means = np.full((B, T, 2), np.nan)
     covs = np.full((B, T, 2, 2), np.nan)
     nlls = np.full((B, T), np.nan) if truth is not None else None
-    grads = np.full((B, T, n_params), np.nan) if truth is not None else None
+    grads = np.full((B, T, n_params), np.nan) if truth is not None and n_params else None
     failures: dict[int, tuple[float, int, float]] = {}
     frames = min(T, SCAN_FRAMES)
     chunk = max(1, CHUNK_MATRICES // (frames * max(V, 4) * (n_params + 3)))
@@ -660,7 +677,7 @@ def run_windows(
                     None if truth is None else truth[rows, cols],
                     params,
                     calib,
-                    tangent_views,
+                    None if grads is None else tangent_views,
                     nll_mode == "predictive",
                     carry,
                     found,
@@ -669,6 +686,7 @@ def run_windows(
                 covs[rows, cols] = P
                 if truth is not None:
                     nlls[rows, cols] = value
+                if grads is not None:
                     grads[rows, cols] = grad
             failures.update((lo + b, failure) for b, failure in found.items())
     return BatchResult(start, means, covs, nlls, grads, failures)
@@ -701,7 +719,7 @@ def run_track(
         means=result.means[0, s:],
         covs=result.covs[0, s:],
         nlls=None if truth is None else result.nlls[0, s:],
-        nll_grads=None if truth is None else result.nll_grads[0, s:],
+        nll_grads=None if result.nll_grads is None else result.nll_grads[0, s:],
     )
 
 

@@ -14,7 +14,7 @@ dataio.read_detections returns, into a kalman.FrameBatch of B windows
 positions (B, T, 2). sequence_loss filters a whole minibatch, or a whole
 split for an epoch snapshot, in one call of the batched recursion and
 returns one loss and gradient per window; a snapshot needs only the losses,
-so it filters without the calibration tangents.
+so it filters at tangent width 0, with no tangents at all.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ def sequence_loss(
     unconstrained tunable vector (see to_vector for the ordering). Per-view
     calibration enters the filter through calibration.obs_transform, whose
     tangents dR/da and dR/db are pushed through every update. With
-    grad=False the filter carries no calibration tangents, the losses are
+    grad=False the filter carries no tangents at all, the losses are
     the same and the gradient is None. A window that fails numerically (a
     matrix that is not positive definite, or a non-finite loss) gets loss
     inf and a zero gradient; the other windows of the batch are unaffected.
@@ -137,7 +137,7 @@ def sequence_loss(
         FilterParams(sigma, init_vel_var),
         truth=truth,
         calib=calib,
-        n_params=n_params if grad else 1,
+        n_params=n_params if grad else 0,
     )
     n_steps = np.sum(np.isfinite(result.nlls), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):

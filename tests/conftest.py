@@ -24,6 +24,7 @@ from geotrack.kalman import (
     _init,
     _inv2,
     _is_pd,
+    _nll,
     _nll_grad,
     _pd_error,
     _record_failures,
@@ -333,14 +334,28 @@ def oracle_build_dataset(config):
     }
 
 
+def _gaussian_to_json(mean: np.ndarray, cov: np.ndarray) -> dict:
+    return {
+        "mean": [float(mean[0]), float(mean[1])],
+        "cov": [[float(cov[0, 0]), float(cov[0, 1])], [float(cov[1, 0]), float(cov[1, 1])]],
+    }
+
+
 def oracle_write_detections(path, frames) -> None:
     with open(path, "w") as fh:
         for frame in frames:
             dets = [
-                {"view": view, **dataio._gaussian_to_json(g.mean, g.cov)}
+                {"view": view, **_gaussian_to_json(g.mean, g.cov)}
                 for view, g in frame.detections
             ]
             fh.write(dataio.dumps({"t": float(frame.t), "detections": dets}) + "\n")
+
+
+def oracle_write_track(path, times, means, covs) -> None:
+    """write_track as it was before it wrote chunks: one dumps per step."""
+    with open(path, "w") as fh:
+        for t, mean, cov in zip(times, means, covs):
+            fh.write(dataio.dumps({"t": float(t), **_gaussian_to_json(mean, cov)}) + "\n")
 
 
 def oracle_write_truth(path, samples) -> None:
@@ -524,7 +539,9 @@ def loop_windows(
                 _record_failures(failures, predicted[1], scored, t)
             else:
                 scored, predicted = ~before, filtered
-            value, grad = _nll_grad(*predicted, truth[:, sl])
+            mu, sig, dmu, dsig = predicted
+            value, sig_inv, w = _nll(mu, sig, truth[:, sl])
+            grad = _nll_grad(sig_inv, w, dmu, dsig)
             nlls[:, sl] = np.where(scored, value, np.nan)
             grads[:, sl] = np.where(scored[..., None], grad, np.nan)
     return BatchResult(start, means, covs, nlls, grads, failures)

@@ -3,13 +3,20 @@ import dataclasses
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import batch_frames, oracle_write_detections, read_detection_frames, truth_arrays
+from conftest import (
+    batch_frames,
+    oracle_write_detections,
+    oracle_write_track,
+    read_detection_frames,
+    truth_arrays,
+)
 from geotrack import dataio
 from geotrack.calibration import CalibrationParams
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose
@@ -341,22 +348,27 @@ def test_history_csv(tmp_path):
 # that names the file, and for line formats the line; never KeyError,
 # TypeError, IndexError or AttributeError.
 
-_BAD_VALUES = st.sampled_from(
-    [
-        "x",
-        None,
-        True,
-        [],
-        {},
-        [1.0],
-        math.nan,
-        math.inf,
-        -math.inf,
-        [[1.0, 0.0], [0.0, -1.0]],  # not positive definite
-        [[1e200, 0.0], [0.0, 1e200]],  # determinant overflows
-        [[1.0, 2.0], [2.0, 1.0]],  # indefinite
-    ]
-)
+_BAD_LIST = [
+    "x",
+    None,
+    True,
+    [],
+    {},
+    [1.0],
+    math.nan,
+    math.inf,
+    -math.inf,
+    [[1.0, 0.0], [0.0, -1.0]],  # not positive definite
+    [[1e200, 0.0], [0.0, 1e200]],  # determinant overflows
+    [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+    # Values that unpack into two or six items where a mean or a
+    # covariance row is expected, and a number as a string.
+    "ab",
+    [1.0, 2.0, 3.0],
+    [[1.0, 2.0], [3.0, 4.0]],
+    "1.5",
+]
+_BAD_VALUES = st.sampled_from(_BAD_LIST)
 _BAD_FIELDS = st.sampled_from(["x", "", "nan", "inf", "-inf", "1e999", "-1.0"])
 
 
@@ -630,10 +642,8 @@ def test_read_detections_matches_object_oracle(fuzz_dir, data, records):
 _BAD_VIEWS = st.sampled_from([None, 3, 2.5, True, [], {}, ["N1"]])
 
 
-@settings(max_examples=400)
-@given(data=st.data(), records=_detection_records())
-def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, records):
-    path = fuzz_dir / "corrupt.jsonl"
+def _corrupt_record(data, records):
+    """The lines of records with one of them corrupted."""
     k = data.draw(st.integers(0, len(records) - 1))
     lines = [json.dumps(rec) for rec in records]
     kind = data.draw(st.sampled_from(["field", "truncate", "view", "duplicate", "t"]))
@@ -652,13 +662,81 @@ def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, 
     else:
         rec["t"] = data.draw(st.sampled_from([math.nan, math.inf, -1e9, rec["t"] - 1e-3]))
         lines[k] = json.dumps(rec)
-    _write_lines(data, path, lines)
+    return lines
+
+
+@settings(max_examples=400)
+@given(data=st.data(), records=_detection_records())
+def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, records):
+    path = fuzz_dir / "corrupt.jsonl"
+    _write_lines(data, path, _corrupt_record(data, records))
     got = _outcome(dataio.read_detections, path)
     want = _outcome(lambda p: pack([read_detection_frames(p)]), path)
     if isinstance(want, tuple):
         assert got == want
     else:
         _assert_same_batch(got, want)
+
+
+_DROP = object()
+
+
+def _assert_bulk_declines_or_matches(path):
+    bulk = dataio._read_bulk(path)
+    if bulk is not None:
+        _assert_same_batch(bulk, dataio._read_records(path))
+    return bulk
+
+
+@settings(max_examples=100)
+@given(data=st.data(), records=_detection_records())
+def test_bulk_reader_declines_or_matches_records(fuzz_dir, data, records):
+    # The bulk reader unpacks each detection into six flat numbers; it must
+    # accept every valid file, and whatever else it accepts it must read as
+    # the record-by-record reader does: here after one random corruption,
+    # and after each bad value or drop at each place in one detection.
+    path = fuzz_dir / "bulk.jsonl"
+    _write_lines(data, path, [json.dumps(rec) for rec in records])
+    assert _assert_bulk_declines_or_matches(path) is not None
+    _write_lines(data, path, _corrupt_record(data, records))
+    _assert_bulk_declines_or_matches(path)
+    k = data.draw(st.sampled_from([k for k, rec in enumerate(records) if rec["detections"]]))
+    i = data.draw(st.integers(0, len(records[k]["detections"]) - 1))
+    for place in _paths(records[k]["detections"][i], ("detections", i)):
+        for value in [_DROP, *_BAD_LIST]:
+            rec = copy.deepcopy(records[k])
+            parent = _at(rec, place[:-1])
+            if value is _DROP:
+                del parent[place[-1]]
+            else:
+                parent[place[-1]] = value
+            lines = [json.dumps(r) for r in records]
+            lines[k] = json.dumps(rec)
+            path.write_text("\n".join(lines) + "\n")
+            _assert_bulk_declines_or_matches(path)
+
+
+_TRACK_FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e300, math.nan, math.inf, -math.inf]),
+)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(0, 6), chunk=st.sampled_from([1, 2, dataio.CHUNK_FRAMES]))
+def test_write_track_matches_per_step_dumps(fuzz_dir, data, n, chunk):
+    # Chunks of one or two steps mix chunks with and without NaN and inf,
+    # which dumps spells NaN, Infinity and -Infinity.
+    steps = np.array(data.draw(st.lists(_TRACK_FLOATS, min_size=7 * n, max_size=7 * n)))
+    times, means, covs = steps[:n], steps[n : 3 * n].reshape(n, 2), steps[3 * n :].reshape(n, 2, 2)
+    oracle_write_track(fuzz_dir / "oracle.jsonl", times, means, covs)
+    expected = (fuzz_dir / "oracle.jsonl").read_bytes()
+    path = fuzz_dir / "track.jsonl"
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        dataio.write_track(path, times, means, covs)
+        assert path.read_bytes() == expected
+        dataio.write_track(path, times.tolist(), list(means), [c.tolist() for c in covs])
+        assert path.read_bytes() == expected
 
 
 # Corruptions the readers must reject: a non-string view id, a non-finite

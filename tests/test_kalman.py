@@ -453,7 +453,7 @@ class TestBatchedRecursionProperties:
     @settings(max_examples=100)
     @given(windows_case(), calibration_case())
     def test_loss_without_gradient_is_bitwise_the_same(self, windows, setup):
-        # Epoch snapshots filter at tangent width 1; their losses must be
+        # Epoch snapshots filter at tangent width 0; their losses must be
         # the minibatch losses exactly, or the tune history would move.
         tunables = TunableParams.from_natural(*setup)
         batch, truth = pack_windows(windows)
@@ -521,6 +521,35 @@ class TestScanMatchesLoop:
             np.testing.assert_array_equal(np.isnan(actual), ~defined)
             if defined.any():
                 assert_close(actual[defined], expected[defined])
+
+    @settings(max_examples=200)
+    @given(
+        windows_case(max_frames=14, min_frames=1),
+        calibration_case(),
+        st.data(),
+    )
+    def test_width_zero_scores_as_width_one(self, windows, setup, data):
+        # track's summary and tune's epoch snapshots filter with truth but
+        # no tangents: the same NLLs and failures, bit for bit, whatever the
+        # blocks and chunks (width 0 also chunks more windows together).
+        sigma, calib = setup
+        mode = data.draw(st.sampled_from(["filtered", "predictive"]))
+        batch, truth = pack_windows(windows)
+        if data.draw(st.booleans()):
+            b = data.draw(st.integers(0, len(windows) - 1))
+            j, v = np.argwhere(batch.mask[b])[0]
+            batch.cov[b, j, v] = [[1.0, 0.0], [0.0, -1e3]]
+        frames = data.draw(st.integers(1, 5))
+        chunk = data.draw(st.sampled_from([1, kalman.CHUNK_MATRICES]))
+        params = FilterParams(sigma)
+        with mock.patch.object(kalman, "SCAN_FRAMES", frames):
+            with mock.patch.object(kalman, "CHUNK_MATRICES", chunk):
+                zero = run_windows(batch, params, truth, calib, 0, mode)
+                one = run_windows(batch, params, truth, calib, 1, mode)
+        assert zero.nll_grads is None
+        assert zero.failures == one.failures
+        for name in ("start", "means", "covs", "nlls"):
+            assert getattr(zero, name).tobytes() == getattr(one, name).tobytes(), name
 
     def test_singular_matrix_inverts_to_nan_alone(self):
         rng = np.random.default_rng(25)
@@ -619,6 +648,15 @@ class TestRunSequence:
         res = run_sequence(frames, FilterParams(10.0))
         assert len(res.means) == 2
         assert res.times[0] == 0.10
+
+    def test_width_zero_carries_no_tangents(self):
+        rng = np.random.default_rng(26)
+        frames, truth = make_cv_frames(rng, n_steps=10)
+        res = run_sequence(frames, FilterParams(10.0), truth=truth, n_params=0)
+        assert res.nll_grads is None
+        assert res.total_nll == run_sequence(frames, FilterParams(10.0), truth=truth).total_nll
+        with pytest.raises(ValueError, match="no tangents were carried"):
+            res.total_grad
 
     def test_predictive_mode(self):
         rng = np.random.default_rng(24)

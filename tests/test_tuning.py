@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import make_cv_frames, pack_windows, window_loss
 from geotrack.calibration import IDENTITY, CalibrationParams
 from geotrack.core import Gaussian2D
+from geotrack import tuning
 from geotrack.kalman import DetectionFrame, pack
 from geotrack.tuning import (
     TunableParams,
@@ -106,6 +108,15 @@ class TestSequenceLoss:
         loss, grad = window_loss(params, frames, truth)
         assert grad.shape == (1,)
         assert math.isfinite(loss)
+
+    def test_loss_alone_filters_without_tangents(self):
+        rng = np.random.default_rng(54)
+        batch, truth = pack_windows([make_cv_frames(rng, n_steps=10) for _ in range(2)])
+        params = TunableParams.from_natural(20.0, {"N1": CalibrationParams(1.5, 2.0)})
+        with mock.patch.object(tuning, "run_windows", wraps=tuning.run_windows) as spy:
+            loss, grad = sequence_loss(params, batch, truth, grad=False)
+        assert spy.call_args.kwargs["n_params"] == 0 and grad is None
+        np.testing.assert_array_equal(loss, sequence_loss(params, batch, truth)[0])
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(53)
