@@ -5,7 +5,8 @@ pair is selected per view by exhaustive grid search minimizing mean NLL on
 validation pairs. The grid always contains the identity point (1, 0), so a
 fitted calibration can never be worse than no calibration on the data it was
 fit to. The pairs are arrays (core.Pairs): detection means and covariances
-with their truth positions, one row each, as the readers load them.
+with their truth positions, one row each, as the readers load them. The fit
+scores, for each a, blocks of b rows over all pairs at once.
 """
 
 from __future__ import annotations
@@ -16,6 +17,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import LOG_TWO_PI, Pairs
+
+# Pair-cells per block of the grid fit: the b rows of one a evaluated at once.
+BLOCK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,32 +86,19 @@ def default_grid() -> CalibrationGrid:
 
 
 def obs_transform(
-    calib: dict[str, CalibrationParams],
-    views: Sequence[str],
-    cov: np.ndarray,
-    tangent_views: Sequence[str] = (),
-) -> tuple[np.ndarray, np.ndarray]:
-    """The affine calibration a * cov + b * I over an array of detections,
-    with its tangents.
+    calib: dict[str, CalibrationParams], views: Sequence[str], cov: np.ndarray
+) -> np.ndarray:
+    """The affine calibration a * cov + b * I over an array of detections.
 
     cov has shape (..., V, 2, 2); column i holds detections of views[i].
-    Views without an entry in calib pass through unchanged. Returns the
-    calibrated covariances and their tangent stack (..., V, K, 2, 2) with
-    K = 1 + 2 * len(tangent_views): channel 0 (sigma_accel) is zero, and
-    view i of tangent_views, when calibrated, gets dR/da = cov on channel
-    1 + 2i and dR/db = I on channel 2 + 2i. Every other view's tangent is zero.
+    Views without an entry in calib pass through unchanged. The tangents
+    are sparse (a calibrated view's dR/da = cov, dR/db = I, zero
+    otherwise), and kalman._fuse forms them from the raw covariances.
     """
     params = [calib.get(v, IDENTITY) for v in views]
     a = np.array([p.a for p in params])[:, None, None]
     b = np.array([p.b for p in params])[:, None, None]
-    eye = np.eye(2)
-    dR = np.zeros(cov.shape[:-2] + (1 + 2 * len(tangent_views), 2, 2))
-    for i, view in enumerate(tangent_views):
-        if view in calib and view in views:
-            col = list(views).index(view)
-            dR[..., col, 1 + 2 * i, :, :] = cov[..., col, :, :]
-            dR[..., col, 2 + 2 * i, :, :] = eye
-    return a * cov + b * eye, dR
+    return a * cov + b * np.eye(2)
 
 
 def fit(grid: CalibrationGrid, pairs: Pairs) -> tuple[CalibrationParams, float]:
@@ -122,17 +113,25 @@ def fit(grid: CalibrationGrid, pairs: Pairs) -> tuple[CalibrationParams, float]:
     rx, ry = (pairs.truth - pairs.mean).T
     rx2, ry2, rxy = rx * rx, ry * ry, rx * ry
 
+    n = len(pairs)
+    b_values = np.array(grid.b_values)
+    rows = max(1, BLOCK_CELLS // n)
     best: tuple[float, float, float] | None = None
     for a in grid.a_values:
         axx, axy, ayy = a * sxx, a * sxy, a * syy
-        for b in grid.b_values:
+        cross = 2.0 * rxy * axy
+        for lo in range(0, len(b_values), rows):
+            b = b_values[lo : lo + rows, None]
             pxx = axx + b
             pyy = ayy + b
             det = pxx * pyy - axy * axy
-            quad = (rx2 * pyy - 2.0 * rxy * axy + ry2 * pxx) / det
-            mean_nll = LOG_TWO_PI + 0.5 * float(np.mean(np.log(det))) + 0.5 * float(np.mean(quad))
-            if best is None or mean_nll < best[0]:
-                best = (mean_nll, a, b)
+            quad = (rx2 * pyy - cross + ry2 * pxx) / det
+            # np.mean of a cell's row is this row sum over n, to the bit.
+            log_det = np.add.reduce(np.log(det), axis=1) / n
+            mean_nll = LOG_TWO_PI + 0.5 * log_det + 0.5 * (np.add.reduce(quad, axis=1) / n)
+            for b_cell, value in zip(b[:, 0].tolist(), mean_nll.tolist()):
+                if best is None or value < best[0]:
+                    best = (value, a, b_cell)
     assert best is not None
     return CalibrationParams(best[1], best[2]), best[0]
 

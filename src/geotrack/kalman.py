@@ -10,9 +10,10 @@ weights low-uncertainty detections more heavily.
 
 Every state carries a stack of forward-mode tangents (d state / d parameter).
 Tangent channel 0 is always the acceleration-noise parameter sigma_accel;
-callers that differentiate through per-detection observation covariances
-(e.g. calibration parameters) append further channels and supply dR stacks
-per detection. At tangent width 0 (and without truth) no tangent is carried:
+each calibrated view, in sorted order, adds channels for its a and b, whose
+covariance tangents are sparse (dR/da its raw covariance, dR/db = I, zero
+for other views), so fusion forms each view's two products alone. At
+tangent width 0 (and without truth) no tangent is carried:
 the NLL is scored from the same expression, so its values are the same bits
 as at any other width, with no gradient.
 
@@ -27,16 +28,16 @@ scan one batched operation (Särkkä and García-Fernández, "Temporal
 parallelization of Bayesian smoothers", IEEE TAC 66(1), 2021). The tangents
 follow from the filtered covariances: with the optimal gain they obey two
 affine recursions that share each frame's transition (I - K H) F, one more
-scan each, run only with truth at a width of 1 or more. Frames go in blocks of SCAN_FRAMES, a length that depends on T
-alone, each block carrying on from the last state of the one before, and
-windows go in chunks that bound the working memory. Per block, the per-view
-calibration of the detection covariances, the information-form fusion of
-each frame, the transition and process noise, and the NLL of the reported
-marginals with its gradient are computed in bulk. ``run_track`` is the
-B = 1 case, and takes the batch dataio.read_detections or
-simulator.simulate returns. DetectionFrame objects (build_dataset's object
-view, and tests) enter through ``pack``; ``run_sequence`` is run_track over
-them. Nothing mutates.
+scan each, run only with truth at a width of 1 or more. Frames go in blocks
+of SCAN_FRAMES, a length that depends on T alone, each block carrying on
+from the last state of the one before, and windows go in chunks that bound
+the working memory (CHUNK_MATRICES). Per block, the per-view calibration
+of the detection covariances, the information-form fusion of each frame,
+the transition and process noise, and the NLL of the reported marginals
+with its gradient are computed in bulk. ``run_track`` is the B = 1 case,
+and takes the batch dataio.read_detections or simulator.simulate returns.
+DetectionFrame objects (build_dataset's object view, and tests) enter
+through ``pack``; ``run_sequence`` is run_track over them. Nothing mutates.
 """
 
 from __future__ import annotations
@@ -56,9 +57,10 @@ from .core import LOG_TWO_PI, Gaussian2D, NotPositiveDefiniteError
 SCAN_FRAMES = 1 << 9
 # 2x2 matrices per chunk of windows, which bounds the working memory of a
 # block whatever the batch shape. A window-frame counts max(V, 4) * (K + 3):
-# fusion grows with V * K, the tangents with 4 * K, and the filter's own
-# elements and scan take about as much as three tangent channels.
-CHUNK_MATRICES = 1 << 13
+# the tangents grow with 4 * K, the filter's own elements and scan take about
+# as much as three channels, and fusion (a few per view, two per channel)
+# fits inside that.
+CHUNK_MATRICES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -289,24 +291,32 @@ def _pd_error(S: np.ndarray, where: str = "") -> NotPositiveDefiniteError:
     return NotPositiveDefiniteError(2, _det2(S), where)
 
 
-def _fuse(mean, cov, mask, dR):
+def _fuse(mean, cov, mask, raw, channels, k: int):
     """Collapse each frame's detections into one position pseudo-measurement.
 
     Information-form fusion over the view axis: R = (sum R_i^-1)^-1 and
-    z = R sum R_i^-1 z_i, with tangents dz and dR over K channels from each
-    detection's dR_i stack. mean is (..., V, 2), cov (..., V, 2, 2), mask
-    (..., V) and dR (..., V, K, 2, 2). A frame with one detection returns it
-    unchanged; a frame with none returns finite filler. Also returns the
-    information matrix, whose positive definiteness the caller checks on
-    frames with two or more detections.
+    z = R sum R_i^-1 z_i, with tangents dz and dR over k channels. mean is
+    (..., V, 2), cov (..., V, 2, 2) calibrated, raw uncalibrated and mask
+    (..., V). View i with channels[i] = c >= 0 has dR_i/da = raw_i on
+    channel c and dR_i/db = I on c + 1, every other dR_i is zero, so each
+    channel's d(sum R_i^-1) is one view's -R_i^-1 dR_i R_i^-1. A frame with
+    one detection returns it unchanged; a frame with none returns finite
+    filler. Also returns the information matrix, whose positive
+    definiteness the caller checks on frames with two or more detections.
     """
     m = mask[..., None, None]
     prec = np.where(m, _inv2(cov), 0.0)
     lam = prec.sum(axis=-3)
     eta = (prec @ mean[..., None])[..., 0].sum(axis=-2)
-    dprec = -(prec[..., None, :, :] @ dR @ prec[..., None, :, :])
-    dlam = dprec.sum(axis=-4)
-    deta = (dprec @ mean[..., None, :, None])[..., 0].sum(axis=-3)
+    cols = np.flatnonzero(channels >= 0)
+    slots = (channels[cols][:, None] + [0, 1]).ravel()
+    p = prec[..., cols, :, :]
+    dprec = np.stack((-(p @ raw[..., cols, :, :] @ p), -(p @ p)), axis=-3)
+    shape = lam.shape[:-2] + (len(slots), 2)
+    dlam = np.zeros(lam.shape[:-2] + (k, 2, 2))
+    dlam[..., slots, :, :] = dprec.reshape(shape + (2,))
+    deta = np.zeros(dlam.shape[:-1])
+    deta[..., slots, :] = (dprec @ mean[..., cols, None, :, None]).reshape(shape)
     count = mask.sum(axis=-1)
     R = _inv2(np.where((count > 0)[..., None, None], lam, np.eye(2)))
     dR_f = -(R[..., None, :, :] @ dlam @ R[..., None, :, :])
@@ -314,16 +324,21 @@ def _fuse(mean, cov, mask, dR):
     dz = (dR_f @ eta[..., None, :, None])[..., 0] + (R[..., None, :, :] @ deta[..., None])[..., 0]
     one = count == 1
     if np.any(one):
-        first = mask.argmax(axis=-1)[..., None]
+        first = mask.argmax(axis=-1)
 
-        def pick(a, tail):
-            idx = first.reshape(first.shape + (1,) * tail)
-            return np.take_along_axis(a, idx, axis=first.ndim - 1).squeeze(axis=first.ndim - 1)
+        def pick(a):
+            idx = first.reshape(first.shape + (1,) * (a.ndim - first.ndim))
+            return np.take_along_axis(a, idx, axis=first.ndim).squeeze(axis=first.ndim)
 
-        z = np.where(one[..., None], pick(mean, 1), z)
-        R = np.where(one[..., None, None], pick(cov, 2), R)
+        z = np.where(one[..., None], pick(mean), z)
+        R = np.where(one[..., None, None], pick(cov), R)
         dz = np.where(one[..., None, None], 0.0, dz)
-        dR_f = np.where(one[..., None, None, None], pick(dR, 3), dR_f)
+        own = np.zeros(dR_f.shape)
+        slot = channels[first]
+        at = np.nonzero(one & (slot >= 0))
+        own[at + (slot[at],)] = raw[at + (first[at],)]
+        own[at + (slot[at] + 1,)] = np.eye(2)
+        dR_f = np.where(one[..., None, None, None], own, dR_f)
     return z, R, dz, dR_f, lam
 
 
@@ -610,11 +625,12 @@ def _fused_frames(block: FrameBatch, calib, tangent_views, failures) -> tuple:
     calibrated covariance and fused information that is not positive
     definite."""
     t, mask = block.t, block.mask
-    cov, dR = calibration.obs_transform(calib or {}, block.views, block.cov, tangent_views or ())
+    cov = calibration.obs_transform(calib or {}, block.views, block.cov)
     _record_failures(failures, cov, mask, t)
-    if tangent_views is None:
-        dR = dR[..., :0, :, :]
-    z, R, dz, dR, lam = _fuse(block.mean, cov, mask, dR)
+    k = 0 if tangent_views is None else 1 + 2 * len(tangent_views)
+    views = list(tangent_views or ())
+    channels = np.array([1 + 2 * views.index(v) if v in views else -1 for v in block.views], int)
+    z, R, dz, dR, lam = _fuse(block.mean, cov, mask, block.cov, channels, k)
     _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
     return z, R, dz, dR
 

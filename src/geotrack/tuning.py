@@ -118,8 +118,9 @@ def sequence_loss(
 
     Returns losses (B,) and gradients (B, P) with respect to the
     unconstrained tunable vector (see to_vector for the ordering). Per-view
-    calibration enters the filter through calibration.obs_transform, whose
-    tangents dR/da and dR/db are pushed through every update. With
+    calibration enters the filter through calibration.obs_transform; its
+    sparse tangents dR/da = cov and dR/db = I are pushed through every
+    update, a chunk of windows at a time (kalman.CHUNK_MATRICES). With
     grad=False the filter carries no tangents at all, the losses are
     the same and the gradient is None. A window that fails numerically (a
     matrix that is not positive definite, or a non-finite loss) gets loss
@@ -223,7 +224,8 @@ def tune(
     First-order updates with momentum/second-moment normalization and
     decoupled weight decay; the gradient's L2 norm is clipped, and the
     learning rate drops by 10x from lr_drop_epoch on. Returns the parameters
-    with the best validation NLL seen (epoch 0 included) and the history.
+    with the best validation NLL seen (epoch 0 included) and the history;
+    its meta's lr_sum is the sum of the learning rates of the steps taken.
     If the training loss stops being finite the run aborts at the last
     finite state with the history flagged.
     """
@@ -243,6 +245,7 @@ def tune(
             "grad_clip": config.grad_clip,
             "batch": config.batch,
             "seed": seed,
+            "lr_sum": 0.0,
         }
     )
     rng = np.random.default_rng(seed)
@@ -283,6 +286,7 @@ def tune(
             if norm > config.grad_clip:
                 g = g * (config.grad_clip / norm)
             step += 1
+            history.meta["lr_sum"] += lr
             m = beta1 * m + (1.0 - beta1) * g
             v = beta2 * v + (1.0 - beta2) * g * g
             m_hat = m / (1.0 - beta1**step)

@@ -13,14 +13,13 @@ from hypothesis import settings
 
 from geotrack import calibration, dataio, tuning
 from geotrack.calibration import CalibrationParams
-from geotrack.core import Gaussian2D, Pairs, rotation, wrap_angle
+from geotrack.core import LOG_TWO_PI, Gaussian2D, Pairs, rotation, wrap_angle
 from geotrack.kalman import (
     _EYE4,
     BatchResult,
     DetectionFrame,
     FilterParams,
     FrameBatch,
-    _fuse,
     _init,
     _inv2,
     _is_pd,
@@ -196,6 +195,26 @@ def pairs_arrays(pairs) -> Pairs:
         np.array([g.cov for g, _ in pairs]).reshape(-1, 2, 2),
         np.array([t for _, t in pairs], dtype=float).reshape(-1, 2),
     )
+
+
+def cell_fit(grid, pairs: Pairs):
+    """calibration.fit one grid cell at a time: np.mean per cell, cells
+    compared in (a, b) order. The reference for the blocked fit."""
+    sxx, sxy, syy = pairs.cov[:, 0, 0], pairs.cov[:, 0, 1], pairs.cov[:, 1, 1]
+    rx, ry = (pairs.truth - pairs.mean).T
+    rx2, ry2, rxy = rx * rx, ry * ry, rx * ry
+    best = None
+    for a in grid.a_values:
+        axx, axy, ayy = a * sxx, a * sxy, a * syy
+        for b in grid.b_values:
+            pxx = axx + b
+            pyy = ayy + b
+            det = pxx * pyy - axy * axy
+            quad = (rx2 * pyy - 2.0 * rxy * axy + ry2 * pxx) / det
+            mean_nll = LOG_TWO_PI + 0.5 * float(np.mean(np.log(det))) + 0.5 * float(np.mean(quad))
+            if best is None or mean_nll < best[0]:
+                best = (mean_nll, a, b)
+    return CalibrationParams(best[1], best[2]), best[0]
 
 
 def records_arrays(records) -> Records:
@@ -376,10 +395,69 @@ def oracle_simulate_files(config, out) -> None:
 
 
 # ---------------------------------------------------------------------------
+# Dense fusion: any per-detection dR stack, formed and summed over every
+# view and tangent channel. kalman fuses the sparse calibration tangents
+# alone; this is its reference, and the loop oracle's and per-step API's
+# fusion.
+
+
+def obs_tangents(calib, views, cov, tangent_views=()) -> np.ndarray:
+    """The dense tangent stack (..., V, K, 2, 2) of calibration.obs_transform's
+    a * cov + b * I, K = 1 + 2 * len(tangent_views): channel 0 (sigma_accel) is zero, and
+    view i of tangent_views, when calibrated, gets dR/da = cov on channel
+    1 + 2i and dR/db = I on channel 2 + 2i. Every other view's tangent is zero."""
+    dR = np.zeros(cov.shape[:-2] + (1 + 2 * len(tangent_views), 2, 2))
+    for i, view in enumerate(tangent_views):
+        if view in calib and view in views:
+            col = list(views).index(view)
+            dR[..., col, 1 + 2 * i, :, :] = cov[..., col, :, :]
+            dR[..., col, 2 + 2 * i, :, :] = np.eye(2)
+    return dR
+
+
+def dense_fuse(mean, cov, mask, dR):
+    """Collapse each frame's detections into one position pseudo-measurement.
+
+    Information-form fusion over the view axis: R = (sum R_i^-1)^-1 and
+    z = R sum R_i^-1 z_i, with tangents dz and dR over K channels from each
+    detection's dR_i stack. mean is (..., V, 2), cov (..., V, 2, 2), mask
+    (..., V) and dR (..., V, K, 2, 2). A frame with one detection returns it
+    unchanged; a frame with none returns finite filler. Also returns the
+    information matrix.
+    """
+    m = mask[..., None, None]
+    prec = np.where(m, _inv2(cov), 0.0)
+    lam = prec.sum(axis=-3)
+    eta = (prec @ mean[..., None])[..., 0].sum(axis=-2)
+    dprec = -(prec[..., None, :, :] @ dR @ prec[..., None, :, :])
+    dlam = dprec.sum(axis=-4)
+    deta = (dprec @ mean[..., None, :, None])[..., 0].sum(axis=-3)
+    count = mask.sum(axis=-1)
+    R = _inv2(np.where((count > 0)[..., None, None], lam, np.eye(2)))
+    dR_f = -(R[..., None, :, :] @ dlam @ R[..., None, :, :])
+    z = (R @ eta[..., None])[..., 0]
+    dz = (dR_f @ eta[..., None, :, None])[..., 0] + (R[..., None, :, :] @ deta[..., None])[..., 0]
+    one = count == 1
+    if np.any(one):
+        first = mask.argmax(axis=-1)[..., None]
+
+        def pick(a, tail):
+            idx = first.reshape(first.shape + (1,) * tail)
+            return np.take_along_axis(a, idx, axis=first.ndim - 1).squeeze(axis=first.ndim - 1)
+
+        z = np.where(one[..., None], pick(mean, 1), z)
+        R = np.where(one[..., None, None], pick(cov, 2), R)
+        dz = np.where(one[..., None, None], 0.0, dz)
+        dR_f = np.where(one[..., None, None, None], pick(dR, 3), dR_f)
+    return z, R, dz, dR_f, lam
+
+
+# ---------------------------------------------------------------------------
 # Per-frame filter loop: the recursion run_windows computed as a time loop
-# before it became a prefix scan. It shares fusion, initialisation, the NLL
-# and failure bookkeeping with kalman, and steps through time with predict
-# and the Joseph update; the reference for the scan.
+# before it became a prefix scan. It fuses densely (dense_fuse), shares
+# initialisation, the NLL and failure bookkeeping with kalman, and steps
+# through time with predict and the Joseph update; the reference for the
+# scan.
 
 # Detection x tangent-channel 2x2 matrices per fusion block of the loop.
 LOOP_BLOCK_MATRICES = 1 << 12
@@ -495,11 +573,10 @@ def loop_windows(
         for lo in range(first, T, block):
             sl = slice(lo, min(lo + block, T))
             t, mask = batch.t[:, sl], batch.mask[:, sl]
-            cov, dR = calibration.obs_transform(
-                calib or {}, batch.views, batch.cov[:, sl], tangent_views
-            )
+            cov = calibration.obs_transform(calib or {}, batch.views, batch.cov[:, sl])
+            dR = obs_tangents(calib or {}, batch.views, batch.cov[:, sl], tangent_views)
             _record_failures(failures, cov, mask, t)
-            z, R, dz, dR, lam = _fuse(batch.mean[:, sl], cov, mask, dR)
+            z, R, dz, dR, lam = dense_fuse(batch.mean[:, sl], cov, mask, dR)
             _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
             F = transition(dt[:, sl])
             Q = process_noise(sigma, dt[:, sl])
@@ -584,7 +661,7 @@ def _frame_arrays(frame: DetectionFrame, r_tangents, k: int):
         dR = np.array([np.asarray(d, dtype=float) for d in r_tangents])
         dR = dR.reshape(len(cov), k, 2, 2)
     with np.errstate(all="ignore"):
-        z, R, dz, dR, lam = _fuse(mean, cov, mask, dR)
+        z, R, dz, dR, lam = dense_fuse(mean, cov, mask, dR)
     if len(cov) > 1 and not _is_pd(lam):
         raise _pd_error(lam)
     return z, R, dz, dR
@@ -598,7 +675,7 @@ def init_state(
 ) -> KalmanState:
     """Start a track from the detections of one frame.
 
-    The position block is the fused detection of the frame (see _fuse);
+    The position block is the fused detection of the frame (see dense_fuse);
     velocity starts at zero with init_vel_var per axis and no
     cross-covariance. Tangents are zero except for channels whose dR stacks
     make the fused block parameter-dependent.
@@ -627,8 +704,8 @@ def update(
     """Fuse all detections of a frame into the state.
 
     The detections (conditionally independent given the state) are first
-    fused into one pseudo-measurement (see _fuse), then absorbed by a single
-    Kalman update; this equals the stacked joint update, and the posterior
+    fused into one pseudo-measurement (see dense_fuse), then absorbed by a
+    single Kalman update; this equals the stacked joint update, and the posterior
     does not depend on detection order. An empty frame is a no-op.
     """
     if abs(frame.t - state.t) > 1e-9:

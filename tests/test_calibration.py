@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import pairs_arrays, random_pd_2x2
+from conftest import cell_fit, pairs_arrays, random_pd_2x2
 from geotrack.calibration import (
     IDENTITY,
     CalibrationGrid,
@@ -15,7 +17,7 @@ from geotrack.calibration import (
     log_spaced_axis,
     obs_transform,
 )
-from geotrack.core import Gaussian2D, nll, rotation
+from geotrack.core import Gaussian2D, Pairs, nll, rotation
 
 
 def sampled_pairs(rng, n, true_scale=1.0, base_var=25.0):
@@ -63,7 +65,7 @@ class TestParamsAndGrid:
 
 def apply(params: CalibrationParams, g: Gaussian2D) -> Gaussian2D:
     """One detection calibrated by obs_transform; the mean is untouched."""
-    cov, _ = obs_transform({"": params}, ("",), g.cov[None])
+    cov = obs_transform({"": params}, ("",), g.cov[None])
     return Gaussian2D(g.mean, cov[0])
 
 
@@ -151,6 +153,46 @@ class TestFit:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             fit(default_grid(), pairs_arrays([]))
+
+
+@st.composite
+def grid_fit_case(draw):
+    """Pairs and a grid for the blocked fit. N runs from 1 to above 2^14
+    pairs, so a block holds every b row (N <= 2^14 / n_b), some of them, or
+    one. The pairs may be copies of fewer distinct pairs; in the tie mode
+    every covariance is I and the grid's a + b sums coincide, so whole
+    groups of cells give the same NLL bits."""
+    n = draw(st.one_of(st.integers(1, 300), st.integers(301, 8192), st.integers(8193, 17_000)))
+    distinct = draw(st.integers(1, n))
+    tie = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean = rng.uniform(0.0, 500.0, (distinct, 2))
+    if tie:
+        grid = CalibrationGrid(tuple(np.arange(1, 7) / 2.0), tuple(np.arange(7) / 2.0))
+        cov = np.broadcast_to(np.eye(2), (distinct, 2, 2))
+        noise = rng.standard_normal((distinct, 2)) * draw(st.floats(1.0, 3.0))
+    else:
+        a_values = draw(st.lists(st.floats(0.05, 10.0), max_size=8))
+        b_values = draw(st.lists(st.floats(0.0, 500.0), min_size=20, max_size=60))
+        grid = CalibrationGrid(sorted({1.0, *a_values}), sorted({0.0, *b_values}))
+        eig = 10.0 ** rng.uniform(-1.0, 3.0, (distinct, 2))
+        turn = np.array([rotation(a) for a in rng.uniform(0.0, 2.0 * np.pi, distinct)])
+        cov = turn @ (eig[..., None] * np.swapaxes(turn, -1, -2))
+        scale = draw(st.floats(0.3, 3.0))
+        noise = (np.linalg.cholesky(cov) @ rng.standard_normal((distinct, 2, 1)))[..., 0] * scale
+    rows = np.arange(n) % distinct
+    return grid, Pairs(mean[rows], np.array(cov)[rows], (mean + noise)[rows])
+
+
+class TestBlockedFit:
+    @settings(max_examples=100)
+    @given(grid_fit_case())
+    def test_matches_per_cell_fit_bitwise(self, case):
+        grid, pairs = case
+        params, best = fit(grid, pairs)
+        ref_params, ref_best = cell_fit(grid, pairs)
+        assert (params.a, params.b) == (ref_params.a, ref_params.b)
+        assert best.hex() == ref_best.hex()
 
 
 class TestFitPerView:

@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import (
     KalmanState,
+    dense_fuse,
     init_state,
     loop_windows,
     make_cv_frames,
     marginal,
+    obs_tangents,
     pack_windows,
     predict,
     random_pd_2x2,
@@ -19,12 +21,13 @@ from conftest import (
     update,
 )
 from geotrack import kalman
-from geotrack.calibration import CalibrationParams
+from geotrack.calibration import CalibrationParams, obs_transform
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, nll, rotation
 from geotrack.kalman import (
     DetectionFrame,
     FilterParams,
     FrameBatch,
+    _fuse,
     _inv4,
     pack,
     process_noise,
@@ -291,6 +294,53 @@ class TestFusedUpdateProperties:
             assert np.array_equal(getattr(out, name), getattr(prior, name))
 
 
+@st.composite
+def fusion_case(draw):
+    """A block of B x T frames over 1..5 views, each view present with
+    probability 1/2 (0, 1 or several detections a frame), with raw
+    covariances over six decades; calibrations for a random subset of
+    N0..N6, so some calibrated views are missing from the batch and some
+    batch views have no calibration; and a tangent width of 0, 1 or
+    1 + 2 * len(calib)."""
+    views = tuple(f"N{i}" for i in range(draw(st.integers(1, 5))))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), len(views))
+    size = math.prod(shape)
+    mask = np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size))).reshape(shape)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mean = np.where(mask[..., None], rng.uniform(-500.0, 500.0, shape + (2,)), 0.0)
+    eig = 10.0 ** rng.uniform(-2.0, 4.0, shape + (2,))
+    turn = np.array([rotation(a) for a in rng.uniform(0.0, 2.0 * math.pi, mask.size)])
+    turn = turn.reshape(shape + (2, 2))
+    raw = turn @ (eig[..., None] * np.swapaxes(turn, -1, -2))
+    raw = np.where(mask[..., None, None], raw, np.eye(2))
+    calib = {}
+    for view in (f"N{i}" for i in range(7)):
+        if draw(st.booleans()):
+            a = 10.0 ** draw(st.floats(-0.5, 0.5))
+            calib[view] = CalibrationParams(a, draw(st.floats(0.0, 10.0)))
+    width = draw(st.sampled_from(["zero", "one", "full"]))
+    return views, mean, raw, mask, calib, width
+
+
+class TestSparseFusion:
+    @settings(max_examples=300)
+    @given(fusion_case())
+    def test_matches_dense_tangent_fusion_bitwise(self, case):
+        # kalman forms each calibrated view's two tangent products alone;
+        # summed densely over every view and channel they are the same bits.
+        views, mean, raw, mask, calib, width = case
+        tangent_views = tuple(sorted(calib)) if width == "full" else ()
+        k = {"zero": 0, "one": 1, "full": 1 + 2 * len(calib)}[width]
+        cov = obs_transform(calib, views, raw)
+        dR = obs_tangents(calib, views, raw, tangent_views)[..., :k, :, :]
+        channels = [1 + 2 * tangent_views.index(v) if v in tangent_views else -1 for v in views]
+        sparse = _fuse(mean, cov, mask, raw, np.array(channels, int), k)
+        dense = dense_fuse(mean, cov, mask, dR)
+        for name, actual, expected in zip(("z", "R", "dz", "dR", "lam"), sparse, dense):
+            assert actual.shape == expected.shape, name
+            assert actual.tobytes() == expected.tobytes(), name
+
+
 VIEWS = ("N1", "N2", "N3")
 
 
@@ -449,6 +499,23 @@ class TestBatchedRecursionProperties:
         assert np.all(grad[pos] == 0.0)
         np.testing.assert_array_equal(np.delete(loss, pos), base_loss)
         np.testing.assert_array_equal(np.delete(grad, pos, axis=0), base_grad)
+
+    def test_tune_shape_chunks_equal_each_window_alone(self):
+        # A tune minibatch: 8 windows of T = 100 over V = 4 calibrated views,
+        # tangent width K = 9, filtered in chunks of 3 windows.
+        views = ("N1", "N2", "N3", "N4")
+        rng = np.random.default_rng(71)
+        windows = [make_cv_frames(rng, 100, sigma_accel=50.0, views=views) for _ in range(8)]
+        batch, truth = pack_windows(windows)
+        calib = {v: CalibrationParams(0.8 + 0.1 * i, 2.0 * i) for i, v in enumerate(views)}
+        tunables = TunableParams.from_natural(100.0, calib)
+        assert kalman.CHUNK_MATRICES // (100 * 4 * (9 + 3)) == 3
+        loss, grad = sequence_loss(tunables, batch, truth)
+        assert grad.shape == (8, 9) and np.all(np.isfinite(loss))
+        for b in range(8):
+            alone_loss, alone_grad = sequence_loss(tunables, batch.take([b]), truth[[b]])
+            assert alone_loss.tobytes() == loss[[b]].tobytes()
+            assert alone_grad.tobytes() == grad[[b]].tobytes()
 
     @settings(max_examples=100)
     @given(windows_case(), calibration_case())

@@ -218,6 +218,16 @@ class TestTune:
         with pytest.raises(ValueError, match="non-empty"):
             tune(TuneConfig(), params0, train, empty)
 
+    def test_history_metadata_records_step_budget(self, small_problem):
+        # 4 windows in batches of 3 take 2 steps an epoch: one epoch at lr,
+        # then two at lr / 10. A run that diverges at once takes none.
+        params0, train, val = small_problem
+        config = TuneConfig(seq_len=50, epochs=3, lr=0.01, lr_drop_epoch=2, batch=3)
+        _, history = tune(config, params0, train, val)
+        assert history.meta["lr_sum"] == sum([config.lr] * 2 + [config.lr / 10.0] * 4)
+        _, history = tune(config, TunableParams(700.0, params0.views), train, val)
+        assert history.diverged and history.meta["lr_sum"] == 0.0
+
     def test_history_metadata_records_optimizer_constants(self, small_problem):
         params0, train, val = small_problem
         _, history = tune(TuneConfig(seq_len=50, epochs=1), params0, train, val)
