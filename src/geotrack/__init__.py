@@ -14,7 +14,7 @@ from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll
 from .heads import RawHead, head_to_gaussian
 from .kalman import DetectionFrame, FilterParams, run_sequence
 from .metrics import AlphaSweep, MetricReport, Records, evaluate
-from .simulator import CameraNode, ScenarioConfig, build_dataset, default_scenario, simulate
+from .simulator import CameraNode, ScenarioConfig, default_scenario, simulate
 from .tuning import TunableParams, TuneConfig
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "ScenarioConfig",
     "TunableParams",
     "TuneConfig",
-    "build_dataset",
     "default_scenario",
     "evaluate",
     "head_to_gaussian",

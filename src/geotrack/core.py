@@ -47,21 +47,6 @@ def wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def cholesky2x2(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular factor L with L @ L.T == cov for a symmetric 2x2 input.
-
-    Raises NotPositiveDefiniteError for non-PD input, identifying the failing
-    leading minor.
-    """
-    cov = np.asarray(cov, dtype=float)
-    if cov.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {cov.shape}")
-    scale = np.max(np.abs(cov)) + 1.0
-    if abs(cov[0, 1] - cov[1, 0]) > 1e-9 * scale:
-        raise ValueError("covariance must be symmetric")
-    return cholesky(cov[None])[0]
-
-
 def cholesky(cov: np.ndarray) -> np.ndarray:
     """Lower-triangular factors L (N, 2, 2) with L @ L.T == cov for symmetric
     2x2 covariances (N, 2, 2), read from their upper triangle.
@@ -253,11 +238,6 @@ def sample_gaussian(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator, n
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
     return mean + rng.standard_normal((n, 2)) @ L.T
-
-
-def point_in_pose(pose: ObjectPose, point: np.ndarray) -> bool:
-    """True iff the point lies in the pose's rectangle; boundary counts as inside."""
-    return bool(points_in_pose(pose.position, pose.heading, pose.extent, point)[0])
 
 
 def points_in_pose(position, heading: float, extent, points: np.ndarray) -> np.ndarray:

@@ -36,8 +36,12 @@ of the detection covariances, the information-form fusion of each frame,
 the transition and process noise, and the NLL of the reported marginals
 with its gradient are computed in bulk. ``run_track`` is the B = 1 case,
 and takes the batch dataio.read_detections or simulator.simulate returns.
-DetectionFrame objects (build_dataset's object view, and tests) enter
-through ``pack``; ``run_sequence`` is run_track over them. Nothing mutates.
+Nothing mutates.
+
+``DetectionFrame``, ``pack`` and ``run_sequence`` (run_track over frames
+given as DetectionFrame objects) have no pipeline caller. They remain only
+for tests and for perfbench's filter hook (perfbench/layers.py), which
+binds ``run_sequence``'s signature, until that hook moves to run_track.
 """
 
 from __future__ import annotations
@@ -225,12 +229,6 @@ class TrackResult:
         if self.nlls is None:
             raise ValueError("sequence was run without truth")
         return float(np.nanmean(self.nlls))
-
-    @property
-    def total_grad(self) -> np.ndarray:
-        if self.nll_grads is None:
-            raise ValueError("no tangents were carried: run without truth or at n_params=0")
-        return np.nansum(self.nll_grads, axis=0)
 
 
 def transition(dt) -> np.ndarray:

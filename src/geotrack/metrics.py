@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Gaussian2D, ObjectPose, Pairs, cholesky, cholesky2x2, points_in_pose, sample_gaussian
+from .core import Pairs, cholesky, points_in_pose, sample_gaussian
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,21 +90,6 @@ def _mass(mean, L, position, heading, extent, n: int, rng: np.random.Generator) 
     rectangle of the given position, heading and extent (width, length)."""
     samples = sample_gaussian(mean, L, rng, n)
     return float(np.mean(points_in_pose(position, heading, extent, samples)))
-
-
-def opm(
-    prediction: Gaussian2D,
-    truth: ObjectPose,
-    n: int = 1000,
-    *,
-    rng: np.random.Generator,
-) -> float:
-    """Monte Carlo fraction of predicted samples inside the truth rectangle.
-
-    The caller owns the random source; there is no implicit global stream.
-    """
-    L = cholesky2x2(prediction.cov)
-    return _mass(prediction.mean, L, truth.position, truth.heading, truth.extent, n, rng)
 
 
 def det_pr(scores: Sequence[float], sweep: AlphaSweep) -> float:

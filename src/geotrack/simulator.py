@@ -15,9 +15,7 @@ scale, means, miscalibration and the eigenvalue floor are array operations,
 and one draw per run of equal visibility reproduces the per-frame random
 stream bit for bit. ``simulate`` returns each split as a one-window
 kalman.FrameBatch plus its truth as a Trajectory of arrays, which dataio
-writes directly and dataio.read_truth reads back;
-``build_dataset`` is the object view of the same arrays, and ``visibility``
-and ``simulate_detection`` are one-frame calls of the bulk code.
+writes directly and dataio.read_truth reads back.
 """
 
 from __future__ import annotations
@@ -27,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Arena, Gaussian2D, ObjectPose, _gaussian_arrays, heading_from_velocity, wrap_angle
-from .kalman import DetectionFrame, FrameBatch, _is_pd
+from .core import Arena, _gaussian_arrays, _pose_values, heading_from_velocity, wrap_angle
+from .kalman import FrameBatch, _is_pd
 
 WALL_MARGIN = 20.0
 SPEED_RANGE = (50.0, 150.0)
@@ -178,9 +176,6 @@ class Trajectory:
     def __getitem__(self, rows) -> Trajectory:
         """The samples at rows: a slice or an index array."""
         return Trajectory(self.times[rows], self.positions[rows], self.headings[rows], self.extent[rows])
-
-    def pose(self, i: int) -> ObjectPose:
-        return ObjectPose(self.positions[i], float(self.headings[i]), self.extent[i])
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
@@ -359,12 +354,6 @@ def _sight(node: CameraNode, positions: np.ndarray, occluders: tuple[Rect, ...])
     return offset, dist, seen | (dist < 1e-12)
 
 
-def visibility(node: CameraNode, pose: ObjectPose, occluders: tuple[Rect, ...] = ()) -> bool:
-    """True iff the object center is inside the node's FOV cone and the line
-    of sight crosses no occluder."""
-    return bool(_sight(node, pose.position[None], occluders)[2][0])
-
-
 def _floor_eigenvalues(mat: np.ndarray, floor: float) -> np.ndarray:
     """Clamp the eigenvalues of symmetric 2x2 matrices (N, 2, 2) from below."""
     a, b, c = mat[:, 0, 0], mat[:, 0, 1], mat[:, 1, 1]
@@ -433,18 +422,12 @@ def _detections(node: CameraNode, positions: np.ndarray, config: ScenarioConfig,
     return out_mean, out_cov, emit
 
 
-def simulate_detection(
-    node: CameraNode, pose: ObjectPose, config: ScenarioConfig, rng: np.random.Generator
-) -> tuple[str, Gaussian2D] | None:
-    """One node's detection for one frame, or None (see _detections)."""
-    mean, cov, emit = _detections(node, pose.position[None], config, rng)
-    return (node.id, Gaussian2D(mean[0], cov[0])) if emit[0] else None
+def simulate(config: ScenarioConfig) -> dict[str, tuple[FrameBatch, Trajectory]]:
+    """Simulate the full scenario as contiguous train/val/test splits.
 
-
-def _simulate(config: ScenarioConfig) -> tuple[Trajectory, FrameBatch, dict[str, slice]]:
-    """The trajectory, every node's detections over all its frames as one
-    FrameBatch window (views: the node ids in config order), and the
-    contiguous train/val/test frame ranges.
+    Each split is a FrameBatch of one window, its views the node ids in
+    config order (the order a written line lists its detections in), and its
+    truth arrays, headings wrapped as ObjectPose wraps them.
 
     The trajectory and each node consume independent seeded substreams, so
     the result is byte-reproducible from the config alone. Poses and
@@ -455,7 +438,9 @@ def _simulate(config: ScenarioConfig) -> tuple[Trajectory, FrameBatch, dict[str,
     traj = generate_trajectory(config, np.random.default_rng(streams[0]))
     posed = np.isfinite(traj.positions).all(axis=1) & np.isfinite(traj.headings)
     if not posed.all():
-        traj.pose(int(np.argmin(posed)))  # raises ObjectPose's error
+        # The first non-finite pose raises ObjectPose's error.
+        i = int(np.argmin(posed))
+        _pose_values(*traj.positions[i].tolist(), float(traj.headings[i]), *traj.extent[i].tolist())
     n = len(traj)
     mean, cov = np.zeros((n, len(config.nodes), 2)), np.zeros((n, len(config.nodes), 2, 2))
     mask = np.zeros((n, len(config.nodes)), dtype=bool)
@@ -473,35 +458,9 @@ def _simulate(config: ScenarioConfig) -> tuple[Trajectory, FrameBatch, dict[str,
         raise ValueError("split fractions leave no room for a test set")
     splits = {"train": slice(0, n_train), "val": slice(n_train, n_train + n_val)}
     splits["test"] = slice(n_train + n_val, n)
-    views = tuple(node.id for node in config.nodes)
-    return traj, FrameBatch(views, traj.times[None], mean[None], cov[None], mask[None]), splits
-
-
-def simulate(config: ScenarioConfig) -> dict[str, tuple[FrameBatch, Trajectory]]:
-    """Simulate the full scenario as contiguous train/val/test splits.
-
-    Each split is a FrameBatch of one window, its views the node ids in
-    config order (the order a written line lists its detections in), and its
-    truth arrays, headings wrapped as ObjectPose wraps them.
-    """
-    traj, batch, splits = _simulate(config)
     truth = replace(traj, headings=wrap_angle(traj.headings))
-    arrays = (batch.t, batch.mean, batch.cov, batch.mask)
+    views = tuple(node.id for node in config.nodes)
     return {
-        name: (FrameBatch(batch.views, *(a[:, s] for a in arrays)), truth[s])
+        name: (FrameBatch(views, traj.times[None, s], mean[None, s], cov[None, s], mask[None, s]), truth[s])
         for name, s in splits.items()
     }
-
-
-def build_dataset(config: ScenarioConfig) -> dict[str, list[tuple[DetectionFrame, ObjectPose]]]:
-    """simulate's splits as (DetectionFrame, ObjectPose) records, each frame
-    carrying every detection emitted at its timestep."""
-    traj, batch, splits = _simulate(config)
-    views, mean, cov, mask = batch.views, batch.mean[0], batch.cov[0], batch.mask[0]
-
-    def frame(i: int) -> DetectionFrame:
-        dets = ((views[j], Gaussian2D(mean[i, j], cov[i, j])) for j in np.flatnonzero(mask[i]))
-        return DetectionFrame(traj.times[i], tuple(dets))
-
-    records = [(frame(i), traj.pose(i)) for i in range(len(traj))]
-    return {name: records[s] for name, s in splits.items()}

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geotrack import calibration, dataio, tuning
+from geotrack import calibration, dataio, metrics, simulator, tuning
 from geotrack.calibration import CalibrationParams
-from geotrack.core import LOG_TWO_PI, Gaussian2D, Pairs, rotation, wrap_angle
+from geotrack.core import LOG_TWO_PI, Gaussian2D, ObjectPose, Pairs, cholesky, rotation, wrap_angle
 from geotrack.kalman import (
     _EYE4,
     BatchResult,
@@ -229,6 +229,27 @@ def records_arrays(records) -> Records:
     )
 
 
+def opm(g: Gaussian2D, pose: ObjectPose, n: int = 1000, *, rng: np.random.Generator) -> float:
+    """The object probability mass of one prediction: the Monte Carlo
+    fraction of n draws from g inside the pose's rectangle, as
+    metrics.per_record_scores scores a record from its rng."""
+    L = cholesky(g.cov[None])[0]
+    return metrics._mass(g.mean, L, pose.position, pose.heading, pose.extent, n, rng)
+
+
+def visibility(node, pose: ObjectPose, occluders=()) -> bool:
+    """Whether the node sees the object at one pose: simulator._sight of
+    one position."""
+    return bool(simulator._sight(node, pose.position[None], occluders)[2][0])
+
+
+def simulate_detection(node, pose: ObjectPose, config, rng):
+    """One node's detection of the object at one pose, (view, Gaussian2D),
+    or None when the node emits nothing: simulator._detections of one frame."""
+    mean, cov, emit = simulator._detections(node, pose.position[None], config, rng)
+    return (node.id, Gaussian2D(mean[0], cov[0])) if emit[0] else None
+
+
 def truth_arrays(samples) -> Trajectory:
     """(t, ObjectPose) samples as the truth arrays dataio.write_truth takes."""
     return Trajectory(
@@ -334,7 +355,7 @@ def oracle_build_dataset(config):
     node_rngs = [np.random.default_rng(s) for s in streams[1:]]
     records = []
     for i in range(len(traj)):
-        pose = traj.pose(i)
+        pose = ObjectPose(traj.positions[i], float(traj.headings[i]), traj.extent[i])
         dets = []
         for node, rng in zip(config.nodes, node_rngs):
             result = oracle_simulate_detection(node, pose, config, rng)

@@ -15,7 +15,7 @@ import pytest
 from conftest import (
     KalmanState,
     make_cv_frames,
-    pairs_arrays,
+    opm,
     phi,
     random_pd_2x2,
     stacked_update,
@@ -24,10 +24,10 @@ from conftest import (
 )
 from geotrack import calibration, dataio, metrics, tuning
 from geotrack.cli import main
-from geotrack.core import Arena, Gaussian2D, ObjectPose, nll, rotation
+from geotrack.core import Arena, Gaussian2D, ObjectPose, Pairs, nll, rotation
 from geotrack.heads import RawHead, extent_grid, grid_loss, head_to_gaussian
 from geotrack.kalman import DetectionFrame, FilterParams, run_sequence
-from geotrack.simulator import build_dataset, default_scenario
+from geotrack.simulator import default_scenario, simulate
 
 LOG_2PI = math.log(2.0 * math.pi)
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -201,7 +201,7 @@ def test_criterion_4_opm_binomial_accuracy():
         exact = exact_axis_aligned(mean, sig, 15.0, 30.0)
         pose = ObjectPose((0.0, 0.0), 0.0, (15.0, 30.0))
         g = Gaussian2D(mean, np.diag([sig[0] ** 2, sig[1] ** 2]))
-        estimate = metrics.opm(g, pose, n=n, rng=np.random.default_rng(11000 + i))
+        estimate = opm(g, pose, n=n, rng=np.random.default_rng(11000 + i))
         half_width = Z_99 * math.sqrt(exact * (1.0 - exact) / n) + 0.5 / n
         margin = abs(estimate - exact) - half_width
         worst_margin = max(worst_margin, margin)
@@ -220,20 +220,21 @@ def test_criterion_5_calibration_recovery():
     # Detectors under-dispersed by 4x; the fallback channel is disabled so
     # every validation pair comes from the miscalibrated detector itself.
     cfg = miscalibrated_config(11, duration=625.0, split=(0.1, 0.8, 0.1), fallback_rate=0.0)
-    dataset = build_dataset(cfg)
-    val = dataset["val"]
-    assert len(val) == 10_000
-    pairs: dict[str, list] = {}
-    for frame, pose in val:
-        for view, g in frame.detections:
-            pairs.setdefault(view, []).append((g, pose.position))
-    by_view = {view: pairs_arrays(view_pairs) for view, view_pairs in pairs.items()}
+    batch, truth = simulate(cfg)["val"]
+    assert len(truth) == 10_000
+    # The batch's columns view by view (V, T, ...), as cmd_calibrate reads them.
+    mean, cov, mask = (np.moveaxis(a[0], 1, 0) for a in (batch.mean, batch.cov, batch.mask))
+    position = np.broadcast_to(truth.positions, mask.shape + (2,))
+    by_view = {
+        view: Pairs(mean[j][mask[j]], cov[j][mask[j]], position[j][mask[j]])
+        for j, view in enumerate(batch.views)
+    }
     result = calibration.fit_per_view(calibration.default_grid(), by_view)
     assert not result.errors
     a_values = {v: result.params[v].a for v in sorted(result.params)}
     improved = True
-    for view, view_pairs in pairs.items():
-        uncalibrated = float(np.mean([nll(g, t) for g, t in view_pairs]))
+    for view, pairs in by_view.items():
+        uncalibrated = float(np.mean(pairs.nll))
         improved &= result.best_nll[view] <= uncalibrated + 1e-12
     in_range = all(3.5 <= a <= 4.5 for a in a_values.values())
     ok = in_range and improved
@@ -515,7 +516,7 @@ def test_criterion_10_grid_loss_opm_consistency():
         R = rotation(rng.uniform(0.0, math.pi))
         g = Gaussian2D((0.0, 0.0), R @ np.diag(eigs) @ R.T)
         mass = math.exp(-grid_loss(g, grid))
-        mc = metrics.opm(g, pose, n=200_000, rng=np.random.default_rng(9100 + i))
+        mc = opm(g, pose, n=200_000, rng=np.random.default_rng(9100 + i))
         worst = max(worst, abs(mass - mc))
     ok = worst < 0.01
     assert report("10", ok, f"max |exp(-grid_loss) - OPM| = {worst:.4f} over 100 configs")

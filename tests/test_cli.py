@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import truth_arrays
-from geotrack import dataio
-from geotrack.cli import main
+from geotrack import calibration, dataio
+from geotrack.cli import _parse_axis, build_parser, main
 from geotrack.core import ObjectPose
 
 SMALL_CONFIG = {
@@ -232,6 +232,11 @@ class TestTrack:
 
 
 class TestCalibrate:
+    def test_grid_flag_defaults_parse_to_default_grid(self):
+        args = build_parser().parse_args(["calibrate", "--detections", "d", "--truth", "t"])
+        grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))
+        assert grid == calibration.default_grid()
+
     def test_fits_identity_scenario_near_one(self, sim_dir, tmp_path, capsys):
         code = main(
             [

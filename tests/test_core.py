@@ -9,11 +9,10 @@ from geotrack.core import (
     Gaussian2D,
     NotPositiveDefiniteError,
     ObjectPose,
-    cholesky2x2,
+    cholesky,
     heading_from_velocity,
     log_density,
     nll,
-    point_in_pose,
     points_in_pose,
     rotation,
     sample_gaussian,
@@ -21,6 +20,16 @@ from geotrack.core import (
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+
+
+def factor(cov) -> np.ndarray:
+    """cholesky of a one-matrix stack."""
+    return cholesky(np.array(cov, dtype=float)[None])[0]
+
+
+def inside(pose: ObjectPose, point) -> bool:
+    """points_in_pose of one point."""
+    return bool(points_in_pose(pose.position, pose.heading, pose.extent, point)[0])
 
 
 class TestGaussian2D:
@@ -102,56 +111,51 @@ class TestNll:
 
 class TestCholesky2x2:
     def test_identity(self):
-        np.testing.assert_allclose(cholesky2x2(np.eye(2)), np.eye(2))
+        np.testing.assert_allclose(factor(np.eye(2)), np.eye(2))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            cholesky2x2([[4.0, 0.0], [0.0, 9.0]]), [[2.0, 0.0], [0.0, 3.0]]
+            factor([[4.0, 0.0], [0.0, 9.0]]), [[2.0, 0.0], [0.0, 3.0]]
         )
 
     def test_known_factor(self):
-        L = cholesky2x2([[4.0, 2.0], [2.0, 5.0]])
+        L = factor([[4.0, 2.0], [2.0, 5.0]])
         np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, 2.0]])
         np.testing.assert_allclose(L @ L.T, [[4.0, 2.0], [2.0, 5.0]])
 
     def test_round_trip_random(self):
         rng = np.random.default_rng(4)
-        for _ in range(1000):
-            cov = random_pd_2x2(rng, 0.1, 1000.0)
-            L = cholesky2x2(cov)
-            np.testing.assert_allclose(L @ L.T, cov, rtol=1e-12, atol=1e-12)
-            assert L[0, 1] == 0.0
+        covs = np.array([random_pd_2x2(rng, 0.1, 1000.0) for _ in range(1000)])
+        L = cholesky(covs)
+        np.testing.assert_allclose(L @ L.mT, covs, rtol=1e-12, atol=1e-12)
+        assert np.all(L[:, 0, 1] == 0.0)
 
     def test_non_pd_reports_minor(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky2x2([[0.0, 0.0], [0.0, 1.0]])
+            factor([[0.0, 0.0], [0.0, 1.0]])
         assert exc.value.minor_index == 1
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky2x2([[1.0, 3.0], [3.0, 1.0]])
+            factor([[1.0, 3.0], [3.0, 1.0]])
         assert exc.value.minor_index == 2
         assert exc.value.minor_value == pytest.approx(-8.0)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            cholesky2x2([[1.0, 0.5], [0.2, 1.0]])
 
 
 class TestPointInPose:
     def test_center_inside(self):
         pose = ObjectPose((0.0, 0.0), 0.0, (15.0, 30.0))
-        assert point_in_pose(pose, (0.0, 0.0))
+        assert inside(pose, (0.0, 0.0))
 
     def test_beyond_half_width(self):
         pose = ObjectPose((0.0, 0.0), 0.0, (15.0, 30.0))
-        assert not point_in_pose(pose, (7.6, 0.0))
-        assert point_in_pose(pose, (7.5, 0.0))  # boundary counts as inside
+        assert not inside(pose, (7.6, 0.0))
+        assert inside(pose, (7.5, 0.0))  # boundary counts as inside
 
     def test_rotated_quarter_turn(self):
         pose = ObjectPose((0.0, 0.0), math.pi / 2.0, (15.0, 30.0))
         # Width axis now along y: |y| <= 7.5 and |x| <= 15.
-        assert point_in_pose(pose, (0.0, 7.4))
-        assert not point_in_pose(pose, (0.0, 7.6))
-        assert point_in_pose(pose, (14.9, 0.0))
+        assert inside(pose, (0.0, 7.4))
+        assert not inside(pose, (0.0, 7.6))
+        assert inside(pose, (14.9, 0.0))
 
     def test_rigid_transform_invariance(self):
         rng = np.random.default_rng(5)
@@ -165,7 +169,7 @@ class TestPointInPose:
                 R @ pose.position + shift, pose.heading + angle, pose.extent
             )
             moved_point = R @ np.asarray(point) + shift
-            assert point_in_pose(pose, point) == point_in_pose(moved_pose, moved_point)
+            assert inside(pose, point) == inside(moved_pose, moved_point)
 
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(6)
@@ -173,7 +177,7 @@ class TestPointInPose:
         pts = rng.uniform(-30, 30, (500, 2))
         vec = points_in_pose(pose.position, pose.heading, pose.extent, pts)
         for p, v in zip(pts, vec):
-            assert point_in_pose(pose, p) == bool(v)
+            assert inside(pose, p) == bool(v)
 
     def test_pose_validation(self):
         with pytest.raises(ValueError):
@@ -185,25 +189,25 @@ class TestPointInPose:
 class TestSampleGaussian:
     def test_degenerate_concentration(self):
         g = Gaussian2D((5.0, -3.0), 1e-12 * np.eye(2))
-        pts = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(0), 1000)
+        pts = sample_gaussian(g.mean, factor(g.cov), np.random.default_rng(0), 1000)
         assert np.max(np.abs(pts - g.mean)) < 1e-4
 
     def test_clt_bound(self):
         # 4 sigma / sqrt(1000) ~= 0.126 < 0.15 per axis.
         g = Gaussian2D((0.0, 0.0), np.eye(2))
-        pts = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(7), 1000)
+        pts = sample_gaussian(g.mean, factor(g.cov), np.random.default_rng(7), 1000)
         assert np.all(np.abs(pts.mean(axis=0)) < 0.15)
 
     def test_deterministic_per_seed(self):
         g = Gaussian2D((1.0, 2.0), [[4.0, 1.0], [1.0, 3.0]])
-        a = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(42), 100)
-        b = sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(42), 100)
+        a = sample_gaussian(g.mean, factor(g.cov), np.random.default_rng(42), 100)
+        b = sample_gaussian(g.mean, factor(g.cov), np.random.default_rng(42), 100)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_count(self):
         g = Gaussian2D((0.0, 0.0), np.eye(2))
         with pytest.raises(ValueError):
-            sample_gaussian(g.mean, cholesky2x2(g.cov), np.random.default_rng(0), 0)
+            sample_gaussian(g.mean, factor(g.cov), np.random.default_rng(0), 0)
 
 
 class TestHelpers:

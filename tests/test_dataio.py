@@ -179,13 +179,12 @@ def test_truth_round_trip(tmp_path):
     ]
     path = tmp_path / "t.csv"
     dataio.write_truth(path, truth_arrays(samples))
-    back = dataio.read_truth(path)
+    back, sent = dataio.read_truth(path), truth_arrays(samples)
     assert len(back) == len(samples)
-    for (ta, pa), tb, pb in zip(samples, back.times.tolist(), map(back.pose, range(len(back)))):
-        assert ta == tb
-        np.testing.assert_array_equal(pa.position, pb.position)
-        assert pa.heading == pb.heading
-        assert pa.extent == pb.extent
+    np.testing.assert_array_equal(back.times, sent.times)
+    np.testing.assert_array_equal(back.positions, sent.positions)
+    np.testing.assert_array_equal(back.headings, sent.headings)
+    np.testing.assert_array_equal(back.extent, sent.extent)
     second = tmp_path / "t2.csv"
     dataio.write_truth(second, back)
     assert path.read_bytes() == second.read_bytes()

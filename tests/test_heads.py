@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from geotrack.core import Arena, Gaussian2D, ObjectPose, nll, point_in_pose, rotation
+from conftest import opm
+from geotrack.core import Arena, Gaussian2D, ObjectPose, nll, points_in_pose, rotation
 from geotrack.heads import (
     ExtentGrid,
     RawHead,
@@ -15,7 +16,6 @@ from geotrack.heads import (
     sigmoid,
     softplus,
 )
-from geotrack.metrics import opm
 
 LOG_2PI = math.log(2.0 * math.pi)
 # softplus(0)^2 + 1, the covariance diagonal produced by an all-zero raw head
@@ -135,7 +135,7 @@ class TestExtentGrid:
         for _ in range(20):
             pose = ObjectPose(rng.uniform(-50, 50, 2), rng.uniform(-3, 3), (15.0, 30.0))
             grid = extent_grid(pose, 1.0)
-            assert all(point_in_pose(pose, p) for p in grid.points)
+            assert points_in_pose(pose.position, pose.heading, pose.extent, grid.points).all()
 
     def test_tile_out_of_range(self):
         pose = ObjectPose((0.0, 0.0), 0.0, (15.0, 30.0))

@@ -680,7 +680,7 @@ class TestRunSequence:
         hi = run_sequence(frames, FilterParams(sigma + h), truth=truth).total_nll
         lo = run_sequence(frames, FilterParams(sigma - h), truth=truth).total_nll
         fd = (hi - lo) / (2.0 * h)
-        assert res.total_grad[0] == pytest.approx(fd, rel=1e-4)
+        assert np.nansum(res.nll_grads, axis=0)[0] == pytest.approx(fd, rel=1e-4)
 
     def test_per_step_sensitivities_match_fd(self):
         # Walk the recursion manually and difference every step's x and P.
@@ -722,8 +722,6 @@ class TestRunSequence:
         res = run_sequence(frames, FilterParams(10.0), truth=truth, n_params=0)
         assert res.nll_grads is None
         assert res.total_nll == run_sequence(frames, FilterParams(10.0), truth=truth).total_nll
-        with pytest.raises(ValueError, match="no tangents were carried"):
-            res.total_grad
 
     def test_predictive_mode(self):
         rng = np.random.default_rng(24)

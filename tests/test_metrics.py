@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import phi, random_pd_2x2, records_arrays
+from conftest import opm, phi, random_pd_2x2, records_arrays
 from geotrack.core import Gaussian2D, ObjectPose, nll
 from geotrack.metrics import (
     AlphaSweep,
@@ -12,7 +12,6 @@ from geotrack.metrics import (
     evaluate,
     loc_a,
     mean_nll,
-    opm,
     per_record_scores,
 )
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_build_dataset, oracle_simulate_files
+from conftest import oracle_simulate_files, simulate_detection, visibility
 from geotrack import dataio
 from geotrack.cli import main
 from geotrack.core import Arena, ObjectPose, rotation
@@ -15,12 +15,10 @@ from geotrack.simulator import (
     CameraNode,
     ScenarioConfig,
     _segment_hits_rect,
-    build_dataset,
+    _sight,
     default_scenario,
     generate_trajectory,
     simulate,
-    simulate_detection,
-    visibility,
 )
 
 CHI2_95_2D = -2.0 * math.log(0.05)
@@ -33,7 +31,7 @@ def small_config(seed=0, **overrides):
 
 @pytest.fixture(scope="module")
 def default_dataset():
-    return build_dataset(default_scenario(seed=0))
+    return simulate(default_scenario(seed=0))
 
 
 class TestTrajectory:
@@ -188,39 +186,32 @@ class TestSimulateDetection:
 
 
 class TestBuildDataset:
+    """simulate's splits, read as arrays."""
+
     def test_default_split_sizes(self, default_dataset):
-        assert len(default_dataset["train"]) == 3000
-        assert len(default_dataset["val"]) == 600
-        assert len(default_dataset["test"]) == 2400
+        for split, n in (("train", 3000), ("val", 600), ("test", 2400)):
+            batch, truth = default_dataset[split]
+            assert len(batch) == len(truth) == n
 
     def test_timestamps_partition(self, default_dataset):
-        seen = [f.t for split in ("train", "val", "test") for f, _ in default_dataset[split]]
+        seen = np.concatenate([batch.t[0] for batch, _ in default_dataset.values()]).tolist()
         assert len(seen) == len(set(seen)) == 6000
         assert seen == sorted(seen)
 
     def test_coverage_gaps_on_default_seed(self, default_dataset):
         cfg = default_scenario(seed=0)
-        any_gap = False
-        for split in ("train", "val", "test"):
-            for _, pose in default_dataset[split]:
-                vis = [visibility(n, pose, cfg.occluders) for n in cfg.nodes]
-                if not all(vis):
-                    any_gap = True
-                assert any(vis), "no sample may be invisible to all four nodes"
-        assert any_gap, "some sample must be invisible to at least one node"
+        positions = np.concatenate([truth.positions for _, truth in default_dataset.values()])
+        vis = np.stack([_sight(n, positions, cfg.occluders)[2] for n in cfg.nodes], axis=1)
+        assert vis.any(axis=1).all(), "no sample may be invisible to all four nodes"
+        assert not vis.all(axis=1).all(), "some sample must be invisible to at least one node"
 
     def test_low_light_inflates_reported_trace(self):
-        normal = build_dataset(small_config(seed=8))
-        low = build_dataset(small_config(seed=8, lighting="low"))
+        normal = simulate(small_config(seed=8))
+        low = simulate(small_config(seed=8, lighting="low"))
 
         def mean_trace(ds):
-            traces = [
-                np.trace(g.cov)
-                for split in ("train", "val", "test")
-                for f, _ in ds[split]
-                for _, g in f.detections
-            ]
-            return float(np.mean(traces))
+            traces = [np.trace(batch.cov[batch.mask], axis1=1, axis2=2) for batch, _ in ds.values()]
+            return float(np.mean(np.concatenate(traces)))
 
         assert mean_trace(low) > mean_trace(normal)
 
@@ -228,19 +219,16 @@ class TestBuildDataset:
         # Identity miscalibration: the reported covariance is the true one, so
         # the truth must fall in the reported 95% ellipse about 95% of the time.
         cfg = default_scenario(seed=9)
-        ds = build_dataset(cfg)
-        nodes = {n.id: n for n in cfg.nodes}
         inside = 0
         total = 0
-        for split in ("train", "val", "test"):
-            for frame, pose in ds[split]:
-                for view, g in frame.detections:
-                    if not visibility(nodes[view], pose, cfg.occluders):
-                        continue  # fallback detections are not coverage claims
-                    d = g.mean - pose.position
-                    m2 = d @ np.linalg.solve(g.cov, d)
-                    inside += bool(m2 <= CHI2_95_2D)
-                    total += 1
+        for batch, truth in simulate(cfg).values():
+            for j, node in enumerate(cfg.nodes):
+                # Fallback detections are not coverage claims.
+                rows = batch.mask[0, :, j] & _sight(node, truth.positions, cfg.occluders)[2]
+                d = batch.mean[0, rows, j] - truth.positions[rows]
+                m2 = np.vecdot(d, np.linalg.solve(batch.cov[0, rows, j], d[:, :, None])[:, :, 0])
+                inside += int(np.sum(m2 <= CHI2_95_2D))
+                total += int(rows.sum())
         assert total >= 10_000
         assert 0.93 <= inside / total <= 0.97
 
@@ -250,20 +238,18 @@ class TestBuildDataset:
             dataclasses.replace(n, miscalibration=(4.0, 2.0)) for n in cfg.nodes
         )
         cfg = dataclasses.replace(cfg, nodes=nodes, fallback_rate=0.0)
-        node_map = {n.id: n for n in cfg.nodes}
-        ds = build_dataset(cfg)
+        batch, truth = simulate(cfg)["train"]
         checked = 0
-        for frame, pose in ds["train"]:
-            for view, g in frame.detections:
-                node = node_map[view]
-                dist = np.linalg.norm(pose.position - node.position)
-                s2 = (node.noise_floor + node.noise_slope * dist) ** 2
-                if (s2 - 2.0) / 4.0 <= 0.25:  # floor binds; relation broken there
-                    continue
-                np.testing.assert_allclose(
-                    4.0 * g.cov + 2.0 * np.eye(2), s2 * np.eye(2), rtol=1e-9
-                )
-                checked += 1
+        for j, node in enumerate(cfg.nodes):
+            rows = batch.mask[0, :, j]
+            dist = np.linalg.norm(truth.positions[rows] - node.position, axis=1)
+            s2 = (node.noise_floor + node.noise_slope * dist) ** 2
+            kept = ~((s2 - 2.0) / 4.0 <= 0.25)  # floor binds; relation broken there
+            cov = batch.cov[0, rows, j][kept]
+            np.testing.assert_allclose(
+                4.0 * cov + 2.0 * np.eye(2), s2[kept, None, None] * np.eye(2), rtol=1e-9
+            )
+            checked += int(kept.sum())
         assert checked > 100
 
     def test_byte_identical_serialization_per_seed(self, tmp_path):
@@ -410,12 +396,18 @@ def _branch_config(seed, ray_anisotropy, lighting, fallback_rate):
 
 
 @pytest.mark.parametrize(
-    "ray_anisotropy, lighting, fallback_rate",
-    [(1.0, "low", 1.0), (2.0, "normal", 0.5), (2.0, "low", 0.0), (1.0, "normal", 0.5)],
+    "seed, ray_anisotropy, lighting, fallback_rate",
+    [
+        pytest.param(3, 1.0, "low", 1.0, id="1.0-low-1.0"),
+        pytest.param(3, 2.0, "normal", 0.5, id="2.0-normal-0.5"),
+        pytest.param(3, 2.0, "low", 0.0, id="2.0-low-0.0"),
+        pytest.param(3, 1.0, "normal", 0.5, id="1.0-normal-0.5"),
+        pytest.param(5, 2.0, "low", 0.5, id="seed5-2.0-low-0.5"),
+    ],
 )
-def test_branch_cases_match_per_detection_oracle(tmp_path, ray_anisotropy, lighting, fallback_rate):
-    config = _branch_config(3, ray_anisotropy, lighting, fallback_rate)
-    positions = _object_positions(3, 2.0)
+def test_branch_cases_match_per_detection_oracle(tmp_path, seed, ray_anisotropy, lighting, fallback_rate):
+    config = _branch_config(seed, ray_anisotropy, lighting, fallback_rate)
+    positions = _object_positions(seed, 2.0)
     at_object, level = config.nodes[0].position, config.nodes[1].position
     assert (np.abs(positions - at_object).max(axis=1) == 0.0).any()
     assert (positions[:, 0] == level[0]).any()
@@ -449,15 +441,6 @@ def test_unsorted_ids_simulate_like_oracle_and_read_sorted(tmp_path):
     np.testing.assert_array_equal(read.mask[..., ::-1], batch.mask)
     np.testing.assert_array_equal(read.mean[..., ::-1, :], batch.mean)
     np.testing.assert_array_equal(read.cov[..., ::-1, :, :], batch.cov)
-
-
-def test_build_dataset_equals_per_detection_oracle():
-    config = _branch_config(5, 2.0, "low", 0.5)
-    ours, oracle = build_dataset(config), oracle_build_dataset(config)
-    for split in ("train", "val", "test"):
-        assert len(ours[split]) == len(oracle[split])
-        for (frame, pose), (frame_o, pose_o) in zip(ours[split], oracle[split]):
-            assert frame == frame_o and pose == pose_o
 
 
 class TestScenarioConfig:
