@@ -11,6 +11,7 @@ scores, for each a, blocks of b rows over all pairs at once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,10 +31,10 @@ class CalibrationParams:
     b: float
 
     def __post_init__(self):
-        if not self.a > 0.0:
-            raise ValueError("calibration multiplier a must be positive")
-        if self.b < 0.0:
-            raise ValueError("calibration floor b must be non-negative")
+        if not 0.0 < self.a < math.inf:
+            raise ValueError(f"calibration multiplier a must be positive and finite, got {self.a}")
+        if not 0.0 <= self.b < math.inf:
+            raise ValueError(f"calibration floor b must be non-negative and finite, got {self.b}")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
 
@@ -53,6 +54,8 @@ class CalibrationGrid:
         b = tuple(float(v) for v in self.b_values)
         if not a or not b:
             raise ValueError("grid axes must be non-empty")
+        if not all(map(math.isfinite, a + b)):
+            raise ValueError("grid values must be finite")
         if any(v <= 0.0 for v in a):
             raise ValueError("all a values must be positive")
         if any(v < 0.0 for v in b):
@@ -65,17 +68,17 @@ class CalibrationGrid:
         object.__setattr__(self, "b_values", b)
 
 
-def log_spaced_axis(lo: float, hi: float, count: int, anchor: float = 1.0) -> tuple[float, ...]:
+def log_spaced_axis(lo: float, hi: float, count: int) -> tuple[float, ...]:
     vals = set(float(v) for v in np.geomspace(lo, hi, count))
-    if lo <= anchor <= hi:
-        vals.add(float(anchor))
+    if lo <= 1.0 <= hi:
+        vals.add(1.0)
     return tuple(sorted(vals))
 
 
-def linear_axis(lo: float, hi: float, count: int, anchor: float = 0.0) -> tuple[float, ...]:
+def linear_axis(lo: float, hi: float, count: int) -> tuple[float, ...]:
     vals = set(float(v) for v in np.linspace(lo, hi, count))
-    if lo <= anchor <= hi:
-        vals.add(float(anchor))
+    if lo <= 0.0 <= hi:
+        vals.add(0.0)
     return tuple(sorted(vals))
 
 

@@ -12,6 +12,7 @@ file and malformed content (OSError, ValueError).
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import hashlib
 import math
@@ -73,6 +74,8 @@ def _parse_axis(spec: str) -> tuple[float, ...]:
         kind, count = tail[:3], int(tail[3:])
     except (ValueError, IndexError) as exc:
         raise UsageError(f"bad grid axis spec {spec!r}; expected lo:hi:log<N> or lo:hi:lin<N>") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise UsageError(f"bad grid axis spec {spec!r}; lo and hi must be finite")
     if kind == "log":
         return calibration.log_spaced_axis(lo, hi, count)
     if kind == "lin":
@@ -149,7 +152,7 @@ def cmd_track(args) -> int:
     truth_pos = _truth_positions(batch, args.truth, args.detections) if args.truth else None
 
     # The summary needs the NLL only, not its gradient: no tangents.
-    result = run_track(batch, params, truth=truth_pos, calib=calib, n_params=0)
+    result = run_track(batch, params, truth=truth_pos, calib=calib, grad=False)
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
     n_steps = len(result.times)
 
@@ -393,8 +396,8 @@ def cmd_report(args) -> int:
             ]
         )
 
-    csv_lines = [",".join(header)] + [",".join(r) for r in rows]
-    (out / "report_table.csv").write_text("\n".join(csv_lines) + "\n")
+    with open(out / "report_table.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
     widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
     txt_lines = [
         "  ".join(value.ljust(widths[i]) for i, value in enumerate(row))

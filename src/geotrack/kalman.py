@@ -8,14 +8,15 @@ information-form pseudo-measurement (product of Gaussians); the update is
 algebraically identical to a stacked joint update, and fusion automatically
 weights low-uncertainty detections more heavily.
 
-Every state carries a stack of forward-mode tangents (d state / d parameter).
-Tangent channel 0 is always the acceleration-noise parameter sigma_accel;
-each calibrated view, in sorted order, adds channels for its a and b, whose
-covariance tangents are sparse (dR/da its raw covariance, dR/db = I, zero
-for other views), so fusion forms each view's two products alone. At
-tangent width 0 (and without truth) no tangent is carried:
-the NLL is scored from the same expression, so its values are the same bits
-as at any other width, with no gradient.
+The NLL is that of the truth position under the filtered (post-update)
+marginal. For its gradient every state carries a stack of forward-mode
+tangents (d state / d parameter), one channel per tunable: channel 0 is the
+acceleration-noise parameter sigma_accel, and each calibrated view, in
+sorted order, adds channels for its a and b, whose covariance tangents are
+sparse (dR/da its raw covariance, dR/db = I, zero for other views), so
+fusion forms each view's two products alone. Without truth, or with
+grad=False, no tangent is carried: the NLL is scored from the same
+expression, so its values are the same bits, with no gradient.
 
 Array layout. The filter has one recursion, ``run_windows``, over a
 FrameBatch of B equal-length windows of T frames and V views: times (B, T),
@@ -28,7 +29,7 @@ scan one batched operation (Särkkä and García-Fernández, "Temporal
 parallelization of Bayesian smoothers", IEEE TAC 66(1), 2021). The tangents
 follow from the filtered covariances: with the optimal gain they obey two
 affine recursions that share each frame's transition (I - K H) F, one more
-scan each, run only with truth at a width of 1 or more. Frames go in blocks
+scan each, run only when a gradient is asked for. Frames go in blocks
 of SCAN_FRAMES, a length that depends on T alone, each block carrying on
 from the last state of the one before, and windows go in chunks that bound
 the working memory (CHUNK_MATRICES). Per block, the per-view calibration
@@ -76,10 +77,10 @@ class FilterParams:
     init_vel_var: float = 1e4
 
     def __post_init__(self):
-        if not self.sigma_accel > 0.0:
-            raise ValueError("sigma_accel must be positive")
-        if not self.init_vel_var > 0.0:
-            raise ValueError("init_vel_var must be positive")
+        if not 0.0 < self.sigma_accel < np.inf:
+            raise ValueError(f"sigma_accel must be positive and finite, got {self.sigma_accel}")
+        if not 0.0 < self.init_vel_var < np.inf:
+            raise ValueError(f"init_vel_var must be positive and finite, got {self.init_vel_var}")
 
 
 @dataclass(frozen=True)
@@ -186,9 +187,8 @@ class BatchResult:
     means (B, T, 2) and covs (B, T, 2, 2) hold the filtered position
     marginal from the window's first non-empty frame, start[b], on (NaN
     before it). With truth, nlls (B, T) holds the NLL of the truth position
-    under the marginal the NLL mode names (NaN where the mode defines no
-    value) and nll_grads (B, T, K) its gradient over the tangent channels,
-    None at tangent width 0.
+    under that marginal (NaN before the start) and nll_grads (B, T, K) its
+    gradient over the K tangent channels, None without a gradient.
     failures maps each window whose recursion met a matrix that is not
     positive definite to the earliest one: (t, leading minor, its value).
     """
@@ -203,13 +203,12 @@ class BatchResult:
 
 @dataclass
 class TrackResult:
-    """Output of run_sequence: one position marginal per frame from
+    """Output of run_track: one position marginal per frame from
     initialization on, as times (N,), means (N, 2) and covs (N, 2, 2).
 
     When truth is supplied, nlls holds the per-step NLL of the truth position
-    under the reported marginal (NaN for steps where the chosen mode defines
-    no value) and nll_grads its per-step gradient over the tangent channels,
-    None at tangent width 0.
+    under the reported marginal and nll_grads its per-step gradient over the
+    tangent channels, None without a gradient.
     """
 
     times: np.ndarray
@@ -498,17 +497,6 @@ def _shifted(carried: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
     return np.concatenate((head, a[:, :-1]), axis=1)
 
 
-def _tangent_views(calib: Optional[dict[str, CalibrationParams]], n_params: int) -> tuple[str, ...]:
-    if n_params in (0, 1):
-        return ()
-    views = tuple(sorted(calib or {}))
-    if n_params != 1 + 2 * len(views):
-        raise ValueError(
-            f"n_params must be 0, 1 or 1 + 2 * {len(views)} calibrated views, got {n_params}"
-        )
-    return views
-
-
 class _Carry(NamedTuple):
     """The last frame of a block, for the next: the filter scan's prefix A
     (0 once a window has started, I before; so also the tangent scans'
@@ -521,15 +509,13 @@ class _Carry(NamedTuple):
     sP: Optional[np.ndarray]
 
 
-def _filter_block(
-    block, dt, start, truth, params, calib, tangent_views, predictive, carry, failures
-) -> tuple:
+def _filter_block(block, dt, start, truth, params, calib, tangent_views, carry, failures) -> tuple:
     """run_windows over a block of frames of some windows, with time steps
     dt and each window's start frame counted from the block's first frame,
     after the carry of the block before it (None for the first block).
-    tangent_views None carries no tangents. Returns the carry for the next
-    block and the block's position means, covariances, NLLs and NLL
-    gradients."""
+    tangent_views None carries no tangents; otherwise truth is given.
+    Returns the carry for the next block and the block's position means,
+    covariances, NLLs and NLL gradients."""
     t = block.t
     z, R, dz, dR = _fused_frames(block, calib, tangent_views, failures)
     F = transition(dt)
@@ -572,15 +558,10 @@ def _filter_block(
     _record_failures(failures, P[..., :2, :2], ~before, t)
     out_x = np.where(before[..., None], np.nan, x[..., :2])
     out_P = np.where(before[..., None, None], np.nan, P[..., :2, :2])
-    if truth is None:
-        return _Carry(A[:, -1:], x[:, -1:], P[:, -1:], None, None), out_x, out_P, None, None
-    if predictive:
-        _record_failures(failures, Pm[..., :2, :2], run, t)
-        mu, sig, scored = xm, Pm, run
-    else:
-        mu, sig, scored = x, P, ~before
-    value, sig_inv, w = _nll(mu[..., :2], sig[..., :2, :2], truth)
-    value = np.where(scored, value, np.nan)
+    value = None
+    if truth is not None:
+        value, sig_inv, w = _nll(x[..., :2], P[..., :2, :2], truth)
+        value = np.where(before, np.nan, value)
     if tangent_views is None:
         return _Carry(A[:, -1:], x[:, -1:], P[:, -1:], None, None), out_x, out_P, value, None
 
@@ -606,14 +587,13 @@ def _filter_block(
     e = _by_frame(e, kinds, 0.0, sx0[:, None], 0.0)
     sx = _scan_after(carry and (carry.A, carry.sx), (Phi, e), _combine_affine)[1]
 
-    dmu, dsig = (_shifted(carry and carry.sx, sx) @ _T(F), sPm) if predictive else (sx, sP)
-    grad = _nll_grad(sig_inv, w, dmu[..., :2], dsig[..., :2, :2])
+    grad = _nll_grad(sig_inv, w, sx[..., :2], sP[..., :2, :2])
     return (
         _Carry(A[:, -1:], x[:, -1:], P[:, -1:], sx[:, -1:], sP[:, -1:]),
         out_x,
         out_P,
         value,
-        np.where(scored[..., None], grad, np.nan),
+        np.where(before[..., None], np.nan, grad),
     )
 
 
@@ -638,45 +618,44 @@ def run_windows(
     params: FilterParams,
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
-    n_params: int = 1,
-    nll_mode: str = "filtered",
+    grad: bool = True,
 ) -> BatchResult:
     """Filter B windows at once; the one recursion of the tracker.
 
     Each window initializes on its first non-empty frame, then alternates
     predict and update using the actual timestamp gaps. ``calib`` rescales
     each view's detection covariances before fusion (calibration.obs_transform;
-    views without an entry pass through). ``n_params`` is the tangent
-    width: 1 carries only sigma_accel, and 1 + 2 * len(calib) also carries
-    d/da and d/db of each calibrated view, in sorted view order. Width 0
-    carries none: with truth it gives the NLLs alone, the same bits as any
-    other width, and no gradient.
+    views without an entry pass through).
 
     ``truth`` (B, T, 2), when given, scores the filtered (post-update)
-    marginal by default, or the predictive (pre-update) marginal with
-    nll_mode="predictive", which defines no value for a window's first
-    step. A window whose recursion meets a matrix that is not positive
-    definite is listed in the result's failures; its values are not
-    meaningful, and its batch-mates are unaffected.
+    marginal of each frame from the window's start on. With ``grad`` the
+    NLL's gradient comes too, over 1 + 2 * len(calib) tangent channels:
+    sigma_accel, then d/da and d/db of each calibrated view in sorted view
+    order. With grad=False, or without truth, no tangent is carried; the
+    NLLs are the same bits, and the gradient is None. A window whose
+    recursion meets a matrix that is not positive definite is listed in the
+    result's failures; its values are not meaningful, and its batch-mates
+    are unaffected.
     """
-    if nll_mode not in ("filtered", "predictive"):
-        raise ValueError(f"unknown nll_mode {nll_mode!r}")
-    tangent_views = _tangent_views(calib, n_params)
     B, T, V = batch.mask.shape
+    tangent_views = None
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (B, T, 2):
             raise ValueError(f"truth shape {truth.shape} does not match the frames' {(B, T, 2)}")
+        if grad:
+            tangent_views = tuple(sorted(calib or {}))
+    k = 0 if tangent_views is None else 1 + 2 * len(tangent_views)
     start = batch.mask.any(axis=-1).argmax(axis=1)
     dt = np.diff(batch.t, axis=1, prepend=batch.t[:, :1] - 1.0)
 
     means = np.full((B, T, 2), np.nan)
     covs = np.full((B, T, 2, 2), np.nan)
     nlls = np.full((B, T), np.nan) if truth is not None else None
-    grads = np.full((B, T, n_params), np.nan) if truth is not None and n_params else None
+    grads = np.full((B, T, k), np.nan) if k else None
     failures: dict[int, tuple[float, int, float]] = {}
     frames = min(T, SCAN_FRAMES)
-    chunk = max(1, CHUNK_MATRICES // (frames * max(V, 4) * (n_params + 3)))
+    chunk = max(1, CHUNK_MATRICES // (frames * max(V, 4) * (k + 3)))
     with np.errstate(all="ignore"):
         for lo in range(0, B, chunk):
             rows = slice(lo, lo + chunk)
@@ -684,24 +663,23 @@ def run_windows(
             carry = None
             for first in range(0, T, frames):
                 cols = slice(first, min(first + frames, T))
-                carry, x, P, value, grad = _filter_block(
+                carry, x, P, nll, nll_grad = _filter_block(
                     batch.take((rows, cols)),
                     dt[rows, cols],
                     start[rows] - first,
                     None if truth is None else truth[rows, cols],
                     params,
                     calib,
-                    None if grads is None else tangent_views,
-                    nll_mode == "predictive",
+                    tangent_views,
                     carry,
                     found,
                 )
                 means[rows, cols] = x
                 covs[rows, cols] = P
                 if truth is not None:
-                    nlls[rows, cols] = value
+                    nlls[rows, cols] = nll
                 if grads is not None:
-                    grads[rows, cols] = grad
+                    grads[rows, cols] = nll_grad
             failures.update((lo + b, failure) for b, failure in found.items())
     return BatchResult(start, means, covs, nlls, grads, failures)
 
@@ -711,8 +689,7 @@ def run_track(
     params: FilterParams,
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
-    n_params: int = 1,
-    nll_mode: str = "filtered",
+    grad: bool = True,
 ) -> TrackResult:
     """Filter one sequence, a batch of B = 1: run_windows, with the track
     from its first non-empty frame on.
@@ -723,7 +700,7 @@ def run_track(
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=float)[None]
-    result = run_windows(batch, params, truth, calib, n_params, nll_mode)
+    result = run_windows(batch, params, truth, calib, grad)
     if result.failures:
         t, minor, value = result.failures[0]
         raise NotPositiveDefiniteError(minor, value, where=f"frame at t={t!r}")
@@ -742,8 +719,7 @@ def run_sequence(
     params: FilterParams,
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
-    n_params: int = 1,
-    nll_mode: str = "filtered",
+    grad: bool = True,
 ) -> TrackResult:
     """run_track over frames given as DetectionFrame objects."""
-    return run_track(pack([frames]), params, truth, calib, n_params, nll_mode)
+    return run_track(pack([frames]), params, truth, calib, grad)

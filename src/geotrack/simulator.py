@@ -147,7 +147,7 @@ class ScenarioConfig:
         return self.low_light_noise_multiplier if self.lighting == "low" else 1.0
 
 
-def default_scenario(seed: int = 0, lighting: str = "normal") -> ScenarioConfig:
+def default_scenario(seed: int = 0) -> ScenarioConfig:
     """Four nodes at the side midpoints of the 500x700 arena, facing inward."""
     arena = Arena()
     nodes = (
@@ -156,7 +156,7 @@ def default_scenario(seed: int = 0, lighting: str = "normal") -> ScenarioConfig:
         CameraNode("N3", (arena.width / 2.0, arena.length), -math.pi / 2.0),
         CameraNode("N4", (0.0, arena.length / 2.0), 0.0),
     )
-    return ScenarioConfig(arena=arena, nodes=nodes, lighting=lighting, seed=seed)
+    return ScenarioConfig(arena=arena, nodes=nodes, seed=seed)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ dataio.read_detections returns, into a kalman.FrameBatch of B windows
 positions (B, T, 2). sequence_loss filters a whole minibatch, or a whole
 split for an epoch snapshot, in one call of the batched recursion and
 returns one loss and gradient per window; a snapshot needs only the losses,
-so it filters at tangent width 0, with no tangents at all.
+so it filters with grad=False, carrying no tangents at all.
 """
 
 from __future__ import annotations
@@ -120,26 +120,19 @@ def sequence_loss(
     unconstrained tunable vector (see to_vector for the ordering). Per-view
     calibration enters the filter through calibration.obs_transform; its
     sparse tangents dR/da = cov and dR/db = I are pushed through every
-    update, a chunk of windows at a time (kalman.CHUNK_MATRICES). With
-    grad=False the filter carries no tangents at all, the losses are
-    the same and the gradient is None. A window that fails numerically (a
+    update, a chunk of windows at a time (kalman.CHUNK_MATRICES), one
+    tangent channel per tunable. With grad=False the filter carries none,
+    the losses are the same bits and the gradient is None. A window that fails numerically (a
     matrix that is not positive definite, or a non-finite loss) gets loss
     inf and a zero gradient; the other windows of the batch are unaffected.
     """
     order = params.view_order()
-    n_params = 1 + 2 * len(order)
     n_windows = len(batch.t)
     try:
         sigma, calib = params.decode()
     except OverflowError:
-        return np.full(n_windows, math.inf), np.zeros((n_windows, n_params)) if grad else None
-    result = run_windows(
-        batch,
-        FilterParams(sigma, init_vel_var),
-        truth=truth,
-        calib=calib,
-        n_params=n_params if grad else 0,
-    )
+        return np.full(n_windows, math.inf), np.zeros((n_windows, 1 + 2 * len(order))) if grad else None
+    result = run_windows(batch, FilterParams(sigma, init_vel_var), truth=truth, calib=calib, grad=grad)
     n_steps = np.sum(np.isfinite(result.nlls), axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         loss = np.nansum(result.nlls, axis=1) / n_steps

@@ -29,7 +29,6 @@ from geotrack.kalman import (
     _record_failures,
     _sym,
     _T,
-    _tangent_views,
     pack,
     process_noise,
     transition,
@@ -552,21 +551,20 @@ def loop_windows(
     params: FilterParams,
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
-    n_params: int = 1,
-    nll_mode: str = "filtered",
+    grad: bool = True,
 ) -> BatchResult:
     """kalman.run_windows as a per-frame loop: predict, then the Joseph
     update, one frame at a time over all windows at once, with calibration,
-    fusion and the NLL in blocks of frames. The reference for the scan."""
-    if nll_mode not in ("filtered", "predictive"):
-        raise ValueError(f"unknown nll_mode {nll_mode!r}")
-    tangent_views = _tangent_views(calib, n_params)
+    fusion and the NLL in blocks of frames. It always carries every tangent
+    channel, and returns the gradient where run_windows does. The reference
+    for the scan."""
+    tangent_views = tuple(sorted(calib or {}))
+    n_params = 1 + 2 * len(tangent_views)
     B, T, V = batch.mask.shape
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (B, T, 2):
             raise ValueError(f"truth shape {truth.shape} does not match the frames' {(B, T, 2)}")
-    predictive = nll_mode == "predictive"
     sigma = params.sigma_accel
     has = batch.mask.any(axis=-1)
     start = has.argmax(axis=1)
@@ -581,7 +579,7 @@ def loop_windows(
     means = np.full((B, T, 2), np.nan)
     covs = np.full((B, T, 2, 2), np.nan)
     nlls = np.full((B, T), np.nan) if truth is not None else None
-    grads = np.full((B, T, n_params), np.nan) if truth is not None else None
+    grads = np.full((B, T, n_params), np.nan) if truth is not None and grad else None
     failures: dict[int, tuple[float, int, float]] = {}
     state = (
         np.zeros((B, 4)),
@@ -605,7 +603,6 @@ def loop_windows(
 
             n = sl.stop - sl.start
             filtered = _position_blocks(B, n, n_params)
-            predicted = _position_blocks(B, n, n_params) if predictive else None
             innovations = np.broadcast_to(np.eye(2), (B, n, 2, 2)).copy()
             for jj, j in enumerate(range(sl.start, sl.stop)):
                 if j > first:
@@ -617,8 +614,6 @@ def loop_windows(
                         )
                         new = tuple(post) if upd_all[j] else _select(upd[:, j], post, pred)
                     state = new if run_all[j] else _select(run[:, j], new, state)
-                    if predictive:
-                        _store(predicted, jj, pred)
                 if j in begins:
                     init = _init(z[:, jj], R[:, jj], dz[:, jj], dR[:, jj], params.init_vel_var)
                     starting = start == j
@@ -632,16 +627,12 @@ def loop_windows(
             _record_failures(failures, filtered[1], ~before, t)
             if truth is None:
                 continue
-            if predictive:
-                scored = run[:, sl]
-                _record_failures(failures, predicted[1], scored, t)
-            else:
-                scored, predicted = ~before, filtered
-            mu, sig, dmu, dsig = predicted
+            mu, sig, dmu, dsig = filtered
             value, sig_inv, w = _nll(mu, sig, truth[:, sl])
-            grad = _nll_grad(sig_inv, w, dmu, dsig)
-            nlls[:, sl] = np.where(scored, value, np.nan)
-            grads[:, sl] = np.where(scored[..., None], grad, np.nan)
+            nlls[:, sl] = np.where(before, np.nan, value)
+            if grads is not None:
+                dnll = _nll_grad(sig_inv, w, dmu, dsig)
+                grads[:, sl] = np.where(before[..., None], np.nan, dnll)
     return BatchResult(start, means, covs, nlls, grads, failures)
 
 

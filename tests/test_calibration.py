@@ -39,12 +39,22 @@ class TestParamsAndGrid:
             CalibrationParams(0.0, 0.0)
         with pytest.raises(ValueError):
             CalibrationParams(1.0, -1.0)
+        for a, b in ((math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                CalibrationParams(a, b)
 
     def test_grid_requires_identity_point(self):
         with pytest.raises(ValueError, match="identity"):
             CalibrationGrid((0.5, 2.0), (0.0, 10.0))
         with pytest.raises(ValueError, match="identity"):
             CalibrationGrid((0.5, 1.0, 2.0), (10.0, 20.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_grid_requires_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationGrid((1.0, bad), (0.0,))
+        with pytest.raises(ValueError, match="finite"):
+            CalibrationGrid((1.0,), (0.0, bad))
 
     def test_grid_requires_ascending(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -494,6 +496,17 @@ class TestReport:
         ]
         assert [r for r in csv_rows] == [r for r in txt_rows]
 
+    def test_csv_quotes_run_names(self, two_runs, tmp_path):
+        # A run name with a comma and a quote stays one field of six.
+        run = tmp_path / 'run,"x'
+        shutil.copytree(two_runs[0], run)
+        out = tmp_path / "table"
+        assert main(["report", str(run), str(two_runs[1]), "--out", str(out)]) == 0
+        with open(out / "report_table.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [6, 6, 6]
+        assert rows[1][0] == 'run,"x' and rows[2][0] == "run1"
+
     def test_missing_report_flagged_exit_0(self, two_runs, tmp_path, capsys):
         out = tmp_path / "table"
         assert main(["report", str(two_runs[0]), str(tmp_path / "ghost"), "--out", str(out)]) == 0
@@ -540,6 +553,28 @@ EXIT_CODE_CASES = [
     ),
     ("calib-missing-views", 2, {"c.json": "{}"}, _TRACK + " --calib {tmp}/c.json", "{tmp}/c.json"),
     ("params-missing-sigma", 2, {"p.json": "{}"}, _TRACK + " --params {tmp}/p.json", "{tmp}/p.json"),
+    (
+        "calib-nan-floor",
+        2,
+        {"c.json": '{"views": {"N1": {"a": 1.0, "b": NaN}}}'},
+        _TRACK + " --calib {tmp}/c.json",
+        "{tmp}/c.json",
+    ),
+    (
+        "params-infinite-sigma",
+        2,
+        {"p.json": '{"sigma_accel": 1e400}'},
+        _TRACK + " --params {tmp}/p.json",
+        "{tmp}/p.json",
+    ),
+    (
+        "grid-infinite-bound",
+        2,
+        {},
+        "calibrate --detections {sim}/detections_val.jsonl --truth {sim}/truth_val.csv"
+        " --grid-b 0:inf:lin5",
+        None,
+    ),
     (
         "report-missing-opm",
         2,

@@ -66,6 +66,10 @@ class TestFilterParams:
             FilterParams(0.0)
         with pytest.raises(ValueError):
             FilterParams(10.0, init_vel_var=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            FilterParams(math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            FilterParams(10.0, init_vel_var=math.inf)
 
 
 class TestDetectionFrame:
@@ -444,12 +448,11 @@ class TestBatchedRecursionProperties:
     @given(windows_case(), calibration_case())
     def test_batch_equals_each_window_alone(self, windows, setup):
         sigma, calib = setup
-        k = 1 + 2 * len(calib)
         params = FilterParams(sigma)
         truth = np.array([t for _, t in windows])
-        together = run_windows(pack([f for f, _ in windows]), params, truth, calib, k)
+        together = run_windows(pack([f for f, _ in windows]), params, truth, calib)
         for b, (f, t) in enumerate(windows):
-            alone = run_windows(pack([f]), params, t[None], calib, k)
+            alone = run_windows(pack([f]), params, t[None], calib)
             assert together.start[b] == alone.start[0]
             assert (b in together.failures) == (0 in alone.failures)
             for name in ("means", "covs", "nlls", "nll_grads"):
@@ -459,9 +462,8 @@ class TestBatchedRecursionProperties:
     @given(windows_case(), calibration_case())
     def test_matches_per_step_chain(self, windows, setup):
         sigma, calib = setup
-        k = 1 + 2 * len(calib)
         truth = np.array([t for _, t in windows])
-        result = run_windows(pack([f for f, _ in windows]), FilterParams(sigma), truth, calib, k)
+        result = run_windows(pack([f for f, _ in windows]), FilterParams(sigma), truth, calib)
         assert not result.failures
         for b, (f, t) in enumerate(windows):
             start, means, covs, values, grads = chain_nll(f, t, sigma, calib)
@@ -560,8 +562,7 @@ class TestScanMatchesLoop:
         # Short scan blocks carry state across block boundaries, and a tiny
         # chunk bound filters one window at a time.
         sigma, calib = setup
-        k = 1 + 2 * len(calib) if data.draw(st.booleans()) else 1
-        mode = data.draw(st.sampled_from(["filtered", "predictive"]))
+        grad = data.draw(st.booleans())
         batch, truth = pack_windows(windows)
         if data.draw(st.booleans()):
             truth = None
@@ -576,11 +577,14 @@ class TestScanMatchesLoop:
         params = FilterParams(sigma)
         with mock.patch.object(kalman, "SCAN_FRAMES", frames):
             with mock.patch.object(kalman, "CHUNK_MATRICES", chunk):
-                scan = run_windows(batch, params, truth, calib, k, mode)
-        loop = loop_windows(batch, params, truth, calib, k, mode)
+                scan = run_windows(batch, params, truth, calib, grad)
+        loop = loop_windows(batch, params, truth, calib, grad)
         assert scan.failures == loop.failures
         np.testing.assert_array_equal(scan.start, loop.start)
-        names = ("means", "covs") if truth is None else ("means", "covs", "nlls", "nll_grads")
+        assert (scan.nll_grads is None) == (truth is None or not grad)
+        names = ("means", "covs") if truth is None else ("means", "covs", "nlls")
+        if scan.nll_grads is not None:
+            names += ("nll_grads",)
         kept = [b for b in range(len(windows)) if b not in loop.failures]
         for name in names:
             actual, expected = getattr(scan, name)[kept], getattr(loop, name)[kept]
@@ -597,10 +601,10 @@ class TestScanMatchesLoop:
     )
     def test_width_zero_scores_as_width_one(self, windows, setup, data):
         # track's summary and tune's epoch snapshots filter with truth but
-        # no tangents: the same NLLs and failures, bit for bit, whatever the
-        # blocks and chunks (width 0 also chunks more windows together).
+        # no tangents: the same NLLs and failures as with every tangent
+        # channel, bit for bit, whatever the blocks and chunks (width 0 also
+        # chunks more windows together).
         sigma, calib = setup
-        mode = data.draw(st.sampled_from(["filtered", "predictive"]))
         batch, truth = pack_windows(windows)
         if data.draw(st.booleans()):
             b = data.draw(st.integers(0, len(windows) - 1))
@@ -611,12 +615,13 @@ class TestScanMatchesLoop:
         params = FilterParams(sigma)
         with mock.patch.object(kalman, "SCAN_FRAMES", frames):
             with mock.patch.object(kalman, "CHUNK_MATRICES", chunk):
-                zero = run_windows(batch, params, truth, calib, 0, mode)
-                one = run_windows(batch, params, truth, calib, 1, mode)
+                zero = run_windows(batch, params, truth, calib, grad=False)
+                full = run_windows(batch, params, truth, calib, grad=True)
         assert zero.nll_grads is None
-        assert zero.failures == one.failures
+        assert full.nll_grads.shape[-1] == 1 + 2 * len(calib)
+        assert zero.failures == full.failures
         for name in ("start", "means", "covs", "nlls"):
-            assert getattr(zero, name).tobytes() == getattr(one, name).tobytes(), name
+            assert getattr(zero, name).tobytes() == getattr(full, name).tobytes(), name
 
     def test_singular_matrix_inverts_to_nan_alone(self):
         rng = np.random.default_rng(25)
@@ -719,20 +724,9 @@ class TestRunSequence:
     def test_width_zero_carries_no_tangents(self):
         rng = np.random.default_rng(26)
         frames, truth = make_cv_frames(rng, n_steps=10)
-        res = run_sequence(frames, FilterParams(10.0), truth=truth, n_params=0)
+        res = run_sequence(frames, FilterParams(10.0), truth=truth, grad=False)
         assert res.nll_grads is None
         assert res.total_nll == run_sequence(frames, FilterParams(10.0), truth=truth).total_nll
-
-    def test_predictive_mode(self):
-        rng = np.random.default_rng(24)
-        frames, truth = make_cv_frames(rng, n_steps=10)
-        res = run_sequence(frames, FilterParams(10.0), truth=truth, nll_mode="predictive")
-        assert math.isnan(res.nlls[0])
-        assert np.all(np.isfinite(res.nlls[1:]))
-        filtered = run_sequence(frames, FilterParams(10.0), truth=truth)
-        # Predictive NLL cannot beat filtered NLL on average here, where the
-        # update incorporates the same-step detections.
-        assert np.nanmean(res.nlls[1:]) >= np.nanmean(filtered.nlls[1:]) - 1e-9
 
     def test_error_paths(self):
         g = Gaussian2D((0.0, 0.0), np.eye(2))
