@@ -104,11 +104,14 @@ def obs_transform(
     return a * cov + b * np.eye(2)
 
 
+@np.errstate(all="ignore")
 def fit(grid: CalibrationGrid, pairs: Pairs) -> tuple[CalibrationParams, float]:
     """Select the grid cell minimizing mean NLL over (detection, truth) pairs.
 
     Ties break toward the smallest a, then the smallest b, so the result is
-    deterministic. Returns the winning parameters and their mean NLL.
+    deterministic. A cell whose mean NLL is not finite never wins; with no
+    finite cell this raises ValueError. Returns the winning parameters and
+    their mean NLL.
     """
     if len(pairs) == 0:
         raise ValueError("cannot fit calibration on zero pairs")
@@ -119,7 +122,7 @@ def fit(grid: CalibrationGrid, pairs: Pairs) -> tuple[CalibrationParams, float]:
     n = len(pairs)
     b_values = np.array(grid.b_values)
     rows = max(1, BLOCK_CELLS // n)
-    best: tuple[float, float, float] | None = None
+    best = (math.inf, math.nan, math.nan)
     for a in grid.a_values:
         axx, axy, ayy = a * sxx, a * sxy, a * syy
         cross = 2.0 * rxy * axy
@@ -133,9 +136,10 @@ def fit(grid: CalibrationGrid, pairs: Pairs) -> tuple[CalibrationParams, float]:
             log_det = np.add.reduce(np.log(det), axis=1) / n
             mean_nll = LOG_TWO_PI + 0.5 * log_det + 0.5 * (np.add.reduce(quad, axis=1) / n)
             for b_cell, value in zip(b[:, 0].tolist(), mean_nll.tolist()):
-                if best is None or value < best[0]:
+                if -math.inf < value < best[0]:
                     best = (value, a, b_cell)
-    assert best is not None
+    if best[0] == math.inf:
+        raise ValueError("no grid cell gives a finite mean NLL")
     return CalibrationParams(best[1], best[2]), best[0]
 
 

@@ -74,8 +74,9 @@ def _parse_axis(spec: str) -> tuple[float, ...]:
         kind, count = tail[:3], int(tail[3:])
     except (ValueError, IndexError) as exc:
         raise UsageError(f"bad grid axis spec {spec!r}; expected lo:hi:log<N> or lo:hi:lin<N>") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise UsageError(f"bad grid axis spec {spec!r}; lo and hi must be finite")
+    # A finite span also keeps numpy from overflowing as it spaces the axis.
+    if not math.isfinite(hi - lo):
+        raise UsageError(f"bad grid axis spec {spec!r}; lo, hi and hi - lo must be finite")
     if kind == "log":
         return calibration.log_spaced_axis(lo, hi, count)
     if kind == "lin":
@@ -169,16 +170,8 @@ def cmd_track(args) -> int:
     (out / "summary.json").write_text(dataio.dumps(summary, indent=2) + "\n")
 
     # The track starts at the first frame with a detection.
-    step_truth = truth_pos[len(batch) - n_steps :].tolist() if truth_pos is not None else [None] * n_steps
-    evals, evecs = np.linalg.eigh(result.covs)
-    axes = np.sqrt(CHI2_95_2D * evals).tolist()
-    rows = zip(result.times.tolist(), result.means.tolist(), axes, evecs, step_truth)
-    with open(out / "plot_data.csv", "w") as fh:
-        fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
-        for t, (mx, my), (minor, major), evec, xy in rows:
-            angle = math.atan2(evec[1, 1], evec[0, 1])
-            tx, ty = map(repr, xy) if xy else ("", "")
-            fh.write(f"{t!r},{tx},{ty},{mx!r},{my!r},{major!r},{minor!r},{angle!r}\n")
+    step_truth = truth_pos[len(batch) - n_steps :] if truth_pos is not None else None
+    _write_plot_data(out / "plot_data.csv", result.times, result.means, result.covs, step_truth)
 
     _write_manifest(
         out,
@@ -196,6 +189,20 @@ def cmd_track(args) -> int:
     else:
         print(f"track: {n_steps} steps")
     return 0
+
+
+def _write_plot_data(path: Path, times, means, covs, truth) -> None:
+    """Per step: the time, the truth position (blank without truth), the
+    filtered mean and its 95% ellipse (axes and the major axis' angle)."""
+    evals, evecs = np.linalg.eigh(covs)
+    axes = np.sqrt(CHI2_95_2D * evals)
+    # math.atan2: np.arctan2 can differ from it in the last bit.
+    angles = list(map(math.atan2, evecs[:, 1, 1].tolist(), evecs[:, 0, 1].tolist()))
+    columns = [times, *([] if truth is None else [truth]), means, axes[:, ::-1], angles]
+    row = "%r,,,%r,%r,%r,%r,%r\n" if truth is None else "%r,%r,%r,%r,%r,%r,%r,%r\n"
+    with open(path, "w") as fh:
+        fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
+        fh.write("".join([row % tuple(r) for r in np.column_stack(columns).tolist()]))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 All writers are deterministic (sorted keys, repr-exact floats) so that a
 write -> read -> write round trip is byte-identical and identically seeded
-pipeline runs produce identical files.
+pipeline runs produce identical files. Detections, truth and tracks are
+written from arrays, a bounded chunk of frames at a time.
 
 This module is the input boundary: every file enters through a reader here,
 which returns validated values or raises an error naming the file (and line):
@@ -10,27 +11,23 @@ ValueError for a missing, unreadable or malformed file; NotPositiveDefiniteError
 for a covariance that is not positive definite; RuntimeError for data that
 parses but is wrong (timestamp disorder, no detections, no truth row).
 
-Detections load as arrays: read_detections parses a file straight into one
-kalman.FrameBatch and checks it in bulk, building no object per detection.
-Nor does it keep a list per detection: a mean and covariance unpack into six
-numbers on one flat list, and what json builds for a line dies with it. Kept,
-the 288,000 nested lists of a 10,000-frame file set off repeated cyclic
-garbage collections and convert slowly to arrays. Only a file that fails a
-bulk check is read again record by record, to name its first bad record.
-They are written from arrays too: write_detections formats a FrameBatch in
-its column order, write_truth the truth arrays of a simulator.Trajectory and
-write_track a track's arrays, a bounded chunk of frames at a time.
-
-Truth and tracks load as arrays as well: read_truth returns the Trajectory
-that write_truth takes, and read_track the times, means and covariances that
-write_track takes. Each row is checked as an ObjectPose or Gaussian2D checks
-it, without building one. match_truth gives the truth row of each time.
+Detections, truth and tracks load as arrays, in bulk, with a record-by-record
+re-read for the error line. read_detections returns one kalman.FrameBatch,
+read_truth a simulator.Trajectory and read_track (times, means, covs). A
+JSONL file parses into one flat list of numbers, with no list or object per
+Gaussian: kept, the 288,000 nested lists of a 10,000-frame detections file
+set off repeated cyclic garbage collections and convert slowly to arrays. A
+truth CSV parses into one table. numpy checks either at once, and a file
+that fails a bulk check is read again record by record, to name its first
+bad record with that record's first failing check. match_truth gives the
+truth row of each time.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 import math
 from pathlib import Path
@@ -39,7 +36,7 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 import numpy as np
 
 from .calibration import CalibrationParams
-from .core import Arena, NotPositiveDefiniteError, _gaussian_arrays, _pose_values
+from .core import Arena, NotPositiveDefiniteError, _gaussian_arrays, _pose_values, wrap_angle
 from .kalman import FilterParams, FrameBatch, _is_pd
 from .metrics import MetricReport
 from .simulator import CameraNode, ScenarioConfig, Trajectory, default_scenario
@@ -175,28 +172,31 @@ def _read_records(path: Path) -> FrameBatch:
     return FrameBatch.scatter(np.array([times]), frames, views, mean, cov)
 
 
-def _read_bulk(path: Path) -> Optional[FrameBatch]:
-    """read_detections for a file of plain, valid records, checked in bulk;
-    None for any other file."""
+def _read_bulk_rows(path: Path, frames: bool) -> Optional[tuple]:
+    """A file of detections frames (or, if not frames, track steps) as times
+    (T,), Gaussians per line, view ids, means (n, 2) and covariances (n, 2, 2)
+    made symmetric from the upper entry; None unless it passes every bulk
+    check: finite numbers, string view ids, rising times and _is_pd."""
     times, counts, views, values = [], [], [], []
     try:
         with open(path, "rb") as fh:
             for line in fh:
                 if line.strip():
                     rec = json.loads(line)
-                    dets = rec["detections"]
-                    for d in dets:
-                        views.append(d["view"])
-                        x, y = d["mean"]
-                        (c00, c01), (c10, c11) = d["cov"]
+                    gaussians = rec["detections"] if frames else (rec,)
+                    for g in gaussians:
+                        if frames:
+                            views.append(g["view"])
+                        x, y = g["mean"]
+                        (c00, c01), (c10, c11) = g["cov"]
                         values += (x, y, c00, c01, c10, c11)
-                    counts.append(len(dets))
+                    counts.append(len(gaussians))
                     times.append(rec["t"])
         t, flat = np.array(times), np.array(values)
         plain = all(isinstance(v, str) for v in set(views))
     except _MALFORMED:
         return None
-    n = len(views)
+    n = len(values) // 6
     # A mean or covariance row that unpacks into anything but numbers
     # (strings, nested lists) gives a non-numeric dtype or another shape.
     shapes = (t.shape, flat.shape) == ((len(times),), (6 * n,))
@@ -208,12 +208,19 @@ def _read_bulk(path: Path) -> Optional[FrameBatch]:
     cov[:, 1, 0] = cov[:, 0, 1]
     with np.errstate(all="ignore"):
         valid = finite and (t[1:] > t[:-1]).all() and _is_pd(cov).all()
-    if not valid:
+    return (t, counts, views, mean, cov) if valid else None
+
+
+def _read_bulk(path: Path) -> Optional[FrameBatch]:
+    """read_detections for a file of plain, valid records, checked in bulk;
+    None for any other file."""
+    rows = _read_bulk_rows(path, frames=True)
+    if rows is None:
         return None
-    frames = np.repeat(np.arange(len(times)), counts)
-    batch = FrameBatch.scatter(t[None], frames, views, mean, cov)
+    t, counts, views, mean, cov = rows
+    batch = FrameBatch.scatter(t[None], np.repeat(np.arange(len(t)), counts), views, mean, cov)
     # A view repeated within a line fills one slot twice.
-    return batch if batch.mask.sum() == n else None
+    return batch if batch.mask.sum() == len(views) else None
 
 
 def read_detections(path: Path) -> FrameBatch:
@@ -241,10 +248,37 @@ def write_truth(path: Path, truth: Trajectory) -> None:
             writer.writerows(map(repr, row) for row in rows)
 
 
+def _read_truth_bulk(path: Path) -> Optional[Trajectory]:
+    """read_truth for a plain file of valid rows, checked in bulk; None for
+    any other file."""
+    header = ",".join(TRUTH_HEADER).encode()
+    try:
+        data = Path(path).read_bytes()
+        eol = b"\r\n" if data.startswith(header + b"\r\n") else b"\n"
+        rows = data.removesuffix(eol).split(eol)
+        # Numbers and commas alone, no blank line, one line ending: csv.reader
+        # splits these as loadtxt does, which parses a field as float() does.
+        numbers = not b",".join(rows[1:]).translate(None, b"0123456789+-.eE,")
+        if not (rows[0] == header and len(rows) > 1 and all(rows[1:]) and numbers):
+            return None
+        table = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=2)
+        t, _, _, heading, width, length = table.T
+    except _MALFORMED:
+        return None
+    valid = np.isfinite(table[:, :4]).all() and (t[1:] > t[:-1]).all()
+    if not (valid and (width > 0.0).all() and (length > 0.0).all()):
+        return None
+    table[:, 3] = wrap_angle(heading)
+    return Trajectory(t, table[:, 1:3], table[:, 3], table[:, 4:])
+
+
 def read_truth(path: Path) -> Trajectory:
     """A truth file as the arrays write_truth takes. Each row is checked as
     an ObjectPose checks it, its heading wrapped the same way, and its time
     must follow the previous row's."""
+    truth = _read_truth_bulk(path)
+    if truth is not None:
+        return truth
     samples = []
     line_no = 1
     try:
@@ -405,6 +439,9 @@ def read_track(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A track file as the arrays write_track takes: times (N,), means
     (N, 2) and covs (N, 2, 2), each line checked as a Gaussian2D checks it
     and its time following the previous line's."""
+    rows = _read_bulk_rows(path, frames=False)
+    if rows is not None:
+        return tuple(np.ascontiguousarray(rows[i]) for i in (0, 3, 4))
 
     def step(rec: dict) -> tuple:
         return _time(rec["t"]), *_gaussian_arrays(rec["mean"], rec["cov"])

@@ -111,6 +111,10 @@ class ScenarioConfig:
             raise ValueError("fps must be positive and finite")
         if not 0.0 < self.duration < math.inf:
             raise ValueError("duration must be positive and finite")
+        if len(self.split) != 3:
+            raise ValueError(f"split needs 3 fractions (train, val, test), got {list(self.split)}")
+        if len(self.object_extent) != 2:
+            raise ValueError(f"object_extent needs 2 values (width, length), got {list(self.object_extent)}")
         if abs(sum(self.split) - 1.0) > 1e-9:
             raise ValueError(f"split fractions must sum to 1, got {self.split}")
         if not all(f >= 0.0 for f in self.split):

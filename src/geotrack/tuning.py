@@ -48,8 +48,8 @@ class TuneConfig:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         # lr == 0 is allowed as an explicit no-op optimizer.
-        if self.lr < 0.0:
-            raise ValueError("lr must be non-negative")
+        if not 0.0 <= self.lr < math.inf:
+            raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
         if not self.grad_clip > 0.0:
             raise ValueError("grad_clip must be positive")
         if self.batch < 1:

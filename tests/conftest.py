@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from geotrack import calibration, dataio, metrics, simulator, tuning
 from geotrack.calibration import CalibrationParams
+from geotrack.cli import CHI2_95_2D
 from geotrack.core import LOG_TWO_PI, Gaussian2D, ObjectPose, Pairs, cholesky, rotation, wrap_angle
 from geotrack.kalman import (
     _EYE4,
@@ -395,6 +396,21 @@ def oracle_write_track(path, times, means, covs) -> None:
     with open(path, "w") as fh:
         for t, mean, cov in zip(times, means, covs):
             fh.write(dataio.dumps({"t": float(t), **_gaussian_to_json(mean, cov)}) + "\n")
+
+
+def oracle_write_plot_data(path, times, means, covs, truth) -> None:
+    """cmd_track's plot_data.csv as it was before it wrote from arrays: an
+    f-string and a math.atan2 per step. truth is (N, 2) or None."""
+    step_truth = np.asarray(truth).tolist() if truth is not None else [None] * len(times)
+    evals, evecs = np.linalg.eigh(covs)
+    axes = np.sqrt(CHI2_95_2D * evals).tolist()
+    rows = zip(np.asarray(times).tolist(), np.asarray(means).tolist(), axes, evecs, step_truth)
+    with open(path, "w") as fh:
+        fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
+        for t, (mx, my), (minor, major), evec, xy in rows:
+            angle = math.atan2(evec[1, 1], evec[0, 1])
+            tx, ty = map(repr, xy) if xy else ("", "")
+            fh.write(f"{t!r},{tx},{ty},{mx!r},{my!r},{major!r},{minor!r},{angle!r}\n")
 
 
 def oracle_write_truth(path, samples) -> None:

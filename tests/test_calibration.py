@@ -164,6 +164,19 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(default_grid(), pairs_arrays([]))
 
+    def test_non_finite_cells_never_win(self):
+        # At a = 1e-10 the determinant of 1e-170 * I underflows to 0: that
+        # cell's mean NLL is NaN, and no later cell compares less than NaN.
+        pairs = Pairs(np.zeros((3, 2)), np.tile(1e-160 * np.eye(2), (3, 1, 1)), np.zeros((3, 2)))
+        params, best = fit(CalibrationGrid((1e-10, 1.0), (0.0,)), pairs)
+        assert params == IDENTITY and math.isfinite(best)
+
+    def test_no_finite_cell_raises(self):
+        # Every cell's determinant overflows.
+        pairs = Pairs(np.zeros((3, 2)), np.tile(1e200 * np.eye(2), (3, 1, 1)), np.ones((3, 2)))
+        with pytest.raises(ValueError, match="no grid cell gives a finite mean NLL"):
+            fit(default_grid(), pairs)
+
 
 @st.composite
 def grid_fit_case(draw):
@@ -224,6 +237,13 @@ class TestFitPerView:
         )
         assert 3.5 <= result.params["bad"].a <= 4.5
         assert 0.8 <= result.params["good"].a <= 1.25
+
+    def test_view_without_finite_cell_errors_alone(self):
+        rng = np.random.default_rng(39)
+        huge = Pairs(np.zeros((3, 2)), np.tile(1e200 * np.eye(2), (3, 1, 1)), np.ones((3, 2)))
+        result = fit_per_view(default_grid(), {"ok": pairs_arrays(sampled_pairs(rng, 100)), "huge": huge})
+        assert result.errors == {"huge": "no grid cell gives a finite mean NLL"}
+        assert list(result.params) == ["ok"]
 
     def test_view_without_data_errors_alone(self):
         rng = np.random.default_rng(38)

@@ -2,13 +2,16 @@ import csv
 import json
 import math
 import shutil
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import truth_arrays
+from conftest import oracle_write_plot_data, truth_arrays
 from geotrack import calibration, dataio
-from geotrack.cli import _parse_axis, build_parser, main
+from geotrack.cli import _parse_axis, _write_plot_data, build_parser, main
 from geotrack.core import ObjectPose
 
 SMALL_CONFIG = {
@@ -111,6 +114,26 @@ class TestTrack:
         assert float(first[5]) >= float(first[6]) > 0.0  # major >= minor
         for line in lines[1:]:
             assert all(math.isfinite(float(field)) for field in line.split(","))
+
+    @pytest.mark.parametrize("with_truth", [True, False])
+    def test_plot_data_matches_per_step_oracle(self, sim_dir, tmp_path, with_truth):
+        # The first frames carry no detection, so the track starts late and
+        # its truth rows are a tail of the truth file's.
+        lines = (sim_dir / "detections_test.jsonl").read_text().splitlines()
+        for k in range(5):
+            lines[k] = json.dumps({"t": json.loads(lines[k])["t"], "detections": []})
+        detections = tmp_path / "late.jsonl"
+        detections.write_text("\n".join(lines) + "\n")
+        truth_args = ["--truth", str(sim_dir / "truth_test.csv")] if with_truth else []
+        argv = ["track", "--detections", str(detections), "--out", str(tmp_path / "out")]
+        assert main(argv + truth_args) == 0
+        times, means, covs = dataio.read_track(tmp_path / "out" / "track.jsonl")
+        assert len(times) == len(lines) - 5
+        truth = dataio.read_truth(sim_dir / "truth_test.csv")
+        positions = truth.positions[dataio.match_truth(times, truth, "track")] if with_truth else None
+        oracle_write_plot_data(tmp_path / "oracle.csv", times, means, covs, positions)
+        expected = (tmp_path / "oracle.csv").read_bytes()
+        assert (tmp_path / "out" / "plot_data.csv").read_bytes() == expected
 
     def test_identity_calibration_equals_no_calibration(self, sim_dir, tmp_path):
         calib = tmp_path / "identity.json"
@@ -296,6 +319,24 @@ class TestCalibrate:
             ]
         )
         assert code == 0
+
+    def test_overflowing_grid_cells_never_win(self, sim_dir, tmp_path, capsys):
+        # b = 8.5e307 and 1.7e308 overflow a * cov + b * I's determinant:
+        # those cells score NaN, silently, and b = 0 wins for every view.
+        argv = [
+            "calibrate",
+            "--detections", str(sim_dir / "detections_val.jsonl"),
+            "--truth", str(sim_dir / "truth_val.csv"),
+            "--grid-b=0:1.7e308:lin3",
+            "--out", str(tmp_path),
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 0
+        assert not caught
+        assert capsys.readouterr().err == ""
+        views = dataio.read_calibration(tmp_path / "calibration.json")
+        assert len(views) == 4 and all(p.b == 0.0 for p in views.values())
 
     def test_bad_grid_spec_exits_2(self, sim_dir, tmp_path, capsys):
         code = main(
@@ -532,8 +573,38 @@ class TestUsage:
 
 
 
+@pytest.fixture(scope="module")
+def plot_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("plot")
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(1, 12), with_truth=st.booleans())
+def test_write_plot_data_matches_per_step_oracle(plot_dir, data, n, with_truth):
+    # Random covariances: np.arctan2 differs from math.atan2 in the last bit
+    # for about 8% of their major axes, so a vectorised angle shows here.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** data.draw(st.integers(-3, 6))
+    root = rng.standard_normal((n, 2, 2)) * scale
+    covs = root @ np.swapaxes(root, 1, 2) + scale**2 * 1e-3 * np.eye(2)
+    if data.draw(st.booleans()):
+        covs[0] = scale**2 * np.eye(2)  # a circle: any axis is the major one
+    times = np.cumsum(rng.uniform(1e-3, 1.0, n)) + data.draw(st.floats(-1e6, 1e6))
+    means = rng.standard_normal((n, 2)) * 10.0 ** data.draw(st.integers(-3, 6))
+    truth = np.where(rng.random((n, 2)) < 0.2, -0.0, rng.uniform(0.0, 700.0, (n, 2))) if with_truth else None
+    _write_plot_data(plot_dir / "plot.csv", times, means, covs, truth)
+    oracle_write_plot_data(plot_dir / "oracle.csv", times, means, covs, truth)
+    assert (plot_dir / "plot.csv").read_bytes() == (plot_dir / "oracle.csv").read_bytes()
+
+
 _GOOD = '{"view": "N1", "mean": [0.0, 0.0], "cov": [[1.0, 0.0], [0.0, 1.0]]}'
 _TRACK = "track --detections {sim}/detections_test.jsonl"
+_TUNE = (
+    "tune --train-detections {sim}/detections_train.jsonl --train-truth {sim}/truth_train.csv"
+    " --val-detections {sim}/detections_val.jsonl --val-truth {sim}/truth_val.csv"
+)
+_CALIBRATE = "calibrate --detections {sim}/detections_val.jsonl --truth {sim}/truth_val.csv"
+_SIMULATE = "simulate --config {tmp}/c.json"
 
 # One row per cause in the README's exit-code table: id, exit code, files to
 # write into the scratch dir, argv (without --out) and the file the one-line
@@ -575,6 +646,13 @@ EXIT_CODE_CASES = [
         " --grid-b 0:inf:lin5",
         None,
     ),
+    ("grid-span-overflow", 2, {}, _CALIBRATE + " --grid-a=-1e308:1e308:lin5", None),
+    ("lr-nan", 2, {}, _TUNE + " --lr nan", None),
+    ("lr-inf", 2, {}, _TUNE + " --lr inf", None),
+    ("split-four-fractions", 2, {"c.json": '{"split": [0.5, 0.3, 0.1, 0.1]}'}, _SIMULATE, "{tmp}/c.json"),
+    ("split-two-fractions", 2, {"c.json": '{"split": [0.5, 0.5]}'}, _SIMULATE, "{tmp}/c.json"),
+    ("extent-one-value", 2, {"c.json": '{"object_extent": [15.0]}'}, _SIMULATE, "{tmp}/c.json"),
+    ("extent-three-values", 2, {"c.json": '{"object_extent": [15.0, 30.0, 5.0]}'}, _SIMULATE, "{tmp}/c.json"),
     (
         "report-missing-opm",
         2,

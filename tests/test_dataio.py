@@ -776,3 +776,193 @@ def test_fuzz_load_scenario_non_finite_field(fuzz_dir, data, value):
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
         dataio.load_scenario(path)
 
+
+
+# ---------------------------------------------------------------------------
+# The bulk truth and track readers against the readers they front: each
+# returns None or the arrays that reading the file row by row (record by
+# record) gives, bit for bit, on valid files and after one corruption.
+
+
+def _read_truth_rows(path):
+    with mock.patch.object(dataio, "_read_truth_bulk", return_value=None):
+        return dataio.read_truth(path)
+
+
+def _read_track_records(path):
+    with mock.patch.object(dataio, "_read_bulk_rows", return_value=None):
+        return dataio.read_track(path)
+
+
+def _assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def _assert_truth_bulk_declines_or_matches(path):
+    bulk, rows = dataio._read_truth_bulk(path), _outcome(_read_truth_rows, path)
+    if bulk is not None:
+        _assert_same_arrays(dataclasses.astuple(bulk), dataclasses.astuple(rows))
+    got = _outcome(dataio.read_truth, path)
+    if isinstance(rows, tuple):
+        assert got == rows
+    else:
+        _assert_same_arrays(dataclasses.astuple(got), dataclasses.astuple(rows))
+    return bulk
+
+
+# Every spelling of a valid number the writers or a hand edit might use.
+_SPELLINGS = st.sampled_from([repr, "{:.3e}".format, "{:+.17g}".format, "{:.0f}".format])
+_BAD_TRUTH = st.sampled_from(
+    [
+        *["", " ", "x", "nan", "inf", "-inf", "1e999", "-1.0", "0.0", "1e", "--1", "1.5.2", "0x10"],
+        # Fields csv.reader and float() read in their own ways.
+        *[" 1.0", "1.0 ", "1_0", '"1.0"', '"1,5"', "#1", "1,5", "1\r5", "1\n5", "\u0661"],
+    ]
+)
+
+
+@st.composite
+def _truth_lines(draw):
+    """The lines of a valid truth file: time-ordered rows of finite
+    positions and headings (some far outside [-pi, pi)) and positive extents,
+    each field spelt in one of several ways."""
+    n = draw(st.integers(1, 8))
+    t = draw(_FINITE)
+    lines = [",".join(dataio.TRUTH_HEADER)]
+    for _ in range(n):
+        heading = draw(st.one_of(st.floats(-4.0, 4.0), _FINITE, st.sampled_from([-math.pi, math.pi, -0.0])))
+        extent = [draw(st.floats(0.5, 100.0)), draw(st.floats(0.5, 100.0))]
+        pose = [draw(_FINITE), draw(_FINITE), heading, *extent]
+        spelt = [draw(_SPELLINGS)(v) for v in pose]
+        # Keep only spellings that leave the row valid.
+        spelt = [s if float(s) == v or i < 3 else repr(v) for i, (s, v) in enumerate(zip(spelt, pose))]
+        lines.append(",".join([repr(t), *spelt]))
+        t += draw(st.floats(1e-3, 10.0))
+    return lines
+
+
+def _corrupt_truth(data, lines):
+    """lines with one row, field or line ending spoilt."""
+    lines = list(lines)
+    k = data.draw(st.integers(1, len(lines) - 1))
+    fields = lines[k].split(",")
+    kind = data.draw(st.sampled_from(["field", "drop", "extra", "blank", "swap", "header", "rows"]))
+    if kind == "field":
+        fields[data.draw(st.integers(0, len(fields) - 1))] = data.draw(_BAD_TRUTH)
+    elif kind == "drop":
+        del fields[data.draw(st.integers(0, len(fields) - 1))]
+    elif kind == "extra":
+        fields.append("1.0")
+    elif kind == "blank":
+        lines.insert(k, data.draw(st.sampled_from(["", "  ", "#", "# t,x"])))
+    elif kind == "swap" and len(lines) > 2:
+        j = data.draw(st.integers(1, len(lines) - 1).filter(lambda j: j != k))
+        other = lines[j].split(",")
+        fields[0], other[0] = other[0], fields[0]
+        lines[j] = ",".join(other)
+    elif kind == "header":
+        header = ["t,x,y,heading,width,length\r", '"t",x,y,heading,width,length', "t,x,y"]
+        lines[0] = data.draw(st.sampled_from(header))
+    elif kind == "rows":
+        return lines[:1]
+    lines[k if kind != "blank" else k + 1] = ",".join(fields)
+    return lines
+
+
+@settings(max_examples=300)
+@given(data=st.data(), lines=_truth_lines(), eol=st.sampled_from(["\n", "\r\n"]))
+def test_bulk_truth_reader_declines_or_matches_rows(fuzz_dir, data, lines, eol):
+    path = fuzz_dir / "bulk.csv"
+    path.write_bytes((eol.join(lines) + data.draw(st.sampled_from([eol, ""]))).encode())
+    assert _assert_truth_bulk_declines_or_matches(path) is not None
+    text = eol.join(_corrupt_truth(data, lines)) + eol
+    if data.draw(st.booleans()):
+        # One line ending of the other kind, or a stray carriage return.
+        at = data.draw(st.sampled_from([m.start() for m in re.finditer(eol, text)]))
+        text = text[:at] + data.draw(st.sampled_from(["\n", "\r\n", "\r"])) + text[at + len(eol) :]
+    path.write_bytes(text.encode())
+    _assert_truth_bulk_declines_or_matches(path)
+
+
+def test_bulk_truth_reader_reads_simulated_files(tmp_path):
+    # simulate writes truth with csv.writer's \r\n line endings.
+    path = tmp_path / "t.csv"
+    samples = [(0.05 * k, ObjectPose((10.0 * k, 5.0), 7.0 * k - 3.0, (15.0, 30.0))) for k in range(5)]
+    dataio.write_truth(path, truth_arrays(samples))
+    assert b"\r\n" in path.read_bytes()
+    assert _assert_truth_bulk_declines_or_matches(path) is not None
+
+
+def _assert_track_bulk_declines_or_matches(path):
+    bulk, records = dataio._read_bulk_rows(path, frames=False), _outcome(_read_track_records, path)
+    if bulk is not None:
+        _assert_same_arrays([bulk[0], bulk[3], bulk[4]], records)
+    got = _outcome(dataio.read_track, path)
+    if isinstance(records[0], type):
+        assert got == records
+    else:
+        _assert_same_arrays(got, records)
+        assert all(a.flags.c_contiguous for a in got)
+    return bulk
+
+
+@st.composite
+def _track_steps(draw):
+    steps, t = [], draw(_FINITE)
+    for _ in range(draw(st.integers(1, 8))):
+        step = draw(_detection("N1"))
+        del step["view"]
+        steps.append({"t": t, **step})
+        t += draw(st.floats(1e-3, 10.0))
+    return steps
+
+
+@settings(max_examples=100)
+@given(data=st.data(), steps=_track_steps())
+def test_bulk_track_reader_declines_or_matches_records(fuzz_dir, data, steps):
+    # As test_bulk_reader_declines_or_matches_records, for track steps: each
+    # step unpacks into six flat numbers and a time.
+    path = fuzz_dir / "bulk_track.jsonl"
+    _write_lines(data, path, [json.dumps(step) for step in steps])
+    assert _assert_track_bulk_declines_or_matches(path) is not None
+    k = data.draw(st.integers(0, len(steps) - 1))
+    lines = [json.dumps(step) for step in steps]
+    kind = data.draw(st.sampled_from(["field", "truncate", "t"]))
+    if kind == "field":
+        lines[k] = json.dumps(_corrupt_json(data, steps[k]))
+    elif kind == "truncate":
+        lines[k] = _truncate(data, lines[k])
+    else:
+        t = data.draw(st.sampled_from([math.nan, math.inf, -1e9, steps[k]["t"] - 1e-3, True, "0.5"]))
+        lines[k] = json.dumps(dict(steps[k], t=t))
+    _write_lines(data, path, lines)
+    _assert_track_bulk_declines_or_matches(path)
+    for place in _paths(steps[k]):
+        for value in [_DROP, *_BAD_LIST] if place else []:
+            step = copy.deepcopy(steps[k])
+            parent = _at(step, place[:-1])
+            if value is _DROP:
+                del parent[place[-1]]
+            else:
+                parent[place[-1]] = value
+            lines = [json.dumps(s) for s in steps]
+            lines[k] = json.dumps(step)
+            path.write_text("\n".join(lines) + "\n")
+            _assert_track_bulk_declines_or_matches(path)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [("split", [0.5, 0.3, 0.1, 0.1]), ("split", [0.5, 0.5]), ("object_extent", [15.0]),
+     ("object_extent", [15.0, 30.0, 5.0])],
+)
+def test_scenario_rejects_wrong_tuple_lengths(tmp_path, field, value):
+    # Read as given, a 4th fraction would be dropped, a 2-fraction split
+    # would leave an empty test split and a 1-value extent a square object.
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({field: value}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {field} needs "):
+        dataio.load_scenario(path)

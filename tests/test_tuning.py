@@ -138,6 +138,11 @@ class TestTuneConfig:
             TuneConfig(grad_clip=0.0)
         TuneConfig(lr=0.0)  # explicit no-op optimizer is allowed
 
+    @pytest.mark.parametrize("lr", [math.nan, math.inf])
+    def test_lr_must_be_finite(self, lr):
+        with pytest.raises(ValueError, match="^lr must be non-negative and finite"):
+            TuneConfig(lr=lr)
+
 
 class TestMakeWindows:
     def test_disjoint_full_windows(self):
