@@ -1,6 +1,12 @@
 """Command-line front end: simulate -> track -> calibrate -> tune -> evaluate
--> report, composing through files. Every command writes a manifest next to
-its outputs recording the resolved options, inputs, and versions.
+-> report, composing through files.
+
+Each cmd_* function takes the parsed flags and the output directory, writes
+its files there and returns their names with the values it resolved (a
+seed, the filter parameters, the alpha sweep). main runs every command the
+same way: it times it, resolves --out and writes the one manifest.json next
+to the outputs: every input flag under "inputs", every other flag under
+"options" as parsed, overlaid with the resolved values, and the versions.
 
 This module only parses flags and wires commands together: dataio reads,
 validates and matches every input file. main maps errors to exit codes: 1
@@ -35,29 +41,37 @@ CHI2_95_2D = -2.0 * math.log(0.05)
 DEFAULT_SIGMA_ACCEL = 100.0
 OUT_ROOT_ENV = "GEOTRACK_OUT"
 
+# Flags that name an input file or directory: the manifest lists them under
+# "inputs" and every other flag under "options".
+INPUT_FLAGS = frozenset({
+    "config", "detections", "truth", "params", "calib", "init", "track", "run_dirs",
+    "train_detections", "train_truth", "val_detections", "val_truth",
+})
+
 
 class UsageError(Exception):
     """Bad flags, unreadable config, malformed input format: exit code 2."""
 
 
-def _out_dir(args, command: str) -> Path:
+def _out_dir(args) -> Path:
     if args.out is not None:
         out = Path(args.out)
     elif os.environ.get(OUT_ROOT_ENV):
-        out = Path(os.environ[OUT_ROOT_ENV]) / command
+        out = Path(os.environ[OUT_ROOT_ENV]) / args.command
     else:
         raise UsageError(f"--out is required (or set {OUT_ROOT_ENV})")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
 
-def _write_manifest(
-    out: Path, command: str, options: dict, inputs: dict, outputs: list[str], elapsed: float
-) -> None:
+def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed: float) -> None:
+    """Input flags under "inputs"; every other flag under "options" as parsed,
+    with the command's resolved values written over them."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     manifest = {
-        "command": command,
-        "options": options,
-        "inputs": inputs,
+        "command": args.command,
+        "options": {**{k: v for k, v in flags.items() if k not in INPUT_FLAGS}, **resolved},
+        "inputs": {k: v for k, v in flags.items() if k in INPUT_FLAGS},
         "outputs": sorted(outputs),
         "versions": {"geotrack": __version__},
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
@@ -109,9 +123,7 @@ def _parse_sweep(spec: str) -> metrics.AlphaSweep:
 # simulate
 
 
-def cmd_simulate(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args, "simulate")
+def cmd_simulate(args, out: Path) -> tuple[list[str], dict]:
     if args.config is not None:
         config = dataio.load_scenario(Path(args.config))
     else:
@@ -128,25 +140,15 @@ def cmd_simulate(args) -> int:
         dataio.write_detections(out / det_name, batch)
         dataio.write_truth(out / truth_name, truth)
         outputs += [det_name, truth_name]
-    _write_manifest(
-        out,
-        "simulate",
-        options={"config": args.config, "seed": config.seed, "resolved": dataio.scenario_to_dict(config)},
-        inputs={"config": args.config},
-        outputs=outputs,
-        elapsed=time.monotonic() - started,
-    )
     print(f"simulate: wrote {len(outputs)} files to {out}")
-    return 0
+    return outputs, {"seed": config.seed, "resolved": dataio.scenario_to_dict(config)}
 
 
 # ---------------------------------------------------------------------------
 # track
 
 
-def cmd_track(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args, "track")
+def cmd_track(args, out: Path) -> tuple[list[str], dict]:
     batch = dataio.read_detections(Path(args.detections))
     params = _filter_params(args.params)
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
@@ -160,8 +162,7 @@ def cmd_track(args) -> int:
     summary = {
         "n_frames": len(batch),
         "n_steps": n_steps,
-        "sigma_accel": params.sigma_accel,
-        "init_vel_var": params.init_vel_var,
+        **dataclasses.asdict(params),
         "calibrated": bool(args.calib),
     }
     if truth_pos is not None:
@@ -173,22 +174,11 @@ def cmd_track(args) -> int:
     step_truth = truth_pos[len(batch) - n_steps :] if truth_pos is not None else None
     _write_plot_data(out / "plot_data.csv", result.times, result.means, result.covs, step_truth)
 
-    _write_manifest(
-        out,
-        "track",
-        options={
-            "params": {"sigma_accel": params.sigma_accel, "init_vel_var": params.init_vel_var},
-            "calib": args.calib,
-        },
-        inputs={"detections": args.detections, "truth": args.truth, "calib": args.calib, "params": args.params},
-        outputs=["track.jsonl", "summary.json", "plot_data.csv"],
-        elapsed=time.monotonic() - started,
-    )
     if truth_pos is not None:
         print(f"track: {n_steps} steps, mean NLL {result.mean_nll:.4f}")
     else:
         print(f"track: {n_steps} steps")
-    return 0
+    return ["track.jsonl", "summary.json", "plot_data.csv"], {"params": dataclasses.asdict(params)}
 
 
 def _write_plot_data(path: Path, times, means, covs, truth) -> None:
@@ -209,9 +199,7 @@ def _write_plot_data(path: Path, times, means, covs, truth) -> None:
 # calibrate
 
 
-def cmd_calibrate(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args, "calibrate")
+def cmd_calibrate(args, out: Path) -> tuple[list[str], dict]:
     batch = dataio.read_detections(Path(args.detections))
     position = _truth_positions(batch, args.truth, args.detections)
     grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))
@@ -241,24 +229,14 @@ def cmd_calibrate(args) -> int:
             print(f"{view}: a={p.a:.4g} b={p.b:.4g} nll {before:.4f} -> {result.best_nll[view]:.4f}")
 
     dataio.write_calibration(out / "calibration.json", fitted, shared=args.shared)
-    _write_manifest(
-        out,
-        "calibrate",
-        options={"grid_a": args.grid_a, "grid_b": args.grid_b, "shared": args.shared},
-        inputs={"detections": args.detections, "truth": args.truth},
-        outputs=["calibration.json"],
-        elapsed=time.monotonic() - started,
-    )
-    return 0
+    return ["calibration.json"], {}
 
 
 # ---------------------------------------------------------------------------
 # tune
 
 
-def cmd_tune(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args, "tune")
+def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     train = dataio.read_detections(Path(args.train_detections))
     val = dataio.read_detections(Path(args.val_detections))
     train_pos = _truth_positions(train, args.train_truth, args.train_detections)
@@ -294,44 +272,26 @@ def cmd_tune(args) -> int:
     (out / "history_meta.json").write_text(
         dataio.dumps({"diverged": history.diverged, **history.meta}, indent=2) + "\n"
     )
-    _write_manifest(
-        out,
-        "tune",
-        options={
-            "seq_len": config.seq_len,
-            "epochs": config.epochs,
-            "lr": config.lr,
-            "seed": args.seed,
-            "init": args.init,
-        },
-        inputs={
-            "train_detections": args.train_detections,
-            "train_truth": args.train_truth,
-            "val_detections": args.val_detections,
-            "val_truth": args.val_truth,
-        },
-        outputs=["tuned_params.json", "tuned_calibration.json", "history.csv", "history_meta.json"],
-        elapsed=time.monotonic() - started,
-    )
     best = history.meta.get("best_val_nll", history.rows[-1]["val_nll"])
     print(
         f"tune: {config.epochs} epochs, sigma_accel {sigma:.4g}, "
         f"val NLL {history.rows[0]['val_nll']:.4f} -> {best:.4f} (best seen)"
     )
-    return 0
+    outputs = ["tuned_params.json", "tuned_calibration.json", "history.csv", "history_meta.json"]
+    return outputs, {"params": dataclasses.asdict(base)}
 
 
 # ---------------------------------------------------------------------------
 # evaluate
 
 
-def cmd_evaluate(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args, "evaluate")
+def cmd_evaluate(args, out: Path) -> tuple[list[str], dict]:
     if (args.track is None) == (args.detections is None):
         raise UsageError("provide exactly one of --track or --detections")
     if args.detections is not None and args.view is None:
         raise UsageError("--view is required when evaluating raw detections")
+    if args.track is not None and args.view is not None:
+        raise UsageError("--view applies only to --detections")
 
     truth = dataio.read_truth(Path(args.truth))
     if args.track is not None:
@@ -349,38 +309,23 @@ def cmd_evaluate(args) -> int:
     truth = truth[dataio.match_truth(times, truth, source)]
     records = metrics.Records(mean, cov, truth.positions, truth.headings, truth.extent)
 
-    sweep = _parse_sweep(args.alpha_sweep)
+    sweep = metrics.default_sweep() if args.alpha_sweep is None else _parse_sweep(args.alpha_sweep)
     report = metrics.evaluate(records, sweep=sweep, n_mc=args.mc_samples, seed=args.seed)
     dataio.write_report(out / "report.json", report)
     dataio.write_report_row(out / "report_row.csv", report)
     dataio.write_histogram(out / "nll_hist.csv", records.nll)
-    _write_manifest(
-        out,
-        "evaluate",
-        options={
-            "alpha_sweep": list(sweep.thresholds),
-            "mc_samples": args.mc_samples,
-            "seed": args.seed,
-            "view": args.view,
-        },
-        inputs={"track": args.track, "detections": args.detections, "truth": args.truth},
-        outputs=["report.json", "report_row.csv", "nll_hist.csv"],
-        elapsed=time.monotonic() - started,
-    )
     print(
         f"evaluate: n={len(records)} nll={report.nll:.4f} opm={report.opm:.4f} "
         f"det_pr={report.det_pr:.4f} loc_a={report.loc_a:.4f}"
     )
-    return 0
+    return ["report.json", "report_row.csv", "nll_hist.csv"], {"alpha_sweep": list(sweep.thresholds)}
 
 
 # ---------------------------------------------------------------------------
 # report
 
 
-def cmd_report(args) -> int:
-    started = time.monotonic()
-    out = _out_dir(args, "report")
+def cmd_report(args, out: Path) -> tuple[list[str], dict]:
     header = ["run", "nll", "opm", "det_pr", "loc_a", "fingerprint"]
     rows: list[list[str]] = []
     for run_dir in args.run_dirs:
@@ -411,16 +356,8 @@ def cmd_report(args) -> int:
         for row in [header] + rows
     ]
     (out / "report_table.txt").write_text("\n".join(txt_lines) + "\n")
-    _write_manifest(
-        out,
-        "report",
-        options={},
-        inputs={"run_dirs": list(args.run_dirs)},
-        outputs=["report_table.csv", "report_table.txt"],
-        elapsed=time.monotonic() - started,
-    )
     print("\n".join(txt_lines))
-    return 0
+    return ["report_table.csv", "report_table.txt"], {}
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detections", help="detections JSONL (requires --view)")
     p.add_argument("--view", help="view id to evaluate from --detections")
     p.add_argument("--truth", required=True)
-    p.add_argument("--alpha-sweep", default="0.05:0.95:19")
+    p.add_argument("--alpha-sweep", help="lo:hi:count or v1,v2,...; default 0.05, 0.10, ..., 0.95")
     p.add_argument("--mc-samples", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
@@ -496,7 +433,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        started = time.monotonic()
+        out = _out_dir(args)
+        outputs, resolved = args.func(args, out)
+        _write_manifest(out, args, outputs, resolved, time.monotonic() - started)
+        return 0
     except (UsageError, OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, (NotPositiveDefiniteError, RuntimeError)) else 2

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_write_plot_data, truth_arrays
-from geotrack import calibration, dataio
+from geotrack import calibration, dataio, metrics
 from geotrack.cli import _parse_axis, _write_plot_data, build_parser, main
 from geotrack.core import ObjectPose
 
@@ -423,6 +423,20 @@ class TestEvaluate:
         )
         assert code == 0
 
+    def test_default_alpha_sweep_is_exact(self, sim_dir, track_dir, tmp_path):
+        # The default thresholds are i / 20 exactly, not linspace's 0.39999999999999997.
+        code = main(
+            [
+                "evaluate",
+                "--track", str(track_dir / "track.jsonl"),
+                "--truth", str(sim_dir / "truth_test.csv"),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 0
+        report = dataio.read_report(tmp_path / "report.json")
+        assert report.alpha_sweep == metrics.default_sweep().thresholds
+
     def test_requires_exactly_one_source(self, sim_dir, track_dir, tmp_path):
         assert (
             main(["evaluate", "--truth", str(sim_dir / "truth_test.csv"), "--out", str(tmp_path)])
@@ -721,6 +735,16 @@ EXIT_CODE_CASES = [
         "track --detections {tmp}/d.jsonl",
         "{tmp}/d.jsonl",
     ),
+    (
+        "view-with-track",
+        2,
+        {
+            "tr.jsonl": '{"cov": [[1.0, 0.0], [0.0, 1.0]], "mean": [0.0, 0.0], "t": 0.0}\n',
+            "t.csv": "t,x,y,heading,width,length\n0.0,1.0,2.0,0.0,15.0,30.0\n",
+        },
+        "evaluate --track {tmp}/tr.jsonl --view N2 --truth {tmp}/t.csv",
+        None,
+    ),
 ]
 
 
@@ -740,3 +764,105 @@ def test_exit_code_table(sim_dir, tmp_path, capsys, code, files, argv, named):
     assert line.startswith("error: ")
     if named is not None:
         assert line.startswith(f"error: {named.format(**dirs)}:")
+
+
+@pytest.fixture(scope="module")
+def eval_dir(tmp_path_factory, sim_dir, track_dir):
+    out = tmp_path_factory.mktemp("eval")
+    argv = ["evaluate", "--track", str(track_dir / "track.jsonl"), "--truth", str(sim_dir / "truth_test.csv")]
+    assert main(argv + ["--out", str(out)]) == 0
+    return out
+
+
+_PARAMS = {"sigma_accel": 123.0, "init_vel_var": 5000.0}
+_CALIB = json.dumps({"views": {v: {"a": 1.0, "b": 0.0} for v in ("N1", "N2", "N3", "N4")}})
+
+# One run per command with every optional input given: id, files to write
+# into the scratch dir, argv (without --out), the input flags it names and
+# the values the command resolves into its options. {track} and {eval} are
+# the track and evaluate output dirs.
+MANIFEST_CASES = [
+    (
+        "simulate",
+        {"c.json": json.dumps(SMALL_CONFIG)},
+        "simulate --config {tmp}/c.json --seed 3",
+        {"config": "{tmp}/c.json"},
+        {"seed": 3},
+    ),
+    (
+        "track",
+        {"p.json": json.dumps(_PARAMS), "c.json": _CALIB},
+        _TRACK + " --truth {sim}/truth_test.csv --params {tmp}/p.json --calib {tmp}/c.json",
+        {
+            "detections": "{sim}/detections_test.jsonl",
+            "truth": "{sim}/truth_test.csv",
+            "params": "{tmp}/p.json",
+            "calib": "{tmp}/c.json",
+        },
+        {"params": _PARAMS},
+    ),
+    (
+        "calibrate",
+        {},
+        _CALIBRATE + " --grid-a 0.5:2:log5 --grid-b 0:10:lin3 --shared",
+        {"detections": "{sim}/detections_val.jsonl", "truth": "{sim}/truth_val.csv"},
+        {},
+    ),
+    (
+        "tune",
+        {"p.json": json.dumps(_PARAMS), "c.json": _CALIB},
+        _TUNE + " --init {tmp}/c.json --params {tmp}/p.json --seq-len 50 --epochs 1 --lr 1e-3 --seed 2",
+        {
+            "train_detections": "{sim}/detections_train.jsonl",
+            "train_truth": "{sim}/truth_train.csv",
+            "val_detections": "{sim}/detections_val.jsonl",
+            "val_truth": "{sim}/truth_val.csv",
+            "init": "{tmp}/c.json",
+            "params": "{tmp}/p.json",
+        },
+        {"params": _PARAMS},
+    ),
+    (
+        "evaluate-track",
+        {},
+        "evaluate --track {track}/track.jsonl --truth {sim}/truth_test.csv --alpha-sweep 0.25,0.5"
+        " --mc-samples 10 --seed 4",
+        {"track": "{track}/track.jsonl", "truth": "{sim}/truth_test.csv"},
+        {"alpha_sweep": [0.25, 0.5]},
+    ),
+    (
+        "evaluate-detections",
+        {},
+        "evaluate --detections {sim}/detections_test.jsonl --view N2 --truth {sim}/truth_test.csv",
+        {"detections": "{sim}/detections_test.jsonl", "truth": "{sim}/truth_test.csv"},
+        {"alpha_sweep": list(metrics.default_sweep().thresholds)},
+    ),
+    ("report", {}, "report {eval} {track}", {"run_dirs": ["{eval}", "{track}"]}, {}),
+]
+
+
+@pytest.mark.parametrize(
+    "files,argv,inputs,resolved", [c[1:] for c in MANIFEST_CASES], ids=[c[0] for c in MANIFEST_CASES]
+)
+def test_manifest_records_every_flag(sim_dir, track_dir, eval_dir, tmp_path, files, argv, inputs, resolved):
+    dirs = {"sim": sim_dir, "tmp": tmp_path, "track": track_dir, "eval": eval_dir}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    args = [arg.format(**dirs) for arg in argv.split()]
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+
+    given = {
+        flag: [p.format(**dirs) for p in path] if isinstance(path, list) else path.format(**dirs)
+        for flag, path in inputs.items()
+    }
+    # The input flags not given (the other evaluate source) are recorded as None.
+    assert {k: v for k, v in manifest["inputs"].items() if v is not None} == given
+    parsed = vars(build_parser().parse_args(args))
+    flags = set(parsed) - {"func", "command", "out"}
+    assert set(manifest["inputs"]) <= flags
+    # Every other flag is an option as parsed, unless the command resolved it.
+    expected = {**{k: parsed[k] for k in flags - set(manifest["inputs"])}, **resolved}
+    assert {k: manifest["options"].get(k, "<absent>") for k in expected} == expected
+    assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
