@@ -231,23 +231,6 @@ def log_density(g: Gaussian2D, points: np.ndarray) -> np.ndarray:
     return -nll_rows(np.broadcast_to(g.mean, (n, 2)), np.broadcast_to(g.cov, (n, 2, 2)), points)
 
 
-def sample_gaussian(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Draw ``n`` points from the Gaussian with mean (2,) and lower Cholesky
-    factor L (2, 2) of its covariance, as an (n, 2) array, reproducible per
-    rng."""
-    if n < 1:
-        raise ValueError(f"sample count must be >= 1, got {n}")
-    return mean + rng.standard_normal((n, 2)) @ L.T
-
-
-def points_in_pose(position, heading: float, extent, points: np.ndarray) -> np.ndarray:
-    """Vectorized membership test for an (n, 2) array of points in the
-    rectangle of a pose's position, heading and extent (width, length)."""
-    d = np.atleast_2d(np.asarray(points, dtype=float)) - position
-    b = d @ rotation(-heading).T
-    return (np.abs(b[:, 0]) <= extent[0] / 2.0) & (np.abs(b[:, 1]) <= extent[1] / 2.0)
-
-
 def heading_from_velocity(velocity: np.ndarray) -> np.ndarray:
     """Headings (N,) that align the pose's length axis with each velocity
     (N, 2); 0 for a zero velocity. math.atan2 per row, as np.arctan2 can

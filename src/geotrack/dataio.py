@@ -473,8 +473,8 @@ def read_report(path: Path) -> MetricReport:
 
 
 def write_report_row(path: Path, report: MetricReport) -> None:
-    header = ["nll", "opm", "det_pr", "loc_a", "seed", "n_mc"]
-    row = [*(repr(getattr(report, key)) for key in header[:4]), report.seed, report.n_mc]
+    header = ["nll", "opm", "det_pr", "loc_a"]
+    row = [repr(getattr(report, key)) for key in header]
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([header, row])
 

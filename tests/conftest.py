@@ -7,11 +7,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from geotrack import calibration, dataio, metrics, simulator, tuning
+from geotrack import calibration, dataio, simulator, tuning
 from geotrack.calibration import CalibrationParams
 from geotrack.cli import CHI2_95_2D
 from geotrack.core import LOG_TWO_PI, Gaussian2D, ObjectPose, Pairs, cholesky, rotation, wrap_angle
@@ -41,6 +42,15 @@ from geotrack.simulator import REPORTED_COV_FLOOR, Trajectory, generate_trajecto
 # database and has no per-example deadline; tests set only max_examples.
 settings.register_profile("geotrack", derandomize=True, database=None, deadline=None)
 settings.load_profile("geotrack")
+# Hypothesis (6.131 on) also mixes the numeric literals of the package's
+# source files into its examples, so an edit to one module would reshuffle
+# the examples of every property test. Draw from the strategies alone.
+try:
+    from hypothesis.internal.conjecture import providers as _providers
+except ImportError:  # a Hypothesis without the harvest
+    _providers = None
+if hasattr(_providers, "_get_local_constants"):
+    _providers._get_local_constants = lambda: _providers._local_constants
 
 
 def phi(x: float) -> float:
@@ -229,12 +239,83 @@ def records_arrays(records) -> Records:
     )
 
 
+def sample_gaussian(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Draw ``n`` points from the Gaussian with mean (2,) and lower Cholesky
+    factor L (2, 2) of its covariance, as an (n, 2) array, reproducible per
+    rng."""
+    if n < 1:
+        raise ValueError(f"sample count must be >= 1, got {n}")
+    return mean + rng.standard_normal((n, 2)) @ L.T
+
+
+def points_in_pose(position, heading: float, extent, points: np.ndarray) -> np.ndarray:
+    """Vectorized membership test for an (n, 2) array of points in the
+    rectangle of a pose's position, heading and extent (width, length)."""
+    d = np.atleast_2d(np.asarray(points, dtype=float)) - position
+    b = d @ rotation(-heading).T
+    return (np.abs(b[:, 0]) <= extent[0] / 2.0) & (np.abs(b[:, 1]) <= extent[1] / 2.0)
+
+
+def mc_mass(mean, L, position, heading, extent, n: int, rng: np.random.Generator) -> float:
+    """Monte Carlo fraction of n draws from N(mean, L L^T) inside the
+    rectangle of the given position, heading and extent (width, length)."""
+    samples = sample_gaussian(mean, L, rng, n)
+    return float(np.mean(points_in_pose(position, heading, extent, samples)))
+
+
 def opm(g: Gaussian2D, pose: ObjectPose, n: int = 1000, *, rng: np.random.Generator) -> float:
-    """The object probability mass of one prediction: the Monte Carlo
-    fraction of n draws from g inside the pose's rectangle, as
-    metrics.per_record_scores scores a record from its rng."""
+    """Monte Carlo estimate of one prediction's object probability mass: the
+    fraction of n draws from g inside the pose's rectangle."""
     L = cholesky(g.cov[None])[0]
-    return metrics._mass(g.mean, L, pose.position, pose.heading, pose.extent, n, rng)
+    return mc_mass(g.mean, L, pose.position, pose.heading, pose.extent, n, rng)
+
+
+def mc_scores(records: Records, n: int, seed: int) -> np.ndarray:
+    """Monte Carlo OPM of each record from n draws, each record from its own
+    seeded substream (seed, record index)."""
+    L = cholesky(records.cov)
+    rows = zip(records.mean, L, records.truth, records.heading.tolist(), records.extent)
+    out = np.empty(len(records))
+    for i, (mean, factor, position, heading, extent) in enumerate(rows):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        out[i] = mc_mass(mean, factor, position, heading, extent, n, rng)
+    return out
+
+
+def mp_rectangle_mass(mean, cov, position, heading, extent, dps: int = 30) -> float:
+    """The mass of N(mean, cov) inside the rectangle of a pose's position,
+    heading and extent (width, length), in mpmath at dps digits: an
+    independent reference for the exact OPM.
+
+    In the rectangle's frame, standardised, with correlation r, the mass is
+    the integral over x in [h_lo, h_hi] of phi(x) (Phi((r x - k_lo) / t) -
+    Phi((r x - k_hi) / t)), t = sqrt(1 - r^2): the conditional law of the
+    second coordinate given the first. The quadrature is split where each
+    Phi term turns (x = k / r) and at the density's peak, and clipped to
+    |x| <= 40, beyond which phi is below 1e-347.
+    """
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        c, s = mpmath.cos(mpf(heading)), mpmath.sin(mpf(heading))
+        dx, dy = mpf(mean[0]) - mpf(position[0]), mpf(mean[1]) - mpf(position[1])
+        m0, m1 = c * dx + s * dy, c * dy - s * dx
+        a, b, e = mpf(cov[0][0]), mpf(cov[0][1]), mpf(cov[1][1])
+        s0 = mpmath.sqrt(c * c * a + 2 * c * s * b + s * s * e)
+        s1 = mpmath.sqrt(s * s * a - 2 * c * s * b + c * c * e)
+        r = (c * s * (e - a) + (c * c - s * s) * b) / (s0 * s1)
+        half_w, half_l = mpf(extent[0]) / 2, mpf(extent[1]) / 2
+        lo, hi = max((-half_w - m0) / s0, mpf(-40)), min((half_w - m0) / s0, mpf(40))
+        k_lo, k_hi = (-half_l - m1) / s1, (half_l - m1) / s1
+        if lo >= hi:
+            return 0.0
+        t = mpmath.sqrt(1 - r * r)
+
+        def density(x):
+            return mpmath.npdf(x) * (mpmath.ncdf((r * x - k_lo) / t) - mpmath.ncdf((r * x - k_hi) / t))
+
+        kinks = [k / r for k in (k_lo, k_hi) if r != 0] + [mpf(0)]
+        points = sorted({lo, hi, *(x for x in kinks if lo < x < hi)})
+        return float(mpmath.quad(density, points))
 
 
 def visibility(node, pose: ObjectPose, occluders=()) -> bool:

@@ -18,6 +18,7 @@ from conftest import (
     opm,
     phi,
     random_pd_2x2,
+    records_arrays,
     stacked_update,
     update,
     window_loss,
@@ -197,19 +198,26 @@ def test_criterion_4_opm_binomial_accuracy():
         configs.append((tuple(mean), tuple(sig)))
 
     worst_margin = -np.inf
+    records = []
     for i, (mean, sig) in enumerate(configs):
         exact = exact_axis_aligned(mean, sig, 15.0, 30.0)
         pose = ObjectPose((0.0, 0.0), 0.0, (15.0, 30.0))
         g = Gaussian2D(mean, np.diag([sig[0] ** 2, sig[1] ** 2]))
+        records.append((g, pose))
         estimate = opm(g, pose, n=n, rng=np.random.default_rng(11000 + i))
         half_width = Z_99 * math.sqrt(exact * (1.0 - exact) / n) + 0.5 / n
         margin = abs(estimate - exact) - half_width
         worst_margin = max(worst_margin, margin)
-    ok = worst_margin <= 0.0
+    # The package's OPM is exact: it matches the closed form, not a sample.
+    closed = [exact_axis_aligned(mean, sig, 15.0, 30.0) for mean, sig in configs]
+    exact_err = float(np.max(np.abs(metrics.per_record_scores(records_arrays(records)) - closed)))
+    ok = worst_margin <= 0.0 and exact_err <= 1e-12
     assert report(
-        "4", ok, f"50 configs inside 99% CI (worst margin {worst_margin:+.4f})"
+        "4", ok, f"50 configs inside 99% CI (worst margin {worst_margin:+.4f}); "
+        f"exact OPM within {exact_err:.1e} of the closed form"
     )
     assert worst_margin <= 0.0
+    assert exact_err <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +398,6 @@ def test_criterion_7_tracker_beats_mean_detector_opm(default_run, tmp_path):
                 "evaluate",
                 "--track", str(track / "track.jsonl"),
                 "--truth", str(sim / "truth_test.csv"),
-                "--seed", "1",
                 "--out", str(out),
             ]
         )
@@ -408,7 +415,6 @@ def test_criterion_7_tracker_beats_mean_detector_opm(default_run, tmp_path):
                     "--detections", str(sim / "detections_test.jsonl"),
                     "--view", view,
                     "--truth", str(sim / "truth_test.csv"),
-                    "--seed", "1",
                     "--out", str(vout),
                 ]
             )
@@ -587,7 +593,6 @@ def run_pipeline(root, seed: int):
                 "evaluate",
                 "--track", str(track / "track.jsonl"),
                 "--truth", str(sim / "truth_test.csv"),
-                "--seed", str(seed),
                 "--out", str(ev),
             ]
         )

@@ -437,6 +437,38 @@ class TestEvaluate:
         report = dataio.read_report(tmp_path / "report.json")
         assert report.alpha_sweep == metrics.default_sweep().thresholds
 
+    def test_alpha_sweep_range_is_exact(self, sim_dir, track_dir, tmp_path):
+        # lo:hi:count is computed from the decimal strings and rounded once,
+        # so this range is the default sweep and scores as the default does.
+        reports = []
+        for name, extra in (("range", ["--alpha-sweep", "0.05:0.95:19"]), ("default", [])):
+            out = tmp_path / name
+            argv = ["evaluate", "--track", str(track_dir / "track.jsonl"),
+                    "--truth", str(sim_dir / "truth_test.csv"), "--out", str(out)]
+            assert main(argv + extra) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert dataio.read_report(tmp_path / "range" / "report.json").alpha_sweep == (
+            metrics.default_sweep().thresholds
+        )
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["0.05:0.95", "0.05:0.95:x", "a:0.95:3", "0:0.5:3", "0.9:0.1:3", "0.05:0.95:0",
+         "1/3:0.5:2", "1e-99999:0.5:2", "0.1:nan:3", "0.2,0.1", "0.5,1.5", ""],
+    )
+    def test_malformed_alpha_sweep_exits_2(self, sim_dir, track_dir, tmp_path, spec, capsys):
+        argv = ["evaluate", "--track", str(track_dir / "track.jsonl"),
+                "--truth", str(sim_dir / "truth_test.csv"), f"--alpha-sweep={spec}", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "bad alpha sweep spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [["--mc-samples", "10"], ["--seed", "4"]])
+    def test_monte_carlo_flags_are_unknown(self, sim_dir, track_dir, tmp_path, flag):
+        argv = ["evaluate", "--track", str(track_dir / "track.jsonl"),
+                "--truth", str(sim_dir / "truth_test.csv"), "--out", str(tmp_path)]
+        assert main(argv + flag) == 2
+
     def test_requires_exactly_one_source(self, sim_dir, track_dir, tmp_path):
         assert (
             main(["evaluate", "--truth", str(sim_dir / "truth_test.csv"), "--out", str(tmp_path)])
@@ -475,7 +507,6 @@ class TestEvaluate:
                     "evaluate",
                     "--track", str(track_dir / "track.jsonl"),
                     "--truth", str(sim_dir / "truth_test.csv"),
-                    "--seed", "5",
                     "--out", str(out),
                 ]
             )
@@ -518,14 +549,14 @@ class TestReport:
     @pytest.fixture()
     def two_runs(self, sim_dir, track_dir, tmp_path):
         runs = []
-        for i, seed in enumerate(("3", "4")):
+        for i, sweep in enumerate(("0.5", "0.25,0.75")):
             out = tmp_path / f"run{i}"
             code = main(
                 [
                     "evaluate",
                     "--track", str(track_dir / "track.jsonl"),
                     "--truth", str(sim_dir / "truth_test.csv"),
-                    "--seed", seed,
+                    "--alpha-sweep", sweep,
                     "--out", str(out),
                 ]
             )
@@ -561,6 +592,21 @@ class TestReport:
             rows = list(csv.reader(fh))
         assert [len(r) for r in rows] == [6, 6, 6]
         assert rows[1][0] == 'run,"x' and rows[2][0] == "run1"
+
+    def test_reads_report_with_monte_carlo_keys(self, two_runs, tmp_path):
+        # A report.json written before OPM was exact also carries seed and
+        # n_mc; report ignores them and tabulates the same values.
+        old = tmp_path / "old"
+        old.mkdir()
+        data = json.loads((two_runs[0] / "report.json").read_text())
+        (old / "report.json").write_text(json.dumps({**data, "seed": 0, "n_mc": 1000}, indent=2) + "\n")
+        out = tmp_path / "table"
+        assert main(["report", str(old), str(two_runs[0]), "--out", str(out)]) == 0
+        with open(out / "report_table.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        # Values agree; the fingerprint is of the file's bytes.
+        assert rows[1][1:5] == rows[2][1:5]
+        assert rows[1][1:5] == [repr(data[key]) for key in ("nll", "opm", "det_pr", "loc_a")]
 
     def test_missing_report_flagged_exit_0(self, two_runs, tmp_path, capsys):
         out = tmp_path / "table"
@@ -825,8 +871,7 @@ MANIFEST_CASES = [
     (
         "evaluate-track",
         {},
-        "evaluate --track {track}/track.jsonl --truth {sim}/truth_test.csv --alpha-sweep 0.25,0.5"
-        " --mc-samples 10 --seed 4",
+        "evaluate --track {track}/track.jsonl --truth {sim}/truth_test.csv --alpha-sweep 0.25,0.5",
         {"track": "{track}/track.jsonl", "truth": "{sim}/truth_test.csv"},
         {"alpha_sweep": [0.25, 0.5]},
     ),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_nll, random_pd_2x2
+from conftest import dense_nll, points_in_pose, random_pd_2x2, sample_gaussian
 from geotrack.core import (
     Arena,
     Gaussian2D,
@@ -13,9 +13,7 @@ from geotrack.core import (
     heading_from_velocity,
     log_density,
     nll,
-    points_in_pose,
     rotation,
-    sample_gaussian,
     wrap_angle,
 )
 

@@ -311,12 +311,19 @@ def test_track_rejects_repeated_or_decreasing_time(tmp_path, t):
 
 def test_report_round_trip(tmp_path):
     report = MetricReport(
-        nll=5.5, opm=0.9, det_pr=0.91, loc_a=0.95, seed=7, n_mc=1000,
+        nll=5.5, opm=0.9, det_pr=0.91, loc_a=0.95,
         alpha_sweep=tuple(i / 20 for i in range(1, 20)),
     )
     path = tmp_path / "r.json"
     dataio.write_report(path, report)
     assert dataio.read_report(path) == report
+
+
+def test_report_row_csv(tmp_path):
+    report = MetricReport(nll=5.5, opm=0.9, det_pr=0.91, loc_a=0.1 + 0.2, alpha_sweep=(0.5,))
+    path = tmp_path / "row.csv"
+    dataio.write_report_row(path, report)
+    assert path.read_bytes() == b"nll,opm,det_pr,loc_a\r\n5.5,0.9,0.91,0.30000000000000004\r\n"
 
 
 def test_histogram_output(tmp_path):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import opm
-from geotrack.core import Arena, Gaussian2D, ObjectPose, nll, points_in_pose, rotation
+from conftest import opm, points_in_pose
+from geotrack.core import Arena, Gaussian2D, ObjectPose, nll, rotation
 from geotrack.heads import (
     ExtentGrid,
     RawHead,
