@@ -282,6 +282,24 @@ def mc_scores(records: Records, n: int, seed: int) -> np.ndarray:
     return out
 
 
+def mp_orthant(h: float, k: float, r: float, dps: int = 30) -> float:
+    """P(X > h, Y > k) for standard normals with correlation r, |r| < 1, in
+    mpmath at dps digits: the integral over x > h of phi(x) Phi((r x - k) /
+    sqrt(1 - r^2)), split where the Phi term turns (x = k / r) and clipped
+    to |x| <= 40, beyond which phi is below 1e-347."""
+    with mpmath.workdps(dps):
+        lo, k, r = max(mpmath.mpf(h), mpmath.mpf(-40)), mpmath.mpf(k), mpmath.mpf(r)
+        if lo >= 40:
+            return 0.0
+        t = mpmath.sqrt(1 - r * r)
+
+        def density(x):
+            return mpmath.npdf(x) * mpmath.ncdf((r * x - k) / t)
+
+        kink = [k / r] if r != 0 and lo < k / r < 40 else []
+        return float(mpmath.quad(density, [lo, *kink, mpmath.mpf(40)]))
+
+
 def mp_rectangle_mass(mean, cov, position, heading, extent, dps: int = 30) -> float:
     """The mass of N(mean, cov) inside the rectangle of a pose's position,
     heading and extent (width, length), in mpmath at dps digits: an

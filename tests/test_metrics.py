@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import mc_scores, mp_rectangle_mass, phi, random_pd_2x2, records_arrays
+from conftest import mc_scores, mp_orthant, mp_rectangle_mass, phi, random_pd_2x2, records_arrays
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll, rotation
 from geotrack.metrics import (
     AlphaSweep,
@@ -184,6 +184,34 @@ class TestExactOpm:
         )
         assert 0.0 <= score <= 1.0
         assert abs(score - reference) <= 1e-12
+
+    @pytest.mark.parametrize("r", [-0.9999, -0.97, -0.6, 0.1, 0.9, 0.925, 0.999])
+    def test_orthant_matches_mpmath(self, r):
+        # Both branches (|r| < 0.925 and the asymptotic one), both signs, and
+        # h, k on either side of each other and of 0.
+        values = [-4.0, -1.7, -0.3, 0.4, 1.1, 6.0]
+        h, k = (np.array(v, dtype=float).reshape(1, -1) for v in zip(*[(a, b) for a in values for b in values]))
+        got = _bvnu(h, k, np.array([r]))[0]
+        expected = [mp_orthant(a, b, r, dps=20) for a, b in zip(h[0], k[0])]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+    @given(
+        heading=st.floats(-math.pi, math.pi),
+        log_scale=st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+        rho=st.one_of(st.floats(0.9, 0.9999), st.floats(-0.9999, -0.9)),
+        offset=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    )
+    def test_strongly_correlated_matches_mpmath(self, heading, log_scale, rho, offset):
+        # sigma near the rectangle's size, where the correlation moves the
+        # mass most, and |rho| >= 0.9 in the rectangle's frame.
+        extent = np.array([15.0, 30.0])
+        sigma = extent * 10.0 ** np.array(log_scale)
+        records = body_records(
+            np.random.default_rng(0), 1, np.array([heading]), extent[None],
+            sigma[None], np.array([rho]), (np.array(offset) * (extent / 2.0 + sigma))[None],
+        )
+        reference = mp_rectangle_mass(records.mean[0], records.cov[0], records.truth[0], heading, extent)
+        assert abs(per_record_scores(records)[0] - reference) <= 1e-12
 
     def test_orthant_limits(self):
         # At r = 0 the orthant is a product; at r = +-1 it is an interval of
