@@ -490,6 +490,19 @@ def _gain(P: np.ndarray, R: np.ndarray) -> tuple:
     return gain, _EYE4 - np.concatenate((gain, np.zeros(gain.shape)), axis=-1), S_inv
 
 
+def _complement(gain: np.ndarray, R: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
+    """I - K H for a gain K of _gain, with its position block formed as
+    R S^-1: the same in exact arithmetic, but without the cancellation of
+    I - P_pos S^-1 when P_pos dwarfs R, which the tangents would carry.
+    The filter's elements keep _gain's form, whose bits every track
+    carries."""
+    G = np.zeros(gain.shape[:-2] + (4, 4))
+    G[..., :2, :2] = R @ S_inv
+    G[..., 2:, :2] = -gain[..., 2:, :]
+    G[..., 2, 2] = G[..., 3, 3] = 1.0
+    return G
+
+
 def _shifted(carried: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
     """Each frame's value at the frame before it: carried (zeros when None)
     ahead of the block's first frame."""
@@ -568,7 +581,8 @@ def _filter_block(block, dt, start, truth, params, calib, tangent_views, carry, 
     # The tangents. With the optimal gain the Joseph form is stationary in
     # the gain, so sP and sx follow affine recursions that share
     # Phi = (I - K H) F: sP -> Phi sP Phi^T + D and sx -> Phi sx + e.
-    gain, G, S_inv = _gain(Pm, R)
+    gain, _, S_inv = _gain(Pm, R)
+    G = _complement(gain, R, S_inv)
     Phi = _by_frame(G @ F, kinds, F, 0.0, _EYE4)
     # Only the sigma_accel channel sees process noise: dQ/dsigma = 2 Q / sigma.
     dQ = 2.0 * Q / params.sigma_accel
@@ -581,7 +595,8 @@ def _filter_block(block, dt, start, truth, params, calib, tangent_views, carry, 
     sPm = F[..., None, :, :] @ _shifted(carry and carry.sP, sP) @ _T(F)[..., None, :, :]
     sPm[..., 0, :, :] += dQ
     sPm = _sym(sPm)
-    dK = (sPm[..., :2] - gain[..., None, :, :] @ (sPm[..., :2, :2] + dR)) @ S_inv[..., None, :, :]
+    # dK = (sPm H^T - K (H sPm H^T + dR)) S^-1, with (I - K H) from _complement.
+    dK = (G[..., None, :, :] @ sPm[..., :2] - gain[..., None, :, :] @ dR) @ S_inv[..., None, :, :]
     y = z - xm[..., :2]
     e = (dK @ y[..., None, :, None])[..., 0] + dz @ _T(gain)
     e = _by_frame(e, kinds, 0.0, sx0[:, None], 0.0)

@@ -155,7 +155,8 @@ def _bvnu(h: np.ndarray, k: np.ndarray, r: np.ndarray) -> np.ndarray:
     share the row's r (M,)."""
     h, k = np.clip(h, -_BOUND, _BOUND), np.clip(k, -_BOUND, _BOUND)
     p = np.empty(h.shape)
-    # At r = 0 the orthant is the product of its two margins.
+    # At r = 0 the orthant is the product of its two margins: the series'
+    # value there, bit for bit, at under half its cost.
     zero = r == 0.0
     p[zero] = _phi(-h[zero]) * _phi(-k[zero])
     low = (np.abs(r) < 0.925) & ~zero

@@ -17,7 +17,6 @@ from geotrack.calibration import CalibrationParams
 from geotrack.cli import CHI2_95_2D
 from geotrack.core import LOG_TWO_PI, Gaussian2D, ObjectPose, Pairs, cholesky, rotation, wrap_angle
 from geotrack.kalman import (
-    _EYE4,
     BatchResult,
     DetectionFrame,
     FilterParams,
@@ -42,16 +41,6 @@ from geotrack.simulator import REPORTED_COV_FLOOR, Trajectory, generate_trajecto
 # database and has no per-example deadline; tests set only max_examples.
 settings.register_profile("geotrack", derandomize=True, database=None, deadline=None)
 settings.load_profile("geotrack")
-# Hypothesis (6.131 on) also mixes the numeric literals of the package's
-# source files into its examples, so an edit to one module would reshuffle
-# the examples of every property test. Draw from the strategies alone.
-try:
-    from hypothesis.internal.conjecture import providers as _providers
-except ImportError:  # a Hypothesis without the harvest
-    _providers = None
-if hasattr(_providers, "_get_local_constants"):
-    _providers._get_local_constants = lambda: _providers._local_constants
-
 
 def phi(x: float) -> float:
     """Standard normal CDF via erf; independent of any package code."""
@@ -300,27 +289,78 @@ def mp_orthant(h: float, k: float, r: float, dps: int = 30) -> float:
         return float(mpmath.quad(density, [lo, *kink, mpmath.mpf(40)]))
 
 
+def mp_mean_nll(
+    frames: Sequence[DetectionFrame], truth, sigma_accel, init_vel_var: float = 1e4
+) -> float:
+    """The mean filtered NLL of one window of frames, without calibration, in
+    mpmath at the working precision: the textbook per-frame recursion
+    (information-sum fusion of a frame's detections, predict, update with
+    P = (I - K H) P), an independent reference for the tracker's NLL and,
+    through mpmath.diff in sigma_accel, its gradient."""
+    mpf, matrix = mpmath.mpf, mpmath.matrix
+    sigma_accel = mpf(sigma_accel)
+
+    def fused(f):
+        lam, eta = mpmath.zeros(2, 2), mpmath.zeros(2, 1)
+        for _, g in f.detections:
+            info = matrix(g.cov.tolist()) ** -1
+            lam, eta = lam + info, eta + info * matrix(g.mean.tolist())
+        return lam**-1 * eta, lam**-1
+
+    def nll(x, P, pos):
+        S = P[:2, :2]
+        d = matrix([mpf(pos[0]) - x[0], mpf(pos[1]) - x[1]])
+        return (mpmath.log(mpmath.det(S)) + (d.T * S**-1 * d)[0]) / 2 + mpmath.log(2 * mpmath.pi)
+
+    start = next(i for i, f in enumerate(frames) if f.detections)
+    z, R = fused(frames[start])
+    x, P = matrix([z[0], z[1], 0, 0]), mpmath.zeros(4, 4)
+    P[:2, :2] = R
+    P[2, 2] = P[3, 3] = mpf(init_vel_var)
+    H = matrix([[1, 0, 0, 0], [0, 1, 0, 0]])
+    values = [nll(x, P, truth[start])]
+    for i in range(start + 1, len(frames)):
+        f, dt = frames[i], mpf(frames[i].t) - mpf(frames[i - 1].t)
+        F, Q = mpmath.eye(4), mpmath.zeros(4, 4)
+        for a in (0, 1):
+            F[a, a + 2] = dt
+            Q[a, a] = sigma_accel**2 * dt**4 / 4
+            Q[a, a + 2] = Q[a + 2, a] = sigma_accel**2 * dt**3 / 2
+            Q[a + 2, a + 2] = sigma_accel**2 * dt**2
+        x, P = F * x, F * P * F.T + Q
+        if f.detections:
+            z, R = fused(f)
+            K = P * H.T * (H * P * H.T + R) ** -1
+            x, P = x + K * (z - H * x), (mpmath.eye(4) - K * H) * P
+        values.append(nll(x, P, truth[i]))
+    return sum(values) / len(values)
+
+
 def mp_rectangle_mass(mean, cov, position, heading, extent, dps: int = 30) -> float:
     """The mass of N(mean, cov) inside the rectangle of a pose's position,
     heading and extent (width, length), in mpmath at dps digits: an
     independent reference for the exact OPM.
 
-    In the rectangle's frame, standardised, with correlation r, the mass is
-    the integral over x in [h_lo, h_hi] of phi(x) (Phi((r x - k_lo) / t) -
-    Phi((r x - k_hi) / t)), t = sqrt(1 - r^2): the conditional law of the
-    second coordinate given the first. The quadrature is split where each
-    Phi term turns (x = k / r) and at the density's peak, and clipped to
-    |x| <= 40, beyond which phi is below 1e-347.
+    The frame comes from ObjectPose's definition, as matrices: heading
+    rotates the body frame (width along x, length along y) into the world,
+    so a world offset d is B^T d in the body frame and the covariance
+    B^T cov B, with B the rotation by heading. Standardised, with
+    correlation r, the mass is the integral over x in [h_lo, h_hi] of
+    phi(x) (Phi((r x - k_lo) / t) - Phi((r x - k_hi) / t)), t = sqrt(1 -
+    r^2): the conditional law of the second coordinate given the first. The
+    quadrature is split where each Phi term turns (x = k / r) and at the
+    density's peak, and clipped to |x| <= 40, beyond which phi is below
+    1e-347.
     """
     with mpmath.workdps(dps):
         mpf = mpmath.mpf
         c, s = mpmath.cos(mpf(heading)), mpmath.sin(mpf(heading))
-        dx, dy = mpf(mean[0]) - mpf(position[0]), mpf(mean[1]) - mpf(position[1])
-        m0, m1 = c * dx + s * dy, c * dy - s * dx
-        a, b, e = mpf(cov[0][0]), mpf(cov[0][1]), mpf(cov[1][1])
-        s0 = mpmath.sqrt(c * c * a + 2 * c * s * b + s * s * e)
-        s1 = mpmath.sqrt(s * s * a - 2 * c * s * b + c * c * e)
-        r = (c * s * (e - a) + (c * c - s * s) * b) / (s0 * s1)
+        B = mpmath.matrix([[c, -s], [s, c]])
+        m = B.T * mpmath.matrix([mpf(mean[0]) - mpf(position[0]), mpf(mean[1]) - mpf(position[1])])
+        body = B.T * mpmath.matrix([[mpf(v) for v in row] for row in cov]) * B
+        m0, m1 = m[0], m[1]
+        s0, s1 = mpmath.sqrt(body[0, 0]), mpmath.sqrt(body[1, 1])
+        r = body[0, 1] / (s0 * s1)
         half_w, half_l = mpf(extent[0]) / 2, mpf(extent[1]) / 2
         lo, hi = max((-half_w - m0) / s0, mpf(-40)), min((half_w - m0) / s0, mpf(40))
         k_lo, k_hi = (-half_l - m1) / s1, (half_l - m1) / s1
@@ -623,12 +663,18 @@ def _update(x, P, sx, sP, z, R, dz, dR):
     S_inv = _inv2(S)
     K_gain = P[..., :, :2] @ S_inv
     Kt = _T(K_gain)
-    dS = sP[..., :2, :2] + dR
-    dK = (sP[..., :, :2] - K_gain[..., None, :, :] @ dS) @ S_inv[..., None, :, :]
+    # A = I - K H, its position block formed as R S^-1: I - P_pos S^-1
+    # cancels when P_pos dwarfs R, and A carries into every tangent.
+    A = np.zeros(P.shape)
+    A[..., :2, :2] = R @ S_inv
+    A[..., 2:, :2] = -K_gain[..., 2:, :]
+    A[..., 2, 2] = A[..., 3, 3] = 1.0
+    # dK = (dP H^T - K (dP_pos + dR)) S^-1 = (A dP H^T - K dR) S^-1.
+    dK = A[..., None, :, :] @ sP[..., :, :2] - K_gain[..., None, :, :] @ dR
+    dK = dK @ S_inv[..., None, :, :]
     y = z - x[..., :2]
     dy = dz - sx[..., :2]
 
-    A = _EYE4 - np.concatenate((K_gain, np.zeros(K_gain.shape)), axis=-1)
     AP = A @ P
     # Tangent of A P A^T + K R K^T with dA = -[dK 0] and P, R symmetric:
     # M + M^T + A dP A^T + K dR K^T, where M = dK (R K^T - (A P)[:, :2]^T).

@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from conftest import (
     loop_windows,
     make_cv_frames,
     marginal,
+    mp_mean_nll,
     obs_tangents,
     pack_windows,
     predict,
@@ -551,24 +553,68 @@ class TestBatchedRecursionProperties:
             assert_close(grad[b], grads.mean(axis=0) * scale)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the NLL gradient loses relative precision when the predicted covariance dwarfs R "
-    "(ROADMAP item 2)",
-)
 def test_gradient_after_long_gap():
     # Unit detections at the truth at t = 2 and t = 102, sigma_accel 1 and
     # init_vel_var 1e4: the predicted position variance at t = 102 is
     # p = 1 + 1e4 * 100**2 + 100**4 / 4 per axis and the filtered one
     # p / (p + 1), so the mean NLL's gradient in log sigma_accel is
-    # (100**4 / 2) / (2 p (p + 1)), about 1.6e-9. The scan's is off by 3e-8
-    # of it: the tangent recursion forms I - K H with K H within 1e-8 of I.
+    # (100**4 / 2) / (2 p (p + 1)), about 1.6e-9. I - K H is about 1e-8 of
+    # I here, and the tangents must not form it by subtraction.
     unit = ("N1", Gaussian2D((0.0, 0.0), np.eye(2)))
     windows = [([frame(0.0), frame(1.0), frame(2.0, unit), frame(102.0, unit)], np.zeros((4, 2)))]
     p = 1.0 + 1e4 * 100.0**2 + 100.0**4 / 4.0
     exact = (100.0**4 / 2.0) / (2.0 * p * (p + 1.0))
     _, grad = sequence_loss(TunableParams.from_natural(1.0, {}), *pack_windows(windows))
     assert_close(grad[0], np.array([exact]))
+
+
+LONG_GAP_CASES = [
+    (
+        [
+            frame(0.0, ("N1", Gaussian2D((0.0, 0.0), np.eye(2)))),
+            frame(100.0, ("N1", Gaussian2D((1.0, 2.0), [[1.0, 0.3], [0.3, 2.0]]))),
+        ],
+        np.array([[0.0, 0.0], [1.0, 2.0]]),
+    ),
+    (
+        [
+            frame(0.0, ("N1", Gaussian2D((0.0, 0.0), np.eye(2)))),
+            frame(100.0, ("N1", Gaussian2D((1.0, 2.0), [[1.0, 0.3], [0.3, 2.0]]))),
+            frame(200.0, ("N2", Gaussian2D((3.0, 1.0), [[2.0, 0.3], [0.3, 1.0]]))),
+        ],
+        np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 1.0]]),
+    ),
+    (
+        [
+            frame(0.0, ("N1", Gaussian2D((1.0, -2.0), [[2.0, 0.5], [0.5, 1.0]]))),
+            frame(
+                100.0,
+                ("N1", Gaussian2D((3.0, 4.0), [[1.0, 0.2], [0.2, 3.0]])),
+                ("N2", Gaussian2D((2.0, 5.0), np.eye(2))),
+            ),
+            frame(100.5),
+            frame(150.0, ("N3", Gaussian2D((-4.0, 6.0), [[5.0, -1.0], [-1.0, 2.0]]))),
+        ],
+        np.array([[0.5, -1.0], [3.0, 4.5], [2.0, 5.0], [-3.0, 7.0]]),
+    ),
+]
+
+
+@pytest.mark.parametrize("frames, truth", LONG_GAP_CASES)
+@pytest.mark.parametrize("sigma", [0.3, 1.0, 10.0])
+def test_gradient_after_long_gap_matches_mpmath(frames, truth, sigma):
+    # Gaps of 50 to 100 s, where the predicted covariance dwarfs R and the
+    # gradient can be 1e-9 of the NLL: the mean NLL and its gradient in log
+    # sigma_accel against the 40-digit textbook recursion, differentiated by
+    # mpmath.
+    with mpmath.workdps(40):
+        log_sigma = mpmath.log(mpmath.mpf(sigma))
+        value = mp_mean_nll(frames, truth, sigma)
+        slope = mpmath.diff(lambda s: mp_mean_nll(frames, truth, mpmath.exp(s)), log_sigma)
+    params = TunableParams.from_natural(sigma, {})
+    loss, grad = sequence_loss(params, *pack_windows([(frames, truth)]))
+    assert_close(loss[0], float(value))
+    assert_close(grad[0], np.array([float(slope)]))
 
 
 class TestScanMatchesLoop:
