@@ -94,9 +94,9 @@ def obs_transform(
     """The affine calibration a * cov + b * I over an array of detections.
 
     cov has shape (..., V, 2, 2); column i holds detections of views[i].
-    Views without an entry in calib pass through unchanged. The tangents
-    are sparse (a calibrated view's dR/da = cov, dR/db = I, zero
-    otherwise), and kalman._fuse forms them from the raw covariances.
+    Views without an entry in calib pass through unchanged. Its derivatives
+    are a calibrated view's dR/da = cov and dR/db = I (zero otherwise), which
+    the filter's backward pass contracts with each detection's adjoint.
     """
     params = [calib.get(v, IDENTITY) for v in views]
     a = np.array([p.a for p in params])[:, None, None]

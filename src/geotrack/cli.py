@@ -174,7 +174,7 @@ def cmd_track(args, out: Path) -> tuple[list[str], dict]:
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
     truth_pos = _truth_positions(batch, args.truth, args.detections) if args.truth else None
 
-    # The summary needs the NLL only, not its gradient: no tangents.
+    # The summary needs the NLL only, not its gradient: no backward pass.
     result = run_track(batch, params, truth=truth_pos, calib=calib, grad=False)
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
     n_steps = len(result.times)
@@ -289,6 +289,7 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     dataio.write_filter_params(out / "tuned_params.json", FilterParams(sigma, base.init_vel_var))
     dataio.write_calibration(out / "tuned_calibration.json", calib)
     dataio.write_history(out / "history.csv", history.rows)
+    dataio.write_epochs(out / "epochs.csv", history.epochs)
     (out / "history_meta.json").write_text(
         dataio.dumps({"diverged": history.diverged, **history.meta}, indent=2) + "\n"
     )
@@ -297,7 +298,9 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
         f"tune: {config.epochs} epochs, sigma_accel {sigma:.4g}, "
         f"val NLL {history.rows[0]['val_nll']:.4f} -> {best:.4f} (best seen)"
     )
-    outputs = ["tuned_params.json", "tuned_calibration.json", "history.csv", "history_meta.json"]
+    outputs = [
+        "tuned_params.json", "tuned_calibration.json", "history.csv", "epochs.csv", "history_meta.json"
+    ]
     return outputs, {"params": dataclasses.asdict(base)}
 
 

@@ -504,3 +504,18 @@ def write_history(path: Path, rows: Sequence[dict]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows([row["epoch"], *(repr(row[key]) for key in header[1:])] for row in rows)
+
+
+def write_epochs(path: Path, epochs: Sequence[dict]) -> None:
+    """tuning.TuneHistory.epochs as CSV: per epoch, the largest pre-clip
+    gradient norm of its steps (blank at epoch 0), the clipped step count,
+    and each view's a and b in columns <view>_a and <view>_b."""
+    views = list(epochs[0]["views"])
+    header = ["epoch", "max_grad_norm", "clipped", *(f"{v}_{p}" for v in views for p in "ab")]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in epochs:
+            norm = "" if row["max_grad_norm"] is None else repr(row["max_grad_norm"])
+            values = [repr(float(x)) for v in views for x in row["views"][v]]
+            writer.writerow([row["epoch"], norm, row["clipped"], *values])

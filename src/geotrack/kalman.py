@@ -9,35 +9,35 @@ algebraically identical to a stacked joint update, and fusion automatically
 weights low-uncertainty detections more heavily.
 
 The NLL is that of the truth position under the filtered (post-update)
-marginal. For its gradient every state carries a stack of forward-mode
-tangents (d state / d parameter), one channel per tunable: channel 0 is the
-acceleration-noise parameter sigma_accel, and each calibrated view, in
-sorted order, adds channels for its a and b, whose covariance tangents are
-sparse (dR/da its raw covariance, dR/db = I, zero for other views), so
-fusion forms each view's two products alone. Without truth, or with
-grad=False, no tangent is carried: the NLL is scored from the same
-expression, so its values are the same bits, with no gradient.
+marginal. Its gradient over sigma_accel and each calibrated view's a and b
+(dR/da its raw covariance, dR/db = I) is taken in reverse mode, for about
+one channel's cost whatever their number (Giles, "An extended collection
+of matrix derivative results for forward and reverse mode automatic
+differentiation", 2008). Without truth, or with grad=False, there is no
+backward pass, and the NLLs are the same bits.
 
 Array layout. The filter has one recursion, ``run_windows``, over a
 FrameBatch of B equal-length windows of T frames and V views: times (B, T),
 detection means (B, T, V, 2), covariances (B, T, V, 2, 2) and a presence
-mask (B, T, V). It is vectorised over the B windows and the K tangent
-channels, and parallel in time: each frame is a filtering element
-(A, b, C, eta, J), and one work-efficient (Blelloch) inclusive scan of the
-elements along the frame axis gives every filtered state, each level of the
-scan one batched operation (Särkkä and García-Fernández, "Temporal
-parallelization of Bayesian smoothers", IEEE TAC 66(1), 2021). The tangents
-follow from the filtered covariances: with the optimal gain they obey two
-affine recursions that share each frame's transition (I - K H) F, one more
-scan each, run only when a gradient is asked for. Frames go in blocks
-of SCAN_FRAMES, a length that depends on T alone, each block carrying on
-from the last state of the one before, and windows go in chunks that bound
-the working memory (CHUNK_MATRICES). Per block, the per-view calibration
-of the detection covariances, the information-form fusion of each frame,
-the transition and process noise, and the NLL of the reported marginals
-with its gradient are computed in bulk. ``run_track`` is the B = 1 case,
-and takes the batch dataio.read_detections or simulator.simulate returns.
-Nothing mutates.
+mask (B, T, V). It is vectorised over the windows and parallel in time:
+each frame is a filtering element (A, b, C, eta, J), and one
+work-efficient (Blelloch) inclusive scan of the elements along the frame
+axis gives every filtered state (Särkkä and García-Fernández, "Temporal
+parallelization of Bayesian smoothers", IEEE TAC 66(1), 2021). The
+adjoints lambda of the filtered means and Lambda of the covariances are
+two more scans, over the reversed frames: with Phi = (I - K H) F,
+v = H^T S^-1 y and each frame's NLL seeds a = -w and A = (Sigma^-1 -
+w w^T) / 2 (w = Sigma^-1 r), lambda_{t-1} = H^T a_{t-1} + Phi_t^T lambda_t
+and Lambda_{t-1} = H^T A_{t-1} H + Phi_t^T Lambda_t Phi_t +
+F_t^T sym((I - K H)_t^T lambda_t v_t^T) F_t. Each frame then contracts
+them once with dQ/dsigma and, through the fusion's adjoint, with its
+detections' dR/da and dR/db. Frames go in blocks of SCAN_FRAMES, a length
+that depends on T alone, each block carrying on from the last state of the
+one before and, backwards, from the adjoint the one after hands back;
+windows go in chunks that bound the working memory (CHUNK_MATRICES).
+Calibration, fusion, the process model and the NLL run in bulk per block.
+``run_track`` is the B = 1 case, and takes the batch
+dataio.read_detections or simulator.simulate returns. Nothing mutates.
 
 ``DetectionFrame``, ``pack`` and ``run_sequence`` (run_track over frames
 given as DetectionFrame objects) have no pipeline caller. They remain only
@@ -61,10 +61,9 @@ from .core import LOG_TWO_PI, Gaussian2D, NotPositiveDefiniteError
 # window's arithmetic, and so its result, does not depend on its batch-mates.
 SCAN_FRAMES = 1 << 9
 # 2x2 matrices per chunk of windows, which bounds the working memory of a
-# block whatever the batch shape. A window-frame counts max(V, 4) * (K + 3):
-# the tangents grow with 4 * K, the filter's own elements and scan take about
-# as much as three channels, and fusion (a few per view, two per channel)
-# fits inside that.
+# block whatever the batch shape. A window-frame counts max(V, 4) * 3 for
+# the filter's elements, scan and fusion, and max(V, 4) * 5 with a gradient,
+# whose tape and two one-channel scans do not grow with the views.
 CHUNK_MATRICES = 1 << 14
 
 
@@ -187,17 +186,18 @@ class BatchResult:
     means (B, T, 2) and covs (B, T, 2, 2) hold the filtered position
     marginal from the window's first non-empty frame, start[b], on (NaN
     before it). With truth, nlls (B, T) holds the NLL of the truth position
-    under that marginal (NaN before the start) and nll_grads (B, T, K) its
-    gradient over the K tangent channels, None without a gradient.
-    failures maps each window whose recursion met a matrix that is not
-    positive definite to the earliest one: (t, leading minor, its value).
+    under that marginal (NaN before the start) and grad (B, K) the gradient
+    of each window's summed NLL over the K parameters, None without a
+    gradient. failures maps each window whose recursion met a matrix that
+    is not positive definite to the earliest one: (t, leading minor, its
+    value).
     """
 
     start: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     nlls: Optional[np.ndarray]
-    nll_grads: Optional[np.ndarray]
+    grad: Optional[np.ndarray]
     failures: dict[int, tuple[float, int, float]]
 
 
@@ -207,15 +207,15 @@ class TrackResult:
     initialization on, as times (N,), means (N, 2) and covs (N, 2, 2).
 
     When truth is supplied, nlls holds the per-step NLL of the truth position
-    under the reported marginal and nll_grads its per-step gradient over the
-    tangent channels, None without a gradient.
+    under the reported marginal and grad (K,) the gradient of their sum over
+    the parameters, None without a gradient.
     """
 
     times: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     nlls: Optional[np.ndarray]
-    nll_grads: Optional[np.ndarray]
+    grad: Optional[np.ndarray]
 
     @property
     def total_nll(self) -> float:
@@ -244,9 +244,12 @@ def process_noise(sigma_accel: float, dt) -> np.ndarray:
     shape gives (..., 4, 4)."""
     dt = np.asarray(dt, dtype=float)
     s2 = sigma_accel * sigma_accel
-    q_pp = s2 * dt**4 / 4.0
-    q_pv = s2 * dt**3 / 2.0
-    q_vv = s2 * dt**2
+    # Products, not powers: numpy's x**3 and x**4 take SIMD paths whose last
+    # bit depends on the CPU, and x * x on none.
+    dt2 = dt * dt
+    q_pp = s2 * (dt2 * dt2) / 4.0
+    q_pv = s2 * (dt2 * dt) / 2.0
+    q_vv = s2 * dt2
     Q = np.zeros(dt.shape + (4, 4))
     Q[..., 0, 0] = Q[..., 1, 1] = q_pp
     Q[..., 0, 2] = Q[..., 2, 0] = Q[..., 1, 3] = Q[..., 3, 1] = q_pv
@@ -288,37 +291,22 @@ def _pd_error(S: np.ndarray, where: str = "") -> NotPositiveDefiniteError:
     return NotPositiveDefiniteError(2, _det2(S), where)
 
 
-def _fuse(mean, cov, mask, raw, channels, k: int):
+def _fuse(mean, cov, mask):
     """Collapse each frame's detections into one position pseudo-measurement.
 
     Information-form fusion over the view axis: R = (sum R_i^-1)^-1 and
-    z = R sum R_i^-1 z_i, with tangents dz and dR over k channels. mean is
-    (..., V, 2), cov (..., V, 2, 2) calibrated, raw uncalibrated and mask
-    (..., V). View i with channels[i] = c >= 0 has dR_i/da = raw_i on
-    channel c and dR_i/db = I on c + 1, every other dR_i is zero, so each
-    channel's d(sum R_i^-1) is one view's -R_i^-1 dR_i R_i^-1. A frame with
-    one detection returns it unchanged; a frame with none returns finite
-    filler. Also returns the information matrix, whose positive
-    definiteness the caller checks on frames with two or more detections.
+    z = R sum R_i^-1 z_i. mean is (..., V, 2), cov (..., V, 2, 2)
+    calibrated and mask (..., V). A frame with one detection returns it
+    unchanged; a frame with none returns finite filler. Also returns each
+    detection's precision R_i^-1 (zero where absent), and the information
+    matrix, which the caller checks on frames with two or more detections.
     """
-    m = mask[..., None, None]
-    prec = np.where(m, _inv2(cov), 0.0)
+    prec = np.where(mask[..., None, None], _inv2(cov), 0.0)
     lam = prec.sum(axis=-3)
     eta = (prec @ mean[..., None])[..., 0].sum(axis=-2)
-    cols = np.flatnonzero(channels >= 0)
-    slots = (channels[cols][:, None] + [0, 1]).ravel()
-    p = prec[..., cols, :, :]
-    dprec = np.stack((-(p @ raw[..., cols, :, :] @ p), -(p @ p)), axis=-3)
-    shape = lam.shape[:-2] + (len(slots), 2)
-    dlam = np.zeros(lam.shape[:-2] + (k, 2, 2))
-    dlam[..., slots, :, :] = dprec.reshape(shape + (2,))
-    deta = np.zeros(dlam.shape[:-1])
-    deta[..., slots, :] = (dprec @ mean[..., cols, None, :, None]).reshape(shape)
     count = mask.sum(axis=-1)
     R = _inv2(np.where((count > 0)[..., None, None], lam, np.eye(2)))
-    dR_f = -(R[..., None, :, :] @ dlam @ R[..., None, :, :])
     z = (R @ eta[..., None])[..., 0]
-    dz = (dR_f @ eta[..., None, :, None])[..., 0] + (R[..., None, :, :] @ deta[..., None])[..., 0]
     one = count == 1
     if np.any(one):
         first = mask.argmax(axis=-1)
@@ -329,50 +317,40 @@ def _fuse(mean, cov, mask, raw, channels, k: int):
 
         z = np.where(one[..., None], pick(mean), z)
         R = np.where(one[..., None, None], pick(cov), R)
-        dz = np.where(one[..., None, None], 0.0, dz)
-        own = np.zeros(dR_f.shape)
-        slot = channels[first]
-        at = np.nonzero(one & (slot >= 0))
-        own[at + (slot[at],)] = raw[at + (first[at],)]
-        own[at + (slot[at] + 1,)] = np.eye(2)
-        dR_f = np.where(one[..., None, None, None], own, dR_f)
-    return z, R, dz, dR_f, lam
+    return z, R, prec, lam
 
 
-def _init(z, R, dz, dR, init_vel_var: float):
+def _fuse_adjoint(M, m, z, R, mean, prec, mask):
+    """The adjoint of _fuse: from the adjoints M (..., 2, 2), symmetric, of
+    each frame's fused R and m (..., 2) of its z, the adjoint N_i
+    (..., V, 2, 2) of each detection's covariance R_i. With P_i = R_i^-1,
+    dR = R (sum P_i dR_i P_i) R and dz = R sum P_i dR_i P_i (z - z_i), so
+    N_i = P_i R M R P_i + sym(P_i R m (z - z_i)^T P_i); a lone detection is
+    the fused one, N_i = M, and an absent one gets zero."""
+    PiR = prec @ R[..., None, :, :]
+    u = (PiR @ m[..., None, :, None])[..., 0]
+    r = (prec @ (z[..., None, :] - mean)[..., None])[..., 0]
+    N = PiR @ M[..., None, :, :] @ _T(PiR) + _sym(u[..., :, None] * r[..., None, :])
+    N = np.where((mask.sum(axis=-1) == 1)[..., None, None, None], M[..., None, :, :], N)
+    return np.where(mask[..., None, None], N, 0.0)
+
+
+def _init(z, R, init_vel_var: float):
     """State at a track's first frame: the fused detection for position,
     zero velocity with init_vel_var per axis, and no cross-covariance."""
-    shape = z.shape[:-1]
-    k = dz.shape[-2]
-    x = np.zeros(shape + (4,))
-    x[..., :2] = z
-    P = np.zeros(shape + (4, 4))
-    P[..., :2, :2] = R
+    x, P = np.zeros(z.shape[:-1] + (4,)), np.zeros(z.shape[:-1] + (4, 4))
+    x[..., :2], P[..., :2, :2] = z, R
     P[..., 2, 2] = P[..., 3, 3] = init_vel_var
-    sx = np.zeros(shape + (k, 4))
-    sx[..., :2] = dz
-    sP = np.zeros(shape + (k, 4, 4))
-    sP[..., :2, :2] = dR
-    return x, _sym(P), sx, _sym(sP)
+    return x, _sym(P)
 
 
 def _nll(mu, sig, truth):
     """NLL of truth positions under N(mu, sig), with the sig^-1 and whitened
-    residual w = sig^-1 (truth - mu) that its gradient takes."""
+    residual w = sig^-1 (truth - mu) that its adjoint takes."""
     sig_inv = _inv2(sig)
     r = truth - mu
     w = (sig_inv @ r[..., None])[..., 0]
     return LOG_TWO_PI + 0.5 * np.log(_det2(sig)) + 0.5 * (r * w).sum(axis=-1), sig_inv, w
-
-
-def _nll_grad(sig_inv, w, dmu, dsig):
-    """The gradient of _nll, from its sig^-1 and w, over the tangent
-    channels of dmu (..., K, 2) and dsig (..., K, 2, 2)."""
-    return (
-        0.5 * (dsig * _T(sig_inv)[..., None, :, :]).sum(axis=(-2, -1))
-        - (dmu * w[..., None, :]).sum(axis=-1)
-        - 0.5 * ((dsig @ w[..., None, :, None])[..., 0] * w[..., None, :]).sum(axis=-1)
-    )
 
 
 def _record_failures(failures: dict, S: np.ndarray, valid: np.ndarray, t: np.ndarray) -> None:
@@ -425,17 +403,17 @@ def _combine_filter(first: tuple, then: tuple) -> tuple:
 
 
 def _combine_congruence(first: tuple, then: tuple) -> tuple:
-    """(Phi, D) elements of sP -> Phi sP Phi^T + D, D over K channels."""
-    Phi1, D1 = first
-    Phi2, D2 = then
-    return Phi2 @ Phi1, Phi2[..., None, :, :] @ D1 @ _T(Phi2)[..., None, :, :] + D2
+    """(A, D) elements of a symmetric U -> A U A^T + D."""
+    A1, D1 = first
+    A2, D2 = then
+    return A2 @ A1, A2 @ D1 @ _T(A2) + D2
 
 
 def _combine_affine(first: tuple, then: tuple) -> tuple:
-    """(Phi, e) elements of sx -> Phi sx + e, sx and e (..., K, 4) rows."""
-    Phi1, e1 = first
-    Phi2, e2 = then
-    return Phi2 @ Phi1, e1 @ _T(Phi2) + e2
+    """(A, c) elements of a (..., 4, 1) column u -> A u + c."""
+    A1, c1 = first
+    A2, c2 = then
+    return A2 @ A1, A2 @ c1 + c2
 
 
 def _scan(elements: tuple, combine) -> tuple:
@@ -473,6 +451,11 @@ def _scan_after(carry: Optional[tuple], elements: tuple, combine) -> tuple:
     return _scan(elements, combine)
 
 
+def _scan_back(elements: tuple, combine) -> tuple:
+    """_scan from the last frame to the first."""
+    return tuple(e[:, ::-1] for e in _scan(tuple(e[:, ::-1] for e in elements), combine))
+
+
 def _by_frame(on_update: np.ndarray, kinds: tuple, on_predict, at_start, before_start):
     """on_update (B, n, ...), an array of the caller's own, with the other
     kinds of frame set in place; kinds holds (B, n) masks of the
@@ -493,7 +476,7 @@ def _gain(P: np.ndarray, R: np.ndarray) -> tuple:
 def _complement(gain: np.ndarray, R: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
     """I - K H for a gain K of _gain, with its position block formed as
     R S^-1: the same in exact arithmetic, but without the cancellation of
-    I - P_pos S^-1 when P_pos dwarfs R, which the tangents would carry.
+    I - P_pos S^-1 when P_pos dwarfs R, which the adjoints would carry.
     The filter's elements keep _gain's form, whose bits every track
     carries."""
     G = np.zeros(gain.shape[:-2] + (4, 4))
@@ -510,37 +493,41 @@ def _shifted(carried: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
     return np.concatenate((head, a[:, :-1]), axis=1)
 
 
+def _next(a: np.ndarray) -> np.ndarray:
+    """Each frame's value at the frame after it, zeros after the last."""
+    return np.concatenate((a[:, 1:], np.zeros_like(a[:, :1])), axis=1)
+
+
 class _Carry(NamedTuple):
     """The last frame of a block, for the next: the filter scan's prefix A
-    (0 once a window has started, I before; so also the tangent scans'
-    prefix Phi), and the filtered state with its tangents."""
+    (0 once a window has started, I before) and the filtered state."""
 
     A: np.ndarray
     x: np.ndarray
     P: np.ndarray
-    sx: Optional[np.ndarray]
-    sP: Optional[np.ndarray]
 
 
-def _filter_block(block, dt, start, truth, params, calib, tangent_views, carry, failures) -> tuple:
+def _filter_block(block, dt, start, truth, params, calib, carry, failures, grad) -> tuple:
     """run_windows over a block of frames of some windows, with time steps
     dt and each window's start frame counted from the block's first frame,
     after the carry of the block before it (None for the first block).
-    tangent_views None carries no tangents; otherwise truth is given.
-    Returns the carry for the next block and the block's position means,
-    covariances, NLLs and NLL gradients."""
-    t = block.t
-    z, R, dz, dR = _fused_frames(block, calib, tangent_views, failures)
+    Returns the carry for the next block, the block's position means,
+    covariances and NLLs, and with grad the tape of _adjoint_block."""
+    t, mask = block.t, block.mask
+    # The calibrated, fused detection of each frame, noting each window's
+    # first covariance and fused information that is not positive definite.
+    cov = calibration.obs_transform(calib or {}, block.views, block.cov)
+    _record_failures(failures, cov, mask, t)
+    z, R, prec, lam = _fuse(block.mean, cov, mask)
+    _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
     F = transition(dt)
     Q = process_noise(params.sigma_accel, dt)
     steps = np.arange(t.shape[1])
     before, at, run = (op(steps, start[:, None]) for op in (np.less, np.equal, np.greater))
-    kinds = (run & ~block.mask.any(axis=-1), at, before)
+    kinds = (run & ~mask.any(axis=-1), at, before)
     windows = np.arange(len(t))
     i = np.clip(start, 0, len(steps) - 1)
-    x0, P0, sx0, sP0 = _init(
-        z[windows, i], R[windows, i], dz[windows, i], dR[windows, i], params.init_vel_var
-    )
+    x0, P0 = _init(z[windows, i], R[windows, i], params.init_vel_var)
 
     # The filter: one scan of elements (A, b, C, eta, J), the identity
     # before the start, the initial state at it, then a prediction with the
@@ -564,68 +551,78 @@ def _filter_block(block, dt, start, truth, params, calib, tangent_views, carry, 
     x, P = xc[..., 0], _sym(C)
 
     # The prediction into each frame, and the update's innovation S.
-    xm = (F @ _shifted(carry and carry.x, x)[..., None])[..., 0]
     Pm = _sym(F @ _shifted(carry and carry.P, P) @ _T(F) + Q)
     upd = run & ~kinds[0]
     _record_failures(failures, Pm[..., :2, :2] + R, upd, t)
     _record_failures(failures, P[..., :2, :2], ~before, t)
     out_x = np.where(before[..., None], np.nan, x[..., :2])
     out_P = np.where(before[..., None, None], np.nan, P[..., :2, :2])
-    value = None
-    if truth is not None:
-        value, sig_inv, w = _nll(x[..., :2], P[..., :2, :2], truth)
-        value = np.where(before, np.nan, value)
-    if tangent_views is None:
-        return _Carry(A[:, -1:], x[:, -1:], P[:, -1:], None, None), out_x, out_P, value, None
+    ahead = _Carry(A[:, -1:], x[:, -1:], P[:, -1:])
+    if truth is None:
+        return ahead, out_x, out_P, None, None
+    value, sig_inv, w = _nll(x[..., :2], P[..., :2, :2], truth)
+    value = np.where(before, np.nan, value)
+    if not grad:
+        return ahead, out_x, out_P, value, None
 
-    # The tangents. With the optimal gain the Joseph form is stationary in
-    # the gain, so sP and sx follow affine recursions that share
-    # Phi = (I - K H) F: sP -> Phi sP Phi^T + D and sx -> Phi sx + e.
+    # The update's gain from the predicted covariance, with G, K and v set
+    # so that predict-only frames pass the adjoints through F (G = I, K = 0)
+    # and the start frame hands its own to the fused detection (G = 0,
+    # K = H^T).
+    xm = (F @ _shifted(carry and carry.x, x)[..., None])[..., 0]
     gain, _, S_inv = _gain(Pm, R)
-    G = _complement(gain, R, S_inv)
-    Phi = _by_frame(G @ F, kinds, F, 0.0, _EYE4)
-    # Only the sigma_accel channel sees process noise: dQ/dsigma = 2 Q / sigma.
-    dQ = 2.0 * Q / params.sigma_accel
-    D = gain[..., None, :, :] @ dR @ _T(gain)[..., None, :, :]
-    D[..., 0, :, :] += G @ dQ @ _T(G)
-    D = _by_frame(D, kinds, 0.0, sP0[:, None], 0.0)
-    D[kinds[0], 0] = dQ[kinds[0]]
-    sP = _sym(_scan_after(carry and (carry.A, carry.sP), (Phi, D), _combine_congruence)[1])
-
-    sPm = F[..., None, :, :] @ _shifted(carry and carry.sP, sP) @ _T(F)[..., None, :, :]
-    sPm[..., 0, :, :] += dQ
-    sPm = _sym(sPm)
-    # dK = (sPm H^T - K (H sPm H^T + dR)) S^-1, with (I - K H) from _complement.
-    dK = (G[..., None, :, :] @ sPm[..., :2] - gain[..., None, :, :] @ dR) @ S_inv[..., None, :, :]
-    y = z - xm[..., :2]
-    e = (dK @ y[..., None, :, None])[..., 0] + dz @ _T(gain)
-    e = _by_frame(e, kinds, 0.0, sx0[:, None], 0.0)
-    sx = _scan_after(carry and (carry.A, carry.sx), (Phi, e), _combine_affine)[1]
-
-    grad = _nll_grad(sig_inv, w, sx[..., :2], sP[..., :2, :2])
-    return (
-        _Carry(A[:, -1:], x[:, -1:], P[:, -1:], sx[:, -1:], sP[:, -1:]),
-        out_x,
-        out_P,
-        value,
-        np.where(before[..., None], np.nan, grad),
+    v = np.zeros(x.shape)
+    v[..., :2] = (S_inv @ (z - xm[..., :2])[..., None])[..., 0]
+    tape = (
+        F,
+        2.0 * Q / params.sigma_accel,
+        _by_frame(_complement(gain, R, S_inv), kinds, _EYE4, 0.0, _EYE4),
+        _by_frame(gain, kinds, 0.0, _EYE4[:, :2], 0.0),
+        _by_frame(v, kinds, 0.0, 0.0, 0.0),
+        np.where(before[..., None], 0.0, -w),
+        np.where(before[..., None, None], 0.0, 0.5 * (sig_inv - w[..., :, None] * w[..., None, :])),
+        (z, R, block.mean, prec, mask, block.cov),
     )
+    return ahead, out_x, out_P, value, tape
 
 
-def _fused_frames(block: FrameBatch, calib, tangent_views, failures) -> tuple:
-    """The calibrated, fused detection of each frame of a block, z and R
-    with their tangents dz and dR (see _fuse); notes each window's first
-    calibrated covariance and fused information that is not positive
-    definite."""
-    t, mask = block.t, block.mask
-    cov = calibration.obs_transform(calib or {}, block.views, block.cov)
-    _record_failures(failures, cov, mask, t)
-    k = 0 if tangent_views is None else 1 + 2 * len(tangent_views)
-    views = list(tangent_views or ())
-    channels = np.array([1 + 2 * views.index(v) if v in views else -1 for v in block.views], int)
-    z, R, dz, dR, lam = _fuse(block.mean, cov, mask, block.cov, channels, k)
-    _record_failures(failures, lam, mask.sum(axis=-1) > 1, t)
-    return z, R, dz, dR
+def _adjoint_block(tape: tuple, owed: tuple, channels: np.ndarray, k: int) -> tuple:
+    """A block's backward pass (see the module doc) after owed, the adjoint
+    of its last state (x, P) that later blocks hand back (zeros for a
+    window's last block). The tape holds, per frame, F, dQ/dsigma,
+    G = I - K H, the gain K, v = H^T S^-1 y, the NLL's seeds a and A, and
+    the fusion's (z, R, mean, prec, mask, raw). Returns what the block
+    hands back to the state before it, and each window's gradient (B, k)
+    over its frames: sigma_accel from the adjoint of each predicted
+    covariance, G^T Lambda G + sym(G^T lambda v^T), with dQ; calibrated
+    view i (channels[i] >= 0) from its detections' _fuse_adjoint, with
+    dR/da and dR/db."""
+    F, dQ, G, gain, v, a, A, fused = tape
+    Phi_next = _T(_next(G @ F))
+    seed = np.zeros(a.shape[:2] + (4, 1))
+    seed[..., :2, 0] = a
+    seed[:, -1] += owed[0]
+    lam = _scan_back((Phi_next, seed), _combine_affine)[1]
+    U = _sym(_T(G) @ lam * v[..., None, :])
+    E = _T(F) @ U @ F
+    D = _next(E)
+    D[..., :2, :2] += A
+    D[:, -1] += owed[1]
+    Lam = _scan_back((Phi_next, D), _combine_congruence)[1]
+    Phi = G[:, 0] @ F[:, 0]
+    handed = (_T(Phi) @ lam[:, 0], _T(Phi) @ Lam[:, 0] @ Phi + E[:, 0])
+
+    grad = np.zeros((len(a), k))
+    grad[:, 0] = ((_T(G) @ Lam @ G + U) * dQ).sum(axis=(-2, -1)).sum(axis=1)
+    Kt = _T(gain)
+    m = (Kt @ lam)[..., 0]
+    M = Kt @ Lam @ gain - _sym(m[..., :, None] * v[..., None, :2])
+    z, R, mean, prec, mask, raw = fused
+    cols = np.flatnonzero(channels >= 0)
+    N = _fuse_adjoint(M, m, z, R, mean, prec, mask)[:, :, cols]
+    grad[:, channels[cols]] = (N * raw[:, :, cols]).sum(axis=(-2, -1)).sum(axis=1)
+    grad[:, channels[cols] + 1] = (N[..., 0, 0] + N[..., 1, 1]).sum(axis=1)
+    return handed, grad
 
 
 def run_windows(
@@ -643,58 +640,61 @@ def run_windows(
     views without an entry pass through).
 
     ``truth`` (B, T, 2), when given, scores the filtered (post-update)
-    marginal of each frame from the window's start on. With ``grad`` the
-    NLL's gradient comes too, over 1 + 2 * len(calib) tangent channels:
-    sigma_accel, then d/da and d/db of each calibrated view in sorted view
-    order. With grad=False, or without truth, no tangent is carried; the
-    NLLs are the same bits, and the gradient is None. A window whose
-    recursion meets a matrix that is not positive definite is listed in the
-    result's failures; its values are not meaningful, and its batch-mates
-    are unaffected.
+    marginal of each frame from the window's start on. With ``grad``, one
+    backward pass also gives each window's summed NLL its gradient over
+    sigma_accel, then a and b of each calibrated view in sorted view order
+    (zero for a view the batch lacks); otherwise the NLLs are the same bits
+    and the gradient is None. A window whose recursion meets a matrix that
+    is not positive definite is listed in the result's failures; its values
+    are not meaningful, and its batch-mates are unaffected.
     """
     B, T, V = batch.mask.shape
-    tangent_views = None
     if truth is not None:
         truth = np.asarray(truth, dtype=float)
         if truth.shape != (B, T, 2):
             raise ValueError(f"truth shape {truth.shape} does not match the frames' {(B, T, 2)}")
-        if grad:
-            tangent_views = tuple(sorted(calib or {}))
-    k = 0 if tangent_views is None else 1 + 2 * len(tangent_views)
+    grad = grad and truth is not None
+    order = sorted(calib or {})
+    channels = np.array([1 + 2 * order.index(v) if v in order else -1 for v in batch.views], int)
+    k = 1 + 2 * len(order)
     start = batch.mask.any(axis=-1).argmax(axis=1)
     dt = np.diff(batch.t, axis=1, prepend=batch.t[:, :1] - 1.0)
 
     means = np.full((B, T, 2), np.nan)
     covs = np.full((B, T, 2, 2), np.nan)
     nlls = np.full((B, T), np.nan) if truth is not None else None
-    grads = np.full((B, T, k), np.nan) if k else None
+    grads = np.zeros((B, k)) if grad else None
     failures: dict[int, tuple[float, int, float]] = {}
     frames = min(T, SCAN_FRAMES)
-    chunk = max(1, CHUNK_MATRICES // (frames * max(V, 4) * (k + 3)))
+    chunk = max(1, CHUNK_MATRICES // (frames * max(V, 4) * (5 if grad else 3)))
     with np.errstate(all="ignore"):
         for lo in range(0, B, chunk):
             rows = slice(lo, lo + chunk)
             found: dict[int, tuple[float, int, float]] = {}
             carry = None
+            tapes = []
             for first in range(0, T, frames):
                 cols = slice(first, min(first + frames, T))
-                carry, x, P, nll, nll_grad = _filter_block(
+                carry, x, P, nll, tape = _filter_block(
                     batch.take((rows, cols)),
                     dt[rows, cols],
                     start[rows] - first,
                     None if truth is None else truth[rows, cols],
                     params,
                     calib,
-                    tangent_views,
                     carry,
                     found,
+                    grad,
                 )
                 means[rows, cols] = x
                 covs[rows, cols] = P
                 if truth is not None:
                     nlls[rows, cols] = nll
-                if grads is not None:
-                    grads[rows, cols] = nll_grad
+                tapes.append(tape)
+            owed = (0.0, 0.0)
+            for tape in reversed(tapes if grad else []):
+                owed, block_grad = _adjoint_block(tape, owed, channels, k)
+                grads[rows] += block_grad
             failures.update((lo + b, failure) for b, failure in found.items())
     return BatchResult(start, means, covs, nlls, grads, failures)
 
@@ -725,7 +725,7 @@ def run_track(
         means=result.means[0, s:],
         covs=result.covs[0, s:],
         nlls=None if truth is None else result.nlls[0, s:],
-        nll_grads=None if result.nll_grads is None else result.nll_grads[0, s:],
+        grad=None if result.grad is None else result.grad[0],
     )
 
 

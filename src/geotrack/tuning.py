@@ -4,9 +4,8 @@ The tunables are the filter's acceleration-noise parameter and the per-view
 affine covariance calibration applied to detections before fusion. All live
 in unconstrained space (log for multiplicative quantities, inverse softplus
 for the non-negative floor) so any optimizer step decodes to a valid value.
-Gradients are exact: the filter propagates one forward-mode tangent per
-tunable, which is cheaper than taping the recursion when the tunable count
-is this small.
+Gradients are exact: the filter takes them in one backward pass over each
+window's frames, whose cost does not grow with the number of tunables.
 
 make_windows reshapes a split's detections, the one-window FrameBatch
 dataio.read_detections returns, into a kalman.FrameBatch of B windows
@@ -14,7 +13,7 @@ dataio.read_detections returns, into a kalman.FrameBatch of B windows
 positions (B, T, 2). sequence_loss filters a whole minibatch, or a whole
 split for an epoch snapshot, in one call of the batched recursion and
 returns one loss and gradient per window; a snapshot needs only the losses,
-so it filters with grad=False, carrying no tangents at all.
+so it filters with grad=False, with no backward pass at all.
 """
 
 from __future__ import annotations
@@ -118,13 +117,15 @@ def sequence_loss(
 
     Returns losses (B,) and gradients (B, P) with respect to the
     unconstrained tunable vector (see to_vector for the ordering). Per-view
-    calibration enters the filter through calibration.obs_transform; its
-    sparse tangents dR/da = cov and dR/db = I are pushed through every
-    update, a chunk of windows at a time (kalman.CHUNK_MATRICES), one
-    tangent channel per tunable. With grad=False the filter carries none,
-    the losses are the same bits and the gradient is None. A window that fails numerically (a
-    matrix that is not positive definite, or a non-finite loss) gets loss
-    inf and a zero gradient; the other windows of the batch are unaffected.
+    calibration enters the filter through calibration.obs_transform. The
+    filter's backward pass gives each window's summed NLL its gradient in
+    sigma_accel and each view's a and b (kalman.run_windows), which is
+    divided here by the window's step count and carried to the
+    unconstrained tunables. With grad=False there is no backward pass, the
+    losses are the same bits and the gradient is None. A window that fails
+    numerically (a matrix that is not positive definite, or a non-finite
+    loss) gets loss inf and a zero gradient; the other windows of the batch
+    are unaffected.
     """
     order = params.view_order()
     n_windows = len(batch.t)
@@ -143,7 +144,7 @@ def sequence_loss(
         return loss, None
 
     with np.errstate(divide="ignore", invalid="ignore"):
-        grad_natural = np.nansum(result.nll_grads, axis=1) / n_steps[:, None]
+        grad_natural = result.grad / n_steps[:, None]
     # d sigma / d log sigma, then per view d a / d log a and d b / d raw b.
     scale = [sigma]
     for v in order:
@@ -155,19 +156,40 @@ def sequence_loss(
 
 @dataclass
 class TuneHistory:
-    """Per-epoch record (epoch 0 is the pre-training evaluation)."""
+    """Per-epoch record (epoch 0 is the pre-training evaluation): rows of
+    losses and sigma_accel, and epochs of each view's (a, b), the largest
+    gradient norm of the epoch's steps before clipping (None at epoch 0)
+    and how many of them were clipped."""
 
     rows: list[dict] = field(default_factory=list)
+    epochs: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     diverged: bool = False
 
-    def add(self, epoch: int, train_nll: float, val_nll: float, sigma_accel: float):
+    def add(
+        self,
+        epoch: int,
+        train_nll: float,
+        val_nll: float,
+        params: TunableParams,
+        norms: list[float],
+        grad_clip: float,
+    ):
+        sigma, calib = params.decode()
         self.rows.append(
             {
                 "epoch": epoch,
                 "train_nll": float(train_nll),
                 "val_nll": float(val_nll),
-                "sigma_accel": float(sigma_accel),
+                "sigma_accel": float(sigma),
+            }
+        )
+        self.epochs.append(
+            {
+                "epoch": epoch,
+                "views": {v: (calib[v].a, calib[v].b) for v in params.view_order()},
+                "max_grad_norm": max(norms) if norms else None,
+                "clipped": sum(norm > grad_clip for norm in norms),
             }
         )
 
@@ -247,14 +269,14 @@ def tune(
     v = np.zeros_like(vec)
     step = 0
 
-    def snapshot(epoch: int) -> float:
+    def snapshot(epoch: int, norms: list[float]) -> float:
         p = params0.with_vector(vec)
         train_nll = _mean_loss(p, train, train_truth, init_vel_var)
         val_nll = _mean_loss(p, val, val_truth, init_vel_var)
-        history.add(epoch, train_nll, val_nll, p.decode()[0])
+        history.add(epoch, train_nll, val_nll, p, norms, config.grad_clip)
         return val_nll
 
-    best_val = snapshot(0)
+    best_val = snapshot(0, [])
     best_vec = vec.copy()
     best_epoch = 0
     history.meta["best_val_nll"] = best_val
@@ -266,6 +288,7 @@ def tune(
     for epoch in range(1, config.epochs + 1):
         lr = config.lr / 10.0 if epoch >= config.lr_drop_epoch else config.lr
         perm = rng.permutation(len(train.t))
+        norms = []
         for lo in range(0, len(perm), config.batch):
             batch = perm[lo : lo + config.batch]
             losses, grads = sequence_loss(
@@ -276,6 +299,7 @@ def tune(
                 return params0.with_vector(best_vec), history
             g = np.mean(grads, axis=0)
             norm = float(np.linalg.norm(g))
+            norms.append(norm)
             if norm > config.grad_clip:
                 g = g * (config.grad_clip / norm)
             step += 1
@@ -285,7 +309,7 @@ def tune(
             m_hat = m / (1.0 - beta1**step)
             v_hat = v / (1.0 - beta2**step)
             vec = vec - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * vec
-        val_nll = snapshot(epoch)
+        val_nll = snapshot(epoch, norms)
         if val_nll < best_val:
             best_val = val_nll
             best_vec = vec.copy()

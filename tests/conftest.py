@@ -21,15 +21,9 @@ from geotrack.kalman import (
     DetectionFrame,
     FilterParams,
     FrameBatch,
-    _init,
-    _inv2,
     _is_pd,
-    _nll,
-    _nll_grad,
     _pd_error,
     _record_failures,
-    _sym,
-    _T,
     pack,
     process_noise,
     transition,
@@ -290,20 +284,24 @@ def mp_orthant(h: float, k: float, r: float, dps: int = 30) -> float:
 
 
 def mp_mean_nll(
-    frames: Sequence[DetectionFrame], truth, sigma_accel, init_vel_var: float = 1e4
+    frames: Sequence[DetectionFrame], truth, sigma_accel, init_vel_var: float = 1e4, calib=None
 ) -> float:
-    """The mean filtered NLL of one window of frames, without calibration, in
-    mpmath at the working precision: the textbook per-frame recursion
-    (information-sum fusion of a frame's detections, predict, update with
-    P = (I - K H) P), an independent reference for the tracker's NLL and,
-    through mpmath.diff in sigma_accel, its gradient."""
+    """The mean filtered NLL of one window of frames in mpmath at the working
+    precision: the textbook per-frame recursion (each detection calibrated
+    as a * cov + b * I with its view's (a, b) from calib, views without an
+    entry as they are; information-sum fusion of a frame's detections;
+    predict; update with P = (I - K H) P), an independent reference for the
+    tracker's NLL and, through mpmath.diff in sigma_accel, a or b, its
+    gradient."""
     mpf, matrix = mpmath.mpf, mpmath.matrix
     sigma_accel = mpf(sigma_accel)
+    calib = calib or {}
 
     def fused(f):
         lam, eta = mpmath.zeros(2, 2), mpmath.zeros(2, 1)
-        for _, g in f.detections:
-            info = matrix(g.cov.tolist()) ** -1
+        for view, g in f.detections:
+            a, b = calib.get(view, (1, 0))
+            info = (mpf(a) * matrix(g.cov.tolist()) + mpf(b) * mpmath.eye(2)) ** -1
             lam, eta = lam + info, eta + info * matrix(g.mean.tolist())
         return lam**-1 * eta, lam**-1
 
@@ -570,10 +568,64 @@ def oracle_simulate_files(config, out) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Dense fusion: any per-detection dR stack, formed and summed over every
-# view and tangent channel. kalman fuses the sparse calibration tangents
-# alone; this is its reference, and the loop oracle's and per-step API's
-# fusion.
+# Filter arithmetic of the oracles below, written out here from the textbook
+# so that no error in kalman's own can cancel out of a comparison with it.
+
+
+def _T(M: np.ndarray) -> np.ndarray:
+    return M.swapaxes(-1, -2)
+
+
+def _sym(P: np.ndarray) -> np.ndarray:
+    return (P + _T(P)) / 2.0
+
+
+def _inv2(S: np.ndarray) -> np.ndarray:
+    """Inverse of (..., 2, 2) matrices by the adjugate over the determinant."""
+    det = S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+    adj = np.empty(S.shape)
+    adj[..., 0, 0], adj[..., 1, 1] = S[..., 1, 1], S[..., 0, 0]
+    adj[..., 0, 1], adj[..., 1, 0] = -S[..., 0, 1], -S[..., 1, 0]
+    return adj / det[..., None, None]
+
+
+def _init(z, R, dz, dR, init_vel_var: float):
+    """State at a track's first frame with its tangents over K channels:
+    the fused detection (dz, dR) for position, zero velocity with
+    init_vel_var per axis, and no cross-covariance."""
+    shape, k = z.shape[:-1], dz.shape[-2]
+    x, P = np.zeros(shape + (4,)), np.zeros(shape + (4, 4))
+    sx, sP = np.zeros(shape + (k, 4)), np.zeros(shape + (k, 4, 4))
+    x[..., :2], P[..., :2, :2], sx[..., :2], sP[..., :2, :2] = z, R, dz, dR
+    P[..., 2, 2] = P[..., 3, 3] = init_vel_var
+    return x, _sym(P), sx, _sym(sP)
+
+
+def _nll(mu, sig, truth):
+    """NLL of truth positions under N(mu, sig), with sig^-1 and the whitened
+    residual w = sig^-1 (truth - mu)."""
+    sig_inv = _inv2(sig)
+    r = truth - mu
+    w = (sig_inv @ r[..., None])[..., 0]
+    det = sig[..., 0, 0] * sig[..., 1, 1] - sig[..., 0, 1] * sig[..., 1, 0]
+    return LOG_TWO_PI + 0.5 * np.log(det) + 0.5 * (r * w).sum(axis=-1), sig_inv, w
+
+
+def _nll_grad(sig_inv, w, dmu, dsig):
+    """The gradient of _nll over the tangent channels of dmu (..., K, 2) and
+    dsig (..., K, 2, 2): tr(sig^-1 dsig) / 2 - dmu . w - w^T dsig w / 2."""
+    return (
+        0.5 * (dsig * _T(sig_inv)[..., None, :, :]).sum(axis=(-2, -1))
+        - (dmu * w[..., None, :]).sum(axis=-1)
+        - 0.5 * ((dsig @ w[..., None, :, None])[..., 0] * w[..., None, :]).sum(axis=-1)
+    )
+
+
+# ---------------------------------------------------------------------------
+# Dense fusion: any per-detection dR stack, pushed forward and summed over
+# every view and tangent channel. kalman pulls each detection's adjoint back
+# instead (_fuse_adjoint); this is its reference, and the loop oracle's and
+# per-step API's fusion.
 
 
 def obs_tangents(calib, views, cov, tangent_views=()) -> np.ndarray:
@@ -629,10 +681,10 @@ def dense_fuse(mean, cov, mask, dR):
 
 # ---------------------------------------------------------------------------
 # Per-frame filter loop: the recursion run_windows computed as a time loop
-# before it became a prefix scan. It fuses densely (dense_fuse), shares
-# initialisation, the NLL and failure bookkeeping with kalman, and steps
-# through time with predict and the Joseph update; the reference for the
-# scan.
+# before it became a prefix scan, its gradient by forward-mode tangents
+# before it became a backward pass. It fuses densely (dense_fuse), shares
+# only the failure bookkeeping with kalman, and steps through time with
+# predict and the Joseph update; the reference for the scan.
 
 # Detection x tangent-channel 2x2 matrices per fusion block of the loop.
 LOOP_BLOCK_MATRICES = 1 << 12
@@ -713,12 +765,14 @@ def loop_windows(
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
     grad: bool = True,
-) -> BatchResult:
+) -> tuple[BatchResult, Optional[np.ndarray]]:
     """kalman.run_windows as a per-frame loop: predict, then the Joseph
     update, one frame at a time over all windows at once, with calibration,
     fusion and the NLL in blocks of frames. It always carries every tangent
-    channel, and returns the gradient where run_windows does. The reference
-    for the scan."""
+    channel forward. Returns the result, whose gradient is the sum over
+    each window's frames where run_windows gives one, and the per-frame
+    gradients (B, T, K) that sum to it (NaN before the start), or None. The
+    reference for the scan."""
     tangent_views = tuple(sorted(calib or {}))
     n_params = 1 + 2 * len(tangent_views)
     B, T, V = batch.mask.shape
@@ -794,7 +848,8 @@ def loop_windows(
             if grads is not None:
                 dnll = _nll_grad(sig_inv, w, dmu, dsig)
                 grads[:, sl] = np.where(before[..., None], np.nan, dnll)
-    return BatchResult(start, means, covs, nlls, grads, failures)
+    total = None if grads is None else np.nansum(grads, axis=1)
+    return BatchResult(start, means, covs, nlls, total, failures), grads
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 import csv
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +377,9 @@ class TestTune:
         vals = [dict(zip(header, r.split(","))) for r in rows[1:]]
         assert (tmp_path / "tuned_params.json").exists()
         assert (tmp_path / "tuned_calibration.json").exists()
+        epochs = (tmp_path / "epochs.csv").read_text().strip().splitlines()
+        assert len(epochs) == 1 + 3 and epochs[1].startswith("0,,0,")
+        assert "epochs.csv" in json.loads((tmp_path / "manifest.json").read_text())["outputs"]
         meta = json.loads((tmp_path / "history_meta.json").read_text())
         assert meta["diverged"] is False
         # Best-seen selection: the returned parameters are never worse on
@@ -911,3 +918,71 @@ def test_manifest_records_every_flag(sim_dir, track_dir, eval_dir, tmp_path, fil
     expected = {**{k: parsed[k] for k in flags - set(manifest["inputs"])}, **resolved}
     assert {k: manifest["options"].get(k, "<absent>") for k in expected} == expected
     assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+
+# The README walkthrough in small, run through the CLI in one process.
+PIPELINE = """
+import json, sys
+from geotrack.cli import main
+
+config = {config}
+open("config.json", "w").write(json.dumps(config))
+commands = [
+    "simulate --config config.json --out sim",
+    "track --detections sim/detections_test.jsonl --truth sim/truth_test.csv --out track",
+    "calibrate --detections sim/detections_val.jsonl --truth sim/truth_val.csv --out calib",
+    "tune --train-detections sim/detections_train.jsonl --train-truth sim/truth_train.csv"
+    " --val-detections sim/detections_val.jsonl --val-truth sim/truth_val.csv"
+    " --init calib/calibration.json --seq-len 50 --epochs 2 --lr 0.01 --out tune",
+    "track --detections sim/detections_test.jsonl --truth sim/truth_test.csv"
+    " --params tune/tuned_params.json --calib tune/tuned_calibration.json --out track_tuned",
+    "evaluate --track track_tuned/track.jsonl --truth sim/truth_test.csv --out eval",
+    "report eval --out table",
+]
+sys.exit(max(main(c.split()) for c in commands))
+"""
+
+
+def simd_levels() -> list[list[str]]:
+    """The NPY_DISABLE_CPU_FEATURES settings this CPU can run: none, then
+    numpy's dispatch targets that it has, switched off from the highest."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    present = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    return [present[len(present) - i :] for i in range(len(present) + 1)]
+
+
+def test_outputs_identical_across_simd_levels(tmp_path):
+    # numpy picks a ufunc's SIMD loop by CPU, and some (x**3, x**4, exp,
+    # log) round differently in the last bit from one loop to another. Every
+    # output byte must be the same at every level, manifests apart from
+    # their wall-clock fields.
+    levels = simd_levels()
+    if len(levels) < 2:
+        pytest.skip("this CPU runs numpy at its baseline only")
+    src = Path(dataio.__file__).resolve().parent.parent
+    outputs = []
+    for i, disabled in enumerate(levels):
+        root = tmp_path / f"level{i}"
+        root.mkdir()
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        script = PIPELINE.format(config=repr(SMALL_CONFIG))
+        done = subprocess.run(
+            [sys.executable, "-c", script], cwd=root, env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        files = {}
+        for path in sorted(p for p in root.rglob("*") if p.is_file()):
+            data = path.read_bytes()
+            if path.name == "manifest.json":
+                manifest = json.loads(data)
+                del manifest["wall_clock_utc"], manifest["elapsed_seconds"]
+                data = json.dumps(manifest, sort_keys=True).encode()
+            files[str(path.relative_to(root))] = data
+        outputs.append(files)
+    assert len(outputs[0]) > 20
+    for disabled, files in zip(levels[1:], outputs[1:]):
+        assert files.keys() == outputs[0].keys()
+        differ = sorted(name for name in files if files[name] != outputs[0][name])
+        assert not differ, f"with {' '.join(disabled)} disabled: {differ}"

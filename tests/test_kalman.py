@@ -30,6 +30,7 @@ from geotrack.kalman import (
     FilterParams,
     FrameBatch,
     _fuse,
+    _fuse_adjoint,
     _inv4,
     pack,
     process_noise,
@@ -306,8 +307,7 @@ def fusion_case(draw):
     probability 1/2 (0, 1 or several detections a frame), with raw
     covariances over six decades; calibrations for a random subset of
     N0..N6, so some calibrated views are missing from the batch and some
-    batch views have no calibration; and a tangent width of 0, 1 or
-    1 + 2 * len(calib)."""
+    batch views have no calibration."""
     views = tuple(f"N{i}" for i in range(draw(st.integers(1, 5))))
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 6)), len(views))
     size = math.prod(shape)
@@ -324,27 +324,46 @@ def fusion_case(draw):
         if draw(st.booleans()):
             a = 10.0 ** draw(st.floats(-0.5, 0.5))
             calib[view] = CalibrationParams(a, draw(st.floats(0.0, 10.0)))
-    width = draw(st.sampled_from(["zero", "one", "full"]))
-    return views, mean, raw, mask, calib, width
+    return views, mean, raw, mask, calib
 
 
 class TestSparseFusion:
     @settings(max_examples=300)
-    @given(fusion_case())
-    def test_matches_dense_tangent_fusion_bitwise(self, case):
-        # kalman forms each calibrated view's two tangent products alone;
-        # summed densely over every view and channel they are the same bits.
-        views, mean, raw, mask, calib, width = case
-        tangent_views = tuple(sorted(calib)) if width == "full" else ()
-        k = {"zero": 0, "one": 1, "full": 1 + 2 * len(calib)}[width]
+    @given(fusion_case(), st.integers(0, 2**32 - 1))
+    def test_adjoint_matches_dense_tangent_fusion(self, case, seed):
+        # The dot-product identity of the fusion's adjoint: for any adjoints
+        # M of the fused R and m of the fused z, the sum of each calibrated
+        # view's N_i against dR_i/da = raw_i and dR_i/db = I is, channel by
+        # channel, <M, dR> + <m, dz> of the tangents dense_fuse pushes
+        # forward from every view, to 1e-12 relative, or within 16 eps kappa
+        # for covariances of condition number kappa above about 300, where
+        # dense_fuse's own error reaches 3e-10 against mpmath. z, R and the
+        # information are the same bits either way.
+        views, mean, raw, mask, calib = case
+        order = sorted(calib)
+        k = 1 + 2 * len(order)
         cov = obs_transform(calib, views, raw)
-        dR = obs_tangents(calib, views, raw, tangent_views)[..., :k, :, :]
-        channels = [1 + 2 * tangent_views.index(v) if v in tangent_views else -1 for v in views]
-        sparse = _fuse(mean, cov, mask, raw, np.array(channels, int), k)
-        dense = dense_fuse(mean, cov, mask, dR)
-        for name, actual, expected in zip(("z", "R", "dz", "dR", "lam"), sparse, dense):
-            assert actual.shape == expected.shape, name
+        z, R, prec, lam = _fuse(mean, cov, mask)
+        dense = dense_fuse(mean, cov, mask, obs_tangents(calib, views, raw, tuple(order)))
+        for name, actual, expected in zip(("z", "R", "lam"), (z, R, lam), dense[:2] + dense[4:]):
             assert actual.tobytes() == expected.tobytes(), name
+
+        rng = np.random.default_rng(seed)
+        M = rng.standard_normal(R.shape)
+        M = (M + np.swapaxes(M, -1, -2)) / 2.0
+        m = rng.standard_normal(z.shape)
+        _, _, dz, dR, _ = dense
+        expected = (dR * M[..., None, :, :]).sum(axis=(-2, -1)) + (dz * m[..., None, :]).sum(axis=-1)
+        N = _fuse_adjoint(M, m, z, R, mean, prec, mask)
+        actual = np.zeros(expected.shape)
+        for i, view in enumerate(views):
+            if view in calib:
+                c = 1 + 2 * order.index(view)
+                actual[..., c] = (N[..., i, :, :] * raw[..., i, :, :]).sum(axis=(-2, -1))
+                actual[..., c + 1] = np.trace(N[..., i, :, :], axis1=-2, axis2=-1)
+        eig = np.linalg.eigvalsh(np.where(mask[..., None, None], cov, np.eye(2)))
+        kappa = np.max(eig[..., 1] / eig[..., 0])
+        assert_close(actual, expected, rtol=max(1e-12, 16.0 * np.finfo(float).eps * kappa))
 
 
 VIEWS = ("N1", "N2", "N3")
@@ -457,16 +476,22 @@ class TestBatchedRecursionProperties:
             alone = run_windows(pack([f]), params, t[None], calib)
             assert together.start[b] == alone.start[0]
             assert (b in together.failures) == (0 in alone.failures)
-            for name in ("means", "covs", "nlls", "nll_grads"):
+            for name in ("means", "covs", "nlls", "grad"):
                 np.testing.assert_array_equal(getattr(together, name)[b], getattr(alone, name)[0])
 
     @settings(max_examples=150)
-    @given(windows_case(), calibration_case())
-    def test_matches_per_step_chain(self, windows, setup):
+    @given(windows_case(), calibration_case(), st.data())
+    def test_matches_per_step_chain(self, windows, setup, data):
+        # The whole windows, and a prefix of their first j frames (each
+        # window started within it), whose gradient is the chain's partial
+        # sum.
         sigma, calib = setup
-        truth = np.array([t for _, t in windows])
-        result = run_windows(pack([f for f, _ in windows]), FilterParams(sigma), truth, calib)
+        batch, truth = pack_windows(windows)
+        result = run_windows(batch, FilterParams(sigma), truth, calib)
         assert not result.failures
+        j = data.draw(st.integers(int(result.start.max()) + 1, truth.shape[1]))
+        prefix = run_windows(batch.take((slice(None), slice(0, j))), FilterParams(sigma), truth[:, :j], calib)
+        assert not prefix.failures
         for b, (f, t) in enumerate(windows):
             start, means, covs, values, grads = chain_nll(f, t, sigma, calib)
             assert result.start[b] == start
@@ -474,7 +499,8 @@ class TestBatchedRecursionProperties:
             assert_close(result.means[b, start:], means)
             assert_close(result.covs[b, start:], covs)
             assert_close(result.nlls[b, start:], values)
-            assert_close(result.nll_grads[b, start:], grads)
+            assert_close(result.grad[b], grads.sum(axis=0))
+            assert_close(prefix.grad[b], grads[: j - start].sum(axis=0))
 
     @settings(max_examples=100)
     @given(windows_case(), calibration_case(), st.data())
@@ -506,20 +532,23 @@ class TestBatchedRecursionProperties:
 
     def test_tune_shape_chunks_equal_each_window_alone(self):
         # A tune minibatch: 8 windows of T = 100 over V = 4 calibrated views,
-        # tangent width K = 9, filtered in chunks of 3 windows.
+        # 9 parameters. The chunk bound holds all 8 with a gradient; a third
+        # of it filters them in chunks of 3.
         views = ("N1", "N2", "N3", "N4")
         rng = np.random.default_rng(71)
         windows = [make_cv_frames(rng, 100, sigma_accel=50.0, views=views) for _ in range(8)]
         batch, truth = pack_windows(windows)
         calib = {v: CalibrationParams(0.8 + 0.1 * i, 2.0 * i) for i, v in enumerate(views)}
         tunables = TunableParams.from_natural(100.0, calib)
-        assert kalman.CHUNK_MATRICES // (100 * 4 * (9 + 3)) == 3
-        loss, grad = sequence_loss(tunables, batch, truth)
-        assert grad.shape == (8, 9) and np.all(np.isfinite(loss))
-        for b in range(8):
-            alone_loss, alone_grad = sequence_loss(tunables, batch.take([b]), truth[[b]])
-            assert alone_loss.tobytes() == loss[[b]].tobytes()
-            assert alone_grad.tobytes() == grad[[b]].tobytes()
+        for bound, per_chunk in ((kalman.CHUNK_MATRICES, 8), (3 * 100 * 4 * 5, 3)):
+            with mock.patch.object(kalman, "CHUNK_MATRICES", bound):
+                assert kalman.CHUNK_MATRICES // (100 * 4 * 5) == per_chunk
+                loss, grad = sequence_loss(tunables, batch, truth)
+                assert grad.shape == (8, 9) and np.all(np.isfinite(loss))
+                for b in range(8):
+                    alone_loss, alone_grad = sequence_loss(tunables, batch.take([b]), truth[[b]])
+                    assert alone_loss.tobytes() == loss[[b]].tobytes()
+                    assert alone_grad.tobytes() == grad[[b]].tobytes()
 
     @settings(max_examples=100)
     @given(windows_case(), calibration_case())
@@ -600,21 +629,45 @@ LONG_GAP_CASES = [
 ]
 
 
-@pytest.mark.parametrize("frames, truth", LONG_GAP_CASES)
+LONG_GAP_CALIBRATION = {"N1": CalibrationParams(1.5, 0.3), "N2": CalibrationParams(0.7, 2.0)}
+
+
+@pytest.mark.parametrize(
+    "frames, truth, calib",
+    [pytest.param(f, t, {}, id=f"frames{i}-truth{i}") for i, (f, t) in enumerate(LONG_GAP_CASES)]
+    + [
+        pytest.param(f, t, LONG_GAP_CALIBRATION, id=f"frames{i}-truth{i}-calibrated")
+        for i, (f, t) in enumerate(LONG_GAP_CASES)
+    ],
+)
 @pytest.mark.parametrize("sigma", [0.3, 1.0, 10.0])
-def test_gradient_after_long_gap_matches_mpmath(frames, truth, sigma):
+def test_gradient_after_long_gap_matches_mpmath(frames, truth, sigma, calib):
     # Gaps of 50 to 100 s, where the predicted covariance dwarfs R and the
-    # gradient can be 1e-9 of the NLL: the mean NLL and its gradient in log
-    # sigma_accel against the 40-digit textbook recursion, differentiated by
-    # mpmath.
+    # gradient can be 1e-9 of the NLL: the mean NLL and its gradient against
+    # the 40-digit textbook recursion, differentiated by mpmath in every
+    # tunable: log sigma_accel and each calibrated view's log a and raw b
+    # (N2 is calibrated but absent from the first case, and N3 is never
+    # calibrated).
+    params = TunableParams.from_natural(sigma, calib)
+    vector = params.to_vector()
+    order = params.view_order()
+
+    def mp_loss(i, value):
+        theta = [mpmath.mpf(v) for v in vector]
+        theta[i] = value
+        views = {
+            view: (mpmath.exp(theta[1 + 2 * j]), mpmath.log1p(mpmath.exp(theta[2 + 2 * j])))
+            for j, view in enumerate(order)
+        }
+        return mp_mean_nll(frames, truth, mpmath.exp(theta[0]), calib=views)
+
     with mpmath.workdps(40):
-        log_sigma = mpmath.log(mpmath.mpf(sigma))
-        value = mp_mean_nll(frames, truth, sigma)
-        slope = mpmath.diff(lambda s: mp_mean_nll(frames, truth, mpmath.exp(s)), log_sigma)
-    params = TunableParams.from_natural(sigma, {})
+        value = mp_loss(0, mpmath.mpf(vector[0]))
+        slope = [mpmath.diff(lambda s: mp_loss(i, s), mpmath.mpf(v)) for i, v in enumerate(vector)]
     loss, grad = sequence_loss(params, *pack_windows([(frames, truth)]))
     assert_close(loss[0], float(value))
-    assert_close(grad[0], np.array([float(slope)]))
+    for actual, expected in zip(grad[0], slope):
+        assert_close(actual, float(expected))
 
 
 class TestScanMatchesLoop:
@@ -625,8 +678,10 @@ class TestScanMatchesLoop:
         st.data(),
     )
     def test_matches_per_frame_loop(self, windows, setup, data):
-        # Short scan blocks carry state across block boundaries, and a tiny
-        # chunk bound filters one window at a time.
+        # Short scan blocks carry state forward, and adjoints backward,
+        # across block boundaries, and a tiny chunk bound filters one window
+        # at a time. With a gradient, a prefix of the first j frames (each
+        # window started within it) matches the loop's partial sum.
         sigma, calib = setup
         grad = data.draw(st.booleans())
         batch, truth = pack_windows(windows)
@@ -641,16 +696,20 @@ class TestScanMatchesLoop:
         frames = data.draw(st.integers(1, 5))
         chunk = data.draw(st.sampled_from([1, kalman.CHUNK_MATRICES]))
         params = FilterParams(sigma)
+        start = batch.mask.any(axis=-1).argmax(axis=1)
+        j = data.draw(st.integers(int(start.max()) + 1, batch.t.shape[1]))
         with mock.patch.object(kalman, "SCAN_FRAMES", frames):
             with mock.patch.object(kalman, "CHUNK_MATRICES", chunk):
                 scan = run_windows(batch, params, truth, calib, grad)
-        loop = loop_windows(batch, params, truth, calib, grad)
+                if scan.grad is not None:
+                    prefix = run_windows(batch.take((slice(None), slice(0, j))), params, truth[:, :j], calib)
+        loop, per_frame = loop_windows(batch, params, truth, calib, grad)
         assert scan.failures == loop.failures
         np.testing.assert_array_equal(scan.start, loop.start)
-        assert (scan.nll_grads is None) == (truth is None or not grad)
+        assert (scan.grad is None) == (truth is None or not grad)
         names = ("means", "covs") if truth is None else ("means", "covs", "nlls")
-        if scan.nll_grads is not None:
-            names += ("nll_grads",)
+        if scan.grad is not None:
+            names += ("grad",)
         kept = [b for b in range(len(windows)) if b not in loop.failures]
         for name in names:
             actual, expected = getattr(scan, name)[kept], getattr(loop, name)[kept]
@@ -658,6 +717,8 @@ class TestScanMatchesLoop:
             np.testing.assert_array_equal(np.isnan(actual), ~defined)
             if defined.any():
                 assert_close(actual[defined], expected[defined])
+        if scan.grad is not None and kept:
+            assert_close(prefix.grad[kept], np.nansum(per_frame[kept, :j], axis=1))
 
     @settings(max_examples=200)
     @given(
@@ -683,8 +744,8 @@ class TestScanMatchesLoop:
             with mock.patch.object(kalman, "CHUNK_MATRICES", chunk):
                 zero = run_windows(batch, params, truth, calib, grad=False)
                 full = run_windows(batch, params, truth, calib, grad=True)
-        assert zero.nll_grads is None
-        assert full.nll_grads.shape[-1] == 1 + 2 * len(calib)
+        assert zero.grad is None
+        assert full.grad.shape == (len(windows), 1 + 2 * len(calib))
         assert zero.failures == full.failures
         for name in ("start", "means", "covs", "nlls"):
             assert getattr(zero, name).tobytes() == getattr(full, name).tobytes(), name
@@ -751,7 +812,7 @@ class TestRunSequence:
         hi = run_sequence(frames, FilterParams(sigma + h), truth=truth).total_nll
         lo = run_sequence(frames, FilterParams(sigma - h), truth=truth).total_nll
         fd = (hi - lo) / (2.0 * h)
-        assert np.nansum(res.nll_grads, axis=0)[0] == pytest.approx(fd, rel=1e-4)
+        assert res.grad[0] == pytest.approx(fd, rel=1e-4)
 
     def test_per_step_sensitivities_match_fd(self):
         # Walk the recursion manually and difference every step's x and P.
@@ -791,7 +852,7 @@ class TestRunSequence:
         rng = np.random.default_rng(26)
         frames, truth = make_cv_frames(rng, n_steps=10)
         res = run_sequence(frames, FilterParams(10.0), truth=truth, grad=False)
-        assert res.nll_grads is None
+        assert res.grad is None
         assert res.total_nll == run_sequence(frames, FilterParams(10.0), truth=truth).total_nll
 
     def test_error_paths(self):

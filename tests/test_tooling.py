@@ -3,7 +3,8 @@
 A module other than ``__init__`` may import only names it uses, so a name
 left behind when its last user goes (say ``Gaussian2D`` in a module that
 no longer builds one) fails here; every ``geotrack.__all__`` entry must
-resolve on the package.
+resolve on the package; and the test oracles in ``conftest`` take none of
+the filter's arithmetic from ``geotrack.kalman``.
 """
 
 import ast
@@ -59,3 +60,25 @@ def test_package_all_resolves():
     package = importlib.import_module("geotrack")
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing, f"geotrack.__all__ names what the package does not define: {missing}"
+
+
+# kalman's filter arithmetic, which the oracles in conftest must not share:
+# an error in it would then cancel out of every comparison with them.
+FILTER_ARITHMETIC = {
+    "_fuse", "_fuse_adjoint", "_init", "_nll", "_inv2", "_gain", "_complement",
+    "_adjoint_block", "_scan_back",
+}
+
+
+def test_oracles_share_no_filter_arithmetic():
+    path = Path(__file__).resolve().parent / "conftest.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    shared = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "geotrack.kalman":
+            shared |= {alias.name for alias in node.names} & FILTER_ARITHMETIC
+        elif isinstance(node, ast.ImportFrom) and node.module == "geotrack":
+            shared |= {alias.name for alias in node.names} & {"kalman"}
+        elif isinstance(node, ast.Import):
+            shared |= {alias.name for alias in node.names} & {"geotrack.kalman"}
+    assert not shared, f"conftest.py takes filter arithmetic from geotrack.kalman: {sorted(shared)}"

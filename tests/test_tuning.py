@@ -7,7 +7,7 @@ import pytest
 from conftest import make_cv_frames, pack_windows, window_loss
 from geotrack.calibration import IDENTITY, CalibrationParams
 from geotrack.core import Gaussian2D
-from geotrack import tuning
+from geotrack import dataio, tuning
 from geotrack.kalman import DetectionFrame, pack
 from geotrack.tuning import (
     TunableParams,
@@ -232,6 +232,28 @@ class TestTune:
         assert history.meta["lr_sum"] == sum([config.lr] * 2 + [config.lr / 10.0] * 4)
         _, history = tune(config, TunableParams(700.0, params0.views), train, val)
         assert history.diverged and history.meta["lr_sum"] == 0.0
+
+    def test_epoch_records_with_every_step_clipped(self, small_problem, tmp_path):
+        # 4 windows in batches of 3 take 2 steps an epoch, and a tiny
+        # grad_clip clips both; epoch 0 holds the starting (a, b) and no norm.
+        params0, train, val = small_problem
+        config = TuneConfig(seq_len=50, epochs=3, lr=0.01, grad_clip=1e-12, batch=3)
+        _, history = tune(config, params0, train, val)
+        assert [row["epoch"] for row in history.epochs] == [0, 1, 2, 3]
+        start = history.epochs[0]
+        assert start["max_grad_norm"] is None and start["clipped"] == 0
+        assert start["views"] == {v: (p.a, p.b) for v, p in params0.decode()[1].items()}
+        for before, row in zip(history.epochs, history.epochs[1:]):
+            assert row["clipped"] == 2 and row["max_grad_norm"] > config.grad_clip
+            assert row["views"] != before["views"]
+
+        dataio.write_epochs(tmp_path / "a.csv", history.epochs)
+        dataio.write_epochs(tmp_path / "b.csv", tune(config, params0, train, val)[1].epochs)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        lines = (tmp_path / "a.csv").read_text().splitlines()
+        assert lines[0] == "epoch,max_grad_norm,clipped,N1_a,N1_b,N2_a,N2_b"
+        assert lines[1] == "0,,0," + ",".join(repr(x) for v in ("N1", "N2") for x in start["views"][v])
+        assert len(lines) == 5 and all(line.split(",")[2] == "2" for line in lines[2:])
 
     def test_history_metadata_records_optimizer_constants(self, small_problem):
         params0, train, val = small_problem
