@@ -4,9 +4,10 @@ A detection's covariance is rescaled as cov' = a * cov + b * I; the (a, b)
 pair is selected per view by exhaustive grid search minimizing mean NLL on
 validation pairs. The grid always contains the identity point (1, 0), so a
 fitted calibration can never be worse than no calibration on the data it was
-fit to. The pairs are arrays (core.Pairs): detection means and covariances
-with their truth positions, one row each, as the readers load them. The fit
-scores, for each a, blocks of b rows over all pairs at once.
+fit to. The pairs are arrays (core.Pairs) of detection means, covariances and
+truth positions. Each pair (covariance C, residual r) reduces to d = det C,
+t = tr C, q = r' adj(C) r and s = |r|^2: det(aC + bI) = a^2 d + b (a t + b)
+and r' adj(aC + bI) r = a q + b s, scored for each a in blocks of b rows.
 """
 
 from __future__ import annotations
@@ -117,30 +118,29 @@ def fit(grid: CalibrationGrid, pairs: Pairs) -> tuple[CalibrationParams, float]:
         raise ValueError("cannot fit calibration on zero pairs")
     sxx, sxy, syy = pairs.cov[:, 0, 0], pairs.cov[:, 0, 1], pairs.cov[:, 1, 1]
     rx, ry = (pairs.truth - pairs.mean).T
-    rx2, ry2, rxy = rx * rx, ry * ry, rx * ry
-
-    n = len(pairs)
-    b_values = np.array(grid.b_values)
+    d, t = sxx * syy - sxy * sxy, sxx + syy
+    q, s = rx * rx * syy - 2.0 * (rx * ry) * sxy + ry * ry * sxx, rx * rx + ry * ry
+    n, b_values = len(pairs), np.array(grid.b_values)[:, None]
     rows = max(1, BLOCK_CELLS // n)
-    best = (math.inf, math.nan, math.nan)
-    for a in grid.a_values:
-        axx, axy, ayy = a * sxx, a * sxy, a * syy
-        cross = 2.0 * rxy * axy
-        for lo in range(0, len(b_values), rows):
-            b = b_values[lo : lo + rows, None]
-            pxx = axx + b
-            pyy = ayy + b
-            det = pxx * pyy - axy * axy
-            quad = (rx2 * pyy - cross + ry2 * pxx) / det
-            # np.mean of a cell's row is this row sum over n, to the bit.
-            log_det = np.add.reduce(np.log(det), axis=1) / n
-            mean_nll = LOG_TWO_PI + 0.5 * log_det + 0.5 * (np.add.reduce(quad, axis=1) / n)
-            for b_cell, value in zip(b[:, 0].tolist(), mean_nll.tolist()):
-                if -math.inf < value < best[0]:
-                    best = (value, a, b_cell)
-    if best[0] == math.inf:
+    det, quad = np.empty((2, min(rows, len(b_values)), n))
+    total = np.empty((len(grid.a_values), len(b_values)))
+    for lo in range(0, len(b_values), rows):
+        # A block of b rows, b and b s spelled out per pair once for every a.
+        b = np.repeat(b_values[lo : lo + rows], n, axis=1)
+        bs, det_b, quad_b = s * b, det[: len(b)], quad[: len(b)]
+        for i, a in enumerate(grid.a_values):
+            # det_b = a^2 d + b (a t + b); quad_b = (a q + b s) / det_b.
+            np.add(a * a * d, np.multiply(np.add(a * t, b, out=det_b), b, out=det_b), out=det_b)
+            np.divide(np.add(a * q, bs, out=quad_b), det_b, out=quad_b)
+            np.add(np.log(det_b, out=det_b), quad_b, out=det_b)
+            np.add.reduce(det_b, axis=1, out=total[i, lo : lo + len(b)])
+    # A row sum over n is np.mean to the bit; argmin's first minimum is a-major.
+    mean_nll = LOG_TWO_PI + 0.5 * (total / n)
+    mean_nll[~np.isfinite(mean_nll)] = math.inf
+    i, j = np.unravel_index(np.argmin(mean_nll), mean_nll.shape)
+    if mean_nll[i, j] == math.inf:
         raise ValueError("no grid cell gives a finite mean NLL")
-    return CalibrationParams(best[1], best[2]), best[0]
+    return CalibrationParams(grid.a_values[i], grid.b_values[j]), float(mean_nll[i, j])
 
 
 @dataclass

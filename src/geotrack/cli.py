@@ -91,6 +91,8 @@ def _parse_axis(spec: str) -> tuple[float, ...]:
     # A finite span also keeps numpy from overflowing as it spaces the axis.
     if not math.isfinite(hi - lo):
         raise UsageError(f"bad grid axis spec {spec!r}; lo, hi and hi - lo must be finite")
+    if count < 1 or lo > hi:
+        raise UsageError(f"bad grid axis spec {spec!r}; expected lo <= hi and a count of at least 1")
     if kind == "log":
         return calibration.log_spaced_axis(lo, hi, count)
     if kind == "lin":
@@ -220,9 +222,9 @@ def _write_plot_data(path: Path, times, means, covs, truth) -> None:
 
 
 def cmd_calibrate(args, out: Path) -> tuple[list[str], dict]:
+    grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))
     batch = dataio.read_detections(Path(args.detections))
     position = _truth_positions(batch, args.truth, args.detections)
-    grid = calibration.CalibrationGrid(_parse_axis(args.grid_a), _parse_axis(args.grid_b))
     # The batch's columns view by view: (V, T, ...), each detection once.
     mean, cov, mask = (np.moveaxis(a[0], 1, 0) for a in (batch.mean, batch.cov, batch.mask))
     truth = np.broadcast_to(position, mask.shape + (2,))

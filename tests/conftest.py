@@ -190,23 +190,53 @@ def pairs_arrays(pairs) -> Pairs:
     )
 
 
+@np.errstate(all="ignore")
 def cell_fit(grid, pairs: Pairs):
-    """calibration.fit one grid cell at a time: np.mean per cell, cells
-    compared in (a, b) order. The reference for the blocked fit."""
+    """calibration.fit one grid cell at a time, in the coefficient form: each
+    pair's d = det C, t = tr C, q = r' adj(C) r and s = |r|^2 give
+    det(aC + bI) = a^2 d + b (a t + b) and r' adj(aC + bI) r = a q + b s.
+    np.mean per cell; cells whose mean NLL is not finite are skipped and the
+    rest compared in (a, b) order. The reference for the blocked fit."""
     sxx, sxy, syy = pairs.cov[:, 0, 0], pairs.cov[:, 0, 1], pairs.cov[:, 1, 1]
     rx, ry = (pairs.truth - pairs.mean).T
-    rx2, ry2, rxy = rx * rx, ry * ry, rx * ry
+    d, t = sxx * syy - sxy * sxy, sxx + syy
+    q, s = rx * rx * syy - 2.0 * (rx * ry) * sxy + ry * ry * sxx, rx * rx + ry * ry
     best = None
     for a in grid.a_values:
-        axx, axy, ayy = a * sxx, a * sxy, a * syy
         for b in grid.b_values:
-            pxx = axx + b
-            pyy = ayy + b
-            det = pxx * pyy - axy * axy
-            quad = (rx2 * pyy - 2.0 * rxy * axy + ry2 * pxx) / det
-            mean_nll = LOG_TWO_PI + 0.5 * float(np.mean(np.log(det))) + 0.5 * float(np.mean(quad))
-            if best is None or mean_nll < best[0]:
+            det = a * a * d + b * (a * t + b)
+            quad = (a * q + b * s) / det
+            mean_nll = LOG_TWO_PI + 0.5 * float(np.mean(np.log(det) + quad))
+            if math.isfinite(mean_nll) and (best is None or mean_nll < best[0]):
                 best = (mean_nll, a, b)
+    if best is None:
+        raise ValueError("no grid cell gives a finite mean NLL")
+    return CalibrationParams(best[1], best[2]), best[0]
+
+
+@np.errstate(all="ignore")
+def direct_cell_nll(a: float, b: float, pairs: Pairs) -> float:
+    """Mean NLL of the pairs under a * cov + b * I, from the calibrated 2x2
+    matrix's own determinant and quadratic form."""
+    sxx, sxy, syy = pairs.cov[:, 0, 0], pairs.cov[:, 0, 1], pairs.cov[:, 1, 1]
+    rx, ry = (pairs.truth - pairs.mean).T
+    pxx, axy, pyy = a * sxx + b, a * sxy, a * syy + b
+    det = pxx * pyy - axy * axy
+    quad = (rx * rx * pyy - 2.0 * (rx * ry) * axy + ry * ry * pxx) / det
+    return LOG_TWO_PI + 0.5 * float(np.mean(np.log(det))) + 0.5 * float(np.mean(quad))
+
+
+def direct_cell_fit(grid, pairs: Pairs):
+    """cell_fit with each cell scored by direct_cell_nll: the fit before the
+    coefficient form, with the same tie-breaking and non-finite skip."""
+    best = None
+    for a in grid.a_values:
+        for b in grid.b_values:
+            mean_nll = direct_cell_nll(a, b, pairs)
+            if math.isfinite(mean_nll) and (best is None or mean_nll < best[0]):
+                best = (mean_nll, a, b)
+    if best is None:
+        raise ValueError("no grid cell gives a finite mean NLL")
     return CalibrationParams(best[1], best[2]), best[0]
 
 
@@ -646,8 +676,10 @@ def dense_fuse(mean, cov, mask, dR):
     """Collapse each frame's detections into one position pseudo-measurement.
 
     Information-form fusion over the view axis: R = (sum R_i^-1)^-1 and
-    z = R sum R_i^-1 z_i, with tangents dz and dR over K channels from each
-    detection's dR_i stack. mean is (..., V, 2), cov (..., V, 2, 2), mask
+    z = R sum R_i^-1 z_i, with tangents dR and dz = R sum P_i dR_i P_i (z - z_i)
+    (P_i = R_i^-1) over K channels from each detection's dR_i stack; that
+    form of dz does not cancel, as dR eta + R d(eta) does when a detection
+    covariance is ill-conditioned. mean is (..., V, 2), cov (..., V, 2, 2), mask
     (..., V) and dR (..., V, K, 2, 2). A frame with one detection returns it
     unchanged; a frame with none returns finite filler. Also returns the
     information matrix.
@@ -658,12 +690,12 @@ def dense_fuse(mean, cov, mask, dR):
     eta = (prec @ mean[..., None])[..., 0].sum(axis=-2)
     dprec = -(prec[..., None, :, :] @ dR @ prec[..., None, :, :])
     dlam = dprec.sum(axis=-4)
-    deta = (dprec @ mean[..., None, :, None])[..., 0].sum(axis=-3)
     count = mask.sum(axis=-1)
     R = _inv2(np.where((count > 0)[..., None, None], lam, np.eye(2)))
     dR_f = -(R[..., None, :, :] @ dlam @ R[..., None, :, :])
     z = (R @ eta[..., None])[..., 0]
-    dz = (dR_f @ eta[..., None, :, None])[..., 0] + (R[..., None, :, :] @ deta[..., None])[..., 0]
+    spread = (dprec @ (mean - z[..., None, :])[..., None, :, None]).sum(axis=-4)
+    dz = (R[..., None, :, :] @ spread)[..., 0]
     one = count == 1
     if np.any(one):
         first = mask.argmax(axis=-1)[..., None]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_fit, pairs_arrays, random_pd_2x2
+from conftest import cell_fit, direct_cell_fit, direct_cell_nll, pairs_arrays, random_pd_2x2
 from geotrack.calibration import (
     IDENTITY,
     CalibrationGrid,
@@ -207,6 +207,24 @@ def grid_fit_case(draw):
     return grid, Pairs(mean[rows], np.array(cov)[rows], (mean + noise)[rows])
 
 
+@st.composite
+def conditioned_fit_case(draw):
+    """Pairs whose covariances have condition numbers up to 1e6 and largest
+    eigenvalues from 1e-3 to 1e6, residuals drawn from them, on a grid as in
+    grid_fit_case."""
+    n = draw(st.integers(1, 2000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = 10.0 ** rng.uniform(-3.0, 6.0, n)
+    eig = np.stack([top, top / 10.0 ** rng.uniform(0.0, 6.0, n)], axis=-1)
+    turn = np.array([rotation(a) for a in rng.uniform(0.0, 2.0 * np.pi, n)])
+    cov = turn @ (eig[..., None] * np.swapaxes(turn, -1, -2))
+    mean = rng.uniform(0.0, 500.0, (n, 2))
+    noise = (np.linalg.cholesky(cov) @ rng.standard_normal((n, 2, 1)))[..., 0] * draw(st.floats(0.3, 3.0))
+    a_values = draw(st.lists(st.floats(0.05, 10.0), max_size=8))
+    b_values = draw(st.lists(st.floats(0.0, 500.0), min_size=20, max_size=60))
+    return CalibrationGrid(sorted({1.0, *a_values}), sorted({0.0, *b_values})), Pairs(mean, cov, mean + noise)
+
+
 class TestBlockedFit:
     @settings(max_examples=100)
     @given(grid_fit_case())
@@ -216,6 +234,30 @@ class TestBlockedFit:
         ref_params, ref_best = cell_fit(grid, pairs)
         assert (params.a, params.b) == (ref_params.a, ref_params.b)
         assert best.hex() == ref_best.hex()
+
+    def test_oracles_skip_non_finite_cells(self):
+        # As in TestFit: the first cell, a = 1e-10, scores NaN and must not
+        # stick as the best; with every cell overflowing there is no best.
+        pairs = Pairs(np.zeros((3, 2)), np.tile(1e-160 * np.eye(2), (3, 1, 1)), np.zeros((3, 2)))
+        grid = CalibrationGrid((1e-10, 1.0), (0.0,))
+        assert fit(grid, pairs) == cell_fit(grid, pairs) == direct_cell_fit(grid, pairs)
+        assert fit(grid, pairs)[0] == IDENTITY
+        huge = Pairs(np.zeros((3, 2)), np.tile(1e200 * np.eye(2), (3, 1, 1)), np.ones((3, 2)))
+        for oracle in (cell_fit, direct_cell_fit):
+            with pytest.raises(ValueError, match="no grid cell gives a finite mean NLL"):
+                oracle(default_grid(), huge)
+
+    @settings(max_examples=100)
+    @given(st.one_of(grid_fit_case(), conditioned_fit_case()))
+    def test_picks_a_direct_form_minimum(self, case):
+        # The coefficient form rounds differently from the calibrated 2x2
+        # matrix's own determinant and quadratic form, but the cell it picks
+        # scores, in that direct form, within 1e-12 relative of the best cell.
+        grid, pairs = case
+        params, _ = fit(grid, pairs)
+        _, direct_best = direct_cell_fit(grid, pairs)
+        chosen = direct_cell_nll(params.a, params.b, pairs)
+        assert chosen - direct_best <= 1e-12 * abs(direct_best)
 
 
 class TestFitPerView:

@@ -354,6 +354,33 @@ class TestCalibrate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag,spec",
+        [("--grid-a", "0.05:10:log0"), ("--grid-b", "0:500:lin-3"), ("--grid-a", "10:0.05:log5")],
+        ids=["count-zero", "count-negative", "reversed-span"],
+    )
+    def test_empty_or_reversed_axis_exits_2(self, sim_dir, tmp_path, capsys, flag, spec):
+        # Before these were rejected, a zero count fitted over the one-point
+        # axis {1.0}, a negative one failed inside numpy and a reversed span
+        # lost the identity point.
+        code = main(
+            [
+                "calibrate",
+                "--detections", str(sim_dir / "detections_val.jsonl"),
+                "--truth", str(sim_dir / "truth_val.csv"),
+                flag, spec,
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: bad grid axis spec {spec!r}; expected lo <= hi and a count of at least 1"
+        assert not (tmp_path / "calibration.json").exists()
+
+    def test_one_point_axis_parses(self):
+        assert _parse_axis("1:1:log1") == (1.0,)
+        assert _parse_axis("0:0:lin1") == (0.0,)
+
 
 class TestTune:
     def test_small_run_outputs(self, sim_dir, tmp_path):
@@ -714,6 +741,9 @@ EXIT_CODE_CASES = [
         None,
     ),
     ("grid-span-overflow", 2, {}, _CALIBRATE + " --grid-a=-1e308:1e308:lin5", None),
+    ("grid-count-zero", 2, {}, _CALIBRATE + " --grid-a 0.05:10:log0", None),
+    ("grid-count-negative", 2, {}, _CALIBRATE + " --grid-b 0:500:lin-3", None),
+    ("grid-reversed-span", 2, {}, _CALIBRATE + " --grid-a 10:0.05:log5", None),
     ("lr-nan", 2, {}, _TUNE + " --lr nan", None),
     ("lr-inf", 2, {}, _TUNE + " --lr inf", None),
     ("split-four-fractions", 2, {"c.json": '{"split": [0.5, 0.3, 0.1, 0.1]}'}, _SIMULATE, "{tmp}/c.json"),

@@ -3,8 +3,9 @@
 A module other than ``__init__`` may import only names it uses, so a name
 left behind when its last user goes (say ``Gaussian2D`` in a module that
 no longer builds one) fails here; every ``geotrack.__all__`` entry must
-resolve on the package; and the test oracles in ``conftest`` take none of
-the filter's arithmetic from ``geotrack.kalman``.
+resolve on the package; the test oracles in ``conftest`` take none of the
+filter's arithmetic from ``geotrack.kalman``; and the grid-fit oracles take
+nothing from ``geotrack.calibration`` but its two value types.
 """
 
 import ast
@@ -82,3 +83,47 @@ def test_oracles_share_no_filter_arithmetic():
         elif isinstance(node, ast.Import):
             shared |= {alias.name for alias in node.names} & {"geotrack.kalman"}
     assert not shared, f"conftest.py takes filter arithmetic from geotrack.kalman: {sorted(shared)}"
+
+
+# The grid-fit oracles in conftest, and what they may take from
+# geotrack.calibration: its value types, none of the fit's arithmetic.
+FIT_ORACLES = ("cell_fit", "direct_cell_fit")
+CALIBRATION_TYPES = {"CalibrationParams", "CalibrationGrid"}
+
+
+def dotted(node: ast.expr):
+    """"a.b.c" for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_fit_oracles_take_only_calibration_types():
+    path = Path(__file__).resolve().parent / "conftest.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    # Names bound from geotrack.calibration, and names bound to the module.
+    imported, module = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "geotrack.calibration":
+            imported |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "geotrack":
+            module |= {alias.asname or alias.name for alias in node.names if alias.name == "calibration"}
+        elif isinstance(node, ast.Import):
+            module |= {alias.asname or alias.name for alias in node.names if alias.name == "geotrack.calibration"}
+    # Walk the oracles and every conftest function they call, directly or not.
+    todo, seen, taken = list(FIT_ORACLES), set(), set()
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Name) and node.id in functions and node.id not in seen:
+                todo.append(node.id)
+            elif isinstance(node, ast.Name) and node.id in imported:
+                taken.add(node.id)
+            elif isinstance(node, ast.Attribute) and dotted(node.value) in module:
+                taken.add(node.attr)
+    extra = taken - CALIBRATION_TYPES
+    assert not extra, f"conftest's fit oracles take from geotrack.calibration: {sorted(extra)}"
