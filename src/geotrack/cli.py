@@ -94,6 +94,8 @@ def _parse_axis(spec: str) -> tuple[float, ...]:
     if count < 1 or lo > hi:
         raise UsageError(f"bad grid axis spec {spec!r}; expected lo <= hi and a count of at least 1")
     if kind == "log":
+        if not lo > 0.0:
+            raise UsageError(f"bad grid axis spec {spec!r}; a log axis needs lo > 0")
         return calibration.log_spaced_axis(lo, hi, count)
     if kind == "lin":
         return calibration.linear_axis(lo, hi, count)
@@ -264,9 +266,7 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     train_pos = _truth_positions(train, args.train_truth, args.train_detections)
     val_pos = _truth_positions(val, args.val_truth, args.val_detections)
 
-    config = tuning.TuneConfig(
-        seq_len=args.seq_len, epochs=args.epochs, lr=args.lr
-    )
+    config = tuning.TuneConfig(seq_len=args.seq_len, epochs=args.epochs, lr=args.lr)
     train_windows = tuning.make_windows(train, train_pos, config.seq_len)
     val_windows = tuning.make_windows(val, val_pos, min(config.seq_len, len(val)))
 
@@ -295,10 +295,9 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     (out / "history_meta.json").write_text(
         dataio.dumps({"diverged": history.diverged, **history.meta}, indent=2) + "\n"
     )
-    best = history.meta.get("best_val_nll", history.rows[-1]["val_nll"])
     print(
         f"tune: {config.epochs} epochs, sigma_accel {sigma:.4g}, "
-        f"val NLL {history.rows[0]['val_nll']:.4f} -> {best:.4f} (best seen)"
+        f"val NLL {history.rows[0]['val_nll']:.4f} -> {history.meta['best_val_nll']:.4f} (best seen)"
     )
     outputs = [
         "tuned_params.json", "tuned_calibration.json", "history.csv", "epochs.csv", "history_meta.json"
@@ -425,9 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--val-truth", required=True)
     p.add_argument("--init", help="initial calibration JSON")
     p.add_argument("--params", help="filter params JSON for the starting point")
-    p.add_argument("--seq-len", type=int, default=100)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--lr", type=float, default=1e-4)
+    p.add_argument("--seq-len", type=int, default=tuning.TuneConfig.seq_len)
+    p.add_argument("--epochs", type=int, default=tuning.TuneConfig.epochs)
+    p.add_argument("--lr", type=float, default=tuning.TuneConfig.lr)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tune)

@@ -66,6 +66,23 @@ def cholesky(cov: np.ndarray) -> np.ndarray:
     return np.stack([l00, np.zeros_like(a), l10, np.sqrt(rem)], axis=-1).reshape(-1, 2, 2)
 
 
+def _det2(S: np.ndarray) -> np.ndarray:
+    return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+
+
+def _is_pd(S: np.ndarray) -> np.ndarray:
+    """Both leading minors of (..., 2, 2) matrices positive and finite."""
+    det = _det2(S)
+    return (S[..., 0, 0] > 0.0) & (det > 0.0) & (det < np.inf)
+
+
+def _pd_error(S: np.ndarray) -> NotPositiveDefiniteError:
+    """The error for one 2x2 matrix that failed _is_pd."""
+    if not S[0, 0] > 0.0 or not np.isfinite(S[0, 0]):
+        return NotPositiveDefiniteError(1, S[0, 0])
+    return NotPositiveDefiniteError(2, _det2(S))
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -105,13 +122,10 @@ def _gaussian_arrays(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(raw)):
         raise ValueError("covariance entries must be finite")
     cov = np.array([[raw[0, 0], raw[0, 1]], [raw[0, 1], raw[1, 1]]])
-    if not cov[0, 0] > 0.0:
-        raise NotPositiveDefiniteError(1, cov[0, 0])
-    # In Python floats an overflowing determinant is inf, with no warning.
-    (a, b), (_, d) = cov.tolist()
-    det = a * d - b * b
-    if not 0.0 < det < math.inf:
-        raise NotPositiveDefiniteError(2, det)
+    # An overflowing determinant is inf (or NaN), which _is_pd rejects.
+    with np.errstate(all="ignore"):
+        if not _is_pd(cov):
+            raise _pd_error(cov)
     return mean, cov
 
 

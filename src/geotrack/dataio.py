@@ -36,10 +36,13 @@ from typing import Callable, Iterator, Optional, Sequence, TypeVar
 import numpy as np
 
 from .calibration import CalibrationParams
-from .core import Arena, NotPositiveDefiniteError, _gaussian_arrays, _pose_values, wrap_angle
-from .kalman import FilterParams, FrameBatch, _is_pd
+from .core import Arena, NotPositiveDefiniteError, _gaussian_arrays, _is_pd, _pose_values, wrap_angle
+from .kalman import FilterParams, FrameBatch
 from .metrics import MetricReport
 from .simulator import CameraNode, ScenarioConfig, Trajectory, default_scenario
+
+# Equal-width bins of write_histogram, from the least to the largest value.
+HISTOGRAM_BINS = 30
 
 
 def dumps(obj, indent: int | None = None) -> str:
@@ -397,7 +400,9 @@ def write_filter_params(path: Path, params: FilterParams) -> None:
 def read_filter_params(path: Path) -> FilterParams:
     return _read_json(
         path,
-        lambda data: FilterParams(float(data["sigma_accel"]), float(data.get("init_vel_var", 1e4))),
+        lambda data: FilterParams(
+            float(data["sigma_accel"]), float(data.get("init_vel_var", FilterParams.init_vel_var))
+        ),
     )
 
 
@@ -479,13 +484,14 @@ def write_report_row(path: Path, report: MetricReport) -> None:
         csv.writer(fh).writerows([header, row])
 
 
-def write_histogram(path: Path, values: np.ndarray, bins: int = 30) -> None:
-    """Binned counts of a value list, for plot-ready NLL histograms."""
+def write_histogram(path: Path, values: np.ndarray) -> None:
+    """Counts of a value list in HISTOGRAM_BINS equal bins, for plot-ready
+    NLL histograms."""
     values = np.asarray(values, dtype=float)
     lo, hi = float(np.min(values)), float(np.max(values))
     if lo == hi:
         hi = lo + 1.0
-    edges = np.linspace(lo, hi, bins + 1)
+    edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(values, bins=edges)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -42,7 +42,7 @@ dataio.read_detections or simulator.simulate returns. Nothing mutates.
 ``DetectionFrame``, ``pack`` and ``run_sequence`` (run_track over frames
 given as DetectionFrame objects) have no pipeline caller. They remain only
 for tests and for perfbench's filter hook (perfbench/layers.py), which
-binds ``run_sequence``'s signature, until that hook moves to run_track.
+binds ``run_sequence``'s signature, until that hook moves to run_windows.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import calibration
 from .calibration import CalibrationParams
-from .core import LOG_TWO_PI, Gaussian2D, NotPositiveDefiniteError
+from .core import LOG_TWO_PI, Gaussian2D, NotPositiveDefiniteError, _det2, _is_pd, _pd_error
 
 # Frames per scan block. It depends on the window length alone, so that a
 # window's arithmetic, and so its result, does not depend on its batch-mates.
@@ -151,7 +151,7 @@ def pack(windows: Sequence[Sequence[DetectionFrame]]) -> FrameBatch:
     """Pack equal-length windows of frames into a FrameBatch.
 
     The views are the sorted ids seen in any window. Each window needs
-    strictly increasing timestamps and at least one detection.
+    strictly increasing timestamps.
     """
     if not windows or any(len(w) == 0 for w in windows):
         raise ValueError("no frames supplied")
@@ -167,16 +167,13 @@ def pack(windows: Sequence[Sequence[DetectionFrame]]) -> FrameBatch:
             f"t={t[b, i + 1]} after t={t[b, i]}"
         )
     dets = [(i, v, g) for i, f in enumerate(f for w in windows for f in w) for v, g in f.detections]
-    batch = FrameBatch.scatter(
+    return FrameBatch.scatter(
         t,
         [i for i, _, _ in dets],
         [v for _, v, _ in dets],
         [g.mean for _, _, g in dets],
         [g.cov for _, _, g in dets],
     )
-    if not np.all(batch.mask.any(axis=(1, 2))):
-        raise ValueError("no frame has any detection; cannot initialize")
-    return batch
 
 
 @dataclass
@@ -185,10 +182,11 @@ class BatchResult:
 
     means (B, T, 2) and covs (B, T, 2, 2) hold the filtered position
     marginal from the window's first non-empty frame, start[b], on (NaN
-    before it). With truth, nlls (B, T) holds the NLL of the truth position
-    under that marginal (NaN before the start) and grad (B, K) the gradient
-    of each window's summed NLL over the K parameters, None without a
-    gradient. failures maps each window whose recursion met a matrix that
+    before it; start[b] is T for a window without a detection, whose
+    outputs are all NaN and whose gradient is zero). With truth, nlls
+    (B, T) holds the NLL of the truth position under that marginal (NaN
+    before the start) and grad (B, K) the gradient of each window's summed
+    NLL over the K parameters, None without a gradient. failures maps each window whose recursion met a matrix that
     is not positive definite to the earliest one: (t, leading minor, its
     value).
     """
@@ -269,26 +267,9 @@ def _sym(P: np.ndarray) -> np.ndarray:
     return (P + _T(P)) / 2.0
 
 
-def _det2(S: np.ndarray) -> np.ndarray:
-    return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
-
-
 def _inv2(S: np.ndarray) -> np.ndarray:
     """Closed-form inverse of (..., 2, 2) matrices; no check (see _is_pd)."""
     return _T(S)[..., ::-1, ::-1] * _ADJUGATE_SIGNS / _det2(S)[..., None, None]
-
-
-def _is_pd(S: np.ndarray) -> np.ndarray:
-    """Both leading minors of (..., 2, 2) matrices positive and finite."""
-    det = _det2(S)
-    return (S[..., 0, 0] > 0.0) & (det > 0.0) & (det < np.inf)
-
-
-def _pd_error(S: np.ndarray, where: str = "") -> NotPositiveDefiniteError:
-    """The error for one 2x2 matrix that failed _is_pd."""
-    if not S[0, 0] > 0.0 or not np.isfinite(S[0, 0]):
-        return NotPositiveDefiniteError(1, S[0, 0], where)
-    return NotPositiveDefiniteError(2, _det2(S), where)
 
 
 def _fuse(mean, cov, mask):
@@ -466,24 +447,17 @@ def _by_frame(on_update: np.ndarray, kinds: tuple, on_predict, at_start, before_
 
 
 def _gain(P: np.ndarray, R: np.ndarray) -> tuple:
-    """Kalman gain K = P H^T S^-1 for the position observation, I - K H and
-    S^-1, with S = P_pos + R and H = [I 0]."""
+    """Kalman gain K = P H^T S^-1 for the position observation, G = I - K H
+    and S^-1, with S = P_pos + R and H = [I 0]. G's position block,
+    I - P_pos S^-1, is formed as R S^-1: the same in exact arithmetic, but
+    without the cancellation when P_pos dwarfs R."""
     S_inv = _inv2(P[..., :2, :2] + R)
     gain = P[..., :2] @ S_inv
-    return gain, _EYE4 - np.concatenate((gain, np.zeros(gain.shape)), axis=-1), S_inv
-
-
-def _complement(gain: np.ndarray, R: np.ndarray, S_inv: np.ndarray) -> np.ndarray:
-    """I - K H for a gain K of _gain, with its position block formed as
-    R S^-1: the same in exact arithmetic, but without the cancellation of
-    I - P_pos S^-1 when P_pos dwarfs R, which the adjoints would carry.
-    The filter's elements keep _gain's form, whose bits every track
-    carries."""
     G = np.zeros(gain.shape[:-2] + (4, 4))
     G[..., :2, :2] = R @ S_inv
     G[..., 2:, :2] = -gain[..., 2:, :]
     G[..., 2, 2] = G[..., 3, 3] = 1.0
-    return G
+    return gain, G, S_inv
 
 
 def _shifted(carried: Optional[np.ndarray], a: np.ndarray) -> np.ndarray:
@@ -570,13 +544,13 @@ def _filter_block(block, dt, start, truth, params, calib, carry, failures, grad)
     # and the start frame hands its own to the fused detection (G = 0,
     # K = H^T).
     xm = (F @ _shifted(carry and carry.x, x)[..., None])[..., 0]
-    gain, _, S_inv = _gain(Pm, R)
+    gain, G, S_inv = _gain(Pm, R)
     v = np.zeros(x.shape)
     v[..., :2] = (S_inv @ (z - xm[..., :2])[..., None])[..., 0]
     tape = (
         F,
         2.0 * Q / params.sigma_accel,
-        _by_frame(_complement(gain, R, S_inv), kinds, _EYE4, 0.0, _EYE4),
+        _by_frame(G, kinds, _EYE4, 0.0, _EYE4),
         _by_frame(gain, kinds, 0.0, _EYE4[:, :2], 0.0),
         _by_frame(v, kinds, 0.0, 0.0, 0.0),
         np.where(before[..., None], 0.0, -w),
@@ -635,9 +609,10 @@ def run_windows(
     """Filter B windows at once; the one recursion of the tracker.
 
     Each window initializes on its first non-empty frame, then alternates
-    predict and update using the actual timestamp gaps. ``calib`` rescales
-    each view's detection covariances before fusion (calibration.obs_transform;
-    views without an entry pass through).
+    predict and update using the actual timestamp gaps; a window without a
+    detection never starts. ``calib`` rescales each view's detection
+    covariances before fusion (calibration.obs_transform; views without an
+    entry pass through).
 
     ``truth`` (B, T, 2), when given, scores the filtered (post-update)
     marginal of each frame from the window's start on. With ``grad``, one
@@ -657,7 +632,8 @@ def run_windows(
     order = sorted(calib or {})
     channels = np.array([1 + 2 * order.index(v) if v in order else -1 for v in batch.views], int)
     k = 1 + 2 * len(order)
-    start = batch.mask.any(axis=-1).argmax(axis=1)
+    present = batch.mask.any(axis=-1)
+    start = np.where(present.any(axis=1), present.argmax(axis=1), T)
     dt = np.diff(batch.t, axis=1, prepend=batch.t[:, :1] - 1.0)
 
     means = np.full((B, T, 2), np.nan)
@@ -710,16 +686,19 @@ def run_track(
     from its first non-empty frame on.
 
     ``truth``, when given, must hold one 2-vector per frame. Raises
-    NotPositiveDefiniteError, naming the frame time, if the recursion meets
-    a matrix that is not positive definite.
+    ValueError if no frame has a detection, and NotPositiveDefiniteError,
+    naming the frame time, if the recursion meets a matrix that is not
+    positive definite.
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=float)[None]
     result = run_windows(batch, params, truth, calib, grad)
+    s = int(result.start[0])
+    if s == len(batch):
+        raise ValueError("no frame has any detection; cannot initialize")
     if result.failures:
         t, minor, value = result.failures[0]
         raise NotPositiveDefiniteError(minor, value, where=f"frame at t={t!r}")
-    s = int(result.start[0])
     return TrackResult(
         times=batch.t[0, s:],
         means=result.means[0, s:],

@@ -25,8 +25,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Arena, _gaussian_arrays, _pose_values, heading_from_velocity, wrap_angle
-from .kalman import FrameBatch, _is_pd
+from .core import Arena, _gaussian_arrays, _is_pd, _pose_values, heading_from_velocity, wrap_angle
+from .kalman import FrameBatch
 
 WALL_MARGIN = 20.0
 SPEED_RANGE = (50.0, 150.0)

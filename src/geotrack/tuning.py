@@ -31,15 +31,24 @@ from .kalman import FilterParams, FrameBatch, run_windows
 # A split's windows and their truth positions (B, T, 2).
 Split = tuple[FrameBatch, np.ndarray]
 
+# The optimizer's fixed settings, each recorded in the history's meta: the
+# moment decays and epsilon, the decoupled weight decay, the clip on the
+# gradient's L2 norm, the epoch from which the learning rate is a tenth, and
+# the windows per step.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 1e-4
+GRAD_CLIP = 0.1
+LR_DROP_EPOCH = 4
+BATCH = 8
+
 
 @dataclass(frozen=True)
 class TuneConfig:
+    """The settings the tune command's flags set; the others are constants."""
+
     seq_len: int = 100
     epochs: int = 5
     lr: float = 1e-4
-    lr_drop_epoch: int = 4
-    grad_clip: float = 0.1
-    batch: int = 8
 
     def __post_init__(self):
         if self.seq_len < 2:
@@ -49,12 +58,6 @@ class TuneConfig:
         # lr == 0 is allowed as an explicit no-op optimizer.
         if not 0.0 <= self.lr < math.inf:
             raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
-        if not self.grad_clip > 0.0:
-            raise ValueError("grad_clip must be positive")
-        if self.batch < 1:
-            raise ValueError("batch must be >= 1")
-        if self.lr_drop_epoch < 1:
-            raise ValueError("lr_drop_epoch must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -110,7 +113,7 @@ def sequence_loss(
     params: TunableParams,
     batch: FrameBatch,
     truth: np.ndarray,
-    init_vel_var: float = 1e4,
+    init_vel_var: float = FilterParams.init_vel_var,
     grad: bool = True,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Mean per-step filtered NLL of each window and its exact gradient.
@@ -173,7 +176,6 @@ class TuneHistory:
         val_nll: float,
         params: TunableParams,
         norms: list[float],
-        grad_clip: float,
     ):
         sigma, calib = params.decode()
         self.rows.append(
@@ -189,7 +191,7 @@ class TuneHistory:
                 "epoch": epoch,
                 "views": {v: (calib[v].a, calib[v].b) for v in params.view_order()},
                 "max_grad_norm": max(norms) if norms else None,
-                "clipped": sum(norm > grad_clip for norm in norms),
+                "clipped": sum(norm > GRAD_CLIP for norm in norms),
             }
         )
 
@@ -231,66 +233,66 @@ def tune(
     train_windows: Split,
     val_windows: Split,
     seed: int = 0,
-    init_vel_var: float = 1e4,
-    weight_decay: float = 1e-4,
+    init_vel_var: float = FilterParams.init_vel_var,
 ) -> tuple[TunableParams, TuneHistory]:
     """Mini-batch optimization of the tunables against sequence NLL.
 
     First-order updates with momentum/second-moment normalization and
     decoupled weight decay; the gradient's L2 norm is clipped, and the
-    learning rate drops by 10x from lr_drop_epoch on. Returns the parameters
+    learning rate drops by 10x from LR_DROP_EPOCH on. Returns the parameters
     with the best validation NLL seen (epoch 0 included) and the history;
-    its meta's lr_sum is the sum of the learning rates of the steps taken.
-    If the training loss stops being finite the run aborts at the last
-    finite state with the history flagged.
+    its meta names that epoch and NLL, and its lr_sum is the sum of the
+    learning rates of the steps taken. If the training loss stops being
+    finite the run aborts, with the history flagged, and returns the best
+    parameters seen so far.
     """
     train, train_truth = train_windows
     val, val_truth = val_windows
     if not len(train) or not len(val):
         raise ValueError("train and validation window sets must be non-empty")
-    beta1, beta2, eps = 0.9, 0.999, 1e-8
     history = TuneHistory(
         meta={
-            "beta1": beta1,
-            "beta2": beta2,
-            "eps": eps,
-            "weight_decay": weight_decay,
+            "beta1": BETA1,
+            "beta2": BETA2,
+            "eps": EPS,
+            "weight_decay": WEIGHT_DECAY,
             "lr": config.lr,
-            "lr_drop_epoch": config.lr_drop_epoch,
-            "grad_clip": config.grad_clip,
-            "batch": config.batch,
+            "lr_drop_epoch": LR_DROP_EPOCH,
+            "grad_clip": GRAD_CLIP,
+            "batch": BATCH,
             "seed": seed,
             "lr_sum": 0.0,
         }
     )
     rng = np.random.default_rng(seed)
     vec = params0.to_vector()
+    best_vec = vec
     m = np.zeros_like(vec)
     v = np.zeros_like(vec)
     step = 0
 
-    def snapshot(epoch: int, norms: list[float]) -> float:
+    def snapshot(epoch: int, norms: list[float]) -> tuple[float, float]:
+        """Record the epoch's losses, and keep vec if it is the best yet."""
+        nonlocal best_vec
         p = params0.with_vector(vec)
         train_nll = _mean_loss(p, train, train_truth, init_vel_var)
         val_nll = _mean_loss(p, val, val_truth, init_vel_var)
-        history.add(epoch, train_nll, val_nll, p, norms, config.grad_clip)
-        return val_nll
+        history.add(epoch, train_nll, val_nll, p, norms)
+        if epoch == 0 or val_nll < history.meta["best_val_nll"]:
+            history.meta.update(best_val_nll=val_nll, best_epoch=epoch)
+            best_vec = vec.copy()
+        return train_nll, val_nll
 
-    best_val = snapshot(0, [])
-    best_vec = vec.copy()
-    best_epoch = 0
-    history.meta["best_val_nll"] = best_val
-    history.meta["best_epoch"] = best_epoch
-    if not np.all(np.isfinite([history.rows[0]["train_nll"], best_val])):
+    if not np.all(np.isfinite(snapshot(0, []))):
         history.diverged = True
         return params0, history
 
     for epoch in range(1, config.epochs + 1):
-        lr = config.lr / 10.0 if epoch >= config.lr_drop_epoch else config.lr
+        lr = config.lr / 10.0 if epoch >= LR_DROP_EPOCH else config.lr
         perm = rng.permutation(len(train.t))
         norms = []
-        for lo in range(0, len(perm), config.batch):
-            batch = perm[lo : lo + config.batch]
+        for lo in range(0, len(perm), BATCH):
+            batch = perm[lo : lo + BATCH]
             losses, grads = sequence_loss(
                 params0.with_vector(vec), train.take(batch), train_truth[batch], init_vel_var
             )
@@ -300,21 +302,15 @@ def tune(
             g = np.mean(grads, axis=0)
             norm = float(np.linalg.norm(g))
             norms.append(norm)
-            if norm > config.grad_clip:
-                g = g * (config.grad_clip / norm)
+            if norm > GRAD_CLIP:
+                g = g * (GRAD_CLIP / norm)
             step += 1
             history.meta["lr_sum"] += lr
-            m = beta1 * m + (1.0 - beta1) * g
-            v = beta2 * v + (1.0 - beta2) * g * g
-            m_hat = m / (1.0 - beta1**step)
-            v_hat = v / (1.0 - beta2**step)
-            vec = vec - lr * m_hat / (np.sqrt(v_hat) + eps) - lr * weight_decay * vec
-        val_nll = snapshot(epoch, norms)
-        if val_nll < best_val:
-            best_val = val_nll
-            best_vec = vec.copy()
-            best_epoch = epoch
+            m = BETA1 * m + (1.0 - BETA1) * g
+            v = BETA2 * v + (1.0 - BETA2) * g * g
+            m_hat = m / (1.0 - BETA1**step)
+            v_hat = v / (1.0 - BETA2**step)
+            vec = vec - lr * m_hat / (np.sqrt(v_hat) + EPS) - lr * WEIGHT_DECAY * vec
+        snapshot(epoch, norms)
 
-    history.meta["best_val_nll"] = best_val
-    history.meta["best_epoch"] = best_epoch
     return params0.with_vector(best_vec), history

@@ -15,14 +15,22 @@ from hypothesis import settings
 from geotrack import calibration, dataio, simulator, tuning
 from geotrack.calibration import CalibrationParams
 from geotrack.cli import CHI2_95_2D
-from geotrack.core import LOG_TWO_PI, Gaussian2D, ObjectPose, Pairs, cholesky, rotation, wrap_angle
+from geotrack.core import (
+    LOG_TWO_PI,
+    Gaussian2D,
+    ObjectPose,
+    Pairs,
+    _is_pd,
+    _pd_error,
+    cholesky,
+    rotation,
+    wrap_angle,
+)
 from geotrack.kalman import (
     BatchResult,
     DetectionFrame,
     FilterParams,
     FrameBatch,
-    _is_pd,
-    _pd_error,
     _record_failures,
     pack,
     process_noise,
@@ -68,24 +76,30 @@ def stacked_update(x, P, detections):
 
     Independent oracle for the fused information-form update: builds the
     full block H and block-diagonal R and applies the textbook equations in
-    one shot (Joseph form).
+    one shot (Joseph form), in 40-digit mpmath. After a long gap the stacked
+    innovation covariance has a condition number of about k * P / R, far
+    past what float64 inverts accurately; 40 digits keep the result exact
+    to float64 rounding. Returns float64 x and symmetric P.
     """
-    x = np.asarray(x, dtype=float)
-    P = np.asarray(P, dtype=float)
     k = len(detections)
-    H = np.zeros((2 * k, 4))
-    R = np.zeros((2 * k, 2 * k))
-    z = np.zeros(2 * k)
-    for i, (_, g) in enumerate(detections):
-        H[2 * i : 2 * i + 2, :2] = np.eye(2)
-        R[2 * i : 2 * i + 2, 2 * i : 2 * i + 2] = g.cov
-        z[2 * i : 2 * i + 2] = g.mean
-    S = H @ P @ H.T + R
-    K = P @ H.T @ np.linalg.inv(S)
-    x_new = x + K @ (z - H @ x)
-    A = np.eye(4) - K @ H
-    P_new = A @ P @ A.T + K @ R @ K.T
-    return x_new, (P_new + P_new.T) / 2.0
+    with mpmath.workdps(40):
+        x = mpmath.matrix(np.asarray(x, dtype=float).tolist())
+        P = mpmath.matrix(np.asarray(P, dtype=float).tolist())
+        H = mpmath.zeros(2 * k, 4)
+        R = mpmath.zeros(2 * k, 2 * k)
+        z = mpmath.zeros(2 * k, 1)
+        for i, (_, g) in enumerate(detections):
+            for r in range(2):
+                H[2 * i + r, r] = 1
+                z[2 * i + r] = g.mean[r]
+                for c in range(2):
+                    R[2 * i + r, 2 * i + c] = g.cov[r, c]
+        K = P * H.T * (H * P * H.T + R) ** -1
+        x_new = x + K * (z - H * x)
+        A = mpmath.eye(4) - K * H
+        P_new = A * P * A.T + K * R * K.T
+        P_new = (P_new + P_new.T) / 2
+        return np.array(x_new.tolist(), dtype=float)[:, 0], np.array(P_new.tolist(), dtype=float)
 
 
 def make_cv_frames(
@@ -814,7 +828,7 @@ def loop_windows(
             raise ValueError(f"truth shape {truth.shape} does not match the frames' {(B, T, 2)}")
     sigma = params.sigma_accel
     has = batch.mask.any(axis=-1)
-    start = has.argmax(axis=1)
+    start = np.where(has.any(axis=1), has.argmax(axis=1), T)
     first = int(start.min())
     steps = np.arange(T)
     dt = np.diff(batch.t, axis=1, prepend=batch.t[:, :1] - 1.0)

@@ -14,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_write_plot_data, truth_arrays
-from geotrack import calibration, dataio, metrics
+from geotrack import calibration, dataio, metrics, tuning
 from geotrack.cli import _parse_axis, _write_plot_data, build_parser, main
 from geotrack.core import ObjectPose
+from geotrack.kalman import FilterParams
 
 SMALL_CONFIG = {
     "duration": 30.0,
@@ -355,26 +356,33 @@ class TestCalibrate:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "flag,spec",
-        [("--grid-a", "0.05:10:log0"), ("--grid-b", "0:500:lin-3"), ("--grid-a", "10:0.05:log5")],
-        ids=["count-zero", "count-negative", "reversed-span"],
+        "flag,spec,reason",
+        [
+            ("--grid-a", "0.05:10:log0", "expected lo <= hi and a count of at least 1"),
+            ("--grid-b", "0:500:lin-3", "expected lo <= hi and a count of at least 1"),
+            ("--grid-a", "10:0.05:log5", "expected lo <= hi and a count of at least 1"),
+            ("--grid-b", "0:10:log5", "a log axis needs lo > 0"),
+            ("--grid-a", "-1:10:log5", "a log axis needs lo > 0"),
+        ],
+        ids=["count-zero", "count-negative", "reversed-span", "log-from-zero", "log-from-negative"],
     )
-    def test_empty_or_reversed_axis_exits_2(self, sim_dir, tmp_path, capsys, flag, spec):
+    def test_empty_or_reversed_axis_exits_2(self, sim_dir, tmp_path, capsys, flag, spec, reason):
         # Before these were rejected, a zero count fitted over the one-point
         # axis {1.0}, a negative one failed inside numpy and a reversed span
-        # lost the identity point.
+        # lost the identity point; a log axis from 0 failed inside numpy,
+        # and one from below 0 warned and then met non-finite grid values.
         code = main(
             [
                 "calibrate",
                 "--detections", str(sim_dir / "detections_val.jsonl"),
                 "--truth", str(sim_dir / "truth_val.csv"),
-                flag, spec,
+                f"{flag}={spec}",
                 "--out", str(tmp_path),
             ]
         )
         assert code == 2
         [line] = capsys.readouterr().err.splitlines()
-        assert line == f"error: bad grid axis spec {spec!r}; expected lo <= hi and a count of at least 1"
+        assert line == f"error: bad grid axis spec {spec!r}; {reason}"
         assert not (tmp_path / "calibration.json").exists()
 
     def test_one_point_axis_parses(self):
@@ -412,6 +420,16 @@ class TestTune:
         # Best-seen selection: the returned parameters are never worse on
         # validation than the epoch-0 starting point.
         assert meta["best_val_nll"] <= float(vals[0]["val_nll"]) + 1e-12
+
+    def test_defaults_come_from_the_config_types(self, tmp_path):
+        # The flags' defaults are TuneConfig's, and a params file without
+        # init_vel_var reads as FilterParams' default.
+        files = ["--train-detections", "d", "--train-truth", "t", "--val-detections", "d"]
+        args = build_parser().parse_args(["tune", *files, "--val-truth", "t"])
+        config = tuning.TuneConfig(seq_len=args.seq_len, epochs=args.epochs, lr=args.lr)
+        assert config == tuning.TuneConfig()
+        (tmp_path / "p.json").write_text('{"sigma_accel": 50.0}')
+        assert dataio.read_filter_params(tmp_path / "p.json") == FilterParams(50.0)
 
     def test_seq_len_too_large_exits_2(self, sim_dir, tmp_path, capsys):
         code = main(
@@ -744,6 +762,8 @@ EXIT_CODE_CASES = [
     ("grid-count-zero", 2, {}, _CALIBRATE + " --grid-a 0.05:10:log0", None),
     ("grid-count-negative", 2, {}, _CALIBRATE + " --grid-b 0:500:lin-3", None),
     ("grid-reversed-span", 2, {}, _CALIBRATE + " --grid-a 10:0.05:log5", None),
+    ("grid-log-from-zero", 2, {}, _CALIBRATE + " --grid-b 0:10:log5", None),
+    ("grid-log-from-negative", 2, {}, _CALIBRATE + " --grid-a=-1:10:log5", None),
     ("lr-nan", 2, {}, _TUNE + " --lr nan", None),
     ("lr-inf", 2, {}, _TUNE + " --lr inf", None),
     ("split-four-fractions", 2, {"c.json": '{"split": [0.5, 0.3, 0.1, 0.1]}'}, _SIMULATE, "{tmp}/c.json"),

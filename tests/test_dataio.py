@@ -326,9 +326,10 @@ def test_report_row_csv(tmp_path):
     assert path.read_bytes() == b"nll,opm,det_pr,loc_a\r\n5.5,0.9,0.91,0.30000000000000004\r\n"
 
 
-def test_histogram_output(tmp_path):
+def test_histogram_output(tmp_path, monkeypatch):
     path = tmp_path / "h.csv"
-    dataio.write_histogram(path, np.array([1.0, 1.5, 2.0, 2.5, 9.0]), bins=4)
+    monkeypatch.setattr(dataio, "HISTOGRAM_BINS", 4)
+    dataio.write_histogram(path, np.array([1.0, 1.5, 2.0, 2.5, 9.0]))
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "bin_left,bin_right,count"
     assert len(lines) == 5

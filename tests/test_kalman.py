@@ -277,16 +277,14 @@ class TestFusedUpdateProperties:
     @settings(max_examples=300)
     @given(predicted_update_case(min_det=1))
     def test_matches_stacked_and_stays_pd(self, case):
-        # The oracle absorbs one detection per call. Its joint form inverts
-        # the 2k x 2k stacked innovation covariance, whose condition number
-        # after a long gap is ~k * P / R (5e13 at dt = 1e3), and its error
-        # there reaches ~1e-7 * |P|; each 2 x 2 block stays well conditioned.
+        # The oracle's joint update of the whole frame runs in 40 digits, so
+        # the bound scales with the posterior, which after a long gap can be
+        # 1e-12 of the prior. Over these 300 draws the largest deviations
+        # were 6.5e-10 |P_post| in P and 6.2e-13 |P_post| in x.
         prior, f, r_tangents = case
         out = update(prior, f, r_tangents=r_tangents)
-        x_ref, P_ref = prior.x, prior.P
-        for det in f.detections:
-            x_ref, P_ref = stacked_update(x_ref, P_ref, [det])
-        tol = 1e-9 * np.linalg.norm(prior.P)
+        x_ref, P_ref = stacked_update(prior.x, prior.P, f.detections)
+        tol = 1e-9 * np.linalg.norm(P_ref)
         assert np.linalg.norm(out.x - x_ref) < tol
         assert np.linalg.norm(out.P - P_ref) < tol
         assert np.array_equal(out.P, out.P.T)
@@ -538,6 +536,30 @@ class TestBatchedRecursionProperties:
         assert np.all(grad[pos] == 0.0)
         np.testing.assert_array_equal(np.delete(loss, pos), base_loss)
         np.testing.assert_array_equal(np.delete(grad, pos, axis=0), base_grad)
+
+    def test_window_without_detection_never_starts(self):
+        # An empty window beside a normal one: it gets start T, NaN outputs,
+        # a zero gradient and no failure; its batch-mate keeps its bits.
+        rng = np.random.default_rng(72)
+        frames, truth = make_cv_frames(rng, n_steps=10)
+        empty = [DetectionFrame(f.t, ()) for f in frames]
+        batch, both = pack_windows([(frames, truth), (empty, truth)])
+        calib = {"N1": CalibrationParams(1.5, 2.0)}
+        params = FilterParams(30.0)
+        together = run_windows(batch, params, both, calib)
+        alone = run_windows(batch.take([0]), params, both[:1], calib)
+        assert together.start.tolist() == [0, 10] and not together.failures
+        loop, _ = loop_windows(batch, params, both, calib)
+        assert loop.start.tolist() == [0, 10] and np.all(loop.grad[1] == 0.0)
+        for name in ("means", "covs", "nlls", "grad"):
+            np.testing.assert_array_equal(getattr(together, name)[0], getattr(alone, name)[0])
+        for name in ("means", "covs", "nlls"):
+            assert np.all(np.isnan(getattr(together, name)[1]))
+        assert np.all(together.grad[1] == 0.0)
+        loss, grad = sequence_loss(TunableParams.from_natural(30.0, calib), batch, both)
+        assert np.isfinite(loss[0]) and loss[1] == math.inf and np.all(grad[1] == 0.0)
+        with pytest.raises(ValueError, match="^no frame has any detection; cannot initialize$"):
+            kalman.run_track(batch.take([1]), params, truth)
 
     def test_tune_shape_chunks_equal_each_window_alone(self):
         # A tune minibatch: 8 windows of T = 100 over V = 4 calibrated views,

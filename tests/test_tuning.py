@@ -134,8 +134,6 @@ class TestTuneConfig:
             TuneConfig(epochs=0)
         with pytest.raises(ValueError):
             TuneConfig(lr=-1e-4)
-        with pytest.raises(ValueError):
-            TuneConfig(grad_clip=0.0)
         TuneConfig(lr=0.0)  # explicit no-op optimizer is allowed
 
     @pytest.mark.parametrize("lr", [math.nan, math.inf])
@@ -192,9 +190,10 @@ class TestTune:
         assert _mean_loss(tuned, *val, 1e4) <= history.rows[0]["val_nll"] + 1e-12
         assert len(history.rows) == 3  # epochs + 1, including epoch 0
 
-    def test_underdispersed_scale_grows_with_adequate_lr(self, small_problem):
+    def test_underdispersed_scale_grows_with_adequate_lr(self, small_problem, monkeypatch):
         params0, train, val = small_problem
-        config = TuneConfig(seq_len=50, epochs=8, lr=0.2, lr_drop_epoch=8)
+        monkeypatch.setattr(tuning, "LR_DROP_EPOCH", 8)
+        config = TuneConfig(seq_len=50, epochs=8, lr=0.2)
         tuned, history = tune(config, params0, train, val, seed=3)
         _, calib = tuned.decode()
         assert calib["N1"].a > 1.5
@@ -215,6 +214,32 @@ class TestTune:
         tuned, history = tune(TuneConfig(seq_len=50, epochs=2), broken, train, val)
         assert history.diverged
 
+    def test_divergence_keeps_the_best_epoch(self, small_problem, monkeypatch):
+        # The training loss stops being finite at epoch 3's one step (4
+        # windows, batches of 8): the run returns epoch 2's parameters, the
+        # best seen, and its meta names that epoch and its val NLL.
+        params0, train, val = small_problem
+        steps = []
+
+        def diverging(params, batch, truth, init_vel_var, grad=True):
+            losses, grads = sequence_loss(params, batch, truth, init_vel_var, grad)
+            if grad:
+                steps.append(len(batch.t))
+                if len(steps) == 3:
+                    losses = np.full_like(losses, math.inf)
+            return losses, grads
+
+        monkeypatch.setattr(tuning, "sequence_loss", diverging)
+        tuned, history = tune(TuneConfig(seq_len=50, epochs=5, lr=0.2), params0, train, val, seed=3)
+        assert history.diverged and steps == [4, 4, 4]
+        vals = [row["val_nll"] for row in history.rows]
+        assert len(vals) == 3 and vals[2] < min(vals[:2])
+        assert history.meta["best_epoch"] == 2 and history.meta["best_val_nll"] == vals[2]
+        sigma, calib = tuned.decode()
+        assert sigma == history.rows[2]["sigma_accel"]
+        assert {v: (p.a, p.b) for v, p in calib.items()} == history.epochs[2]["views"]
+        assert tuning._mean_loss(tuned, *val, 1e4) == vals[2]
+
     def test_empty_sets_rejected(self, small_problem):
         params0, train, val = small_problem
         empty = (train[0].take([]), train[1][:0])
@@ -223,28 +248,32 @@ class TestTune:
         with pytest.raises(ValueError, match="non-empty"):
             tune(TuneConfig(), params0, train, empty)
 
-    def test_history_metadata_records_step_budget(self, small_problem):
+    def test_history_metadata_records_step_budget(self, small_problem, monkeypatch):
         # 4 windows in batches of 3 take 2 steps an epoch: one epoch at lr,
         # then two at lr / 10. A run that diverges at once takes none.
         params0, train, val = small_problem
-        config = TuneConfig(seq_len=50, epochs=3, lr=0.01, lr_drop_epoch=2, batch=3)
+        monkeypatch.setattr(tuning, "LR_DROP_EPOCH", 2)
+        monkeypatch.setattr(tuning, "BATCH", 3)
+        config = TuneConfig(seq_len=50, epochs=3, lr=0.01)
         _, history = tune(config, params0, train, val)
         assert history.meta["lr_sum"] == sum([config.lr] * 2 + [config.lr / 10.0] * 4)
         _, history = tune(config, TunableParams(700.0, params0.views), train, val)
         assert history.diverged and history.meta["lr_sum"] == 0.0
 
-    def test_epoch_records_with_every_step_clipped(self, small_problem, tmp_path):
+    def test_epoch_records_with_every_step_clipped(self, small_problem, tmp_path, monkeypatch):
         # 4 windows in batches of 3 take 2 steps an epoch, and a tiny
-        # grad_clip clips both; epoch 0 holds the starting (a, b) and no norm.
+        # GRAD_CLIP clips both; epoch 0 holds the starting (a, b) and no norm.
         params0, train, val = small_problem
-        config = TuneConfig(seq_len=50, epochs=3, lr=0.01, grad_clip=1e-12, batch=3)
+        monkeypatch.setattr(tuning, "GRAD_CLIP", 1e-12)
+        monkeypatch.setattr(tuning, "BATCH", 3)
+        config = TuneConfig(seq_len=50, epochs=3, lr=0.01)
         _, history = tune(config, params0, train, val)
         assert [row["epoch"] for row in history.epochs] == [0, 1, 2, 3]
         start = history.epochs[0]
         assert start["max_grad_norm"] is None and start["clipped"] == 0
         assert start["views"] == {v: (p.a, p.b) for v, p in params0.decode()[1].items()}
         for before, row in zip(history.epochs, history.epochs[1:]):
-            assert row["clipped"] == 2 and row["max_grad_norm"] > config.grad_clip
+            assert row["clipped"] == 2 and row["max_grad_norm"] > tuning.GRAD_CLIP
             assert row["views"] != before["views"]
 
         dataio.write_epochs(tmp_path / "a.csv", history.epochs)
@@ -262,3 +291,6 @@ class TestTune:
         assert history.meta["beta2"] == 0.999
         assert history.meta["eps"] == 1e-8
         assert history.meta["weight_decay"] == 1e-4
+        assert history.meta["grad_clip"] == 0.1
+        assert history.meta["lr_drop_epoch"] == 4
+        assert history.meta["batch"] == 8
