@@ -178,8 +178,7 @@ def cmd_track(args, out: Path) -> tuple[list[str], dict]:
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
     truth_pos = _truth_positions(batch, args.truth, args.detections) if args.truth else None
 
-    # The summary needs the NLL only, not its gradient: no backward pass.
-    result = run_track(batch, params, truth=truth_pos, calib=calib, grad=False)
+    result = run_track(batch, params, truth=truth_pos, calib=calib)
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
     n_steps = len(result.times)
 

@@ -47,27 +47,16 @@ def wrap_angle(angle: float) -> float:
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def cholesky(cov: np.ndarray) -> np.ndarray:
-    """Lower-triangular factors L (N, 2, 2) with L @ L.T == cov for symmetric
-    2x2 covariances (N, 2, 2), read from their upper triangle.
-
-    Raises NotPositiveDefiniteError for the first that is not PD, identifying
-    its failing leading minor.
-    """
-    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
-    with np.errstate(all="ignore"):
-        l00 = np.sqrt(a)
-        l10 = b / l00
-        rem = c - l10 * l10
-    for i in np.flatnonzero(~((a > 0.0) & (rem > 0.0)))[:1]:
-        if not a[i] > 0.0:
-            raise NotPositiveDefiniteError(1, a[i])
-        raise NotPositiveDefiniteError(2, a[i] * c[i] - b[i] * b[i])
-    return np.stack([l00, np.zeros_like(a), l10, np.sqrt(rem)], axis=-1).reshape(-1, 2, 2)
+_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _det2(S: np.ndarray) -> np.ndarray:
     return S[..., 0, 0] * S[..., 1, 1] - S[..., 0, 1] * S[..., 1, 0]
+
+
+def _inv2(S: np.ndarray) -> np.ndarray:
+    """Closed-form inverse of (..., 2, 2) matrices; no check (see _is_pd)."""
+    return S.swapaxes(-1, -2)[..., ::-1, ::-1] * _ADJUGATE_SIGNS / _det2(S)[..., None, None]
 
 
 def _is_pd(S: np.ndarray) -> np.ndarray:
@@ -81,6 +70,15 @@ def _pd_error(S: np.ndarray) -> NotPositiveDefiniteError:
     if not S[0, 0] > 0.0 or not np.isfinite(S[0, 0]):
         return NotPositiveDefiniteError(1, S[0, 0])
     return NotPositiveDefiniteError(2, _det2(S))
+
+
+def _nll(mu, sig, truth):
+    """NLL of truth positions under N(mu, sig), with the sig^-1 and whitened
+    residual w = sig^-1 (truth - mu) that its adjoint takes."""
+    sig_inv = _inv2(sig)
+    r = truth - mu
+    w = (sig_inv @ r[..., None])[..., 0]
+    return LOG_TWO_PI + 0.5 * np.log(_det2(sig)) + 0.5 * (r * w).sum(axis=-1), sig_inv, w
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -225,17 +223,12 @@ def nll_rows(mean: np.ndarray, cov: np.ndarray, points: np.ndarray) -> np.ndarra
     """Negative log density of each of points (N, 2) under the Gaussian of
     its row, means (N, 2) and covariances (N, 2, 2), in nats.
 
-    Computed via the Cholesky factors of the covariances, with math.log per
-    row (np.log can differ from it in the last bit).
+    Raises NotPositiveDefiniteError for the first covariance that is not.
     """
-    L = cholesky(cov)
-    d = points - mean
-    y0 = d[:, 0] / L[:, 0, 0]
-    y1 = (d[:, 1] - L[:, 1, 0] * y0) / L[:, 1, 1]
-    log_l00, log_l11 = (
-        np.fromiter(map(math.log, L[:, i, i].tolist()), float, len(L)) for i in (0, 1)
-    )
-    return LOG_TWO_PI + log_l00 + log_l11 + 0.5 * (y0 * y0 + y1 * y1)
+    with np.errstate(all="ignore"):
+        for i in np.flatnonzero(~_is_pd(cov))[:1]:
+            raise _pd_error(cov[i])
+    return _nll(mean, cov, points)[0]
 
 
 def log_density(g: Gaussian2D, points: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ that depends on T alone, each block carrying on from the last state of the
 one before and, backwards, from the adjoint the one after hands back;
 windows go in chunks that bound the working memory (CHUNK_MATRICES).
 Calibration, fusion, the process model and the NLL run in bulk per block.
-``run_track`` is the B = 1 case, and takes the batch
+``run_track`` is the B = 1 case without a gradient, and takes the batch
 dataio.read_detections or simulator.simulate returns. Nothing mutates.
 
 ``DetectionFrame``, ``pack`` and ``run_sequence`` (run_track over frames
@@ -55,7 +55,7 @@ import numpy as np
 
 from . import calibration
 from .calibration import CalibrationParams
-from .core import LOG_TWO_PI, Gaussian2D, NotPositiveDefiniteError, _det2, _is_pd, _pd_error
+from .core import Gaussian2D, NotPositiveDefiniteError, _inv2, _is_pd, _nll, _pd_error
 
 # Frames per scan block. It depends on the window length alone, so that a
 # window's arithmetic, and so its result, does not depend on its batch-mates.
@@ -186,9 +186,9 @@ class BatchResult:
     outputs are all NaN and whose gradient is zero). With truth, nlls
     (B, T) holds the NLL of the truth position under that marginal (NaN
     before the start) and grad (B, K) the gradient of each window's summed
-    NLL over the K parameters, None without a gradient. failures maps each window whose recursion met a matrix that
-    is not positive definite to the earliest one: (t, leading minor, its
-    value).
+    NLL over the K parameters, None without a gradient. failures maps each
+    window whose recursion met a matrix that is not positive definite to
+    the earliest one: (t, leading minor, its value).
     """
 
     start: np.ndarray
@@ -205,15 +205,13 @@ class TrackResult:
     initialization on, as times (N,), means (N, 2) and covs (N, 2, 2).
 
     When truth is supplied, nlls holds the per-step NLL of the truth position
-    under the reported marginal and grad (K,) the gradient of their sum over
-    the parameters, None without a gradient.
+    under the reported marginal.
     """
 
     times: np.ndarray
     means: np.ndarray
     covs: np.ndarray
     nlls: Optional[np.ndarray]
-    grad: Optional[np.ndarray]
 
     @property
     def total_nll(self) -> float:
@@ -256,7 +254,6 @@ def process_noise(sigma_accel: float, dt) -> np.ndarray:
 
 
 _EYE4 = np.eye(4)
-_ADJUGATE_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])
 
 
 def _T(M: np.ndarray) -> np.ndarray:
@@ -265,11 +262,6 @@ def _T(M: np.ndarray) -> np.ndarray:
 
 def _sym(P: np.ndarray) -> np.ndarray:
     return (P + _T(P)) / 2.0
-
-
-def _inv2(S: np.ndarray) -> np.ndarray:
-    """Closed-form inverse of (..., 2, 2) matrices; no check (see _is_pd)."""
-    return _T(S)[..., ::-1, ::-1] * _ADJUGATE_SIGNS / _det2(S)[..., None, None]
 
 
 def _fuse(mean, cov, mask):
@@ -323,15 +315,6 @@ def _init(z, R, init_vel_var: float):
     x[..., :2], P[..., :2, :2] = z, R
     P[..., 2, 2] = P[..., 3, 3] = init_vel_var
     return x, _sym(P)
-
-
-def _nll(mu, sig, truth):
-    """NLL of truth positions under N(mu, sig), with the sig^-1 and whitened
-    residual w = sig^-1 (truth - mu) that its adjoint takes."""
-    sig_inv = _inv2(sig)
-    r = truth - mu
-    w = (sig_inv @ r[..., None])[..., 0]
-    return LOG_TWO_PI + 0.5 * np.log(_det2(sig)) + 0.5 * (r * w).sum(axis=-1), sig_inv, w
 
 
 def _record_failures(failures: dict, S: np.ndarray, valid: np.ndarray, t: np.ndarray) -> None:
@@ -680,10 +663,9 @@ def run_track(
     params: FilterParams,
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
-    grad: bool = True,
 ) -> TrackResult:
-    """Filter one sequence, a batch of B = 1: run_windows, with the track
-    from its first non-empty frame on.
+    """Filter one sequence, a batch of B = 1: run_windows without a
+    gradient, with the track from its first non-empty frame on.
 
     ``truth``, when given, must hold one 2-vector per frame. Raises
     ValueError if no frame has a detection, and NotPositiveDefiniteError,
@@ -692,7 +674,7 @@ def run_track(
     """
     if truth is not None:
         truth = np.asarray(truth, dtype=float)[None]
-    result = run_windows(batch, params, truth, calib, grad)
+    result = run_windows(batch, params, truth, calib, grad=False)
     s = int(result.start[0])
     if s == len(batch):
         raise ValueError("no frame has any detection; cannot initialize")
@@ -704,7 +686,6 @@ def run_track(
         means=result.means[0, s:],
         covs=result.covs[0, s:],
         nlls=None if truth is None else result.nlls[0, s:],
-        grad=None if result.grad is None else result.grad[0],
     )
 
 
@@ -713,7 +694,6 @@ def run_sequence(
     params: FilterParams,
     truth: Optional[np.ndarray] = None,
     calib: Optional[dict[str, CalibrationParams]] = None,
-    grad: bool = True,
 ) -> TrackResult:
     """run_track over frames given as DetectionFrame objects."""
-    return run_track(pack([frames]), params, truth, calib, grad)
+    return run_track(pack([frames]), params, truth, calib)

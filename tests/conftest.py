@@ -18,11 +18,11 @@ from geotrack.cli import CHI2_95_2D
 from geotrack.core import (
     LOG_TWO_PI,
     Gaussian2D,
+    NotPositiveDefiniteError,
     ObjectPose,
     Pairs,
     _is_pd,
     _pd_error,
-    cholesky,
     rotation,
     wrap_angle,
 )
@@ -50,11 +50,8 @@ def phi(x: float) -> float:
 
 
 def dense_nll(mean, cov, point) -> float:
-    """Direct bivariate-normal NLL via the explicit inverse formula.
-
-    Deliberately avoids the package's Cholesky path so it can serve as an
-    independent oracle.
-    """
+    """Direct bivariate-normal NLL via the explicit inverse formula, written
+    out on one point without any package code."""
     mean = np.asarray(mean, dtype=float)
     cov = np.asarray(cov, dtype=float)
     point = np.asarray(point, dtype=float)
@@ -62,6 +59,16 @@ def dense_nll(mean, cov, point) -> float:
     inv = np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
     d = point - mean
     return float(math.log(2.0 * math.pi) + 0.5 * math.log(det) + 0.5 * d @ inv @ d)
+
+
+def mp_nll(mean, cov, point, dps: int = 40) -> float:
+    """The bivariate-normal NLL of point under N(mean, cov) in mpmath at dps
+    digits, the float64 inputs taken as exact."""
+    with mpmath.workdps(dps):
+        S = mpmath.matrix(np.asarray(cov, dtype=float).tolist())
+        d = mpmath.matrix([mpmath.mpf(p) - mpmath.mpf(m) for p, m in zip(point, mean)])
+        quad = (d.T * S**-1 * d)[0]
+        return float(mpmath.log(2 * mpmath.pi) + mpmath.log(mpmath.det(S)) / 2 + quad / 2)
 
 
 def random_pd_2x2(rng: np.random.Generator, lo: float = 1.0, hi: float = 100.0) -> np.ndarray:
@@ -264,6 +271,25 @@ def records_arrays(records) -> Records:
         np.array([pose.heading for _, pose in records]),
         np.array([pose.extent for _, pose in records]).reshape(-1, 2),
     )
+
+
+def cholesky(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular factors L (N, 2, 2) with L @ L.T == cov for symmetric
+    2x2 covariances (N, 2, 2), read from their upper triangle.
+
+    Raises NotPositiveDefiniteError for the first that is not PD, identifying
+    its failing leading minor.
+    """
+    a, b, c = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    with np.errstate(all="ignore"):
+        l00 = np.sqrt(a)
+        l10 = b / l00
+        rem = c - l10 * l10
+    for i in np.flatnonzero(~((a > 0.0) & (rem > 0.0)))[:1]:
+        if not a[i] > 0.0:
+            raise NotPositiveDefiniteError(1, a[i])
+        raise NotPositiveDefiniteError(2, a[i] * c[i] - b[i] * b[i])
+    return np.stack([l00, np.zeros_like(a), l10, np.sqrt(rem)], axis=-1).reshape(-1, 2, 2)
 
 
 def sample_gaussian(mean: np.ndarray, L: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:

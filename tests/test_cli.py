@@ -987,7 +987,8 @@ commands = [
     "track --detections sim/detections_test.jsonl --truth sim/truth_test.csv"
     " --params tune/tuned_params.json --calib tune/tuned_calibration.json --out track_tuned",
     "evaluate --track track_tuned/track.jsonl --truth sim/truth_test.csv --out eval",
-    "report eval --out table",
+    "evaluate --detections sim/detections_test.jsonl --view N2 --truth sim/truth_test.csv --out eval_n2",
+    "report eval eval_n2 --out table",
 ]
 sys.exit(max(main(c.split()) for c in commands))
 """

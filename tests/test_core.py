@@ -2,22 +2,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import dense_nll, points_in_pose, random_pd_2x2, sample_gaussian
+from conftest import cholesky, dense_nll, mp_nll, points_in_pose, random_pd_2x2, sample_gaussian
 from geotrack.core import (
     Arena,
     Gaussian2D,
     NotPositiveDefiniteError,
     ObjectPose,
-    cholesky,
     heading_from_velocity,
     log_density,
     nll,
+    nll_rows,
     rotation,
     wrap_angle,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+EPS = float(np.finfo(float).eps)
+# The NLL's accuracy envelope: its error is at most NLL_ENVELOPE * eps *
+# kappa times the size of its terms, log(2 pi) + |log det| / 2 + the
+# quadratic form / 2, kappa the covariance's condition number.
+NLL_ENVELOPE = 2.0
 
 
 def factor(cov) -> np.ndarray:
@@ -105,6 +112,53 @@ class TestNll:
         dens = log_density(g, pts)
         for p, d in zip(pts, dens):
             assert -nll(g, p) == pytest.approx(d, rel=1e-12)
+
+
+@st.composite
+def ill_conditioned_case(draw):
+    """A mean, covariance, point and the covariance's condition number:
+    standard deviations from 1e-3 to 1e6 along the major axis, condition
+    numbers up to 1e8, and the point's offset either whitened (a quadratic
+    form near 1) or as large along the minor axis as the major one (up to
+    kappa)."""
+    scale = 10.0 ** draw(st.floats(-3.0, 6.0))
+    kappa = 10.0 ** draw(st.floats(0.0, 8.0))
+    R = rotation(draw(st.floats(0.0, 2.0 * math.pi)))
+    cov = scale * scale * R @ np.diag([1.0, 1.0 / kappa]) @ R.T
+    cov[1, 0] = cov[0, 1]
+    mean = scale * np.array(draw(st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2)))
+    u = np.array(draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+    if draw(st.booleans()):
+        u[1] /= math.sqrt(kappa)
+    return mean, cov, mean + scale * (R @ u), kappa
+
+
+class TestNllRows:
+    @settings(max_examples=400)
+    @given(ill_conditioned_case())
+    def test_within_envelope_of_mpmath(self, case):
+        mean, cov, point, kappa = case
+        d = point - mean
+        size = LOG_2PI + abs(np.linalg.slogdet(cov)[1]) / 2 + d @ np.linalg.solve(cov, d) / 2
+        actual = nll_rows(mean[None], cov[None], point[None])[0]
+        assert abs(actual - mp_nll(mean, cov, point)) <= NLL_ENVELOPE * EPS * kappa * size
+
+    @pytest.mark.parametrize(
+        "bad, minor, value",
+        [
+            ([[1.0, 3.0], [3.0, 1.0]], 2, -8.0),
+            ([[0.0, 0.0], [0.0, 1.0]], 1, 0.0),
+            ([[np.nan, 0.0], [0.0, 1.0]], 1, np.nan),
+        ],
+    )
+    def test_names_first_row_not_positive_definite(self, bad, minor, value):
+        cov = np.tile(np.eye(2), (6, 1, 1))
+        cov[2] = bad
+        cov[4] = [[-1.0, 0.0], [0.0, 1.0]]
+        with pytest.raises(NotPositiveDefiniteError) as exc:
+            nll_rows(np.zeros((6, 2)), cov, np.ones((6, 2)))
+        assert exc.value.minor_index == minor
+        np.testing.assert_equal(exc.value.minor_value, value)
 
 
 class TestCholesky2x2:

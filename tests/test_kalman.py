@@ -838,12 +838,13 @@ class TestRunSequence:
         rng = np.random.default_rng(22)
         frames, truth = make_cv_frames(rng, n_steps=100, sigma_accel=15.0, obs_var=25.0)
         sigma = 15.0
-        res = run_sequence(frames, FilterParams(sigma), truth=truth)
+        batch = pack([frames])
+        res = run_windows(batch, FilterParams(sigma), truth[None])
         h = 1e-4 * sigma
-        hi = run_sequence(frames, FilterParams(sigma + h), truth=truth).total_nll
-        lo = run_sequence(frames, FilterParams(sigma - h), truth=truth).total_nll
+        hi = np.nansum(run_windows(batch, FilterParams(sigma + h), truth[None]).nlls)
+        lo = np.nansum(run_windows(batch, FilterParams(sigma - h), truth[None]).nlls)
         fd = (hi - lo) / (2.0 * h)
-        assert res.grad[0] == pytest.approx(fd, rel=1e-4)
+        assert res.grad[0, 0] == pytest.approx(fd, rel=1e-4)
 
     def test_per_step_sensitivities_match_fd(self):
         # Walk the recursion manually and difference every step's x and P.
@@ -882,9 +883,10 @@ class TestRunSequence:
     def test_width_zero_carries_no_tangents(self):
         rng = np.random.default_rng(26)
         frames, truth = make_cv_frames(rng, n_steps=10)
-        res = run_sequence(frames, FilterParams(10.0), truth=truth, grad=False)
+        batch = pack([frames])
+        res = run_windows(batch, FilterParams(10.0), truth[None], grad=False)
         assert res.grad is None
-        assert res.total_nll == run_sequence(frames, FilterParams(10.0), truth=truth).total_nll
+        assert np.nansum(res.nlls) == np.nansum(run_windows(batch, FilterParams(10.0), truth[None]).nlls)
 
     def test_error_paths(self):
         g = Gaussian2D((0.0, 0.0), np.eye(2))

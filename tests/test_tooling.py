@@ -4,8 +4,9 @@ A module other than ``__init__`` may import only names it uses, so a name
 left behind when its last user goes (say ``Gaussian2D`` in a module that
 no longer builds one) fails here; every ``geotrack.__all__`` entry must
 resolve on the package; the test oracles in ``conftest`` take none of the
-filter's arithmetic from ``geotrack.kalman``; and the grid-fit oracles take
-nothing from ``geotrack.calibration`` but its two value types.
+filter's arithmetic from ``geotrack.kalman`` or ``geotrack.core``; and the
+grid-fit oracles take nothing from ``geotrack.calibration`` but its two
+value types.
 """
 
 import ast
@@ -63,12 +64,14 @@ def test_package_all_resolves():
     assert not missing, f"geotrack.__all__ names what the package does not define: {missing}"
 
 
-# kalman's filter arithmetic, which the oracles in conftest must not share:
-# an error in it would then cancel out of every comparison with them.
+# kalman's filter arithmetic, and the NLL and 2x2 inverse it takes from
+# core, which the oracles in conftest must not share: an error in them would
+# then cancel out of every comparison with them.
 FILTER_ARITHMETIC = {
     "_fuse", "_fuse_adjoint", "_init", "_nll", "_inv2", "_gain",
     "_adjoint_block", "_scan_back",
 }
+CORE_ARITHMETIC = {"_nll", "_inv2"}
 
 
 def test_oracles_share_no_filter_arithmetic():
@@ -78,11 +81,13 @@ def test_oracles_share_no_filter_arithmetic():
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "geotrack.kalman":
             shared |= {alias.name for alias in node.names} & FILTER_ARITHMETIC
+        elif isinstance(node, ast.ImportFrom) and node.module == "geotrack.core":
+            shared |= {alias.name for alias in node.names} & CORE_ARITHMETIC
         elif isinstance(node, ast.ImportFrom) and node.module == "geotrack":
             shared |= {alias.name for alias in node.names} & {"kalman"}
         elif isinstance(node, ast.Import):
             shared |= {alias.name for alias in node.names} & {"geotrack.kalman"}
-    assert not shared, f"conftest.py takes filter arithmetic from geotrack.kalman: {sorted(shared)}"
+    assert not shared, f"conftest.py takes filter arithmetic from geotrack: {sorted(shared)}"
 
 
 # The grid-fit oracles in conftest, and what they may take from
