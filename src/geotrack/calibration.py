@@ -83,10 +83,16 @@ def linear_axis(lo: float, hi: float, count: int) -> tuple[float, ...]:
     return tuple(sorted(vals))
 
 
+# The default grid's axes as (lo, hi, count): log-spaced multipliers a and
+# linear floors b. calibrate's --grid-a and --grid-b defaults spell these.
+DEFAULT_A_AXIS = (0.05, 10.0, 60)
+DEFAULT_B_AXIS = (0.0, 500.0, 51)
+
+
 def default_grid() -> CalibrationGrid:
     """60 log-spaced multipliers over [0.05, 10] plus 1.0 exactly, and 51
     linear floors over [0, 500]."""
-    return CalibrationGrid(log_spaced_axis(0.05, 10.0, 60), linear_axis(0.0, 500.0, 51))
+    return CalibrationGrid(log_spaced_axis(*DEFAULT_A_AXIS), linear_axis(*DEFAULT_B_AXIS))
 
 
 def obs_transform(

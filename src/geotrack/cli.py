@@ -6,7 +6,8 @@ its files there and returns their names with the values it resolved (a
 seed, the filter parameters, the alpha sweep). main runs every command the
 same way: it times it, resolves --out and writes the one manifest.json next
 to the outputs: every input flag under "inputs", every other flag under
-"options" as parsed, overlaid with the resolved values, and the versions.
+"options" as parsed, overlaid with the resolved values, the versions, the
+elapsed time and the peak resident memory.
 
 This module only parses flags and wires commands together: dataio reads,
 validates and matches every input file. main maps errors to exit codes: 1
@@ -23,6 +24,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import resource
 import sys
 import time
 from datetime import datetime, timezone
@@ -66,16 +68,25 @@ def _out_dir(args) -> Path:
 
 def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed: float) -> None:
     """Input flags under "inputs"; every other flag under "options" as parsed,
-    with the command's resolved values written over them."""
+    with the command's resolved values written over them. peak_rss_mb is the
+    process's peak resident set so far, which in a process that runs several
+    commands covers the earlier ones too."""
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
+    # ru_maxrss counts kilobytes (bytes on macOS).
+    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
     manifest = {
         "command": args.command,
         "options": {**{k: v for k, v in flags.items() if k not in INPUT_FLAGS}, **resolved},
         "inputs": {k: v for k, v in flags.items() if k in INPUT_FLAGS},
         "outputs": sorted(outputs),
-        "versions": {"geotrack": __version__},
+        "versions": {
+            "geotrack": __version__,
+            "numpy": np.__version__,
+            "python": "%d.%d.%d" % sys.version_info[:3],
+        },
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
+        "peak_rss_mb": rss_kb / 1024,
     }
     (out / "manifest.json").write_text(dataio.dumps(manifest, indent=2) + "\n")
 
@@ -209,13 +220,18 @@ def _write_plot_data(path: Path, times, means, covs, truth) -> None:
     filtered mean and its 95% ellipse (axes and the major axis' angle)."""
     evals, evecs = np.linalg.eigh(covs)
     axes = np.sqrt(CHI2_95_2D * evals)
-    # math.atan2: np.arctan2 can differ from it in the last bit.
-    angles = list(map(math.atan2, evecs[:, 1, 1].tolist(), evecs[:, 0, 1].tolist()))
-    columns = [times, *([] if truth is None else [truth]), means, axes[:, ::-1], angles]
+    # The major axis' direction fills the last two columns; each chunk's angles
+    # overwrite the first of them.
+    direction = [evecs[:, 1, 1], evecs[:, 0, 1]]
+    table = np.column_stack([times, *([] if truth is None else [truth]), means, axes[:, ::-1], *direction])
     row = "%r,,,%r,%r,%r,%r,%r\n" if truth is None else "%r,%r,%r,%r,%r,%r,%r,%r\n"
     with open(path, "w") as fh:
         fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
-        fh.write("".join([row % tuple(r) for r in np.column_stack(columns).tolist()]))
+        for lo in range(0, len(table), dataio.CHUNK_FRAMES):
+            chunk = table[lo : lo + dataio.CHUNK_FRAMES]
+            # math.atan2: np.arctan2 can differ from it in the last bit.
+            chunk[:, -2] = list(map(math.atan2, chunk[:, -2].tolist(), chunk[:, -1].tolist()))
+            fh.write("".join([row % tuple(r) for r in chunk[:, :-1].tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="grid-search per-view covariance calibration")
     p.add_argument("--detections", required=True, help="validation detections")
     p.add_argument("--truth", required=True, help="validation truth CSV")
-    p.add_argument("--grid-a", default="0.05:10:log60")
-    p.add_argument("--grid-b", default="0:500:lin51")
+    p.add_argument("--grid-a", default="%g:%g:log%d" % calibration.DEFAULT_A_AXIS)
+    p.add_argument("--grid-b", default="%g:%g:lin%d" % calibration.DEFAULT_B_AXIS)
     p.add_argument("--shared", action="store_true", help="fit one (a, b) across views")
     p.add_argument("--out")
     p.set_defaults(func=cmd_calibrate)

@@ -14,10 +14,13 @@ parses but is wrong (timestamp disorder, no detections, no truth row).
 Detections, truth and tracks load as arrays, in bulk, with a record-by-record
 re-read for the error line. read_detections returns one kalman.FrameBatch,
 read_truth a simulator.Trajectory and read_track (times, means, covs). A
-JSONL file parses into one flat list of numbers, with no list or object per
-Gaussian: kept, the 288,000 nested lists of a 10,000-frame detections file
-set off repeated cyclic garbage collections and convert slowly to arrays. A
-truth CSV parses into one table. numpy checks either at once, and a file
+JSONL file parses CHUNK_FRAMES lines at a time into a flat list of numbers,
+with no list or object kept per Gaussian (kept, the 288,000 nested lists of
+a 10,000-frame detections file set off repeated cyclic garbage collections),
+and each chunk's list becomes one float array that numpy checks at once.
+View ids map to columns through a dict as they are read. So the reader's
+working memory is one chunk's, beside the arrays it returns; the writers,
+too, format one chunk at a time. A truth CSV parses into one table. A file
 that fails a bulk check is read again record by record, to name its first
 bad record with that record's first failing check. match_truth gives the
 truth row of each time.
@@ -28,6 +31,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 from pathlib import Path
@@ -111,8 +115,13 @@ def _time(value) -> float:
 # detections: one frame per line
 
 
-# Frames per chunk that the writers format and write at once.
-CHUNK_FRAMES = 1 << 12
+# Frames (track steps, truth rows) per chunk that the readers convert and
+# check, and the writers format, at once. On a 10,000-frame, 8-view file,
+# read_detections' traced peak was 8.9 MB at 2^8 to 2^11 (the arrays it
+# returns and their assembly) and 13.8 MB at 2^12; write_detections' was
+# 1.4 MB at 2^8, doubling with each doubling to 21.9 MB at 2^12. Neither's
+# time moved beyond the host's noise.
+CHUNK_FRAMES = 1 << 9
 
 # One detection as dumps writes it: sorted keys, repr-exact floats.
 _DETECTION = '{"cov":[[%r,%r],[%r,%r]],"mean":[%r,%r],"view":%s}'
@@ -161,57 +170,85 @@ def _detection_record(rec: dict) -> tuple[float, list, list]:
 
 def _read_records(path: Path) -> FrameBatch:
     """read_detections record by record, for a file _read_bulk declines."""
-    times, frames, views, gaussians = [], [], [], []
+    times, frames, columns, gaussians = [], [], [], []
+    views: dict[str, int] = {}
     for line_no, (t, line_views, line_gaussians) in _read_jsonl(path, _detection_record):
         if times and not t > times[-1]:
             raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
         frames += [len(times)] * len(line_views)
         times.append(t)
-        views += line_views
+        columns += [views.setdefault(view, len(views)) for view in line_views]
         gaussians += line_gaussians
-    if not views:
+    if not columns:
         raise RuntimeError(f"{path}: no detections")
     mean, cov = zip(*gaussians)
-    return FrameBatch.scatter(np.array([times]), frames, views, mean, cov)
+    return FrameBatch.scatter(np.array([times]), frames, list(views), columns, mean, cov)
 
 
 def _read_bulk_rows(path: Path, frames: bool) -> Optional[tuple]:
     """A file of detections frames (or, if not frames, track steps) as times
-    (T,), Gaussians per line, view ids, means (n, 2) and covariances (n, 2, 2)
-    made symmetric from the upper entry; None unless it passes every bulk
-    check: finite numbers, string view ids, rising times and _is_pd."""
-    times, counts, views, values = [], [], [], []
+    (T,), Gaussians per line (T,), each Gaussian's view column (n,), means
+    (n, 2), covariances (n, 2, 2) made symmetric from the upper entry and
+    the view ids in column order; None unless it passes every bulk check.
+
+    The file is read CHUNK_FRAMES lines at a time, each chunk's numbers
+    converted to one float array and checked at once: numbers alone, finite,
+    times rising from the previous chunk's, covariances that pass _is_pd.
+    A dict gives each view id its column as the id is read; the ids must be
+    strings. So beside the arrays, which are joined from their chunks at the
+    end, the reader holds one chunk's lines and numbers.
+    """
+    views: dict = {}
+    chunks = []
     try:
         with open(path, "rb") as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    gaussians = rec["detections"] if frames else (rec,)
-                    for g in gaussians:
-                        if frames:
-                            views.append(g["view"])
-                        x, y = g["mean"]
-                        (c00, c01), (c10, c11) = g["cov"]
-                        values += (x, y, c00, c01, c10, c11)
-                    counts.append(len(gaussians))
-                    times.append(rec["t"])
-        t, flat = np.array(times), np.array(values)
-        plain = all(isinstance(v, str) for v in set(views))
+            lines = (line for line in fh if line.strip())
+            while block := list(itertools.islice(lines, CHUNK_FRAMES)):
+                after = chunks[-1][0][-1] if chunks else -math.inf
+                chunk = _read_bulk_chunk(block, frames, views, after)
+                if chunk is None:
+                    return None
+                chunks.append(chunk)
     except _MALFORMED:
         return None
+    if not (chunks and all(isinstance(view, str) for view in views)):
+        return None
+    t, counts, columns, flat = (np.concatenate(arrays) for arrays in zip(*chunks))
+    if not len(flat):
+        return None
+    return t, counts, columns, flat[:, :2], flat[:, 2:].reshape(-1, 2, 2), list(views)
+
+
+def _read_bulk_chunk(lines: list, frames: bool, views: dict, after: float) -> Optional[tuple]:
+    """One chunk of _read_bulk_rows: its times, Gaussians per line, view
+    columns and (n, 6) numbers (mean, then covariance row by row); None
+    unless it passes every bulk check. Raises what json and unpacking raise."""
+    times, counts, columns, values = [], [], [], []
+    for line in lines:
+        rec = json.loads(line)
+        gaussians = rec["detections"] if frames else (rec,)
+        for g in gaussians:
+            if frames:
+                columns.append(views.setdefault(g["view"], len(views)))
+            x, y = g["mean"]
+            (c00, c01), (c10, c11) = g["cov"]
+            values += (x, y, c00, c01, c10, c11)
+        counts.append(len(gaussians))
+        times.append(rec["t"])
+    t, flat = np.array(times), np.array(values)
     n = len(values) // 6
     # A mean or covariance row that unpacks into anything but numbers
     # (strings, nested lists) gives a non-numeric dtype or another shape.
     shapes = (t.shape, flat.shape) == ((len(times),), (6 * n,))
-    if not (plain and n and shapes and all(a.dtype.kind in "biuf" for a in (t, flat))):
+    if not (shapes and all(a.dtype.kind in "biuf" for a in (t, flat))):
         return None
     t, flat = t.astype(float), flat.astype(float).reshape(n, 6)
-    finite = np.isfinite(t).all() and np.isfinite(flat).all()
-    mean, cov = flat[:, :2], flat[:, 2:].reshape(n, 2, 2)
-    cov[:, 1, 0] = cov[:, 0, 1]
+    if not (np.isfinite(t).all() and np.isfinite(flat).all()):
+        return None
+    flat[:, 4] = flat[:, 3]  # the covariance made symmetric from its upper entry
     with np.errstate(all="ignore"):
-        valid = finite and (t[1:] > t[:-1]).all() and _is_pd(cov).all()
-    return (t, counts, views, mean, cov) if valid else None
+        valid = t[0] > after and (t[1:] > t[:-1]).all() and _is_pd(flat[:, 2:].reshape(n, 2, 2)).all()
+    return (t, np.array(counts), np.array(columns, dtype=np.intp), flat) if valid else None
 
 
 def _read_bulk(path: Path) -> Optional[FrameBatch]:
@@ -220,10 +257,10 @@ def _read_bulk(path: Path) -> Optional[FrameBatch]:
     rows = _read_bulk_rows(path, frames=True)
     if rows is None:
         return None
-    t, counts, views, mean, cov = rows
-    batch = FrameBatch.scatter(t[None], np.repeat(np.arange(len(t)), counts), views, mean, cov)
+    t, counts, columns, mean, cov, views = rows
+    batch = FrameBatch.scatter(t[None], np.repeat(np.arange(len(t)), counts), views, columns, mean, cov)
     # A view repeated within a line fills one slot twice.
-    return batch if batch.mask.sum() == len(views) else None
+    return batch if batch.mask.sum() == len(columns) else None
 
 
 def read_detections(path: Path) -> FrameBatch:

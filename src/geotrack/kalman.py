@@ -123,14 +123,15 @@ class FrameBatch:
         )
 
     @classmethod
-    def scatter(cls, t: np.ndarray, frames, views: Sequence[str], mean, cov) -> "FrameBatch":
+    def scatter(cls, t: np.ndarray, frames, views: Sequence[str], columns, mean, cov) -> "FrameBatch":
         """The batch over times t (B, T) of flat detections: detection i is
-        views[i]'s, mean[i] (2,) and cov[i] (2, 2), in the frame at flat
-        index frames[i] of t. The views are the sorted ids."""
-        order = tuple(sorted(set(views)))
-        column = {v: i for i, v in enumerate(order)}
+        view views[columns[i]]'s, mean[i] (2,) and cov[i] (2, 2), in the
+        frame at flat index frames[i] of t. views holds distinct ids in any
+        order; the batch's views are the sorted ids."""
+        order = sorted(range(len(views)), key=views.__getitem__)
         shape = (*t.shape, len(order))
-        slots = np.array([column[v] for v in views], dtype=np.intp)
+        # The sorted column of each of views, indexed by the detection's column.
+        slots = np.argsort(order)[np.asarray(columns, dtype=np.intp)]
         slots += np.asarray(frames, dtype=np.intp) * len(order)
         full_mean = np.zeros((t.size * len(order), 2))
         full_cov = np.broadcast_to(np.eye(2), (len(full_mean), 2, 2)).copy()
@@ -139,7 +140,7 @@ class FrameBatch:
         full_cov[slots] = np.reshape(cov, (-1, 2, 2))
         mask[slots] = True
         return cls(
-            order,
+            tuple(views[i] for i in order),
             t,
             full_mean.reshape(shape + (2,)),
             full_cov.reshape(shape + (2, 2)),
@@ -167,10 +168,13 @@ def pack(windows: Sequence[Sequence[DetectionFrame]]) -> FrameBatch:
             f"t={t[b, i + 1]} after t={t[b, i]}"
         )
     dets = [(i, v, g) for i, f in enumerate(f for w in windows for f in w) for v, g in f.detections]
+    views: dict[str, int] = {}
+    columns = [views.setdefault(v, len(views)) for _, v, _ in dets]
     return FrameBatch.scatter(
         t,
         [i for i, _, _ in dets],
-        [v for _, v, _ in dets],
+        list(views),
+        columns,
         [g.mean for _, _, g in dets],
         [g.cov for _, _, g in dets],
     )

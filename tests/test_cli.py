@@ -2,11 +2,13 @@ import csv
 import json
 import math
 import os
+import platform
 import shutil
 import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle_write_plot_data, truth_arrays
-from geotrack import calibration, dataio, metrics, tuning
+from geotrack import __version__, calibration, dataio, metrics, tuning
 from geotrack.cli import _parse_axis, _write_plot_data, build_parser, main
 from geotrack.core import ObjectPose
 from geotrack.kalman import FilterParams
@@ -691,8 +693,13 @@ def plot_dir(tmp_path_factory):
 
 
 @settings(max_examples=200)
-@given(data=st.data(), n=st.integers(1, 12), with_truth=st.booleans())
-def test_write_plot_data_matches_per_step_oracle(plot_dir, data, n, with_truth):
+@given(
+    data=st.data(),
+    n=st.integers(1, 12),
+    with_truth=st.booleans(),
+    chunk=st.sampled_from([1, 2, 3, dataio.CHUNK_FRAMES]),
+)
+def test_write_plot_data_matches_per_step_oracle(plot_dir, data, n, with_truth, chunk):
     # Random covariances: np.arctan2 differs from math.atan2 in the last bit
     # for about 8% of their major axes, so a vectorised angle shows here.
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
@@ -704,7 +711,8 @@ def test_write_plot_data_matches_per_step_oracle(plot_dir, data, n, with_truth):
     times = np.cumsum(rng.uniform(1e-3, 1.0, n)) + data.draw(st.floats(-1e6, 1e6))
     means = rng.standard_normal((n, 2)) * 10.0 ** data.draw(st.integers(-3, 6))
     truth = np.where(rng.random((n, 2)) < 0.2, -0.0, rng.uniform(0.0, 700.0, (n, 2))) if with_truth else None
-    _write_plot_data(plot_dir / "plot.csv", times, means, covs, truth)
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        _write_plot_data(plot_dir / "plot.csv", times, means, covs, truth)
     oracle_write_plot_data(plot_dir / "oracle.csv", times, means, covs, truth)
     assert (plot_dir / "plot.csv").read_bytes() == (plot_dir / "oracle.csv").read_bytes()
 
@@ -968,6 +976,10 @@ def test_manifest_records_every_flag(sim_dir, track_dir, eval_dir, tmp_path, fil
     expected = {**{k: parsed[k] for k in flags - set(manifest["inputs"])}, **resolved}
     assert {k: manifest["options"].get(k, "<absent>") for k in expected} == expected
     assert manifest["outputs"] == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    versions = {"geotrack": __version__, "numpy": np.__version__, "python": platform.python_version()}
+    assert manifest["versions"] == versions
+    # Megabytes: numpy alone takes more than one, and no command here a gigabyte.
+    assert 1.0 < manifest["peak_rss_mb"] < 1024.0
 
 
 # The README walkthrough in small, run through the CLI in one process.
@@ -1007,7 +1019,7 @@ def test_outputs_identical_across_simd_levels(tmp_path):
     # numpy picks a ufunc's SIMD loop by CPU, and some (x**3, x**4, exp,
     # log) round differently in the last bit from one loop to another. Every
     # output byte must be the same at every level, manifests apart from
-    # their wall-clock fields.
+    # their wall-clock and peak memory fields.
     levels = simd_levels()
     if len(levels) < 2:
         pytest.skip("this CPU runs numpy at its baseline only")
@@ -1028,7 +1040,7 @@ def test_outputs_identical_across_simd_levels(tmp_path):
             data = path.read_bytes()
             if path.name == "manifest.json":
                 manifest = json.loads(data)
-                del manifest["wall_clock_utc"], manifest["elapsed_seconds"]
+                del manifest["wall_clock_utc"], manifest["elapsed_seconds"], manifest["peak_rss_mb"]
                 data = json.dumps(manifest, sort_keys=True).encode()
             files[str(path.relative_to(root))] = data
         outputs.append(files)
