@@ -37,9 +37,6 @@ from .core import NotPositiveDefiniteError, Pairs
 from .kalman import FilterParams, FrameBatch, run_track
 from .simulator import default_scenario, simulate
 
-# 95% quantile of chi-squared with 2 dof, for confidence ellipses.
-CHI2_95_2D = -2.0 * math.log(0.05)
-
 DEFAULT_SIGMA_ACCEL = 100.0
 OUT_ROOT_ENV = "GEOTRACK_OUT"
 
@@ -206,32 +203,13 @@ def cmd_track(args, out: Path) -> tuple[list[str], dict]:
 
     # The track starts at the first frame with a detection.
     step_truth = truth_pos[len(batch) - n_steps :] if truth_pos is not None else None
-    _write_plot_data(out / "plot_data.csv", result.times, result.means, result.covs, step_truth)
+    dataio.write_plot_data(out / "plot_data.csv", result.times, result.means, result.covs, step_truth)
 
     if truth_pos is not None:
         print(f"track: {n_steps} steps, mean NLL {result.mean_nll:.4f}")
     else:
         print(f"track: {n_steps} steps")
     return ["track.jsonl", "summary.json", "plot_data.csv"], {"params": dataclasses.asdict(params)}
-
-
-def _write_plot_data(path: Path, times, means, covs, truth) -> None:
-    """Per step: the time, the truth position (blank without truth), the
-    filtered mean and its 95% ellipse (axes and the major axis' angle)."""
-    evals, evecs = np.linalg.eigh(covs)
-    axes = np.sqrt(CHI2_95_2D * evals)
-    # The major axis' direction fills the last two columns; each chunk's angles
-    # overwrite the first of them.
-    direction = [evecs[:, 1, 1], evecs[:, 0, 1]]
-    table = np.column_stack([times, *([] if truth is None else [truth]), means, axes[:, ::-1], *direction])
-    row = "%r,,,%r,%r,%r,%r,%r\n" if truth is None else "%r,%r,%r,%r,%r,%r,%r,%r\n"
-    with open(path, "w") as fh:
-        fh.write("t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n")
-        for lo in range(0, len(table), dataio.CHUNK_FRAMES):
-            chunk = table[lo : lo + dataio.CHUNK_FRAMES]
-            # math.atan2: np.arctan2 can differ from it in the last bit.
-            chunk[:, -2] = list(map(math.atan2, chunk[:, -2].tolist(), chunk[:, -1].tolist()))
-            fh.write("".join([row % tuple(r) for r in chunk[:, :-1].tolist()]))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +262,9 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     config = tuning.TuneConfig(seq_len=args.seq_len, epochs=args.epochs, lr=args.lr)
     train_windows = tuning.make_windows(train, train_pos, config.seq_len)
     val_windows = tuning.make_windows(val, val_pos, min(config.seq_len, len(val)))
+    for source, (windows, _) in ((args.train_detections, train_windows), (args.val_detections, val_windows)):
+        if not len(windows):
+            raise RuntimeError(f"{source}: no window of {windows.t.shape[1]} frames holds a detection")
 
     base = _filter_params(args.params)
     if args.init:

@@ -11,23 +11,25 @@ ValueError for a missing, unreadable or malformed file; NotPositiveDefiniteError
 for a covariance that is not positive definite; RuntimeError for data that
 parses but is wrong (timestamp disorder, no detections, no truth row).
 
-Detections, truth and tracks load as arrays, in bulk, with a record-by-record
-re-read for the error line. read_detections returns one kalman.FrameBatch,
-read_truth a simulator.Trajectory and read_track (times, means, covs). A
-JSONL file parses CHUNK_FRAMES lines at a time into a flat list of numbers,
-with no list or object kept per Gaussian (kept, the 288,000 nested lists of
-a 10,000-frame detections file set off repeated cyclic garbage collections),
-and each chunk's list becomes one float array that numpy checks at once.
-View ids map to columns through a dict as they are read. So the reader's
-working memory is one chunk's, beside the arrays it returns; the writers,
-too, format one chunk at a time. A truth CSV parses into one table. A file
-that fails a bulk check is read again record by record, to name its first
-bad record with that record's first failing check. match_truth gives the
-truth row of each time.
+Detections, truth and tracks load as arrays: read_detections returns one
+kalman.FrameBatch, read_truth a simulator.Trajectory and read_track (times,
+means, covs). A JSONL file is read once, CHUNK_FRAMES lines at a time. A
+chunk parses into a flat list of numbers, with no list or object kept per
+Gaussian (kept, the 288,000 nested lists of a 10,000-frame detections file
+set off repeated cyclic garbage collections), that numpy checks as one float
+array; view ids map to columns through a dict as they are read. A chunk that
+fails a bulk check, alone, is parsed again record by record: to name its
+first bad record, with that record's first failing check, or to read what
+the bulk check does not take (numbers spelt as strings). So the reader's
+working memory is one chunk's beside the arrays, whatever the file holds,
+and the writers format a table one chunk of rows at a time. A truth CSV
+parses into one table, or row by row for the error line. match_truth gives
+the truth row of each time.
 """
 
 from __future__ import annotations
 
+import array
 import csv
 import dataclasses
 import io
@@ -35,7 +37,7 @@ import itertools
 import json
 import math
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -91,28 +93,11 @@ def _read_json(path: Path, parse: Callable[[dict], Record]) -> Record:
         raise _located(exc, path) from exc
 
 
-def _read_jsonl(path: Path, parse: Callable[[dict], Record]) -> Iterator[tuple[int, Record]]:
-    """Yield (line number, parse(record)) per non-blank line; every error
-    names path:line."""
-    line_no = 0
-    try:
-        with open(path, "rb") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield line_no, parse(json.loads(line))
-    except _MALFORMED as exc:
-        raise _located(exc, path, line_no) from exc
-
-
 def _time(value) -> float:
     t = float(value)
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     return t
-
-
-# ---------------------------------------------------------------------------
-# detections: one frame per line
 
 
 # Frames (track steps, truth rows) per chunk that the readers convert and
@@ -122,6 +107,25 @@ def _time(value) -> float:
 # 1.4 MB at 2^8, doubling with each doubling to 21.9 MB at 2^12. Neither's
 # time moved beyond the host's noise.
 CHUNK_FRAMES = 1 << 9
+
+
+def _write_rows(path: Path, header: str, row: str, table, json_floats: bool = False) -> None:
+    """header, then row % r for each row r of the 2-D table, formatted
+    CHUNK_FRAMES rows at a time; with json_floats, the non-finite floats
+    spelt as dumps spells them: NaN, Infinity and -Infinity."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for lo in range(0, len(table), CHUNK_FRAMES):
+            chunk = table[lo : lo + CHUNK_FRAMES]
+            text = "".join([row % tuple(r) for r in chunk.tolist()])
+            if json_floats and not np.isfinite(chunk).all():
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            fh.write(text)
+
+
+# ---------------------------------------------------------------------------
+# detections frames and track steps: one JSON record per line
+
 
 # One detection as dumps writes it: sorted keys, repr-exact floats.
 _DETECTION = '{"cov":[[%r,%r],[%r,%r]],"mean":[%r,%r],"view":%s}'
@@ -151,11 +155,13 @@ def write_detections(path: Path, batch: FrameBatch) -> None:
             fh.write("".join(lines))
 
 
-def _detection_record(rec: dict) -> tuple[float, list, list]:
-    """One line as (t, view ids, (mean, cov) arrays), checked in the order
-    a DetectionFrame of Gaussian2D detections checks it, then its view ids:
-    strings, none repeated."""
+def _record(rec: dict, frames: bool) -> tuple[float, list, list]:
+    """One line as (t, view ids, [(mean, cov)]), checked in the order a
+    DetectionFrame of Gaussian2D detections (for a track step, one
+    Gaussian2D) checks it, then its view ids: strings, none repeated."""
     t = _time(rec["t"])
+    if not frames:
+        return t, [], [_gaussian_arrays(rec["mean"], rec["cov"])]
     views, gaussians = [], []
     for d in rec["detections"]:
         views.append(d["view"])
@@ -168,107 +174,114 @@ def _detection_record(rec: dict) -> tuple[float, list, list]:
     return t, views, gaussians
 
 
-def _read_records(path: Path) -> FrameBatch:
-    """read_detections record by record, for a file _read_bulk declines."""
-    times, frames, columns, gaussians = [], [], [], []
-    views: dict[str, int] = {}
-    for line_no, (t, line_views, line_gaussians) in _read_jsonl(path, _detection_record):
-        if times and not t > times[-1]:
-            raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
-        frames += [len(times)] * len(line_views)
-        times.append(t)
-        columns += [views.setdefault(view, len(views)) for view in line_views]
-        gaussians += line_gaussians
-    if not columns:
-        raise RuntimeError(f"{path}: no detections")
-    mean, cov = zip(*gaussians)
-    return FrameBatch.scatter(np.array([times]), frames, list(views), columns, mean, cov)
-
-
-def _read_bulk_rows(path: Path, frames: bool) -> Optional[tuple]:
-    """A file of detections frames (or, if not frames, track steps) as times
-    (T,), Gaussians per line (T,), each Gaussian's view column (n,), means
-    (n, 2), covariances (n, 2, 2) made symmetric from the upper entry and
-    the view ids in column order; None unless it passes every bulk check.
-
-    The file is read CHUNK_FRAMES lines at a time, each chunk's numbers
-    converted to one float array and checked at once: numbers alone, finite,
-    times rising from the previous chunk's, covariances that pass _is_pd.
-    A dict gives each view id its column as the id is read; the ids must be
-    strings. So beside the arrays, which are joined from their chunks at the
-    end, the reader holds one chunk's lines and numbers.
-    """
-    views: dict = {}
-    chunks = []
+def _bulk_chunk(lines: list, frames: bool, views: dict, after: float) -> Optional[tuple]:
+    """A chunk of lines of detections frames (or, if not frames, track
+    steps) as times, Gaussians per line, each Gaussian's view column and
+    (n, 6) numbers: the mean, then the covariance row by row made symmetric
+    from its upper entry. None unless the chunk passes every bulk check:
+    numbers alone, finite, times rising from after, covariances that pass
+    _is_pd, view ids that are strings and none repeated within a line. views
+    gives each view id its column as the id is read."""
+    times, counts, columns, values = [], [], [], []
     try:
-        with open(path, "rb") as fh:
-            lines = (line for line in fh if line.strip())
-            while block := list(itertools.islice(lines, CHUNK_FRAMES)):
-                after = chunks[-1][0][-1] if chunks else -math.inf
-                chunk = _read_bulk_chunk(block, frames, views, after)
-                if chunk is None:
-                    return None
-                chunks.append(chunk)
+        for line in lines:
+            if not line.strip():
+                continue
+            rec = json.loads(line)
+            gaussians = rec["detections"] if frames else (rec,)
+            for g in gaussians:
+                if frames:
+                    columns.append(views.setdefault(g["view"], len(views)))
+                x, y = g["mean"]
+                (c00, c01), (c10, c11) = g["cov"]
+                values += (x, y, c00, c01, c10, c11)
+            counts.append(len(gaussians))
+            times.append(rec["t"])
+        # array.array takes numbers alone (ints, floats and bools, as
+        # float() takes them): a string or a list that a mean or covariance
+        # row unpacks into declines the chunk, as a JSON null does.
+        t, flat = (np.asarray(array.array("d", a)) for a in (times, values))
     except _MALFORMED:
         return None
-    if not (chunks and all(isinstance(view, str) for view in views)):
-        return None
-    t, counts, columns, flat = (np.concatenate(arrays) for arrays in zip(*chunks))
-    if not len(flat):
-        return None
-    return t, counts, columns, flat[:, :2], flat[:, 2:].reshape(-1, 2, 2), list(views)
-
-
-def _read_bulk_chunk(lines: list, frames: bool, views: dict, after: float) -> Optional[tuple]:
-    """One chunk of _read_bulk_rows: its times, Gaussians per line, view
-    columns and (n, 6) numbers (mean, then covariance row by row); None
-    unless it passes every bulk check. Raises what json and unpacking raise."""
-    times, counts, columns, values = [], [], [], []
-    for line in lines:
-        rec = json.loads(line)
-        gaussians = rec["detections"] if frames else (rec,)
-        for g in gaussians:
-            if frames:
-                columns.append(views.setdefault(g["view"], len(views)))
-            x, y = g["mean"]
-            (c00, c01), (c10, c11) = g["cov"]
-            values += (x, y, c00, c01, c10, c11)
-        counts.append(len(gaussians))
-        times.append(rec["t"])
-    t, flat = np.array(times), np.array(values)
-    n = len(values) // 6
-    # A mean or covariance row that unpacks into anything but numbers
-    # (strings, nested lists) gives a non-numeric dtype or another shape.
-    shapes = (t.shape, flat.shape) == ((len(times),), (6 * n,))
-    if not (shapes and all(a.dtype.kind in "biuf" for a in (t, flat))):
-        return None
-    t, flat = t.astype(float), flat.astype(float).reshape(n, 6)
+    flat = flat.reshape(-1, 6)
     if not (np.isfinite(t).all() and np.isfinite(flat).all()):
         return None
     flat[:, 4] = flat[:, 3]  # the covariance made symmetric from its upper entry
+    counts, columns = np.array(counts, dtype=np.intp), np.array(columns, dtype=np.intp)
+    if frames:
+        # Each detection's line and column as one number: a view repeated
+        # within a line repeats it.
+        slots = np.sort(np.repeat(np.arange(len(counts)), counts) * len(views) + columns)
+        if not ((slots[1:] != slots[:-1]).all() and all(isinstance(view, str) for view in views)):
+            return None
     with np.errstate(all="ignore"):
-        valid = t[0] > after and (t[1:] > t[:-1]).all() and _is_pd(flat[:, 2:].reshape(n, 2, 2)).all()
-    return (t, np.array(counts), np.array(columns, dtype=np.intp), flat) if valid else None
+        valid = (np.diff(t, prepend=after) > 0.0).all() and _is_pd(flat[:, 2:].reshape(-1, 2, 2)).all()
+    return (t, counts, columns, flat) if valid else None
 
 
-def _read_bulk(path: Path) -> Optional[FrameBatch]:
-    """read_detections for a file of plain, valid records, checked in bulk;
-    None for any other file."""
-    rows = _read_bulk_rows(path, frames=True)
-    if rows is None:
-        return None
-    t, counts, columns, mean, cov, views = rows
-    batch = FrameBatch.scatter(t[None], np.repeat(np.arange(len(t)), counts), views, columns, mean, cov)
-    # A view repeated within a line fills one slot twice.
-    return batch if batch.mask.sum() == len(columns) else None
+def _record_chunk(path: Path, lines: list, first: int, frames: bool, views: dict, after: float) -> tuple:
+    """The arrays _bulk_chunk gives, parsed record by record, for a chunk it
+    declines whose first line is line first of path: each line checked as
+    _record checks it, its time after the line before's (after, for the
+    chunk's first). Raises the first bad line's error, naming path:line."""
+    times, counts, columns, values = [], [], [], []
+    for line_no, line in enumerate(lines, start=first):
+        if not line.strip():
+            continue
+        try:
+            t, line_views, gaussians = _record(json.loads(line), frames)
+        except _MALFORMED as exc:
+            raise _located(exc, path, line_no) from exc
+        if not t > after:
+            raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+        after = t
+        times.append(t)
+        counts.append(len(gaussians))
+        columns += [views.setdefault(view, len(views)) for view in line_views]
+        for mean, cov in gaussians:
+            values += (*mean, *cov.flat)
+    return (np.array(times, dtype=float), np.array(counts, dtype=np.intp),
+            np.array(columns, dtype=np.intp), np.array(values, dtype=float).reshape(-1, 6))
+
+
+def _read_lines(path: Path, frames: bool) -> tuple:
+    """A file of detections frames (or, if not frames, track steps) as
+    _bulk_chunk's arrays over all its lines, with the view ids in column
+    order.
+
+    The file is read once, CHUNK_FRAMES lines at a time. Each chunk is
+    checked in bulk, and a chunk that the bulk check declines is parsed
+    record by record, which raises its first bad line's error. So beside
+    the arrays, which are joined from their chunks at the end, the reader
+    holds one chunk's lines and numbers.
+    """
+    views: dict = {}
+    chunks, after, first = [], -math.inf, 1
+    try:
+        with open(path, "rb") as fh:
+            # The last block is the short one; an empty file's, empty.
+            while not chunks or len(block) == CHUNK_FRAMES:
+                block = list(itertools.islice(fh, CHUNK_FRAMES))
+                chunk = _bulk_chunk(block, frames, views, after)
+                if chunk is None:
+                    chunk = _record_chunk(path, block, first, frames, views, after)
+                chunks.append(chunk)
+                after = chunk[0][-1] if len(chunk[0]) else after
+                first += len(block)
+    except OSError as exc:
+        raise _located(exc, path) from exc
+    return *(np.concatenate(arrays) for arrays in zip(*chunks)), list(views)
 
 
 def read_detections(path: Path) -> FrameBatch:
     """A detections file as a FrameBatch of one window over all its frames,
     its views the sorted ids it holds. Errors are those of reading it record
     by record: the first bad record's line, with its first failing check."""
-    batch = _read_bulk(path)
-    return batch if batch is not None else _read_records(path)
+    t, counts, columns, flat, views = _read_lines(path, frames=True)
+    if not len(flat):
+        raise RuntimeError(f"{path}: no detections")
+    frames = np.repeat(np.arange(len(t)), counts)
+    return FrameBatch.scatter(t[None], frames, views, columns, flat[:, :2], flat[:, 2:].reshape(-1, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +291,9 @@ TRUTH_HEADER = ["t", "x", "y", "heading", "width", "length"]
 
 
 def write_truth(path: Path, truth: Trajectory) -> None:
-    """One row per sample of the truth arrays."""
-    columns = (truth.times, *truth.positions.T, truth.headings, *truth.extent.T)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_HEADER)
-        for lo in range(0, len(truth), CHUNK_FRAMES):
-            rows = zip(*(column[lo : lo + CHUNK_FRAMES].tolist() for column in columns))
-            writer.writerows(map(repr, row) for row in rows)
+    """One row per sample of the truth arrays, as csv.writer writes it."""
+    table = np.column_stack((truth.times, truth.positions, truth.headings, truth.extent))
+    _write_rows(path, ",".join(TRUTH_HEADER) + "\r\n", ",".join(["%r"] * len(TRUTH_HEADER)) + "\r\n", table)
 
 
 def _read_truth_bulk(path: Path) -> Optional[Trajectory]:
@@ -463,38 +471,34 @@ _STEP = '{"cov":[[%r,%r],[%r,%r]],"mean":[%r,%r],"t":%r}\n'
 
 
 def write_track(path: Path, times: np.ndarray, means: np.ndarray, covs: np.ndarray) -> None:
-    """One record per step: times (N,), means (N, 2), covs (N, 2, 2); written
-    from the arrays, a chunk of steps at a time."""
+    """One record per step: times (N,), means (N, 2), covs (N, 2, 2)."""
     steps = np.column_stack((np.reshape(covs, (-1, 4)), np.reshape(means, (-1, 2)), times))
-    steps = steps.astype(float)
-    with open(path, "w") as fh:
-        for lo in range(0, len(steps), CHUNK_FRAMES):
-            chunk = steps[lo : lo + CHUNK_FRAMES]
-            text = "".join([_STEP % tuple(row) for row in chunk.tolist()])
-            if not np.isfinite(chunk).all():
-                # dumps spells the non-finite floats NaN, Infinity and -Infinity.
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            fh.write(text)
+    _write_rows(path, "", _STEP, steps.astype(float), json_floats=True)
 
 
 def read_track(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A track file as the arrays write_track takes: times (N,), means
     (N, 2) and covs (N, 2, 2), each line checked as a Gaussian2D checks it
     and its time following the previous line's."""
-    rows = _read_bulk_rows(path, frames=False)
-    if rows is not None:
-        return tuple(np.ascontiguousarray(rows[i]) for i in (0, 3, 4))
+    t, _, _, flat, _ = _read_lines(path, frames=False)
+    return t, np.ascontiguousarray(flat[:, :2]), np.ascontiguousarray(flat[:, 2:]).reshape(-1, 2, 2)
 
-    def step(rec: dict) -> tuple:
-        return _time(rec["t"]), *_gaussian_arrays(rec["mean"], rec["cov"])
 
-    steps = []
-    for line_no, values in _read_jsonl(path, step):
-        if steps and not values[0] > steps[-1][0]:
-            raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
-        steps.append(values)
-    times, means, covs = (np.array([s[i] for s in steps], dtype=float) for i in range(3))
-    return times, means.reshape(-1, 2), covs.reshape(-1, 2, 2)
+# 95% quantile of chi-squared with 2 dof, for confidence ellipses.
+CHI2_95_2D = -2.0 * math.log(0.05)
+
+
+def write_plot_data(path: Path, times, means, covs, truth) -> None:
+    """Per track step: the time, the truth position (blank without truth,
+    else truth (N, 2)), the filtered mean and its 95% ellipse (axes and the
+    major axis' angle)."""
+    evals, evecs = np.linalg.eigh(covs)
+    axes = np.sqrt(CHI2_95_2D * evals)
+    # math.atan2: np.arctan2 can differ from it in the last bit.
+    angle = np.fromiter(map(math.atan2, evecs[:, 1, 1], evecs[:, 0, 1]), float, len(evecs))
+    table = np.column_stack([times, *([] if truth is None else [truth]), means, axes[:, ::-1], angle])
+    row = "%r,,,%r,%r,%r,%r,%r\n" if truth is None else "%r,%r,%r,%r,%r,%r,%r,%r\n"
+    _write_rows(path, "t,truth_x,truth_y,mean_x,mean_y,ell_major,ell_minor,ell_angle\n", row, table)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -14,7 +15,6 @@ from hypothesis import settings
 
 from geotrack import calibration, dataio, simulator, tuning
 from geotrack.calibration import CalibrationParams
-from geotrack.cli import CHI2_95_2D
 from geotrack.core import (
     LOG_TWO_PI,
     Gaussian2D,
@@ -178,10 +178,18 @@ def read_detection_frames(path):
         return DetectionFrame(t, dets)
 
     frames = []
-    for line_no, frame in dataio._read_jsonl(path, parse):
-        if frames and not frame.t > frames[-1].t:
-            raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
-        frames.append(frame)
+    line_no = 0
+    try:
+        with open(path, "rb") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                frame = parse(json.loads(line))
+                if frames and not frame.t > frames[-1].t:
+                    raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+                frames.append(frame)
+    except dataio._MALFORMED as exc:
+        raise dataio._located(exc, path, line_no) from exc
     if not any(f.detections for f in frames):
         raise RuntimeError(f"{path}: no detections")
     return frames
@@ -605,8 +613,12 @@ def oracle_write_track(path, times, means, covs) -> None:
             fh.write(dataio.dumps({"t": float(t), **_gaussian_to_json(mean, cov)}) + "\n")
 
 
+# 95% quantile of chi-squared with 2 dof, for confidence ellipses.
+CHI2_95_2D = -2.0 * math.log(0.05)
+
+
 def oracle_write_plot_data(path, times, means, covs, truth) -> None:
-    """cmd_track's plot_data.csv as it was before it wrote from arrays: an
+    """track's plot_data.csv as it was before it wrote from arrays: an
     f-string and a math.atan2 per step. truth is (N, 2) or None."""
     step_truth = np.asarray(truth).tolist() if truth is not None else [None] * len(times)
     evals, evecs = np.linalg.eigh(covs)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from conftest import oracle_write_plot_data, truth_arrays
 from geotrack import __version__, calibration, dataio, metrics, tuning
-from geotrack.cli import _parse_axis, _write_plot_data, build_parser, main
+from geotrack.cli import _parse_axis, build_parser, main
 from geotrack.core import ObjectPose
 from geotrack.kalman import FilterParams
 
@@ -448,6 +448,32 @@ class TestTune:
         assert code == 2
         assert "seq-len" in capsys.readouterr().err
 
+    def test_split_without_a_window_holding_a_detection_exits_1(self, sim_dir, tmp_path, capsys):
+        # 10 frames, the only detection in the last: the one 7-frame window
+        # holds none.
+        train = tmp_path / "train.jsonl"
+        det = {"view": "N1", "mean": [100.0, 100.0], "cov": [[4.0, 0.0], [0.0, 4.0]]}
+        train.write_text("".join(
+            json.dumps({"t": 0.05 * k, "detections": [det] if k == 9 else []}) + "\n" for k in range(10)
+        ))
+        poses = [(0.05 * k, ObjectPose((100.0, 100.0), 0.0, (15.0, 30.0))) for k in range(10)]
+        dataio.write_truth(tmp_path / "truth.csv", truth_arrays(poses))
+        code = main(
+            [
+                "tune",
+                "--train-detections", str(train),
+                "--train-truth", str(tmp_path / "truth.csv"),
+                "--val-detections", str(sim_dir / "detections_val.jsonl"),
+                "--val-truth", str(sim_dir / "truth_val.csv"),
+                "--seq-len", "7",
+                "--epochs", "1",
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert code == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line == f"error: {train}: no window of 7 frames holds a detection"
+
 
 class TestEvaluate:
     def test_track_mode(self, sim_dir, track_dir, tmp_path):
@@ -712,7 +738,7 @@ def test_write_plot_data_matches_per_step_oracle(plot_dir, data, n, with_truth, 
     means = rng.standard_normal((n, 2)) * 10.0 ** data.draw(st.integers(-3, 6))
     truth = np.where(rng.random((n, 2)) < 0.2, -0.0, rng.uniform(0.0, 700.0, (n, 2))) if with_truth else None
     with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
-        _write_plot_data(plot_dir / "plot.csv", times, means, covs, truth)
+        dataio.write_plot_data(plot_dir / "plot.csv", times, means, covs, truth)
     oracle_write_plot_data(plot_dir / "oracle.csv", times, means, covs, truth)
     assert (plot_dir / "plot.csv").read_bytes() == (plot_dir / "oracle.csv").read_bytes()
 

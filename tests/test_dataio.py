@@ -695,20 +695,35 @@ def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, 
 _DROP = object()
 
 
-def _assert_bulk_declines_or_matches(path):
-    bulk = dataio._read_bulk(path)
-    if bulk is not None:
-        _assert_same_batch(bulk, dataio._read_records(path))
-    return bulk
+def _assert_bulk_declines_or_matches(path, frames=True):
+    """Check each chunk of path's lines, as read_detections (read_track, if
+    not frames) splits them, with the bulk check and the record parse, on
+    the same lines, views and time before: the bulk check must decline, or
+    give the arrays that the record parse gives. True if it took every
+    chunk up to the first that the record parse rejects."""
+    with open(path, "rb") as fh:
+        lines = fh.readlines()
+    views, after, taken = {}, -math.inf, True
+    for lo in range(0, len(lines), dataio.CHUNK_FRAMES):
+        block = lines[lo : lo + dataio.CHUNK_FRAMES]
+        bulk = dataio._bulk_chunk(block, frames, views, after)
+        record = _outcome(lambda p: dataio._record_chunk(p, block, lo + 1, frames, views, after), path)
+        if bulk is not None:
+            _assert_same_arrays(bulk, record)
+        taken = taken and bulk is not None
+        if isinstance(record[0], type):
+            break
+        after = record[0][-1] if len(record[0]) else after
+    return taken
 
 
 @settings(max_examples=100)
 @given(data=st.data(), records=_detection_records(), chunk=_CHUNKS)
 def test_bulk_reader_declines_or_matches_records(fuzz_dir, data, records, chunk):
-    # The bulk reader unpacks each detection into six flat numbers; it must
-    # accept every valid file, and whatever else it accepts it must read as
-    # the record-by-record reader does: here after one random corruption,
-    # and after each bad value or drop at each place in one detection.
+    # The bulk check unpacks each detection into six flat numbers; it must
+    # take every chunk of a valid file, and whatever else it takes it must
+    # read as the record parse does: here after one random corruption, and
+    # after each bad value or drop at each place in one detection.
     with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
         _bulk_reader_declines_or_matches_records(fuzz_dir, data, records)
 
@@ -716,7 +731,7 @@ def test_bulk_reader_declines_or_matches_records(fuzz_dir, data, records, chunk)
 def _bulk_reader_declines_or_matches_records(fuzz_dir, data, records):
     path = fuzz_dir / "bulk.jsonl"
     _write_lines(data, path, [json.dumps(rec) for rec in records])
-    assert _assert_bulk_declines_or_matches(path) is not None
+    assert _assert_bulk_declines_or_matches(path)
     _write_lines(data, path, _corrupt_record(data, records))
     _assert_bulk_declines_or_matches(path)
     k = data.draw(st.sampled_from([k for k, rec in enumerate(records) if rec["detections"]]))
@@ -776,15 +791,21 @@ def test_write_detections_matches_per_frame_dumps(fuzz_dir, data, n, chunk):
     assert path.read_bytes() == (fuzz_dir / "oracle.jsonl").read_bytes()
 
 
+def _three_chunks(chunk, frames):
+    """The records of three chunks of 8-view frames (or track steps)."""
+    records = []
+    for k in range(3 * chunk):
+        dets = [{"view": f"N{j}", "mean": [k, j], "cov": [[4.0, 1.0], [1.0, 9.0]]} for j in range(1, 9)]
+        records.append({"t": 0.05 * k, "detections": dets} if frames else {"t": 0.05 * k, **dets[0]})
+    return records
+
+
 def _later_chunk_file(path, chunk, kind, frames):
     """A file of three chunks of frames (or track steps) with the second
     line of the third chunk corrupted (for "disorder", the first line, at the
     time of the line before it); the corrupted line's number."""
     line = 2 * chunk + (1 if kind == "disorder" else 2)
-    records = []
-    for k in range(3 * chunk):
-        dets = [{"view": f"N{j}", "mean": [k, j], "cov": [[4.0, 1.0], [1.0, 9.0]]} for j in range(1, 9)]
-        records.append({"t": 0.05 * k, "detections": dets} if frames else {"t": 0.05 * k, **dets[0]})
+    records = _three_chunks(chunk, frames)
     bad = records[line - 1]
     gaussian = bad["detections"][3] if frames else bad
     if kind == "disorder":
@@ -808,6 +829,13 @@ _LATER_CHUNK_ERRORS = {
 }
 
 
+def _record_parsed_chunks(read, path) -> int:
+    """Call read(path); the number of chunks it parsed record by record."""
+    with mock.patch.object(dataio, "_record_chunk", wraps=dataio._record_chunk) as record_chunk:
+        _outcome(read, path)
+    return record_chunk.call_count
+
+
 @pytest.mark.parametrize("chunk", [3, dataio.CHUNK_FRAMES])
 @pytest.mark.parametrize(
     "kind,frames",
@@ -817,15 +845,36 @@ _LATER_CHUNK_ERRORS = {
 )
 def test_corruption_in_a_later_chunk_names_its_line(tmp_path, chunk, kind, frames):
     # Earlier chunks pass their checks; the third chunk's failure, or the
-    # disorder across the boundary before it, must still fall back to the
-    # record reader and name the line.
+    # disorder across the boundary before it, must make the bulk check
+    # decline that chunk alone, and its record parse name the line.
     path = tmp_path / "later.jsonl"
+    read = dataio.read_detections if frames else dataio.read_track
     with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
         line = _later_chunk_file(path, chunk, kind, frames)
-        assert dataio._read_bulk_rows(path, frames) is None
         error, message = _LATER_CHUNK_ERRORS[kind]
         with pytest.raises(error, match="^" + re.escape(message.format(path=path, line=line))):
-            (dataio.read_detections if frames else dataio.read_track)(path)
+            read(path)
+        assert _record_parsed_chunks(read, path) == 1
+
+
+@pytest.mark.parametrize("chunk", [3, dataio.CHUNK_FRAMES])
+@pytest.mark.parametrize("frames", [True, False])
+def test_odd_line_in_a_middle_chunk_reads_as_records(tmp_path, chunk, frames):
+    # A mean spelt as strings, in the second of three chunks: the bulk check
+    # declines that chunk alone, and the file reads as the object oracle
+    # (for a track, the record parse of every chunk) reads it.
+    path = tmp_path / "odd.jsonl"
+    records = _three_chunks(chunk, frames)
+    gaussian = records[chunk + 1]["detections"][3] if frames else records[chunk + 1]
+    gaussian["mean"] = [str(v) for v in gaussian["mean"]]
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    read = dataio.read_detections if frames else dataio.read_track
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        if frames:
+            _assert_same_batch(read(path), pack([read_detection_frames(path)]))
+        else:
+            _assert_same_arrays(read(path), _read_track_records(path))
+        assert _record_parsed_chunks(read, path) == 1
 
 
 # A bound on the traced peak memory of read_detections and write_detections,
@@ -845,18 +894,52 @@ def _traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("n", [4000, 16000])
-def test_detection_io_memory_scales_with_the_arrays(tmp_path, n):
+def _eight_view_batch(n):
+    """A one-window batch of n frames of 8 views, 90% present; and the
+    nbytes of its arrays."""
     rng = np.random.default_rng(n)
     mask = rng.random((1, n, 8)) < 0.9
     mean = np.where(mask[..., None], rng.uniform(0.0, 500.0, (1, n, 8, 2)), 0.0)
     cov = np.where(mask, rng.uniform(1.0, 50.0, (1, n, 8)), 1.0)[..., None, None] * np.eye(2)
     batch = FrameBatch(tuple(f"N{j}" for j in range(1, 9)), 0.05 * np.arange(n)[None], mean, cov, mask)
-    nbytes = sum(a.nbytes for a in (batch.t, batch.mean, batch.cov, batch.mask))
+    return batch, sum(a.nbytes for a in (batch.t, batch.mean, batch.cov, batch.mask))
+
+
+@pytest.mark.parametrize("n", [4000, 16000])
+def test_detection_io_memory_scales_with_the_arrays(tmp_path, n):
+    batch, nbytes = _eight_view_batch(n)
     path = tmp_path / "d.jsonl"
     assert _traced_peak(lambda: dataio.write_detections(path, batch)) <= MEMORY_FACTOR * nbytes
     assert _traced_peak(lambda: dataio.read_detections(path)) <= MEMORY_FACTOR * nbytes
     _assert_same_batch(dataio.read_detections(path), batch)
+
+
+@pytest.mark.parametrize("last", ["odd", "bad"])
+def test_detection_reading_memory_bounded_on_odd_and_bad_files(tmp_path, last):
+    # A last line with a mean spelt as strings, which the bulk check
+    # declines, or with a null time: only the last chunk is parsed record by
+    # record, so the traced peak stays within the bound of a valid file's.
+    # Reading such a file again from its first line measured 11.4 (odd) and
+    # 8.8 (bad).
+    n = 4000
+    batch, nbytes = _eight_view_batch(n)
+    path = tmp_path / "d.jsonl"
+    dataio.write_detections(path, batch)
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[-1])
+    if last == "odd":
+        rec["detections"][0]["mean"] = [str(v) for v in rec["detections"][0]["mean"]]
+    else:
+        rec["t"] = None
+    path.write_text("\n".join([*lines[:-1], json.dumps(rec)]) + "\n")
+    assert _traced_peak(lambda: _outcome(dataio.read_detections, path)) <= MEMORY_FACTOR * nbytes
+    got, want = _outcome(dataio.read_detections, path), _outcome(lambda p: pack([read_detection_frames(p)]), path)
+    if last == "odd":
+        _assert_same_batch(got, want)
+        _assert_same_batch(got, batch)
+    else:
+        assert got == want
+        assert want[1].startswith(f"{path}:{n}: ")
 
 
 # Corruptions the readers must reject: a non-string view id, a non-finite
@@ -911,7 +994,7 @@ def _read_truth_rows(path):
 
 
 def _read_track_records(path):
-    with mock.patch.object(dataio, "_read_bulk_rows", return_value=None):
+    with mock.patch.object(dataio, "_bulk_chunk", return_value=None):
         return dataio.read_track(path)
 
 
@@ -1018,16 +1101,14 @@ def test_bulk_truth_reader_reads_simulated_files(tmp_path):
 
 
 def _assert_track_bulk_declines_or_matches(path):
-    bulk, records = dataio._read_bulk_rows(path, frames=False), _outcome(_read_track_records, path)
-    if bulk is not None:
-        _assert_same_arrays([bulk[0], bulk[3], bulk[4]], records)
+    taken, records = _assert_bulk_declines_or_matches(path, frames=False), _outcome(_read_track_records, path)
     got = _outcome(dataio.read_track, path)
     if isinstance(records[0], type):
         assert got == records
     else:
         _assert_same_arrays(got, records)
         assert all(a.flags.c_contiguous for a in got)
-    return bulk
+    return taken
 
 
 @st.composite
@@ -1053,7 +1134,7 @@ def test_bulk_track_reader_declines_or_matches_records(fuzz_dir, data, steps, ch
 def _bulk_track_reader_declines_or_matches_records(fuzz_dir, data, steps):
     path = fuzz_dir / "bulk_track.jsonl"
     _write_lines(data, path, [json.dumps(step) for step in steps])
-    assert _assert_track_bulk_declines_or_matches(path) is not None
+    assert _assert_track_bulk_declines_or_matches(path)
     k = data.draw(st.integers(0, len(steps) - 1))
     lines = [json.dumps(step) for step in steps]
     kind = data.draw(st.sampled_from(["field", "truncate", "t"]))

@@ -105,21 +105,22 @@ def dotted(node: ast.expr):
     return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
 
 
-def test_fit_oracles_take_only_calibration_types():
+def taken_from(module: str, roots) -> set[str]:
+    """The names that the conftest functions roots, and every conftest
+    function they call, directly or not, take from geotrack.<module>."""
     path = Path(__file__).resolve().parent / "conftest.py"
     tree = ast.parse(path.read_text(), filename=str(path))
     functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
-    # Names bound from geotrack.calibration, and names bound to the module.
-    imported, module = set(), set()
+    # Names bound from geotrack.<module>, and names bound to the module.
+    imported, bound = set(), set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "geotrack.calibration":
+        if isinstance(node, ast.ImportFrom) and node.module == f"geotrack.{module}":
             imported |= {alias.asname or alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module == "geotrack":
-            module |= {alias.asname or alias.name for alias in node.names if alias.name == "calibration"}
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name == module}
         elif isinstance(node, ast.Import):
-            module |= {alias.asname or alias.name for alias in node.names if alias.name == "geotrack.calibration"}
-    # Walk the oracles and every conftest function they call, directly or not.
-    todo, seen, taken = list(FIT_ORACLES), set(), set()
+            bound |= {alias.asname or alias.name for alias in node.names if alias.name == f"geotrack.{module}"}
+    todo, seen, taken = list(roots), set(), set()
     while todo:
         name = todo.pop()
         seen.add(name)
@@ -128,7 +129,26 @@ def test_fit_oracles_take_only_calibration_types():
                 todo.append(node.id)
             elif isinstance(node, ast.Name) and node.id in imported:
                 taken.add(node.id)
-            elif isinstance(node, ast.Attribute) and dotted(node.value) in module:
+            elif isinstance(node, ast.Attribute) and dotted(node.value) in bound:
                 taken.add(node.attr)
-    extra = taken - CALIBRATION_TYPES
+    return taken
+
+
+def test_fit_oracles_take_only_calibration_types():
+    extra = taken_from("calibration", FIT_ORACLES) - CALIBRATION_TYPES
     assert not extra, f"conftest's fit oracles take from geotrack.calibration: {sorted(extra)}"
+
+
+# What the file oracles in conftest (the detections reader and the writers)
+# may take from geotrack.dataio: its JSON spelling, the truth header and its
+# error conventions, none of its readers or writers.
+DATAIO_CONVENTIONS = {"dumps", "TRUTH_HEADER", "_time", "_located", "_MALFORMED"}
+
+
+def test_io_oracles_take_only_dataio_conventions():
+    path = Path(__file__).resolve().parent / "conftest.py"
+    names = [node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)]
+    oracles = ["read_detection_frames", *(name for name in names if name.startswith("oracle_write_"))]
+    assert len(oracles) >= 5, oracles
+    extra = taken_from("dataio", oracles) - DATAIO_CONVENTIONS
+    assert not extra, f"conftest's IO oracles take from geotrack.dataio: {sorted(extra)}"
