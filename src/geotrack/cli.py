@@ -85,7 +85,7 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
         "elapsed_seconds": elapsed,
         "peak_rss_mb": rss_kb / 1024,
     }
-    (out / "manifest.json").write_text(dataio.dumps(manifest, indent=2) + "\n")
+    dataio._write_json(out / "manifest.json", manifest)
 
 
 def _parse_axis(spec: str) -> tuple[float, ...]:
@@ -199,7 +199,7 @@ def cmd_track(args, out: Path) -> tuple[list[str], dict]:
     if truth_pos is not None:
         summary["total_nll"] = result.total_nll
         summary["mean_nll"] = result.mean_nll
-    (out / "summary.json").write_text(dataio.dumps(summary, indent=2) + "\n")
+    dataio._write_json(out / "summary.json", summary)
 
     # The track starts at the first frame with a detection.
     step_truth = truth_pos[len(batch) - n_steps :] if truth_pos is not None else None
@@ -288,9 +288,7 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     dataio.write_calibration(out / "tuned_calibration.json", calib)
     dataio.write_history(out / "history.csv", history.rows)
     dataio.write_epochs(out / "epochs.csv", history.epochs)
-    (out / "history_meta.json").write_text(
-        dataio.dumps({"diverged": history.diverged, **history.meta}, indent=2) + "\n"
-    )
+    dataio._write_json(out / "history_meta.json", {"diverged": history.diverged, **history.meta})
     print(
         f"tune: {config.epochs} epochs, sigma_accel {sigma:.4g}, "
         f"val NLL {history.rows[0]['val_nll']:.4f} -> {history.meta['best_val_nll']:.4f} (best seen)"
@@ -357,16 +355,7 @@ def cmd_report(args, out: Path) -> tuple[list[str], dict]:
             continue
         report = dataio.read_report(report_path)
         fingerprint = hashlib.sha256(report_path.read_bytes()).hexdigest()[:12]
-        rows.append(
-            [
-                name,
-                repr(report.nll),
-                repr(report.opm),
-                repr(report.det_pr),
-                repr(report.loc_a),
-                fingerprint,
-            ]
-        )
+        rows.append([name, *(repr(getattr(report, key)) for key in header[1:5]), fingerprint])
 
     with open(out / "report_table.csv", "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows([header] + rows)

@@ -13,18 +13,13 @@ parses but is wrong (timestamp disorder, no detections, no truth row).
 
 Detections, truth and tracks load as arrays: read_detections returns one
 kalman.FrameBatch, read_truth a simulator.Trajectory and read_track (times,
-means, covs). A JSONL file is read once, CHUNK_FRAMES lines at a time. A
-chunk parses into a flat list of numbers, with no list or object kept per
-Gaussian (kept, the 288,000 nested lists of a 10,000-frame detections file
-set off repeated cyclic garbage collections), that numpy checks as one float
-array; view ids map to columns through a dict as they are read. A chunk that
-fails a bulk check, alone, is parsed again record by record: to name its
-first bad record, with that record's first failing check, or to read what
-the bulk check does not take (numbers spelt as strings). So the reader's
-working memory is one chunk's beside the arrays, whatever the file holds,
-and the writers format a table one chunk of rows at a time. A truth CSV
-parses into one table, or row by row for the error line. match_truth gives
-the truth row of each time.
+means, covs). Each file is read once, CHUNK_FRAMES lines at a time, and a
+chunk is checked in bulk: JSONL as one flat float array (a list per Gaussian
+set off repeated garbage collections on a 10,000-frame file), a truth CSV by
+np.loadtxt. A chunk that fails a bulk check, alone, is read again line by
+line: to name its first bad line, with that line's first failing check, or
+to read what the bulk check does not take (numbers spelt as strings, quoted
+or spaced CSV fields). So a reader holds one chunk beside the arrays.
 """
 
 from __future__ import annotations
@@ -32,7 +27,7 @@ from __future__ import annotations
 import array
 import csv
 import dataclasses
-import io
+import functools
 import itertools
 import json
 import math
@@ -68,7 +63,7 @@ def _write_json(path: Path, obj) -> None:
 Record = TypeVar("Record")
 
 # What reading a missing, unreadable or malformed file raises.
-_MALFORMED = (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError)
+_MALFORMED = (OSError, csv.Error, ValueError, KeyError, TypeError, IndexError, AttributeError, OverflowError)
 
 
 def _located(exc: Exception, path: Path, line: int = 0) -> Exception:
@@ -140,7 +135,7 @@ def write_detections(path: Path, batch: FrameBatch) -> None:
     mean = batch.mean.reshape(len(t), len(views), 2)
     cov = batch.cov.reshape(len(t), len(views), 4)
     mask = batch.mask.reshape(len(t), len(views))
-    with open(path, "w") as fh:
+    with open(path, "w", newline="") as fh:
         for lo in range(0, len(t), CHUNK_FRAMES):
             rows = slice(lo, lo + CHUNK_FRAMES)
             present = mask[rows]
@@ -219,11 +214,15 @@ def _bulk_chunk(lines: list, frames: bool, views: dict, after: float) -> Optiona
     return (t, counts, columns, flat) if valid else None
 
 
-def _record_chunk(path: Path, lines: list, first: int, frames: bool, views: dict, after: float) -> tuple:
-    """The arrays _bulk_chunk gives, parsed record by record, for a chunk it
-    declines whose first line is line first of path: each line checked as
-    _record checks it, its time after the line before's (after, for the
-    chunk's first). Raises the first bad line's error, naming path:line."""
+def _jsonl_chunk(frames: bool, views: dict, path: Path, lines: list, first: int, after: float) -> tuple:
+    """_bulk_chunk's arrays for lines of detections frames (or, if not
+    frames, track steps), the first being line first of path. A chunk that
+    the bulk check declines is parsed record by record, each line checked as
+    _record checks it and its time after the line before's (after, for the
+    first): the first bad line's error is raised, naming path:line."""
+    chunk = _bulk_chunk(lines, frames, views, after)
+    if chunk is not None:
+        return chunk
     times, counts, columns, values = [], [], [], []
     for line_no, line in enumerate(lines, start=first):
         if not line.strip():
@@ -244,44 +243,42 @@ def _record_chunk(path: Path, lines: list, first: int, frames: bool, views: dict
             np.array(columns, dtype=np.intp), np.array(values, dtype=float).reshape(-1, 6))
 
 
-def _read_lines(path: Path, frames: bool) -> tuple:
-    """A file of detections frames (or, if not frames, track steps) as
-    _bulk_chunk's arrays over all its lines, with the view ids in column
-    order.
-
-    The file is read once, CHUNK_FRAMES lines at a time. Each chunk is
-    checked in bulk, and a chunk that the bulk check declines is parsed
-    record by record, which raises its first bad line's error. So beside
-    the arrays, which are joined from their chunks at the end, the reader
-    holds one chunk's lines and numbers.
-    """
-    views: dict = {}
+def _read_lines(path: Path, parse: Callable, binary: bool = True) -> tuple:
+    """A file of one record a line as the arrays that parse gives for each
+    chunk of its lines, joined; the first array holds the times. The file is
+    read once, CHUNK_FRAMES lines at a time, as bytes or (if not binary) as
+    text split where csv.reader splits it, so the reader holds one chunk's
+    lines beside the arrays. parse(path, lines, first, after) is given the
+    chunk's first line number and the last time before it."""
     chunks, after, first = [], -math.inf, 1
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb") if binary else open(path, newline="") as fh:
             # The last block is the short one; an empty file's, empty.
             while not chunks or len(block) == CHUNK_FRAMES:
-                block = list(itertools.islice(fh, CHUNK_FRAMES))
-                chunk = _bulk_chunk(block, frames, views, after)
-                if chunk is None:
-                    chunk = _record_chunk(path, block, first, frames, views, after)
+                # extend keeps the lines read before a decoding error.
+                block = []
+                block += itertools.islice(fh, CHUNK_FRAMES)
+                chunk = parse(path, block, first, after)
                 chunks.append(chunk)
                 after = chunk[0][-1] if len(chunk[0]) else after
                 first += len(block)
+    except UnicodeDecodeError as exc:
+        raise _located(exc, path, first + len(block)) from exc
     except OSError as exc:
         raise _located(exc, path) from exc
-    return *(np.concatenate(arrays) for arrays in zip(*chunks)), list(views)
+    return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
 
 
 def read_detections(path: Path) -> FrameBatch:
     """A detections file as a FrameBatch of one window over all its frames,
     its views the sorted ids it holds. Errors are those of reading it record
     by record: the first bad record's line, with its first failing check."""
-    t, counts, columns, flat, views = _read_lines(path, frames=True)
+    views: dict = {}
+    t, counts, columns, flat = _read_lines(path, functools.partial(_jsonl_chunk, True, views))
     if not len(flat):
         raise RuntimeError(f"{path}: no detections")
     frames = np.repeat(np.arange(len(t)), counts)
-    return FrameBatch.scatter(t[None], frames, views, columns, flat[:, :2], flat[:, 2:].reshape(-1, 2, 2))
+    return FrameBatch.scatter(t[None], frames, [*views], columns, flat[:, :2], flat[:, 2:].reshape(-1, 2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -296,57 +293,73 @@ def write_truth(path: Path, truth: Trajectory) -> None:
     _write_rows(path, ",".join(TRUTH_HEADER) + "\r\n", ",".join(["%r"] * len(TRUTH_HEADER)) + "\r\n", table)
 
 
-def _read_truth_bulk(path: Path) -> Optional[Trajectory]:
-    """read_truth for a plain file of valid rows, checked in bulk; None for
-    any other file."""
-    header = ",".join(TRUTH_HEADER).encode()
+# A truth chunk of numbers, commas and line endings alone: csv.reader splits
+# it as loadtxt does, which parses a field as float() does.
+_TRUTH_CHARS = b"0123456789+-.eE,\r\n"
+
+
+def _truth_bulk(lines: list, after: float) -> Optional[np.ndarray]:
+    """A chunk of truth rows as a table (N, 6), headings wrapped; None
+    unless the chunk passes every bulk check: numbers and commas alone, six
+    fields a line, no blank line, times rising from after, finite positions
+    and headings, positive extents."""
+    text = "".join(lines)
+    if text.encode().translate(None, _TRUTH_CHARS):
+        return None
     try:
-        data = Path(path).read_bytes()
-        eol = b"\r\n" if data.startswith(header + b"\r\n") else b"\n"
-        rows = data.removesuffix(eol).split(eol)
-        # Numbers and commas alone, no blank line, one line ending: csv.reader
-        # splits these as loadtxt does, which parses a field as float() does.
-        numbers = not b",".join(rows[1:]).translate(None, b"0123456789+-.eE,")
-        if not (rows[0] == header and len(rows) > 1 and all(rows[1:]) and numbers):
-            return None
-        table = np.loadtxt(io.BytesIO(data), delimiter=",", comments=None, skiprows=1, ndmin=2)
-        t, _, _, heading, width, length = table.T
+        # loadtxt warns of text with no row, and skips a blank line.
+        table = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2) if text.strip() else np.empty((0, 6))
     except _MALFORMED:
         return None
-    valid = np.isfinite(table[:, :4]).all() and (t[1:] > t[:-1]).all()
+    if table.shape != (len(lines), len(TRUTH_HEADER)):
+        return None
+    t, _, _, heading, width, length = table.T
+    times = np.append(after, t)
+    valid = np.isfinite(table[:, :4]).all() and (times[1:] > times[:-1]).all()
     if not (valid and (width > 0.0).all() and (length > 0.0).all()):
         return None
     table[:, 3] = wrap_angle(heading)
-    return Trajectory(t, table[:, 1:3], table[:, 3], table[:, 4:])
+    return table
+
+
+def _truth_chunk(path: Path, lines: list, first: int, after: float) -> tuple:
+    """Times (N,) and _truth_bulk's table for lines of a truth file, the
+    first being line first of path (line 1 the header). A chunk that the bulk
+    check declines is read row by row, each line one csv row checked as an
+    ObjectPose checks it, its time after the line before's (after, for the
+    first): the first bad line's error is raised, naming path:line."""
+    line_no = first
+    try:
+        if first == 1:
+            header = next(csv.reader(lines[:1]), None)
+            if header != TRUTH_HEADER:
+                raise ValueError(f"expected header {TRUTH_HEADER}, got {header}")
+            lines, first = lines[1:], 2
+        table = _truth_bulk(lines, after)
+        if table is None:
+            samples = []
+            for line_no, line in enumerate(lines, start=first):
+                row = next(csv.reader([line]))
+                if len(row) != len(TRUTH_HEADER):
+                    raise ValueError(f"expected {len(TRUTH_HEADER)} fields, got {len(row)}")
+                t, *pose = (float(v) for v in row)
+                sample = (_time(t), *_pose_values(*pose))
+                if not sample[0] > after:
+                    raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+                after = sample[0]
+                samples.append(sample)
+            table = np.array(samples, dtype=float).reshape(-1, len(TRUTH_HEADER))
+    except _MALFORMED as exc:
+        raise _located(exc, path, line_no) from exc
+    return table[:, 0], table
 
 
 def read_truth(path: Path) -> Trajectory:
     """A truth file as the arrays write_truth takes. Each row is checked as
     an ObjectPose checks it, its heading wrapped the same way, and its time
     must follow the previous row's."""
-    truth = _read_truth_bulk(path)
-    if truth is not None:
-        return truth
-    samples = []
-    line_no = 1
-    try:
-        with open(path, newline="") as fh:
-            rows = csv.reader(fh)
-            header = next(rows, None)
-            if header != TRUTH_HEADER:
-                raise ValueError(f"expected header {TRUTH_HEADER}, got {header}")
-            for line_no, row in enumerate(rows, start=2):
-                if len(row) != len(TRUTH_HEADER):
-                    raise ValueError(f"expected {len(TRUTH_HEADER)} fields, got {len(row)}")
-                t, *pose = (float(v) for v in row)
-                sample = (_time(t), *_pose_values(*pose))
-                if samples and not sample[0] > samples[-1][0]:
-                    raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
-                samples.append(sample)
-    except _MALFORMED as exc:
-        raise _located(exc, path, line_no) from exc
-    table = np.array(samples, dtype=float).reshape(-1, len(TRUTH_HEADER))
-    return Trajectory(table[:, 0], table[:, 1:3], table[:, 3], table[:, 4:])
+    t, table = _read_lines(path, _truth_chunk, binary=False)
+    return Trajectory(t, table[:, 1:3], table[:, 3], table[:, 4:])
 
 
 def match_truth(times: np.ndarray, truth: Trajectory, source: str) -> np.ndarray:
@@ -480,7 +493,7 @@ def read_track(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A track file as the arrays write_track takes: times (N,), means
     (N, 2) and covs (N, 2, 2), each line checked as a Gaussian2D checks it
     and its time following the previous line's."""
-    t, _, _, flat, _ = _read_lines(path, frames=False)
+    t, _, _, flat = _read_lines(path, functools.partial(_jsonl_chunk, False, {}))
     return t, np.ascontiguousarray(flat[:, :2]), np.ascontiguousarray(flat[:, 2:]).reshape(-1, 2, 2)
 
 
@@ -519,10 +532,8 @@ def read_report(path: Path) -> MetricReport:
 
 
 def write_report_row(path: Path, report: MetricReport) -> None:
-    header = ["nll", "opm", "det_pr", "loc_a"]
-    row = [repr(getattr(report, key)) for key in header]
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([header, row])
+    row = [report.nll, report.opm, report.det_pr, report.loc_a]
+    _write_rows(path, "nll,opm,det_pr,loc_a\r\n", "%r,%r,%r,%r\r\n", np.array([row]))
 
 
 def write_histogram(path: Path, values: np.ndarray) -> None:
@@ -534,11 +545,8 @@ def write_histogram(path: Path, values: np.ndarray) -> None:
         hi = lo + 1.0
     edges = np.linspace(lo, hi, HISTOGRAM_BINS + 1)
     counts, _ = np.histogram(values, bins=edges)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "count"])
-        for i, c in enumerate(counts):
-            writer.writerow([repr(float(edges[i])), repr(float(edges[i + 1])), int(c)])
+    table = np.column_stack((edges[:-1], edges[1:], counts))
+    _write_rows(path, "bin_left,bin_right,count\r\n", "%r,%r,%d\r\n", table)
 
 
 # ---------------------------------------------------------------------------
@@ -547,10 +555,8 @@ def write_histogram(path: Path, values: np.ndarray) -> None:
 
 def write_history(path: Path, rows: Sequence[dict]) -> None:
     header = ["epoch", "train_nll", "val_nll", "sigma_accel"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([row["epoch"], *(repr(row[key]) for key in header[1:])] for row in rows)
+    table = np.array([[row[key] for key in header] for row in rows], dtype=float).reshape(-1, len(header))
+    _write_rows(path, ",".join(header) + "\r\n", "%d,%r,%r,%r\r\n", table)
 
 
 def write_epochs(path: Path, epochs: Sequence[dict]) -> None:

@@ -66,6 +66,9 @@ class CameraNode:
         )
 
     def __post_init__(self):
+        # A detection's view id is its node's id, which readers take only as a string.
+        if not isinstance(self.id, str):
+            raise ValueError(f"node id must be a string, got {self.id!r}")
         # Each check also rejects NaN and infinity.
         position = np.array(self.position, dtype=float).reshape(2)
         if not np.all(np.isfinite([*position, self.facing])):

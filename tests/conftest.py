@@ -23,6 +23,7 @@ from geotrack.core import (
     Pairs,
     _is_pd,
     _pd_error,
+    _pose_values,
     rotation,
     wrap_angle,
 )
@@ -193,6 +194,33 @@ def read_detection_frames(path):
     if not any(f.detections for f in frames):
         raise RuntimeError(f"{path}: no detections")
     return frames
+
+
+def read_truth_rows(path) -> Trajectory:
+    """Row oracle for dataio.read_truth: the whole file read as csv.reader
+    reads it, the header row first, then each row checked as an ObjectPose
+    checks it (heading wrapped) and its time after the row before's. An
+    error names the row's number, counting the header as 1."""
+    samples = []
+    line_no = 1
+    try:
+        with open(path, newline="") as fh:
+            rows = csv.reader(fh)
+            header = next(rows, None)
+            if header != dataio.TRUTH_HEADER:
+                raise ValueError(f"expected header {dataio.TRUTH_HEADER}, got {header}")
+            for line_no, row in enumerate(rows, start=2):
+                if len(row) != len(dataio.TRUTH_HEADER):
+                    raise ValueError(f"expected {len(dataio.TRUTH_HEADER)} fields, got {len(row)}")
+                t, *pose = (float(v) for v in row)
+                sample = (dataio._time(t), *_pose_values(*pose))
+                if samples and not sample[0] > samples[-1][0]:
+                    raise RuntimeError(f"{path}: timestamp disorder at line {line_no}")
+                samples.append(sample)
+    except dataio._MALFORMED as exc:
+        raise dataio._located(exc, path, line_no) from exc
+    table = np.array(samples, dtype=float).reshape(-1, len(dataio.TRUTH_HEADER))
+    return Trajectory(table[:, 0], table[:, 1:3], table[:, 3], table[:, 4:])
 
 
 def batch_frames(batch: FrameBatch) -> list[DetectionFrame]:

@@ -86,6 +86,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "line" in err and "column" in err  # parse location
 
+    def test_non_string_node_id_exits_2(self, tmp_path, capsys):
+        # A node id is the view id of its detections, which every reader
+        # takes only as a string: simulate must not write what none can read.
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"nodes": [{"id": 5, "position": [0.0, 0.0], "facing": 0.0}]}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"error: {config}: node id must be a string, got 5\n"
+        assert not (tmp_path / "sim" / "detections_test.jsonl").exists()
+
     def test_unknown_field_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"frames_per_second": 20}')
@@ -566,6 +575,14 @@ class TestEvaluate:
         )
         assert code == 2
 
+    def test_truth_field_over_the_csv_limit_exits_2_naming_line(self, tmp_path, capsys):
+        # csv.reader refuses a field of more than 131,072 characters.
+        truth = tmp_path / "big.csv"
+        truth.write_text("t,x,y,heading,width,length\n0.0," + "1" * 200000 + ",2.0,0.5,15.0,30.0\n")
+        argv = ["evaluate", "--track", str(tmp_path / "x.jsonl"), "--truth", str(truth)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {truth}:2: field larger than field limit (131072)\n"
+
     def test_unmatched_timestamps_exit_1_with_count(self, sim_dir, track_dir, tmp_path, capsys):
         code = main(
             [
@@ -765,6 +782,13 @@ EXIT_CODE_CASES = [
         "node-without-facing",
         2,
         {"c.json": '{"nodes": [{"id": "N1", "position": [0, 0]}]}'},
+        "simulate --config {tmp}/c.json",
+        "{tmp}/c.json",
+    ),
+    (
+        "node-id-not-a-string",
+        2,
+        {"c.json": '{"nodes": [{"id": 5, "position": [0, 0], "facing": 0}]}'},
         "simulate --config {tmp}/c.json",
         "{tmp}/c.json",
     ),

@@ -16,14 +16,15 @@ from conftest import (
     oracle_write_detections,
     oracle_write_track,
     read_detection_frames,
+    read_truth_rows,
     truth_arrays,
 )
 from geotrack import dataio
 from geotrack.calibration import CalibrationParams
-from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose
+from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose, wrap_angle
 from geotrack.kalman import DetectionFrame, FilterParams, FrameBatch, pack
 from geotrack.metrics import MetricReport
-from geotrack.simulator import CameraNode, default_scenario
+from geotrack.simulator import CameraNode, Trajectory, default_scenario
 
 
 @pytest.fixture()
@@ -379,6 +380,10 @@ _BAD_LIST = [
 _BAD_VALUES = st.sampled_from(_BAD_LIST)
 _BAD_FIELDS = st.sampled_from(["x", "", "nan", "inf", "-inf", "1e999", "-1.0"])
 
+# Chunk sizes for the readers and writers: chunks of one to three lines
+# split the drawn files at every place.
+_CHUNKS = st.sampled_from([1, 2, 3, dataio.CHUNK_FRAMES])
+
 
 def _paths(value, prefix=()):
     """Every path (a tuple of keys and indices) into a JSON value."""
@@ -482,8 +487,8 @@ def test_fuzz_read_track(fuzz_dir, data):
 
 
 @settings(max_examples=200)
-@given(data=st.data())
-def test_fuzz_read_truth(fuzz_dir, data):
+@given(data=st.data(), chunk=_CHUNKS)
+def test_fuzz_read_truth(fuzz_dir, data, chunk):
     path = fuzz_dir / "t.csv"
     rows = [list(dataio.TRUTH_HEADER)] + [
         [repr(0.05 * k), "100.0", "200.0", "0.5", "15.0", "30.0"] for k in range(4)
@@ -503,7 +508,9 @@ def test_fuzz_read_truth(fuzz_dir, data):
     if kind == "truncate":
         lines[k] = _truncate(data, lines[k])
     path.write_text("\n".join(lines) + "\n")
-    _read_located(dataio.read_truth, path, corrupted)
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        _read_located(dataio.read_truth, path, corrupted)
+        _assert_reads_as_truth_rows(path)
 
 
 @settings(max_examples=300)
@@ -673,11 +680,6 @@ def _corrupt_record(data, records):
     return lines
 
 
-# Chunk sizes for the readers and writers: chunks of one to three lines
-# split the drawn files at every place.
-_CHUNKS = st.sampled_from([1, 2, 3, dataio.CHUNK_FRAMES])
-
-
 @settings(max_examples=400)
 @given(data=st.data(), records=_detection_records(), chunk=_CHUNKS)
 def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, records, chunk):
@@ -707,7 +709,8 @@ def _assert_bulk_declines_or_matches(path, frames=True):
     for lo in range(0, len(lines), dataio.CHUNK_FRAMES):
         block = lines[lo : lo + dataio.CHUNK_FRAMES]
         bulk = dataio._bulk_chunk(block, frames, views, after)
-        record = _outcome(lambda p: dataio._record_chunk(p, block, lo + 1, frames, views, after), path)
+        with mock.patch.object(dataio, "_bulk_chunk", return_value=None):
+            record = _outcome(lambda p: dataio._jsonl_chunk(frames, views, p, block, lo + 1, after), path)
         if bulk is not None:
             _assert_same_arrays(bulk, record)
         taken = taken and bulk is not None
@@ -829,11 +832,19 @@ _LATER_CHUNK_ERRORS = {
 }
 
 
-def _record_parsed_chunks(read, path) -> int:
-    """Call read(path); the number of chunks it parsed record by record."""
-    with mock.patch.object(dataio, "_record_chunk", wraps=dataio._record_chunk) as record_chunk:
+def _declined_chunks(read, path, bulk="_bulk_chunk") -> int:
+    """Call read(path); the number of chunks that its bulk check, dataio's
+    function named bulk, declined, so that they were parsed line by line."""
+    check, declined = getattr(dataio, bulk), []
+
+    def spy(*args):
+        chunk = check(*args)
+        declined.append(chunk is None)
+        return chunk
+
+    with mock.patch.object(dataio, bulk, spy):
         _outcome(read, path)
-    return record_chunk.call_count
+    return sum(declined)
 
 
 @pytest.mark.parametrize("chunk", [3, dataio.CHUNK_FRAMES])
@@ -854,7 +865,7 @@ def test_corruption_in_a_later_chunk_names_its_line(tmp_path, chunk, kind, frame
         error, message = _LATER_CHUNK_ERRORS[kind]
         with pytest.raises(error, match="^" + re.escape(message.format(path=path, line=line))):
             read(path)
-        assert _record_parsed_chunks(read, path) == 1
+        assert _declined_chunks(read, path) == 1
 
 
 @pytest.mark.parametrize("chunk", [3, dataio.CHUNK_FRAMES])
@@ -874,7 +885,7 @@ def test_odd_line_in_a_middle_chunk_reads_as_records(tmp_path, chunk, frames):
             _assert_same_batch(read(path), pack([read_detection_frames(path)]))
         else:
             _assert_same_arrays(read(path), _read_track_records(path))
-        assert _record_parsed_chunks(read, path) == 1
+        assert _declined_chunks(read, path) == 1
 
 
 # A bound on the traced peak memory of read_detections and write_detections,
@@ -983,14 +994,9 @@ def test_fuzz_load_scenario_non_finite_field(fuzz_dir, data, value):
 
 
 # ---------------------------------------------------------------------------
-# The bulk truth and track readers against the readers they front: each
-# returns None or the arrays that reading the file row by row (record by
-# record) gives, bit for bit, on valid files and after one corruption.
-
-
-def _read_truth_rows(path):
-    with mock.patch.object(dataio, "_read_truth_bulk", return_value=None):
-        return dataio.read_truth(path)
+# The truth and track readers against their row (record) oracles: the same
+# arrays bit for bit, or the same error, at every chunk size, on valid files
+# and after one corruption.
 
 
 def _read_track_records(path):
@@ -1005,16 +1011,16 @@ def _assert_same_arrays(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-def _assert_truth_bulk_declines_or_matches(path):
-    bulk, rows = dataio._read_truth_bulk(path), _outcome(_read_truth_rows, path)
-    if bulk is not None:
-        _assert_same_arrays(dataclasses.astuple(bulk), dataclasses.astuple(rows))
-    got = _outcome(dataio.read_truth, path)
-    if isinstance(rows, tuple):
-        assert got == rows
+def _assert_reads_as_truth_rows(path):
+    """read_truth must give read_truth_rows' arrays bit for bit, or raise its
+    exception type with its text. The number of chunks the bulk check
+    declined."""
+    got, want = _outcome(dataio.read_truth, path), _outcome(read_truth_rows, path)
+    if isinstance(want, tuple):
+        assert got == want
     else:
-        _assert_same_arrays(dataclasses.astuple(got), dataclasses.astuple(rows))
-    return bulk
+        _assert_same_arrays(dataclasses.astuple(got), dataclasses.astuple(want))
+    return _declined_chunks(dataio.read_truth, path, "_truth_bulk")
 
 
 # Every spelling of a valid number the writers or a hand edit might use.
@@ -1077,18 +1083,25 @@ def _corrupt_truth(data, lines):
 
 
 @settings(max_examples=300)
-@given(data=st.data(), lines=_truth_lines(), eol=st.sampled_from(["\n", "\r\n"]))
-def test_bulk_truth_reader_declines_or_matches_rows(fuzz_dir, data, lines, eol):
+@given(data=st.data(), lines=_truth_lines(), eol=st.sampled_from(["\n", "\r\n"]), chunk=_CHUNKS)
+def test_bulk_truth_reader_declines_or_matches_rows(fuzz_dir, data, lines, eol, chunk):
+    # The bulk check must take every chunk of a valid file, and whatever
+    # else it takes it must read as the row oracle does.
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        _bulk_truth_reader_declines_or_matches_rows(fuzz_dir, data, lines, eol)
+
+
+def _bulk_truth_reader_declines_or_matches_rows(fuzz_dir, data, lines, eol):
     path = fuzz_dir / "bulk.csv"
     path.write_bytes((eol.join(lines) + data.draw(st.sampled_from([eol, ""]))).encode())
-    assert _assert_truth_bulk_declines_or_matches(path) is not None
+    assert _assert_reads_as_truth_rows(path) == 0
     text = eol.join(_corrupt_truth(data, lines)) + eol
     if data.draw(st.booleans()):
         # One line ending of the other kind, or a stray carriage return.
         at = data.draw(st.sampled_from([m.start() for m in re.finditer(eol, text)]))
         text = text[:at] + data.draw(st.sampled_from(["\n", "\r\n", "\r"])) + text[at + len(eol) :]
     path.write_bytes(text.encode())
-    _assert_truth_bulk_declines_or_matches(path)
+    _assert_reads_as_truth_rows(path)
 
 
 def test_bulk_truth_reader_reads_simulated_files(tmp_path):
@@ -1097,7 +1110,107 @@ def test_bulk_truth_reader_reads_simulated_files(tmp_path):
     samples = [(0.05 * k, ObjectPose((10.0 * k, 5.0), 7.0 * k - 3.0, (15.0, 30.0))) for k in range(5)]
     dataio.write_truth(path, truth_arrays(samples))
     assert b"\r\n" in path.read_bytes()
-    assert _assert_truth_bulk_declines_or_matches(path) is not None
+    assert _assert_reads_as_truth_rows(path) == 0
+
+
+def _truth_table(n):
+    """n valid truth rows as a Trajectory, and the nbytes of its arrays."""
+    rng = np.random.default_rng(n)
+    positions, headings = rng.uniform(0.0, 500.0, (n, 2)), wrap_angle(rng.uniform(-3.0, 3.0, n))
+    truth = Trajectory(0.05 * np.arange(n), positions, headings, rng.uniform(10.0, 40.0, (n, 2)))
+    return truth, sum(a.nbytes for a in dataclasses.astuple(truth))
+
+
+def _later_truth_chunk_file(path, chunk, kind):
+    """A truth file of three chunks of lines, the header first, with the
+    second line of the third chunk spoilt (for "disorder", the first line,
+    at the time of the line before it); the spoilt line's number."""
+    line = 2 * chunk + (1 if kind == "disorder" else 2)
+    dataio.write_truth(path, _truth_table(3 * chunk - 1)[0])
+    lines = path.read_bytes().decode().splitlines(keepends=True)
+    fields = lines[line - 1].split(",")
+    if kind == "disorder":
+        fields[0] = lines[line - 2].split(",")[0]
+    elif kind == "field":
+        fields[1] = "x"
+    else:
+        # A bare carriage return splits the row into two lines.
+        fields[2] += "\r"
+    lines[line - 1] = ",".join(fields)
+    path.write_bytes("".join(lines).encode())
+    return line
+
+
+_LATER_TRUTH_CHUNK_ERRORS = {
+    "disorder": (RuntimeError, "{path}: timestamp disorder at line {line}"),
+    "field": (ValueError, "{path}:{line}: could not convert string to float: 'x'"),
+    "split": (ValueError, "{path}:{line}: expected 6 fields, got 3"),
+}
+
+
+@pytest.mark.parametrize("chunk", [3, dataio.CHUNK_FRAMES])
+@pytest.mark.parametrize("kind", sorted(_LATER_TRUTH_CHUNK_ERRORS))
+def test_truth_corruption_in_a_later_chunk_names_its_line(tmp_path, chunk, kind):
+    # As test_corruption_in_a_later_chunk_names_its_line, for truth: only
+    # the third chunk is read row by row, and the row oracle agrees.
+    path = tmp_path / "later.csv"
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        line = _later_truth_chunk_file(path, chunk, kind)
+        error, message = _LATER_TRUTH_CHUNK_ERRORS[kind]
+        with pytest.raises(error, match="^" + re.escape(message.format(path=path, line=line)) + "$"):
+            dataio.read_truth(path)
+        assert _assert_reads_as_truth_rows(path) == 1
+
+
+@pytest.mark.parametrize("chunk", [1, 2, dataio.CHUNK_FRAMES])
+def test_truth_quoted_line_break_ends_the_row(tmp_path, chunk):
+    # Each line is one row, at every chunk size: a quoted field that holds a
+    # line break ends with its line. csv.reader over the whole file, as the
+    # row oracle reads it, runs such a field on into the next line.
+    path = tmp_path / "t.csv"
+    path.write_bytes(b't,x,y,heading,width,length\r\n0.0,"1.0\r\n",2.0,0.5,15.0,30.0\r\n')
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: expected 6 fields, got 2$"):
+            dataio.read_truth(path)
+    assert read_truth_rows(path).positions.tolist() == [[1.0, 2.0]]
+
+
+def test_truth_bytes_that_do_not_decode_name_the_line_being_read(tmp_path):
+    # The text is decoded a buffer at a time, so the error names the line
+    # being read when decoding failed, at or before the line that holds the
+    # byte. The row oracle names the line before that one.
+    path = tmp_path / "t.csv"
+    dataio.write_truth(path, _truth_table(2000)[0])
+    lines = path.read_bytes().split(b"\r\n")
+    lines[1500] = b"\xff" + lines[1500]
+    path.write_bytes(b"\r\n".join(lines))
+    error, message = _outcome(dataio.read_truth, path)
+    found = re.match(rf"{re.escape(str(path))}:(\d+): '[-\w]+' codec can't decode byte 0xff", message)
+    assert error is ValueError and found, message
+    line = int(found.group(1))
+    assert 1 < line <= 1501
+    assert _outcome(read_truth_rows, path) == (ValueError, message.replace(f":{line}:", f":{line - 1}:", 1))
+
+
+@pytest.mark.parametrize("last", ["valid", "odd", "bad"])
+def test_truth_reading_memory_scales_with_the_arrays(tmp_path, last):
+    # A last row with a quoted field, which the bulk check declines, or with
+    # a field that is not a number: only the last chunk is read row by row.
+    # This reader measured 2.2 (valid, odd) and 1.3 (bad); reading the whole
+    # file at once, then row by row for any other, 9.5 on all three.
+    n = 16000
+    truth, nbytes = _truth_table(n)
+    path = tmp_path / "t.csv"
+    dataio.write_truth(path, truth)
+    if last != "valid":
+        lines = path.read_bytes().decode().splitlines(keepends=True)
+        fields = lines[-1].split(",")
+        fields[1] = f'"{fields[1]}"' if last == "odd" else "x"
+        path.write_bytes("".join([*lines[:-1], ",".join(fields)]).encode())
+    assert _traced_peak(lambda: _outcome(dataio.read_truth, path)) <= MEMORY_FACTOR * nbytes
+    assert _assert_reads_as_truth_rows(path) == int(last != "valid")
+    if last != "bad":
+        _assert_same_arrays(dataclasses.astuple(dataio.read_truth(path)), dataclasses.astuple(truth))
 
 
 def _assert_track_bulk_declines_or_matches(path):

@@ -139,16 +139,17 @@ def test_fit_oracles_take_only_calibration_types():
     assert not extra, f"conftest's fit oracles take from geotrack.calibration: {sorted(extra)}"
 
 
-# What the file oracles in conftest (the detections reader and the writers)
-# may take from geotrack.dataio: its JSON spelling, the truth header and its
-# error conventions, none of its readers or writers.
+# What the file oracles in conftest (the detections and truth readers and the
+# writers) may take from geotrack.dataio: its JSON spelling, the truth header
+# and its error conventions, none of its readers or writers.
 DATAIO_CONVENTIONS = {"dumps", "TRUTH_HEADER", "_time", "_located", "_MALFORMED"}
 
 
 def test_io_oracles_take_only_dataio_conventions():
     path = Path(__file__).resolve().parent / "conftest.py"
     names = [node.name for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)]
-    oracles = ["read_detection_frames", *(name for name in names if name.startswith("oracle_write_"))]
-    assert len(oracles) >= 5, oracles
+    readers = ["read_detection_frames", "read_truth_rows"]
+    oracles = [*readers, *(name for name in names if name.startswith("oracle_write_"))]
+    assert len(oracles) >= 6, oracles
     extra = taken_from("dataio", oracles) - DATAIO_CONVENTIONS
     assert not extra, f"conftest's IO oracles take from geotrack.dataio: {sorted(extra)}"
