@@ -19,7 +19,6 @@ file and malformed content (OSError, ValueError).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import math
@@ -344,28 +343,16 @@ def cmd_evaluate(args, out: Path) -> tuple[list[str], dict]:
 
 
 def cmd_report(args, out: Path) -> tuple[list[str], dict]:
-    header = ["run", "nll", "opm", "det_pr", "loc_a", "fingerprint"]
-    rows: list[list[str]] = []
+    runs = []
     for run_dir in args.run_dirs:
         report_path = Path(run_dir) / "report.json"
-        name = Path(run_dir).name
         if not report_path.exists():
             print(f"warning: {report_path} missing; row flagged", file=sys.stderr)
-            rows.append([name, "MISSING", "MISSING", "MISSING", "MISSING", "-"])
+            runs.append((Path(run_dir).name, None, None))
             continue
-        report = dataio.read_report(report_path)
         fingerprint = hashlib.sha256(report_path.read_bytes()).hexdigest()[:12]
-        rows.append([name, *(repr(getattr(report, key)) for key in header[1:5]), fingerprint])
-
-    with open(out / "report_table.csv", "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
-    widths = [max(len(r[i]) for r in [header] + rows) for i in range(len(header))]
-    txt_lines = [
-        "  ".join(value.ljust(widths[i]) for i, value in enumerate(row))
-        for row in [header] + rows
-    ]
-    (out / "report_table.txt").write_text("\n".join(txt_lines) + "\n")
-    print("\n".join(txt_lines))
+        runs.append((Path(run_dir).name, dataio.read_report(report_path), fingerprint))
+    print(dataio.write_report_table(out / "report_table.csv", out / "report_table.txt", runs), end="")
     return ["report_table.csv", "report_table.txt"], {}
 
 

@@ -1,9 +1,9 @@
 """File formats for datasets, parameters, and reports.
 
-All writers are deterministic (sorted keys, repr-exact floats) so that a
-write -> read -> write round trip is byte-identical and identically seeded
-pipeline runs produce identical files. Detections, truth and tracks are
-written from arrays, a bounded chunk of frames at a time.
+All writers are deterministic (sorted keys, repr-exact floats): a write ->
+read -> write round trip is byte-identical, as are identically seeded runs.
+Detections, truth and tracks are written from arrays, a bounded chunk of
+frames at a time, each column spelt once (a repeated column reuses it).
 
 This module is the input boundary: every file enters through a reader here,
 which returns validated values or raises an error naming the file (and line):
@@ -15,11 +15,12 @@ Detections, truth and tracks load as arrays: read_detections returns one
 kalman.FrameBatch, read_truth a simulator.Trajectory and read_track (times,
 means, covs). Each file is read once, CHUNK_FRAMES lines at a time, and a
 chunk is checked in bulk: JSONL as one flat float array (a list per Gaussian
-set off repeated garbage collections on a 10,000-frame file), a truth CSV by
-np.loadtxt. A chunk that fails a bulk check, alone, is read again line by
-line: to name its first bad line, with that line's first failing check, or
-to read what the bulk check does not take (numbers spelt as strings, quoted
-or spaced CSV fields). So a reader holds one chunk beside the arrays.
+set off repeated garbage collections on a 10,000-frame file) parsed by the
+C scanner that json.loads ends in, a truth CSV by np.loadtxt. A chunk that
+fails a bulk check, alone, is read again line by line: to name its first bad
+line, with that line's first failing check, or to read what the bulk check
+does not take (numbers spelt as strings, spaced JSON or CSV fields). So a
+reader holds one chunk beside the arrays.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import functools
 import itertools
 import json
 import math
+import re
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -104,15 +106,28 @@ def _time(value) -> float:
 CHUNK_FRAMES = 1 << 9
 
 
+def _spelt(table, specs: Sequence[str]) -> list[list[str]]:
+    """The 2-D table's columns, each value spelt as specs[j] ("%r" or "%d")
+    spells it; a column with an earlier one's spec and bits shares its strings."""
+    columns, seen = [], {}
+    for spec, column in zip(specs, np.transpose(table)):
+        key = (spec, column.tobytes())  # bits, not values: 0.0 == -0.0
+        if key not in seen:
+            seen[key] = list(map(repr if spec == "%r" else "%d".__mod__, column.tolist()))
+        columns.append(seen[key])
+    return columns
+
+
 def _write_rows(path: Path, header: str, row: str, table, json_floats: bool = False) -> None:
     """header, then row % r for each row r of the 2-D table, formatted
     CHUNK_FRAMES rows at a time; with json_floats, the non-finite floats
     spelt as dumps spells them: NaN, Infinity and -Infinity."""
+    specs, row = re.findall("%[rd]", row), re.sub("%[rd]", "%s", row)
     with open(path, "w", newline="") as fh:
         fh.write(header)
         for lo in range(0, len(table), CHUNK_FRAMES):
             chunk = table[lo : lo + CHUNK_FRAMES]
-            text = "".join([row % tuple(r) for r in chunk.tolist()])
+            text = "".join(map(row.__mod__, zip(*_spelt(chunk, specs))))
             if json_floats and not np.isfinite(chunk).all():
                 text = text.replace("nan", "NaN").replace("inf", "Infinity")
             fh.write(text)
@@ -122,8 +137,8 @@ def _write_rows(path: Path, header: str, row: str, table, json_floats: bool = Fa
 # detections frames and track steps: one JSON record per line
 
 
-# One detection as dumps writes it: sorted keys, repr-exact floats.
-_DETECTION = '{"cov":[[%r,%r],[%r,%r]],"mean":[%r,%r],"view":%s}'
+# One detection as dumps writes it, from its seven fields spelt as strings.
+_DETECTION = '{"cov":[[%s,%s],[%s,%s]],"mean":[%s,%s],"view":%s}'
 
 
 def write_detections(path: Path, batch: FrameBatch) -> None:
@@ -140,12 +155,12 @@ def write_detections(path: Path, batch: FrameBatch) -> None:
             rows = slice(lo, lo + CHUNK_FRAMES)
             present = mask[rows]
             values = np.concatenate([cov[rows][present], mean[rows][present]], axis=1)
-            columns = np.nonzero(present)[1].tolist()
-            dets = [_DETECTION % (*v, views[j]) for v, j in zip(values.tolist(), columns)]
+            ids = [views[j] for j in np.nonzero(present)[1].tolist()]
+            dets = list(map(_DETECTION.__mod__, zip(*_spelt(values, ["%r"] * 6), ids)))
             ends = np.cumsum(present.sum(axis=1)).tolist()
             lines = [
-                '{"detections":[%s],"t":%r}\n' % (",".join(dets[start:end]), time)
-                for time, start, end in zip(t[rows].tolist(), [0, *ends], ends)
+                '{"detections":[%s],"t":%s}\n' % (",".join(dets[start:end]), time)
+                for time, start, end in zip(map(repr, t[rows].tolist()), [0, *ends], ends)
             ]
             fh.write("".join(lines))
 
@@ -178,11 +193,16 @@ def _bulk_chunk(lines: list, frames: bool, views: dict, after: float) -> Optiona
     _is_pd, view ids that are strings and none repeated within a line. views
     gives each view id its column as the id is read."""
     times, counts, columns, values = [], [], [], []
+    scan = json.JSONDecoder().scan_once  # json.loads' C scanner
     try:
         for line in lines:
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            # As json.loads reads it: strict UTF-8, a value at 0, a line end.
+            text = line.decode()
+            rec, end = scan(text, 0)
+            if text[end:] not in ("\n", "\r\n", ""):
+                return None
             gaussians = rec["detections"] if frames else (rec,)
             for g in gaussians:
                 if frames:
@@ -196,7 +216,7 @@ def _bulk_chunk(lines: list, frames: bool, views: dict, after: float) -> Optiona
         # float() takes them): a string or a list that a mean or covariance
         # row unpacks into declines the chunk, as a JSON null does.
         t, flat = (np.asarray(array.array("d", a)) for a in (times, values))
-    except _MALFORMED:
+    except (*_MALFORMED, StopIteration):
         return None
     flat = flat.reshape(-1, 6)
     if not (np.isfinite(t).all() and np.isfinite(flat).all()):
@@ -247,23 +267,25 @@ def _read_lines(path: Path, parse: Callable, binary: bool = True) -> tuple:
     """A file of one record a line as the arrays that parse gives for each
     chunk of its lines, joined; the first array holds the times. The file is
     read once, CHUNK_FRAMES lines at a time, as bytes or (if not binary) as
-    text split where csv.reader splits it, so the reader holds one chunk's
-    lines beside the arrays. parse(path, lines, first, after) is given the
-    chunk's first line number and the last time before it."""
+    text split where csv.reader splits it, a text line that does not decode
+    named by its own bytes' decoding error. parse(path, lines, first, after)
+    is given the chunk's first line number and the last time before it."""
     chunks, after, first = [], -math.inf, 1
     try:
-        with open(path, "rb") if binary else open(path, newline="") as fh:
+        with open(path, "rb") if binary else open(path, newline="", errors="surrogateescape") as fh:
             # The last block is the short one; an empty file's, empty.
             while not chunks or len(block) == CHUNK_FRAMES:
-                # extend keeps the lines read before a decoding error.
-                block = []
-                block += itertools.islice(fh, CHUNK_FRAMES)
+                block = list(itertools.islice(fh, CHUNK_FRAMES))
+                if not (binary or "".join(block).isascii()):  # undecodable bytes read as surrogates
+                    for line_no, line in enumerate(block, start=first):
+                        try:
+                            line.encode(fh.encoding, "surrogateescape").decode(fh.encoding)
+                        except UnicodeDecodeError as exc:
+                            raise _located(exc, path, line_no) from exc
                 chunk = parse(path, block, first, after)
                 chunks.append(chunk)
                 after = chunk[0][-1] if len(chunk[0]) else after
                 first += len(block)
-    except UnicodeDecodeError as exc:
-        raise _located(exc, path, first + len(block)) from exc
     except OSError as exc:
         raise _located(exc, path) from exc
     return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
@@ -534,6 +556,21 @@ def read_report(path: Path) -> MetricReport:
 def write_report_row(path: Path, report: MetricReport) -> None:
     row = [report.nll, report.opm, report.det_pr, report.loc_a]
     _write_rows(path, "nll,opm,det_pr,loc_a\r\n", "%r,%r,%r,%r\r\n", np.array([row]))
+
+
+def write_report_table(csv_path: Path, text_path: Path, runs: Sequence[tuple]) -> str:
+    """A header and a row per run (name, MetricReport or None, fingerprint) as
+    CSV and as text, columns left-aligned two spaces apart; returns the text."""
+    rows = [["run", "nll", "opm", "det_pr", "loc_a", "fingerprint"]]
+    for name, report, fingerprint in runs:
+        values = ["MISSING"] * 4 if report is None else [repr(getattr(report, key)) for key in rows[0][1:5]]
+        rows.append([name, *values, "-" if report is None else fingerprint])
+    with open(csv_path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    text = "".join("  ".join(v.ljust(w) for v, w in zip(row, widths)) + "\n" for row in rows)
+    Path(text_path).write_text(text)
+    return text
 
 
 def write_histogram(path: Path, values: np.ndarray) -> None:

@@ -303,11 +303,12 @@ def generate_trajectory(config: ScenarioConfig, rng: np.random.Generator) -> Tra
     starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
     ends = starts + durations
     idx = np.clip(np.searchsorted(ends, times, side="right"), 0, len(pieces) - 1)
+    bounds = np.searchsorted(idx, np.arange(len(pieces) + 1)).tolist()  # idx never decreases
 
     positions = np.empty((n, 2))
     tangents = np.empty((n, 2))
-    for p in np.unique(idx):
-        sel = idx == p
+    for p in np.unique(idx).tolist():
+        sel = slice(bounds[p], bounds[p + 1])
         s = (times[sel] - starts[p]) * speeds[p]
         piece = pieces[p]
         if piece[0] == "s":

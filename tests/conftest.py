@@ -24,6 +24,7 @@ from geotrack.core import (
     _is_pd,
     _pd_error,
     _pose_values,
+    heading_from_velocity,
     rotation,
     wrap_angle,
 )
@@ -589,6 +590,34 @@ def oracle_simulate_detection(node, pose, config, rng):
         cov = config.fallback_sigma**2 * np.eye(2)
         return node.id, Gaussian2D(config.arena.center, cov)
     return None
+
+
+def mask_trajectory(config, rng) -> Trajectory:
+    """simulator.generate_trajectory with a boolean mask over all frames
+    for each path piece, as it was before it sliced them."""
+    n = int(round(config.duration * config.fps))
+    times = np.arange(n) / config.fps
+    pieces, durations, speeds = simulator._PathBuilder(config.arena, rng).build(config.duration)
+    starts = np.concatenate([[0.0], np.cumsum(durations)])[:-1]
+    ends = starts + durations
+    idx = np.clip(np.searchsorted(ends, times, side="right"), 0, len(pieces) - 1)
+    positions = np.empty((n, 2))
+    tangents = np.empty((n, 2))
+    for p in np.unique(idx):
+        sel = idx == p
+        s = (times[sel] - starts[p]) * speeds[p]
+        piece = pieces[p]
+        if piece[0] == "s":
+            _, origin, direction, _ = piece
+            positions[sel] = origin + s[:, None] * direction
+            tangents[sel] = direction
+        else:
+            _, center, radius, ang0, side, _ = piece
+            phi = ang0 + side * s / radius
+            positions[sel] = center + radius * np.column_stack([np.cos(phi), np.sin(phi)])
+            tangents[sel] = side * np.column_stack([-np.sin(phi), np.cos(phi)])
+    extent = np.broadcast_to(config.object_extent, (n, 2))
+    return Trajectory(times, positions, heading_from_velocity(tangents), extent)
 
 
 def oracle_build_dataset(config):

@@ -1,9 +1,11 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import re
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 from conftest import (
     batch_frames,
     oracle_write_detections,
+    oracle_write_plot_data,
     oracle_write_track,
+    oracle_write_truth,
     read_detection_frames,
     read_truth_rows,
     truth_arrays,
@@ -735,6 +739,8 @@ def _bulk_reader_declines_or_matches_records(fuzz_dir, data, records):
     path = fuzz_dir / "bulk.jsonl"
     _write_lines(data, path, [json.dumps(rec) for rec in records])
     assert _assert_bulk_declines_or_matches(path)
+    kinds = _write_decorated(data, path, records)
+    assert _assert_bulk_declines_or_matches(path) or not kinds <= {None, "crlf"}
     _write_lines(data, path, _corrupt_record(data, records))
     _assert_bulk_declines_or_matches(path)
     k = data.draw(st.sampled_from([k for k, rec in enumerate(records) if rec["detections"]]))
@@ -751,6 +757,37 @@ def _bulk_reader_declines_or_matches_records(fuzz_dir, data, records):
             lines[k] = json.dumps(rec)
             path.write_text("\n".join(lines) + "\n")
             _assert_bulk_declines_or_matches(path)
+
+
+# How a line of records may be decorated, as bytes: a CRLF line end, which
+# the bulk check takes; and spaces or tabs before the record or after it, a
+# UTF-8 BOM, bytes that are not UTF-8, an encoded surrogate (which json.loads
+# decodes), a number spelt NaN or Infinity, and a second value on the line.
+_DECORATIONS = [None, "crlf", "lead", "trail", "bom", "invalid", "surrogate", "nonfinite", "second"]
+
+
+def _write_decorated(data, path, records) -> set:
+    """Write records a line each, each line with a drawn decoration; the
+    decorations drawn."""
+    kinds, lines = set(), []
+    for rec in records:
+        kind = data.draw(st.sampled_from(_DECORATIONS))
+        kinds.add(kind)
+        if kind == "nonfinite":
+            place = data.draw(st.sampled_from(_numeric_fields(rec)))
+            rec = _with(rec, place, data.draw(st.sampled_from([math.nan, math.inf, -math.inf])))
+        line = json.dumps(rec).encode()
+        if kind == "lead":
+            line = data.draw(st.sampled_from([b" ", b"\t", b"  \t"])) + line
+        elif kind in ("invalid", "surrogate"):
+            line = b'{"note":"%s",' % (b"\xff" if kind == "invalid" else b"\xed\xa0\x80") + line[1:]
+        elif kind == "bom":
+            line = b"\xef\xbb\xbf" + line
+        else:
+            line += {"crlf": b"\r", "trail": b" \t\r", "second": b" " + line}.get(kind, b"")
+        lines.append(line + b"\n")
+    path.write_bytes(b"".join(lines))
+    return kinds
 
 
 _TRACK_FLOATS = st.one_of(
@@ -792,6 +829,88 @@ def test_write_detections_matches_per_frame_dumps(fuzz_dir, data, n, chunk):
     with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
         dataio.write_detections(path, batch)
     assert path.read_bytes() == (fuzz_dir / "oracle.jsonl").read_bytes()
+
+
+# NaNs with other payloads and signs than np.nan's; each is spelt nan.
+_NANS = [np.frombuffer(np.uint64(bits).tobytes())[0].item()
+         for bits in (0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001, 0x7FFFFFFFFFFFFFFF)]
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -2.5, 5e-324, 1e16, math.inf, -math.inf, math.nan, *_NANS])
+
+
+@st.composite
+def _columns(draw, n, k, values):
+    """An (n, k) table drawn from values, a column at a time. A column may
+    repeat an earlier one's bits, or its values with each zero's sign
+    flipped: equal values that a writer must still spell apart."""
+    columns = []
+    for _ in range(k):
+        how = draw(st.sampled_from(["new", "repeat", "flip"])) if columns else "new"
+        if how == "new":
+            column = np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+        else:
+            column = columns[draw(st.integers(0, len(columns) - 1))].copy()
+            if how == "flip":
+                column[column == 0.0] *= -1.0
+        columns.append(column)
+    return np.column_stack(columns).reshape(n, k)
+
+
+_MIXED = st.one_of(_SPECIAL, _TRACK_FLOATS)
+_ROW_TEMPLATES = st.sampled_from(["%r,%d,%r,%d\n", "%d,%r,%r,%r\r\n", "%r;%r;%r;%r\n", "<%d|%d|%d|%d>"])
+
+
+@settings(max_examples=200)
+@given(data=st.data(), n=st.integers(0, 6), row=_ROW_TEMPLATES, chunk=_CHUNKS)
+def test_write_rows_matches_per_row_formatting(fuzz_dir, data, n, row, chunk):
+    # A %d column shares no strings with a %r column of the same bits; %d
+    # columns hold finite values, which %d takes.
+    table = data.draw(_columns(n, 4, st.one_of(_SPECIAL, _FINITE)))
+    spelt_d = np.array([spec == "%d" for spec in re.findall("%[rd]", row)])
+    table[:, spelt_d] = np.where(np.isfinite(table[:, spelt_d]), table[:, spelt_d], 7.0)
+    path = fuzz_dir / "rows.csv"
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        dataio._write_rows(path, "head\n", row, table)
+    with open(path, newline="") as fh:
+        assert fh.read() == "head\n" + "".join(row % tuple(r) for r in table.tolist())
+
+
+@settings(max_examples=150)
+@given(data=st.data(), n=st.integers(0, 6), chunk=_CHUNKS)
+def test_writers_spell_repeated_and_signed_columns_as_the_oracles(fuzz_dir, data, n, chunk):
+    # Tables whose columns repeat one another's bits, differ from one
+    # another only in a zero's sign, or hold NaNs of several payloads and
+    # infinities, through write_track, write_plot_data and write_truth; and
+    # symmetric covariances, isotropic ones and signed zero means through
+    # write_detections. Each writes what its per-row oracle writes.
+    steps = data.draw(_columns(n, 7, _MIXED))
+    table = data.draw(_columns(n, 6, _MIXED))
+    rows = data.draw(_columns(n, 5, _MIXED))
+    variances = data.draw(_columns(n, 2, st.floats(0.5, 100.0)))
+    rho = data.draw(_columns(n, 1, st.sampled_from([0.0, -0.0, 0.5, -0.9])))[:, 0]
+    off = rho * np.sqrt(variances[:, 0] * variances[:, 1])
+    covs = np.stack([variances[:, 0], off, off, variances[:, 1]], axis=1).reshape(n, 2, 2)
+    means = data.draw(_columns(n, 2, st.one_of(_SPECIAL, _FINITE).filter(math.isfinite)))
+    views = ("N1", "N2")
+    batch = FrameBatch(views, np.arange(n // 2, dtype=float)[None] - 1.0, means[: n // 2 * 2].reshape(1, -1, 2, 2),
+                       covs[: n // 2 * 2].reshape(1, -1, 2, 2, 2), np.ones((1, n // 2, 2), dtype=bool))
+    truth = Trajectory(table[:, 0], table[:, 1:3], table[:, 3], table[:, 4:])
+    samples = [(t, SimpleNamespace(position=p, heading=h, extent=e))
+               for t, p, h, e in zip(truth.times, truth.positions, truth.headings, truth.extent)]
+    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+        for write, oracle, args in [
+            (dataio.write_track, oracle_write_track, (steps[:, 0], steps[:, 1:3], steps[:, 3:].reshape(n, 2, 2))),
+            (dataio.write_plot_data, oracle_write_plot_data, (rows[:, 0], rows[:, 1:3], covs, rows[:, 3:])),
+            (dataio.write_plot_data, oracle_write_plot_data, (rows[:, 0], rows[:, 1:3], covs, None)),
+        ]:
+            write(fuzz_dir / "got", *args)
+            oracle(fuzz_dir / "want", *args)
+            assert (fuzz_dir / "got").read_bytes() == (fuzz_dir / "want").read_bytes(), write.__name__
+        dataio.write_truth(fuzz_dir / "got", truth)
+        oracle_write_truth(fuzz_dir / "want", samples)
+        assert (fuzz_dir / "got").read_bytes() == (fuzz_dir / "want").read_bytes()
+        dataio.write_detections(fuzz_dir / "got", batch)
+        oracle_write_detections(fuzz_dir / "want", batch_frames(batch))
+        assert (fuzz_dir / "got").read_bytes() == (fuzz_dir / "want").read_bytes()
 
 
 def _three_chunks(chunk, frames):
@@ -1176,20 +1295,23 @@ def test_truth_quoted_line_break_ends_the_row(tmp_path, chunk):
 
 
 def test_truth_bytes_that_do_not_decode_name_the_line_being_read(tmp_path):
-    # The text is decoded a buffer at a time, so the error names the line
-    # being read when decoding failed, at or before the line that holds the
-    # byte. The row oracle names the line before that one.
+    # Each line's bytes are decoded on their own, so the error names the
+    # line that holds the byte, at its position in that line, whatever the
+    # line ends and the chunk size.
     path = tmp_path / "t.csv"
     dataio.write_truth(path, _truth_table(2000)[0])
-    lines = path.read_bytes().split(b"\r\n")
-    lines[1500] = b"\xff" + lines[1500]
-    path.write_bytes(b"\r\n".join(lines))
-    error, message = _outcome(dataio.read_truth, path)
-    found = re.match(rf"{re.escape(str(path))}:(\d+): '[-\w]+' codec can't decode byte 0xff", message)
-    assert error is ValueError and found, message
-    line = int(found.group(1))
-    assert 1 < line <= 1501
-    assert _outcome(read_truth_rows, path) == (ValueError, message.replace(f":{line}:", f":{line - 1}:", 1))
+    rows = path.read_bytes().split(b"\r\n")
+    for line, eol, chunk in itertools.product([2, 6, 301, 1501], [b"\r\n", b"\n", b"\r"], [1, 3, dataio.CHUNK_FRAMES]):
+        lines = list(rows)
+        lines[line - 1] = lines[line - 1][:4] + b"\xff" + lines[line - 1][4:]
+        path.write_bytes(eol.join(lines))
+        with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+            error, message = _outcome(dataio.read_truth, path)
+        assert error is ValueError
+        assert re.fullmatch(
+            rf"{re.escape(str(path))}:{line}: '[-\w]+' codec can't decode byte 0xff in position 4: invalid start byte",
+            message,
+        ), message
 
 
 @pytest.mark.parametrize("last", ["valid", "odd", "bad"])
@@ -1248,6 +1370,8 @@ def _bulk_track_reader_declines_or_matches_records(fuzz_dir, data, steps):
     path = fuzz_dir / "bulk_track.jsonl"
     _write_lines(data, path, [json.dumps(step) for step in steps])
     assert _assert_track_bulk_declines_or_matches(path)
+    kinds = _write_decorated(data, path, steps)
+    assert _assert_track_bulk_declines_or_matches(path) or not kinds <= {None, "crlf"}
     k = data.draw(st.integers(0, len(steps) - 1))
     lines = [json.dumps(step) for step in steps]
     kind = data.draw(st.sampled_from(["field", "truncate", "t"]))

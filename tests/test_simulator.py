@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_simulate_files, simulate_detection, visibility
+from conftest import mask_trajectory, oracle_simulate_files, simulate_detection, visibility
 from geotrack import dataio
 from geotrack.cli import main
 from geotrack.core import Arena, ObjectPose, rotation
@@ -72,6 +72,22 @@ class TestTrajectory:
         a = generate_trajectory(cfg, np.random.default_rng(5))
         b = generate_trajectory(cfg, np.random.default_rng(5))
         np.testing.assert_array_equal(a.positions, b.positions)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        duration=st.floats(0.01, 120.0),
+        fps=st.floats(0.5, 60.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_piece_slices_match_piece_masks_bitwise(self, duration, fps, seed):
+        # Each path piece's frames are one slice of them, as the mask over
+        # all frames selects them: every array keeps its bits.
+        cfg = small_config(seed=0, duration=duration, fps=fps)
+        got = generate_trajectory(cfg, np.random.default_rng(seed))
+        want = mask_trajectory(cfg, np.random.default_rng(seed))
+        for name in ("times", "positions", "headings", "extent"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
     def test_arena_too_small(self):
         cfg = default_scenario()
