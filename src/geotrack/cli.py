@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import math
 import os
 import resource
@@ -350,8 +349,7 @@ def cmd_report(args, out: Path) -> tuple[list[str], dict]:
             print(f"warning: {report_path} missing; row flagged", file=sys.stderr)
             runs.append((Path(run_dir).name, None, None))
             continue
-        fingerprint = hashlib.sha256(report_path.read_bytes()).hexdigest()[:12]
-        runs.append((Path(run_dir).name, dataio.read_report(report_path), fingerprint))
+        runs.append((Path(run_dir).name, *dataio.read_report(report_path)))
     print(dataio.write_report_table(out / "report_table.csv", out / "report_table.txt", runs), end="")
     return ["report_table.csv", "report_table.txt"], {}
 

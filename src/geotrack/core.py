@@ -9,7 +9,7 @@ object anywhere is a numpy Generator owned by its caller.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -86,6 +86,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _fields_equal(self, other):
+    """__eq__ of a value dataclass with array fields: every field equal by
+    np.array_equal. Defining it leaves the class unhashable."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
 class Gaussian2D:
     """A 2-D Gaussian over object location: mean (cm) and covariance (cm^2).
@@ -97,10 +105,7 @@ class Gaussian2D:
     mean: np.ndarray
     cov: np.ndarray
 
-    def __eq__(self, other):
-        if not isinstance(other, Gaussian2D):
-            return NotImplemented
-        return np.array_equal(self.mean, other.mean) and np.array_equal(self.cov, other.cov)
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         mean, cov = _gaussian_arrays(self.mean, self.cov)
@@ -140,14 +145,7 @@ class ObjectPose:
     heading: float
     extent: tuple[float, float]
 
-    def __eq__(self, other):
-        if not isinstance(other, ObjectPose):
-            return NotImplemented
-        return (
-            np.array_equal(self.position, other.position)
-            and self.heading == other.heading
-            and self.extent == other.extent
-        )
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         position = np.array(self.position, dtype=float).reshape(2)

@@ -2,6 +2,8 @@
 
 All writers are deterministic (sorted keys, repr-exact floats): a write ->
 read -> write round trip is byte-identical, as are identically seeded runs.
+Scenario, parameter, calibration and report files take their keys and
+columns from their dataclasses' fields (history.csv from its rows' keys).
 Detections, truth and tracks are written from arrays, a bounded chunk of
 frames at a time, each column spelt once (a repeated column reuses it).
 
@@ -29,6 +31,7 @@ import array
 import csv
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -88,6 +91,12 @@ def _read_json(path: Path, parse: Callable[[dict], Record]) -> Record:
             return parse(json.load(fh))
     except _MALFORMED as exc:
         raise _located(exc, path) from exc
+
+
+def _from_fields(cls, data: dict):
+    """The dataclass cls from data's value of each field; a field with a default may be left out."""
+    names = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING or f.name in data]
+    return cls(**{name: data[name] for name in names})
 
 
 def _time(value) -> float:
@@ -402,63 +411,48 @@ def match_truth(times: np.ndarray, truth: Trajectory, source: str) -> np.ndarray
 # scenario config
 
 
+def _plain(value, name: str = ""):
+    """A scenario value (the field name, if it is one) as JSON: a dataclass
+    as a dict of its fields, a tuple, list or array as a list, a string as
+    it is, the seed as an int and any other number as a float."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name), f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [_plain(v) for v in value]
+    if isinstance(value, str):
+        return value
+    return int(value) if name == "seed" else float(value)
+
+
 def scenario_to_dict(config: ScenarioConfig) -> dict:
-    return {
-        "arena": {"width": float(config.arena.width), "length": float(config.arena.length)},
-        "nodes": [
-            {
-                "id": n.id,
-                "position": [float(n.position[0]), float(n.position[1])],
-                "facing": float(n.facing),
-                "fov": float(n.fov),
-                "noise_floor": float(n.noise_floor),
-                "noise_slope": float(n.noise_slope),
-                "miscalibration": [float(n.miscalibration[0]), float(n.miscalibration[1])],
-            }
-            for n in config.nodes
-        ],
-        "occluders": [list(r) for r in config.occluders],
-        "lighting": config.lighting,
-        "low_light_noise_multiplier": float(config.low_light_noise_multiplier),
-        "fps": float(config.fps),
-        "duration": float(config.duration),
-        "split": list(config.split),
-        "object_extent": list(config.object_extent),
-        "seed": int(config.seed),
-        "fallback_rate": float(config.fallback_rate),
-        "fallback_sigma": float(config.fallback_sigma),
-        "ray_anisotropy": float(config.ray_anisotropy),
-    }
+    return _plain(config)
 
 
-_NODE_REQUIRED = ("id", "position", "facing")
-_NODE_KEYS = {*_NODE_REQUIRED, "fov", "noise_floor", "noise_slope", "miscalibration"}
-_CONFIG_KEYS = set(scenario_to_dict(default_scenario()).keys())
+def _check_fields(data, cls, prefix: str = "") -> None:
+    """Raise for the first key of data, in sorted order, that names no field of the dataclass cls."""
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config field: {prefix}{sorted(unknown)[0]}")
 
 
 def scenario_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from a possibly partial dict; missing fields take the
     bundled defaults. Unknown fields are an error, named in the message."""
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ValueError(f"unknown config field: {sorted(unknown)[0]}")
-    base = default_scenario(seed=int(data.get("seed", 0)))
-    # ScenarioConfig converts the other fields itself.
-    kwargs = {key: value for key, value in data.items() if key not in ("arena", "nodes", "seed")}
+    _check_fields(data, ScenarioConfig)
+    # ScenarioConfig converts and checks the other fields itself.
+    kwargs = {key: value for key, value in data.items() if key not in ("arena", "nodes")}
     if "arena" in data:
-        kwargs["arena"] = Arena(float(data["arena"]["width"]), float(data["arena"]["length"]))
+        arena = data["arena"]
+        # Every arena field is required.
+        kwargs["arena"] = Arena(*(float(arena[f.name]) for f in dataclasses.fields(Arena)))
+        _check_fields(arena, Arena, "arena.")
     if "nodes" in data:
         nodes = []
         for nd in data["nodes"]:
-            bad = set(nd) - _NODE_KEYS
-            if bad:
-                raise ValueError(f"unknown config field: nodes.{sorted(bad)[0]}")
-            # Omitted keys take CameraNode's own defaults.
-            required = {key: nd[key] for key in _NODE_REQUIRED}
-            optional = {key: value for key, value in nd.items() if key not in required}
-            nodes.append(CameraNode(**required, **optional))
+            _check_fields(nd, CameraNode, "nodes.")
+            nodes.append(_from_fields(CameraNode, nd))
         kwargs["nodes"] = tuple(nodes)
-    return dataclasses.replace(base, **kwargs)
+    return dataclasses.replace(default_scenario(), **kwargs)
 
 
 def load_scenario(path: Path) -> ScenarioConfig:
@@ -474,26 +468,21 @@ def write_scenario(path: Path, config: ScenarioConfig) -> None:
 
 
 def write_filter_params(path: Path, params: FilterParams) -> None:
-    _write_json(path, {"sigma_accel": float(params.sigma_accel), "init_vel_var": float(params.init_vel_var)})
+    _write_json(path, dataclasses.asdict(params))
 
 
 def read_filter_params(path: Path) -> FilterParams:
-    return _read_json(
-        path,
-        lambda data: FilterParams(
-            float(data["sigma_accel"]), float(data.get("init_vel_var", FilterParams.init_vel_var))
-        ),
-    )
+    return _read_json(path, functools.partial(_from_fields, FilterParams))
 
 
 def write_calibration(path: Path, params: dict[str, CalibrationParams], shared: bool = False) -> None:
-    views = {v: {"a": float(p.a), "b": float(p.b)} for v, p in params.items()}
+    views = {v: dataclasses.asdict(p) for v, p in params.items()}
     _write_json(path, {"shared": shared, "views": views})
 
 
 def read_calibration(path: Path) -> dict[str, CalibrationParams]:
     return _read_json(
-        path, lambda data: {v: CalibrationParams(d["a"], d["b"]) for v, d in data["views"].items()}
+        path, lambda data: {v: _from_fields(CalibrationParams, d) for v, d in data["views"].items()}
     )
 
 
@@ -539,31 +528,35 @@ def write_plot_data(path: Path, times, means, covs, truth) -> None:
 # ---------------------------------------------------------------------------
 # metric report
 
+# The report's four headline metrics: every field but the alpha sweep.
+_HEADLINE = [f.name for f in dataclasses.fields(MetricReport) if f.name != "alpha_sweep"]
+
 
 def write_report(path: Path, report: MetricReport) -> None:
-    _write_json(path, report.to_dict())
+    _write_json(path, dataclasses.asdict(report))
 
 
-def _report_from_dict(data: dict) -> MetricReport:
-    values = {field.name: data[field.name] for field in dataclasses.fields(MetricReport)}
-    return MetricReport(**{**values, "alpha_sweep": tuple(values["alpha_sweep"])})
-
-
-def read_report(path: Path) -> MetricReport:
-    return _read_json(path, _report_from_dict)
+def read_report(path: Path) -> tuple[MetricReport, str]:
+    """A report file, read once, as its MetricReport and its fingerprint:
+    the first 12 hex digits of the file's sha256."""
+    try:
+        data = Path(path).read_bytes()
+        return _from_fields(MetricReport, json.loads(data)), hashlib.sha256(data).hexdigest()[:12]
+    except _MALFORMED as exc:
+        raise _located(exc, path) from exc
 
 
 def write_report_row(path: Path, report: MetricReport) -> None:
-    row = [report.nll, report.opm, report.det_pr, report.loc_a]
-    _write_rows(path, "nll,opm,det_pr,loc_a\r\n", "%r,%r,%r,%r\r\n", np.array([row]))
+    row = [getattr(report, key) for key in _HEADLINE]
+    _write_rows(path, ",".join(_HEADLINE) + "\r\n", ",".join(["%r"] * len(row)) + "\r\n", np.array([row]))
 
 
 def write_report_table(csv_path: Path, text_path: Path, runs: Sequence[tuple]) -> str:
     """A header and a row per run (name, MetricReport or None, fingerprint) as
     CSV and as text, columns left-aligned two spaces apart; returns the text."""
-    rows = [["run", "nll", "opm", "det_pr", "loc_a", "fingerprint"]]
+    rows = [["run", *_HEADLINE, "fingerprint"]]
     for name, report, fingerprint in runs:
-        values = ["MISSING"] * 4 if report is None else [repr(getattr(report, key)) for key in rows[0][1:5]]
+        values = ["MISSING" if report is None else repr(getattr(report, key)) for key in _HEADLINE]
         rows.append([name, *values, "-" if report is None else fingerprint])
     with open(csv_path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
@@ -591,21 +584,22 @@ def write_histogram(path: Path, values: np.ndarray) -> None:
 
 
 def write_history(path: Path, rows: Sequence[dict]) -> None:
-    header = ["epoch", "train_nll", "val_nll", "sigma_accel"]
-    table = np.array([[row[key] for key in header] for row in rows], dtype=float).reshape(-1, len(header))
-    _write_rows(path, ",".join(header) + "\r\n", "%d,%r,%r,%r\r\n", table)
+    """tuning.TuneHistory.rows as CSV: a column per key, an int (the epoch) spelt with %d."""
+    header = list(rows[0])
+    specs = ["%d" if isinstance(value, int) else "%r" for value in rows[0].values()]
+    table = np.array([[row[key] for key in header] for row in rows], dtype=float)
+    _write_rows(path, ",".join(header) + "\r\n", ",".join(specs) + "\r\n", table)
 
 
 def write_epochs(path: Path, epochs: Sequence[dict]) -> None:
-    """tuning.TuneHistory.epochs as CSV: per epoch, the largest pre-clip
-    gradient norm of its steps (blank at epoch 0), the clipped step count,
-    and each view's a and b in columns <view>_a and <view>_b."""
+    """tuning.TuneHistory.epochs as CSV: a column per key of its epochs, a
+    None blank (the gradient norm at epoch 0), then in place of views each
+    view's a and b in columns <view>_a and <view>_b."""
     views = list(epochs[0]["views"])
-    header = ["epoch", "max_grad_norm", "clipped", *(f"{v}_{p}" for v in views for p in "ab")]
+    keys = [key for key in epochs[0] if key != "views"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header)
+        writer.writerow([*keys, *(f"{v}_{p}" for v in views for p in "ab")])
         for row in epochs:
-            norm = "" if row["max_grad_norm"] is None else repr(row["max_grad_norm"])
             values = [repr(float(x)) for v in views for x in row["views"][v]]
-            writer.writerow([row["epoch"], norm, row["clipped"], *values])
+            writer.writerow([*("" if row[key] is None else row[key] for key in keys), *values])

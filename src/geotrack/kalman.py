@@ -76,6 +76,8 @@ class FilterParams:
     init_vel_var: float = 1e4
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma_accel", float(self.sigma_accel))
+        object.__setattr__(self, "init_vel_var", float(self.init_vel_var))
         if not 0.0 < self.sigma_accel < np.inf:
             raise ValueError(f"sigma_accel must be positive and finite, got {self.sigma_accel}")
         if not 0.0 < self.init_vel_var < np.inf:

@@ -91,14 +91,8 @@ class MetricReport:
     loc_a: float
     alpha_sweep: tuple[float, ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "nll": self.nll,
-            "opm": self.opm,
-            "det_pr": self.det_pr,
-            "loc_a": self.loc_a,
-            "alpha_sweep": list(self.alpha_sweep),
-        }
+    def __post_init__(self):
+        object.__setattr__(self, "alpha_sweep", tuple(self.alpha_sweep))
 
 
 def mean_nll(records: Records) -> float:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import Arena, _gaussian_arrays, _is_pd, _pose_values, heading_from_velocity, wrap_angle
+from .core import Arena, _fields_equal, _gaussian_arrays, _is_pd, _pose_values, heading_from_velocity, wrap_angle
 from .kalman import FrameBatch
 
 WALL_MARGIN = 20.0
@@ -54,16 +54,7 @@ class CameraNode:
     noise_slope: float = 0.01
     miscalibration: tuple[float, float] = (1.0, 0.0)
 
-    def __eq__(self, other):
-        if not isinstance(other, CameraNode):
-            return NotImplemented
-        return (
-            self.id == other.id
-            and np.array_equal(self.position, other.position)
-            and (self.facing, self.fov, self.noise_floor, self.noise_slope)
-            == (other.facing, other.fov, other.noise_floor, other.noise_slope)
-            and self.miscalibration == other.miscalibration
-        )
+    __eq__ = _fields_equal
 
     def __post_init__(self):
         # A detection's view id is its node's id, which readers take only as a string.
@@ -130,6 +121,11 @@ class ScenarioConfig:
             raise ValueError(f"fallback_sigma must be positive and finite, as must sigma^4: got {sigma!r}")
         if not 1.0 <= self.ray_anisotropy < math.inf:
             raise ValueError("ray_anisotropy must be >= 1 and finite")
+        # A whole number: 7 and 7.0 load as 7; True, "7", 1.5 and -1 do not.
+        seed = int(self.seed) if isinstance(self.seed, float) and self.seed.is_integer() else self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(seed))
         ids = [n.id for n in self.nodes]
         if len(set(ids)) != len(ids):
             raise ValueError(f"node ids must be unique, got {ids}")

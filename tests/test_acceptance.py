@@ -403,7 +403,7 @@ def test_criterion_7_tracker_beats_mean_detector_opm(default_run, tmp_path):
         )
         == 0
     )
-    tracker = dataio.read_report(out / "report.json")
+    tracker, _ = dataio.read_report(out / "report.json")
     detector_opms = []
     detector_nlls = []
     for view in ("N1", "N2", "N3", "N4"):
@@ -420,7 +420,7 @@ def test_criterion_7_tracker_beats_mean_detector_opm(default_run, tmp_path):
             )
             == 0
         )
-        rep = dataio.read_report(vout / "report.json")
+        rep, _ = dataio.read_report(vout / "report.json")
         detector_opms.append(rep.opm)
         detector_nlls.append(rep.nll)
     mean_detector = float(np.mean(detector_opms))

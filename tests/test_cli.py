@@ -101,6 +101,19 @@ class TestSimulate:
         assert main(["simulate", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "frames_per_second" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", ["1.5", "true", "-1", '"7"'])
+    def test_bad_seed_exits_2_naming_the_config(self, tmp_path, capsys, seed):
+        config = tmp_path / "c.json"
+        config.write_text(f'{{"seed": {seed}}}')
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 2
+        message = f"seed must be a non-negative integer, got {json.loads(seed)!r}"
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not (tmp_path / "sim" / "scenario_resolved.json").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert main(["simulate", "--seed", "-1", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+
     def test_seed_override(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(SMALL_CONFIG))
@@ -495,7 +508,7 @@ class TestEvaluate:
             ]
         )
         assert code == 0
-        report = dataio.read_report(tmp_path / "report.json")
+        report, _ = dataio.read_report(tmp_path / "report.json")
         assert 0.0 <= report.opm <= 1.0
         assert (tmp_path / "nll_hist.csv").exists()
         assert (tmp_path / "report_row.csv").exists()
@@ -523,7 +536,7 @@ class TestEvaluate:
             ]
         )
         assert code == 0
-        report = dataio.read_report(tmp_path / "report.json")
+        report, _ = dataio.read_report(tmp_path / "report.json")
         assert report.alpha_sweep == metrics.default_sweep().thresholds
 
     def test_alpha_sweep_range_is_exact(self, sim_dir, track_dir, tmp_path):
@@ -536,7 +549,7 @@ class TestEvaluate:
                     "--truth", str(sim_dir / "truth_test.csv"), "--out", str(out)]
             assert main(argv + extra) == 0
             reports.append((out / "report.json").read_bytes())
-        assert dataio.read_report(tmp_path / "range" / "report.json").alpha_sweep == (
+        assert dataio.read_report(tmp_path / "range" / "report.json")[0].alpha_sweep == (
             metrics.default_sweep().thresholds
         )
         assert reports[0] == reports[1]
@@ -626,7 +639,7 @@ class TestEvaluate:
         assert main(
             ["evaluate", "--track", str(unit_track), "--truth", str(truth_path), "--out", str(out1)]
         ) == 0
-        report = dataio.read_report(out1 / "report.json")
+        report, _ = dataio.read_report(out1 / "report.json")
         assert report.nll == pytest.approx(math.log(2.0 * math.pi), abs=1e-9)
 
         # Tiny covariance at truth: all scores saturate at 1.
@@ -638,7 +651,7 @@ class TestEvaluate:
         assert main(
             ["evaluate", "--track", str(tiny_track), "--truth", str(truth_path), "--out", str(out2)]
         ) == 0
-        report = dataio.read_report(out2 / "report.json")
+        report, _ = dataio.read_report(out2 / "report.json")
         assert report.opm == 1.0 and report.det_pr == 1.0 and report.loc_a == 1.0
 
 
@@ -828,6 +841,17 @@ EXIT_CODE_CASES = [
     ("split-two-fractions", 2, {"c.json": '{"split": [0.5, 0.5]}'}, _SIMULATE, "{tmp}/c.json"),
     ("extent-one-value", 2, {"c.json": '{"object_extent": [15.0]}'}, _SIMULATE, "{tmp}/c.json"),
     ("extent-three-values", 2, {"c.json": '{"object_extent": [15.0, 30.0, 5.0]}'}, _SIMULATE, "{tmp}/c.json"),
+    ("seed-fraction", 2, {"c.json": '{"seed": 1.5}'}, _SIMULATE, "{tmp}/c.json"),
+    ("seed-bool", 2, {"c.json": '{"seed": true}'}, _SIMULATE, "{tmp}/c.json"),
+    ("seed-negative", 2, {"c.json": '{"seed": -1}'}, _SIMULATE, "{tmp}/c.json"),
+    ("seed-flag-negative", 2, {}, "simulate --seed -1", None),
+    (
+        "arena-unknown-field",
+        2,
+        {"c.json": '{"arena": {"width": 500, "length": 700, "hieght": 3}}'},
+        _SIMULATE,
+        "{tmp}/c.json",
+    ),
     (
         "report-missing-opm",
         2,

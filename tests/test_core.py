@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from geotrack.core import (
     rotation,
     wrap_angle,
 )
+from geotrack.simulator import CameraNode
 
 LOG_2PI = math.log(2.0 * math.pi)
 EPS = float(np.finfo(float).eps)
@@ -292,3 +294,65 @@ class TestHelpers:
     def test_arena_rejects_non_finite_size(self, size):
         with pytest.raises(ValueError, match="arena dimensions must be positive and finite"):
             Arena(*size)
+
+
+# Each value type with field-wise equality: a strategy for its values and,
+# per field, a change that gives that field a different valid value.
+_COORD = st.floats(-1e4, 1e4)
+_FIELD_EQUALITY = {
+    Gaussian2D: (
+        st.builds(
+            lambda mean, sd, rho: Gaussian2D(mean, [[sd[0] ** 2, rho * sd[0] * sd[1]], [0.0, sd[1] ** 2]]),
+            st.tuples(_COORD, _COORD),
+            st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)),
+            st.floats(-0.9, 0.9),
+        ),
+        {"mean": lambda m: m + [0.0, 1.0], "cov": lambda c: c * 2.0},
+    ),
+    ObjectPose: (
+        st.builds(
+            ObjectPose, st.tuples(_COORD, _COORD), st.floats(-10.0, 10.0),
+            st.tuples(st.floats(0.1, 100.0), st.floats(0.1, 100.0)),
+        ),
+        {
+            "position": lambda p: p + [1.0, 0.0],
+            "heading": lambda h: h + 0.5 if h < 0.0 else h - 0.5,
+            "extent": lambda e: (e[0], e[1] + 1.0),
+        },
+    ),
+    CameraNode: (
+        st.builds(
+            CameraNode, st.text(min_size=1, max_size=4), st.tuples(_COORD, _COORD), _COORD,
+            fov=st.floats(0.1, 6.0), noise_floor=st.floats(0.1, 100.0), noise_slope=st.floats(0.0, 1.0),
+            miscalibration=st.tuples(st.floats(0.1, 100.0), st.floats(0.0, 100.0)),
+        ),
+        {
+            "id": lambda i: i + "x",
+            "position": lambda p: p + [0.0, 1.0],
+            "facing": lambda f: f + 1.0,
+            "fov": lambda f: f / 2.0,
+            "noise_floor": lambda n: n + 1.0,
+            "noise_slope": lambda n: n + 1.0,
+            "miscalibration": lambda m: (m[0], m[1] + 1.0),
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(_FIELD_EQUALITY), ids=lambda cls: cls.__name__)
+@settings(max_examples=50)
+@given(data=st.data())
+def test_equality_is_field_wise(cls, data):
+    values, changes = _FIELD_EQUALITY[cls]
+    assert set(changes) == {f.name for f in dataclasses.fields(cls)}
+    value = data.draw(values)
+    copy = cls(**{f.name: getattr(value, f.name) for f in dataclasses.fields(cls)})
+    assert copy == value and not copy != value
+    for name, change in changes.items():
+        other = dataclasses.replace(value, **{name: change(getattr(value, name))})
+        assert other != value and not other == value, name
+    for stranger in (object(), None, "x", dataclasses.astuple(value), Arena()):
+        assert value.__eq__(stranger) is NotImplemented
+        assert (value == stranger) is False and (value != stranger) is True
+    with pytest.raises(TypeError):
+        hash(value)

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from conftest import (
 )
 from geotrack import dataio
 from geotrack.calibration import CalibrationParams
-from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose, wrap_angle
+from geotrack.core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, wrap_angle
 from geotrack.kalman import DetectionFrame, FilterParams, FrameBatch, pack
 from geotrack.metrics import MetricReport
 from geotrack.simulator import CameraNode, Trajectory, default_scenario
@@ -252,6 +253,83 @@ def test_scenario_round_trip(tmp_path):
     assert path.read_bytes() == second.read_bytes()
 
 
+def _away(strategy, default):
+    return strategy.filter(lambda value: value != default)
+
+
+def _floats(lo, hi):
+    """Floats in [lo, hi], whole ones often: a config's numbers may be written as JSON ints."""
+    return st.one_of(st.integers(math.ceil(lo), math.floor(hi)).map(float), st.floats(lo, hi))
+
+
+@st.composite
+def _camera_node(draw, node_id):
+    defaults = CameraNode(node_id, (0.0, 0.0), 0.0)
+    return CameraNode(
+        node_id,
+        (draw(_floats(-1e4, 1e4)), draw(_floats(-1e4, 1e4))),
+        draw(_floats(-10.0, 10.0)),
+        fov=draw(_away(_floats(0.01, 6.28), defaults.fov)),
+        noise_floor=draw(_away(_floats(0.01, 100.0), defaults.noise_floor)),
+        noise_slope=draw(_away(_floats(0.0, 1.0), defaults.noise_slope)),
+        miscalibration=(draw(_away(_floats(0.01, 100.0), 1.0)), draw(_away(_floats(0.0, 100.0), 0.0))),
+    )
+
+
+@st.composite
+def _scenario_configs(draw):
+    """A ScenarioConfig with every field away from its default, the
+    arena's and each node's too."""
+    default = default_scenario()
+    ids = draw(st.lists(st.text(min_size=1, max_size=4), min_size=1, max_size=4, unique=True))
+    split = draw(_away(st.tuples(_floats(0.0, 0.5), _floats(0.0, 0.5)), default.split[:2]))
+    return dataclasses.replace(
+        default,
+        arena=Arena(draw(_away(_floats(1.0, 1e4), 500.0)), draw(_away(_floats(1.0, 1e4), 700.0))),
+        nodes=tuple(draw(_camera_node(node_id)) for node_id in ids),
+        occluders=draw(st.lists(st.tuples(*[_floats(-1e3, 1e3)] * 4), min_size=1, max_size=3)),
+        lighting="low",
+        low_light_noise_multiplier=draw(_away(_floats(0.1, 10.0), default.low_light_noise_multiplier)),
+        fps=draw(_away(_floats(0.1, 100.0), default.fps)),
+        duration=draw(_away(_floats(0.1, 1e4), default.duration)),
+        split=(*split, 1.0 - split[0] - split[1]),
+        object_extent=draw(_away(st.tuples(_floats(0.1, 100.0), _floats(0.1, 100.0)), default.object_extent)),
+        seed=draw(st.integers(1, 2**64)),
+        fallback_rate=draw(_away(_floats(0.0, 1.0), default.fallback_rate)),
+        fallback_sigma=draw(_away(_floats(0.1, 1e4), default.fallback_sigma)),
+        ray_anisotropy=draw(_away(_floats(1.0, 10.0), default.ray_anisotropy)),
+    )
+
+
+def _ints_for_whole_floats(value):
+    """A JSON value with every whole float but -0.0 (whose sign an int
+    drops) written as an int."""
+    if isinstance(value, dict):
+        return {key: _ints_for_whole_floats(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_ints_for_whole_floats(v) for v in value]
+    whole = isinstance(value, float) and value.is_integer() and repr(float(int(value))) == repr(value)
+    return int(value) if whole else value
+
+
+@settings(max_examples=150)
+@given(config=_scenario_configs())
+def test_scenario_round_trips_every_field(fuzz_dir, config):
+    # Every field is away from its default, so a field the writer drops or
+    # the reader ignores loads unequal.
+    path, second, ints = fuzz_dir / "s.json", fuzz_dir / "s2.json", fuzz_dir / "ints.json"
+    dataio.write_scenario(path, config)
+    back = dataio.load_scenario(path)
+    assert back == config
+    dataio.write_scenario(second, back)
+    assert second.read_bytes() == path.read_bytes()
+    ints.write_text(json.dumps(_ints_for_whole_floats(json.loads(path.read_text()))))
+    from_ints = dataio.load_scenario(ints)
+    assert from_ints == config
+    dataio.write_scenario(second, from_ints)
+    assert second.read_bytes() == path.read_bytes()
+
+
 def test_scenario_defaults_filled():
     cfg = dataio.scenario_from_dict({"seed": 3, "duration": 10.0})
     assert cfg.seed == 3
@@ -268,6 +346,32 @@ def test_scenario_unknown_field_named():
         dataio.scenario_from_dict(
             {"nodes": [{"id": "N1", "position": [0, 0], "facing": 0.0, "colour": "red"}]}
         )
+    with pytest.raises(ValueError, match=r"^unknown config field: arena\.hieght$"):
+        dataio.scenario_from_dict({"arena": {"width": 500, "length": 700, "hieght": 3}})
+
+
+@pytest.mark.parametrize("arena,missing", [({"width": 500.0}, "length"), ({"length": 700.0}, "width")])
+def test_scenario_arena_needs_every_field(tmp_path, arena, missing):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"arena": arena}))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: missing field '{missing}'$"):
+        dataio.load_scenario(path)
+
+
+@pytest.mark.parametrize("seed", [True, "7", 1.5, -1, -1.0, None, [7]])
+def test_scenario_rejects_a_seed_that_is_not_a_non_negative_integer(tmp_path, seed):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps({"seed": seed}))
+    message = f"{path}: seed must be a non-negative integer, got {seed!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        dataio.load_scenario(path)
+
+
+@pytest.mark.parametrize("seed", [7, 7.0])
+def test_scenario_seed_loads_as_an_int(seed):
+    config = dataio.scenario_from_dict({"seed": seed})
+    assert type(config.seed) is int and config.seed == 7
+    assert dataio.scenario_to_dict(config) == dataio.scenario_to_dict(default_scenario(7))
 
 
 def test_scenario_node_defaults_are_camera_node_defaults():
@@ -281,6 +385,9 @@ def test_filter_params_round_trip(tmp_path):
     back = dataio.read_filter_params(path)
     assert back.sigma_accel == 55.5
     assert back.init_vel_var == 123.0
+    # Given as ints, both are written as floats.
+    dataio.write_filter_params(path, FilterParams(10, init_vel_var=5))
+    assert path.read_text() == '{\n  "init_vel_var": 5.0,\n  "sigma_accel": 10.0\n}\n'
 
 
 def test_calibration_round_trip(tmp_path):
@@ -322,7 +429,8 @@ def test_report_round_trip(tmp_path):
     )
     path = tmp_path / "r.json"
     dataio.write_report(path, report)
-    assert dataio.read_report(path) == report
+    # One read gives the report and its fingerprint, the file's sha256 in 12 hex digits.
+    assert dataio.read_report(path) == (report, hashlib.sha256(path.read_bytes()).hexdigest()[:12])
 
 
 def test_report_row_csv(tmp_path):
