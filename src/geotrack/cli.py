@@ -257,7 +257,7 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     train_pos = _truth_positions(train, args.train_truth, args.train_detections)
     val_pos = _truth_positions(val, args.val_truth, args.val_detections)
 
-    config = tuning.TuneConfig(seq_len=args.seq_len, epochs=args.epochs, lr=args.lr)
+    config = tuning.TuneConfig(seq_len=args.seq_len, epochs=args.epochs)
     train_windows = tuning.make_windows(train, train_pos, config.seq_len)
     val_windows = tuning.make_windows(val, val_pos, min(config.seq_len, len(val)))
     for source, (windows, _) in ((args.train_detections, train_windows), (args.val_detections, val_windows)):
@@ -273,27 +273,17 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
         calib0 = {view: calibration.IDENTITY for view in train.views}
     params0 = tuning.TunableParams.from_natural(base.sigma_accel, calib0)
 
-    tuned, history = tuning.tune(
-        config,
-        params0,
-        train_windows,
-        val_windows,
-        seed=args.seed,
-        init_vel_var=base.init_vel_var,
-    )
+    tuned, history = tuning.tune(config, params0, train_windows, val_windows, init_vel_var=base.init_vel_var)
     sigma, calib = tuned.decode()
     dataio.write_filter_params(out / "tuned_params.json", FilterParams(sigma, base.init_vel_var))
     dataio.write_calibration(out / "tuned_calibration.json", calib)
     dataio.write_history(out / "history.csv", history.rows)
-    dataio.write_epochs(out / "epochs.csv", history.epochs)
-    dataio._write_json(out / "history_meta.json", {"diverged": history.diverged, **history.meta})
+    dataio._write_json(out / "history_meta.json", history.meta)
     print(
         f"tune: {config.epochs} epochs, sigma_accel {sigma:.4g}, "
         f"val NLL {history.rows[0]['val_nll']:.4f} -> {history.meta['best_val_nll']:.4f} (best seen)"
     )
-    outputs = [
-        "tuned_params.json", "tuned_calibration.json", "history.csv", "epochs.csv", "history_meta.json"
-    ]
+    outputs = ["tuned_params.json", "tuned_calibration.json", "history.csv", "history_meta.json"]
     return outputs, {"params": dataclasses.asdict(base)}
 
 
@@ -396,8 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", help="filter params JSON for the starting point")
     p.add_argument("--seq-len", type=int, default=tuning.TuneConfig.seq_len)
     p.add_argument("--epochs", type=int, default=tuning.TuneConfig.epochs)
-    p.add_argument("--lr", type=float, default=tuning.TuneConfig.lr)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_tune)
 

@@ -471,19 +471,41 @@ def write_filter_params(path: Path, params: FilterParams) -> None:
     _write_json(path, dataclasses.asdict(params))
 
 
+def _strict(cls, data, name: str, prefix: str = ""):
+    """The dataclass cls from data, which must be an object (name says of
+    what) whose every key is a field of cls."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be an object")
+    _check_fields(data, cls, prefix)
+    return _from_fields(cls, data)
+
+
 def read_filter_params(path: Path) -> FilterParams:
-    return _read_json(path, functools.partial(_from_fields, FilterParams))
+    return _read_json(path, functools.partial(_strict, FilterParams, name="filter parameters"))
+
+
+@dataclasses.dataclass(frozen=True)
+class _CalibrationFile:
+    """A calibration file's fields: each view's CalibrationParams, and
+    whether calibrate fitted one pair across the views."""
+
+    views: dict
+    shared: bool = False
 
 
 def write_calibration(path: Path, params: dict[str, CalibrationParams], shared: bool = False) -> None:
-    views = {v: dataclasses.asdict(p) for v, p in params.items()}
-    _write_json(path, {"shared": shared, "views": views})
+    _write_json(path, dataclasses.asdict(_CalibrationFile(params, shared)))
+
+
+def _calibration(data) -> dict[str, CalibrationParams]:
+    views = _strict(_CalibrationFile, data, "calibration").views
+    if not isinstance(views, dict):
+        raise ValueError("views must be an object")
+    return {v: _strict(CalibrationParams, d, f"views.{v}", f"views.{v}.") for v, d in views.items()}
 
 
 def read_calibration(path: Path) -> dict[str, CalibrationParams]:
-    return _read_json(
-        path, lambda data: {v: _from_fields(CalibrationParams, d) for v, d in data["views"].items()}
-    )
+    return _read_json(path, _calibration)
 
 
 # ---------------------------------------------------------------------------
@@ -590,16 +612,3 @@ def write_history(path: Path, rows: Sequence[dict]) -> None:
     table = np.array([[row[key] for key in header] for row in rows], dtype=float)
     _write_rows(path, ",".join(header) + "\r\n", ",".join(specs) + "\r\n", table)
 
-
-def write_epochs(path: Path, epochs: Sequence[dict]) -> None:
-    """tuning.TuneHistory.epochs as CSV: a column per key of its epochs, a
-    None blank (the gradient norm at epoch 0), then in place of views each
-    view's a and b in columns <view>_a and <view>_b."""
-    views = list(epochs[0]["views"])
-    keys = [key for key in epochs[0] if key != "views"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*keys, *(f"{v}_{p}" for v in views for p in "ab")])
-        for row in epochs:
-            values = [repr(float(x)) for v in views for x in row["views"][v]]
-            writer.writerow([*("" if row[key] is None else row[key] for key in keys), *values])

@@ -3,17 +3,21 @@
 The tunables are the filter's acceleration-noise parameter and the per-view
 affine covariance calibration applied to detections before fusion. All live
 in unconstrained space (log for multiplicative quantities, inverse softplus
-for the non-negative floor) so any optimizer step decodes to a valid value.
-Gradients are exact: the filter takes them in one backward pass over each
-window's frames, whose cost does not grow with the number of tunables.
+for the non-negative floor), so a step decodes to a valid value unless exp
+over- or underflows. Gradients are exact: the filter takes them in one
+backward pass over each window's frames, whose cost does not grow with the
+number of tunables.
 
 make_windows reshapes a split's detections, the one-window FrameBatch
 dataio.read_detections returns, into a kalman.FrameBatch of B windows
 (times (B, T), detections (B, T, V, ...), mask (B, T, V)) with truth
-positions (B, T, 2). sequence_loss filters a whole minibatch, or a whole
-split for an epoch snapshot, in one call of the batched recursion and
-returns one loss and gradient per window; a snapshot needs only the losses,
-so it filters with grad=False, with no backward pass at all.
+positions (B, T, 2). sequence_loss filters all of a split's windows in one
+call of the batched recursion and returns one loss and gradient per window.
+tune minimises the mean train-window loss by deterministic full-batch BFGS
+(K = 1 + 2V tunables, a dense K x K inverse Hessian): each epoch is one
+iteration, a line search of full passes over the train windows with the
+gradient, then one validation pass, which needs only the losses and so
+filters with grad=False, with no backward pass at all.
 """
 
 from __future__ import annotations
@@ -31,15 +35,10 @@ from .kalman import FilterParams, FrameBatch, run_windows
 # A split's windows and their truth positions (B, T, 2).
 Split = tuple[FrameBatch, np.ndarray]
 
-# The optimizer's fixed settings, each recorded in the history's meta: the
-# moment decays and epsilon, the decoupled weight decay, the clip on the
-# gradient's L2 norm, the epoch from which the learning rate is a tenth, and
-# the windows per step.
-BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
-WEIGHT_DECAY = 1e-4
-GRAD_CLIP = 0.1
-LR_DROP_EPOCH = 4
-BATCH = 8
+# The line search's sufficient-decrease (Armijo) constant, and the most
+# times it halves an iteration's step before it leaves the point as it is.
+ARMIJO = 1e-4
+MAX_HALVINGS = 20
 
 
 @dataclass(frozen=True)
@@ -48,16 +47,12 @@ class TuneConfig:
 
     seq_len: int = 100
     epochs: int = 5
-    lr: float = 1e-4
 
     def __post_init__(self):
         if self.seq_len < 2:
             raise ValueError("seq_len must be >= 2")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        # lr == 0 is allowed as an explicit no-op optimizer.
-        if not 0.0 <= self.lr < math.inf:
-            raise ValueError(f"lr must be non-negative and finite, got {self.lr}")
 
 
 @dataclass(frozen=True)
@@ -128,13 +123,17 @@ def sequence_loss(
     losses are the same bits and the gradient is None. A window that fails
     numerically (a matrix that is not positive definite, or a non-finite
     loss) gets loss inf and a zero gradient; the other windows of the batch
-    are unaffected.
+    are unaffected. A point whose decoding over- or underflows to a value
+    outside the parameters' domain fails every window.
     """
     order = params.view_order()
     n_windows = len(batch.t)
-    try:
+    try:  # exp overflows, or a underflows to 0 and CalibrationParams rejects it
         sigma, calib = params.decode()
-    except OverflowError:
+        outside = not sigma > 0.0
+    except (OverflowError, ValueError):
+        outside = True
+    if outside:
         return np.full(n_windows, math.inf), np.zeros((n_windows, 1 + 2 * len(order))) if grad else None
     result = run_windows(batch, FilterParams(sigma, init_vel_var), truth=truth, calib=calib, grad=grad)
     n_steps = np.sum(np.isfinite(result.nlls), axis=1)
@@ -159,41 +158,14 @@ def sequence_loss(
 
 @dataclass
 class TuneHistory:
-    """Per-epoch record (epoch 0 is the pre-training evaluation): rows of
-    losses and sigma_accel, and epochs of each view's (a, b), the largest
-    gradient norm of the epoch's steps before clipping (None at epoch 0)
-    and how many of them were clipped."""
+    """A row per epoch, epoch 0 the starting point: the train and validation
+    NLL, sigma_accel, the train gradient's L2 norm and each view's a and b
+    (keys <view>_a and <view>_b). The meta names the epoch with the best
+    validation NLL and that NLL, whether the start was not finite
+    (diverged), and how many train gradient evaluations the run took."""
 
     rows: list[dict] = field(default_factory=list)
-    epochs: list[dict] = field(default_factory=list)
-    meta: dict = field(default_factory=dict)
-    diverged: bool = False
-
-    def add(
-        self,
-        epoch: int,
-        train_nll: float,
-        val_nll: float,
-        params: TunableParams,
-        norms: list[float],
-    ):
-        sigma, calib = params.decode()
-        self.rows.append(
-            {
-                "epoch": epoch,
-                "train_nll": float(train_nll),
-                "val_nll": float(val_nll),
-                "sigma_accel": float(sigma),
-            }
-        )
-        self.epochs.append(
-            {
-                "epoch": epoch,
-                "views": {v: (calib[v].a, calib[v].b) for v in params.view_order()},
-                "max_grad_norm": max(norms) if norms else None,
-                "clipped": sum(norm > GRAD_CLIP for norm in norms),
-            }
-        )
+    meta: dict = field(default_factory=lambda: {"diverged": False, "evaluations": 0})
 
 
 def make_windows(frames: FrameBatch, truth: np.ndarray, seq_len: int) -> Split:
@@ -232,85 +204,80 @@ def tune(
     params0: TunableParams,
     train_windows: Split,
     val_windows: Split,
-    seed: int = 0,
     init_vel_var: float = FilterParams.init_vel_var,
 ) -> tuple[TunableParams, TuneHistory]:
-    """Mini-batch optimization of the tunables against sequence NLL.
+    """Full-batch BFGS on the mean train-window loss, one iteration an epoch.
 
-    First-order updates with momentum/second-moment normalization and
-    decoupled weight decay; the gradient's L2 norm is clipped, and the
-    learning rate drops by 10x from LR_DROP_EPOCH on. Returns the parameters
-    with the best validation NLL seen (epoch 0 included) and the history;
-    its meta names that epoch and NLL, and its lr_sum is the sum of the
-    learning rates of the steps taken. If the training loss stops being
-    finite the run aborts, with the history flagged, and returns the best
-    parameters seen so far.
+    Each iteration steps along -H g, where g is the exact gradient and H the
+    inverse-Hessian estimate, and halves the step until the loss is finite
+    and falls by at least ARMIJO times the step's first-order decrease
+    (Nocedal & Wright, Numerical Optimization, 2nd ed., algorithms 3.1 and
+    6.1). H starts as the identity over max(1, |g|), so the first step is at
+    most 1 long, and is rescaled by s'y / y'y before its first update; a
+    step with s'y <= 0 leaves H as it is. If MAX_HALVINGS halvings find no
+    step, the point stays where it is and its row repeats to the last epoch.
+    Returns the parameters with the best validation NLL seen (epoch 0
+    included) and the history. A start whose train or validation loss is not
+    finite is returned as it is, with the meta's diverged set.
     """
     train, train_truth = train_windows
     val, val_truth = val_windows
     if not len(train) or not len(val):
         raise ValueError("train and validation window sets must be non-empty")
-    history = TuneHistory(
-        meta={
-            "beta1": BETA1,
-            "beta2": BETA2,
-            "eps": EPS,
-            "weight_decay": WEIGHT_DECAY,
-            "lr": config.lr,
-            "lr_drop_epoch": LR_DROP_EPOCH,
-            "grad_clip": GRAD_CLIP,
-            "batch": BATCH,
-            "seed": seed,
-            "lr_sum": 0.0,
-        }
-    )
-    rng = np.random.default_rng(seed)
+    history = TuneHistory()
+    points = []
+
+    def train_loss(vec: np.ndarray) -> tuple[float, np.ndarray]:
+        history.meta["evaluations"] += 1
+        losses, grads = sequence_loss(params0.with_vector(vec), train, train_truth, init_vel_var)
+        return float(np.mean(losses)), np.mean(grads, axis=0)
+
+    def record(vec: np.ndarray, loss: float, gradient: np.ndarray) -> float:
+        """Add the epoch at vec to the history, naming it in the meta if its
+        validation NLL is the best yet; returns that NLL."""
+        params = params0.with_vector(vec)
+        val_nll = _mean_loss(params, val, val_truth, init_vel_var)
+        sigma, calib = params.decode()
+        row = {"epoch": len(points), "train_nll": loss, "val_nll": val_nll, "sigma_accel": sigma}
+        row["grad_norm"] = float(np.linalg.norm(gradient))
+        for v in params.view_order():
+            row[f"{v}_a"], row[f"{v}_b"] = calib[v].a, calib[v].b
+        history.rows.append(row)
+        if not points or val_nll < history.meta["best_val_nll"]:
+            history.meta.update(best_epoch=len(points), best_val_nll=val_nll)
+        points.append(vec)
+        return val_nll
+
     vec = params0.to_vector()
-    best_vec = vec
-    m = np.zeros_like(vec)
-    v = np.zeros_like(vec)
-    step = 0
-
-    def snapshot(epoch: int, norms: list[float]) -> tuple[float, float]:
-        """Record the epoch's losses, and keep vec if it is the best yet."""
-        nonlocal best_vec
-        p = params0.with_vector(vec)
-        train_nll = _mean_loss(p, train, train_truth, init_vel_var)
-        val_nll = _mean_loss(p, val, val_truth, init_vel_var)
-        history.add(epoch, train_nll, val_nll, p, norms)
-        if epoch == 0 or val_nll < history.meta["best_val_nll"]:
-            history.meta.update(best_val_nll=val_nll, best_epoch=epoch)
-            best_vec = vec.copy()
-        return train_nll, val_nll
-
-    if not np.all(np.isfinite(snapshot(0, []))):
-        history.diverged = True
+    loss, gradient = train_loss(vec)
+    val_nll = record(vec, loss, gradient)
+    if not (math.isfinite(loss) and math.isfinite(val_nll)):
+        history.meta["diverged"] = True
         return params0, history
 
-    for epoch in range(1, config.epochs + 1):
-        lr = config.lr / 10.0 if epoch >= LR_DROP_EPOCH else config.lr
-        perm = rng.permutation(len(train.t))
-        norms = []
-        for lo in range(0, len(perm), BATCH):
-            batch = perm[lo : lo + BATCH]
-            losses, grads = sequence_loss(
-                params0.with_vector(vec), train.take(batch), train_truth[batch], init_vel_var
-            )
-            if not np.all(np.isfinite(losses)):
-                history.diverged = True
-                return params0.with_vector(best_vec), history
-            g = np.mean(grads, axis=0)
-            norm = float(np.linalg.norm(g))
-            norms.append(norm)
-            if norm > GRAD_CLIP:
-                g = g * (GRAD_CLIP / norm)
-            step += 1
-            history.meta["lr_sum"] += lr
-            m = BETA1 * m + (1.0 - BETA1) * g
-            v = BETA2 * v + (1.0 - BETA2) * g * g
-            m_hat = m / (1.0 - BETA1**step)
-            v_hat = v / (1.0 - BETA2**step)
-            vec = vec - lr * m_hat / (np.sqrt(v_hat) + EPS) - lr * WEIGHT_DECAY * vec
-        snapshot(epoch, norms)
-
-    return params0.with_vector(best_vec), history
+    identity = np.eye(len(vec))
+    h_inv = identity / max(1.0, float(np.linalg.norm(gradient)))
+    rescaled = False
+    for _ in range(config.epochs):
+        direction = -h_inv @ gradient
+        slope = float(gradient @ direction)
+        for halvings in range(MAX_HALVINGS + 1):
+            step = 0.5**halvings
+            trial = vec + step * direction
+            trial_loss, trial_gradient = train_loss(trial)
+            if math.isfinite(trial_loss) and trial_loss <= loss + ARMIJO * step * slope:
+                break
+        else:
+            break
+        s, y = trial - vec, trial_gradient - gradient
+        sy = float(s @ y)
+        if sy > 0.0:
+            if not rescaled:
+                h_inv, rescaled = identity * (sy / float(y @ y)), True
+            v = identity - np.outer(s, y) / sy
+            h_inv = v @ h_inv @ v.T + np.outer(s, s) / sy
+        vec, loss, gradient = trial, trial_loss, trial_gradient
+        record(vec, loss, gradient)
+    while len(history.rows) <= config.epochs:
+        history.rows.append({**history.rows[-1], "epoch": len(history.rows)})
+    return params0.with_vector(points[history.meta["best_epoch"]]), history

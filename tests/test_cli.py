@@ -425,7 +425,6 @@ class TestTune:
                 "--val-truth", str(sim_dir / "truth_val.csv"),
                 "--seq-len", "50",
                 "--epochs", "2",
-                "--seed", "1",
                 "--out", str(tmp_path),
             ]
         )
@@ -433,13 +432,13 @@ class TestTune:
         rows = (tmp_path / "history.csv").read_text().strip().splitlines()
         assert len(rows) == 1 + 3  # header + epochs + epoch 0
         header = rows[0].split(",")
+        views = [f"{v}_{p}" for v in ("N1", "N2", "N3", "N4") for p in "ab"]
+        assert header == ["epoch", "train_nll", "val_nll", "sigma_accel", "grad_norm", *views]
         vals = [dict(zip(header, r.split(","))) for r in rows[1:]]
-        assert (tmp_path / "tuned_params.json").exists()
-        assert (tmp_path / "tuned_calibration.json").exists()
-        epochs = (tmp_path / "epochs.csv").read_text().strip().splitlines()
-        assert len(epochs) == 1 + 3 and epochs[1].startswith("0,,0,")
-        assert "epochs.csv" in json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        outputs = json.loads((tmp_path / "manifest.json").read_text())["outputs"]
+        assert outputs == ["history.csv", "history_meta.json", "tuned_calibration.json", "tuned_params.json"]
         meta = json.loads((tmp_path / "history_meta.json").read_text())
+        assert sorted(meta) == ["best_epoch", "best_val_nll", "diverged", "evaluations"]
         assert meta["diverged"] is False
         # Best-seen selection: the returned parameters are never worse on
         # validation than the epoch-0 starting point.
@@ -450,10 +449,18 @@ class TestTune:
         # init_vel_var reads as FilterParams' default.
         files = ["--train-detections", "d", "--train-truth", "t", "--val-detections", "d"]
         args = build_parser().parse_args(["tune", *files, "--val-truth", "t"])
-        config = tuning.TuneConfig(seq_len=args.seq_len, epochs=args.epochs, lr=args.lr)
+        config = tuning.TuneConfig(seq_len=args.seq_len, epochs=args.epochs)
         assert config == tuning.TuneConfig()
         (tmp_path / "p.json").write_text('{"sigma_accel": 50.0}')
         assert dataio.read_filter_params(tmp_path / "p.json") == FilterParams(50.0)
+
+    @pytest.mark.parametrize("flag", [["--lr", "0.1"], ["--seed", "7"]], ids=["lr", "seed"])
+    def test_retired_flags_are_unknown(self, sim_dir, tmp_path, capsys, flag):
+        # tune is deterministic full-batch BFGS: no learning rate, no shuffle seed.
+        argv = [arg.format(sim=sim_dir) for arg in _TUNE.split()] + flag + ["--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.splitlines()[-1].endswith(f"error: unrecognized arguments: {' '.join(flag)}")
+        assert not any(tmp_path.iterdir())
 
     def test_seq_len_too_large_exits_2(self, sim_dir, tmp_path, capsys):
         code = main(
@@ -835,8 +842,6 @@ EXIT_CODE_CASES = [
     ("grid-reversed-span", 2, {}, _CALIBRATE + " --grid-a 10:0.05:log5", None),
     ("grid-log-from-zero", 2, {}, _CALIBRATE + " --grid-b 0:10:log5", None),
     ("grid-log-from-negative", 2, {}, _CALIBRATE + " --grid-a=-1:10:log5", None),
-    ("lr-nan", 2, {}, _TUNE + " --lr nan", None),
-    ("lr-inf", 2, {}, _TUNE + " --lr inf", None),
     ("split-four-fractions", 2, {"c.json": '{"split": [0.5, 0.3, 0.1, 0.1]}'}, _SIMULATE, "{tmp}/c.json"),
     ("split-two-fractions", 2, {"c.json": '{"split": [0.5, 0.5]}'}, _SIMULATE, "{tmp}/c.json"),
     ("extent-one-value", 2, {"c.json": '{"object_extent": [15.0]}'}, _SIMULATE, "{tmp}/c.json"),
@@ -951,6 +956,41 @@ def test_exit_code_table(sim_dir, tmp_path, capsys, code, files, argv, named):
         assert line.startswith(f"error: {named.format(**dirs)}:")
 
 
+# Parameter and calibration files hold objects of known keys only: id, the
+# command (without the file), its flag for the file, the file's text and the
+# message after the file's name.
+_PARAMS_TYPO = '{"sigma_accel": 50.0, "init_vel_vr": 5000.0}'
+RECORD_FILE_CASES = [
+    ("params-list", _TRACK, "--params", "[]", "filter parameters must be an object"),
+    ("params-string", _TRACK, "--params", '"x"', "filter parameters must be an object"),
+    ("params-unknown-key", _TRACK, "--params", _PARAMS_TYPO, "unknown config field: init_vel_vr"),
+    ("calib-list", _TRACK, "--calib", "[]", "calibration must be an object"),
+    ("calib-views-list", _TRACK, "--calib", '{"views": []}', "views must be an object"),
+    ("calib-view-list", _TRACK, "--calib", '{"views": {"N1": [1.0, 0.0]}}', "views.N1 must be an object"),
+    ("calib-unknown-key", _TRACK, "--calib", '{"views": {}, "scale": 2.0}', "unknown config field: scale"),
+    (
+        "calib-unknown-view-key",
+        _TRACK,
+        "--calib",
+        '{"views": {"N1": {"a": 1.0, "b": 0.0, "bb": 1.0}}}',
+        "unknown config field: views.N1.bb",
+    ),
+    ("tune-params-unknown-key", _TUNE, "--params", _PARAMS_TYPO, "unknown config field: init_vel_vr"),
+    ("tune-init-views-list", _TUNE, "--init", '{"views": []}', "views must be an object"),
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag,text,message", [c[1:] for c in RECORD_FILE_CASES], ids=[c[0] for c in RECORD_FILE_CASES]
+)
+def test_record_file_errors_name_the_file_and_the_shape(sim_dir, tmp_path, capsys, command, flag, text, message):
+    path = tmp_path / "record.json"
+    path.write_text(text)
+    argv = [arg.format(sim=sim_dir) for arg in command.split()]
+    assert main(argv + [flag, str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
 @pytest.fixture(scope="module")
 def eval_dir(tmp_path_factory, sim_dir, track_dir):
     out = tmp_path_factory.mktemp("eval")
@@ -996,7 +1036,7 @@ MANIFEST_CASES = [
     (
         "tune",
         {"p.json": json.dumps(_PARAMS), "c.json": _CALIB},
-        _TUNE + " --init {tmp}/c.json --params {tmp}/p.json --seq-len 50 --epochs 1 --lr 1e-3 --seed 2",
+        _TUNE + " --init {tmp}/c.json --params {tmp}/p.json --seq-len 50 --epochs 1",
         {
             "train_detections": "{sim}/detections_train.jsonl",
             "train_truth": "{sim}/truth_train.csv",
@@ -1069,7 +1109,7 @@ commands = [
     "calibrate --detections sim/detections_val.jsonl --truth sim/truth_val.csv --out calib",
     "tune --train-detections sim/detections_train.jsonl --train-truth sim/truth_train.csv"
     " --val-detections sim/detections_val.jsonl --val-truth sim/truth_val.csv"
-    " --init calib/calibration.json --seq-len 50 --epochs 2 --lr 0.01 --out tune",
+    " --init calib/calibration.json --seq-len 50 --epochs 2 --out tune",
     "track --detections sim/detections_test.jsonl --truth sim/truth_test.csv"
     " --params tune/tuned_params.json --calib tune/tuned_calibration.json --out track_tuned",
     "evaluate --track track_tuned/track.jsonl --truth sim/truth_test.csv --out eval",

@@ -118,6 +118,26 @@ class TestSequenceLoss:
         assert spy.call_args.kwargs["grad"] is False and grad is None
         np.testing.assert_array_equal(loss, sequence_loss(params, batch, truth)[0])
 
+    @pytest.mark.parametrize("vec", [[-800.0, 0.0, 0.0], [0.0, -800.0, 0.0], [800.0, 0.0, 0.0]])
+    def test_point_outside_the_domain_fails_every_window(self, vec):
+        # exp underflows to a zero sigma_accel or a, or overflows: a line
+        # search trial there must read as failed, not raise.
+        rng = np.random.default_rng(58)
+        batch, truth = pack_windows([make_cv_frames(rng, n_steps=10) for _ in range(2)])
+        params = TunableParams.from_natural(20.0, {"N1": IDENTITY}).with_vector(np.array(vec))
+        loss, grad = sequence_loss(params, batch, truth)
+        assert loss.tolist() == [math.inf, math.inf] and not grad.any()
+
+    def test_invalid_init_vel_var_raises(self):
+        # Only a decoded point outside the domain reads as failed; a bad
+        # init_vel_var is the caller's error.
+        rng = np.random.default_rng(58)
+        batch, truth = pack_windows([make_cv_frames(rng, n_steps=10) for _ in range(2)])
+        params = TunableParams.from_natural(20.0, {"N1": IDENTITY})
+        for init_vel_var in (-1.0, 0.0, math.inf):
+            with pytest.raises(ValueError, match="init_vel_var"):
+                sequence_loss(params, batch, truth, init_vel_var)
+
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(53)
         frames, truth = make_cv_frames(rng, n_steps=10)
@@ -132,14 +152,6 @@ class TestTuneConfig:
             TuneConfig(seq_len=1)
         with pytest.raises(ValueError):
             TuneConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TuneConfig(lr=-1e-4)
-        TuneConfig(lr=0.0)  # explicit no-op optimizer is allowed
-
-    @pytest.mark.parametrize("lr", [math.nan, math.inf])
-    def test_lr_must_be_finite(self, lr):
-        with pytest.raises(ValueError, match="^lr must be non-negative and finite"):
-            TuneConfig(lr=lr)
 
 
 class TestMakeWindows:
@@ -175,13 +187,6 @@ class TestTune:
         params0 = TunableParams.from_natural(30.0, {"N1": IDENTITY, "N2": IDENTITY})
         return params0, train, val
 
-    def test_zero_lr_is_noop(self, small_problem):
-        params0, train, val = small_problem
-        tuned, history = tune(TuneConfig(seq_len=50, epochs=3, lr=0.0), params0, train, val)
-        assert tuned == params0
-        vals = [row["val_nll"] for row in history.rows]
-        assert all(v == vals[0] for v in vals)
-
     def test_best_seen_never_worse_than_initial(self, small_problem):
         params0, train, val = small_problem
         tuned, history = tune(TuneConfig(seq_len=50, epochs=2), params0, train, val)
@@ -190,55 +195,120 @@ class TestTune:
         assert _mean_loss(tuned, *val, 1e4) <= history.rows[0]["val_nll"] + 1e-12
         assert len(history.rows) == 3  # epochs + 1, including epoch 0
 
-    def test_underdispersed_scale_grows_with_adequate_lr(self, small_problem, monkeypatch):
+    def test_a_row_per_epoch_and_train_nll_never_rises(self, small_problem):
         params0, train, val = small_problem
-        monkeypatch.setattr(tuning, "LR_DROP_EPOCH", 8)
-        config = TuneConfig(seq_len=50, epochs=8, lr=0.2)
-        tuned, history = tune(config, params0, train, val, seed=3)
+        for epochs in (1, 4):
+            _, history = tune(TuneConfig(seq_len=50, epochs=epochs), params0, train, val)
+            assert [row["epoch"] for row in history.rows] == list(range(epochs + 1))
+            train_nll = [row["train_nll"] for row in history.rows]
+            assert all(b <= a for a, b in zip(train_nll, train_nll[1:]))
+
+    def test_underdispersed_scale_grows(self, small_problem):
+        params0, train, val = small_problem
+        tuned, history = tune(TuneConfig(seq_len=50, epochs=8), params0, train, val)
         _, calib = tuned.decode()
         assert calib["N1"].a > 1.5
         assert calib["N2"].a > 1.5
         assert history.rows[-1]["val_nll"] < history.rows[0]["val_nll"]
 
-    def test_bit_identical_histories(self, small_problem):
+    def test_gradient_norm_falls(self, small_problem):
+        # Eight BFGS iterations on the 4 train windows take the gradient's
+        # norm from 1.75 to 0.012.
         params0, train, val = small_problem
-        config = TuneConfig(seq_len=50, epochs=2, lr=0.01)
-        _, h1 = tune(config, params0, train, val, seed=11)
-        _, h2 = tune(config, params0, train, val, seed=11)
-        assert h1.rows == h2.rows
+        _, history = tune(TuneConfig(seq_len=50, epochs=8), params0, train, val)
+        assert history.rows[-1]["grad_norm"] < 0.01 * history.rows[0]["grad_norm"]
+
+    def test_bit_identical_histories(self, small_problem, tmp_path):
+        params0, train, val = small_problem
+        config = TuneConfig(seq_len=50, epochs=3)
+        runs = [tune(config, params0, train, val) for _ in range(2)]
+        for name, (_, history) in zip("ab", runs):
+            dataio.write_history(tmp_path / f"{name}.csv", history.rows)
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert runs[0][0] == runs[1][0] and runs[0][1].meta == runs[1][1].meta
 
     def test_divergence_guard(self, small_problem):
         params0, train, val = small_problem
         # A starting sigma of exp(700) overflows the filter immediately.
         broken = TunableParams(700.0, params0.views)
         tuned, history = tune(TuneConfig(seq_len=50, epochs=2), broken, train, val)
-        assert history.diverged
+        assert history.meta["diverged"] and tuned == broken
+        assert len(history.rows) == 1 and history.meta["evaluations"] == 1
 
-    def test_divergence_keeps_the_best_epoch(self, small_problem, monkeypatch):
-        # The training loss stops being finite at epoch 3's one step (4
-        # windows, batches of 8): the run returns epoch 2's parameters, the
-        # best seen, and its meta names that epoch and its val NLL.
+    def test_non_finite_trial_is_halved_and_never_accepted(self, small_problem, monkeypatch):
+        # The first two trial points of epoch 1 lose every window: the line
+        # search halves the step twice and takes the third, a quarter of the
+        # first, which a finite loss would have taken whole.
         params0, train, val = small_problem
-        steps = []
+        trials = []
 
-        def diverging(params, batch, truth, init_vel_var, grad=True):
+        def failing(params, batch, truth, init_vel_var, grad=True):
             losses, grads = sequence_loss(params, batch, truth, init_vel_var, grad)
             if grad:
-                steps.append(len(batch.t))
-                if len(steps) == 3:
+                trials.append(params.to_vector())
+                if len(trials) in (2, 3):
                     losses = np.full_like(losses, math.inf)
             return losses, grads
 
-        monkeypatch.setattr(tuning, "sequence_loss", diverging)
-        tuned, history = tune(TuneConfig(seq_len=50, epochs=5, lr=0.2), params0, train, val, seed=3)
-        assert history.diverged and steps == [4, 4, 4]
+        monkeypatch.setattr(tuning, "sequence_loss", failing)
+        tuned, history = tune(TuneConfig(seq_len=50, epochs=1), params0, train, val)
+        start, first = trials[0], trials[1] - trials[0]
+        assert history.meta["evaluations"] == len(trials) == 4
+        for k in (1, 2, 3):
+            np.testing.assert_allclose(trials[k] - start, first / 2 ** (k - 1), rtol=1e-12, atol=1e-12)
+        assert not history.meta["diverged"] and math.isfinite(history.rows[1]["train_nll"])
+        assert history.rows[1]["sigma_accel"] == params0.with_vector(trials[3]).decode()[0]
+        assert tuned == params0.with_vector(trials[3])
+
+    def test_best_epoch_is_returned_when_it_is_not_the_last(self, small_problem, monkeypatch):
+        # Validation gets worse after epoch 1 (its NLL is raised by 1 from
+        # epoch 2 on) while training goes on: the run returns epoch 1's
+        # point, and the meta names that epoch and its validation NLL.
+        params0, train, val = small_problem
+        val_points = []
+
+        def worsening(params, batch, truth, init_vel_var, grad=True):
+            losses, grads = sequence_loss(params, batch, truth, init_vel_var, grad)
+            if not grad:
+                val_points.append(params)
+                if len(val_points) > 2:
+                    losses = losses + 1.0
+            return losses, grads
+
+        monkeypatch.setattr(tuning, "sequence_loss", worsening)
+        tuned, history = tune(TuneConfig(seq_len=50, epochs=4), params0, train, val)
+        monkeypatch.undo()
         vals = [row["val_nll"] for row in history.rows]
-        assert len(vals) == 3 and vals[2] < min(vals[:2])
-        assert history.meta["best_epoch"] == 2 and history.meta["best_val_nll"] == vals[2]
+        assert len(val_points) == len(vals) == 5 and vals[1] < vals[0]
+        assert history.rows[-1]["train_nll"] < history.rows[1]["train_nll"]
+        assert history.meta["best_epoch"] == 1 and history.meta["best_val_nll"] == vals[1]
+        assert tuned == val_points[1] != val_points[-1]
         sigma, calib = tuned.decode()
-        assert sigma == history.rows[2]["sigma_accel"]
-        assert {v: (p.a, p.b) for v, p in calib.items()} == history.epochs[2]["views"]
-        assert tuning._mean_loss(tuned, *val, 1e4) == vals[2]
+        assert sigma == history.rows[1]["sigma_accel"]
+        assert [(calib[v].a, calib[v].b) for v in ("N1", "N2")] == [
+            (history.rows[1][f"{v}_a"], history.rows[1][f"{v}_b"]) for v in ("N1", "N2")
+        ]
+        assert tuning._mean_loss(tuned, *val, 1e4) == history.meta["best_val_nll"]
+
+    def test_a_point_with_no_acceptable_step_repeats_its_row(self, small_problem, monkeypatch):
+        # Every trial point loses every window: the line search gives up
+        # after MAX_HALVINGS halvings, once, and the start's row repeats.
+        params0, train, val = small_problem
+        calls = []
+
+        def failing(params, batch, truth, init_vel_var, grad=True):
+            losses, grads = sequence_loss(params, batch, truth, init_vel_var, grad)
+            if grad:
+                calls.append(len(calls))
+                if len(calls) > 1:
+                    losses = np.full_like(losses, math.inf)
+            return losses, grads
+
+        monkeypatch.setattr(tuning, "sequence_loss", failing)
+        tuned, history = tune(TuneConfig(seq_len=50, epochs=3), params0, train, val)
+        assert tuned == params0 and not history.meta["diverged"]
+        assert history.meta["evaluations"] == len(calls) == 2 + tuning.MAX_HALVINGS
+        assert history.rows == [{**history.rows[0], "epoch": epoch} for epoch in range(4)]
 
     def test_empty_sets_rejected(self, small_problem):
         params0, train, val = small_problem
@@ -249,48 +319,38 @@ class TestTune:
             tune(TuneConfig(), params0, train, empty)
 
     def test_history_metadata_records_step_budget(self, small_problem, monkeypatch):
-        # 4 windows in batches of 3 take 2 steps an epoch: one epoch at lr,
-        # then two at lr / 10. A run that diverges at once takes none.
+        # The meta counts the train gradient evaluations: one a line-search
+        # trial, and one at the start. A run that diverges at once takes one.
         params0, train, val = small_problem
-        monkeypatch.setattr(tuning, "LR_DROP_EPOCH", 2)
-        monkeypatch.setattr(tuning, "BATCH", 3)
-        config = TuneConfig(seq_len=50, epochs=3, lr=0.01)
-        _, history = tune(config, params0, train, val)
-        assert history.meta["lr_sum"] == sum([config.lr] * 2 + [config.lr / 10.0] * 4)
-        _, history = tune(config, TunableParams(700.0, params0.views), train, val)
-        assert history.diverged and history.meta["lr_sum"] == 0.0
+        calls = []
 
-    def test_epoch_records_with_every_step_clipped(self, small_problem, tmp_path, monkeypatch):
-        # 4 windows in batches of 3 take 2 steps an epoch, and a tiny
-        # GRAD_CLIP clips both; epoch 0 holds the starting (a, b) and no norm.
+        def counted(params, batch, truth, init_vel_var, grad=True):
+            calls.append(grad)
+            return sequence_loss(params, batch, truth, init_vel_var, grad)
+
+        monkeypatch.setattr(tuning, "sequence_loss", counted)
+        _, history = tune(TuneConfig(seq_len=50, epochs=3), params0, train, val)
+        assert set(history.meta) == {"best_epoch", "best_val_nll", "diverged", "evaluations"}
+        assert history.meta["evaluations"] == calls.count(True) >= 4
+        assert calls.count(False) == 4  # a validation pass an epoch
+        _, history = tune(TuneConfig(seq_len=50, epochs=3), TunableParams(700.0, params0.views), train, val)
+        assert history.meta["diverged"] and history.meta["evaluations"] == 1
+
+    def test_history_rows_record_gradient_norm_and_views(self, small_problem, tmp_path):
+        # Epoch 0 holds the starting (a, b) and the starting gradient's norm;
+        # history.csv has a column per key.
         params0, train, val = small_problem
-        monkeypatch.setattr(tuning, "GRAD_CLIP", 1e-12)
-        monkeypatch.setattr(tuning, "BATCH", 3)
-        config = TuneConfig(seq_len=50, epochs=3, lr=0.01)
-        _, history = tune(config, params0, train, val)
-        assert [row["epoch"] for row in history.epochs] == [0, 1, 2, 3]
-        start = history.epochs[0]
-        assert start["max_grad_norm"] is None and start["clipped"] == 0
-        assert start["views"] == {v: (p.a, p.b) for v, p in params0.decode()[1].items()}
-        for before, row in zip(history.epochs, history.epochs[1:]):
-            assert row["clipped"] == 2 and row["max_grad_norm"] > tuning.GRAD_CLIP
-            assert row["views"] != before["views"]
+        _, history = tune(TuneConfig(seq_len=50, epochs=2), params0, train, val)
+        start = history.rows[0]
+        _, grads = sequence_loss(params0, *train)
+        assert start["grad_norm"] == float(np.linalg.norm(np.mean(grads, axis=0)))
+        assert [start[f"{v}_{p}"] for v in ("N1", "N2") for p in "ab"] == [
+            x for v, p in sorted(params0.decode()[1].items()) for x in (p.a, p.b)
+        ]
+        assert history.rows[1]["N1_a"] != start["N1_a"]
 
-        dataio.write_epochs(tmp_path / "a.csv", history.epochs)
-        dataio.write_epochs(tmp_path / "b.csv", tune(config, params0, train, val)[1].epochs)
-        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
-        lines = (tmp_path / "a.csv").read_text().splitlines()
-        assert lines[0] == "epoch,max_grad_norm,clipped,N1_a,N1_b,N2_a,N2_b"
-        assert lines[1] == "0,,0," + ",".join(repr(x) for v in ("N1", "N2") for x in start["views"][v])
-        assert len(lines) == 5 and all(line.split(",")[2] == "2" for line in lines[2:])
-
-    def test_history_metadata_records_optimizer_constants(self, small_problem):
-        params0, train, val = small_problem
-        _, history = tune(TuneConfig(seq_len=50, epochs=1), params0, train, val)
-        assert history.meta["beta1"] == 0.9
-        assert history.meta["beta2"] == 0.999
-        assert history.meta["eps"] == 1e-8
-        assert history.meta["weight_decay"] == 1e-4
-        assert history.meta["grad_clip"] == 0.1
-        assert history.meta["lr_drop_epoch"] == 4
-        assert history.meta["batch"] == 8
+        dataio.write_history(tmp_path / "history.csv", history.rows)
+        lines = (tmp_path / "history.csv").read_text().splitlines()
+        assert lines[0] == "epoch,train_nll,val_nll,sigma_accel,grad_norm,N1_a,N1_b,N2_a,N2_b"
+        assert lines[1] == "0," + ",".join(repr(value) for value in list(start.values())[1:])
+        assert len(lines) == 4
