@@ -65,10 +65,12 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
     """Input flags under "inputs"; every other flag under "options" as parsed,
     with the command's resolved values written over them. peak_rss_mb is the
     process's peak resident set so far, which in a process that runs several
-    commands covers the earlier ones too."""
+    commands covers the earlier ones too; peak_child_rss_mb is the largest
+    of its finished children's (the readers' forked parsers), 0 if none
+    (the kernel keeps the figure across exec, from the process before)."""
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     # ru_maxrss counts kilobytes (bytes on macOS).
-    rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024 if sys.platform == "darwin" else 1)
+    scale = 1024 * (1024 if sys.platform == "darwin" else 1)
     manifest = {
         "command": args.command,
         "options": {**{k: v for k, v in flags.items() if k not in INPUT_FLAGS}, **resolved},
@@ -81,7 +83,8 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
         },
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
-        "peak_rss_mb": rss_kb / 1024,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale,
+        "peak_child_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / scale,
     }
     dataio._write_json(out / "manifest.json", manifest)
 

@@ -22,7 +22,17 @@ C scanner that json.loads ends in, a truth CSV by np.loadtxt. A chunk that
 fails a bulk check, alone, is read again line by line: to name its first bad
 line, with that line's first failing check, or to read what the bulk check
 does not take (numbers spelt as strings, spaced JSON or CSV fields). So a
-reader holds one chunk beside the arrays.
+reader holds one chunk beside the arrays, and read_detections scatters the
+chunks into the batch without joining them first.
+
+A JSONL file of more than one chunk is read in two ranges on two CPUs: a
+forked child parses the second half of what follows the first chunk while
+this process parses the lines before it (_read_jsonl). It is read in one
+pass where that cannot run or pay: a file whose lines after the first chunk
+hold fewer bytes than the chunk, a file that is not a regular file (a FIFO,
+/dev/stdin), a platform without os.fork, a process that may run on one CPU
+alone or that runs another thread. The errors are those of the one-pass
+read, byte for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +45,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pickle
 import re
+import stat
+import threading
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -272,44 +286,197 @@ def _jsonl_chunk(frames: bool, views: dict, path: Path, lines: list, first: int,
             np.array(columns, dtype=np.intp), np.array(values, dtype=float).reshape(-1, 6))
 
 
-def _read_lines(path: Path, parse: Callable, binary: bool = True) -> tuple:
-    """A file of one record a line as the arrays that parse gives for each
-    chunk of its lines, joined; the first array holds the times. The file is
-    read once, CHUNK_FRAMES lines at a time, as bytes or (if not binary) as
-    text split where csv.reader splits it, a text line that does not decode
-    named by its own bytes' decoding error. parse(path, lines, first, after)
-    is given the chunk's first line number and the last time before it."""
-    chunks, after, first = [], -math.inf, 1
+class _Chunks(list):
+    """parse(path, lines, first, after)'s arrays for each chunk of a file's
+    lines read so far, in file order, the first array the times: first is
+    the next line's number, after the last time read (-inf before any)."""
+
+    def __init__(self, path: Path, parse: Callable, encoding: Optional[str] = None):
+        super().__init__()
+        self.path, self.parse, self.encoding = path, parse, encoding
+        self.first, self.after = 1, -math.inf
+
+    def read(self, lines) -> None:
+        """Parse the iterator lines on to its end, CHUNK_FRAMES lines at a
+        time: at least one chunk, an empty one if lines is. Lines read as text
+        in encoding (undecodable bytes as surrogates) must decode, a line that
+        does not named by its own bytes' decoding error."""
+        while True:
+            block = list(itertools.islice(lines, CHUNK_FRAMES))
+            if self.encoding and not "".join(block).isascii():
+                for line_no, line in enumerate(block, start=self.first):
+                    try:
+                        line.encode(self.encoding, "surrogateescape").decode(self.encoding)
+                    except UnicodeDecodeError as exc:
+                        raise _located(exc, self.path, line_no) from exc
+            chunk = self.parse(self.path, block, self.first, self.after)
+            self.append(chunk)
+            self.after = chunk[0][-1] if len(chunk[0]) else self.after
+            self.first += len(block)
+            if len(block) < CHUNK_FRAMES:
+                return
+
+
+def _read_lines(path: Path, parse: Callable) -> _Chunks:
+    """A text file of one record a line, split where csv.reader splits it,
+    as the chunks that parse gives, read once."""
     try:
-        with open(path, "rb") if binary else open(path, newline="", errors="surrogateescape") as fh:
-            # The last block is the short one; an empty file's, empty.
-            while not chunks or len(block) == CHUNK_FRAMES:
-                block = list(itertools.islice(fh, CHUNK_FRAMES))
-                if not (binary or "".join(block).isascii()):  # undecodable bytes read as surrogates
-                    for line_no, line in enumerate(block, start=first):
-                        try:
-                            line.encode(fh.encoding, "surrogateescape").decode(fh.encoding)
-                        except UnicodeDecodeError as exc:
-                            raise _located(exc, path, line_no) from exc
-                chunk = parse(path, block, first, after)
-                chunks.append(chunk)
-                after = chunk[0][-1] if len(chunk[0]) else after
-                first += len(block)
+        with open(path, newline="", errors="surrogateescape") as fh:
+            chunks = _Chunks(path, parse, fh.encoding)
+            chunks.read(fh)
     except OSError as exc:
         raise _located(exc, path) from exc
-    return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
+    return chunks
+
+
+def _second_range(fh) -> Optional[int]:
+    """Where a child may start to read the rest of fh, a regular file read
+    up to the end of its first chunk: after the first line of the rest that
+    ends at or after the rest's byte midpoint. None where the split cannot
+    run or pay: fh is not a regular file, the rest holds fewer bytes than
+    the first chunk (a child's fork and exit cost about as much as parsing
+    a few hundred short lines), that line is the last, os.fork or
+    os.sched_getaffinity is missing, this process may run on one CPU alone,
+    or another thread runs in it (a forked child holds only the forking
+    thread). fh is left where it was."""
+    info = os.fstat(fh.fileno())
+    if not (stat.S_ISREG(info.st_mode) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return None
+    start = fh.tell()
+    if info.st_size - start < start or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
+        return None
+    fh.seek(max(start, (start + info.st_size) // 2 - 1))
+    fh.readline()
+    split = fh.tell()
+    fh.seek(start)
+    return split if split < info.st_size else None
+
+
+def _lines_to(fh, end: int):
+    """fh's lines from where it is to the byte offset end, a line end."""
+    pos = fh.tell()
+    while pos < end:
+        line = fh.readline()
+        if not line:
+            return
+        pos += len(line)
+        yield line
+
+
+def _fork_reader(chunks: _Chunks, views: dict, start: int) -> Optional[tuple[int, int]]:
+    """Fork a child that parses chunks.path from byte start to its end with
+    chunks.parse, and sends back through a pipe its view ids by column and
+    its chunks; its line numbers and times start afresh, since its errors
+    are not used. The child's pid and the pipe's read end; None if the
+    child could not be started."""
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid == 0:
+        # None of the caller's code, atexit handlers or stdio buffers runs
+        # here: the child's only way out is os._exit, its status its result.
+        status = 1
+        try:
+            os.close(read_end)
+            child = _Chunks(chunks.path, chunks.parse)
+            with open(chunks.path, "rb") as fh, open(write_end, "wb") as out:
+                fh.seek(start)
+                child.read(fh)
+                pickle.dump((list(views), list(child)), out, protocol=5)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _received(read_end: int) -> Optional[tuple]:
+    """What _fork_reader's child sent through the pipe, None if it failed
+    before it sent all of it."""
+    try:
+        with open(read_end, "rb", closefd=False) as inp:
+            return pickle.load(inp)
+    except (EOFError, pickle.UnpicklingError):
+        return None
+
+
+def _first_time(chunks: list) -> float:
+    """The first time in chunks, inf if they hold none."""
+    return next((times[0] for times, *_ in chunks if len(times)), math.inf)
+
+
+def _read_jsonl(path: Path, frames: bool) -> tuple[_Chunks, list]:
+    """A file of detections frames (or, if not frames, track steps) as the
+    _jsonl_chunk arrays of each chunk of its lines, in file order, with the
+    view ids by column. The first CHUNK_FRAMES lines are read first; where
+    _second_range finds a split in the rest, a forked child parses the range
+    after it while this process parses the lines before it. The errors are
+    those of reading the file in one pass: this process's range is read
+    first, and if the child failed, or its first time does not follow this
+    range's last, this process reads the child's range itself from where it
+    stopped, so the one error path raises the error of a one-pass read."""
+    views: dict = {}
+    chunks = _Chunks(path, functools.partial(_jsonl_chunk, frames, views))
+    sent = None
+    try:
+        with open(path, "rb") as fh:
+            # The child starts before this process parses the first chunk,
+            # which covers the child's start-up on a short file.
+            first = list(itertools.islice(fh, CHUNK_FRAMES))
+            split = _second_range(fh) if len(first) == CHUNK_FRAMES else None
+            child = None if split is None else _fork_reader(chunks, views, split)
+            first = iter(first)  # the list goes once it is parsed
+            if child is None:
+                chunks.read(itertools.chain(first, fh))
+            else:
+                pid, read_end = child
+                try:
+                    chunks.read(itertools.chain(first, _lines_to(fh, split)))
+                    sent = _received(read_end)
+                finally:
+                    # Closed first: a child still writing then fails, and exits.
+                    os.close(read_end)
+                    failed = os.waitpid(pid, 0)[1] != 0
+                if failed or sent is None or not _first_time(sent[1]) > chunks.after:
+                    sent = None
+                    chunks.read(fh)  # the child's range again
+    except OSError as exc:
+        raise _located(exc, path) from exc
+    if sent is not None:
+        child_views, child_chunks = sent
+        # The child's view columns as this process's.
+        column = np.array([views.setdefault(view, len(views)) for view in child_views], dtype=np.intp)
+        chunks += [(times, counts, column[columns], flat) for times, counts, columns, flat in child_chunks]
+    return chunks, list(views)
 
 
 def read_detections(path: Path) -> FrameBatch:
     """A detections file as a FrameBatch of one window over all its frames,
     its views the sorted ids it holds. Errors are those of reading it record
     by record: the first bad record's line, with its first failing check."""
-    views: dict = {}
-    t, counts, columns, flat = _read_lines(path, functools.partial(_jsonl_chunk, True, views))
-    if not len(flat):
+    chunks, views = _read_jsonl(path, True)
+    if not any(len(flat) for *_, flat in chunks):
         raise RuntimeError(f"{path}: no detections")
-    frames = np.repeat(np.arange(len(t)), counts)
-    return FrameBatch.scatter(t[None], frames, [*views], columns, flat[:, :2], flat[:, 2:].reshape(-1, 2, 2))
+    t = np.concatenate([times for times, *_ in chunks])
+    return FrameBatch.scatter(t[None], views, _pieces(chunks))
+
+
+def _pieces(chunks: list):
+    """read_detections' chunks as FrameBatch.scatter's pieces, each chunk
+    dropped from the list as its piece is taken."""
+    chunks.reverse()
+    frame = 0
+    while chunks:
+        times, counts, columns, flat = chunks.pop()
+        yield np.repeat(np.arange(frame, frame + len(times)), counts), columns, flat[:, :2], flat[:, 2:]
+        frame += len(times)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +556,8 @@ def read_truth(path: Path) -> Trajectory:
     """A truth file as the arrays write_truth takes. Each row is checked as
     an ObjectPose checks it, its heading wrapped the same way, and its time
     must follow the previous row's."""
-    t, table = _read_lines(path, _truth_chunk, binary=False)
+    chunks = _read_lines(path, _truth_chunk)
+    t, table = (np.concatenate(arrays) for arrays in zip(*chunks))
     return Trajectory(t, table[:, 1:3], table[:, 3], table[:, 4:])
 
 
@@ -526,8 +694,10 @@ def read_track(path: Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A track file as the arrays write_track takes: times (N,), means
     (N, 2) and covs (N, 2, 2), each line checked as a Gaussian2D checks it
     and its time following the previous line's."""
-    t, _, _, flat = _read_lines(path, functools.partial(_jsonl_chunk, False, {}))
-    return t, np.ascontiguousarray(flat[:, :2]), np.ascontiguousarray(flat[:, 2:]).reshape(-1, 2, 2)
+    chunks, _ = _read_jsonl(path, False)
+    t = np.concatenate([times for times, *_ in chunks])
+    means = np.concatenate([flat[:, :2] for *_, flat in chunks])
+    return t, means, np.concatenate([flat[:, 2:] for *_, flat in chunks]).reshape(-1, 2, 2)
 
 
 # 95% quantile of chi-squared with 2 dof, for confidence ellipses.

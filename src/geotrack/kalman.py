@@ -125,22 +125,26 @@ class FrameBatch:
         )
 
     @classmethod
-    def scatter(cls, t: np.ndarray, frames, views: Sequence[str], columns, mean, cov) -> "FrameBatch":
-        """The batch over times t (B, T) of flat detections: detection i is
-        view views[columns[i]]'s, mean[i] (2,) and cov[i] (2, 2), in the
-        frame at flat index frames[i] of t. views holds distinct ids in any
-        order; the batch's views are the sorted ids."""
+    def scatter(cls, t: np.ndarray, views: Sequence[str], pieces) -> "FrameBatch":
+        """The batch over times t (B, T) of flat detections, given in pieces
+        (frames, columns, mean, cov): a piece's detection i is view
+        views[columns[i]]'s, mean[i] (2,) and cov[i] (2, 2), in the frame at
+        flat index frames[i] of t. views holds distinct ids in any order; the
+        batch's views are the sorted ids. Each piece is scattered as it is
+        taken, so an iterator of pieces need not hold them all at once."""
         order = sorted(range(len(views)), key=views.__getitem__)
         shape = (*t.shape, len(order))
         # The sorted column of each of views, indexed by the detection's column.
-        slots = np.argsort(order)[np.asarray(columns, dtype=np.intp)]
-        slots += np.asarray(frames, dtype=np.intp) * len(order)
+        sorted_column = np.argsort(order)
         full_mean = np.zeros((t.size * len(order), 2))
         full_cov = np.broadcast_to(np.eye(2), (len(full_mean), 2, 2)).copy()
         mask = np.zeros(len(full_mean), dtype=bool)
-        full_mean[slots] = np.reshape(mean, (-1, 2))
-        full_cov[slots] = np.reshape(cov, (-1, 2, 2))
-        mask[slots] = True
+        for frames, columns, mean, cov in pieces:
+            slots = sorted_column[np.asarray(columns, dtype=np.intp)]
+            slots += np.asarray(frames, dtype=np.intp) * len(order)
+            full_mean[slots] = np.reshape(mean, (-1, 2))
+            full_cov[slots] = np.reshape(cov, (-1, 2, 2))
+            mask[slots] = True
         return cls(
             tuple(views[i] for i in order),
             t,
@@ -172,14 +176,8 @@ def pack(windows: Sequence[Sequence[DetectionFrame]]) -> FrameBatch:
     dets = [(i, v, g) for i, f in enumerate(f for w in windows for f in w) for v, g in f.detections]
     views: dict[str, int] = {}
     columns = [views.setdefault(v, len(views)) for _, v, _ in dets]
-    return FrameBatch.scatter(
-        t,
-        [i for i, _, _ in dets],
-        list(views),
-        columns,
-        [g.mean for _, _, g in dets],
-        [g.cov for _, _, g in dets],
-    )
+    piece = ([i for i, _, _ in dets], columns, [g.mean for _, _, g in dets], [g.cov for _, _, g in dets])
+    return FrameBatch.scatter(t, list(views), [piece])
 
 
 @dataclass

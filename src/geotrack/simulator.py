@@ -303,7 +303,7 @@ def generate_trajectory(config: ScenarioConfig, rng: np.random.Generator) -> Tra
 
     positions = np.empty((n, 2))
     tangents = np.empty((n, 2))
-    for p in np.unique(idx).tolist():
+    for p in np.flatnonzero(np.diff(bounds)).tolist():  # the pieces that hold frames
         sel = slice(bounds[p], bounds[p + 1])
         s = (times[sel] - starts[p]) * speeds[p]
         piece = pieces[p]

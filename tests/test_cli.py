@@ -1154,7 +1154,8 @@ def test_outputs_identical_across_simd_levels(tmp_path):
             data = path.read_bytes()
             if path.name == "manifest.json":
                 manifest = json.loads(data)
-                del manifest["wall_clock_utc"], manifest["elapsed_seconds"], manifest["peak_rss_mb"]
+                for field in ("wall_clock_utc", "elapsed_seconds", "peak_rss_mb", "peak_child_rss_mb"):
+                    del manifest[field]
                 data = json.dumps(manifest, sort_keys=True).encode()
             files[str(path.relative_to(root))] = data
         outputs.append(files)
@@ -1163,3 +1164,42 @@ def test_outputs_identical_across_simd_levels(tmp_path):
         assert files.keys() == outputs[0].keys()
         differ = sorted(name for name in files if files[name] != outputs[0][name])
         assert not differ, f"with {' '.join(disabled)} disabled: {differ}"
+
+
+# Runs geotrack.cli.main on the arguments in a fresh interpreter, then prints
+# whether numpy.ma was imported.
+FRESH = "import sys; from geotrack.cli import main; rc = main(sys.argv[1:]); print('numpy.ma' in sys.modules); sys.exit(rc)"
+
+
+def _fresh_main(cwd, *argv) -> str:
+    """geotrack.cli.main(argv) in a fresh interpreter; its last line of stdout."""
+    src = Path(dataio.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", FRESH, *argv], cwd=cwd, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def test_fresh_simulate_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma cost a fresh process 13 ms and 1.3 MB, and geotrack needs none of it.
+    (tmp_path / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    assert _fresh_main(tmp_path, "simulate", "--config", "config.json", "--out", "sim") == "False"
+
+
+def test_manifest_records_the_forked_readers_peak_rss(tmp_path):
+    # A fresh process forks only to read a file in two ranges, which it does
+    # when it may run on two CPUs: here the 1200-line train file, and not the
+    # 240-line val file.
+    (tmp_path / "config.json").write_text(json.dumps({**SMALL_CONFIG, "duration": 120.0}))
+    _fresh_main(tmp_path, "simulate", "--config", "config.json", "--out", "sim")
+    lines = {split: (tmp_path / f"sim/detections_{split}.jsonl").read_bytes().count(b"\n") for split in ("train", "val")}
+    assert lines == {"train": 1200, "val": 240}
+    two_cpus = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+    for split in lines:
+        _fresh_main(tmp_path, "track", "--detections", f"sim/detections_{split}.jsonl", "--out", split)
+        manifest = json.loads((tmp_path / split / "manifest.json").read_text())
+        if split == "train" and two_cpus:
+            assert 1.0 < manifest["peak_child_rss_mb"] < 1024.0
+        else:
+            assert manifest["peak_child_rss_mb"] == 0.0

@@ -4,7 +4,11 @@ import hashlib
 import itertools
 import json
 import math
+import os
+import pickle
 import re
+import subprocess
+import threading
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -1178,6 +1182,280 @@ def test_detection_reading_memory_bounded_on_odd_and_bad_files(tmp_path, last):
     else:
         assert got == want
         assert want[1].startswith(f"{path}:{n}: ")
+
+
+# ---------------------------------------------------------------------------
+# Reading a JSONL file in two ranges: after the first chunk, a forked child
+# parses the second half while this process parses the first. Every read
+# must give the one-pass read's arrays or exactly its error, and leave no
+# child behind. Two CPUs are patched in, so the split runs on any host.
+
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+
+
+def _split_line(k, views=("N1", "N2")):
+    """Frame k (0 <= k < 900) as one line of a fixed width for its views."""
+    dets = [{"view": v, "mean": [100.0 + k, 200.0], "cov": [[4.0, 1.0], [1.0, 9.0]]} for v in views]
+    return json.dumps({"t": 1000.0 + k, "detections": dets})
+
+
+def _child_first_line(path) -> int | None:
+    """The number of the first line the child reads, at the patched
+    CHUNK_FRAMES and two CPUs; None if the file is read in one pass."""
+    with open(path, "rb") as fh, mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
+        first = len(list(itertools.islice(fh, dataio.CHUNK_FRAMES)))
+        split = dataio._second_range(fh)
+        if split is None:
+            return None
+        return first + len(list(dataio._lines_to(fh, split))) + 1
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _open_fds() -> list:
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
+
+def _read_counting_forks(read, path, cpus=(0, 1)):
+    """read(path)'s outcome on the given CPUs and how many children it
+    forked; it must leave no child and no file descriptor behind."""
+    fds = _open_fds()
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        got = _outcome(read, path)
+    _assert_no_child()
+    assert _open_fds() == fds
+    return got, fork.call_count
+
+
+def _assert_same_outcome(got, want):
+    if isinstance(want, tuple) and isinstance(want[0], type):
+        assert got == want
+    elif isinstance(want, FrameBatch):
+        _assert_same_batch(got, want)
+    else:
+        _assert_same_arrays(got, want)
+
+
+def _assert_split_reads_as_one_pass(path, frames=True, forks=1):
+    """The split read (forking forks children) gives the one-pass read's
+    outcome, and for detections the object oracle's."""
+    read = dataio.read_detections if frames else dataio.read_track
+    got, forked = _read_counting_forks(read, path)
+    want, one_pass_forks = _read_counting_forks(read, path, cpus=(0,))
+    assert (forked, one_pass_forks) == (forks, 0)
+    _assert_same_outcome(got, want)
+    if frames:
+        _assert_same_outcome(got, _outcome(lambda p: pack([read_detection_frames(p)]), path))
+    return got
+
+
+@fork_only
+@pytest.mark.parametrize("n", [9, 10])
+def test_split_after_the_line_that_ends_at_or_after_the_midpoint(tmp_path, n):
+    # Two-line chunks, equal lines of w bytes: the rest is lines 3..n. For
+    # n = 9 its midpoint 5.5 w falls inside line 6; for n = 10 it is 6 w,
+    # the end of line 6 and the start of line 7. Either way the child
+    # starts at line 7.
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        assert _child_first_line(path) == 7
+        batch = _assert_split_reads_as_one_pass(path)
+    assert len(batch) == n
+
+
+@fork_only
+@pytest.mark.parametrize("n,child_first_line", [(4, None), (6, None), (7, None), (8, 7), (9, 8)])
+def test_a_rest_smaller_than_the_first_chunk_reads_in_one_pass(tmp_path, n, child_first_line):
+    # Four-line chunks of equal lines: with n - 4 < 4 lines after the first
+    # chunk, a child would cost more than the lines it could take.
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 4):
+        assert _child_first_line(path) == child_first_line
+        _assert_split_reads_as_one_pass(path, forks=int(child_first_line is not None))
+
+
+# Corruptions of a _split_line that keep its length, and so the split.
+_NEAR_SPLIT = {
+    "truncate": lambda line: line[:-3] + "   ",
+    "cov": lambda line: line.replace("[[4.0, 1.0], [1.0, 9.0]]", "[[4.0, 5.0], [5.0, 4.0]]", 1),
+    "view": lambda line: line.replace('"N2"', "3   "),
+    "null t": lambda line: re.sub(r'"t": [0-9.]+', '"t":   null', line),
+    "odd": lambda line: line.replace("200.0]", '"200"]', 1),
+    "disorder": None,
+}
+
+
+@fork_only
+@pytest.mark.parametrize("line", [5, 6, 7, 8])
+@pytest.mark.parametrize("kind", sorted(_NEAR_SPLIT))
+def test_a_line_near_the_split_reads_as_in_one_pass(tmp_path, kind, line):
+    # Lines 5 and 6 end the parent's range, 7 and 8 start the child's. A
+    # bad line in the child's range fails the child, and the parent reads
+    # that range again from line 7, so the error is the one-pass read's;
+    # an odd but valid line (a number spelt as a string) reads the same.
+    lines = [_split_line(k) for k in range(10)]
+    if kind == "disorder":
+        lines[line - 1] = _split_line(line - 2)
+    else:
+        lines[line - 1] = _NEAR_SPLIT[kind](lines[line - 1])
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(text + "\n" for text in lines))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        assert _child_first_line(path) == 7
+        got = _assert_split_reads_as_one_pass(path)
+    if kind != "odd":
+        assert re.search(rf"^{re.escape(str(path))}(:{line}: |: timestamp disorder at line {line}$)", got[1]), got
+
+
+@fork_only
+@pytest.mark.parametrize("gap", ["", "\n", " \r\n\n"])
+def test_disorder_across_the_split_names_the_childs_first_record(tmp_path, gap):
+    # The child's range is in order on its own; only the join shows that
+    # its first record (after any blank lines) does not follow line 6.
+    lines = [_split_line(k) + "\n" for k in range(10)]
+    lines[6] = gap + _split_line(5) + "\n"
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(lines))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        first = _child_first_line(path)
+        assert 7 <= first <= 7 + gap.count("\n")
+        got = _assert_split_reads_as_one_pass(path)
+    assert got == (RuntimeError, f"{path}: timestamp disorder at line {7 + gap.count(chr(10))}")
+
+
+@fork_only
+@pytest.mark.parametrize("ending", ["\n", "\r\n"])
+@pytest.mark.parametrize("blank", ["", "\n", "  \r\n", "\t\n\n"])
+def test_blank_and_crlf_lines_at_the_split(tmp_path, ending, blank):
+    lines = [_split_line(k) + ending for k in range(10)]
+    lines[5] += blank
+    lines[6] = blank + lines[6]
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(lines), newline="")
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        first = _child_first_line(path)
+        assert 7 <= first <= 7 + 2 * blank.count("\n")
+        batch = _assert_split_reads_as_one_pass(path)
+    assert len(batch) == 10
+
+
+@fork_only
+def test_a_view_first_seen_in_the_childs_range(tmp_path):
+    # The child numbers "N1" and "A0" after the two views it inherited, as
+    # the parent numbers "N4" (line 4): the parent maps the child's columns
+    # onto its own, and the batch sorts them.
+    lines = [_split_line(k, ("N3", "N4") if k == 3 else ("N3", "N2")) for k in range(8)]
+    lines += [_split_line(k, ("N2", "N1", "A0")) for k in range(8, 10)]
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(text + "\n" for text in lines))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        assert 4 < _child_first_line(path) <= 9
+        batch = _assert_split_reads_as_one_pass(path)
+    assert batch.views == ("A0", "N1", "N2", "N3", "N4")
+    assert batch.mask[0].sum(axis=0).tolist() == [2, 2, 9, 8, 1]
+
+
+@fork_only
+@pytest.mark.parametrize("kind", ["valid", "cov", "disorder"])
+def test_track_split_reads_as_in_one_pass(tmp_path, kind):
+    steps = [{"t": 1000.0 + k, "mean": [100.0 + k, 200.0], "cov": [[4.0, 1.0], [1.0, 9.0]]} for k in range(10)]
+    if kind == "cov":
+        steps[7]["cov"] = [[4.0, 5.0], [5.0, 4.0]]
+    elif kind == "disorder":
+        steps[6]["t"] = steps[5]["t"]
+    path = tmp_path / "track.jsonl"
+    path.write_text("".join(json.dumps(step) + "\n" for step in steps))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        assert _child_first_line(path) == 7
+        got = _assert_split_reads_as_one_pass(path, frames=False)
+    if kind == "valid":
+        _assert_same_arrays(got, _read_track_records(path))
+
+
+@fork_only
+def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
+    # pickle.dump fails in the child (which inherits the patch): it sends
+    # nothing and exits 1, and the parent reads the child's range itself.
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2), \
+            mock.patch.object(pickle, "dump", side_effect=MemoryError):
+        _assert_split_reads_as_one_pass(path)
+
+
+@fork_only
+def test_a_fork_that_fails_reads_in_one_pass(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
+    want = _read_counting_forks(dataio.read_detections, path, cpus=(0,))[0]
+    fds = _open_fds()
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork", side_effect=BlockingIOError) as fork:
+        _assert_same_batch(dataio.read_detections(path), want)
+    assert fork.call_count == 1 and _open_fds() == fds
+
+
+@fork_only
+def test_one_cpu_reads_in_one_pass(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
+    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        got, forks = _read_counting_forks(dataio.read_detections, path, cpus=(1,))
+    assert forks == 0
+    _assert_same_batch(got, pack([read_detection_frames(path)]))
+
+
+@fork_only
+def test_another_thread_reads_in_one_pass(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait)
+    waiter.start()
+    try:
+        with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+            got, forks = _read_counting_forks(dataio.read_detections, path)
+    finally:
+        release.set()
+        waiter.join(timeout=60)
+    assert not waiter.is_alive() and forks == 0
+    _assert_same_batch(got, pack([read_detection_frames(path)]))
+
+
+@fork_only
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("kind", ["valid", "cov"])
+def test_a_fifo_reads_in_one_pass(tmp_path, kind):
+    lines = [_split_line(k) for k in range(10)]
+    if kind == "cov":
+        lines[7] = _NEAR_SPLIT["cov"](lines[7])
+    source = tmp_path / "d.jsonl"
+    source.write_text("".join(text + "\n" for text in lines))
+    fifo = tmp_path / "fifo.jsonl"
+    want = _outcome(lambda p: pack([read_detection_frames(p)]), source)
+    os.mkfifo(fifo)
+    # A writer process, not a thread: a thread alone would rule the split out.
+    writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
+    try:
+        with mock.patch.object(dataio, "CHUNK_FRAMES", 2), \
+                mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            got = _outcome(dataio.read_detections, fifo)
+    finally:
+        writer.wait(timeout=60)
+    _assert_no_child()
+    assert fork.call_count == 0
+    if kind == "valid":
+        _assert_same_batch(got, want)
+    else:
+        assert got == (want[0], want[1].replace(str(source), str(fifo)))
 
 
 # Corruptions the readers must reject: a non-string view id, a non-finite
