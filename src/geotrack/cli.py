@@ -66,8 +66,8 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
     with the command's resolved values written over them. peak_rss_mb is the
     process's peak resident set so far, which in a process that runs several
     commands covers the earlier ones too; peak_child_rss_mb is the largest
-    of its finished children's (the readers' forked parsers), 0 if none
-    (the kernel keeps the figure across exec, from the process before)."""
+    of the children that this command's reads and writes forked (each
+    taking the second range of a file), 0 if none."""
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     # ru_maxrss counts kilobytes (bytes on macOS).
     scale = 1024 * (1024 if sys.platform == "darwin" else 1)
@@ -84,7 +84,7 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale,
-        "peak_child_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / scale,
+        "peak_child_rss_mb": dataio.take_child_peak_rss() / scale,
     }
     dataio._write_json(out / "manifest.json", manifest)
 
@@ -417,6 +417,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         started = time.monotonic()
+        dataio.take_child_peak_rss()  # children of the commands before this one
         out = _out_dir(args)
         outputs, resolved = args.func(args, out)
         _write_manifest(out, args, outputs, resolved, time.monotonic() - started)

@@ -25,14 +25,20 @@ does not take (numbers spelt as strings, spaced JSON or CSV fields). So a
 reader holds one chunk beside the arrays, and read_detections scatters the
 chunks into the batch without joining them first.
 
-A JSONL file of more than one chunk is read in two ranges on two CPUs: a
-forked child parses the second half of what follows the first chunk while
-this process parses the lines before it (_read_jsonl). It is read in one
-pass where that cannot run or pay: a file whose lines after the first chunk
-hold fewer bytes than the chunk, a file that is not a regular file (a FIFO,
-/dev/stdin), a platform without os.fork, a process that may run on one CPU
-alone or that runs another thread. The errors are those of the one-pass
-read, byte for byte.
+A file is read or written in two ranges on two CPUs where its second range
+holds at least SPLIT_BYTES of work. Reading a JSONL file, a forked child
+parses the second half of what follows the first chunk while this process
+parses the lines before it (_read_jsonl). Writing detections, truth, tracks,
+plot data, history or histograms, a forked child spells the rows from the
+chunk boundary nearest the middle into an unnamed temporary file while this
+process writes the rows before them, then appends the child's bytes
+(_write_chunks). A file is read or written in one pass where the split
+cannot run or pay: a second range under SPLIT_BYTES, a file read that is
+not a regular file (a FIFO, /dev/stdin), a platform without os.fork, a
+process that may run on one CPU alone or that runs another thread, a fork
+or temporary file that fails. Either way the bytes written and the errors
+raised are those of the one-pass read or write, byte for byte: where the
+child fails, this process does its range itself.
 """
 
 from __future__ import annotations
@@ -40,6 +46,7 @@ from __future__ import annotations
 import array
 import csv
 import dataclasses
+import errno
 import functools
 import hashlib
 import itertools
@@ -49,6 +56,7 @@ import os
 import pickle
 import re
 import stat
+import tempfile
 import threading
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
@@ -124,9 +132,88 @@ def _time(value) -> float:
 # check, and the writers format, at once. On a 10,000-frame, 8-view file,
 # read_detections' traced peak was 8.9 MB at 2^8 to 2^11 (the arrays it
 # returns and their assembly) and 13.8 MB at 2^12; write_detections' was
-# 1.4 MB at 2^8, doubling with each doubling to 21.9 MB at 2^12. Neither's
+# 1.4 MB at 2^8, doubling with each doubling to 21.9 MB at 2^12, in one
+# pass. Written in two ranges, the child's chunks add no traced memory in
+# this process, which holds one chunk's text at a time either way. Neither's
 # time moved beyond the host's noise.
 CHUNK_FRAMES = 1 << 9
+
+
+# ---------------------------------------------------------------------------
+# Two CPUs for one file: a forked child takes the second range of a read or
+# a write
+
+
+# The least work, in bytes of the second range, for which a forked child
+# pays: a file whose second range holds fewer is read or written in one pass.
+# A writer counts its second range's values at _VALUE_BYTES bytes each. In a
+# 52 MB process, a split with a nearly empty second range cost 1.7-2.0 ms
+# more than one pass (fork, wait and copy), and one pass took 22-25 ns a
+# byte; but the child's pages are copied as it writes them, and a write
+# splits at a chunk boundary, so second ranges of 178 and 239 KB read saved
+# 0.1 and 0.4 ms, and of 358 and 479 KB written 2.7 and 1.8 ms (4-view
+# detections, medians of 21).
+# Under this floor: sparse_views' files, whose second ranges hold at most
+# 210 KB written and 178 KB read. Over it: the walkthrough's test
+# detections, 439 KB read, and its train and test detections, 657-700 KB
+# written; long_track's detections, test truth and tracks.
+SPLIT_BYTES = 1 << 18
+
+# About what a value takes in a written detections or track file, with its
+# separators: 18.8 bytes in long_track's 8.3 MB test detections.
+_VALUE_BYTES = 20
+
+# The largest ru_maxrss of the children reaped since take_child_peak_rss.
+_child_peak_rss = 0
+
+
+def _may_split(work: int) -> bool:
+    """Whether a forked child may take a second range of work bytes: work
+    reaches SPLIT_BYTES (and 1), os.fork and os.sched_getaffinity exist,
+    this process may run on two CPUs, and no other thread runs in it (a
+    forked child holds only the forking thread)."""
+    return (work >= max(SPLIT_BYTES, 1) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+
+
+def _forked(body: Callable[[], None]) -> Optional[int]:
+    """Fork a child that runs body() and exits 0, or 1 if body raised; its
+    pid, None if os.fork raised OSError."""
+    try:
+        pid = os.fork()
+    except OSError:
+        return None
+    if pid == 0:
+        # None of the caller's code, atexit handlers or stdio buffers runs
+        # here: the child's only way out is os._exit, its status its result.
+        status = 1
+        try:
+            body()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _reaped(pid: int) -> bool:
+    """Wait for the forked child pid; whether it exited 0. Its peak resident
+    set counts towards take_child_peak_rss."""
+    global _child_peak_rss
+    _, status, usage = os.wait4(pid, 0)
+    _child_peak_rss = max(_child_peak_rss, usage.ru_maxrss)
+    return status == 0
+
+
+def take_child_peak_rss() -> int:
+    """The largest ru_maxrss of the children that reads and writes reaped
+    since the last call, 0 if none."""
+    global _child_peak_rss
+    peak, _child_peak_rss = _child_peak_rss, 0
+    return peak
+
+
+# ---------------------------------------------------------------------------
+# row writers: a file of rows spelt a chunk at a time
 
 
 def _spelt(table, specs: Sequence[str]) -> list[list[str]]:
@@ -141,19 +228,91 @@ def _spelt(table, specs: Sequence[str]) -> list[list[str]]:
     return columns
 
 
+def _write_range(fh, lo: int, hi: int, text: Callable[[int, int], str]) -> None:
+    """Write text(a, b) to fh for each chunk [a, b) of rows [lo, hi), the
+    chunks CHUNK_FRAMES rows apart from lo."""
+    for a in range(lo, hi, CHUNK_FRAMES):
+        fh.write(text(a, min(a + CHUNK_FRAMES, hi)))
+
+
+def _fork_writer(fh, lo: int, hi: int, text: Callable[[int, int], str]) -> Optional[tuple]:
+    """Fork a child that writes text's rows [lo, hi), encoded as fh encodes
+    them, into an unnamed temporary file in the directory of fh, a text file
+    opened by its path. The child's pid and the temporary file; None if
+    either could not be made."""
+    try:
+        spelt = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name)))
+    except OSError:
+        return None
+
+    def body():
+        _write_range(spelt, lo, hi, lambda a, b: text(a, b).encode(fh.encoding))
+        spelt.flush()
+
+    pid = _forked(body)
+    if pid is None:
+        spelt.close()
+        return None
+    return pid, spelt
+
+
+def _append(fh, spelt) -> None:
+    """Append the bytes of the file spelt to the file fh, with sendfile."""
+    fh.flush()
+    offset, size = 0, os.fstat(spelt.fileno()).st_size
+    while offset < size:
+        sent = os.sendfile(fh.fileno(), spelt.fileno(), offset, size - offset)
+        if not sent:  # the file shrank: end as a failed write would
+            raise OSError(errno.EIO, f"temporary file ended after {offset} of {size} bytes")
+        offset += sent
+
+
+def _write_chunks(path: Path, header: str, n_rows: int, text: Callable[[int, int], str], values: int) -> None:
+    """header, then text(lo, hi) for each chunk [lo, hi) of CHUNK_FRAMES of
+    n_rows rows, into path; the rows spell values numbers in all. Where
+    _may_split takes the rows from the chunk boundary nearest n_rows / 2,
+    their share of values at _VALUE_BYTES bytes each, a forked child spells
+    them into a temporary file while this process writes the header and the
+    rows before them, then appends the child's bytes. If the child fails,
+    this process spells its rows itself, so the bytes and errors are those
+    of a one-pass write; the child is reaped whatever this process raises."""
+    mid = (n_rows + CHUNK_FRAMES) // (2 * CHUNK_FRAMES) * CHUNK_FRAMES
+    with open(path, "w", newline="") as fh:
+        # Forked before a byte goes into fh's buffer, which the child holds too.
+        split = 0 < mid < n_rows and _may_split(values * (n_rows - mid) // n_rows * _VALUE_BYTES)
+        child = _fork_writer(fh, mid, n_rows, text) if split else None
+        if child is None:
+            fh.write(header)
+            _write_range(fh, 0, n_rows, text)
+            return
+        pid, spelt = child
+        with spelt:
+            try:
+                fh.write(header)
+                _write_range(fh, 0, mid, text)
+            finally:
+                done = _reaped(pid)
+            if done:
+                _append(fh, spelt)
+            else:
+                _write_range(fh, mid, n_rows, text)
+
+
 def _write_rows(path: Path, header: str, row: str, table, json_floats: bool = False) -> None:
     """header, then row % r for each row r of the 2-D table, formatted
-    CHUNK_FRAMES rows at a time; with json_floats, the non-finite floats
-    spelt as dumps spells them: NaN, Infinity and -Infinity."""
+    CHUNK_FRAMES rows at a time (by _write_chunks); with json_floats, the
+    non-finite floats spelt as dumps spells them: NaN, Infinity and
+    -Infinity."""
     specs, row = re.findall("%[rd]", row), re.sub("%[rd]", "%s", row)
-    with open(path, "w", newline="") as fh:
-        fh.write(header)
-        for lo in range(0, len(table), CHUNK_FRAMES):
-            chunk = table[lo : lo + CHUNK_FRAMES]
-            text = "".join(map(row.__mod__, zip(*_spelt(chunk, specs))))
-            if json_floats and not np.isfinite(chunk).all():
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            fh.write(text)
+
+    def text(lo: int, hi: int) -> str:
+        chunk = table[lo:hi]
+        text = "".join(map(row.__mod__, zip(*_spelt(chunk, specs))))
+        if json_floats and not np.isfinite(chunk).all():
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        return text
+
+    _write_chunks(path, header, len(table), text, len(table) * len(specs))
 
 
 # ---------------------------------------------------------------------------
@@ -167,25 +326,26 @@ _DETECTION = '{"cov":[[%s,%s],[%s,%s]],"mean":[%s,%s],"view":%s}'
 def write_detections(path: Path, batch: FrameBatch) -> None:
     """One line per frame of the batch's windows, listing the frame's
     detections in the batch's column order; written from the arrays, a chunk
-    of frames at a time."""
+    of frames at a time (by _write_chunks)."""
     views = [dumps(view) for view in batch.views]
     t = batch.t.reshape(-1)
     mean = batch.mean.reshape(len(t), len(views), 2)
     cov = batch.cov.reshape(len(t), len(views), 4)
     mask = batch.mask.reshape(len(t), len(views))
-    with open(path, "w", newline="") as fh:
-        for lo in range(0, len(t), CHUNK_FRAMES):
-            rows = slice(lo, lo + CHUNK_FRAMES)
-            present = mask[rows]
-            values = np.concatenate([cov[rows][present], mean[rows][present]], axis=1)
-            ids = [views[j] for j in np.nonzero(present)[1].tolist()]
-            dets = list(map(_DETECTION.__mod__, zip(*_spelt(values, ["%r"] * 6), ids)))
-            ends = np.cumsum(present.sum(axis=1)).tolist()
-            lines = [
-                '{"detections":[%s],"t":%s}\n' % (",".join(dets[start:end]), time)
-                for time, start, end in zip(map(repr, t[rows].tolist()), [0, *ends], ends)
-            ]
-            fh.write("".join(lines))
+
+    def text(lo: int, hi: int) -> str:
+        present = mask[lo:hi]
+        values = np.concatenate([cov[lo:hi][present], mean[lo:hi][present]], axis=1)
+        ids = [views[j] for j in np.nonzero(present)[1].tolist()]
+        dets = list(map(_DETECTION.__mod__, zip(*_spelt(values, ["%r"] * 6), ids)))
+        ends = np.cumsum(present.sum(axis=1)).tolist()
+        lines = [
+            '{"detections":[%s],"t":%s}\n' % (",".join(dets[start:end]), time)
+            for time, start, end in zip(map(repr, t[lo:hi].tolist()), [0, *ends], ends)
+        ]
+        return "".join(lines)
+
+    _write_chunks(path, "", len(t), text, 6 * int(np.count_nonzero(mask)) + len(t))
 
 
 def _record(rec: dict, frames: bool) -> tuple[float, list, list]:
@@ -333,23 +493,17 @@ def _second_range(fh) -> Optional[int]:
     """Where a child may start to read the rest of fh, a regular file read
     up to the end of its first chunk: after the first line of the rest that
     ends at or after the rest's byte midpoint. None where the split cannot
-    run or pay: fh is not a regular file, the rest holds fewer bytes than
-    the first chunk (a child's fork and exit cost about as much as parsing
-    a few hundred short lines), that line is the last, os.fork or
-    os.sched_getaffinity is missing, this process may run on one CPU alone,
-    or another thread runs in it (a forked child holds only the forking
-    thread). fh is left where it was."""
+    run or pay: fh is not a regular file, or _may_split declines the bytes
+    from there to the end. fh is left where it was."""
     info = os.fstat(fh.fileno())
-    if not (stat.S_ISREG(info.st_mode) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    if not stat.S_ISREG(info.st_mode):
         return None
     start = fh.tell()
-    if info.st_size - start < start or len(os.sched_getaffinity(0)) < 2 or threading.active_count() > 1:
-        return None
     fh.seek(max(start, (start + info.st_size) // 2 - 1))
     fh.readline()
     split = fh.tell()
     fh.seek(start)
-    return split if split < info.st_size else None
+    return split if _may_split(info.st_size - split) else None
 
 
 def _lines_to(fh, end: int):
@@ -373,27 +527,20 @@ def _fork_reader(chunks: _Chunks, views: dict, start: int) -> Optional[tuple[int
         read_end, write_end = os.pipe()
     except OSError:
         return None
-    try:
-        pid = os.fork()
-    except OSError:
+
+    def body():
         os.close(read_end)
-        os.close(write_end)
-        return None
-    if pid == 0:
-        # None of the caller's code, atexit handlers or stdio buffers runs
-        # here: the child's only way out is os._exit, its status its result.
-        status = 1
-        try:
-            os.close(read_end)
-            child = _Chunks(chunks.path, chunks.parse)
-            with open(chunks.path, "rb") as fh, open(write_end, "wb") as out:
-                fh.seek(start)
-                child.read(fh)
-                pickle.dump((list(views), list(child)), out, protocol=5)
-            status = 0
-        finally:
-            os._exit(status)
+        child = _Chunks(chunks.path, chunks.parse)
+        with open(chunks.path, "rb") as fh, open(write_end, "wb") as out:
+            fh.seek(start)
+            child.read(fh)
+            pickle.dump((list(views), list(child)), out, protocol=5)
+
+    pid = _forked(body)
     os.close(write_end)
+    if pid is None:
+        os.close(read_end)
+        return None
     return pid, read_end
 
 
@@ -443,7 +590,7 @@ def _read_jsonl(path: Path, frames: bool) -> tuple[_Chunks, list]:
                 finally:
                     # Closed first: a child still writing then fails, and exits.
                     os.close(read_end)
-                    failed = os.waitpid(pid, 0)[1] != 0
+                    failed = not _reaped(pid)
                 if failed or sent is None or not _first_time(sent[1]) > chunks.after:
                     sent = None
                     chunks.read(fh)  # the child's range again

@@ -1171,12 +1171,13 @@ def test_outputs_identical_across_simd_levels(tmp_path):
 FRESH = "import sys; from geotrack.cli import main; rc = main(sys.argv[1:]); print('numpy.ma' in sys.modules); sys.exit(rc)"
 
 
-def _fresh_main(cwd, *argv) -> str:
-    """geotrack.cli.main(argv) in a fresh interpreter; its last line of stdout."""
+def _fresh_main(cwd, *argv, shell=()) -> str:
+    """geotrack.cli.main(argv) in a fresh interpreter, which the shell
+    command line shell execs if given; its last line of stdout."""
     src = Path(dataio.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", FRESH, *argv], cwd=cwd, env=env, capture_output=True, text=True,
-                          timeout=300)
+    done = subprocess.run([*shell, sys.executable, "-c", FRESH, *argv], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()[-1]
 
@@ -1188,18 +1189,33 @@ def test_fresh_simulate_does_not_import_numpy_ma(tmp_path):
 
 
 def test_manifest_records_the_forked_readers_peak_rss(tmp_path):
-    # A fresh process forks only to read a file in two ranges, which it does
-    # when it may run on two CPUs: here the 1200-line train file, and not the
-    # 240-line val file.
-    (tmp_path / "config.json").write_text(json.dumps({**SMALL_CONFIG, "duration": 120.0}))
+    # A fresh process forks only to read or write a file in two ranges,
+    # which it does when it may run on two CPUs and the file's second range
+    # holds at least SPLIT_BYTES: here simulate's writes of the 3000-line
+    # train and 2400-line test files and track's read of the train file, and
+    # not track's read of the 600-line val file nor its writes of 600 steps.
+    (tmp_path / "config.json").write_text(json.dumps({**SMALL_CONFIG, "duration": 300.0}))
     _fresh_main(tmp_path, "simulate", "--config", "config.json", "--out", "sim")
     lines = {split: (tmp_path / f"sim/detections_{split}.jsonl").read_bytes().count(b"\n") for split in ("train", "val")}
-    assert lines == {"train": 1200, "val": 240}
+    assert lines == {"train": 3000, "val": 600}
     two_cpus = hasattr(os, "fork") and len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) > 1
+    peaks = {"sim": json.loads((tmp_path / "sim" / "manifest.json").read_text())["peak_child_rss_mb"]}
     for split in lines:
         _fresh_main(tmp_path, "track", "--detections", f"sim/detections_{split}.jsonl", "--out", split)
-        manifest = json.loads((tmp_path / split / "manifest.json").read_text())
-        if split == "train" and two_cpus:
-            assert 1.0 < manifest["peak_child_rss_mb"] < 1024.0
+        peaks[split] = json.loads((tmp_path / split / "manifest.json").read_text())["peak_child_rss_mb"]
+    for run, peak in peaks.items():
+        if run != "val" and two_cpus:
+            assert 1.0 < peak < 1024.0, run
         else:
-            assert manifest["peak_child_rss_mb"] == 0.0
+            assert peak == 0.0, run
+
+
+@pytest.mark.skipif(shutil.which("bash") is None, reason="needs bash")
+def test_a_one_pass_command_execd_by_a_shell_records_no_child(tmp_path):
+    # bash waits for the child of x=$(true), then execs python, and the
+    # kernel keeps that child's RUSAGE_CHILDREN peak (about 3 MB) across
+    # exec: the manifest counts only the children this command reaped.
+    (tmp_path / "config.json").write_text(json.dumps(SMALL_CONFIG))
+    shell = ["bash", "-c", 'x=$(true); exec "$@"', "bash"]
+    _fresh_main(tmp_path, "simulate", "--config", "config.json", "--out", "sim", shell=shell)
+    assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["peak_child_rss_mb"] == 0.0

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -7,6 +8,7 @@ import math
 import os
 import pickle
 import re
+import resource
 import subprocess
 import threading
 import tracemalloc
@@ -500,6 +502,10 @@ _BAD_FIELDS = st.sampled_from(["x", "", "nan", "inf", "-inf", "1e999", "-1.0"])
 # split the drawn files at every place.
 _CHUNKS = st.sampled_from([1, 2, 3, dataio.CHUNK_FRAMES])
 
+# Floors for a read or write in two ranges: at 0 a drawn file of more than
+# one chunk is split on a host with two CPUs, at the default it never is.
+_FLOORS = st.sampled_from([0, dataio.SPLIT_BYTES])
+
 
 def _paths(value, prefix=()):
     """Every path (a tuple of keys and indices) into a JSON value."""
@@ -797,11 +803,11 @@ def _corrupt_record(data, records):
 
 
 @settings(max_examples=400)
-@given(data=st.data(), records=_detection_records(), chunk=_CHUNKS)
-def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, records, chunk):
+@given(data=st.data(), records=_detection_records(), chunk=_CHUNKS, floor=_FLOORS)
+def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, records, chunk, floor):
     path = fuzz_dir / "corrupt.jsonl"
     _write_lines(data, path, _corrupt_record(data, records))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=chunk, SPLIT_BYTES=floor):
         got = _outcome(dataio.read_detections, path)
     want = _outcome(lambda p: pack([read_detection_frames(p)]), path)
     if isinstance(want, tuple):
@@ -909,16 +915,17 @@ _TRACK_FLOATS = st.one_of(
 
 
 @settings(max_examples=200)
-@given(data=st.data(), n=st.integers(0, 6), chunk=_CHUNKS)
-def test_write_track_matches_per_step_dumps(fuzz_dir, data, n, chunk):
+@given(data=st.data(), n=st.integers(0, 6), chunk=_CHUNKS, floor=_FLOORS)
+def test_write_track_matches_per_step_dumps(fuzz_dir, data, n, chunk, floor):
     # Chunks of one or two steps mix chunks with and without NaN and inf,
-    # which dumps spells NaN, Infinity and -Infinity.
+    # which dumps spells NaN, Infinity and -Infinity; at floor 0 the steps
+    # from the chunk boundary nearest n / 2 are spelt by a forked child.
     steps = np.array(data.draw(st.lists(_TRACK_FLOATS, min_size=7 * n, max_size=7 * n)))
     times, means, covs = steps[:n], steps[n : 3 * n].reshape(n, 2), steps[3 * n :].reshape(n, 2, 2)
     oracle_write_track(fuzz_dir / "oracle.jsonl", times, means, covs)
     expected = (fuzz_dir / "oracle.jsonl").read_bytes()
     path = fuzz_dir / "track.jsonl"
-    with mock.patch.object(dataio, "CHUNK_FRAMES", chunk):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=chunk, SPLIT_BYTES=floor):
         dataio.write_track(path, times, means, covs)
         assert path.read_bytes() == expected
         dataio.write_track(path, times.tolist(), list(means), [c.tolist() for c in covs])
@@ -1188,7 +1195,8 @@ def test_detection_reading_memory_bounded_on_odd_and_bad_files(tmp_path, last):
 # Reading a JSONL file in two ranges: after the first chunk, a forked child
 # parses the second half while this process parses the first. Every read
 # must give the one-pass read's arrays or exactly its error, and leave no
-# child behind. Two CPUs are patched in, so the split runs on any host.
+# child behind. Two CPUs are patched in, and SPLIT_BYTES patched to 0 (but
+# where a test says otherwise), so the split runs on any host and any file.
 
 fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
 
@@ -1262,7 +1270,7 @@ def test_split_after_the_line_that_ends_at_or_after_the_midpoint(tmp_path, n):
     # starts at line 7.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         assert _child_first_line(path) == 7
         batch = _assert_split_reads_as_one_pass(path)
     assert len(batch) == n
@@ -1271,11 +1279,12 @@ def test_split_after_the_line_that_ends_at_or_after_the_midpoint(tmp_path, n):
 @fork_only
 @pytest.mark.parametrize("n,child_first_line", [(4, None), (6, None), (7, None), (8, 7), (9, 8)])
 def test_a_rest_smaller_than_the_first_chunk_reads_in_one_pass(tmp_path, n, child_first_line):
-    # Four-line chunks of equal lines: with n - 4 < 4 lines after the first
-    # chunk, a child would cost more than the lines it could take.
+    # Four-line chunks of equal lines, and the floor at two lines' bytes:
+    # with n - 4 < 4 lines after the first chunk, the child's range holds
+    # one line or none, under the floor, and the file reads in one pass.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 4):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=4, SPLIT_BYTES=2 * len(_split_line(0) + "\n")):
         assert _child_first_line(path) == child_first_line
         _assert_split_reads_as_one_pass(path, forks=int(child_first_line is not None))
 
@@ -1306,7 +1315,7 @@ def test_a_line_near_the_split_reads_as_in_one_pass(tmp_path, kind, line):
         lines[line - 1] = _NEAR_SPLIT[kind](lines[line - 1])
     path = tmp_path / "d.jsonl"
     path.write_text("".join(text + "\n" for text in lines))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         assert _child_first_line(path) == 7
         got = _assert_split_reads_as_one_pass(path)
     if kind != "odd":
@@ -1322,7 +1331,7 @@ def test_disorder_across_the_split_names_the_childs_first_record(tmp_path, gap):
     lines[6] = gap + _split_line(5) + "\n"
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         first = _child_first_line(path)
         assert 7 <= first <= 7 + gap.count("\n")
         got = _assert_split_reads_as_one_pass(path)
@@ -1338,7 +1347,7 @@ def test_blank_and_crlf_lines_at_the_split(tmp_path, ending, blank):
     lines[6] = blank + lines[6]
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines), newline="")
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         first = _child_first_line(path)
         assert 7 <= first <= 7 + 2 * blank.count("\n")
         batch = _assert_split_reads_as_one_pass(path)
@@ -1354,7 +1363,7 @@ def test_a_view_first_seen_in_the_childs_range(tmp_path):
     lines += [_split_line(k, ("N2", "N1", "A0")) for k in range(8, 10)]
     path = tmp_path / "d.jsonl"
     path.write_text("".join(text + "\n" for text in lines))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         assert 4 < _child_first_line(path) <= 9
         batch = _assert_split_reads_as_one_pass(path)
     assert batch.views == ("A0", "N1", "N2", "N3", "N4")
@@ -1371,7 +1380,7 @@ def test_track_split_reads_as_in_one_pass(tmp_path, kind):
         steps[6]["t"] = steps[5]["t"]
     path = tmp_path / "track.jsonl"
     path.write_text("".join(json.dumps(step) + "\n" for step in steps))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         assert _child_first_line(path) == 7
         got = _assert_split_reads_as_one_pass(path, frames=False)
     if kind == "valid":
@@ -1384,7 +1393,7 @@ def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
     # nothing and exits 1, and the parent reads the child's range itself.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2), \
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
             mock.patch.object(pickle, "dump", side_effect=MemoryError):
         _assert_split_reads_as_one_pass(path)
 
@@ -1395,7 +1404,7 @@ def test_a_fork_that_fails_reads_in_one_pass(tmp_path):
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
     want = _read_counting_forks(dataio.read_detections, path, cpus=(0,))[0]
     fds = _open_fds()
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2), \
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
             mock.patch.object(os, "fork", side_effect=BlockingIOError) as fork:
         _assert_same_batch(dataio.read_detections(path), want)
@@ -1406,7 +1415,7 @@ def test_a_fork_that_fails_reads_in_one_pass(tmp_path):
 def test_one_cpu_reads_in_one_pass(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
-    with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         got, forks = _read_counting_forks(dataio.read_detections, path, cpus=(1,))
     assert forks == 0
     _assert_same_batch(got, pack([read_detection_frames(path)]))
@@ -1420,7 +1429,7 @@ def test_another_thread_reads_in_one_pass(tmp_path):
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        with mock.patch.object(dataio, "CHUNK_FRAMES", 2):
+        with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
             got, forks = _read_counting_forks(dataio.read_detections, path)
     finally:
         release.set()
@@ -1444,7 +1453,7 @@ def test_a_fifo_reads_in_one_pass(tmp_path, kind):
     # A writer process, not a thread: a thread alone would rule the split out.
     writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
     try:
-        with mock.patch.object(dataio, "CHUNK_FRAMES", 2), \
+        with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
                 mock.patch.object(os, "fork", wraps=os.fork) as fork:
             got = _outcome(dataio.read_detections, fifo)
@@ -1460,6 +1469,164 @@ def test_a_fifo_reads_in_one_pass(tmp_path, kind):
 
 # Corruptions the readers must reject: a non-string view id, a non-finite
 # truth heading, a non-finite number in any numeric scenario field.
+
+
+# ---------------------------------------------------------------------------
+# Writing a file in two ranges: a forked child spells the rows from the chunk
+# boundary nearest the middle into an unnamed temporary file, which this
+# process appends after the header and its own rows. Every write must give
+# the one-pass write's bytes and error, and leave behind no child, no open
+# file descriptor and no file but the one written. As for reading, two CPUs
+# are patched in, and SPLIT_BYTES patched to 0 where a test does not say.
+
+
+def _write_counting_forks(write, path, cpus=(0, 1)):
+    """write(path)'s outcome (None, or its error's type and text), the bytes
+    it left in path and how many children it forked, on the given CPUs."""
+    fds, listing = _open_fds(), set(os.listdir(path.parent)) | {path.name}
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        try:
+            got = write(path)
+        except (OSError, ValueError) as exc:
+            got = type(exc), str(exc)
+    _assert_no_child()
+    assert _open_fds() == fds
+    assert set(os.listdir(path.parent)) == listing
+    return got, path.read_bytes(), fork.call_count
+
+
+def _assert_split_writes_as_one_pass(write, path, forks=1):
+    """The write on two CPUs (forking forks children) leaves the one-pass
+    write's outcome and bytes; those two."""
+    got, data, forked = _write_counting_forks(write, path)
+    want, one_pass, one_pass_forks = _write_counting_forks(write, path, cpus=(0,))
+    assert (forked, one_pass_forks) == (forks, 0)
+    assert (got, data) == (want, one_pass)
+    return got, data
+
+
+def _split_mid(n, chunk):
+    """The chunk boundary nearest n / 2 (the higher at a tie)."""
+    return chunk * math.floor(n / (2 * chunk) + 0.5)
+
+
+@fork_only
+@settings(max_examples=100)
+@given(data=st.data(), n=st.integers(0, 13), chunk=st.sampled_from([1, 2, 3, 5]))
+def test_split_writes_match_one_pass_writes(fuzz_dir, data, n, chunk):
+    # Detections with empty frames and anisotropic covariances, and track
+    # steps with NaN and infinities, which dumps spells NaN and Infinity.
+    path = fuzz_dir / "split_writes" / "out"
+    path.parent.mkdir(exist_ok=True)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    views = data.draw(st.lists(st.sampled_from(["N1", "N2", "cam 3", "Ω"]), min_size=1, max_size=4, unique=True))
+    mask = (rng.random((1, n, len(views))) < 0.6) & (rng.random((1, n, 1)) < 0.7)
+    root = rng.standard_normal((1, n, len(views), 2, 2)) * rng.uniform(0.1, 30.0, (1, n, len(views), 2, 1))
+    cov = root @ np.swapaxes(root, -1, -2) + 0.1 * np.eye(2)
+    batch = FrameBatch(tuple(views), np.cumsum(rng.uniform(0.01, 1.0, (1, n)), axis=1),
+                       rng.uniform(-1e3, 1e3, (1, n, len(views), 2)), cov, mask)
+    steps = np.array(data.draw(st.lists(_TRACK_FLOATS, min_size=7 * n, max_size=7 * n))).reshape(n, 7)
+    track = (steps[:, 0], steps[:, 1:3], steps[:, 3:].reshape(n, 2, 2))
+    forks = int(0 < _split_mid(n, chunk) < n)
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=chunk, SPLIT_BYTES=0):
+        _, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_detections(p, batch), path, forks)
+        oracle_write_detections(fuzz_dir / "oracle", batch_frames(batch))
+        assert written == (fuzz_dir / "oracle").read_bytes()
+        _, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_track(p, *track), path, forks)
+        oracle_write_track(fuzz_dir / "oracle", *track)
+        assert written == (fuzz_dir / "oracle").read_bytes()
+
+
+@fork_only
+@pytest.mark.parametrize("n,child_rows", [(3, 0), (4, 0), (5, 0), (8, 0), (9, 5), (10, 6), (11, 7), (12, 0), (13, 5)])
+def test_a_write_splits_where_the_childs_rows_reach_the_floor(tmp_path, n, child_rows):
+    # Four-row chunks of six-value truth rows, and the floor at five rows'
+    # values: the child takes the rows from the boundary nearest n / 2 (4
+    # up to n = 11, then 8) if they are five or more, and none else.
+    rows = np.arange(n, dtype=float)
+    truth = Trajectory(0.05 * rows + 0.05, np.column_stack([rows, -rows]), 0.01 * rows, np.full((n, 2), 15.0))
+    floor = 5 * 6 * dataio._VALUE_BYTES
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=4, SPLIT_BYTES=floor), \
+            mock.patch.object(dataio, "_fork_writer", wraps=dataio._fork_writer) as fork_writer:
+        _, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_truth(p, truth), tmp_path / "t.csv",
+                                                      forks=int(child_rows > 0))
+    assert [call.args[1:3] for call in fork_writer.call_args_list] == [(n - child_rows, n)] * int(child_rows > 0)
+    samples = [(t, SimpleNamespace(position=p, heading=h, extent=e))
+               for t, p, h, e in zip(truth.times, truth.positions, truth.headings, truth.extent)]
+    oracle_write_truth(tmp_path / "oracle.csv", samples)
+    assert written == (tmp_path / "oracle.csv").read_bytes()
+
+
+def _history_rows(bad_epoch=None):
+    """Ten tune history rows; the epoch of row bad_epoch NaN, which %d cannot spell."""
+    rows = [{"epoch": k, "train_nll": 1.0 / (k + 1), "N1_a": 0.5 * k} for k in range(10)]
+    if bad_epoch is not None:
+        rows[bad_epoch]["epoch"] = math.nan
+    return rows
+
+
+@fork_only
+@pytest.mark.parametrize("kind", ["child only", "child's range"])
+def test_a_failed_writer_child_leaves_its_rows_to_this_process(tmp_path, kind):
+    # A MemoryError that only the child meets, or a NaN epoch in the child's
+    # range (rows 6-9), which this process meets again as it spells those
+    # rows itself: either way, the one-pass write's bytes and error.
+    parent, spelt = os.getpid(), dataio._spelt
+
+    def child_fails(table, specs):
+        if os.getpid() != parent:
+            raise MemoryError
+        return spelt(table, specs)
+
+    rows = _history_rows(bad_epoch=8 if kind == "child's range" else None)
+    spell = child_fails if kind == "child only" else spelt
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0, _spelt=spell):
+        got, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_history(p, rows), tmp_path / "h.csv")
+    if kind == "child's range":
+        assert got == (ValueError, "cannot convert float NaN to integer")
+        assert written.count(b"\n") == 9  # the header and rows 0-7
+    else:
+        assert got is None and written.count(b"\n") == 11
+
+
+@fork_only
+@pytest.mark.parametrize("fails", ["fork", "temporary file"])
+def test_a_fork_or_temporary_file_that_fails_writes_in_one_pass(tmp_path, fails):
+    target = (os, "fork") if fails == "fork" else (dataio.tempfile, "TemporaryFile")
+    rows = _history_rows()
+
+    def write(path):
+        dataio.write_history(path, rows)
+
+    want = _write_counting_forks(write, tmp_path / "h.csv", cpus=(0,))
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
+            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
+        assert _write_counting_forks(write, tmp_path / "h.csv")[:2] == want[:2]
+    assert failing.call_count == 1
+
+
+@fork_only
+@pytest.mark.skipif(not hasattr(resource, "RLIMIT_FSIZE"), reason="needs RLIMIT_FSIZE")
+def test_an_oserror_in_this_processs_range_is_the_one_pass_error(tmp_path):
+    # A file size limit of 16 KB, which this process's range of 256 steps
+    # (about 38 KB) passes: its write raises EFBIG (Python ignores
+    # SIGXFSZ), and the child, which the limit fails too, is reaped.
+    n = 512
+    times, means = 0.05 * np.arange(n), np.linspace(-5.0, 5.0, 2 * n).reshape(n, 2)
+    covs = np.linspace(1.0, 2.0, 4 * n).reshape(n, 2, 2) + np.eye(2)
+
+    def write(path):
+        dataio.write_track(path, times, means, covs)
+
+    soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 14, hard))
+    try:
+        with mock.patch.multiple(dataio, CHUNK_FRAMES=64, SPLIT_BYTES=0):
+            got, written = _assert_split_writes_as_one_pass(write, tmp_path / "track.jsonl")
+    finally:
+        resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+    assert got == (OSError, f"[Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}") and len(written) == 1 << 14
 
 
 @settings(max_examples=100)
