@@ -185,9 +185,14 @@ def cmd_track(args, out: Path) -> tuple[list[str], dict]:
     batch = dataio.read_detections(Path(args.detections))
     params = _filter_params(args.params)
     calib = dataio.read_calibration(Path(args.calib)) if args.calib else None
+    if calib is not None and not set(calib) & set(batch.views):
+        raise ValueError(f"{args.calib}: calibrates none of the detections' views: {', '.join(batch.views)}")
     truth_pos = _truth_positions(batch, args.truth, args.detections) if args.truth else None
 
-    result = run_track(batch, params, truth=truth_pos, calib=calib)
+    try:
+        result = run_track(batch, params, truth=truth_pos, calib=calib)
+    except NotPositiveDefiniteError as exc:
+        raise RuntimeError(f"{args.detections}: {exc}") from exc
     dataio.write_track(out / "track.jsonl", result.times, result.means, result.covs)
     n_steps = len(result.times)
 

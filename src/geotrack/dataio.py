@@ -26,19 +26,21 @@ reader holds one chunk beside the arrays, and read_detections scatters the
 chunks into the batch without joining them first.
 
 A file is read or written in two ranges on two CPUs where its second range
-holds at least SPLIT_BYTES of work. Reading a JSONL file, a forked child
-parses the second half of what follows the first chunk while this process
-parses the lines before it (_read_jsonl). Writing detections, truth, tracks,
-plot data, history or histograms, a forked child spells the rows from the
-chunk boundary nearest the middle into an unnamed temporary file while this
-process writes the rows before them, then appends the child's bytes
-(_write_chunks). A file is read or written in one pass where the split
-cannot run or pay: a second range under SPLIT_BYTES, a file read that is
-not a regular file (a FIFO, /dev/stdin), a platform without os.fork, a
-process that may run on one CPU alone or that runs another thread, a fork
-or temporary file that fails. Either way the bytes written and the errors
-raised are those of the one-pass read or write, byte for byte: where the
-child fails, this process does its range itself.
+holds at least SPLIT_BYTES of work: a forked child does the second range
+into an unnamed temporary file while this process does the first, then this
+process takes the child's result from that file (_fork_to_file). Reading a
+JSONL file, the child parses the lines after the first line that ends at or
+after the file's byte midpoint and pickles its arrays (_read_jsonl).
+Writing detections, truth, tracks, plot data, history or histograms, the
+child spells the rows from the chunk boundary nearest the middle, which
+this process appends after its own (_write_chunks). A file is read or
+written in one pass where the split cannot run or pay: a second range under
+SPLIT_BYTES, a file read that is not a regular file (a FIFO, /dev/stdin), a
+platform without os.fork, a process that may run on one CPU alone or that
+runs another thread, a fork or temporary file that fails. Either way the
+bytes written and the errors raised are those of the one-pass read or
+write, byte for byte: where the child fails (exits other than 0), this
+process does its range itself.
 """
 
 from __future__ import annotations
@@ -154,8 +156,8 @@ CHUNK_FRAMES = 1 << 9
 # 0.1 and 0.4 ms, and of 358 and 479 KB written 2.7 and 1.8 ms (4-view
 # detections, medians of 21).
 # Under this floor: sparse_views' files, whose second ranges hold at most
-# 210 KB written and 178 KB read. Over it: the walkthrough's test
-# detections, 439 KB read, and its train and test detections, 657-700 KB
+# 210 KB written and 220 KB read (seeds 7 and 11). Over it: the
+# walkthrough's train and test detections, 560-702 KB read and 657-700 KB
 # written; long_track's detections, test truth and tracks.
 SPLIT_BYTES = 1 << 18
 
@@ -176,23 +178,30 @@ def _may_split(work: int) -> bool:
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
 
 
-def _forked(body: Callable[[], None]) -> Optional[int]:
-    """Fork a child that runs body() and exits 0, or 1 if body raised; its
-    pid, None if os.fork raised OSError."""
+def _fork_to_file(body: Callable) -> Optional[tuple]:
+    """Fork a child that runs body(out), out an unnamed temporary file in the
+    default temporary directory, and exits 0, or 1 if body raised. The
+    child's pid and out; None if the file or the fork raised OSError."""
+    try:
+        out = tempfile.TemporaryFile()
+    except OSError:
+        return None
     try:
         pid = os.fork()
     except OSError:
+        out.close()
         return None
     if pid == 0:
         # None of the caller's code, atexit handlers or stdio buffers runs
         # here: the child's only way out is os._exit, its status its result.
         status = 1
         try:
-            body()
+            body(out)
+            out.flush()
             status = 0
         finally:
             os._exit(status)
-    return pid
+    return pid, out
 
 
 def _reaped(pid: int) -> bool:
@@ -235,27 +244,6 @@ def _write_range(fh, lo: int, hi: int, text: Callable[[int, int], str]) -> None:
         fh.write(text(a, min(a + CHUNK_FRAMES, hi)))
 
 
-def _fork_writer(fh, lo: int, hi: int, text: Callable[[int, int], str]) -> Optional[tuple]:
-    """Fork a child that writes text's rows [lo, hi), encoded as fh encodes
-    them, into an unnamed temporary file in the directory of fh, a text file
-    opened by its path. The child's pid and the temporary file; None if
-    either could not be made."""
-    try:
-        spelt = tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(fh.name)))
-    except OSError:
-        return None
-
-    def body():
-        _write_range(spelt, lo, hi, lambda a, b: text(a, b).encode(fh.encoding))
-        spelt.flush()
-
-    pid = _forked(body)
-    if pid is None:
-        spelt.close()
-        return None
-    return pid, spelt
-
-
 def _append(fh, spelt) -> None:
     """Append the bytes of the file spelt to the file fh, with sendfile."""
     fh.flush()
@@ -276,11 +264,19 @@ def _write_chunks(path: Path, header: str, n_rows: int, text: Callable[[int, int
     rows before them, then appends the child's bytes. If the child fails,
     this process spells its rows itself, so the bytes and errors are those
     of a one-pass write; the child is reaped whatever this process raises."""
+    # On a chunk boundary: a failed child's rows are spelt again from mid a
+    # chunk at a time, and an error in them must stop the write after the
+    # chunks that a one-pass write finishes. From another row the chunks,
+    # and so the bytes left in path, would differ.
     mid = (n_rows + CHUNK_FRAMES) // (2 * CHUNK_FRAMES) * CHUNK_FRAMES
     with open(path, "w", newline="") as fh:
         # Forked before a byte goes into fh's buffer, which the child holds too.
         split = 0 < mid < n_rows and _may_split(values * (n_rows - mid) // n_rows * _VALUE_BYTES)
-        child = _fork_writer(fh, mid, n_rows, text) if split else None
+
+        def spell(out):  # the child's rows, encoded as fh encodes them
+            _write_range(out, mid, n_rows, lambda a, b: text(a, b).encode(fh.encoding))
+
+        child = _fork_to_file(spell) if split else None
         if child is None:
             fh.write(header)
             _write_range(fh, 0, n_rows, text)
@@ -490,19 +486,17 @@ def _read_lines(path: Path, parse: Callable) -> _Chunks:
 
 
 def _second_range(fh) -> Optional[int]:
-    """Where a child may start to read the rest of fh, a regular file read
-    up to the end of its first chunk: after the first line of the rest that
-    ends at or after the rest's byte midpoint. None where the split cannot
-    run or pay: fh is not a regular file, or _may_split declines the bytes
-    from there to the end. fh is left where it was."""
+    """Where a child may start to read fh, a file opened and not yet read:
+    after the first line that ends at or after its byte midpoint. None where
+    the split cannot run or pay: fh is not a regular file, or _may_split
+    declines the bytes from there to the end."""
     info = os.fstat(fh.fileno())
     if not stat.S_ISREG(info.st_mode):
         return None
-    start = fh.tell()
-    fh.seek(max(start, (start + info.st_size) // 2 - 1))
+    fh.seek(max(0, info.st_size // 2 - 1))
     fh.readline()
     split = fh.tell()
-    fh.seek(start)
+    fh.seek(0)
     return split if _may_split(info.st_size - split) else None
 
 
@@ -517,43 +511,6 @@ def _lines_to(fh, end: int):
         yield line
 
 
-def _fork_reader(chunks: _Chunks, views: dict, start: int) -> Optional[tuple[int, int]]:
-    """Fork a child that parses chunks.path from byte start to its end with
-    chunks.parse, and sends back through a pipe its view ids by column and
-    its chunks; its line numbers and times start afresh, since its errors
-    are not used. The child's pid and the pipe's read end; None if the
-    child could not be started."""
-    try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-
-    def body():
-        os.close(read_end)
-        child = _Chunks(chunks.path, chunks.parse)
-        with open(chunks.path, "rb") as fh, open(write_end, "wb") as out:
-            fh.seek(start)
-            child.read(fh)
-            pickle.dump((list(views), list(child)), out, protocol=5)
-
-    pid = _forked(body)
-    os.close(write_end)
-    if pid is None:
-        os.close(read_end)
-        return None
-    return pid, read_end
-
-
-def _received(read_end: int) -> Optional[tuple]:
-    """What _fork_reader's child sent through the pipe, None if it failed
-    before it sent all of it."""
-    try:
-        with open(read_end, "rb", closefd=False) as inp:
-            return pickle.load(inp)
-    except (EOFError, pickle.UnpicklingError):
-        return None
-
-
 def _first_time(chunks: list) -> float:
     """The first time in chunks, inf if they hold none."""
     return next((times[0] for times, *_ in chunks if len(times)), math.inf)
@@ -562,36 +519,41 @@ def _first_time(chunks: list) -> float:
 def _read_jsonl(path: Path, frames: bool) -> tuple[_Chunks, list]:
     """A file of detections frames (or, if not frames, track steps) as the
     _jsonl_chunk arrays of each chunk of its lines, in file order, with the
-    view ids by column. The first CHUNK_FRAMES lines are read first; where
-    _second_range finds a split in the rest, a forked child parses the range
-    after it while this process parses the lines before it. The errors are
-    those of reading the file in one pass: this process's range is read
-    first, and if the child failed, or its first time does not follow this
-    range's last, this process reads the child's range itself from where it
-    stopped, so the one error path raises the error of a one-pass read."""
+    view ids by column. Where _second_range finds a split, a forked child
+    parses the range after it, with its own line numbers, times and view
+    columns, and pickles them into a temporary file, while this process
+    parses the lines before it. The errors are those of reading the file in
+    one pass: this process's range is read first, and if the child failed,
+    or its first time does not follow this range's last, this process reads
+    the child's range itself from where it stopped."""
     views: dict = {}
     chunks = _Chunks(path, functools.partial(_jsonl_chunk, frames, views))
     sent = None
+
+    def child_range(out):
+        child = _Chunks(path, chunks.parse)
+        with open(path, "rb") as fh:  # its own offset, not the parent's
+            fh.seek(split)
+            child.read(fh)
+        pickle.dump((list(views), list(child)), out, protocol=5)
+
     try:
         with open(path, "rb") as fh:
-            # The child starts before this process parses the first chunk,
-            # which covers the child's start-up on a short file.
-            first = list(itertools.islice(fh, CHUNK_FRAMES))
-            split = _second_range(fh) if len(first) == CHUNK_FRAMES else None
-            child = None if split is None else _fork_reader(chunks, views, split)
-            first = iter(first)  # the list goes once it is parsed
+            split = _second_range(fh)
+            child = None if split is None else _fork_to_file(child_range)
             if child is None:
-                chunks.read(itertools.chain(first, fh))
+                chunks.read(fh)
             else:
-                pid, read_end = child
-                try:
-                    chunks.read(itertools.chain(first, _lines_to(fh, split)))
-                    sent = _received(read_end)
-                finally:
-                    # Closed first: a child still writing then fails, and exits.
-                    os.close(read_end)
-                    failed = not _reaped(pid)
-                if failed or sent is None or not _first_time(sent[1]) > chunks.after:
+                pid, out = child
+                with out:
+                    try:
+                        chunks.read(_lines_to(fh, split))
+                    finally:
+                        done = _reaped(pid)
+                    if done:
+                        out.seek(0)
+                        sent = pickle.load(out)
+                if sent is None or not _first_time(sent[1]) > chunks.after:
                     sent = None
                     chunks.read(fh)  # the child's range again
     except OSError as exc:

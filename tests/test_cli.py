@@ -284,6 +284,35 @@ class TestTrack:
         assert code == 1
         assert "not positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,text,t",
+        [
+            ("--calib", '{"views": {"N1": {"a": 1e308, "b": 0.0}}}', "18.0"),
+            ("--params", '{"sigma_accel": 1e200}', "18.05"),
+        ],
+        ids=["calib-huge-a", "params-huge-sigma"],
+    )
+    def test_numeric_failure_mid_run_names_the_detections_file(self, sim_dir, tmp_path, capsys, flag, text, t):
+        # a = 1e308 overflows N1's first calibrated covariance; sigma_accel
+        # 1e200 the process noise of the first predict.
+        record = tmp_path / "record.json"
+        record.write_text(text)
+        detections = sim_dir / "detections_test.jsonl"
+        argv = ["track", "--detections", str(detections), flag, str(record), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {detections}: frame at t={t}: matrix is not positive definite: leading minor 1 is inf\n"
+        )
+
+    def test_calibration_of_none_of_the_views_exits_2(self, sim_dir, tmp_path, capsys):
+        # Applied, it would change nothing while summary.json said "calibrated".
+        calib = tmp_path / "c.json"
+        calib.write_text('{"views": {"N9": {"a": 2.0, "b": 0.0}}}')
+        argv = ["track", "--detections", str(sim_dir / "detections_test.jsonl"), "--calib", str(calib)]
+        assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {calib}: calibrates none of the detections' views: N1, N2, N3, N4\n"
+        assert not (tmp_path / "out" / "track.jsonl").exists()
+
 
 class TestCalibrate:
     def test_grid_flag_defaults_parse_to_default_grid(self):
@@ -917,7 +946,13 @@ EXIT_CODE_CASES = [
         "track --detections {tmp}/d.jsonl",
         "{tmp}/d.jsonl:1",
     ),
-    ("non-pd-mid-run", 1, {"p.json": '{"sigma_accel": 1e300}'}, _TRACK + " --params {tmp}/p.json", None),
+    (
+        "non-pd-mid-run",
+        1,
+        {"p.json": '{"sigma_accel": 1e300}'},
+        _TRACK + " --params {tmp}/p.json",
+        "{sim}/detections_test.jsonl",
+    ),
     (
         "no-detections",
         1,

@@ -1192,11 +1192,13 @@ def test_detection_reading_memory_bounded_on_odd_and_bad_files(tmp_path, last):
 
 
 # ---------------------------------------------------------------------------
-# Reading a JSONL file in two ranges: after the first chunk, a forked child
-# parses the second half while this process parses the first. Every read
-# must give the one-pass read's arrays or exactly its error, and leave no
-# child behind. Two CPUs are patched in, and SPLIT_BYTES patched to 0 (but
-# where a test says otherwise), so the split runs on any host and any file.
+# Reading a JSONL file in two ranges: a forked child parses the lines after
+# the first line that ends at or after the file's byte midpoint, while this
+# process parses the lines before them. Every read must give the one-pass
+# read's arrays or exactly its error, and leave no child and no file
+# descriptor behind. Two CPUs are patched in, and SPLIT_BYTES patched to 0
+# (but where a test says otherwise), so the split runs on any host and any
+# file.
 
 fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
 
@@ -1209,13 +1211,12 @@ def _split_line(k, views=("N1", "N2")):
 
 def _child_first_line(path) -> int | None:
     """The number of the first line the child reads, at the patched
-    CHUNK_FRAMES and two CPUs; None if the file is read in one pass."""
+    SPLIT_BYTES and two CPUs; None if the file is read in one pass."""
     with open(path, "rb") as fh, mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
-        first = len(list(itertools.islice(fh, dataio.CHUNK_FRAMES)))
         split = dataio._second_range(fh)
         if split is None:
             return None
-        return first + len(list(dataio._lines_to(fh, split))) + 1
+        return len(list(dataio._lines_to(fh, split))) + 1
 
 
 def _assert_no_child():
@@ -1264,27 +1265,26 @@ def _assert_split_reads_as_one_pass(path, frames=True, forks=1):
 @fork_only
 @pytest.mark.parametrize("n", [9, 10])
 def test_split_after_the_line_that_ends_at_or_after_the_midpoint(tmp_path, n):
-    # Two-line chunks, equal lines of w bytes: the rest is lines 3..n. For
-    # n = 9 its midpoint 5.5 w falls inside line 6; for n = 10 it is 6 w,
-    # the end of line 6 and the start of line 7. Either way the child
-    # starts at line 7.
+    # Equal lines of w bytes. For n = 9 the midpoint 4.5 w falls inside line
+    # 5; for n = 10 it is 5 w, the end of line 5 and the start of line 6.
+    # Either way the child starts at line 6.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
     with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
-        assert _child_first_line(path) == 7
+        assert _child_first_line(path) == 6
         batch = _assert_split_reads_as_one_pass(path)
     assert len(batch) == n
 
 
 @fork_only
-@pytest.mark.parametrize("n,child_first_line", [(4, None), (6, None), (7, None), (8, 7), (9, 8)])
-def test_a_rest_smaller_than_the_first_chunk_reads_in_one_pass(tmp_path, n, child_first_line):
-    # Four-line chunks of equal lines, and the floor at two lines' bytes:
-    # with n - 4 < 4 lines after the first chunk, the child's range holds
-    # one line or none, under the floor, and the file reads in one pass.
+@pytest.mark.parametrize("n,child_first_line", [(4, None), (6, None), (7, None), (8, 5), (9, 6)])
+def test_a_childs_range_under_the_floor_reads_in_one_pass(tmp_path, n, child_first_line):
+    # Equal lines, and the floor at four lines' bytes: the child's range
+    # holds the n // 2 lines after the midpoint's line, so a file of fewer
+    # than eight lines reads in one pass.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=4, SPLIT_BYTES=2 * len(_split_line(0) + "\n")):
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=4 * len(_split_line(0) + "\n")):
         assert _child_first_line(path) == child_first_line
         _assert_split_reads_as_one_pass(path, forks=int(child_first_line is not None))
 
@@ -1304,11 +1304,12 @@ _NEAR_SPLIT = {
 @pytest.mark.parametrize("line", [5, 6, 7, 8])
 @pytest.mark.parametrize("kind", sorted(_NEAR_SPLIT))
 def test_a_line_near_the_split_reads_as_in_one_pass(tmp_path, kind, line):
-    # Lines 5 and 6 end the parent's range, 7 and 8 start the child's. A
-    # bad line in the child's range fails the child, and the parent reads
-    # that range again from line 7, so the error is the one-pass read's;
-    # an odd but valid line (a number spelt as a string) reads the same.
-    lines = [_split_line(k) for k in range(10)]
+    # Twelve lines: 5 and 6 end the parent's range, 7 and 8 start the
+    # child's. A bad line in the child's range fails the child, and the
+    # parent reads that range again from line 7, so the error is the
+    # one-pass read's; an odd but valid line (a number spelt as a string)
+    # reads the same.
+    lines = [_split_line(k) for k in range(12)]
     if kind == "disorder":
         lines[line - 1] = _split_line(line - 2)
     else:
@@ -1326,16 +1327,16 @@ def test_a_line_near_the_split_reads_as_in_one_pass(tmp_path, kind, line):
 @pytest.mark.parametrize("gap", ["", "\n", " \r\n\n"])
 def test_disorder_across_the_split_names_the_childs_first_record(tmp_path, gap):
     # The child's range is in order on its own; only the join shows that
-    # its first record (after any blank lines) does not follow line 6.
+    # its first record (after any blank lines) does not follow line 5.
     lines = [_split_line(k) + "\n" for k in range(10)]
-    lines[6] = gap + _split_line(5) + "\n"
+    lines[5] = gap + _split_line(4) + "\n"
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines))
     with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         first = _child_first_line(path)
-        assert 7 <= first <= 7 + gap.count("\n")
+        assert 6 <= first <= 6 + gap.count("\n")
         got = _assert_split_reads_as_one_pass(path)
-    assert got == (RuntimeError, f"{path}: timestamp disorder at line {7 + gap.count(chr(10))}")
+    assert got == (RuntimeError, f"{path}: timestamp disorder at line {6 + gap.count(chr(10))}")
 
 
 @fork_only
@@ -1343,22 +1344,22 @@ def test_disorder_across_the_split_names_the_childs_first_record(tmp_path, gap):
 @pytest.mark.parametrize("blank", ["", "\n", "  \r\n", "\t\n\n"])
 def test_blank_and_crlf_lines_at_the_split(tmp_path, ending, blank):
     lines = [_split_line(k) + ending for k in range(10)]
-    lines[5] += blank
-    lines[6] = blank + lines[6]
+    lines[4] += blank
+    lines[5] = blank + lines[5]
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines), newline="")
     with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
         first = _child_first_line(path)
-        assert 7 <= first <= 7 + 2 * blank.count("\n")
+        assert 6 <= first <= 6 + 2 * blank.count("\n")
         batch = _assert_split_reads_as_one_pass(path)
     assert len(batch) == 10
 
 
 @fork_only
 def test_a_view_first_seen_in_the_childs_range(tmp_path):
-    # The child numbers "N1" and "A0" after the two views it inherited, as
-    # the parent numbers "N4" (line 4): the parent maps the child's columns
-    # onto its own, and the batch sorts them.
+    # The child numbers the views of its range afresh, "N1" and "A0" after
+    # "N3" and "N2", as the parent numbers "N4" (line 4) after them: the
+    # parent maps the child's columns onto its own, and the batch sorts them.
     lines = [_split_line(k, ("N3", "N4") if k == 3 else ("N3", "N2")) for k in range(8)]
     lines += [_split_line(k, ("N2", "N1", "A0")) for k in range(8, 10)]
     path = tmp_path / "d.jsonl"
@@ -1381,7 +1382,7 @@ def test_track_split_reads_as_in_one_pass(tmp_path, kind):
     path = tmp_path / "track.jsonl"
     path.write_text("".join(json.dumps(step) + "\n" for step in steps))
     with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
-        assert _child_first_line(path) == 7
+        assert _child_first_line(path) == 6
         got = _assert_split_reads_as_one_pass(path, frames=False)
     if kind == "valid":
         _assert_same_arrays(got, _read_track_records(path))
@@ -1389,8 +1390,8 @@ def test_track_split_reads_as_in_one_pass(tmp_path, kind):
 
 @fork_only
 def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
-    # pickle.dump fails in the child (which inherits the patch): it sends
-    # nothing and exits 1, and the parent reads the child's range itself.
+    # pickle.dump fails in the child (which inherits the patch): it exits 1,
+    # and the parent reads the child's range itself, not the file it left.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
     with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
@@ -1399,16 +1400,18 @@ def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
 
 
 @fork_only
-def test_a_fork_that_fails_reads_in_one_pass(tmp_path):
+@pytest.mark.parametrize("fails", ["fork", "temporary file"])
+def test_a_fork_that_fails_reads_in_one_pass(tmp_path, fails):
+    target = (os, "fork") if fails == "fork" else (dataio.tempfile, "TemporaryFile")
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
     want = _read_counting_forks(dataio.read_detections, path, cpus=(0,))[0]
     fds = _open_fds()
     with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(os, "fork", side_effect=BlockingIOError) as fork:
+            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
         _assert_same_batch(dataio.read_detections(path), want)
-    assert fork.call_count == 1 and _open_fds() == fds
+    assert failing.call_count == 1 and _open_fds() == fds
 
 
 @fork_only
@@ -1473,11 +1476,12 @@ def test_a_fifo_reads_in_one_pass(tmp_path, kind):
 
 # ---------------------------------------------------------------------------
 # Writing a file in two ranges: a forked child spells the rows from the chunk
-# boundary nearest the middle into an unnamed temporary file, which this
-# process appends after the header and its own rows. Every write must give
-# the one-pass write's bytes and error, and leave behind no child, no open
-# file descriptor and no file but the one written. As for reading, two CPUs
-# are patched in, and SPLIT_BYTES patched to 0 where a test does not say.
+# boundary nearest the middle into an unnamed temporary file, as a reading
+# child pickles its arrays into one, and this process appends it after the
+# header and its own rows. Every write must give the one-pass write's bytes
+# and error, and leave behind no child, no open file descriptor and no file
+# but the one written. As for reading, two CPUs are patched in, and
+# SPLIT_BYTES patched to 0 where a test does not say.
 
 
 def _write_counting_forks(write, path, cpus=(0, 1)):
@@ -1543,15 +1547,17 @@ def test_split_writes_match_one_pass_writes(fuzz_dir, data, n, chunk):
 def test_a_write_splits_where_the_childs_rows_reach_the_floor(tmp_path, n, child_rows):
     # Four-row chunks of six-value truth rows, and the floor at five rows'
     # values: the child takes the rows from the boundary nearest n / 2 (4
-    # up to n = 11, then 8) if they are five or more, and none else.
+    # up to n = 11, then 8) if they are five or more, and none else. This
+    # process writes the rows before the child's, or all of them.
     rows = np.arange(n, dtype=float)
     truth = Trajectory(0.05 * rows + 0.05, np.column_stack([rows, -rows]), 0.01 * rows, np.full((n, 2), 15.0))
     floor = 5 * 6 * dataio._VALUE_BYTES
     with mock.patch.multiple(dataio, CHUNK_FRAMES=4, SPLIT_BYTES=floor), \
-            mock.patch.object(dataio, "_fork_writer", wraps=dataio._fork_writer) as fork_writer:
+            mock.patch.object(dataio, "_write_range", wraps=dataio._write_range) as write_range:
         _, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_truth(p, truth), tmp_path / "t.csv",
                                                       forks=int(child_rows > 0))
-    assert [call.args[1:3] for call in fork_writer.call_args_list] == [(n - child_rows, n)] * int(child_rows > 0)
+    # The split write's calls in this process, then the one-pass write's.
+    assert [call.args[1:3] for call in write_range.call_args_list] == [(0, n - child_rows), (0, n)]
     samples = [(t, SimpleNamespace(position=p, heading=h, extent=e))
                for t, p, h, e in zip(truth.times, truth.positions, truth.headings, truth.extent)]
     oracle_write_truth(tmp_path / "oracle.csv", samples)
