@@ -30,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, calibration, dataio, metrics, tuning
+from . import __version__, calibration, dataio, forking, metrics, tuning
 from .core import NotPositiveDefiniteError, Pairs
 from .kalman import FilterParams, FrameBatch, run_track
 from .simulator import default_scenario, simulate
@@ -66,8 +66,9 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
     with the command's resolved values written over them. peak_rss_mb is the
     process's peak resident set so far, which in a process that runs several
     commands covers the earlier ones too; peak_child_rss_mb is the largest
-    of the children that this command's reads and writes forked (each
-    taking the second range of a file), 0 if none."""
+    of the children that this command's reads, writes and filter runs
+    forked (each taking the second range of a file or of a batch of
+    windows), 0 if none."""
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     # ru_maxrss counts kilobytes (bytes on macOS).
     scale = 1024 * (1024 if sys.platform == "darwin" else 1)
@@ -84,7 +85,7 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "elapsed_seconds": elapsed,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / scale,
-        "peak_child_rss_mb": dataio.take_child_peak_rss() / scale,
+        "peak_child_rss_mb": forking.take_child_peak_rss() / scale,
     }
     dataio._write_json(out / "manifest.json", manifest)
 
@@ -282,6 +283,13 @@ def cmd_tune(args, out: Path) -> tuple[list[str], dict]:
     params0 = tuning.TunableParams.from_natural(base.sigma_accel, calib0)
 
     tuned, history = tuning.tune(config, params0, train_windows, val_windows, init_vel_var=base.init_vel_var)
+    if history.meta["diverged"]:
+        start = history.rows[0]
+        split, source = (
+            ("train", args.train_detections) if not math.isfinite(start["train_nll"])
+            else ("validation", args.val_detections)
+        )
+        raise RuntimeError(f"{source}: the starting parameters' {split} NLL is not finite")
     sigma, calib = tuned.decode()
     dataio.write_filter_params(out / "tuned_params.json", FilterParams(sigma, base.init_vel_var))
     dataio.write_calibration(out / "tuned_calibration.json", calib)
@@ -422,7 +430,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         started = time.monotonic()
-        dataio.take_child_peak_rss()  # children of the commands before this one
+        forking.take_child_peak_rss()  # children of the commands before this one
         out = _out_dir(args)
         outputs, resolved = args.func(args, out)
         _write_manifest(out, args, outputs, resolved, time.monotonic() - started)

@@ -26,21 +26,22 @@ reader holds one chunk beside the arrays, and read_detections scatters the
 chunks into the batch without joining them first.
 
 A file is read or written in two ranges on two CPUs where its second range
-holds at least SPLIT_BYTES of work: a forked child does the second range
-into an unnamed temporary file while this process does the first, then this
-process takes the child's result from that file (_fork_to_file). Reading a
-JSONL file, the child parses the lines after the first line that ends at or
-after the file's byte midpoint and pickles its arrays (_read_jsonl).
-Writing detections, truth, tracks, plot data, history or histograms, the
-child spells the rows from the chunk boundary nearest the middle, which
-this process appends after its own (_write_chunks). A file is read or
-written in one pass where the split cannot run or pay: a second range under
-SPLIT_BYTES, a file read that is not a regular file (a FIFO, /dev/stdin), a
-platform without os.fork, a process that may run on one CPU alone or that
-runs another thread, a fork or temporary file that fails. Either way the
-bytes written and the errors raised are those of the one-pass read or
-write, byte for byte: where the child fails (exits other than 0), this
-process does its range itself.
+holds at least forking.SPLIT_BYTES of work: a forked child does the second
+range into an unnamed temporary file while this process does the first,
+then this process takes the child's result from that file (see forking,
+whose rule and reaper kalman.run_windows shares too). Reading a JSONL file,
+the child parses the lines after the first line that ends at or after the
+file's byte midpoint and pickles its arrays (_read_jsonl). Writing
+detections, truth, tracks, plot data, history or histograms, the child
+spells the rows from the chunk boundary nearest the middle, which this
+process appends after its own (_write_chunks). A file is read or written in
+one pass where the split cannot run or pay: a second range under the floor,
+a file read that is not a regular file (a FIFO, /dev/stdin), a platform
+without os.fork, a process that may run on one CPU alone or that runs
+another thread, a fork or temporary file that fails. Either way the bytes
+written and the errors raised are those of the one-pass read or write, byte
+for byte: where the child fails (exits other than 0), this process does its
+range itself.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ import os
 import pickle
 import re
 import stat
-import tempfile
-import threading
 from pathlib import Path
 from typing import Callable, Optional, Sequence, TypeVar
 
@@ -67,6 +66,7 @@ import numpy as np
 
 from .calibration import CalibrationParams
 from .core import Arena, NotPositiveDefiniteError, _gaussian_arrays, _is_pd, _pose_values, wrap_angle
+from .forking import _fork_to_file, _may_split, _reaped
 from .kalman import FilterParams, FrameBatch
 from .metrics import MetricReport
 from .simulator import CameraNode, ScenarioConfig, Trajectory, default_scenario
@@ -141,84 +141,9 @@ def _time(value) -> float:
 CHUNK_FRAMES = 1 << 9
 
 
-# ---------------------------------------------------------------------------
-# Two CPUs for one file: a forked child takes the second range of a read or
-# a write
-
-
-# The least work, in bytes of the second range, for which a forked child
-# pays: a file whose second range holds fewer is read or written in one pass.
-# A writer counts its second range's values at _VALUE_BYTES bytes each. In a
-# 52 MB process, a split with a nearly empty second range cost 1.7-2.0 ms
-# more than one pass (fork, wait and copy), and one pass took 22-25 ns a
-# byte; but the child's pages are copied as it writes them, and a write
-# splits at a chunk boundary, so second ranges of 178 and 239 KB read saved
-# 0.1 and 0.4 ms, and of 358 and 479 KB written 2.7 and 1.8 ms (4-view
-# detections, medians of 21).
-# Under this floor: sparse_views' files, whose second ranges hold at most
-# 210 KB written and 220 KB read (seeds 7 and 11). Over it: the
-# walkthrough's train and test detections, 560-702 KB read and 657-700 KB
-# written; long_track's detections, test truth and tracks.
-SPLIT_BYTES = 1 << 18
-
 # About what a value takes in a written detections or track file, with its
 # separators: 18.8 bytes in long_track's 8.3 MB test detections.
 _VALUE_BYTES = 20
-
-# The largest ru_maxrss of the children reaped since take_child_peak_rss.
-_child_peak_rss = 0
-
-
-def _may_split(work: int) -> bool:
-    """Whether a forked child may take a second range of work bytes: work
-    reaches SPLIT_BYTES (and 1), os.fork and os.sched_getaffinity exist,
-    this process may run on two CPUs, and no other thread runs in it (a
-    forked child holds only the forking thread)."""
-    return (work >= max(SPLIT_BYTES, 1) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
-
-
-def _fork_to_file(body: Callable) -> Optional[tuple]:
-    """Fork a child that runs body(out), out an unnamed temporary file in the
-    default temporary directory, and exits 0, or 1 if body raised. The
-    child's pid and out; None if the file or the fork raised OSError."""
-    try:
-        out = tempfile.TemporaryFile()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        out.close()
-        return None
-    if pid == 0:
-        # None of the caller's code, atexit handlers or stdio buffers runs
-        # here: the child's only way out is os._exit, its status its result.
-        status = 1
-        try:
-            body(out)
-            out.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, out
-
-
-def _reaped(pid: int) -> bool:
-    """Wait for the forked child pid; whether it exited 0. Its peak resident
-    set counts towards take_child_peak_rss."""
-    global _child_peak_rss
-    _, status, usage = os.wait4(pid, 0)
-    _child_peak_rss = max(_child_peak_rss, usage.ru_maxrss)
-    return status == 0
-
-
-def take_child_peak_rss() -> int:
-    """The largest ru_maxrss of the children that reads and writes reaped
-    since the last call, 0 if none."""
-    global _child_peak_rss
-    peak, _child_peak_rss = _child_peak_rss, 0
-    return peak
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,15 @@ that depends on T alone, each block carrying on from the last state of the
 one before and, backwards, from the adjoint the one after hands back;
 windows go in chunks that bound the working memory (CHUNK_MATRICES).
 Calibration, fusion, the process model and the NLL run in bulk per block.
-``run_track`` is the B = 1 case without a gradient, and takes the batch
+A batch is filtered on two CPUs where the chunks from the boundary nearest
+B / 2 on hold at least forking.SPLIT_BYTES of working set: a forked child
+filters them while this process filters the chunks before it, then this
+process takes the child's rows (and its failures, by batch row) from an
+unnamed temporary file. Elsewhere, or if the child fails, this process
+filters every chunk itself; either way each chunk runs the same
+arithmetic, so the bits are those of one pass. tune's train gradient
+passes split; its validation passes, one chunk, do not. ``run_track`` is
+the B = 1 case without a gradient, which never splits, and takes the batch
 dataio.read_detections or simulator.simulate returns. Nothing mutates.
 
 ``DetectionFrame``, ``pack`` and ``run_sequence`` (run_track over frames
@@ -48,6 +56,7 @@ binds ``run_sequence``'s signature, until that hook moves to run_windows.
 from __future__ import annotations
 
 import contextlib
+import pickle
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -56,6 +65,7 @@ import numpy as np
 from . import calibration
 from .calibration import CalibrationParams
 from .core import Gaussian2D, NotPositiveDefiniteError, _inv2, _is_pd, _nll, _pd_error
+from .forking import _fork_to_file, _may_split, _reaped
 
 # Frames per scan block. It depends on the window length alone, so that a
 # window's arithmetic, and so its result, does not depend on its batch-mates.
@@ -629,10 +639,13 @@ def run_windows(
     grads = np.zeros((B, k)) if grad else None
     failures: dict[int, tuple[float, int, float]] = {}
     frames = min(T, SCAN_FRAMES)
-    chunk = max(1, CHUNK_MATRICES // (frames * max(V, 4) * (5 if grad else 3)))
-    with np.errstate(all="ignore"):
-        for lo in range(0, B, chunk):
-            rows = slice(lo, lo + chunk)
+    window_matrices = frames * max(V, 4) * (5 if grad else 3)
+    chunk = max(1, CHUNK_MATRICES // window_matrices)
+
+    def filter_rows(lo: int, hi: int) -> None:
+        """Filter windows [lo, hi), chunk by chunk from lo, into the arrays."""
+        for first_row in range(lo, hi, chunk):
+            rows = slice(first_row, min(first_row + chunk, hi))
             found: dict[int, tuple[float, int, float]] = {}
             carry = None
             tapes = []
@@ -658,7 +671,38 @@ def run_windows(
             for tape in reversed(tapes if grad else []):
                 owed, block_grad = _adjoint_block(tape, owed, channels, k)
                 grads[rows] += block_grad
-            failures.update((lo + b, failure) for b, failure in found.items())
+            failures.update((first_row + b, failure) for b, failure in found.items())
+
+    # A forked child filters the chunks from the boundary nearest B / 2 on,
+    # where their working set, at 32 bytes a 2x2 matrix, reaches the floor.
+    mid = (B + chunk) // (2 * chunk) * chunk
+    outputs = (means, covs, nlls, grads)
+
+    def child_rows(out) -> None:
+        filter_rows(mid, B)
+        pickle.dump(([None if a is None else a[mid:] for a in outputs], failures), out, protocol=5)
+
+    with np.errstate(all="ignore"):
+        split = 0 < mid < B and _may_split((B - mid) * window_matrices * 32)
+        child = _fork_to_file(child_rows) if split else None
+        if child is None:
+            filter_rows(0, B)
+        else:
+            pid, out = child
+            with out:
+                try:
+                    filter_rows(0, mid)
+                finally:
+                    done = _reaped(pid)
+                if done:
+                    out.seek(0)
+                    rows, found = pickle.load(out)
+                    for a, got in zip(outputs, rows):
+                        if a is not None:
+                            a[mid:] = got
+                    failures.update(found)
+                else:
+                    filter_rows(mid, B)
     return BatchResult(start, means, covs, nlls, grads, failures)
 
 

@@ -12,7 +12,9 @@ make_windows reshapes a split's detections, the one-window FrameBatch
 dataio.read_detections returns, into a kalman.FrameBatch of B windows
 (times (B, T), detections (B, T, V, ...), mask (B, T, V)) with truth
 positions (B, T, 2). sequence_loss filters all of a split's windows in one
-call of the batched recursion and returns one loss and gradient per window.
+call of the batched recursion, which filters a large batch, such as the
+walkthrough's train gradient pass, on two CPUs (kalman.run_windows), and
+returns one loss and gradient per window.
 tune minimises the mean train-window loss by deterministic full-batch BFGS
 (K = 1 + 2V tunables, a dense K x K inverse Hessian): each epoch is one
 iteration, a line search of full passes over the train windows with the

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -45,6 +46,24 @@ from geotrack.simulator import REPORTED_COV_FLOOR, Trajectory, generate_trajecto
 # database and has no per-example deadline; tests set only max_examples.
 settings.register_profile("geotrack", derandomize=True, database=None, deadline=None)
 settings.load_profile("geotrack")
+
+
+# ---------------------------------------------------------------------------
+# Work split between this process and a forked child (geotrack.forking)
+
+fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def open_fds() -> list:
+    """This process's open file descriptors, [] where /proc does not list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
+
 
 def phi(x: float) -> float:
     """Standard normal CDF via erf; independent of any package code."""

@@ -533,6 +533,44 @@ class TestTune:
         assert line == f"error: {train}: no window of 7 frames holds a detection"
 
 
+    @pytest.mark.parametrize(
+        "flag,text",
+        [("--init", '{"views": {"N1": {"a": 1e308, "b": 0.0}}}'), ("--params", '{"sigma_accel": 1e200}')],
+        ids=["init-huge-a", "params-huge-sigma"],
+    )
+    def test_a_start_whose_train_nll_is_not_finite_exits_1(self, sim_dir, tmp_path, capsys, flag, text):
+        # a = 1e308 overflows N1's calibrated covariances, sigma_accel 1e200
+        # the process noise: every train window fails at the start.
+        record, out = tmp_path / "record.json", tmp_path / "out"
+        record.write_text(text)
+        argv = [arg.format(sim=sim_dir) for arg in _TUNE.split()] + [flag, str(record), "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: {sim_dir / 'detections_train.jsonl'}: the starting parameters' train NLL is not finite\n"
+        )
+        assert not any(out.iterdir())
+
+    def test_a_start_whose_validation_nll_is_not_finite_exits_1(self, sim_dir, tmp_path, capsys):
+        # The validation detections hold a view N9 that the train split
+        # lacks, and --init gives it a = 1e308: the train NLL is finite,
+        # every validation window fails.
+        val, init, out = tmp_path / "val.jsonl", tmp_path / "init.json", tmp_path / "out"
+        val.write_text((sim_dir / "detections_val.jsonl").read_text().replace('"N1"', '"N9"'))
+        init.write_text('{"views": {"N9": {"a": 1e308, "b": 0.0}}}')
+        argv = [
+            "tune",
+            "--train-detections", str(sim_dir / "detections_train.jsonl"),
+            "--train-truth", str(sim_dir / "truth_train.csv"),
+            "--val-detections", str(val),
+            "--val-truth", str(sim_dir / "truth_val.csv"),
+            "--init", str(init),
+            "--out", str(out),
+        ]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {val}: the starting parameters' validation NLL is not finite\n"
+        assert not any(out.iterdir())
+
+
 class TestEvaluate:
     def test_track_mode(self, sim_dir, track_dir, tmp_path):
         code = main(
@@ -952,6 +990,13 @@ EXIT_CODE_CASES = [
         {"p.json": '{"sigma_accel": 1e300}'},
         _TRACK + " --params {tmp}/p.json",
         "{sim}/detections_test.jsonl",
+    ),
+    (
+        "tune-start-not-finite",
+        1,
+        {"p.json": '{"sigma_accel": 1e200}'},
+        _TUNE + " --params {tmp}/p.json",
+        "{sim}/detections_train.jsonl",
     ),
     (
         "no-detections",

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import dataclasses
 import errno
@@ -21,7 +22,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_no_child,
     batch_frames,
+    fork_only,
+    open_fds,
     oracle_write_detections,
     oracle_write_plot_data,
     oracle_write_track,
@@ -30,7 +34,7 @@ from conftest import (
     read_truth_rows,
     truth_arrays,
 )
-from geotrack import dataio
+from geotrack import dataio, forking
 from geotrack.calibration import CalibrationParams
 from geotrack.core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, wrap_angle
 from geotrack.kalman import DetectionFrame, FilterParams, FrameBatch, pack
@@ -504,7 +508,16 @@ _CHUNKS = st.sampled_from([1, 2, 3, dataio.CHUNK_FRAMES])
 
 # Floors for a read or write in two ranges: at 0 a drawn file of more than
 # one chunk is split on a host with two CPUs, at the default it never is.
-_FLOORS = st.sampled_from([0, dataio.SPLIT_BYTES])
+_FLOORS = st.sampled_from([0, forking.SPLIT_BYTES])
+
+
+@contextlib.contextmanager
+def _chunks_and_floor(chunk, floor, **patches):
+    """dataio.CHUNK_FRAMES patched to chunk, with any other patches of
+    dataio, and the split floor, forking.SPLIT_BYTES, to floor."""
+    with mock.patch.multiple(dataio, CHUNK_FRAMES=chunk, **patches), \
+            mock.patch.object(forking, "SPLIT_BYTES", floor):
+        yield
 
 
 def _paths(value, prefix=()):
@@ -807,7 +820,7 @@ def _corrupt_record(data, records):
 def test_read_detections_corrupted_record_matches_object_oracle(fuzz_dir, data, records, chunk, floor):
     path = fuzz_dir / "corrupt.jsonl"
     _write_lines(data, path, _corrupt_record(data, records))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=chunk, SPLIT_BYTES=floor):
+    with _chunks_and_floor(chunk, floor):
         got = _outcome(dataio.read_detections, path)
     want = _outcome(lambda p: pack([read_detection_frames(p)]), path)
     if isinstance(want, tuple):
@@ -925,7 +938,7 @@ def test_write_track_matches_per_step_dumps(fuzz_dir, data, n, chunk, floor):
     oracle_write_track(fuzz_dir / "oracle.jsonl", times, means, covs)
     expected = (fuzz_dir / "oracle.jsonl").read_bytes()
     path = fuzz_dir / "track.jsonl"
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=chunk, SPLIT_BYTES=floor):
+    with _chunks_and_floor(chunk, floor):
         dataio.write_track(path, times, means, covs)
         assert path.read_bytes() == expected
         dataio.write_track(path, times.tolist(), list(means), [c.tolist() for c in covs])
@@ -1200,9 +1213,6 @@ def test_detection_reading_memory_bounded_on_odd_and_bad_files(tmp_path, last):
 # (but where a test says otherwise), so the split runs on any host and any
 # file.
 
-fork_only = pytest.mark.skipif(not hasattr(os, "fork"), reason="the split needs os.fork")
-
-
 def _split_line(k, views=("N1", "N2")):
     """Frame k (0 <= k < 900) as one line of a fixed width for its views."""
     dets = [{"view": v, "mean": [100.0 + k, 200.0], "cov": [[4.0, 1.0], [1.0, 9.0]]} for v in views]
@@ -1219,24 +1229,15 @@ def _child_first_line(path) -> int | None:
         return len(list(dataio._lines_to(fh, split))) + 1
 
 
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _open_fds() -> list:
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
-
-
 def _read_counting_forks(read, path, cpus=(0, 1)):
     """read(path)'s outcome on the given CPUs and how many children it
     forked; it must leave no child and no file descriptor behind."""
-    fds = _open_fds()
+    fds = open_fds()
     with mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         got = _outcome(read, path)
-    _assert_no_child()
-    assert _open_fds() == fds
+    assert_no_child()
+    assert open_fds() == fds
     return got, fork.call_count
 
 
@@ -1270,7 +1271,7 @@ def test_split_after_the_line_that_ends_at_or_after_the_midpoint(tmp_path, n):
     # Either way the child starts at line 6.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+    with _chunks_and_floor(2, 0):
         assert _child_first_line(path) == 6
         batch = _assert_split_reads_as_one_pass(path)
     assert len(batch) == n
@@ -1284,7 +1285,7 @@ def test_a_childs_range_under_the_floor_reads_in_one_pass(tmp_path, n, child_fir
     # than eight lines reads in one pass.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=4 * len(_split_line(0) + "\n")):
+    with _chunks_and_floor(2, 4 * len(_split_line(0) + "\n")):
         assert _child_first_line(path) == child_first_line
         _assert_split_reads_as_one_pass(path, forks=int(child_first_line is not None))
 
@@ -1316,7 +1317,7 @@ def test_a_line_near_the_split_reads_as_in_one_pass(tmp_path, kind, line):
         lines[line - 1] = _NEAR_SPLIT[kind](lines[line - 1])
     path = tmp_path / "d.jsonl"
     path.write_text("".join(text + "\n" for text in lines))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+    with _chunks_and_floor(2, 0):
         assert _child_first_line(path) == 7
         got = _assert_split_reads_as_one_pass(path)
     if kind != "odd":
@@ -1332,7 +1333,7 @@ def test_disorder_across_the_split_names_the_childs_first_record(tmp_path, gap):
     lines[5] = gap + _split_line(4) + "\n"
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+    with _chunks_and_floor(2, 0):
         first = _child_first_line(path)
         assert 6 <= first <= 6 + gap.count("\n")
         got = _assert_split_reads_as_one_pass(path)
@@ -1348,7 +1349,7 @@ def test_blank_and_crlf_lines_at_the_split(tmp_path, ending, blank):
     lines[5] = blank + lines[5]
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines), newline="")
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+    with _chunks_and_floor(2, 0):
         first = _child_first_line(path)
         assert 6 <= first <= 6 + 2 * blank.count("\n")
         batch = _assert_split_reads_as_one_pass(path)
@@ -1364,7 +1365,7 @@ def test_a_view_first_seen_in_the_childs_range(tmp_path):
     lines += [_split_line(k, ("N2", "N1", "A0")) for k in range(8, 10)]
     path = tmp_path / "d.jsonl"
     path.write_text("".join(text + "\n" for text in lines))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+    with _chunks_and_floor(2, 0):
         assert 4 < _child_first_line(path) <= 9
         batch = _assert_split_reads_as_one_pass(path)
     assert batch.views == ("A0", "N1", "N2", "N3", "N4")
@@ -1381,7 +1382,7 @@ def test_track_split_reads_as_in_one_pass(tmp_path, kind):
         steps[6]["t"] = steps[5]["t"]
     path = tmp_path / "track.jsonl"
     path.write_text("".join(json.dumps(step) + "\n" for step in steps))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+    with _chunks_and_floor(2, 0):
         assert _child_first_line(path) == 6
         got = _assert_split_reads_as_one_pass(path, frames=False)
     if kind == "valid":
@@ -1394,7 +1395,7 @@ def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
     # and the parent reads the child's range itself, not the file it left.
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
+    with _chunks_and_floor(2, 0), \
             mock.patch.object(pickle, "dump", side_effect=MemoryError):
         _assert_split_reads_as_one_pass(path)
 
@@ -1402,23 +1403,23 @@ def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
 @fork_only
 @pytest.mark.parametrize("fails", ["fork", "temporary file"])
 def test_a_fork_that_fails_reads_in_one_pass(tmp_path, fails):
-    target = (os, "fork") if fails == "fork" else (dataio.tempfile, "TemporaryFile")
+    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
     want = _read_counting_forks(dataio.read_detections, path, cpus=(0,))[0]
-    fds = _open_fds()
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
+    fds = open_fds()
+    with _chunks_and_floor(2, 0), \
             mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
             mock.patch.object(*target, side_effect=BlockingIOError) as failing:
         _assert_same_batch(dataio.read_detections(path), want)
-    assert failing.call_count == 1 and _open_fds() == fds
+    assert failing.call_count == 1 and open_fds() == fds
 
 
 @fork_only
 def test_one_cpu_reads_in_one_pass(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+    with _chunks_and_floor(2, 0):
         got, forks = _read_counting_forks(dataio.read_detections, path, cpus=(1,))
     assert forks == 0
     _assert_same_batch(got, pack([read_detection_frames(path)]))
@@ -1432,7 +1433,7 @@ def test_another_thread_reads_in_one_pass(tmp_path):
     waiter = threading.Thread(target=release.wait)
     waiter.start()
     try:
-        with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0):
+        with _chunks_and_floor(2, 0):
             got, forks = _read_counting_forks(dataio.read_detections, path)
     finally:
         release.set()
@@ -1456,13 +1457,13 @@ def test_a_fifo_reads_in_one_pass(tmp_path, kind):
     # A writer process, not a thread: a thread alone would rule the split out.
     writer = subprocess.Popen(["sh", "-c", 'cat "$0" > "$1"', str(source), str(fifo)])
     try:
-        with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
+        with _chunks_and_floor(2, 0), \
                 mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
                 mock.patch.object(os, "fork", wraps=os.fork) as fork:
             got = _outcome(dataio.read_detections, fifo)
     finally:
         writer.wait(timeout=60)
-    _assert_no_child()
+    assert_no_child()
     assert fork.call_count == 0
     if kind == "valid":
         _assert_same_batch(got, want)
@@ -1487,15 +1488,15 @@ def test_a_fifo_reads_in_one_pass(tmp_path, kind):
 def _write_counting_forks(write, path, cpus=(0, 1)):
     """write(path)'s outcome (None, or its error's type and text), the bytes
     it left in path and how many children it forked, on the given CPUs."""
-    fds, listing = _open_fds(), set(os.listdir(path.parent)) | {path.name}
+    fds, listing = open_fds(), set(os.listdir(path.parent)) | {path.name}
     with mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork:
         try:
             got = write(path)
         except (OSError, ValueError) as exc:
             got = type(exc), str(exc)
-    _assert_no_child()
-    assert _open_fds() == fds
+    assert_no_child()
+    assert open_fds() == fds
     assert set(os.listdir(path.parent)) == listing
     return got, path.read_bytes(), fork.call_count
 
@@ -1533,7 +1534,7 @@ def test_split_writes_match_one_pass_writes(fuzz_dir, data, n, chunk):
     steps = np.array(data.draw(st.lists(_TRACK_FLOATS, min_size=7 * n, max_size=7 * n))).reshape(n, 7)
     track = (steps[:, 0], steps[:, 1:3], steps[:, 3:].reshape(n, 2, 2))
     forks = int(0 < _split_mid(n, chunk) < n)
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=chunk, SPLIT_BYTES=0):
+    with _chunks_and_floor(chunk, 0):
         _, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_detections(p, batch), path, forks)
         oracle_write_detections(fuzz_dir / "oracle", batch_frames(batch))
         assert written == (fuzz_dir / "oracle").read_bytes()
@@ -1552,7 +1553,7 @@ def test_a_write_splits_where_the_childs_rows_reach_the_floor(tmp_path, n, child
     rows = np.arange(n, dtype=float)
     truth = Trajectory(0.05 * rows + 0.05, np.column_stack([rows, -rows]), 0.01 * rows, np.full((n, 2), 15.0))
     floor = 5 * 6 * dataio._VALUE_BYTES
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=4, SPLIT_BYTES=floor), \
+    with _chunks_and_floor(4, floor), \
             mock.patch.object(dataio, "_write_range", wraps=dataio._write_range) as write_range:
         _, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_truth(p, truth), tmp_path / "t.csv",
                                                       forks=int(child_rows > 0))
@@ -1587,7 +1588,7 @@ def test_a_failed_writer_child_leaves_its_rows_to_this_process(tmp_path, kind):
 
     rows = _history_rows(bad_epoch=8 if kind == "child's range" else None)
     spell = child_fails if kind == "child only" else spelt
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0, _spelt=spell):
+    with _chunks_and_floor(2, 0, _spelt=spell):
         got, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_history(p, rows), tmp_path / "h.csv")
     if kind == "child's range":
         assert got == (ValueError, "cannot convert float NaN to integer")
@@ -1599,14 +1600,14 @@ def test_a_failed_writer_child_leaves_its_rows_to_this_process(tmp_path, kind):
 @fork_only
 @pytest.mark.parametrize("fails", ["fork", "temporary file"])
 def test_a_fork_or_temporary_file_that_fails_writes_in_one_pass(tmp_path, fails):
-    target = (os, "fork") if fails == "fork" else (dataio.tempfile, "TemporaryFile")
+    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
     rows = _history_rows()
 
     def write(path):
         dataio.write_history(path, rows)
 
     want = _write_counting_forks(write, tmp_path / "h.csv", cpus=(0,))
-    with mock.patch.multiple(dataio, CHUNK_FRAMES=2, SPLIT_BYTES=0), \
+    with _chunks_and_floor(2, 0), \
             mock.patch.object(*target, side_effect=BlockingIOError) as failing:
         assert _write_counting_forks(write, tmp_path / "h.csv")[:2] == want[:2]
     assert failing.call_count == 1
@@ -1628,7 +1629,7 @@ def test_an_oserror_in_this_processs_range_is_the_one_pass_error(tmp_path):
     soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
     resource.setrlimit(resource.RLIMIT_FSIZE, (1 << 14, hard))
     try:
-        with mock.patch.multiple(dataio, CHUNK_FRAMES=64, SPLIT_BYTES=0):
+        with _chunks_and_floor(64, 0):
             got, written = _assert_split_writes_as_one_pass(write, tmp_path / "track.jsonl")
     finally:
         resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))

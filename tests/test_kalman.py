@@ -1,4 +1,6 @@
 import math
+import os
+import pickle
 from unittest import mock
 
 import mpmath
@@ -9,20 +11,23 @@ from hypothesis import strategies as st
 
 from conftest import (
     KalmanState,
+    assert_no_child,
     dense_fuse,
+    fork_only,
     init_state,
     loop_windows,
     make_cv_frames,
     marginal,
     mp_mean_nll,
     obs_tangents,
+    open_fds,
     pack_windows,
     predict,
     random_pd_2x2,
     stacked_update,
     update,
 )
-from geotrack import kalman
+from geotrack import forking, kalman
 from geotrack.calibration import CalibrationParams, obs_transform
 from geotrack.core import Gaussian2D, NotPositiveDefiniteError, nll, rotation
 from geotrack.kalman import (
@@ -914,3 +919,196 @@ class TestRunSequence:
             run_sequence([frame(0.0, ("N1", g))], FilterParams(10.0), truth=np.zeros((3, 2)))
         with pytest.raises(ValueError):
             run_sequence([], FilterParams(10.0))
+
+
+# ---------------------------------------------------------------------------
+# Filtering a batch in two ranges: a forked child filters the window chunks
+# from the chunk boundary nearest B / 2 on, while this process filters the
+# chunks before it. Every run must give the one-pass run's bits, failures
+# included, and leave no child and no file descriptor behind. Two CPUs are
+# patched in, and the floor (forking.SPLIT_BYTES) patched to 0 where a test
+# does not say, so the split runs on any host and any batch of two chunks.
+
+_SPLIT_VIEWS = ("N1", "N2", "N3")
+_SPLIT_CALIB = {"N1": CalibrationParams(1.3, 0.5), "N3": CalibrationParams(0.8, 2.0)}
+
+
+def _split_windows(n_windows, n_frames=12, empty=(), indefinite=()):
+    """n_windows windows of n_frames frames over _SPLIT_VIEWS and their
+    truth; the windows in empty without a detection, and those in
+    indefinite with one detection covariance that is not positive definite."""
+    rng = np.random.default_rng(n_windows)
+    windows = [make_cv_frames(rng, n_frames, sigma_accel=30.0, views=_SPLIT_VIEWS) for _ in range(n_windows)]
+    batch, truth = pack_windows(windows)
+    mask = batch.mask.copy()
+    mask[list(empty)] = False
+    cov = batch.cov.copy()
+    for b in indefinite:
+        present = np.argwhere(mask[b])
+        j, v = present[len(present) // 2]
+        cov[b, j, v] = [[1.0, 0.0], [0.0, -1e3]]
+    return FrameBatch(batch.views, batch.t, batch.mean, cov, mask), truth
+
+
+def _split_run(batch, truth, grad, per_chunk, cpus=(0, 1)):
+    """run_windows on the given CPUs with chunks of per_chunk windows and
+    the floor at 0: its result, the children it forked, the windows the
+    child was offered and the chunks this process filtered. It must leave
+    no child and no file descriptor behind."""
+    n_frames = batch.t.shape[1]
+    per_window = n_frames * 4 * (5 if grad and truth is not None else 3)
+    fds = open_fds()
+    with mock.patch.object(kalman, "CHUNK_MATRICES", per_chunk * per_window), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(kalman, "_may_split", wraps=forking._may_split) as may_split, \
+            mock.patch.object(kalman, "_filter_block", wraps=kalman._filter_block) as block:
+        result = run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB, grad)
+    assert_no_child()
+    assert open_fds() == fds
+    offered = [call.args[0] // (per_window * 32) for call in may_split.call_args_list]
+    return result, fork.call_count, offered, block.call_count
+
+
+def _assert_same_result(got, want):
+    for name in ("start", "means", "covs", "nlls", "grad"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert list(got.failures.items()) == list(want.failures.items())
+
+
+@fork_only
+@pytest.mark.parametrize("grad,with_truth", [(True, True), (False, True), (True, False)])
+@pytest.mark.parametrize(
+    "n_windows,per_chunk,child_windows",
+    [(1, 1, 0), (2, 1, 1), (3, 4, 0), (5, 1, 2), (5, 2, 3), (6, 2, 2), (7, 3, 4), (9, 2, 5)],
+)
+def test_a_split_batch_filters_as_in_one_pass(n_windows, per_chunk, child_windows, grad, with_truth):
+    # The child takes the windows from the chunk boundary nearest B / 2 (the
+    # upper one on a tie), none if that is 0 or B; this process filters the
+    # chunks before it. The first and the last window hold no detection.
+    batch, truth = _split_windows(n_windows, empty={0, n_windows - 1})
+    truth = truth if with_truth else None
+    got, forks, offered, chunks = _split_run(batch, truth, grad, per_chunk)
+    want, one_pass_forks, _, one_pass_chunks = _split_run(batch, truth, grad, per_chunk, cpus=(0,))
+    assert (forks, one_pass_forks) == (int(child_windows > 0), 0)
+    assert offered == ([child_windows] if child_windows else [])
+    assert chunks == -(-(n_windows - child_windows) // per_chunk)
+    assert one_pass_chunks == -(-n_windows // per_chunk)
+    _assert_same_result(got, want)
+    assert got.start[0] == got.start[-1] == batch.t.shape[1]
+    assert (got.grad is None) == (not grad or truth is None)
+
+
+@fork_only
+def test_a_failure_in_the_childs_half_is_reported_at_its_batch_row():
+    # Windows 1 and 6 of eight meet an indefinite covariance, one in each
+    # half (the child takes windows 4-7): each is listed at its own row, in
+    # row order, and sequence_loss gives it inf and a zero gradient.
+    batch, truth = _split_windows(8, indefinite=(6, 1))
+    got, forks, offered, _ = _split_run(batch, truth, True, 2)
+    want = _split_run(batch, truth, True, 2, cpus=(0,))[0]
+    assert (forks, offered) == (1, [4])
+    _assert_same_result(got, want)
+    assert list(got.failures) == [1, 6]
+    tunables = TunableParams.from_natural(40.0, _SPLIT_CALIB)
+    with mock.patch.object(kalman, "CHUNK_MATRICES", 2 * 12 * 4 * 5), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
+        loss, gradient = sequence_loss(tunables, batch, truth)
+    assert_no_child()
+    assert loss[1] == loss[6] == math.inf and np.all(gradient[[1, 6]] == 0.0)
+    assert np.all(np.isfinite(np.delete(loss, [1, 6])))
+
+
+@fork_only
+def test_a_failed_child_leaves_its_windows_to_this_process():
+    # pickle.dump fails in the child (which inherits the patch): it exits 1,
+    # and this process filters all four chunks itself.
+    batch, truth = _split_windows(8, indefinite=(5,))
+    want = _split_run(batch, truth, True, 2, cpus=(0,))[0]
+    with mock.patch.object(pickle, "dump", side_effect=MemoryError):
+        got, forks, _, chunks = _split_run(batch, truth, True, 2)
+    assert (forks, chunks) == (1, 4)
+    _assert_same_result(got, want)
+
+
+@fork_only
+@pytest.mark.parametrize("fails", ["fork", "temporary file"])
+def test_a_fork_that_fails_filters_in_one_pass(fails):
+    batch, truth = _split_windows(6)
+    want = _split_run(batch, truth, True, 1, cpus=(0,))[0]
+    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
+    fds = open_fds()
+    with mock.patch.object(kalman, "CHUNK_MATRICES", 12 * 4 * 5), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
+        got = run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB)
+    assert_no_child()
+    assert failing.call_count == 1 and open_fds() == fds
+    _assert_same_result(got, want)
+
+
+@fork_only
+def test_a_raise_in_this_processs_half_still_reaps_the_child():
+    batch, truth = _split_windows(6)
+    parent, filter_block = os.getpid(), kalman._filter_block
+
+    def fails_here(*args):
+        if os.getpid() == parent:
+            raise MemoryError
+        return filter_block(*args)
+
+    fds = open_fds()
+    with mock.patch.object(kalman, "CHUNK_MATRICES", 12 * 4 * 5), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(kalman, "_filter_block", fails_here), \
+            pytest.raises(MemoryError):
+        run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB)
+    assert_no_child()
+    assert fork.call_count == 1 and open_fds() == fds
+
+
+@fork_only
+def test_the_floor_splits_tunes_gradient_passes_alone():
+    # At the default floor and chunk bound, on two CPUs: the walkthrough
+    # tune's gradient pass (30 windows of 100 frames over 4 views, the child
+    # 14 windows, 896 KB) splits; its validation pass (6 windows, one chunk)
+    # does not, nor does the largest batch the filter properties draw with
+    # one window a chunk, nor a track (one window) at any floor.
+    views = ("N1", "N2", "N3", "N4")
+    rng = np.random.default_rng(30)
+    train, train_truth = pack_windows([make_cv_frames(rng, 100, sigma_accel=50.0, views=views) for _ in range(30)])
+    calib = {v: CalibrationParams(1.0, 0.0) for v in views}
+
+    def forks(batch, truth, grad, chunk_matrices=kalman.CHUNK_MATRICES, cpus=(0, 1)):
+        fds = open_fds()
+        with mock.patch.object(kalman, "CHUNK_MATRICES", chunk_matrices), \
+                mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            result = run_windows(batch, FilterParams(100.0), truth, calib, grad)
+        assert_no_child()
+        assert open_fds() == fds
+        return result, fork.call_count
+
+    split, n_forks = forks(train, train_truth, True)
+    one_pass, no_forks = forks(train, train_truth, True, cpus=(0,))
+    assert (n_forks, no_forks) == (1, 0)
+    _assert_same_result(split, one_pass)
+    assert forks(train.take(slice(0, 6)), train_truth[:6], False)[1] == 0
+    assert forks(train.take((slice(0, 4), slice(0, 14))), train_truth[:4, :14], True, 1)[1] == 0
+    # The 30 windows end to end, 10 s apart, as one track of 3000 frames.
+    joined = (train.t + 10.0 * np.arange(30)[:, None], train.mean, train.cov, train.mask)
+    track = FrameBatch(train.views, *(a.reshape((1, -1) + a.shape[2:]) for a in joined))
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        kalman.run_track(track, FilterParams(100.0), train_truth.reshape(-1, 2), calib)
+    assert fork.call_count == 0
+    assert_no_child()
