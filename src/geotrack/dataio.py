@@ -25,23 +25,20 @@ does not take (numbers spelt as strings, spaced JSON or CSV fields). So a
 reader holds one chunk beside the arrays, and read_detections scatters the
 chunks into the batch without joining them first.
 
-A file is read or written in two ranges on two CPUs where its second range
-holds at least forking.SPLIT_BYTES of work: a forked child does the second
-range into an unnamed temporary file while this process does the first,
-then this process takes the child's result from that file (see forking,
-whose rule and reaper kalman.run_windows shares too). Reading a JSONL file,
-the child parses the lines after the first line that ends at or after the
-file's byte midpoint and pickles its arrays (_read_jsonl). Writing
-detections, truth, tracks, plot data, history or histograms, the child
-spells the rows from the chunk boundary nearest the middle, which this
-process appends after its own (_write_chunks). A file is read or written in
-one pass where the split cannot run or pay: a second range under the floor,
-a file read that is not a regular file (a FIFO, /dev/stdin), a platform
-without os.fork, a process that may run on one CPU alone or that runs
-another thread, a fork or temporary file that fails. Either way the bytes
-written and the errors raised are those of the one-pass read or write, byte
-for byte: where the child fails (exits other than 0), this process does its
-range itself.
+A file is read or written in two ranges through forking.split_work, which
+kalman.run_windows shares: a forked child does the second range into an
+unnamed temporary file while this process does the first, where that range
+holds at least forking.SPLIT_BYTES of work. Reading a JSONL file
+(_read_jsonl), the child parses the lines after the first line that ends at
+or after the byte midpoint and pickles its arrays; this process checks that
+their first time follows its own last, and maps their view columns onto its
+own. Writing detections, truth, tracks, plot data, history or histograms
+(_write_chunks), the child spells the rows from the chunk boundary nearest
+the middle, and this process appends its bytes with sendfile. Where no
+child ran (see forking; nor for a file read that is not a regular file),
+where it failed, or where the join's time check fails, this process does
+the second range itself after its first: the bytes written and the errors
+raised are those of the one-pass read or write, byte for byte.
 """
 
 from __future__ import annotations
@@ -66,7 +63,7 @@ import numpy as np
 
 from .calibration import CalibrationParams
 from .core import Arena, NotPositiveDefiniteError, _gaussian_arrays, _is_pd, _pose_values, wrap_angle
-from .forking import _fork_to_file, _may_split, _reaped
+from .forking import split_work
 from .kalman import FilterParams, FrameBatch
 from .metrics import MetricReport
 from .simulator import CameraNode, ScenarioConfig, Trajectory, default_scenario
@@ -169,8 +166,8 @@ def _write_range(fh, lo: int, hi: int, text: Callable[[int, int], str]) -> None:
         fh.write(text(a, min(a + CHUNK_FRAMES, hi)))
 
 
-def _append(fh, spelt) -> None:
-    """Append the bytes of the file spelt to the file fh, with sendfile."""
+def _append(fh, spelt) -> int:
+    """Append the bytes of the file spelt to the file fh, with sendfile; how many."""
     fh.flush()
     offset, size = 0, os.fstat(spelt.fileno()).st_size
     while offset < size:
@@ -178,45 +175,37 @@ def _append(fh, spelt) -> None:
         if not sent:  # the file shrank: end as a failed write would
             raise OSError(errno.EIO, f"temporary file ended after {offset} of {size} bytes")
         offset += sent
+    return size
 
 
 def _write_chunks(path: Path, header: str, n_rows: int, text: Callable[[int, int], str], values: int) -> None:
     """header, then text(lo, hi) for each chunk [lo, hi) of CHUNK_FRAMES of
-    n_rows rows, into path; the rows spell values numbers in all. Where
-    _may_split takes the rows from the chunk boundary nearest n_rows / 2,
-    their share of values at _VALUE_BYTES bytes each, a forked child spells
-    them into a temporary file while this process writes the header and the
-    rows before them, then appends the child's bytes. If the child fails,
-    this process spells its rows itself, so the bytes and errors are those
-    of a one-pass write; the child is reaped whatever this process raises."""
-    # On a chunk boundary: a failed child's rows are spelt again from mid a
-    # chunk at a time, and an error in them must stop the write after the
-    # chunks that a one-pass write finishes. From another row the chunks,
-    # and so the bytes left in path, would differ.
+    n_rows rows, into path; the rows spell values numbers in all. The rows
+    from the chunk boundary nearest n_rows / 2 are split_work's second
+    range, their share of values at _VALUE_BYTES bytes each: a forked child
+    spells them into a temporary file while this process writes the header
+    and the rows before them, then appends the child's bytes. Where no child
+    ran or it failed, this process spells those rows itself, so the bytes
+    and errors are those of a one-pass write."""
+    # On a chunk boundary: the second range is spelt a chunk at a time from
+    # mid, and an error in it must stop the write after the chunks that a
+    # one-pass write finishes. From another row the chunks, and so the bytes
+    # left in path, would differ.
     mid = (n_rows + CHUNK_FRAMES) // (2 * CHUNK_FRAMES) * CHUNK_FRAMES
     with open(path, "w", newline="") as fh:
-        # Forked before a byte goes into fh's buffer, which the child holds too.
-        split = 0 < mid < n_rows and _may_split(values * (n_rows - mid) // n_rows * _VALUE_BYTES)
 
-        def spell(out):  # the child's rows, encoded as fh encodes them
+        def mine():
+            fh.write(header)
+            _write_range(fh, 0, mid, text)
+
+        def theirs(out):  # the child's rows, encoded as fh encodes them
             _write_range(out, mid, n_rows, lambda a, b: text(a, b).encode(fh.encoding))
 
-        child = _fork_to_file(spell) if split else None
-        if child is None:
-            fh.write(header)
-            _write_range(fh, 0, n_rows, text)
-            return
-        pid, spelt = child
-        with spelt:
-            try:
-                fh.write(header)
-                _write_range(fh, 0, mid, text)
-            finally:
-                done = _reaped(pid)
-            if done:
-                _append(fh, spelt)
-            else:
-                _write_range(fh, mid, n_rows, text)
+        # The child is forked before mine() puts a byte in fh's buffer, which
+        # the child holds too.
+        work = values * (n_rows - mid) // n_rows * _VALUE_BYTES if mid else 0
+        if split_work(work, mine, theirs, functools.partial(_append, fh)) is None:
+            _write_range(fh, mid, n_rows, text)
 
 
 def _write_rows(path: Path, header: str, row: str, table, json_floats: bool = False) -> None:
@@ -410,19 +399,18 @@ def _read_lines(path: Path, parse: Callable) -> _Chunks:
     return chunks
 
 
-def _second_range(fh) -> Optional[int]:
-    """Where a child may start to read fh, a file opened and not yet read:
-    after the first line that ends at or after its byte midpoint. None where
-    the split cannot run or pay: fh is not a regular file, or _may_split
-    declines the bytes from there to the end."""
+def _second_range(fh) -> tuple[Optional[int], int]:
+    """Where a child may start to read fh, a file opened and not yet read,
+    and the bytes from there to the end: after the first line that ends at
+    or after its byte midpoint. (None, 0) if fh is not a regular file."""
     info = os.fstat(fh.fileno())
     if not stat.S_ISREG(info.st_mode):
-        return None
+        return None, 0
     fh.seek(max(0, info.st_size // 2 - 1))
     fh.readline()
     split = fh.tell()
     fh.seek(0)
-    return split if _may_split(info.st_size - split) else None
+    return split, info.st_size - split
 
 
 def _lines_to(fh, end: int):
@@ -444,18 +432,18 @@ def _first_time(chunks: list) -> float:
 def _read_jsonl(path: Path, frames: bool) -> tuple[_Chunks, list]:
     """A file of detections frames (or, if not frames, track steps) as the
     _jsonl_chunk arrays of each chunk of its lines, in file order, with the
-    view ids by column. Where _second_range finds a split, a forked child
-    parses the range after it, with its own line numbers, times and view
-    columns, and pickles them into a temporary file, while this process
-    parses the lines before it. The errors are those of reading the file in
-    one pass: this process's range is read first, and if the child failed,
-    or its first time does not follow this range's last, this process reads
-    the child's range itself from where it stopped."""
+    view ids by column. The lines after _second_range's split are
+    split_work's second range: a forked child parses them, with its own line
+    numbers, times and view columns, and pickles them into a temporary file,
+    while this process parses the lines before it. The errors are those of
+    reading the file in one pass: this process's range is read first, and
+    where no child ran or it failed, or its first time does not follow this
+    range's last, this process reads the child's range itself from where it
+    stopped."""
     views: dict = {}
     chunks = _Chunks(path, functools.partial(_jsonl_chunk, frames, views))
-    sent = None
 
-    def child_range(out):
+    def theirs(out):
         child = _Chunks(path, chunks.parse)
         with open(path, "rb") as fh:  # its own offset, not the parent's
             fh.seek(split)
@@ -464,23 +452,13 @@ def _read_jsonl(path: Path, frames: bool) -> tuple[_Chunks, list]:
 
     try:
         with open(path, "rb") as fh:
-            split = _second_range(fh)
-            child = None if split is None else _fork_to_file(child_range)
-            if child is None:
-                chunks.read(fh)
-            else:
-                pid, out = child
-                with out:
-                    try:
-                        chunks.read(_lines_to(fh, split))
-                    finally:
-                        done = _reaped(pid)
-                    if done:
-                        out.seek(0)
-                        sent = pickle.load(out)
-                if sent is None or not _first_time(sent[1]) > chunks.after:
-                    sent = None
-                    chunks.read(fh)  # the child's range again
+            split, work = _second_range(fh)
+            # A file that is not a regular file is all this process's range.
+            sent = split_work(work, lambda: chunks.read(fh if split is None else _lines_to(fh, split)),
+                              theirs, pickle.load)
+            if sent is None or not _first_time(sent[1]) > chunks.after:
+                sent = None
+                chunks.read(fh)  # the child's range
     except OSError as exc:
         raise _located(exc, path) from exc
     if sent is not None:

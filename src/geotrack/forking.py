@@ -1,21 +1,23 @@
 """Two CPUs for one task: a forked child takes the second range of the work.
 
 dataio reads and writes a long file in two ranges, and kalman.run_windows
-filters a large batch in two ranges of window chunks. Each forks a child
-that does the second range into an unnamed temporary file while this
-process does the first (_fork_to_file), then reaps the child (_reaped) and
-takes its result from that file; a child that fails leaves its range to
-this process. All of them split on one rule (_may_split): the second range
-holds at least SPLIT_BYTES of work, the platform has os.fork, the process
-may run on two CPUs and runs no other thread.
+filters a large batch in two ranges of window chunks, each through
+split_work: it forks a child that does the second range into an unnamed
+temporary file while this process does the first, reaps the child, and
+hands back what the site takes from that file. A site says only what its
+two ranges are, and does the second range itself where split_work hands
+back None: no child ran, or the child failed. A child runs where the second
+range holds at least SPLIT_BYTES of work, the platform has os.fork, the
+process may run on two CPUs and runs no other thread.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
 import threading
-from typing import Callable, Optional
+from typing import IO, Callable, Optional, TypeVar
 
 # The least work, in bytes of the second range, for which a forked child
 # pays: a range of fewer is done in one pass. A writer counts its second
@@ -38,49 +40,52 @@ SPLIT_BYTES = 1 << 18
 # The largest ru_maxrss of the children reaped since take_child_peak_rss.
 _child_peak_rss = 0
 
-
-def _may_split(work: int) -> bool:
-    """Whether a forked child may take a second range of work bytes: work
-    reaches SPLIT_BYTES (and 1), os.fork and os.sched_getaffinity exist,
-    this process may run on two CPUs, and no other thread runs in it (a
-    forked child holds only the forking thread)."""
-    return (work >= max(SPLIT_BYTES, 1) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1)
+Taken = TypeVar("Taken")
 
 
-def _fork_to_file(body: Callable) -> Optional[tuple]:
-    """Fork a child that runs body(out), out an unnamed temporary file in the
-    default temporary directory, and exits 0, or 1 if body raised. The
-    child's pid and out; None if the file or the fork raised OSError."""
-    try:
-        out = tempfile.TemporaryFile()
-    except OSError:
-        return None
-    try:
-        pid = os.fork()
-    except OSError:
-        out.close()
-        return None
-    if pid == 0:
-        # None of the caller's code, atexit handlers or stdio buffers runs
-        # here: the child's only way out is os._exit, its status its result.
-        status = 1
-        try:
-            body(out)
-            out.flush()
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, out
+def split_work(work: int, mine: Callable[[], object], theirs: Callable[[IO[bytes]], object],
+               take: Callable[[IO[bytes]], Taken]) -> Optional[Taken]:
+    """Run mine(), with a forked child running theirs(out) beside it where
+    the second range's work bytes allow; take(out), out rewound, if the
+    child exited 0, else None.
 
-
-def _reaped(pid: int) -> bool:
-    """Wait for the forked child pid; whether it exited 0. Its peak resident
-    set counts towards take_child_peak_rss."""
+    The child runs where work reaches SPLIT_BYTES (and 1), os.fork and
+    os.sched_getaffinity exist, this process may run on two CPUs and no
+    other thread runs in it (a forked child holds only the forking thread).
+    It is forked before mine() runs, so it sees this process's state as it
+    was before the first range; out is an unnamed temporary file in the
+    default temporary directory. A temporary file or fork that raises
+    OSError leaves no child. The child is reaped whatever mine() raises, and
+    its peak resident set counts towards take_child_peak_rss."""
     global _child_peak_rss
-    _, status, usage = os.wait4(pid, 0)
-    _child_peak_rss = max(_child_peak_rss, usage.ru_maxrss)
-    return status == 0
+    pid = None
+    with contextlib.ExitStack() as stack:
+        if (work >= max(SPLIT_BYTES, 1) and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
+            with contextlib.suppress(OSError):
+                out = stack.enter_context(tempfile.TemporaryFile())
+                pid = os.fork()
+        if pid == 0:
+            # None of the caller's code, atexit handlers or stdio buffers
+            # runs here: the child's only way out is os._exit, its status
+            # its result.
+            status = 1
+            try:
+                theirs(out)
+                out.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            mine()
+        finally:
+            if pid is not None:
+                _, status, usage = os.wait4(pid, 0)
+                _child_peak_rss = max(_child_peak_rss, usage.ru_maxrss)
+        if pid is None or status != 0:
+            return None
+        out.seek(0)
+        return take(out)
 
 
 def take_child_peak_rss() -> int:

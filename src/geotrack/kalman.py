@@ -36,16 +36,18 @@ that depends on T alone, each block carrying on from the last state of the
 one before and, backwards, from the adjoint the one after hands back;
 windows go in chunks that bound the working memory (CHUNK_MATRICES).
 Calibration, fusion, the process model and the NLL run in bulk per block.
-A batch is filtered on two CPUs where the chunks from the boundary nearest
-B / 2 on hold at least forking.SPLIT_BYTES of working set: a forked child
-filters them while this process filters the chunks before it, then this
-process takes the child's rows (and its failures, by batch row) from an
-unnamed temporary file. Elsewhere, or if the child fails, this process
-filters every chunk itself; either way each chunk runs the same
-arithmetic, so the bits are those of one pass. tune's train gradient
-passes split; its validation passes, one chunk, do not. ``run_track`` is
-the B = 1 case without a gradient, which never splits, and takes the batch
-dataio.read_detections or simulator.simulate returns. Nothing mutates.
+A batch is filtered in two ranges of chunks through forking.split_work, the
+fork protocol dataio's reads and writes share: where the chunks from the
+boundary nearest B / 2 on hold at least forking.SPLIT_BYTES of working set,
+a forked child filters them while this process filters the chunks before
+it, then this process takes the child's rows (and its failures, keyed by
+batch row) from an unnamed temporary file. Where no child ran, or it
+failed, this process filters those chunks itself after its own; either way
+each chunk runs the same arithmetic, so the bits are those of one pass.
+tune's train gradient passes split; its validation passes, one chunk, do
+not. ``run_track`` is the B = 1 case without a gradient, which never
+splits, and takes the batch dataio.read_detections or simulator.simulate
+returns. Nothing mutates.
 
 ``DetectionFrame``, ``pack`` and ``run_sequence`` (run_track over frames
 given as DetectionFrame objects) have no pipeline caller. They remain only
@@ -65,7 +67,7 @@ import numpy as np
 from . import calibration
 from .calibration import CalibrationParams
 from .core import Gaussian2D, NotPositiveDefiniteError, _inv2, _is_pd, _nll, _pd_error
-from .forking import _fork_to_file, _may_split, _reaped
+from .forking import split_work
 
 # Frames per scan block. It depends on the window length alone, so that a
 # window's arithmetic, and so its result, does not depend on its batch-mates.
@@ -673,36 +675,29 @@ def run_windows(
                 grads[rows] += block_grad
             failures.update((first_row + b, failure) for b, failure in found.items())
 
-    # A forked child filters the chunks from the boundary nearest B / 2 on,
-    # where their working set, at 32 bytes a 2x2 matrix, reaches the floor.
+    # The chunks from the boundary nearest B / 2 on are split_work's second
+    # range, their working set counted at 32 bytes a 2x2 matrix. The child is
+    # forked before this process's range runs, so its failures hold its own
+    # rows alone, keyed by batch row.
     mid = (B + chunk) // (2 * chunk) * chunk
     outputs = (means, covs, nlls, grads)
 
-    def child_rows(out) -> None:
+    def theirs(out) -> None:
         filter_rows(mid, B)
         pickle.dump(([None if a is None else a[mid:] for a in outputs], failures), out, protocol=5)
 
+    def take(out) -> bool:
+        rows, found = pickle.load(out)
+        for a, got in zip(outputs, rows):
+            if a is not None:
+                a[mid:] = got
+        failures.update(found)
+        return True
+
     with np.errstate(all="ignore"):
-        split = 0 < mid < B and _may_split((B - mid) * window_matrices * 32)
-        child = _fork_to_file(child_rows) if split else None
-        if child is None:
-            filter_rows(0, B)
-        else:
-            pid, out = child
-            with out:
-                try:
-                    filter_rows(0, mid)
-                finally:
-                    done = _reaped(pid)
-                if done:
-                    out.seek(0)
-                    rows, found = pickle.load(out)
-                    for a, got in zip(outputs, rows):
-                        if a is not None:
-                            a[mid:] = got
-                    failures.update(found)
-                else:
-                    filter_rows(mid, B)
+        work = (B - mid) * window_matrices * 32 if mid else 0
+        if split_work(work, lambda: filter_rows(0, mid), theirs, take) is None:
+            filter_rows(mid, B)
     return BatchResult(start, means, covs, nlls, grads, failures)
 
 

@@ -11,7 +11,6 @@ import pickle
 import re
 import resource
 import subprocess
-import threading
 import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
@@ -1211,7 +1210,8 @@ def test_detection_reading_memory_bounded_on_odd_and_bad_files(tmp_path, last):
 # read's arrays or exactly its error, and leave no child and no file
 # descriptor behind. Two CPUs are patched in, and SPLIT_BYTES patched to 0
 # (but where a test says otherwise), so the split runs on any host and any
-# file.
+# file. The fork protocol's own checks (a fork or temporary file that fails,
+# one CPU, another thread) are tests/test_forking.py's.
 
 def _split_line(k, views=("N1", "N2")):
     """Frame k (0 <= k < 900) as one line of a fixed width for its views."""
@@ -1220,11 +1220,12 @@ def _split_line(k, views=("N1", "N2")):
 
 
 def _child_first_line(path) -> int | None:
-    """The number of the first line the child reads, at the patched
-    SPLIT_BYTES and two CPUs; None if the file is read in one pass."""
-    with open(path, "rb") as fh, mock.patch.object(os, "sched_getaffinity", return_value={0, 1}):
-        split = dataio._second_range(fh)
-        if split is None:
+    """The number of the first line the child reads; None if its range holds
+    less than the patched SPLIT_BYTES (and 1) or the file is not a regular
+    file, so that the file is read in one pass."""
+    with open(path, "rb") as fh:
+        split, work = dataio._second_range(fh)
+        if split is None or work < max(forking.SPLIT_BYTES, 1):
             return None
         return len(list(dataio._lines_to(fh, split))) + 1
 
@@ -1401,48 +1402,6 @@ def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
 
 
 @fork_only
-@pytest.mark.parametrize("fails", ["fork", "temporary file"])
-def test_a_fork_that_fails_reads_in_one_pass(tmp_path, fails):
-    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
-    path = tmp_path / "d.jsonl"
-    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
-    want = _read_counting_forks(dataio.read_detections, path, cpus=(0,))[0]
-    fds = open_fds()
-    with _chunks_and_floor(2, 0), \
-            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
-        _assert_same_batch(dataio.read_detections(path), want)
-    assert failing.call_count == 1 and open_fds() == fds
-
-
-@fork_only
-def test_one_cpu_reads_in_one_pass(tmp_path):
-    path = tmp_path / "d.jsonl"
-    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
-    with _chunks_and_floor(2, 0):
-        got, forks = _read_counting_forks(dataio.read_detections, path, cpus=(1,))
-    assert forks == 0
-    _assert_same_batch(got, pack([read_detection_frames(path)]))
-
-
-@fork_only
-def test_another_thread_reads_in_one_pass(tmp_path):
-    path = tmp_path / "d.jsonl"
-    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
-    release = threading.Event()
-    waiter = threading.Thread(target=release.wait)
-    waiter.start()
-    try:
-        with _chunks_and_floor(2, 0):
-            got, forks = _read_counting_forks(dataio.read_detections, path)
-    finally:
-        release.set()
-        waiter.join(timeout=60)
-    assert not waiter.is_alive() and forks == 0
-    _assert_same_batch(got, pack([read_detection_frames(path)]))
-
-
-@fork_only
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 @pytest.mark.parametrize("kind", ["valid", "cov"])
 def test_a_fifo_reads_in_one_pass(tmp_path, kind):
@@ -1557,8 +1516,12 @@ def test_a_write_splits_where_the_childs_rows_reach_the_floor(tmp_path, n, child
             mock.patch.object(dataio, "_write_range", wraps=dataio._write_range) as write_range:
         _, written = _assert_split_writes_as_one_pass(lambda p: dataio.write_truth(p, truth), tmp_path / "t.csv",
                                                       forks=int(child_rows > 0))
-    # The split write's calls in this process, then the one-pass write's.
-    assert [call.args[1:3] for call in write_range.call_args_list] == [(0, n - child_rows), (0, n)]
+    # The split write's calls in this process, then the one-pass write's:
+    # the rows before the boundary, then those from it unless a child spelt them.
+    mid = _split_mid(n, 4)
+    assert child_rows in (0, n - mid)
+    split_write = [(0, mid)] if child_rows else [(0, mid), (mid, n)]
+    assert [call.args[1:3] for call in write_range.call_args_list] == split_write + [(0, mid), (mid, n)]
     samples = [(t, SimpleNamespace(position=p, heading=h, extent=e))
                for t, p, h, e in zip(truth.times, truth.positions, truth.headings, truth.extent)]
     oracle_write_truth(tmp_path / "oracle.csv", samples)
@@ -1595,22 +1558,6 @@ def test_a_failed_writer_child_leaves_its_rows_to_this_process(tmp_path, kind):
         assert written.count(b"\n") == 9  # the header and rows 0-7
     else:
         assert got is None and written.count(b"\n") == 11
-
-
-@fork_only
-@pytest.mark.parametrize("fails", ["fork", "temporary file"])
-def test_a_fork_or_temporary_file_that_fails_writes_in_one_pass(tmp_path, fails):
-    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
-    rows = _history_rows()
-
-    def write(path):
-        dataio.write_history(path, rows)
-
-    want = _write_counting_forks(write, tmp_path / "h.csv", cpus=(0,))
-    with _chunks_and_floor(2, 0), \
-            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
-        assert _write_counting_forks(write, tmp_path / "h.csv")[:2] == want[:2]
-    assert failing.call_count == 1
 
 
 @fork_only

@@ -928,6 +928,8 @@ class TestRunSequence:
 # included, and leave no child and no file descriptor behind. Two CPUs are
 # patched in, and the floor (forking.SPLIT_BYTES) patched to 0 where a test
 # does not say, so the split runs on any host and any batch of two chunks.
+# The fork protocol's own checks (a fork or temporary file that fails, a
+# raise in this process's range) are tests/test_forking.py's.
 
 _SPLIT_VIEWS = ("N1", "N2", "N3")
 _SPLIT_CALIB = {"N1": CalibrationParams(1.3, 0.5), "N3": CalibrationParams(0.8, 2.0)}
@@ -952,9 +954,9 @@ def _split_windows(n_windows, n_frames=12, empty=(), indefinite=()):
 
 def _split_run(batch, truth, grad, per_chunk, cpus=(0, 1)):
     """run_windows on the given CPUs with chunks of per_chunk windows and
-    the floor at 0: its result, the children it forked, the windows the
-    child was offered and the chunks this process filtered. It must leave
-    no child and no file descriptor behind."""
+    the floor at 0: its result, the children it forked, the windows each
+    split_work call offered a child and the chunks this process filtered.
+    It must leave no child and no file descriptor behind."""
     n_frames = batch.t.shape[1]
     per_window = n_frames * 4 * (5 if grad and truth is not None else 3)
     fds = open_fds()
@@ -962,12 +964,12 @@ def _split_run(batch, truth, grad, per_chunk, cpus=(0, 1)):
             mock.patch.object(forking, "SPLIT_BYTES", 0), \
             mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
             mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-            mock.patch.object(kalman, "_may_split", wraps=forking._may_split) as may_split, \
+            mock.patch.object(kalman, "split_work", wraps=forking.split_work) as split_work, \
             mock.patch.object(kalman, "_filter_block", wraps=kalman._filter_block) as block:
         result = run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB, grad)
     assert_no_child()
     assert open_fds() == fds
-    offered = [call.args[0] // (per_window * 32) for call in may_split.call_args_list]
+    offered = [call.args[0] // (per_window * 32) for call in split_work.call_args_list]
     return result, fork.call_count, offered, block.call_count
 
 
@@ -995,7 +997,7 @@ def test_a_split_batch_filters_as_in_one_pass(n_windows, per_chunk, child_window
     got, forks, offered, chunks = _split_run(batch, truth, grad, per_chunk)
     want, one_pass_forks, _, one_pass_chunks = _split_run(batch, truth, grad, per_chunk, cpus=(0,))
     assert (forks, one_pass_forks) == (int(child_windows > 0), 0)
-    assert offered == ([child_windows] if child_windows else [])
+    assert offered == [child_windows]
     assert chunks == -(-(n_windows - child_windows) // per_chunk)
     assert one_pass_chunks == -(-n_windows // per_chunk)
     _assert_same_result(got, want)
@@ -1034,45 +1036,6 @@ def test_a_failed_child_leaves_its_windows_to_this_process():
         got, forks, _, chunks = _split_run(batch, truth, True, 2)
     assert (forks, chunks) == (1, 4)
     _assert_same_result(got, want)
-
-
-@fork_only
-@pytest.mark.parametrize("fails", ["fork", "temporary file"])
-def test_a_fork_that_fails_filters_in_one_pass(fails):
-    batch, truth = _split_windows(6)
-    want = _split_run(batch, truth, True, 1, cpus=(0,))[0]
-    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
-    fds = open_fds()
-    with mock.patch.object(kalman, "CHUNK_MATRICES", 12 * 4 * 5), \
-            mock.patch.object(forking, "SPLIT_BYTES", 0), \
-            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
-        got = run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB)
-    assert_no_child()
-    assert failing.call_count == 1 and open_fds() == fds
-    _assert_same_result(got, want)
-
-
-@fork_only
-def test_a_raise_in_this_processs_half_still_reaps_the_child():
-    batch, truth = _split_windows(6)
-    parent, filter_block = os.getpid(), kalman._filter_block
-
-    def fails_here(*args):
-        if os.getpid() == parent:
-            raise MemoryError
-        return filter_block(*args)
-
-    fds = open_fds()
-    with mock.patch.object(kalman, "CHUNK_MATRICES", 12 * 4 * 5), \
-            mock.patch.object(forking, "SPLIT_BYTES", 0), \
-            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(os, "fork", wraps=os.fork) as fork, \
-            mock.patch.object(kalman, "_filter_block", fails_here), \
-            pytest.raises(MemoryError):
-        run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB)
-    assert_no_child()
-    assert fork.call_count == 1 and open_fds() == fds
 
 
 @fork_only

@@ -153,3 +153,38 @@ def test_io_oracles_take_only_dataio_conventions():
     assert len(oracles) >= 6, oracles
     extra = taken_from("dataio", oracles) - DATAIO_CONVENTIONS
     assert not extra, f"conftest's IO oracles take from geotrack.dataio: {sorted(extra)}"
+
+
+# The fork protocol is forking.split_work's alone: no other module forks,
+# reaps or ends a child, or makes the temporary file a child writes into,
+# so a new split site cannot restate the protocol; and the split sites take
+# from forking its public names only.
+FORK_CALLS = {"os.fork", "os.wait4", "os._exit"}
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "forking.py"], ids=lambda p: p.stem)
+def test_only_forking_forks(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and dotted(node) in FORK_CALLS:
+            found.append((dotted(node), node.lineno))
+        elif isinstance(node, ast.Import):
+            found += [(alias.name, node.lineno) for alias in node.names if alias.name.split(".")[0] == "tempfile"]
+        elif isinstance(node, ast.ImportFrom) and node.module in ("os", "tempfile"):
+            found += [(f"{node.module}.{alias.name}", node.lineno) for alias in node.names
+                      if node.module == "tempfile" or f"os.{alias.name}" in FORK_CALLS]
+    assert not found, f"{path.name} forks, reaps or makes a temporary file outside forking.py: {found}"
+
+
+@pytest.mark.parametrize("name", ["dataio", "kalman"])
+def test_split_sites_take_no_private_name_from_forking(name):
+    path = PACKAGE / f"{name}.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module in ("forking", "geotrack.forking"):
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_") and dotted(node.value) == "forking":
+            private.append(node.attr)
+    assert not private, f"{name}.py takes private names from forking: {private}"
