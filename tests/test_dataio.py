@@ -1210,8 +1210,9 @@ def test_detection_reading_memory_bounded_on_odd_and_bad_files(tmp_path, last):
 # read's arrays or exactly its error, and leave no child and no file
 # descriptor behind. Two CPUs are patched in, and SPLIT_BYTES patched to 0
 # (but where a test says otherwise), so the split runs on any host and any
-# file. The fork protocol's own checks (a fork or temporary file that fails,
-# one CPU, another thread) are tests/test_forking.py's.
+# file. The fork protocol's own checks (one CPU, another thread) are
+# tests/test_forking.py's; those here check that a read or write whose fork
+# or temporary file fails still comes out as in one pass.
 
 def _split_line(k, views=("N1", "N2")):
     """Frame k (0 <= k < 900) as one line of a fixed width for its views."""
@@ -1402,6 +1403,21 @@ def test_a_failed_child_is_read_again_by_the_parent(tmp_path):
 
 
 @fork_only
+@pytest.mark.parametrize("fails", ["fork", "temporary file"])
+def test_a_fork_that_fails_reads_in_one_pass(tmp_path, fails):
+    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
+    path = tmp_path / "d.jsonl"
+    path.write_text("".join(_split_line(k) + "\n" for k in range(10)))
+    want = _read_counting_forks(dataio.read_detections, path, cpus=(0,))[0]
+    fds = open_fds()
+    with _chunks_and_floor(2, 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
+        _assert_same_batch(dataio.read_detections(path), want)
+    assert failing.call_count == 1 and open_fds() == fds
+
+
+@fork_only
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 @pytest.mark.parametrize("kind", ["valid", "cov"])
 def test_a_fifo_reads_in_one_pass(tmp_path, kind):
@@ -1558,6 +1574,22 @@ def test_a_failed_writer_child_leaves_its_rows_to_this_process(tmp_path, kind):
         assert written.count(b"\n") == 9  # the header and rows 0-7
     else:
         assert got is None and written.count(b"\n") == 11
+
+
+@fork_only
+@pytest.mark.parametrize("fails", ["fork", "temporary file"])
+def test_a_fork_or_temporary_file_that_fails_writes_in_one_pass(tmp_path, fails):
+    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
+    rows = _history_rows()
+
+    def write(path):
+        dataio.write_history(path, rows)
+
+    want = _write_counting_forks(write, tmp_path / "h.csv", cpus=(0,))
+    with _chunks_and_floor(2, 0), \
+            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
+        assert _write_counting_forks(write, tmp_path / "h.csv")[:2] == want[:2]
+    assert failing.call_count == 1
 
 
 @fork_only

@@ -928,8 +928,8 @@ class TestRunSequence:
 # included, and leave no child and no file descriptor behind. Two CPUs are
 # patched in, and the floor (forking.SPLIT_BYTES) patched to 0 where a test
 # does not say, so the split runs on any host and any batch of two chunks.
-# The fork protocol's own checks (a fork or temporary file that fails, a
-# raise in this process's range) are tests/test_forking.py's.
+# The fork protocol's own check of a raise in this process's range is
+# tests/test_forking.py's.
 
 _SPLIT_VIEWS = ("N1", "N2", "N3")
 _SPLIT_CALIB = {"N1": CalibrationParams(1.3, 0.5), "N3": CalibrationParams(0.8, 2.0)}
@@ -1035,6 +1035,23 @@ def test_a_failed_child_leaves_its_windows_to_this_process():
     with mock.patch.object(pickle, "dump", side_effect=MemoryError):
         got, forks, _, chunks = _split_run(batch, truth, True, 2)
     assert (forks, chunks) == (1, 4)
+    _assert_same_result(got, want)
+
+
+@fork_only
+@pytest.mark.parametrize("fails", ["fork", "temporary file"])
+def test_a_fork_that_fails_filters_in_one_pass(fails):
+    batch, truth = _split_windows(6)
+    want = _split_run(batch, truth, True, 1, cpus=(0,))[0]
+    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
+    fds = open_fds()
+    with mock.patch.object(kalman, "CHUNK_MATRICES", 12 * 4 * 5), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(*target, side_effect=BlockingIOError) as failing:
+        got = run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB)
+    assert_no_child()
+    assert failing.call_count == 1 and open_fds() == fds
     _assert_same_result(got, want)
 
 
