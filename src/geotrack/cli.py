@@ -67,8 +67,8 @@ def _write_manifest(out: Path, args, outputs: list[str], resolved: dict, elapsed
     process's peak resident set so far, which in a process that runs several
     commands covers the earlier ones too; peak_child_rss_mb is the largest
     of the children that this command's reads, writes and filter runs
-    forked (each taking the second range of a file or of a batch of
-    windows), 0 if none."""
+    forked (each taking the second range of a file, of a batch of windows
+    or of a long window's frames), 0 if none."""
     flags = {k: v for k, v in vars(args).items() if k not in ("func", "command", "out")}
     # ru_maxrss counts kilobytes (bytes on macOS).
     scale = 1024 * (1024 if sys.platform == "darwin" else 1)

@@ -36,18 +36,33 @@ that depends on T alone, each block carrying on from the last state of the
 one before and, backwards, from the adjoint the one after hands back;
 windows go in chunks that bound the working memory (CHUNK_MATRICES).
 Calibration, fusion, the process model and the NLL run in bulk per block.
-A batch is filtered in two ranges of chunks through forking.split_work, the
-fork protocol dataio's reads and writes share: where the chunks from the
-boundary nearest B / 2 on hold at least forking.SPLIT_BYTES of working set,
-a forked child filters them while this process filters the chunks before
-it, then this process takes the child's rows (and its failures, keyed by
-batch row) from an unnamed temporary file. Where no child ran, or it
-failed, this process filters those chunks itself after its own; either way
-each chunk runs the same arithmetic, so the bits are those of one pass.
-tune's train gradient passes split; its validation passes, one chunk, do
-not. ``run_track`` is the B = 1 case without a gradient, which never
-splits, and takes the batch dataio.read_detections or simulator.simulate
-returns. Nothing mutates.
+Where the blocks from the boundary nearest T / 2 on (the fold) hold at least
+forking.SPLIT_BYTES, counted at one 32-byte covariance a view-frame, each
+of them is filtered in two halves: a carry-free one (calibration, fusion,
+the process model, the elements and their scan, from the identity at the
+fold and for each later block after the last prefix element of the one
+before) and a carry-dependent one, which folds the carry at the fold into
+the block's prefixes with one batched combine, then checks, outputs and
+scores the block. That rule depends on T and V alone, so a window's bits
+depend on neither its batch-mates nor the host; of the benchmark's tracks,
+long_track's 10,000-frame, 8-view one folds and the 2400-frame ones do not.
+A batch is filtered in two ranges through forking.split_work, the fork
+protocol dataio's reads and writes share, and where split_work hands back
+None (no child ran, or it failed) this process does the second range itself
+with the same arithmetic, so the bits are those of one pass:
+- a batch of one chunk that folds, in time: a forked child runs the
+  carry-free half of the blocks from the fold on while this process filters
+  the blocks before it, then this process takes the child's blocks from an
+  unnamed temporary file, one pickle a block, and runs their carry-dependent
+  half. The backward pass does not split;
+- any other batch, across windows: where the chunks from the boundary
+  nearest B / 2 on hold at least forking.SPLIT_BYTES of working set, a
+  forked child filters them while this process filters the chunks before
+  it, then this process takes the child's rows (and its failures, keyed by
+  batch row). tune's train gradient passes split; its validation passes,
+  one chunk, do not.
+``run_track`` is the B = 1 case without a gradient, and takes the batch
+dataio.read_detections or simulator.simulate returns. Nothing mutates.
 
 ``DetectionFrame``, ``pack`` and ``run_sequence`` (run_track over frames
 given as DetectionFrame objects) have no pipeline caller. They remain only
@@ -64,7 +79,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import calibration
+from . import calibration, forking
 from .calibration import CalibrationParams
 from .core import Gaussian2D, NotPositiveDefiniteError, _inv2, _is_pd, _nll, _pd_error
 from .forking import split_work
@@ -333,6 +348,13 @@ def _init(z, R, init_vel_var: float):
     return x, _sym(P)
 
 
+def _note_failure(failures: dict, b: int, failure: tuple) -> None:
+    """Keep failure (t, minor, value) for window b if it is the window's
+    earliest; of two at one time, the one noted first."""
+    if b not in failures or failure[0] < failures[b][0]:
+        failures[b] = failure
+
+
 def _record_failures(failures: dict, S: np.ndarray, valid: np.ndarray, t: np.ndarray) -> None:
     """Note each window's earliest matrix in S (B, n, ..., 2, 2) that counts
     (valid) and is not positive definite; t (B, n) gives frame times."""
@@ -342,8 +364,7 @@ def _record_failures(failures: dict, S: np.ndarray, valid: np.ndarray, t: np.nda
     for b in np.flatnonzero(bad.reshape(len(bad), -1).any(axis=1)):
         idx = tuple(np.argwhere(bad[b])[0])
         err = _pd_error(S[b][idx])
-        if b not in failures or t[b, idx[0]] < failures[b][0]:
-            failures[int(b)] = (float(t[b, idx[0]]), err.minor_index, err.minor_value)
+        _note_failure(failures, int(b), (float(t[b, idx[0]]), err.minor_index, err.minor_value))
 
 
 def _inv4(M: np.ndarray) -> np.ndarray:
@@ -479,13 +500,30 @@ class _Carry(NamedTuple):
     x: np.ndarray
     P: np.ndarray
 
+    def element(self) -> tuple:
+        """The filtering element that sets the state to this one."""
+        zero = np.zeros(self.P.shape)
+        return self.A, self.x[..., None], self.P, zero[..., :1], zero
 
-def _filter_block(block, dt, start, truth, params, calib, carry, failures, grad) -> tuple:
-    """run_windows over a block of frames of some windows, with time steps
-    dt and each window's start frame counted from the block's first frame,
-    after the carry of the block before it (None for the first block).
-    Returns the carry for the next block, the block's position means,
-    covariances and NLLs, and with grad the tape of _adjoint_block."""
+
+class _Block(NamedTuple):
+    """What a block's carry-dependent half takes from its carry-free half,
+    per frame: F and Q, the fused detection z and R, the frame kinds (masks
+    of the predict-only frames, the start frames and the frames before the
+    start) and, for the tape, each detection's precision (None without a
+    gradient)."""
+
+    F: np.ndarray
+    Q: np.ndarray
+    z: np.ndarray
+    R: np.ndarray
+    kinds: tuple
+    prec: Optional[np.ndarray]
+
+
+def _block_elements(block, dt, start, params, calib, failures, grad) -> tuple:
+    """The carry-free half of _filter_block: the block's _Block and its
+    filtering elements (A, b, C, eta, J)."""
     t, mask = block.t, block.mask
     # The calibrated, fused detection of each frame, noting each window's
     # first covariance and fused information that is not positive definite.
@@ -502,9 +540,9 @@ def _filter_block(block, dt, start, truth, params, calib, carry, failures, grad)
     i = np.clip(start, 0, len(steps) - 1)
     x0, P0 = _init(z[windows, i], R[windows, i], params.init_vel_var)
 
-    # The filter: one scan of elements (A, b, C, eta, J), the identity
-    # before the start, the initial state at it, then a prediction with the
-    # frame's fused detection folded in where there is one.
+    # The filter's elements: the identity before the start, the initial
+    # state at it, then a prediction with the frame's fused detection
+    # folded in where there is one.
     gain, G, S_inv = _gain(Q, R)
     HF = F[..., :2, :]
     FtHt_Sinv = _T(HF) @ S_inv
@@ -516,18 +554,22 @@ def _filter_block(block, dt, start, truth, params, calib, carry, failures, grad)
         _by_frame(FtHt_Sinv @ zc, kinds, 0.0, 0.0, 0.0),
         _by_frame(FtHt_Sinv @ HF, kinds, 0.0, 0.0, 0.0),
     )
-    head = None
-    if carry is not None:
-        zero = np.zeros(carry.P.shape)
-        head = (carry.A, carry.x[..., None], carry.P, zero[..., :1], zero)
-    A, xc, C = _scan_after(head, elements, _combine_filter)[:3]
+    return _Block(F, Q, z, R, kinds, prec if grad else None), elements
+
+
+def _after_scan(block, part: _Block, prefix: tuple, carry, truth, params, failures, grad) -> tuple:
+    """The carry-dependent half of _filter_block, from the prefixes (A, b, C)
+    of the block's filter scan after the carry."""
+    F, Q, z, R, kinds, prec = part
+    before = kinds[2]
+    A, xc, C = prefix
     x, P = xc[..., 0], _sym(C)
 
     # The prediction into each frame, and the update's innovation S.
     Pm = _sym(F @ _shifted(carry and carry.P, P) @ _T(F) + Q)
-    upd = run & ~kinds[0]
-    _record_failures(failures, Pm[..., :2, :2] + R, upd, t)
-    _record_failures(failures, P[..., :2, :2], ~before, t)
+    upd = ~before & ~kinds[1] & ~kinds[0]
+    _record_failures(failures, Pm[..., :2, :2] + R, upd, block.t)
+    _record_failures(failures, P[..., :2, :2], ~before, block.t)
     out_x = np.where(before[..., None], np.nan, x[..., :2])
     out_P = np.where(before[..., None, None], np.nan, P[..., :2, :2])
     ahead = _Carry(A[:, -1:], x[:, -1:], P[:, -1:])
@@ -554,9 +596,20 @@ def _filter_block(block, dt, start, truth, params, calib, carry, failures, grad)
         _by_frame(v, kinds, 0.0, 0.0, 0.0),
         np.where(before[..., None], 0.0, -w),
         np.where(before[..., None, None], 0.0, 0.5 * (sig_inv - w[..., :, None] * w[..., None, :])),
-        (z, R, block.mean, prec, mask, block.cov),
+        (z, R, block.mean, prec, block.mask, block.cov),
     )
     return ahead, out_x, out_P, value, tape
+
+
+def _filter_block(block, dt, start, truth, params, calib, carry, failures, grad) -> tuple:
+    """run_windows over a block of frames of some windows, with time steps
+    dt and each window's start frame counted from the block's first frame,
+    after the carry of the block before it (None for the first block).
+    Returns the carry for the next block, the block's position means,
+    covariances and NLLs, and with grad the tape of _adjoint_block."""
+    part, elements = _block_elements(block, dt, start, params, calib, failures, grad)
+    prefix = _scan_after(carry and carry.element(), elements, _combine_filter)[:3]
+    return _after_scan(block, part, prefix, carry, truth, params, failures, grad)
 
 
 def _adjoint_block(tape: tuple, owed: tuple, channels: np.ndarray, k: int) -> tuple:
@@ -643,61 +696,154 @@ def run_windows(
     frames = min(T, SCAN_FRAMES)
     window_matrices = frames * max(V, 4) * (5 if grad else 3)
     chunk = max(1, CHUNK_MATRICES // window_matrices)
+    # The blocks from the boundary nearest T / 2 on are scanned carry-free
+    # and the carry there folded in, where they hold at least
+    # forking.SPLIT_BYTES at one 32-byte covariance a view-frame. That
+    # depends on T and V alone, so a window's bits depend on neither its
+    # batch-mates nor the host.
+    fold = (T + frames) // (2 * frames) * frames
+    fold_work = (T - fold) * V * 32
+    if fold_work < max(forking.SPLIT_BYTES, 1):
+        fold = T
+
+    def store(rows, cols, block: tuple):
+        """A block's outputs into the arrays; its tape."""
+        means[rows, cols], covs[rows, cols] = block[1:3]
+        if truth is not None:
+            nlls[rows, cols] = block[3]
+        return block[4]
+
+    def filter_to_fold(rows, found: dict) -> tuple:
+        """Filter the windows at rows up to the fold: the carry there and the
+        blocks' tapes."""
+        carry = None
+        tapes = []
+        for first in range(0, fold, frames):
+            cols = slice(first, first + frames)
+            block = _filter_block(
+                batch.take((rows, cols)),
+                dt[rows, cols],
+                start[rows] - first,
+                None if truth is None else truth[rows, cols],
+                params,
+                calib,
+                carry,
+                found,
+                grad,
+            )
+            carry = block[0]
+            tapes.append(store(rows, cols, block))
+        return carry, tapes
+
+    def carry_free(rows):
+        """Per block from the fold on, the carry-free half of the windows at
+        rows: its _Block, the prefixes of its filter scan from the fold (each
+        block's scan after the last prefix element of the one before) and
+        the failures it noted."""
+        head = None
+        for first in range(fold, T, frames):
+            cols = slice(first, first + frames)
+            found: dict[int, tuple[float, int, float]] = {}
+            part, elements = _block_elements(
+                batch.take((rows, cols)), dt[rows, cols], start[rows] - first, params, calib, found, grad
+            )
+            prefix = _scan_after(head, elements, _combine_filter)
+            head = tuple(p[:, -1:] for p in prefix)
+            yield part, prefix, found
+
+    def filter_from_fold(rows, carry: _Carry, pieces, found: dict) -> list:
+        """Filter the windows at rows from the fold on, after their carry
+        there, from the pieces of carry_free: the blocks' tapes."""
+        head = carry.element()
+        tapes = []
+        for first, (part, prefix, noted) in zip(range(fold, T, frames), pieces):
+            cols = slice(first, first + frames)
+            for b, failure in noted.items():
+                _note_failure(found, b, failure)
+            block = _after_scan(
+                batch.take((rows, cols)),
+                part,
+                _combine_filter(head, prefix)[:3],
+                carry,
+                None if truth is None else truth[rows, cols],
+                params,
+                found,
+                grad,
+            )
+            carry = block[0]
+            tapes.append(store(rows, cols, block))
+        return tapes
+
+    def finish(first_row: int, rows, tapes: list, found: dict) -> None:
+        """The backward pass of the windows at rows, and their failures."""
+        owed = (0.0, 0.0)
+        for tape in reversed(tapes if grad else []):
+            owed, block_grad = _adjoint_block(tape, owed, channels, k)
+            grads[rows] += block_grad
+        failures.update((first_row + b, failure) for b, failure in found.items())
 
     def filter_rows(lo: int, hi: int) -> None:
         """Filter windows [lo, hi), chunk by chunk from lo, into the arrays."""
         for first_row in range(lo, hi, chunk):
             rows = slice(first_row, min(first_row + chunk, hi))
             found: dict[int, tuple[float, int, float]] = {}
-            carry = None
-            tapes = []
-            for first in range(0, T, frames):
-                cols = slice(first, min(first + frames, T))
-                carry, x, P, nll, tape = _filter_block(
-                    batch.take((rows, cols)),
-                    dt[rows, cols],
-                    start[rows] - first,
-                    None if truth is None else truth[rows, cols],
-                    params,
-                    calib,
-                    carry,
-                    found,
-                    grad,
-                )
-                means[rows, cols] = x
-                covs[rows, cols] = P
-                if truth is not None:
-                    nlls[rows, cols] = nll
-                tapes.append(tape)
-            owed = (0.0, 0.0)
-            for tape in reversed(tapes if grad else []):
-                owed, block_grad = _adjoint_block(tape, owed, channels, k)
-                grads[rows] += block_grad
-            failures.update((first_row + b, failure) for b, failure in found.items())
+            carry, tapes = filter_to_fold(rows, found)
+            if fold < T:
+                tapes += filter_from_fold(rows, carry, carry_free(rows), found)
+            finish(first_row, rows, tapes, found)
 
-    # The chunks from the boundary nearest B / 2 on are split_work's second
-    # range, their working set counted at 32 bytes a 2x2 matrix. The child is
-    # forked before this process's range runs, so its failures hold its own
-    # rows alone, keyed by batch row.
-    mid = (B + chunk) // (2 * chunk) * chunk
-    outputs = (means, covs, nlls, grads)
+    def in_time() -> None:
+        """A batch of one chunk, split at the fold: a forked child runs
+        carry_free while this process filters up to the fold, then this
+        process takes the child's pieces, one pickle a block. Where no child
+        ran, or it failed, this process runs carry_free itself."""
+        rows = slice(0, B)
+        found: dict[int, tuple[float, int, float]] = {}
+        ahead = []
 
-    def theirs(out) -> None:
-        filter_rows(mid, B)
-        pickle.dump(([None if a is None else a[mid:] for a in outputs], failures), out, protocol=5)
+        def theirs(out) -> None:
+            for piece in carry_free(rows):
+                pickle.dump(piece, out, protocol=5)
 
-    def take(out) -> bool:
-        rows, found = pickle.load(out)
-        for a, got in zip(outputs, rows):
-            if a is not None:
-                a[mid:] = got
-        failures.update(found)
-        return True
+        def take(out) -> list:
+            pieces = (pickle.load(out) for _ in range(fold, T, frames))
+            return filter_from_fold(rows, ahead[0], pieces, found)
 
-    with np.errstate(all="ignore"):
+        tapes = split_work(B * fold_work, lambda: ahead.extend(filter_to_fold(rows, found)), theirs, take)
+        if tapes is None:
+            tapes = filter_from_fold(rows, ahead[0], carry_free(rows), found)
+        finish(0, rows, ahead[1] + tapes, found)
+
+    def by_windows() -> None:
+        """A batch in two ranges of chunks: the chunks from the boundary
+        nearest B / 2 on are split_work's second range, their working set
+        counted at 32 bytes a 2x2 matrix. The child is forked before this
+        process's range runs, so its failures hold its own rows alone, keyed
+        by batch row."""
+        mid = (B + chunk) // (2 * chunk) * chunk
+        outputs = (means, covs, nlls, grads)
+
+        def theirs(out) -> None:
+            filter_rows(mid, B)
+            pickle.dump(([None if a is None else a[mid:] for a in outputs], failures), out, protocol=5)
+
+        def take(out) -> bool:
+            rows, found = pickle.load(out)
+            for a, got in zip(outputs, rows):
+                if a is not None:
+                    a[mid:] = got
+            failures.update(found)
+            return True
+
         work = (B - mid) * window_matrices * 32 if mid else 0
         if split_work(work, lambda: filter_rows(0, mid), theirs, take) is None:
             filter_rows(mid, B)
+
+    with np.errstate(all="ignore"):
+        if B <= chunk and fold < T:
+            in_time()
+        else:
+            by_windows()
     return BatchResult(start, means, covs, nlls, grads, failures)
 
 

@@ -1055,13 +1055,154 @@ def test_a_fork_that_fails_filters_in_one_pass(fails):
     _assert_same_result(got, want)
 
 
+# ---------------------------------------------------------------------------
+# Filtering windows in two ranges of time: where the blocks from the boundary
+# nearest T / 2 on (the fold) hold at least the floor at one 32-byte
+# covariance a view-frame, they are scanned carry-free and the carry at the
+# fold folded into their prefixes; a batch of one chunk has a forked child
+# scan them while this process filters the blocks before the fold. The
+# split must give the one-pass run's bits, failures included.
+
+
+@st.composite
+def time_split_case(draw):
+    """A scan block of 1-3 frames and 1-3 windows of more than one block
+    over _SPLIT_VIEWS, with truth: each window's first detection anywhere,
+    or none (B > 1), a predict-only stretch, a long gap that may sit at the
+    fold, and at most one indefinite detection covariance and one gap so
+    long that the innovation and filtered covariances overflow, each in
+    either range."""
+    frames = draw(st.integers(1, 3))
+    n_frames = draw(st.integers(frames + 1, 8 * frames))
+    fold = (n_frames + frames) // (2 * frames) * frames
+    n_windows = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n_windows, n_frames, len(_SPLIT_VIEWS))
+    mask = rng.random(shape) < 0.6
+    mean = rng.uniform(-500.0, 500.0, shape + (2,))
+    root = rng.standard_normal(shape + (2, 2))
+    cov = root @ np.swapaxes(root, -1, -2) + np.eye(2)
+    gaps = 10.0 ** rng.uniform(-3.0, 1.0, (n_windows, n_frames))
+    index = st.integers(0, n_frames - 1)
+    for b in range(n_windows):
+        first = draw(st.integers(0, n_frames if n_windows > 1 else n_frames - 1))
+        mask[b, :first] = False
+        if first < n_frames and not mask[b, first].any():
+            mask[b, first, draw(st.integers(0, len(_SPLIT_VIEWS) - 1))] = True
+        lo = draw(index)
+        mask[b, max(lo, first + 1) : draw(st.integers(lo, n_frames))] = False
+        gaps[b, draw(st.sampled_from([fold, draw(index)]))] = 10.0 ** draw(st.floats(1.0, 3.0))
+        if draw(st.booleans()):
+            gaps[b, draw(index)] = 1e60
+        present = np.argwhere(mask[b])
+        if len(present) and draw(st.booleans()):
+            j, v = present[draw(st.integers(0, len(present) - 1))]
+            cov[b, j, v] = [[1.0, 0.0], [0.0, -1e3]]
+    t = np.cumsum(gaps, axis=1)
+    mean[~mask], cov[~mask] = 0.0, np.eye(2)
+    batch = FrameBatch(_SPLIT_VIEWS, t, mean, cov, mask)
+    return frames, batch, rng.uniform(-500.0, 500.0, (n_windows, n_frames, 2))
+
+
+def _time_split_run(batch, truth, grad, frames, cpus):
+    """run_windows in scan blocks of frames with the floor at 0, on the
+    given CPUs: its result and the children it forked. It must leave no
+    child and no file descriptor behind."""
+    fds = open_fds()
+    with mock.patch.object(kalman, "SCAN_FRAMES", frames), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        result = run_windows(batch, FilterParams(40.0), truth, _SPLIT_CALIB, grad)
+    assert_no_child()
+    assert open_fds() == fds
+    return result, fork.call_count
+
+
+@fork_only
+@settings(max_examples=100, deadline=None)
+@given(time_split_case(), st.booleans(), st.booleans())
+def test_a_split_in_time_filters_as_in_one_pass(case, grad, with_truth):
+    # Each window reports its earliest failure, whichever range holds it
+    # and whichever half of the block's arithmetic notes it.
+    frames, batch, truth = case
+    truth = truth if with_truth else None
+    got, forks = _time_split_run(batch, truth, grad, frames, (0, 1))
+    want, one_pass_forks = _time_split_run(batch, truth, grad, frames, (0,))
+    assert (forks, one_pass_forks) == (1, 0)
+    _assert_same_result(got, want)
+
+
+@fork_only
+def test_a_failed_child_leaves_the_blocks_after_the_fold_to_this_process():
+    # pickle.dump fails in the child (which inherits the patch): it exits 1,
+    # and this process scans the blocks after the fold itself.
+    batch, truth = _split_windows(1, n_frames=40, indefinite=(0,))
+    want = _time_split_run(batch, truth, True, 4, (0,))[0]
+    with mock.patch.object(pickle, "dump", side_effect=MemoryError):
+        got, forks = _time_split_run(batch, truth, True, 4, (0, 1))
+    assert forks == 1
+    _assert_same_result(got, want)
+    assert list(got.failures) == [0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(windows_case(min_frames=8, max_frames=16), calibration_case(), st.data())
+def test_the_fold_matches_the_per_frame_loop(windows, setup, data):
+    # Blocks short enough for two or more on each side of the fold, the
+    # floor at 0, and the batch in one chunk or one window a chunk (each
+    # window folded alone), on one CPU, so that this process filters every
+    # block before the fold through _filter_block: the oracles of
+    # TestScanMatchesLoop at their tolerance. On two CPUs the bits are the
+    # same (test_a_split_in_time_filters_as_in_one_pass). A window's first
+    # and last detection covariances may both be indefinite, often one on
+    # each side of the fold: the window reports the earlier.
+    sigma, calib = setup
+    grad = data.draw(st.booleans())
+    batch, truth = pack_windows(windows)
+    b = data.draw(st.integers(0, len(windows) - 1))
+    for which in data.draw(st.sets(st.sampled_from([0, -1]))):
+        j, v = np.argwhere(batch.mask[b])[which]
+        batch.cov[b, j, v] = [[1.0, 0.0], [0.0, -1e3]]
+    n_frames = batch.t.shape[1]
+    frames = data.draw(st.integers(1, n_frames // 4))
+    fold = (n_frames + frames) // (2 * frames) * frames
+    chunk = data.draw(st.sampled_from([1, kalman.CHUNK_MATRICES]))
+    params = FilterParams(sigma)
+    with mock.patch.object(kalman, "SCAN_FRAMES", frames), \
+            mock.patch.object(kalman, "CHUNK_MATRICES", chunk), \
+            mock.patch.object(forking, "SPLIT_BYTES", 0), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0}), \
+            mock.patch.object(kalman, "_filter_block", wraps=kalman._filter_block) as block:
+        scan = run_windows(batch, params, truth, calib, grad)
+    chunks = len(windows) if chunk == 1 else 1
+    assert fold >= 2 * frames and n_frames - fold >= 2 * frames
+    assert block.call_count == chunks * fold // frames
+    loop, _ = loop_windows(batch, params, truth, calib, grad)
+    assert scan.failures == loop.failures
+    np.testing.assert_array_equal(scan.start, loop.start)
+    names = ("means", "covs", "nlls") + (("grad",) if grad else ())
+    kept = [b for b in range(len(windows)) if b not in loop.failures]
+    for name in names:
+        actual, expected = getattr(scan, name)[kept], getattr(loop, name)[kept]
+        defined = ~np.isnan(expected)
+        np.testing.assert_array_equal(np.isnan(actual), ~defined)
+        if defined.any():
+            assert_close(actual[defined], expected[defined])
+
+
 @fork_only
 def test_the_floor_splits_tunes_gradient_passes_alone():
     # At the default floor and chunk bound, on two CPUs: the walkthrough
     # tune's gradient pass (30 windows of 100 frames over 4 views, the child
     # 14 windows, 896 KB) splits; its validation pass (6 windows, one chunk)
     # does not, nor does the largest batch the filter properties draw with
-    # one window a chunk, nor a track (one window) at any floor.
+    # one window a chunk. A track (one window) splits in time where its
+    # blocks from the fold on reach the floor at 32 bytes a view-frame: at
+    # floor 0 a 3000-frame track; at the default floor not the walkthrough's
+    # and sparse_views' 2400-frame tracks (4 views, 1376 frames from the
+    # fold: 176 KB), but long_track's 10,000-frame track (8 views, 4880
+    # frames: 1.25 MB).
     views = ("N1", "N2", "N3", "N4")
     rng = np.random.default_rng(30)
     train, train_truth = pack_windows([make_cv_frames(rng, 100, sigma_accel=50.0, views=views) for _ in range(30)])
@@ -1086,9 +1227,28 @@ def test_the_floor_splits_tunes_gradient_passes_alone():
     # The 30 windows end to end, 10 s apart, as one track of 3000 frames.
     joined = (train.t + 10.0 * np.arange(30)[:, None], train.mean, train.cov, train.mask)
     track = FrameBatch(train.views, *(a.reshape((1, -1) + a.shape[2:]) for a in joined))
-    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
-            mock.patch.object(forking, "SPLIT_BYTES", 0), \
-            mock.patch.object(os, "fork", wraps=os.fork) as fork:
-        kalman.run_track(track, FilterParams(100.0), train_truth.reshape(-1, 2), calib)
-    assert fork.call_count == 0
-    assert_no_child()
+    track_truth = train_truth.reshape(1, -1, 2)
+    with mock.patch.object(forking, "SPLIT_BYTES", 0):
+        split, n_forks = forks(track, track_truth, False)
+        one_pass, no_forks = forks(track, track_truth, False, cpus=(0,))
+    assert (n_forks, no_forks) == (1, 0)
+    _assert_same_result(split, one_pass)
+    short, short_truth = track.take((slice(None), slice(0, 2400))), track_truth[:, :2400]
+    alone, n_forks = forks(short, short_truth, False)
+    assert n_forks == 0
+    # The rule reads T and V alone: two such tracks in one batch (one
+    # chunk) do not fold either, and keep the bits of one.
+    pair = FrameBatch(short.views, *(np.concatenate([a, a]) for a in (short.t, short.mean, short.cov, short.mask)))
+    both = forks(pair, np.concatenate([short_truth, short_truth]), False)[0]
+    for name in ("means", "covs", "nlls"):
+        assert getattr(both, name)[1].tobytes() == getattr(alone, name)[0].tobytes(), name
+    # 10,000 frames of 8 views, each present.
+    n_frames, n_views = 10_000, 8
+    long_track = FrameBatch(
+        tuple(f"N{i + 1}" for i in range(n_views)),
+        0.05 * np.arange(1.0, n_frames + 1.0)[None],
+        rng.uniform(0.0, 500.0, (1, n_frames, n_views, 2)),
+        np.broadcast_to(16.0 * np.eye(2), (1, n_frames, n_views, 2, 2)),
+        np.ones((1, n_frames, n_views), bool),
+    )
+    assert forks(long_track, None, False)[1] == 1
