@@ -1,15 +1,29 @@
 import math
+import os
+import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cell_fit, direct_cell_fit, direct_cell_nll, pairs_arrays, random_pd_2x2
+from conftest import (
+    assert_no_child,
+    cell_fit,
+    direct_cell_fit,
+    direct_cell_nll,
+    fork_only,
+    open_fds,
+    pairs_arrays,
+    random_pd_2x2,
+)
+from geotrack import calibration, forking
 from geotrack.calibration import (
     IDENTITY,
     CalibrationGrid,
     CalibrationParams,
+    PerViewCalibration,
     default_grid,
     fit,
     fit_per_view,
@@ -294,3 +308,143 @@ class TestFitPerView:
         )
         assert "empty" in result.errors
         assert "ok" in result.params
+
+
+# ---------------------------------------------------------------------------
+# Fitting the views in two ranges: a forked child fits the sorted views from
+# the view boundary nearest half the pairs, where their pair-cells (pairs
+# times grid cells, 4 to a byte) reach forking.SPLIT_BYTES, while this
+# process fits the views before them. Every fit must give the one-pass
+# result, and leave behind no child and no open file descriptor. Two CPUs
+# are patched in, and one for the one-pass result.
+
+_SMALL_GRID = CalibrationGrid((0.5, 1.0, 2.0), (0.0, 10.0))
+
+
+def _view_pairs(rng, n, overflow=False):
+    """n pairs whose covariances are drawn around 25 I, or, with overflow,
+    are 1e200 I, which no grid cell scores finitely."""
+    if overflow:
+        return Pairs(np.zeros((n, 2)), np.tile(1e200 * np.eye(2), (n, 1, 1)), np.ones((n, 2)))
+    return pairs_arrays(sampled_pairs(rng, n, true_scale=rng.uniform(0.5, 3.0)))
+
+
+def _split_fit(grid, pairs_by_view, cpus=(0, 1)):
+    """fit_per_view on the given CPUs: its result, the children it forked
+    and the work it offered a child. It must leave no child and no file
+    descriptor behind."""
+    fds = open_fds()
+    with mock.patch.object(os, "sched_getaffinity", return_value=set(cpus)), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork, \
+            mock.patch.object(calibration, "split_work", wraps=forking.split_work) as split_work:
+        result = fit_per_view(grid, pairs_by_view)
+    assert_no_child()
+    assert open_fds() == fds
+    return result, fork.call_count, [call.args[0] for call in split_work.call_args_list]
+
+
+def _view_by_view(grid, pairs_by_view):
+    """The one-pass result: fit on each view in sorted order, its error
+    message kept where it raises ValueError."""
+    want = PerViewCalibration({}, {}, {})
+    for view in sorted(pairs_by_view):
+        try:
+            want.params[view], want.best_nll[view] = fit(grid, pairs_by_view[view])
+        except ValueError as exc:
+            want.errors[view] = str(exc)
+    return want
+
+
+def _assert_same_fit(got, want):
+    assert list(got.params.items()) == list(want.params.items())
+    assert [(v, b.hex()) for v, b in got.best_nll.items()] == [(v, b.hex()) for v, b in want.best_nll.items()]
+    assert list(got.errors.items()) == list(want.errors.items())
+
+
+@st.composite
+def split_fit_case(draw):
+    """1 to 9 views of 0 to 40 pairs, each of which may score no finite
+    cell, named so that their sorted order is not the order drawn."""
+    n_views = draw(st.integers(1, 9))
+    counts = draw(st.lists(st.integers(0, 40), min_size=n_views, max_size=n_views))
+    overflow = draw(st.lists(st.booleans(), min_size=n_views, max_size=n_views))
+    return counts, overflow, draw(st.integers(0, 2**32 - 1))
+
+
+@fork_only
+@settings(max_examples=100)
+@given(split_fit_case())
+@example(([30, 10, 0], [False] * 3, 1))  # no pairs in the child's range
+@example(([30, 10, 10], [False, False, True], 2))  # no finite cell in it
+@example(([0, 10, 10, 30], [False, True, False, False], 3))  # both in this process's
+def test_a_split_fit_is_the_one_pass_fit(case):
+    counts, overflow, seed = case
+    rng = np.random.default_rng(seed)
+    pairs_by_view = {f"V{9 - k}": _view_pairs(rng, n, bad and n > 0) for k, (n, bad) in
+                     enumerate(zip(counts, overflow))}
+    # The boundary nearest half the pairs, the upper one on a tie.
+    ordered = [len(pairs_by_view[view]) for view in sorted(pairs_by_view)]
+    ends = [sum(ordered[:k]) for k in range(len(ordered) + 1)]
+    mid = max(range(len(ends)), key=lambda k: (-abs(2 * ends[k] - ends[-1]), k))
+    work = (ends[-1] - ends[mid]) * 6 // 4
+    with mock.patch.object(forking, "SPLIT_BYTES", 0):
+        got, forks, offered = _split_fit(_SMALL_GRID, pairs_by_view)
+        want, one_pass_forks, _ = _split_fit(_SMALL_GRID, pairs_by_view, cpus=(0,))
+    assert (forks, one_pass_forks, offered) == (int(work > 0), 0, [work])
+    _assert_same_fit(got, want)
+    _assert_same_fit(got, _view_by_view(_SMALL_GRID, pairs_by_view))
+
+
+@fork_only
+def test_a_failed_child_leaves_its_views_to_this_process():
+    # pickle.dump fails in the child (which inherits the patch): it exits 1,
+    # and this process fits its views itself.
+    rng = np.random.default_rng(40)
+    pairs_by_view = {"N1": _view_pairs(rng, 30), "N2": _view_pairs(rng, 20), "N3": _view_pairs(rng, 3, True)}
+    with mock.patch.object(forking, "SPLIT_BYTES", 0):
+        want = _split_fit(_SMALL_GRID, pairs_by_view, cpus=(0,))[0]
+        with mock.patch.object(pickle, "dump", side_effect=MemoryError), \
+                mock.patch.object(calibration, "fit", wraps=calibration.fit) as fits:
+            got, forks, _ = _split_fit(_SMALL_GRID, pairs_by_view)
+    assert (forks, fits.call_count) == (1, 3)
+    _assert_same_fit(got, want)
+    assert list(got.errors) == ["N3"]
+
+
+@fork_only
+@pytest.mark.parametrize("fails", ["fork", "temporary file"])
+def test_a_fork_that_fails_fits_in_one_pass(fails):
+    rng = np.random.default_rng(41)
+    pairs_by_view = {"N1": _view_pairs(rng, 30), "N2": _view_pairs(rng, 3, True), "N3": _view_pairs(rng, 20)}
+    target = (os, "fork") if fails == "fork" else (forking.tempfile, "TemporaryFile")
+    with mock.patch.object(forking, "SPLIT_BYTES", 0):
+        want = _split_fit(_SMALL_GRID, pairs_by_view, cpus=(0,))[0]
+        fds = open_fds()
+        with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+                mock.patch.object(*target, side_effect=BlockingIOError) as failing:
+            got = fit_per_view(_SMALL_GRID, pairs_by_view)
+    assert_no_child()
+    assert failing.call_count == 1 and open_fds() == fds
+    _assert_same_fit(got, want)
+
+
+@fork_only
+def test_the_floor_splits_the_eight_view_fit_alone():
+    # At the default floor and grid (3111 cells), on two CPUs: long_track's
+    # 8-view validation split (seed 7's pair counts; the child fits N5-N8,
+    # 4447 pairs) and the walkthrough's 4-view one (N3 and N4, 1188 pairs)
+    # split; sparse_views' 2-view one (353 + 253 pairs: the child would fit
+    # N2's 253, 196,770 bytes at 4 pair-cells a byte) does not.
+    rng = np.random.default_rng(42)
+    shapes = {
+        "long_track": [1158, 1141, 1154, 1068, 1172, 1121, 1126, 1028],
+        "walkthrough": [585, 537, 588, 600],
+        "sparse_views": [353, 253],
+    }
+    forks = {}
+    for name, counts in shapes.items():
+        pairs_by_view = {f"N{k + 1}": _view_pairs(rng, n) for k, n in enumerate(counts)}
+        got, forks[name], _ = _split_fit(default_grid(), pairs_by_view)
+        if name == "long_track":
+            _assert_same_fit(got, _split_fit(default_grid(), pairs_by_view, cpus=(0,))[0])
+    assert forks == {"long_track": 1, "walkthrough": 1, "sparse_views": 0}

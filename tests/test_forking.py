@@ -1,9 +1,10 @@
-"""forking.split_work, the one fork protocol behind split reads, writes and
-filter passes: this process's range always runs, once; a child runs the
-second range where the work, the CPUs and the threads allow; the child is
-reaped whatever happens, and leaves no process and no file descriptor
-behind. The sites' own tests (tests/test_dataio.py, tests/test_kalman.py)
-check what each does with its two ranges.
+"""forking.split_work, the one fork protocol behind split reads, writes,
+filter passes and calibration fits: this process's range always runs,
+once; a child runs the second range where the work, the CPUs and the
+threads allow; the child is reaped whatever happens, and leaves no process
+and no file descriptor behind. The sites' own tests (tests/test_dataio.py,
+tests/test_kalman.py, tests/test_calibration.py) check what each does with
+its two ranges.
 """
 
 import errno

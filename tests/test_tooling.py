@@ -177,7 +177,7 @@ def test_only_forking_forks(path):
     assert not found, f"{path.name} forks, reaps or makes a temporary file outside forking.py: {found}"
 
 
-@pytest.mark.parametrize("name", ["dataio", "kalman"])
+@pytest.mark.parametrize("name", ["calibration", "dataio", "kalman"])
 def test_split_sites_take_no_private_name_from_forking(name):
     path = PACKAGE / f"{name}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
