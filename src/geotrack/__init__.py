@@ -10,8 +10,8 @@ scenario simulator.
 __version__ = "0.1.0"
 
 from .calibration import CalibrationGrid, CalibrationParams
-from .core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll
-from .heads import RawHead, head_to_gaussian
+from .core import Arena, Gaussian2D, NotPositiveDefiniteError
+from .heads import head_to_gaussian
 from .kalman import DetectionFrame, FilterParams, run_sequence
 from .metrics import AlphaSweep, MetricReport, Records, evaluate
 from .simulator import CameraNode, ScenarioConfig, default_scenario, simulate
@@ -29,8 +29,6 @@ __all__ = [
     "Gaussian2D",
     "MetricReport",
     "NotPositiveDefiniteError",
-    "ObjectPose",
-    "RawHead",
     "Records",
     "ScenarioConfig",
     "TunableParams",
@@ -38,7 +36,6 @@ __all__ = [
     "default_scenario",
     "evaluate",
     "head_to_gaussian",
-    "nll",
     "run_sequence",
     "simulate",
 ]

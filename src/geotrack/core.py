@@ -36,12 +36,6 @@ class NotPositiveDefiniteError(ValueError):
         super().__init__(f"{where}: {message}" if where else message)
 
 
-def rotation(angle: float) -> np.ndarray:
-    """2x2 counter-clockwise rotation matrix."""
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s], [s, c]])
-
-
 def wrap_angle(angle: float) -> float:
     """Wrap an angle into [-pi, pi)."""
     return (angle + math.pi) % (2.0 * math.pi) - math.pi
@@ -132,34 +126,11 @@ def _gaussian_arrays(mean, cov) -> tuple[np.ndarray, np.ndarray]:
     return mean, cov
 
 
-@dataclass(frozen=True, eq=False)
-class ObjectPose:
-    """Ground-truth position, heading, and rectangular extent of the object.
-
-    The body frame puts the width axis along x and the length axis along y;
-    heading rotates the body frame into the world frame and is normalized
-    into [-pi, pi).
-    """
-
-    position: np.ndarray
-    heading: float
-    extent: tuple[float, float]
-
-    __eq__ = _fields_equal
-
-    def __post_init__(self):
-        position = np.array(self.position, dtype=float).reshape(2)
-        _, _, heading, w, l = _pose_values(
-            *position.tolist(), float(self.heading), float(self.extent[0]), float(self.extent[1])
-        )
-        object.__setattr__(self, "position", _frozen(position))
-        object.__setattr__(self, "heading", heading)
-        object.__setattr__(self, "extent", (w, l))
-
-
 def _pose_values(x: float, y: float, heading: float, w: float, l: float) -> tuple[float, ...]:
-    """ObjectPose's checks without the object, on plain floats: the position,
-    the heading wrapped into [-pi, pi), and the extent."""
+    """A ground-truth pose's checks, on plain floats: the position, the
+    heading wrapped into [-pi, pi), and the extent. The body frame puts the
+    width axis along x and the length axis along y; the heading rotates it
+    into the world frame."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError("position components must be finite")
     if not (w > 0.0 and l > 0.0):
@@ -203,18 +174,10 @@ class Arena:
     def center(self) -> np.ndarray:
         return np.array([self.width / 2.0, self.length / 2.0])
 
-    def contains(self, point: np.ndarray) -> bool:
-        x, y = float(point[0]), float(point[1])
-        return 0.0 <= x <= self.width and 0.0 <= y <= self.length
-
-
-def nll(g: Gaussian2D, point: np.ndarray) -> float:
-    """Negative log density of ``point`` under ``g``, in nats: nll_rows of
-    one row."""
-    point = np.asarray(point, dtype=float).reshape(2)
-    if not np.all(np.isfinite(point)):
-        raise ValueError("evaluation point must be finite")
-    return float(nll_rows(g.mean[None], g.cov[None], point[None])[0])
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Whether each of points (N, 2) lies in the arena, edges included."""
+        x, y = points[:, 0], points[:, 1]
+        return (0.0 <= x) & (x <= self.width) & (0.0 <= y) & (y <= self.length)
 
 
 def nll_rows(mean: np.ndarray, cov: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -227,13 +190,6 @@ def nll_rows(mean: np.ndarray, cov: np.ndarray, points: np.ndarray) -> np.ndarra
         for i in np.flatnonzero(~_is_pd(cov))[:1]:
             raise _pd_error(cov[i])
     return _nll(mean, cov, points)[0]
-
-
-def log_density(g: Gaussian2D, points: np.ndarray) -> np.ndarray:
-    """Vectorized log density of ``g`` at an (n, 2) array of points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n = len(points)
-    return -nll_rows(np.broadcast_to(g.mean, (n, 2)), np.broadcast_to(g.cov, (n, 2, 2)), points)
 
 
 def heading_from_velocity(velocity: np.ndarray) -> np.ndarray:

@@ -535,8 +535,8 @@ def _truth_bulk(lines: list, after: float) -> Optional[np.ndarray]:
 def _truth_chunk(path: Path, lines: list, first: int, after: float) -> tuple:
     """Times (N,) and _truth_bulk's table for lines of a truth file, the
     first being line first of path (line 1 the header). A chunk that the bulk
-    check declines is read row by row, each line one csv row checked as an
-    ObjectPose checks it, its time after the line before's (after, for the
+    check declines is read row by row, each line one csv row checked by
+    core._pose_values, its time after the line before's (after, for the
     first): the first bad line's error is raised, naming path:line."""
     line_no = first
     try:
@@ -565,9 +565,9 @@ def _truth_chunk(path: Path, lines: list, first: int, after: float) -> tuple:
 
 
 def read_truth(path: Path) -> Trajectory:
-    """A truth file as the arrays write_truth takes. Each row is checked as
-    an ObjectPose checks it, its heading wrapped the same way, and its time
-    must follow the previous row's."""
+    """A truth file as the arrays write_truth takes. Each row is checked by
+    core._pose_values, its heading wrapped the same way, and its time must
+    follow the previous row's."""
     chunks = _read_lines(path, _truth_chunk)
     t, table = (np.concatenate(arrays) for arrays in zip(*chunks))
     return Trajectory(t, table[:, 1:3], table[:, 3], table[:, 4:])

@@ -1,20 +1,21 @@
 """Detection output-head math and extent-grid losses.
 
-Maps a raw 5-vector of unconstrained detector outputs to a valid location
-Gaussian, and provides the per-detection training losses (point negative log
-likelihood, and the tile-grid variant that spreads mass over the object's
-physical extent). No learned backbone exists in this package; raw head
-vectors originate from the simulator or from test fixtures.
+Maps raw 5-vectors of unconstrained detector outputs, one row each, to
+valid location Gaussians, and provides the per-detection training losses
+(point negative log likelihood, and the tile-grid variant that spreads mass
+over the object's physical extent). No learned backbone exists in this
+package, and no command makes raw head vectors: these functions are for a
+detector's training loop. tuning takes the nonlinearities.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Arena, Gaussian2D, ObjectPose, log_density, nll, rotation
+from .core import Arena, nll_rows
 
 
 def sigmoid(x):
@@ -39,80 +40,51 @@ def inv_softplus(y: float) -> float:
     return float(np.log(np.expm1(y)))
 
 
-@dataclass(frozen=True)
-class RawHead:
-    """The five unconstrained values an output head produces for one detection."""
+def head_to_gaussian(raw: np.ndarray, arena: Arena) -> tuple[np.ndarray, np.ndarray]:
+    """Decode raw head vectors (N, 5) into location means (N, 2) and
+    covariances (N, 2, 2).
 
-    mean_raw: np.ndarray
-    diag_raw: np.ndarray
-    offdiag_raw: float
-
-    def __post_init__(self):
-        mean_raw = np.array(self.mean_raw, dtype=float).reshape(2)
-        diag_raw = np.array(self.diag_raw, dtype=float).reshape(2)
-        off = float(self.offdiag_raw)
-        if not (np.all(np.isfinite(mean_raw)) and np.all(np.isfinite(diag_raw)) and np.isfinite(off)):
-            raise ValueError("raw head values must be finite")
-        object.__setattr__(self, "mean_raw", mean_raw)
-        object.__setattr__(self, "diag_raw", diag_raw)
-        object.__setattr__(self, "offdiag_raw", off)
-
-
-@dataclass(frozen=True)
-class ExtentGrid:
-    """Evenly spaced world-frame tile centers covering an object's rectangle."""
-
-    points: np.ndarray
-    tile_area: float
-
-    def __post_init__(self):
-        points = np.array(self.points, dtype=float)
-        if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] == 0:
-            raise ValueError("grid points must be a non-empty (n, 2) array")
-        if not self.tile_area > 0.0:
-            raise ValueError("tile_area must be positive")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "tile_area", float(self.tile_area))
-
-
-def head_to_gaussian(raw: RawHead, arena: Arena) -> Gaussian2D:
-    """Decode a raw head vector into a location Gaussian.
-
-    The mean is a sigmoid of the first two values scaled to the arena size.
-    The covariance is M @ M.T + I where M is lower triangular with softplus
-    diagonal and the remaining raw value in the (2, 1) slot; the identity
-    floor keeps the result positive definite for every input.
+    Each mean is a sigmoid of the row's first two values scaled to the arena
+    size. Each covariance is M @ M.T + I where M is lower triangular with
+    the softplus of the next two values on its diagonal and the last value
+    in its (2, 1) slot; the identity floor keeps the result positive
+    definite for every input. Non-finite raw values raise ValueError.
     """
-    mean = np.array(
-        [
-            sigmoid(raw.mean_raw[0]) * arena.width,
-            sigmoid(raw.mean_raw[1]) * arena.length,
-        ]
-    )
-    d1, d2 = softplus(raw.diag_raw)
-    m = np.array([[d1, 0.0], [raw.offdiag_raw, d2]])
-    cov = m @ m.T + np.eye(2)
-    return Gaussian2D(mean, cov)
+    raw = np.asarray(raw, dtype=float)
+    if not np.all(np.isfinite(raw)):
+        raise ValueError("raw head values must be finite")
+    mean = sigmoid(raw[:, :2]) * (arena.width, arena.length)
+    d1, d2, off = softplus(raw[:, 2]), softplus(raw[:, 3]), raw[:, 4]
+    cov = np.empty((len(raw), 2, 2))
+    cov[:, 0, 0] = d1 * d1 + 1.0
+    cov[:, 0, 1] = cov[:, 1, 0] = d1 * off
+    cov[:, 1, 1] = off * off + d2 * d2 + 1.0
+    return mean, cov
 
 
-def nll_loss(raw: RawHead, arena: Arena, truth: np.ndarray) -> float:
-    """Point NLL of the ground-truth position under the decoded head output."""
-    truth = np.asarray(truth, dtype=float).reshape(2)
-    if not arena.contains(truth):
+def nll_loss(raw: np.ndarray, arena: Arena, truth: np.ndarray) -> np.ndarray:
+    """Point NLL (N,) of each ground-truth position (N, 2) under its row's
+    decoded head output; warns where a truth position lies outside the arena."""
+    truth = np.asarray(truth, dtype=float)
+    if not np.all(np.isfinite(truth)):
+        raise ValueError("truth positions must be finite")
+    outside = truth[~arena.contains(truth)]
+    if len(outside):
         warnings.warn(
-            f"truth point {truth.tolist()} lies outside the {arena.width}x{arena.length} arena",
+            f"truth point {outside[0].tolist()} lies outside the {arena.width}x{arena.length} arena",
             stacklevel=2,
         )
-    return nll(head_to_gaussian(raw, arena), truth)
+    return nll_rows(*head_to_gaussian(raw, arena), truth)
 
 
-def extent_grid(pose: ObjectPose, tile: float) -> ExtentGrid:
-    """Tile-center lattice over the pose's rectangle, rotated into world frame.
+def extent_grid(position, heading: float, extent: tuple[float, float], tile: float) -> np.ndarray:
+    """Tile-center lattice (n, 2) over the rectangle of the given extent,
+    rotated by heading and centered on position in the world frame.
 
     Uses floor(extent / tile) tiles per axis, centered on the rectangle, so
     every point lies strictly inside the extent.
     """
-    w, l = pose.extent
+    w, l = extent
     if not tile > 0.0:
         raise ValueError("tile size must be positive")
     if tile > min(w, l) / 2.0:
@@ -123,17 +95,21 @@ def extent_grid(pose: ObjectPose, tile: float) -> ExtentGrid:
     ys = (np.arange(ny) - (ny - 1) / 2.0) * tile
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
     body = np.column_stack([gx.ravel(), gy.ravel()])
-    world = pose.position + body @ rotation(pose.heading).T
-    return ExtentGrid(world, tile * tile)
+    c, s = math.cos(heading), math.sin(heading)
+    return np.asarray(position, dtype=float) + body @ np.array([[c, s], [-s, c]])
 
 
-def grid_loss(g: Gaussian2D, grid: ExtentGrid) -> float:
-    """Negative log of the tile-area-weighted density sum over the grid.
+def grid_loss(mean: np.ndarray, cov: np.ndarray, points: np.ndarray, tile_area: float) -> float:
+    """Negative log of the tile-area-weighted density sum of N(mean, cov)
+    over the grid points (n, 2).
 
     A soft integral of the probability mass captured by the object's extent;
     log-sum-exp keeps distant tiles from underflowing.
     """
-    lp = log_density(g, grid.points)
+    if not tile_area > 0.0:
+        raise ValueError("tile_area must be positive")
+    n = len(points)
+    lp = -nll_rows(np.broadcast_to(mean, (n, 2)), np.broadcast_to(cov, (n, 2, 2)), points)
     m = float(np.max(lp))
     lse = m + float(np.log(np.sum(np.exp(lp - m))))
-    return -(lse + float(np.log(grid.tile_area)))
+    return -(lse + float(np.log(tile_area)))

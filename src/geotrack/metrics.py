@@ -219,7 +219,7 @@ def per_record_scores(records: Records) -> np.ndarray:
     """Each record's OPM: the mass of N(mean, cov) inside its truth rectangle.
 
     Each mean offset and covariance is rotated into the rectangle's frame
-    (width along x, length along y, as ObjectPose defines it) and
+    (width along x, length along y, as core._pose_values defines it) and
     standardised; the mass is then F(lo, lo) - F(hi, lo) - F(lo, hi) +
     F(hi, hi) over the standardised bounds, with F the upper orthant
     probability at the frame's correlation. Clipped to [0, 1].

@@ -431,18 +431,18 @@ def simulate(config: ScenarioConfig) -> dict[str, tuple[FrameBatch, Trajectory]]
 
     Each split is a FrameBatch of one window, its views the node ids in
     config order (the order a written line lists its detections in), and its
-    truth arrays, headings wrapped as ObjectPose wraps them.
+    truth arrays, headings wrapped as core._pose_values wraps them.
 
     The trajectory and each node consume independent seeded substreams, so
     the result is byte-reproducible from the config alone. Poses and
-    detections get ObjectPose's and Gaussian2D's checks in bulk; the first
-    failing one raises its error.
+    detections get core._pose_values' and Gaussian2D's checks in bulk; the
+    first failing one raises its error.
     """
     streams = np.random.SeedSequence(config.seed).spawn(1 + len(config.nodes))
     traj = generate_trajectory(config, np.random.default_rng(streams[0]))
     posed = np.isfinite(traj.positions).all(axis=1) & np.isfinite(traj.headings)
     if not posed.all():
-        # The first non-finite pose raises ObjectPose's error.
+        # The first non-finite pose raises core._pose_values' error.
         i = int(np.argmin(posed))
         _pose_values(*traj.positions[i].tolist(), float(traj.headings[i]), *traj.extent[i].tolist())
     n = len(traj)

@@ -14,19 +14,20 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from geotrack import calibration, dataio, simulator, tuning
+from geotrack import calibration, dataio, forking, simulator, tuning
 from geotrack.calibration import CalibrationParams
 from geotrack.core import (
     LOG_TWO_PI,
     Gaussian2D,
     NotPositiveDefiniteError,
-    ObjectPose,
     Pairs,
+    _fields_equal,
+    _frozen,
     _is_pd,
     _pd_error,
     _pose_values,
     heading_from_velocity,
-    rotation,
+    nll_rows,
     wrap_angle,
 )
 from geotrack.kalman import (
@@ -60,6 +61,17 @@ def assert_no_child():
         os.waitpid(-1, os.WNOHANG)
 
 
+def first_child_line(path) -> Optional[int]:
+    """The number of the first line of path that a forked child reads; None
+    if its range holds less than SPLIT_BYTES (and 1) or the file is not a
+    regular file, so that the file is read in one pass."""
+    with open(path, "rb") as fh:
+        split, work = dataio._second_range(fh)
+        if split is None or work < max(forking.SPLIT_BYTES, 1):
+            return None
+        return len(list(dataio._lines_to(fh, split))) + 1
+
+
 def open_fds() -> list:
     """This process's open file descriptors, [] where /proc does not list them."""
     return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else []
@@ -68,6 +80,53 @@ def open_fds() -> list:
 def phi(x: float) -> float:
     """Standard normal CDF via erf; independent of any package code."""
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+
+
+# ---------------------------------------------------------------------------
+# A ground-truth pose and one Gaussian's NLL as objects, for tests that
+# build single records by hand; the package reads and scores them as arrays.
+
+
+def rotation(angle: float) -> np.ndarray:
+    """2x2 counter-clockwise rotation matrix."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s], [s, c]])
+
+
+@dataclass(frozen=True, eq=False)
+class ObjectPose:
+    """Ground-truth position, heading, and rectangular extent of the object,
+    checked and its heading wrapped by core._pose_values."""
+
+    position: np.ndarray
+    heading: float
+    extent: tuple[float, float]
+
+    __eq__ = _fields_equal
+
+    def __post_init__(self):
+        position = np.array(self.position, dtype=float).reshape(2)
+        _, _, heading, w, l = _pose_values(
+            *position.tolist(), float(self.heading), float(self.extent[0]), float(self.extent[1])
+        )
+        object.__setattr__(self, "position", _frozen(position))
+        object.__setattr__(self, "heading", heading)
+        object.__setattr__(self, "extent", (w, l))
+
+
+def nll(g: Gaussian2D, point) -> float:
+    """Negative log density of point under g, in nats: nll_rows of one row."""
+    point = np.asarray(point, dtype=float).reshape(2)
+    if not np.all(np.isfinite(point)):
+        raise ValueError("evaluation point must be finite")
+    return float(nll_rows(g.mean[None], g.cov[None], point[None])[0])
+
+
+def log_density(g: Gaussian2D, points) -> np.ndarray:
+    """Log density of g at an (n, 2) array of points."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n = len(points)
+    return -nll_rows(np.broadcast_to(g.mean, (n, 2)), np.broadcast_to(g.cov, (n, 2, 2)), points)
 
 
 def dense_nll(mean, cov, point) -> float:

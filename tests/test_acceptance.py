@@ -14,19 +14,22 @@ import pytest
 
 from conftest import (
     KalmanState,
+    ObjectPose,
     make_cv_frames,
+    nll,
     opm,
     phi,
     random_pd_2x2,
     records_arrays,
+    rotation,
     stacked_update,
     update,
     window_loss,
 )
 from geotrack import calibration, dataio, metrics, tuning
 from geotrack.cli import main
-from geotrack.core import Arena, Gaussian2D, ObjectPose, Pairs, nll, rotation
-from geotrack.heads import RawHead, extent_grid, grid_loss, head_to_gaussian
+from geotrack.core import Arena, Gaussian2D, Pairs
+from geotrack.heads import extent_grid, grid_loss, head_to_gaussian
 from geotrack.kalman import DetectionFrame, FilterParams, run_sequence
 from geotrack.simulator import default_scenario, simulate
 
@@ -479,19 +482,17 @@ def test_criterion_8_metric_identities():
 
 
 def test_criterion_9_head_construction():
-    g = head_to_gaussian(RawHead((0.0, 0.0), (0.0, 0.0), 0.0), Arena())
-    mean_err = float(np.max(np.abs(g.mean - np.array([250.0, 350.0]))))
+    mean, cov = head_to_gaussian(np.zeros((1, 5)), Arena())
+    mean_err = float(np.max(np.abs(mean[0] - np.array([250.0, 350.0]))))
     # softplus(0)^2 + 1 exactly; 1.48045 is its 5-decimal display rounding.
     zero_head_var = math.log(2.0) ** 2 + 1.0
     assert zero_head_var == pytest.approx(1.48045, abs=5e-6)
-    cov_err = float(np.max(np.abs(g.cov - zero_head_var * np.eye(2))))
+    cov_err = float(np.max(np.abs(cov[0] - zero_head_var * np.eye(2))))
 
-    rng = np.random.default_rng(8605)
-    arena = Arena()
-    covs = np.empty((100_000, 2, 2))
-    for i in range(covs.shape[0]):
-        raw = RawHead(rng.uniform(-20, 20, 2), rng.uniform(-20, 20, 2), rng.uniform(-20, 20))
-        covs[i] = head_to_gaussian(raw, arena).cov
+    # Row by row these are the draws of 2 mean, 2 diagonal and 1 off-diagonal
+    # raw values per head, bit for bit.
+    raws = np.random.default_rng(8605).uniform(-20, 20, (100_000, 5))
+    covs = head_to_gaussian(raws, Arena())[1]
     min_eig = float(np.linalg.eigvalsh(covs)[:, 0].min())
     ok = mean_err < 1e-9 and cov_err < 1e-6 and min_eig >= 1.0 - 1e-9
     assert report(
@@ -512,13 +513,13 @@ def test_criterion_9_head_construction():
 def test_criterion_10_grid_loss_opm_consistency():
     rng = np.random.default_rng(8606)
     pose = ObjectPose((0.0, 0.0), 0.0, (15.0, 30.0))
-    grid = extent_grid(pose, 1.0)
+    points = extent_grid(pose.position, pose.heading, pose.extent, 1.0)
     worst = 0.0
     for i in range(100):
         eigs = rng.uniform(25.0, 400.0, 2)
         R = rotation(rng.uniform(0.0, math.pi))
         g = Gaussian2D((0.0, 0.0), R @ np.diag(eigs) @ R.T)
-        mass = math.exp(-grid_loss(g, grid))
+        mass = math.exp(-grid_loss(g.mean, g.cov, points, 1.0))
         mc = opm(g, pose, n=200_000, rng=np.random.default_rng(9100 + i))
         worst = max(worst, abs(mass - mc))
     ok = worst < 0.01

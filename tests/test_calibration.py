@@ -14,9 +14,11 @@ from conftest import (
     direct_cell_fit,
     direct_cell_nll,
     fork_only,
+    nll,
     open_fds,
     pairs_arrays,
     random_pd_2x2,
+    rotation,
 )
 from geotrack import calibration, forking
 from geotrack.calibration import (
@@ -31,7 +33,7 @@ from geotrack.calibration import (
     log_spaced_axis,
     obs_transform,
 )
-from geotrack.core import Gaussian2D, Pairs, nll, rotation
+from geotrack.core import Gaussian2D, Pairs
 
 
 def sampled_pairs(rng, n, true_scale=1.0, base_var=25.0):

@@ -15,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import oracle_write_plot_data, truth_arrays
+from conftest import ObjectPose, first_child_line, fork_only, oracle_write_plot_data, truth_arrays
 from geotrack import __version__, calibration, dataio, metrics, tuning
 from geotrack.cli import _parse_axis, build_parser, main
-from geotrack.core import ObjectPose
 from geotrack.kalman import FilterParams
 
 SMALL_CONFIG = {
@@ -1034,6 +1033,102 @@ def test_exit_code_table(sim_dir, tmp_path, capsys, code, files, argv, named):
     assert line.startswith("error: ")
     if named is not None:
         assert line.startswith(f"error: {named.format(**dirs)}:")
+
+
+# Bad copies of the README walkthrough's seed-7 files, each read through main:
+# the command exits 2 with one stderr line naming the file and the line. Line
+# 1500 of the 2400-line test detections lies in the range that a forked child
+# parses at the default SPLIT_BYTES, so two CPUs are patched in and each
+# detections case checks that its read forked one child: the error is the one
+# this process gives when it reads the failed child's range itself. Each case
+# is an id, the file corrupted (under walkthrough_dir), the line (-1 the last),
+# the corruption of that line, the command (the bad file as {bad}) and whether
+# a child must run.
+def _null_time(line: bytes) -> bytes:
+    return json.dumps({**json.loads(line), "t": None}).encode() + b"\n"
+
+
+def _x_field_x(row: bytes) -> bytes:
+    fields = row.split(b",")
+    fields[1] = b"x"
+    return b",".join(fields)
+
+
+_TRACK_BAD = "track --detections {bad}"
+BAD_LINE_CASES = [
+    ("null-time", "sim/detections_test.jsonl", 1500, _null_time, _TRACK_BAD, True),
+    ("0xff-byte", "sim/detections_test.jsonl", 1500, lambda line: b"\xff" + line, _TRACK_BAD, True),
+    (
+        "truncated-last-track-line",
+        "track/track.jsonl",
+        -1,
+        lambda line: line[: len(line) // 2],
+        "evaluate --track {bad} --truth {dir}/sim/truth_test.csv",
+        False,
+    ),
+    ("x-in-truth", "sim/truth_test.csv", 1500, _x_field_x, "evaluate --track {dir}/track/track.jsonl --truth {bad}", False),
+]
+
+
+@pytest.fixture(scope="module")
+def walkthrough_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("walkthrough")
+    assert main(["simulate", "--seed", "7", "--out", str(out / "sim")]) == 0
+    assert main(["track", "--detections", str(out / "sim/detections_test.jsonl"), "--out", str(out / "track")]) == 0
+    return out
+
+
+def _with_line(path: Path, out: Path, number: int, edit) -> tuple[Path, int]:
+    """A copy of path at out with line number (1-based, -1 the last) edited,
+    and that line's 1-based number."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    number = len(lines) if number == -1 else number
+    lines[number - 1] = edit(lines[number - 1])
+    out.write_bytes(b"".join(lines))
+    return out, number
+
+
+def _main_on_two_cpus(argv: list) -> tuple[int, int]:
+    """main(argv)'s exit code on two CPUs, and how many children it forked."""
+    with mock.patch.object(os, "sched_getaffinity", return_value={0, 1}), \
+            mock.patch.object(os, "fork", wraps=os.fork) as fork:
+        code = main(argv)
+    return code, fork.call_count
+
+
+@fork_only
+@pytest.mark.parametrize(
+    "name,number,edit,command,child", [c[1:] for c in BAD_LINE_CASES], ids=[c[0] for c in BAD_LINE_CASES]
+)
+def test_a_bad_line_exits_2_naming_the_file_and_line(
+    walkthrough_dir, tmp_path, capsys, name, number, edit, command, child
+):
+    bad, number = _with_line(walkthrough_dir / name, tmp_path / Path(name).name, number, edit)
+    argv = [arg.format(dir=walkthrough_dir, bad=bad) for arg in command.split()]
+    code, forks = _main_on_two_cpus(argv + ["--out", str(tmp_path / "out")])
+    [line] = capsys.readouterr().err.splitlines()
+    assert code == 2
+    assert line.startswith(f"error: {bad}:{number}:")
+    if child:
+        assert 0 < (first_child_line(bad) or 0) <= number
+        assert forks == 1
+
+
+@fork_only
+def test_a_spaced_crlf_line_tracks_as_the_unmodified_file(walkthrough_dir, tmp_path):
+    # Line 1500 indented by a tab and ending in spaces and CRLF is valid JSON
+    # that the bulk parse declines, in the range of the one child that the
+    # read forks (the track's writes fork none).
+    spaced, _ = _with_line(
+        walkthrough_dir / "sim/detections_test.jsonl",
+        tmp_path / "detections_test.jsonl",
+        1500,
+        lambda line: b"\t" + line.rstrip(b"\n") + b"  \r\n",
+    )
+    assert 0 < (first_child_line(spaced) or 0) <= 1500
+    code, forks = _main_on_two_cpus(["track", "--detections", str(spaced), "--out", str(tmp_path / "spaced")])
+    assert (code, forks) == (0, 1)
+    assert (tmp_path / "spaced/track.jsonl").read_bytes() == (walkthrough_dir / "track/track.jsonl").read_bytes()
 
 
 # Parameter and calibration files hold objects of known keys only: id, the

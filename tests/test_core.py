@@ -6,17 +6,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cholesky, dense_nll, mp_nll, points_in_pose, random_pd_2x2, sample_gaussian
+from conftest import (
+    ObjectPose,
+    cholesky,
+    dense_nll,
+    log_density,
+    mp_nll,
+    nll,
+    points_in_pose,
+    random_pd_2x2,
+    rotation,
+    sample_gaussian,
+)
 from geotrack.core import (
     Arena,
     Gaussian2D,
     NotPositiveDefiniteError,
-    ObjectPose,
     heading_from_velocity,
-    log_density,
-    nll,
     nll_rows,
-    rotation,
     wrap_angle,
 )
 from geotrack.simulator import CameraNode
@@ -281,8 +288,8 @@ class TestHelpers:
     def test_arena_contains(self):
         arena = Arena()
         assert arena.width == 500.0 and arena.length == 700.0
-        assert arena.contains((0.0, 0.0)) and arena.contains((500.0, 700.0))
-        assert not arena.contains((-0.1, 10.0))
+        assert arena.contains(np.array([[0.0, 0.0], [500.0, 700.0]])).all()
+        assert not arena.contains(np.array([[-0.1, 10.0]]))[0]
         np.testing.assert_allclose(arena.center, [250.0, 350.0])
 
     @pytest.mark.parametrize("heading", [math.nan, math.inf, -math.inf])

@@ -21,8 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    ObjectPose,
     assert_no_child,
     batch_frames,
+    first_child_line,
     fork_only,
     open_fds,
     oracle_write_detections,
@@ -35,7 +37,7 @@ from conftest import (
 )
 from geotrack import dataio, forking
 from geotrack.calibration import CalibrationParams
-from geotrack.core import Arena, Gaussian2D, NotPositiveDefiniteError, ObjectPose, wrap_angle
+from geotrack.core import Arena, Gaussian2D, NotPositiveDefiniteError, wrap_angle
 from geotrack.kalman import DetectionFrame, FilterParams, FrameBatch, pack
 from geotrack.metrics import MetricReport
 from geotrack.simulator import CameraNode, Trajectory, default_scenario
@@ -1220,17 +1222,6 @@ def _split_line(k, views=("N1", "N2")):
     return json.dumps({"t": 1000.0 + k, "detections": dets})
 
 
-def _child_first_line(path) -> int | None:
-    """The number of the first line the child reads; None if its range holds
-    less than the patched SPLIT_BYTES (and 1) or the file is not a regular
-    file, so that the file is read in one pass."""
-    with open(path, "rb") as fh:
-        split, work = dataio._second_range(fh)
-        if split is None or work < max(forking.SPLIT_BYTES, 1):
-            return None
-        return len(list(dataio._lines_to(fh, split))) + 1
-
-
 def _read_counting_forks(read, path, cpus=(0, 1)):
     """read(path)'s outcome on the given CPUs and how many children it
     forked; it must leave no child and no file descriptor behind."""
@@ -1274,7 +1265,7 @@ def test_split_after_the_line_that_ends_at_or_after_the_midpoint(tmp_path, n):
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
     with _chunks_and_floor(2, 0):
-        assert _child_first_line(path) == 6
+        assert first_child_line(path) == 6
         batch = _assert_split_reads_as_one_pass(path)
     assert len(batch) == n
 
@@ -1288,7 +1279,7 @@ def test_a_childs_range_under_the_floor_reads_in_one_pass(tmp_path, n, child_fir
     path = tmp_path / "d.jsonl"
     path.write_text("".join(_split_line(k) + "\n" for k in range(n)))
     with _chunks_and_floor(2, 4 * len(_split_line(0) + "\n")):
-        assert _child_first_line(path) == child_first_line
+        assert first_child_line(path) == child_first_line
         _assert_split_reads_as_one_pass(path, forks=int(child_first_line is not None))
 
 
@@ -1320,7 +1311,7 @@ def test_a_line_near_the_split_reads_as_in_one_pass(tmp_path, kind, line):
     path = tmp_path / "d.jsonl"
     path.write_text("".join(text + "\n" for text in lines))
     with _chunks_and_floor(2, 0):
-        assert _child_first_line(path) == 7
+        assert first_child_line(path) == 7
         got = _assert_split_reads_as_one_pass(path)
     if kind != "odd":
         assert re.search(rf"^{re.escape(str(path))}(:{line}: |: timestamp disorder at line {line}$)", got[1]), got
@@ -1336,7 +1327,7 @@ def test_disorder_across_the_split_names_the_childs_first_record(tmp_path, gap):
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines))
     with _chunks_and_floor(2, 0):
-        first = _child_first_line(path)
+        first = first_child_line(path)
         assert 6 <= first <= 6 + gap.count("\n")
         got = _assert_split_reads_as_one_pass(path)
     assert got == (RuntimeError, f"{path}: timestamp disorder at line {6 + gap.count(chr(10))}")
@@ -1352,7 +1343,7 @@ def test_blank_and_crlf_lines_at_the_split(tmp_path, ending, blank):
     path = tmp_path / "d.jsonl"
     path.write_text("".join(lines), newline="")
     with _chunks_and_floor(2, 0):
-        first = _child_first_line(path)
+        first = first_child_line(path)
         assert 6 <= first <= 6 + 2 * blank.count("\n")
         batch = _assert_split_reads_as_one_pass(path)
     assert len(batch) == 10
@@ -1368,7 +1359,7 @@ def test_a_view_first_seen_in_the_childs_range(tmp_path):
     path = tmp_path / "d.jsonl"
     path.write_text("".join(text + "\n" for text in lines))
     with _chunks_and_floor(2, 0):
-        assert 4 < _child_first_line(path) <= 9
+        assert 4 < first_child_line(path) <= 9
         batch = _assert_split_reads_as_one_pass(path)
     assert batch.views == ("A0", "N1", "N2", "N3", "N4")
     assert batch.mask[0].sum(axis=0).tolist() == [2, 2, 9, 8, 1]
@@ -1385,7 +1376,7 @@ def test_track_split_reads_as_in_one_pass(tmp_path, kind):
     path = tmp_path / "track.jsonl"
     path.write_text("".join(json.dumps(step) + "\n" for step in steps))
     with _chunks_and_floor(2, 0):
-        assert _child_first_line(path) == 6
+        assert first_child_line(path) == 6
         got = _assert_split_reads_as_one_pass(path, frames=False)
     if kind == "valid":
         _assert_same_arrays(got, _read_track_records(path))

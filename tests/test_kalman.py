@@ -19,17 +19,19 @@ from conftest import (
     make_cv_frames,
     marginal,
     mp_mean_nll,
+    nll,
     obs_tangents,
     open_fds,
     pack_windows,
     predict,
     random_pd_2x2,
+    rotation,
     stacked_update,
     update,
 )
 from geotrack import forking, kalman
 from geotrack.calibration import CalibrationParams, obs_transform
-from geotrack.core import Gaussian2D, NotPositiveDefiniteError, nll, rotation
+from geotrack.core import Gaussian2D
 from geotrack.kalman import (
     DetectionFrame,
     FilterParams,

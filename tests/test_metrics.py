@@ -6,8 +6,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import mc_scores, mp_orthant, mp_rectangle_mass, phi, random_pd_2x2, records_arrays
-from geotrack.core import Gaussian2D, NotPositiveDefiniteError, ObjectPose, nll, rotation
+from conftest import (
+    ObjectPose,
+    mc_scores,
+    mp_orthant,
+    mp_rectangle_mass,
+    nll,
+    phi,
+    random_pd_2x2,
+    records_arrays,
+    rotation,
+)
+from geotrack.core import Gaussian2D, NotPositiveDefiniteError
 from geotrack.metrics import (
     AlphaSweep,
     Records,

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mask_trajectory, oracle_simulate_files, simulate_detection, visibility
+from conftest import ObjectPose, mask_trajectory, oracle_simulate_files, rotation, simulate_detection, visibility
 from geotrack import dataio
 from geotrack.cli import main
-from geotrack.core import Arena, ObjectPose, rotation
+from geotrack.core import Arena
 from geotrack.simulator import (
     CameraNode,
     ScenarioConfig,

@@ -6,11 +6,14 @@ no longer builds one) fails here; every ``geotrack.__all__`` entry must
 resolve on the package; the test oracles in ``conftest`` take none of the
 filter's arithmetic from ``geotrack.kalman`` or ``geotrack.core``; and the
 grid-fit oracles take nothing from ``geotrack.calibration`` but its two
-value types.
+value types. A public function or class that no code in ``src/`` or
+``perfbench/`` names, and ``geotrack.__all__`` does not export, fails too,
+so a type whose last caller leaves goes with it.
 """
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,50 @@ def test_package_all_resolves():
     package = importlib.import_module("geotrack")
     missing = [name for name in package.__all__ if not hasattr(package, name)]
     assert not missing, f"geotrack.__all__ names what the package does not define: {missing}"
+
+
+# Public top-level functions and classes that stay with no caller in src/ or
+# perfbench/ and no __all__ entry.
+UNCALLED_BY_DESIGN = {
+    # The paper's head losses, listed in the README's "Detection head math"
+    # for a detector's training loop; no command trains a detector.
+    "nll_loss", "extent_grid", "grid_loss",
+    # The grid that calibrate's default --grid-a and --grid-b flags spell out.
+    "default_grid",
+}
+REFERENCING = [*PACKAGE.glob("*.py"), *(PACKAGE.parent.parent / "perfbench").glob("*.py")]
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name that code reads, imports or spells in a string other than
+    a docstring (perfbench names what it wraps as "module.name")."""
+    docstrings = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            names |= set(re.findall(r"\w+", node.value))
+    return names
+
+
+def test_every_public_definition_is_named_or_exported():
+    referenced = set().union(*(referenced_names(ast.parse(p.read_text(), filename=str(p))) for p in REFERENCING))
+    exported = set(importlib.import_module("geotrack").__all__)
+    orphans = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path in MODULES
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in referenced | exported | UNCALLED_BY_DESIGN
+    ]
+    assert not orphans, f"public definitions that nothing in src/ or perfbench/ names or exports: {orphans}"
+    stale = UNCALLED_BY_DESIGN & (referenced | exported)
+    assert not stale, f"UNCALLED_BY_DESIGN lists names that now have a caller or an export: {sorted(stale)}"
 
 
 # kalman's filter arithmetic, and the NLL and 2x2 inverse it takes from
